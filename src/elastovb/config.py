@@ -47,6 +47,13 @@ def _as_float(value, where: str) -> float:
         raise ConfigError(f"{where} must be a number, got {value!r}") from exc
 
 
+def _as_int(value, where: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where} must be an integer, got {value!r}") from exc
+
+
 @dataclass
 class MeshBlock:
     nx: int
@@ -144,8 +151,8 @@ class RunConfig:
         m = self.mesh
         if m.nx < 1 or m.ny < 1 or m.lx <= 0 or m.ly <= 0:
             raise ConfigError("mesh dimensions must be positive")
-        if not -1.0 < m.poisson < 0.5:
-            raise ConfigError(f"poisson ratio {m.poisson} outside (-1, 0.5)")
+        if not 0.0 <= m.poisson < 0.5:
+            raise ConfigError(f"mesh.poisson {m.poisson} outside [0, 0.5)")
         if not self.noise.snr > 0:
             raise ConfigError("noise.snr must be positive")
         for inc in self.phantom.inclusions:
@@ -221,7 +228,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     mb = block("mesh")
     _check_keys(mb, {"nx", "ny", "lx", "ly", "poisson"}, "mesh")
     try:
-        mesh = MeshBlock(nx=int(mb["nx"]), ny=int(mb["ny"]),
+        mesh = MeshBlock(nx=_as_int(mb["nx"], "mesh.nx"), ny=_as_int(mb["ny"], "mesh.ny"),
                          lx=_as_float(mb["lx"], "mesh.lx"),
                          ly=_as_float(mb["ly"], "mesh.ly"),
                          poisson=_as_float(mb.get("poisson", 0.0), "mesh.poisson"))
@@ -266,7 +273,7 @@ def config_from_dict(raw: dict) -> RunConfig:
         node = entry.get("node")
         if not isinstance(node, (list, tuple)) or len(node) != 2:
             raise ConfigError(f"bc.loads[{i}].node must be [ix, iy]")
-        loads.append(PointLoad(node=[int(node[0]), int(node[1])],
+        loads.append(PointLoad(node=[_as_int(v, f"bc.loads[{i}].node") for v in node],
                                fx=_as_float(entry.get("fx", 0.0), "fx"),
                                fy=_as_float(entry.get("fy", 0.0), "fy")))
     bc = BCBlock(dirichlet=dirichlet, loads=loads)
@@ -274,7 +281,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     nb = block("noise")
     _check_keys(nb, {"snr", "seed"}, "noise")
     noise = NoiseBlock(snr=_as_float(nb.get("snr", 1e5), "noise.snr"),
-                       seed=int(nb.get("seed", 0)))
+                       seed=_as_int(nb.get("seed", 0), "noise.seed"))
 
     sb = block("solver")
     solver_fields = {f.name for f in dataclass_fields(DriverConfig)}
@@ -286,14 +293,15 @@ def config_from_dict(raw: dict) -> RunConfig:
         elif key in ("info_gain_window", "max_bases", "seed", "mu_max_outer",
                      "mu_reg_delay", "mu_max_halvings", "mu_call_budget",
                      "w_max_iters", "q_max_iters", "sweep_window", "max_sweeps"):
-            kwargs[key] = int(value)
+            kwargs[key] = _as_int(value, f"solver.{key}")
         else:
             kwargs[key] = _as_float(value, f"solver.{key}")
     solver = DriverConfig(**kwargs)
 
     cb = block("clamp")
     _check_keys(cb, {"top_element_rows", "value"}, "clamp")
-    clamp = ClampBlock(top_element_rows=int(cb.get("top_element_rows", 0)),
+    clamp = ClampBlock(top_element_rows=_as_int(cb.get("top_element_rows", 0),
+                                                "clamp.top_element_rows"),
                        value=_as_float(cb.get("value", 0.0), "clamp.value"))
 
     prb = block("prior")
@@ -304,8 +312,9 @@ def config_from_dict(raw: dict) -> RunConfig:
 
     vb_ = block("validation")
     _check_keys(vb_, {"samples", "seed"}, "validation")
-    validation = ValidationBlock(samples=int(vb_.get("samples", 1000)),
-                                 seed=int(vb_.get("seed", 0)))
+    validation = ValidationBlock(
+        samples=_as_int(vb_.get("samples", 1000), "validation.samples"),
+        seed=_as_int(vb_.get("seed", 0), "validation.seed"))
 
     ob = block("output")
     _check_keys(ob, {"directory", "formats"}, "output")

@@ -1,9 +1,10 @@
 """Forward-model contract: evaluate outputs and sensitivities at a parameter point.
 
-Every model returns the output vector together with its Jacobian (models that
-cannot provide sensitivities are not admitted), and bumps a shared call counter
-by exactly one per evaluation.  The counter is the unit of computational cost
-throughout the package.
+Every model returns the output vector and, unless the caller asks for the value
+only (`jacobian=False`, as importance sampling does), its Jacobian; models that
+cannot provide sensitivities are not admitted.  Each evaluation bumps a shared
+call counter by exactly one, with or without the Jacobian.  The counter is the
+unit of computational cost throughout the package.
 """
 
 from __future__ import annotations
@@ -27,15 +28,19 @@ class ForwardSolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class ForwardEval:
-    """Model output y (length d_y) and sensitivity matrix G (d_y x d_psi)."""
+    """Model output y (length d_y) and sensitivity matrix G (d_y x d_psi).
+
+    G is None for a value-only evaluation.
+    """
 
     y: np.ndarray
-    G: np.ndarray
+    G: np.ndarray | None
 
     def __post_init__(self) -> None:
-        if self.y.shape[0] != self.G.shape[0]:
+        if self.G is not None and self.y.shape[0] != self.G.shape[0]:
             raise ValueError(f"y has {self.y.shape[0]} entries but G has {self.G.shape[0]} rows")
-        if not (np.all(np.isfinite(self.y)) and np.all(np.isfinite(self.G))):
+        if not (np.all(np.isfinite(self.y))
+                and (self.G is None or np.all(np.isfinite(self.G)))):
             raise ValueError("forward evaluation produced non-finite values")
 
 
@@ -74,14 +79,15 @@ class ForwardModel(ABC):
     def d_y(self) -> int: ...
 
     @abstractmethod
-    def _evaluate(self, psi: np.ndarray) -> ForwardEval: ...
+    def _evaluate(self, psi: np.ndarray, jacobian: bool) -> ForwardEval: ...
 
-    def evaluate(self, psi: np.ndarray) -> ForwardEval:
+    def evaluate(self, psi: np.ndarray, jacobian: bool = True) -> ForwardEval:
+        """One forward call; with jacobian=False the result's G is None."""
         psi = np.asarray(psi, dtype=float)
         if psi.shape != (self.d_psi,):
             raise ValueError(f"psi has shape {psi.shape}, expected ({self.d_psi},)")
         self.counter.increment()
-        return self._evaluate(psi)
+        return self._evaluate(psi, jacobian)
 
 
 class LinearOracleModel(ForwardModel):
@@ -104,8 +110,9 @@ class LinearOracleModel(ForwardModel):
     def d_y(self) -> int:
         return self.A.shape[0]
 
-    def _evaluate(self, psi: np.ndarray) -> ForwardEval:
-        return ForwardEval(y=self.A @ psi + self.offset, G=self.A.copy())
+    def _evaluate(self, psi: np.ndarray, jacobian: bool) -> ForwardEval:
+        return ForwardEval(y=self.A @ psi + self.offset,
+                           G=self.A.copy() if jacobian else None)
 
 
 class FemForwardModel(ForwardModel):
@@ -131,12 +138,12 @@ class FemForwardModel(ForwardModel):
     def d_y(self) -> int:
         return self.obs_dofs.size
 
-    def _evaluate(self, psi: np.ndarray) -> ForwardEval:
+    def _evaluate(self, psi: np.ndarray, jacobian: bool) -> ForwardEval:
         field_ = MaterialField(psi=psi, fixed_mask=self.fixed_mask)
         try:
             system = _solve_reduced(self.mesh, self.bc, field_, self.poisson)
-            G = adjoint_jacobian(self.mesh, self.bc, field_, self.obs_dofs,
-                                 self.poisson, system=system)
+            G = (adjoint_jacobian(self.mesh, self.bc, field_, self.obs_dofs,
+                                  self.poisson, system=system) if jacobian else None)
         except Exception as exc:
             raise ForwardSolveError(f"forward solve failed: {exc}", psi) from exc
         return ForwardEval(y=system.U[self.obs_dofs].copy(), G=G)

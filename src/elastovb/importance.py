@@ -3,7 +3,8 @@
 Draws reduced coordinates from the variational proposal q(Theta), weights them
 by the tau-marginalized exact likelihood times the prior over the proposal, and
 reports the effective sample size, an evidence estimate, and self-normalized
-moment estimates for the latent field.  Every sample costs one forward call.
+moment estimates for the latent field.  Every sample costs one value-only
+forward call.
 """
 
 from __future__ import annotations
@@ -38,10 +39,12 @@ class ISReport:
 def ess(weights: np.ndarray) -> float:
     """Normalized effective sample size; invariant to rescaling the weights."""
     w = np.asarray(weights, dtype=float)
+    top = float(np.max(w)) if w.size else 0.0
+    if top == 0.0:
+        return 0.0
+    w = w / top    # squares of tiny weights would otherwise lose bits as subnormals
     total = float(np.sum(w))
     sq = float(np.sum(w * w))
-    if sq == 0.0:
-        return 0.0
     return total * total / (w.size * sq)
 
 
@@ -54,7 +57,7 @@ def marginal_log_likelihood(theta: np.ndarray, state: ReducedPosterior,
     (it cancels in normalized weights) and restored analytically in evidence
     reports when the tau prior is proper.
     """
-    ev = model.evaluate(state.mu + state.W @ theta)
+    ev = model.evaluate(state.mu + state.W @ theta, jacobian=False)
     r = yhat - ev.y
     return _marginal_from_rsq(float(r @ r), state.a0, state.b0, yhat.shape[0])
 
@@ -112,7 +115,8 @@ def run_is(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
     for m in range(M):
         theta = thetas[m]
         try:
-            ev = model.evaluate(state.mu + (state.W @ theta if d_theta else 0.0))
+            ev = model.evaluate(state.mu + (state.W @ theta if d_theta else 0.0),
+                                jacobian=False)
         except ForwardSolveError:
             log_w[m] = -np.inf
             discarded += 1

@@ -10,7 +10,10 @@ fixed pair precisions also improves the true objective.
 
 Each outer iteration costs exactly one forward evaluation (value and Jacobian
 together); trial steps are accepted only if the exact objective, at the
-iteration's frozen <tau> and pair precisions, strictly increases.
+iteration's frozen <tau> and pair precisions, strictly increases.  Before a
+trial is spent, the Gauss-Newton model predicts the step's gain from the
+Jacobian already in hand; a predicted gain below the phase's relative
+tolerance ends the phase, since such a step cannot be told from rounding.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .vb import ReducedPosterior, update_q_tau
 
 B_PHI_FLOOR = 1e-12
 TIKHONOV_FLOOR = 1e-10
+GAIN_RTOL = 1e-9          # relative objective gain below which the mean phase stops
 
 
 def neighbor_pairs(nx: int, ny: int) -> np.ndarray:
@@ -186,7 +190,9 @@ def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
     The jump-penalty regularization is switched on once `reg_delay` steps have
     been accepted; before that, steps are plain Gauss-Newton on the data term.
     A rejected trial is halved up to max_halvings times (each trial costs one
-    forward call); exhausting the halvings ends the phase.
+    forward call); exhausting the halvings ends the phase.  So does a step
+    whose predicted gain, -<tau>/2 |r - G delta|^2 + log p(mu + delta) - F_mu,
+    is at most GAIN_RTOL (1 + |F_mu|), or an accepted step whose actual gain is.
     """
     mu = state.mu.copy()
     calls = 0
@@ -216,9 +222,11 @@ def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
         f_curr = -0.5 * mean_tau * float(r @ r) + logp_fn(mu)
         delta, _ = gauss_newton_step(mu, ev, yhat, mean_tau, cur_prior,
                                      reg_active, fixed_mask)
-        dn = float(np.linalg.norm(delta))
-        if dn <= 1e-12 * (1.0 + float(np.linalg.norm(mu))):
+        r_lin = r - ev.G @ delta
+        pred = -0.5 * mean_tau * float(r_lin @ r_lin) + logp_fn(mu + delta) - f_curr
+        if pred <= GAIN_RTOL * (1.0 + abs(f_curr)):
             break
+        dn = float(np.linalg.norm(delta))
         accepted = False
         halvings = 0
         scale = 1.0
@@ -258,7 +266,7 @@ def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
         mu, ev = trial, ev_try
         accepted_count += 1
         a, b = update_q_tau(state, ev, yhat)
-        if (f_try - f_curr) <= 1e-9 * (1.0 + abs(f_curr)):
+        if (f_try - f_curr) <= GAIN_RTOL * (1.0 + abs(f_curr)):
             break
 
     log_prior_value = 0.0

@@ -173,14 +173,25 @@ class _ReducedSystem:
 
 
 def _assemble(mesh: Mesh2D, field_: MaterialField, poisson: float) -> sp.csr_matrix:
+    try:
+        with np.errstate(over="raise"):
+            e_mod = np.exp(field_.psi)
+    except FloatingPointError as exc:
+        raise SingularSystemError(
+            f"modulus overflow: exp(psi) at max psi {float(np.max(field_.psi)):.4g}") from exc
     ke = element_stiffness_unit(mesh, poisson)
-    e_mod = np.exp(field_.psi)
     dofs = mesh.element_dofs()
     rows = np.repeat(dofs, 8, axis=1).ravel()
     cols = np.tile(dofs, (1, 8)).ravel()
     data = (e_mod[:, None] * ke.ravel()[None, :]).ravel()
     n = mesh.n_dofs
     return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+
+
+def _modulus_range(psi: np.ndarray) -> str:
+    """Modulus range in log scale, since exp(min psi) can underflow to 0."""
+    lo, hi = float(np.min(psi)), float(np.max(psi))
+    return f"log-moduli in [{lo:.4g}, {hi:.4g}], contrast e^{hi - lo:.4g}"
 
 
 def _solve_reduced(mesh: Mesh2D, bc: BoundarySpec, field_: MaterialField,
@@ -213,13 +224,15 @@ def _solve_reduced(mesh: Mesh2D, bc: BoundarySpec, field_: MaterialField,
         u_f = lu.solve(rhs)
     except RuntimeError as exc:  # zero pivot and friends
         raise SingularSystemError(
-            f"stiffness factorization failed ({exc}); check that the Dirichlet "
-            "set constrains all rigid-body modes") from exc
+            f"stiffness factorization failed ({exc}; {_modulus_range(field_.psi)}); check "
+            "that the Dirichlet set constrains all rigid-body modes and that the "
+            "modulus contrast is not extreme") from exc
     resid = np.linalg.norm(K_ff @ u_f - rhs)
     if not np.all(np.isfinite(u_f)) or resid > 1e-8 * (1.0 + np.linalg.norm(rhs)):
         raise SingularSystemError(
-            f"reduced solve inaccurate (residual {resid:.3e}); the Dirichlet set "
-            "likely leaves rigid-body modes unconstrained")
+            f"reduced solve inaccurate (residual {resid:.3e}; {_modulus_range(field_.psi)}); "
+            "either the modulus contrast is too large for double precision or the "
+            "Dirichlet set leaves rigid-body modes unconstrained")
     U[free] = u_f
     return _ReducedSystem(free=free, free_pos=free_pos, lu=lu, U=U, K=K)
 
@@ -262,18 +275,18 @@ def adjoint_jacobian(mesh: Mesh2D, bc: BoundarySpec, field_: MaterialField,
     rhs = np.zeros((n_free, d_y))
     rhs[system.free_pos[Q], np.arange(d_y)] = 1.0
     nu_f = system.lu.solve(rhs) if d_y else rhs
-    nu = np.zeros((mesh.n_dofs, d_y))
-    nu[system.free] = nu_f
 
+    # dy_i/dpsi_k = -E_k * nu_i|_e . (Ke_unit U_e): row k of B holds
+    # -E_k Ke_unit U_e on element k's free dofs (prescribed dofs have nu = 0,
+    # clamped elements have no entries), so G^T = B nu_f
     ke = element_stiffness_unit(mesh, poisson)
     dofs = mesh.element_dofs()
-    u_elem = system.U[dofs]                      # (n_elems, 8)
-    v = u_elem @ ke.T                            # (n_elems, 8): Ke_unit @ U_e
-    nu_elem = nu[dofs]                           # (n_elems, 8, d_y)
-    # dy_i/dpsi_k = -E_k * nu_i|_e . (Ke_unit U_e)
-    G = -np.exp(field_.psi)[None, :] * np.einsum("keo,ke->ok", nu_elem, v)
-    G[:, field_.fixed_mask] = 0.0
-    return G
+    v = -np.exp(field_.psi)[:, None] * (system.U[dofs] @ ke.T)   # (n_elems, 8)
+    cols = system.free_pos[dofs]
+    keep = (cols >= 0) & ~field_.fixed_mask[:, None]
+    rows = np.broadcast_to(np.arange(mesh.n_elems)[:, None], dofs.shape)
+    B = sp.csr_matrix((v[keep], (rows[keep], cols[keep])), shape=(mesh.n_elems, n_free))
+    return np.ascontiguousarray((B @ nu_f).T)
 
 
 def strain_energy(mesh: Mesh2D, field_: MaterialField, U: np.ndarray,

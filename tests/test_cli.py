@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+import elastovb
 from elastovb import config as cfgmod
 from elastovb.cli import main
 from elastovb.config import (ConfigError, ObservationFile, config_from_dict,
@@ -184,18 +188,43 @@ def test_bad_yaml_exits_one(tmp_path):
     assert main(["generate", "--config", str(path), "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("block,key,value", [
+    ("mesh", "poisson", -0.2),
+    ("mesh", "nx", "ten"),
+    ("noise", "seed", "one"),
+    ("solver", "mu_max_outer", "thirty"),
+    ("clamp", "top_element_rows", [1]),
+    ("validation", "samples", "many"),
+])
+def test_invalid_field_exits_one_with_message(block, key, value, tmp_path, capsys):
+    d = small_dict()
+    d[block][key] = value
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(d))
+    assert main(["generate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("elastovb: config error:")
+    assert f"{block}.{key}" in err
+
+
+def run_cli(*args):
+    """`python -m elastovb.cli` in a child that imports the package under test."""
+    src = str(Path(elastovb.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "elastovb.cli", *args],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 def test_bad_flag_exits_one_in_subprocess(small_cfg_path):
-    proc = subprocess.run([sys.executable, "-m", "elastovb.cli",
-                           "generate", "--config", str(small_cfg_path),
-                           "--nonsense"], capture_output=True, text=True)
+    proc = run_cli("generate", "--config", str(small_cfg_path), "--nonsense")
     assert proc.returncode == 1
+    assert "--nonsense" in proc.stderr
 
 
 def test_console_entry_point_runs(tmp_path, small_cfg_path):
     out = tmp_path / "sp"
-    proc = subprocess.run([sys.executable, "-m", "elastovb.cli", "generate",
-                           "--config", str(small_cfg_path), "--out", str(out)],
-                          capture_output=True, text=True)
+    proc = run_cli("generate", "--config", str(small_cfg_path), "--out", str(out))
     assert proc.returncode == 0
     assert "tau_true:" in proc.stdout
     assert (out / "observations.json").exists()

@@ -28,6 +28,8 @@ def test_linear_oracle_offset_and_jacobian(rng):
     # Jacobian independent of the evaluation point
     ev2 = model.evaluate(psi + 1.0)
     assert np.array_equal(ev.G, ev2.G)
+    value = model.evaluate(psi, jacobian=False)
+    assert value.G is None and np.array_equal(value.y, ev.y)
 
 
 def test_call_counter_accounting():
@@ -54,6 +56,9 @@ def test_forward_eval_validates():
         ForwardEval(y=np.zeros(3), G=np.zeros((2, 4)))
     with pytest.raises(ValueError):
         ForwardEval(y=np.array([np.inf]), G=np.zeros((1, 2)))
+    with pytest.raises(ValueError):
+        ForwardEval(y=np.array([np.nan]), G=None)
+    assert ForwardEval(y=np.zeros(3), G=None).G is None
 
 
 def test_fem_model_bit_identical_and_counts(rng):
@@ -68,6 +73,23 @@ def test_fem_model_bit_identical_and_counts(rng):
     assert np.array_equal(ev1.y, ev2.y)
     assert np.array_equal(ev1.G, ev2.G)
     assert model.d_psi == 9 and model.d_y == ev1.y.size == ev1.G.shape[0]
+
+
+@pytest.mark.parametrize("clamp_rows", [0, 1])
+def test_value_only_evaluation(clamp_rows, rng):
+    mesh = Mesh2D(4, 3, 4.0, 3.0)
+    bc = compression_bc(mesh)
+    fixed = np.zeros(mesh.n_elems, dtype=bool)
+    fixed[mesh.n_elems - clamp_rows * mesh.nx:] = True
+    counter = CallCounter()
+    model = FemForwardModel(mesh, bc, free_dofs(mesh, bc), fixed_mask=fixed,
+                            poisson=0.3, counter=counter)
+    psi = rng.normal(0.0, 0.4, mesh.n_elems)
+    full = model.evaluate(psi)
+    value = model.evaluate(psi, jacobian=False)
+    assert counter.count == 2
+    assert value.G is None
+    assert value.y.tobytes() == full.y.tobytes()
 
 
 def test_fem_model_wraps_failures():

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from elastovb.forward import (CallCounter, FemForwardModel, LinearOracleModel,
-                              free_dofs)
+from elastovb.config import build_model, example1_config, generate_data, initial_mu
+from elastovb.forward import (CallCounter, FemForwardModel, ForwardEval,
+                              ForwardModel, LinearOracleModel, free_dofs)
 from elastovb.mean_update import (MuUpdateReport, SmoothPrior, em_phi,
                                   gauss_newton_step, log_prior_mu_and_grad,
                                   neighbor_pairs, update_mu)
@@ -169,6 +170,65 @@ def test_stationary_at_exact_data(rng):
     assert np.array_equal(res.mu, psi_true)
     assert res.reports == []
     assert res.forward_calls == 1
+
+
+def test_no_trial_call_for_a_gain_below_tolerance(rng):
+    # one tiny step from the optimum the Gauss-Newton model predicts a gain
+    # far below the stop tolerance, so the phase ends without a trial call
+    A = rng.normal(size=(7, 4))
+    psi_true = rng.normal(size=4)
+    counter = CallCounter()
+    model = LinearOracleModel(A, counter=counter)
+    state = empty_state(4, a0=1e8, b0=1e8)          # pins <tau> ~= 1
+    state.mu = psi_true + 1e-7
+    res = update_mu(state, model, A @ psi_true)
+    assert res.reports == []
+    assert res.forward_calls == counter.count == 1
+    assert np.array_equal(res.mu, state.mu)
+
+
+class ScaledJacobianModel(ForwardModel):
+    """Delegates to another model and scales its Jacobian by a constant."""
+
+    def __init__(self, inner, scale):
+        super().__init__(inner.counter)
+        self.inner = inner
+        self.scale = scale
+
+    @property
+    def d_psi(self):
+        return self.inner.d_psi
+
+    @property
+    def d_y(self):
+        return self.inner.d_y
+
+    def _evaluate(self, psi, jacobian):
+        ev = self.inner._evaluate(psi, jacobian)
+        return ForwardEval(y=ev.y, G=None if ev.G is None else ev.G * self.scale)
+
+
+def test_example1_call_count_robust_to_jacobian_rounding():
+    # a relative change of ~1e-15 in G must not change how many forward calls
+    # the mean phase spends on the benchmark configuration (a step-norm stop
+    # spent 21, 27 and 24 calls at the first, third and fourth scale)
+    cfg = example1_config()
+    obs, _, _ = generate_data(cfg)
+    model, mesh, _, _, clamp = build_model(cfg)
+    s = cfg.solver
+    calls = []
+    for scale in (1.0, 1.0 + 1e-15, 1.0 - 1e-15, 1.0 + 3e-15):
+        state = empty_state(mesh.n_elems, a0=s.a0, b0=s.b0)
+        state.mu = initial_mu(cfg, mesh)
+        prior = SmoothPrior.for_grid(mesh.nx, mesh.ny, cfg.prior.a_phi, cfg.prior.b_phi)
+        res = update_mu(state, ScaledJacobianModel(model, scale), obs.yhat, prior,
+                        max_outer=s.mu_max_outer, reg_delay=s.mu_reg_delay,
+                        max_halvings=s.mu_max_halvings, call_budget=s.mu_call_budget,
+                        fixed_mask=clamp)
+        assert not res.budget_exhausted
+        assert sum(rep.halvings for rep in res.reports) == 0
+        calls.append(res.forward_calls)
+    assert calls == [calls[0]] * 4
 
 
 def test_accepted_steps_strictly_improve_fem_objective(rng):

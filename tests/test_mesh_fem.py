@@ -5,13 +5,15 @@ scratch (explicit shape-function loops, 3x3 Gauss, dense algebra) so that any
 agreement with the production path is meaningful.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
 from elastovb.mesh_fem import (BoundarySpec, MaterialField, Mesh2D,
-                               SingularSystemError, adjoint_jacobian,
-                               assemble_and_solve, element_stiffness_unit,
-                               observe, strain_energy)
+                               SingularSystemError, _solve_reduced,
+                               adjoint_jacobian, assemble_and_solve,
+                               element_stiffness_unit, observe, strain_energy)
 from elastovb.forward import free_dofs
 
 from conftest import cantilever_bc, compression_bc
@@ -222,6 +224,39 @@ def test_clamped_elements_have_zero_columns(rng):
     assert np.any(G[:, :6] != 0.0)
 
 
+def dense_adjoint_jacobian(mesh, bc, field_, Q, poisson):
+    """Adjoint sensitivities by the dense (n_elems, 8, d_y) contraction.
+
+    nu holds the adjoint fields on every dof (zero on prescribed ones); the
+    sparse production path must reproduce this to rounding.
+    """
+    system = _solve_reduced(mesh, bc, field_, poisson)
+    rhs = np.zeros((system.free.size, Q.size))
+    rhs[system.free_pos[Q], np.arange(Q.size)] = 1.0
+    nu = np.zeros((mesh.n_dofs, Q.size))
+    nu[system.free] = system.lu.solve(rhs)
+    dofs = mesh.element_dofs()
+    v = system.U[dofs] @ element_stiffness_unit(mesh, poisson).T
+    G = -np.exp(field_.psi)[None, :] * np.einsum("keo,ke->ok", nu[dofs], v)
+    G[:, field_.fixed_mask] = 0.0
+    return G
+
+
+@pytest.mark.parametrize("make_bc,poisson", [(compression_bc, 0.3), (cantilever_bc, 0.25)])
+def test_adjoint_matches_dense_contraction(make_bc, poisson, rng):
+    mesh = Mesh2D(5, 4, 5.0, 4.0)
+    bc = make_bc(mesh)
+    fixed = np.zeros(mesh.n_elems, dtype=bool)
+    fixed[-mesh.nx:] = True       # top element row clamped
+    field_ = MaterialField(rng.normal(0.0, 0.6, mesh.n_elems), fixed_mask=fixed)
+    Q = free_dofs(mesh, bc)
+    G = adjoint_jacobian(mesh, bc, field_, Q, poisson=poisson)
+    G_dense = dense_adjoint_jacobian(mesh, bc, field_, Q, poisson)
+    assert G.shape == G_dense.shape == (Q.size, mesh.n_elems)
+    assert np.linalg.norm(G - G_dense) <= 1e-12 * np.linalg.norm(G_dense)
+    assert np.all(G[:, fixed] == 0.0)
+
+
 def test_adjoint_rejects_prescribed_dofs(mesh3):
     bc = compression_bc(mesh3)
     pres = bc.dirichlet[0][0]
@@ -245,6 +280,26 @@ def test_singular_without_constraints():
     bc = BoundarySpec(dirichlet=[], tractions=[(0, 1.0)])
     with pytest.raises(SingularSystemError):
         assemble_and_solve(mesh, bc, MaterialField(np.zeros(4)))
+
+
+def test_modulus_overflow_is_named_without_warning():
+    # exp(psi) past the float range is a failed solve, reported at the exp
+    # rather than as an inf that surfaces later as a factorization error
+    mesh = Mesh2D(3, 3, 3.0, 3.0)
+    psi = np.zeros(mesh.n_elems)
+    psi[4] = 1000.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularSystemError, match="modulus overflow"):
+            assemble_and_solve(mesh, compression_bc(mesh), MaterialField(psi))
+
+
+def test_ill_conditioned_solve_states_modulus_range():
+    mesh = Mesh2D(3, 3, 3.0, 3.0)
+    psi = np.zeros(mesh.n_elems)
+    psi[4] = 700.0
+    with pytest.raises(SingularSystemError, match=r"log-moduli in \[0, 700\], contrast e\^700"):
+        assemble_and_solve(mesh, compression_bc(mesh), MaterialField(psi))
 
 
 def test_boundary_spec_rejects_duplicates_and_overlap():
