@@ -232,8 +232,17 @@ def cmd_validate(args) -> int:
     if M < 2:
         raise UsageError("--samples must be >= 2")
 
-    report = run_is(state, model, obs.yhat, M=M, seed=seed)
-    comparison = compare_vb_is(state, report, free_mask=~mask)
+    try:
+        report = run_is(state, model, obs.yhat, M=M, seed=seed)
+        comparison = compare_vb_is(state, report, free_mask=~mask)
+    except (SingularSystemError, FloatingPointError, np.linalg.LinAlgError,
+            RuntimeError) as exc:
+        _write_json(out / ERROR_FILE, {"stage": "validate", "error": str(exc),
+                                       "type": type(exc).__name__,
+                                       "forward_calls": counter.count})
+        print(f"validation failed after {counter.count} forward calls: {exc}",
+              file=sys.stderr)
+        return EXIT_NUMERICAL
     payload = {
         "schema_version": cfgmod.SCHEMA_VERSION,
         "M": report.M,

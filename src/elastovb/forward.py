@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh_fem import BoundarySpec, MaterialField, Mesh2D, adjoint_jacobian, _solve_reduced
+from .mesh_fem import (BoundarySpec, MaterialField, Mesh2D, adjoint_jacobian,
+                       assembly_plan, _solve_reduced)
 
 
 class ForwardSolveError(RuntimeError):
@@ -116,7 +117,12 @@ class LinearOracleModel(ForwardModel):
 
 
 class FemForwardModel(ForwardModel):
-    """Plane-strain elastography model: displacements at observed dofs vs log-moduli."""
+    """Plane-strain elastography model: displacements at observed dofs vs log-moduli.
+
+    The assembly plan (element stiffness, dof maps, loads, sparsity pattern) is
+    built at construction; a singular configuration still surfaces at
+    `evaluate`, as a ForwardSolveError.
+    """
 
     def __init__(self, mesh: Mesh2D, bc: BoundarySpec, obs_dofs: np.ndarray,
                  fixed_mask: np.ndarray | None = None, poisson: float = 0.0,
@@ -129,6 +135,7 @@ class FemForwardModel(ForwardModel):
         if fixed_mask is None:
             fixed_mask = np.zeros(mesh.n_elems, dtype=bool)
         self.fixed_mask = np.asarray(fixed_mask, dtype=bool)
+        self.plan = assembly_plan(mesh, bc, poisson)
 
     @property
     def d_psi(self) -> int:
@@ -141,7 +148,7 @@ class FemForwardModel(ForwardModel):
     def _evaluate(self, psi: np.ndarray, jacobian: bool) -> ForwardEval:
         field_ = MaterialField(psi=psi, fixed_mask=self.fixed_mask)
         try:
-            system = _solve_reduced(self.mesh, self.bc, field_, self.poisson)
+            system = _solve_reduced(self.mesh, self.bc, field_, self.poisson, plan=self.plan)
             G = (adjoint_jacobian(self.mesh, self.bc, field_, self.obs_dofs,
                                   self.poisson, system=system) if jacobian else None)
         except Exception as exc:

@@ -2,9 +2,14 @@
 
 The solver works on a regular nx-by-ny grid of bilinear 4-node quads with a
 per-element elastic modulus given in log scale, psi_k = log(E_k).  Loads are
-either prescribed nodal displacements or applied nodal tractions.  Output
-sensitivities dy/dpsi are computed with the adjoint method, reusing one sparse
-factorization of the reduced stiffness for all observables.
+either prescribed nodal displacements or applied nodal tractions.  Everything
+that does not depend on psi (the element stiffness, the dof maps, the load
+vector and the sparsity pattern of the reduced stiffness) is built once into an
+AssemblyPlan, so a solve costs one exp, one bincount, the factorization, the
+solve and a residual check.  Output sensitivities dy/dpsi reuse that
+factorization and are computed by direct differentiation, one right-hand side
+per active element: observing every free dof makes d_y about 2 n_elems, so this
+is the smaller side (the adjoint method would need one per observable).
 
 Node (ix, iy) has index iy*(nx+1) + ix; its displacement dofs are
 (2*index, 2*index + 1) for (ux, uy).  Element (ex, ey) has index ey*nx + ex.
@@ -161,31 +166,91 @@ def element_stiffness_unit(mesh: Mesh2D, poisson: float, n_gauss: int = 2) -> np
     return Ke
 
 
-@dataclass
-class _ReducedSystem:
-    """Factorized reduced stiffness plus bookkeeping for adjoint reuse."""
+@dataclass(frozen=True)
+class AssemblyPlan:
+    """The parts of K(psi) U = f that do not depend on psi, built once per model.
 
-    free: np.ndarray          # free dof indices
+    Both the reduced stiffness K_ff and the Dirichlet lift K_fp u_p are linear
+    in the moduli E = exp(psi): entry j adds E[elem[j]] * coef[j] to slot[j],
+    where slots [0, nnz) are K_ff's CSC data and slots [nnz, nnz + n_free) are
+    the lift, so one bincount assembles both.
+    """
+
+    ke: np.ndarray            # 8x8 element stiffness at E = 1
+    dofs: np.ndarray          # (n_elems, 8) element dof indices
+    free: np.ndarray          # free dof indices, ascending
     free_pos: np.ndarray      # full-length map dof -> position in free list (-1 if prescribed)
-    lu: spla.SuperLU
-    U: np.ndarray             # full displacement vector
-    K: sp.csr_matrix          # full assembled stiffness (for energy checks)
+    U0: np.ndarray            # full-length prescribed displacements, zero on free dofs
+    f_free: np.ndarray        # applied tractions on the free dofs
+    indices: np.ndarray       # CSC row indices of K_ff
+    indptr: np.ndarray        # CSC column pointers of K_ff
+    elem: np.ndarray          # element of each assembly entry
+    coef: np.ndarray          # value of each assembly entry at E = 1
+    slot: np.ndarray          # destination of each assembly entry
 
 
-def _assemble(mesh: Mesh2D, field_: MaterialField, poisson: float) -> sp.csr_matrix:
-    try:
-        with np.errstate(over="raise"):
-            e_mod = np.exp(field_.psi)
-    except FloatingPointError as exc:
-        raise SingularSystemError(
-            f"modulus overflow: exp(psi) at max psi {float(np.max(field_.psi)):.4g}") from exc
+def assembly_plan(mesh: Mesh2D, bc: BoundarySpec, poisson: float = 0.0) -> AssemblyPlan:
+    """Element stiffness, dof maps, load vector and the sparsity pattern of K_ff."""
+    n = mesh.n_dofs
     ke = element_stiffness_unit(mesh, poisson)
     dofs = mesh.element_dofs()
-    rows = np.repeat(dofs, 8, axis=1).ravel()
-    cols = np.tile(dofs, (1, 8)).ravel()
-    data = (e_mod[:, None] * ke.ravel()[None, :]).ravel()
-    n = mesh.n_dofs
-    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    ddofs, dvals = bc.dirichlet_arrays(n)
+    U0 = np.zeros(n)
+    U0[ddofs] = dvals
+    prescribed = np.zeros(n, dtype=bool)
+    prescribed[ddofs] = True
+    free = np.flatnonzero(~prescribed)
+    n_free = free.size
+    free_pos = np.full(n, -1, dtype=int)
+    free_pos[free] = np.arange(n_free)
+    f = np.zeros(n)
+    for dof, val in bc.tractions:
+        if dof < 0 or dof >= n:
+            raise IndexError(f"traction dof {dof} out of range")
+        f[dof] += val
+
+    pos = free_pos[dofs]
+    # element e couples its local dofs a (row) and b (column)
+    e, a, b = np.nonzero((pos[:, :, None] >= 0) & (pos[:, None, :] >= 0))
+    # column-major keys sort into CSC order; duplicates share a slot
+    keys, slot = np.unique(pos[e, b] * n_free + pos[e, a], return_inverse=True)
+    indptr = np.zeros(n_free + 1, dtype=int)
+    np.cumsum(np.bincount(keys // n_free, minlength=n_free), out=indptr[1:])
+    lift = U0[dofs] @ ke.T            # element k adds E_k lift[k, c] to its free dof c
+    k, c = np.nonzero((pos >= 0) & (lift != 0.0))
+    return AssemblyPlan(
+        ke=ke, dofs=dofs, free=free, free_pos=free_pos, U0=U0, f_free=f[free],
+        indices=keys % n_free, indptr=indptr,
+        elem=np.concatenate([e, k]),
+        coef=np.concatenate([ke[a, b], lift[k, c]]),
+        slot=np.concatenate([slot.ravel(), keys.size + pos[k, c]]))
+
+
+@dataclass
+class _ReducedSystem:
+    """Factorized reduced stiffness at one field, reused for the sensitivities."""
+
+    plan: AssemblyPlan
+    e_mod: np.ndarray         # moduli exp(psi)
+    lu: spla.SuperLU
+    U: np.ndarray             # full displacement vector
+
+    @property
+    def free(self) -> np.ndarray:
+        return self.plan.free
+
+    @property
+    def free_pos(self) -> np.ndarray:
+        return self.plan.free_pos
+
+
+def _moduli(psi: np.ndarray) -> np.ndarray:
+    try:
+        with np.errstate(over="raise"):
+            return np.exp(psi)
+    except FloatingPointError as exc:
+        raise SingularSystemError(
+            f"modulus overflow: exp(psi) at max psi {float(np.max(psi)):.4g}") from exc
 
 
 def _modulus_range(psi: np.ndarray) -> str:
@@ -195,32 +260,24 @@ def _modulus_range(psi: np.ndarray) -> str:
 
 
 def _solve_reduced(mesh: Mesh2D, bc: BoundarySpec, field_: MaterialField,
-                   poisson: float) -> _ReducedSystem:
+                   poisson: float, plan: AssemblyPlan | None = None) -> _ReducedSystem:
+    """Factor K_ff(psi) and solve for U; without a plan, one is built for this call."""
     if field_.psi.shape[0] != mesh.n_elems:
         raise ValueError(f"field length {field_.psi.shape[0]} != element count {mesh.n_elems}")
-    K = _assemble(mesh, field_, poisson)
-    n = mesh.n_dofs
-    ddofs, dvals = bc.dirichlet_arrays(n)
-    prescribed = np.zeros(n, dtype=bool)
-    prescribed[ddofs] = True
-    free = np.flatnonzero(~prescribed)
-    if free.size == 0:
+    if plan is None:
+        plan = assembly_plan(mesh, bc, poisson)
+    n_free = plan.free.size
+    if n_free == 0:
         raise SingularSystemError("all dofs prescribed, nothing to solve")
-    free_pos = np.full(n, -1, dtype=int)
-    free_pos[free] = np.arange(free.size)
-
-    f = np.zeros(n)
-    for dof, val in bc.tractions:
-        if dof < 0 or dof >= n:
-            raise IndexError(f"traction dof {dof} out of range")
-        f[dof] += val
-
-    U = np.zeros(n)
-    U[ddofs] = dvals
-    K_ff = K[free][:, free].tocsc()
-    rhs = f[free] - K[free][:, ddofs] @ dvals if ddofs.size else f[free]
+    e_mod = _moduli(field_.psi)
+    nnz = plan.indices.size
+    acc = np.bincount(plan.slot, weights=e_mod[plan.elem] * plan.coef,
+                      minlength=nnz + n_free)
+    K_ff = sp.csc_matrix((acc[:nnz], plan.indices, plan.indptr), shape=(n_free, n_free))
+    rhs = plan.f_free - acc[nnz:]
     try:
-        lu = spla.splu(K_ff)
+        # K_ff is symmetric, so order on its own pattern rather than on A^T A's
+        lu = spla.splu(K_ff, permc_spec="MMD_AT_PLUS_A")
         u_f = lu.solve(rhs)
     except RuntimeError as exc:  # zero pivot and friends
         raise SingularSystemError(
@@ -233,8 +290,9 @@ def _solve_reduced(mesh: Mesh2D, bc: BoundarySpec, field_: MaterialField,
             f"reduced solve inaccurate (residual {resid:.3e}; {_modulus_range(field_.psi)}); "
             "either the modulus contrast is too large for double precision or the "
             "Dirichlet set leaves rigid-body modes unconstrained")
-    U[free] = u_f
-    return _ReducedSystem(free=free, free_pos=free_pos, lu=lu, U=U, K=K)
+    U = plan.U0.copy()
+    U[plan.free] = u_f
+    return _ReducedSystem(plan=plan, e_mod=e_mod, lu=lu, U=U)
 
 
 def assemble_and_solve(mesh: Mesh2D, bc: BoundarySpec, field_: MaterialField,
@@ -254,43 +312,44 @@ def observe(U: np.ndarray, Q: np.ndarray) -> np.ndarray:
 def adjoint_jacobian(mesh: Mesh2D, bc: BoundarySpec, field_: MaterialField,
                      Q: np.ndarray, poisson: float = 0.0,
                      system: _ReducedSystem | None = None) -> np.ndarray:
-    """Sensitivities G[i, k] = d y_i / d psi_k via one adjoint solve per observable.
+    """Sensitivities G[i, k] = d y_i / d psi_k, one solve per active element.
 
-    The chain rule through E_k = exp(psi_k) is included; columns for clamped
-    elements are zeroed.  A system from a prior assemble_and_solve at the same
-    field can be passed in to reuse its factorization.
+    Differentiating K_ff u_f = f_f - K_fp u_p gives du_f/dpsi_k = K_ff^-1 b_k,
+    with b_k = -E_k Ke_unit U_e on element k's free dofs (the chain rule through
+    E_k = exp(psi_k) included), so G[:, active] = S_Q K_ff^-1 B^T: one solve with
+    a right-hand side per active (unclamped) element.  The adjoint route needs
+    one per observable instead; models built from a config observe every free
+    dof, so d_y is about 2 n_elems and the direct side is always the smaller.
+    Columns of clamped elements are exactly zero.  A system from
+    _solve_reduced at the same field can be passed in to reuse its
+    factorization and plan.
     """
     Q = np.asarray(Q, dtype=int)
     if system is None:
         system = _solve_reduced(mesh, bc, field_, poisson)
+    plan = system.plan
     if Q.size and (Q.min() < 0 or Q.max() >= mesh.n_dofs):
         raise IndexError("observation dof out of range")
-    if np.any(system.free_pos[Q] < 0):
-        bad = Q[system.free_pos[Q] < 0]
-        raise ValueError(f"sensitivities requested for prescribed dofs {bad.tolist()}; "
+    rows = plan.free_pos[Q]
+    if np.any(rows < 0):
+        raise ValueError(f"sensitivities requested for prescribed dofs {Q[rows < 0].tolist()}; "
                          "prescribed displacements are constant")
-    n_free = system.free.size
-    d_y = Q.size
-    # adjoint solves: K_ff nu_i = e_{q_i} (K symmetric), all RHS at once
-    rhs = np.zeros((n_free, d_y))
-    rhs[system.free_pos[Q], np.arange(d_y)] = 1.0
-    nu_f = system.lu.solve(rhs) if d_y else rhs
-
-    # dy_i/dpsi_k = -E_k * nu_i|_e . (Ke_unit U_e): row k of B holds
-    # -E_k Ke_unit U_e on element k's free dofs (prescribed dofs have nu = 0,
-    # clamped elements have no entries), so G^T = B nu_f
-    ke = element_stiffness_unit(mesh, poisson)
-    dofs = mesh.element_dofs()
-    v = -np.exp(field_.psi)[:, None] * (system.U[dofs] @ ke.T)   # (n_elems, 8)
-    cols = system.free_pos[dofs]
-    keep = (cols >= 0) & ~field_.fixed_mask[:, None]
-    rows = np.broadcast_to(np.arange(mesh.n_elems)[:, None], dofs.shape)
-    B = sp.csr_matrix((v[keep], (rows[keep], cols[keep])), shape=(mesh.n_elems, n_free))
-    return np.ascontiguousarray((B @ nu_f).T)
+    active = np.flatnonzero(~field_.fixed_mask)
+    # the right-hand sides die with the solve call, so at most two
+    # (n_free x n_active) blocks are alive at any time
+    X = system.lu.solve(_sensitivity_rhs(system, active))[rows]
+    G = np.zeros((Q.size, mesh.n_elems))
+    G[:, active] = X
+    return G
 
 
-def strain_energy(mesh: Mesh2D, field_: MaterialField, U: np.ndarray,
-                  poisson: float = 0.0) -> float:
-    """U^T K(psi) U, nonnegative for any displacement field."""
-    K = _assemble(mesh, field_, poisson)
-    return float(U @ (K @ U))
+def _sensitivity_rhs(system: _ReducedSystem, active: np.ndarray) -> np.ndarray:
+    """B^T: column k is -E_k Ke_unit U_e on active element k's free dofs."""
+    plan = system.plan
+    dofs = plan.dofs[active]
+    pos = plan.free_pos[dofs]
+    v = -system.e_mod[active, None] * (system.U[dofs] @ plan.ke.T)   # (n_active, 8)
+    k, c = np.nonzero(pos >= 0)
+    Bt = np.zeros((plan.free.size, active.size), order="F")
+    Bt[pos[k, c], k] = v[k, c]              # an element's 8 dofs are distinct
+    return Bt

@@ -242,6 +242,27 @@ def test_singular_phantom_exits_two(tmp_path):
     assert main(["generate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_validate_numerical_failure_exits_two(small_cfg_path, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "val"
+    args = ["--config", str(small_cfg_path), "--out", str(out)]
+    assert main(["generate"] + args) == 0
+    assert main(["invert"] + args) == 0
+
+    def failing_run_is(state, model, yhat, M, seed):
+        model.evaluate(state.mu, jacobian=False)
+        raise np.linalg.LinAlgError("posterior covariance not positive definite")
+
+    monkeypatch.setattr("elastovb.cli.run_is", failing_run_is)
+    capsys.readouterr()
+    assert main(["validate"] + args) == 2
+    assert "not positive definite" in capsys.readouterr().err
+    error = json.loads((out / "error.json").read_text())
+    assert error == {"stage": "validate", "type": "LinAlgError",
+                     "error": "posterior covariance not positive definite",
+                     "forward_calls": 1}
+    assert not (out / "is_report.json").exists()
+
+
 def test_report_on_empty_directory(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()

@@ -62,14 +62,18 @@ def test_forward_eval_validates():
 
 
 def test_fem_model_bit_identical_and_counts(rng):
+    # an evaluation at another field in between must not leak into the
+    # model's assembly plan
     mesh = Mesh2D(3, 3, 3.0, 3.0)
     bc = compression_bc(mesh)
     counter = CallCounter()
     model = FemForwardModel(mesh, bc, free_dofs(mesh, bc), counter=counter)
     psi = rng.normal(0.0, 0.4, mesh.n_elems)
     ev1 = model.evaluate(psi)
+    other = model.evaluate(psi + rng.normal(0.0, 0.4, mesh.n_elems))
     ev2 = model.evaluate(psi)
-    assert counter.count == 2
+    assert counter.count == 3
+    assert not np.array_equal(ev1.y, other.y)
     assert np.array_equal(ev1.y, ev2.y)
     assert np.array_equal(ev1.G, ev2.G)
     assert model.d_psi == 9 and model.d_y == ev1.y.size == ev1.G.shape[0]

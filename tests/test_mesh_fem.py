@@ -13,8 +13,8 @@ import pytest
 from elastovb.mesh_fem import (BoundarySpec, MaterialField, Mesh2D,
                                SingularSystemError, _solve_reduced,
                                adjoint_jacobian, assemble_and_solve,
-                               element_stiffness_unit, observe, strain_energy)
-from elastovb.forward import free_dofs
+                               element_stiffness_unit, observe)
+from elastovb.forward import FemForwardModel, ForwardSolveError, free_dofs
 
 from conftest import cantilever_bc, compression_bc
 
@@ -152,6 +152,13 @@ def test_mirror_symmetry():
             assert abs(U[2 * a + 1] - U[2 * b + 1]) < 1e-10
 
 
+def strain_energy(mesh, field_, U, poisson=0.0):
+    """U^T K(psi) U, summed element by element."""
+    Ue = U[mesh.element_dofs()]
+    ke = element_stiffness_unit(mesh, poisson)
+    return float(np.exp(field_.psi) @ np.einsum("ka,ab,kb->k", Ue, ke, Ue))
+
+
 def test_strain_energy_nonnegative(rng):
     mesh = Mesh2D(3, 3, 1.0, 1.0)
     psi = rng.normal(0.0, 1.0, mesh.n_elems)
@@ -257,6 +264,39 @@ def test_adjoint_matches_dense_contraction(make_bc, poisson, rng):
     assert np.all(G[:, fixed] == 0.0)
 
 
+@pytest.mark.parametrize("make_bc", [compression_bc, cantilever_bc])
+def test_model_plan_matches_plan_free_and_dense_oracle(make_bc, rng):
+    # the model's build-once plan against a plan built for the call and
+    # against the dense assembly and contraction above
+    mesh = Mesh2D(5, 4, 5.0, 4.0)
+    bc = make_bc(mesh)
+    fixed = np.zeros(mesh.n_elems, dtype=bool)
+    fixed[-mesh.nx:] = True       # top element row clamped
+    field_ = MaterialField(rng.normal(0.0, 0.6, mesh.n_elems), fixed_mask=fixed)
+    Q = free_dofs(mesh, bc)
+    ev = FemForwardModel(mesh, bc, Q, fixed_mask=fixed, poisson=0.3).evaluate(field_.psi)
+    y_free = observe(assemble_and_solve(mesh, bc, field_, poisson=0.3), Q)
+    G_free = adjoint_jacobian(mesh, bc, field_, Q, poisson=0.3)
+    y_oracle = observe(oracle_solve(mesh, bc, field_.psi, poisson=0.3), Q)
+    G_dense = dense_adjoint_jacobian(mesh, bc, field_, Q, 0.3)
+    for y_ref, G_ref in ((y_free, G_free), (y_oracle, G_dense)):
+        assert np.linalg.norm(ev.y - y_ref) <= 1e-12 * np.linalg.norm(y_ref)
+        assert np.linalg.norm(ev.G - G_ref) <= 1e-12 * np.linalg.norm(G_ref)
+    assert np.all(ev.G[:, fixed] == 0.0)
+
+
+def test_unsorted_observation_subset_gives_exact_rows(rng):
+    mesh = Mesh2D(4, 4, 4.0, 4.0)
+    bc = cantilever_bc(mesh)
+    psi = rng.normal(0.0, 0.5, mesh.n_elems)
+    Q = free_dofs(mesh, bc)
+    full = FemForwardModel(mesh, bc, Q, poisson=0.3).evaluate(psi)
+    pick = np.array([17, 3, 9])
+    sub = FemForwardModel(mesh, bc, Q[pick], poisson=0.3).evaluate(psi)
+    assert np.array_equal(sub.y, full.y[pick])
+    assert np.array_equal(sub.G, full.G[pick])
+
+
 def test_adjoint_rejects_prescribed_dofs(mesh3):
     bc = compression_bc(mesh3)
     pres = bc.dirichlet[0][0]
@@ -275,11 +315,28 @@ def test_observe_range_check():
         observe(U, np.array([8]))
 
 
+def solve_plan_free(mesh, bc, psi):
+    return assemble_and_solve(mesh, bc, MaterialField(psi))
+
+
+def solve_through_model(mesh, bc, psi):
+    """The model's plan path; a failure must arrive as a ForwardSolveError."""
+    model = FemForwardModel(mesh, bc, free_dofs(mesh, bc))
+    try:
+        return model.evaluate(psi).y
+    except ForwardSolveError as exc:
+        raise exc.__cause__
+
+
+SOLVE_PATHS = (solve_plan_free, solve_through_model)
+
+
 def test_singular_without_constraints():
     mesh = Mesh2D(2, 2, 1.0, 1.0)
     bc = BoundarySpec(dirichlet=[], tractions=[(0, 1.0)])
-    with pytest.raises(SingularSystemError):
-        assemble_and_solve(mesh, bc, MaterialField(np.zeros(4)))
+    for solve in SOLVE_PATHS:
+        with pytest.raises(SingularSystemError):
+            solve(mesh, bc, np.zeros(4))
 
 
 def test_modulus_overflow_is_named_without_warning():
@@ -288,18 +345,21 @@ def test_modulus_overflow_is_named_without_warning():
     mesh = Mesh2D(3, 3, 3.0, 3.0)
     psi = np.zeros(mesh.n_elems)
     psi[4] = 1000.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(SingularSystemError, match="modulus overflow"):
-            assemble_and_solve(mesh, compression_bc(mesh), MaterialField(psi))
+    for solve in SOLVE_PATHS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystemError, match="modulus overflow"):
+                solve(mesh, compression_bc(mesh), psi)
 
 
 def test_ill_conditioned_solve_states_modulus_range():
     mesh = Mesh2D(3, 3, 3.0, 3.0)
     psi = np.zeros(mesh.n_elems)
     psi[4] = 700.0
-    with pytest.raises(SingularSystemError, match=r"log-moduli in \[0, 700\], contrast e\^700"):
-        assemble_and_solve(mesh, compression_bc(mesh), MaterialField(psi))
+    for solve in SOLVE_PATHS:
+        with pytest.raises(SingularSystemError,
+                           match=r"log-moduli in \[0, 700\], contrast e\^700"):
+            solve(mesh, compression_bc(mesh), psi)
 
 
 def test_boundary_spec_rejects_duplicates_and_overlap():
