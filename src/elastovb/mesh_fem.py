@@ -235,6 +235,8 @@ class _ReducedSystem:
     lu: spla.SuperLU
     U: np.ndarray             # full displacement vector
 
+    # free and free_pos forward to the plan for the tests' dense oracle,
+    # which predates the plan; the library reads system.plan directly
     @property
     def free(self) -> np.ndarray:
         return self.plan.free
@@ -335,11 +337,11 @@ def adjoint_jacobian(mesh: Mesh2D, bc: BoundarySpec, field_: MaterialField,
         raise ValueError(f"sensitivities requested for prescribed dofs {Q[rows < 0].tolist()}; "
                          "prescribed displacements are constant")
     active = np.flatnonzero(~field_.fixed_mask)
-    # the right-hand sides die with the solve call, so at most two
-    # (n_free x n_active) blocks are alive at any time
-    X = system.lu.solve(_sensitivity_rhs(system, active))[rows]
     G = np.zeros((Q.size, mesh.n_elems))
-    G[:, active] = X
+    if active.size:
+        # the right-hand sides die with the solve call, so at most two
+        # (n_free x n_active) blocks are alive at any time
+        G[:, active] = system.lu.solve(_sensitivity_rhs(system, active))[rows]
     return G
 
 

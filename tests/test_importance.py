@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -81,9 +81,6 @@ def test_ess_all_zero():
 @example([1.7132633813440214e-155, 1.7132633813440214e-155], 0.0625)  # subnormal squares
 def test_ess_rescaling_invariance(w, c):
     w = np.array(w)
-    # scaling a subnormal weight rounds it (0.5 * 5e-324 == 0), so c * w is
-    # then a different weight vector and no ESS can be invariant to it
-    assume(np.all((w == 0) | (np.minimum(w, c * w) >= np.finfo(float).tiny)))
     assert abs(ess(w) - ess(c * w)) <= 1e-12
 
 

@@ -231,6 +231,20 @@ def test_clamped_elements_have_zero_columns(rng):
     assert np.any(G[:, :6] != 0.0)
 
 
+def test_all_elements_clamped_gives_zero_jacobian(rng):
+    # no active element leaves no right-hand side to solve for
+    mesh = Mesh2D(3, 3, 3.0, 3.0)
+    bc = compression_bc(mesh)
+    psi = rng.normal(0.0, 0.5, mesh.n_elems)
+    Q = free_dofs(mesh, bc)
+    fixed = np.ones(mesh.n_elems, dtype=bool)
+    ev = FemForwardModel(mesh, bc, Q, fixed_mask=fixed, poisson=0.3).evaluate(psi)
+    free_ev = FemForwardModel(mesh, bc, Q, poisson=0.3).evaluate(psi)
+    assert ev.G.shape == (Q.size, mesh.n_elems)
+    assert np.all(ev.G == 0.0)
+    assert np.array_equal(ev.y, free_ev.y)
+
+
 def dense_adjoint_jacobian(mesh, bc, field_, Q, poisson):
     """Adjoint sensitivities by the dense (n_elems, 8, d_y) contraction.
 
