@@ -295,6 +295,12 @@ def cmd_report(args) -> int:
             if state.a > 0 and state.b > 0:
                 tau_mean = state.a / state.b
                 lines.append(f"tau_mean: {_fmt(tau_mean)}")
+            if "mu_phase" in payload:
+                steps = payload["mu_phase"]["steps"]
+                lines.append(
+                    f"mu_phase: {sum(st['accepted'] for st in steps)} accepted steps, "
+                    f"{sum(st['halvings'] for st in steps)} halvings, "
+                    f"{sum(st['corrected'] for st in steps)} corrector steps")
         except (json.JSONDecodeError, KeyError, ValueError) as exc:
             lines.append(f"run trace unreadable: {exc}")
     else:

@@ -140,7 +140,7 @@ class RunTrace:
     elbo_rows: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "schema_version": SCHEMA_VERSION,
             "stop_reason": self.stop_reason,
             "forward_calls": self.forward_calls,
@@ -155,6 +155,15 @@ class RunTrace:
                 "a": self.state.a, "b": self.state.b,
             },
         }
+        mu = self.mu_result
+        if mu is not None:
+            out["mu_phase"] = {
+                "forward_calls": mu.forward_calls,
+                "budget_exhausted": mu.budget_exhausted,
+                "floored_count": 0 if mu.prior is None else mu.prior.floored_count,
+                "steps": [asdict(r) for r in mu.reports],
+            }
+        return out
 
 
 def state_from_dict(d: dict) -> ReducedPosterior:

@@ -10,7 +10,7 @@ forward call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -33,7 +33,6 @@ class ISReport:
     forward_calls: int
     discarded: int = 0
     degenerate: bool = False
-    extra: dict = field(default_factory=dict)
 
 
 def ess(weights: np.ndarray) -> float:
@@ -201,22 +200,3 @@ def compare_vb_is(state: ReducedPosterior, report: ISReport,
         "std_rel_median": float(np.median(std_rel[sel])),
     }
 
-
-def fixed_tau_log_evidence(state: ReducedPosterior, A: np.ndarray, offset: np.ndarray,
-                           yhat: np.ndarray, tau: float) -> float:
-    """Closed-form log p(yhat | mu, W) for a linear model at known noise precision.
-
-    Marginalizes Theta analytically: yhat ~ N(A mu + offset, tau^-1 I + (AW)
-    Lambda0^-1 (AW)^T).  Used as the oracle against the IS evidence estimate.
-    """
-    d_y = yhat.shape[0]
-    mean = A @ state.mu + offset
-    C = np.eye(d_y) / tau
-    if state.d_theta:
-        AW = A @ state.W
-        C = C + (AW / state.lambda0[None, :]) @ AW.T
-    sign, logdet = np.linalg.slogdet(C)
-    if sign <= 0:
-        raise RuntimeError("covariance not positive definite")
-    r = yhat - mean
-    return -0.5 * (d_y * math.log(2.0 * math.pi) + logdet + float(r @ np.linalg.solve(C, r)))

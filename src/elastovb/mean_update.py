@@ -14,6 +14,15 @@ iteration's frozen <tau> and pair precisions, strictly increases.  Before a
 trial is spent, the Gauss-Newton model predicts the step's gain from the
 Jacobian already in hand; a predicted gain below the phase's relative
 tolerance ends the phase, since such a step cannot be told from rounding.
+
+The E-step needs no forward call, so with the prior active each linearization
+also takes one corrector step: the E-step is redone at mu + delta_0 and the
+same linearized system (same G, residual and <tau>, one Gram matrix) is solved
+again for delta_1.  delta_1 becomes the trial step only if the frozen-precision
+Gauss-Newton model still predicts a gain for it above the tolerance; otherwise
+delta_0 is tried, so the acceptance test and the objective it reads are the
+same either way.  Exactly one corrector is taken: iterating the E-step to
+convergence on one linearization collapses noisy data to the flat field.
 """
 
 from __future__ import annotations
@@ -83,6 +92,7 @@ class MuUpdateReport:
     forward_calls: int
     regularization_active: bool
     halvings: int = 0
+    corrected: bool = False                # the trial step came from the corrector E-step
 
     def __post_init__(self) -> None:
         if self.accepted and not self.f_after > self.f_before:
@@ -125,28 +135,51 @@ def _pair_precision_matrix(prior: SmoothPrior, n: int) -> sp.csr_matrix:
     return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
 
 
+@dataclass
+class GaussNewtonSystem:
+    """Data-term blocks of one linearization, restricted to the free elements."""
+
+    free: np.ndarray          # (n,) bool mask of the solved components
+    gram: np.ndarray          # <tau> G_f^T G_f
+    rhs: np.ndarray           # <tau> G_f^T (yhat - y)
+
+
+def gauss_newton_system(ev: ForwardEval, yhat: np.ndarray, mean_tau: float,
+                        fixed_mask: np.ndarray | None = None) -> GaussNewtonSystem:
+    """Form the data-term Gram matrix and right-hand side once per linearization."""
+    n = ev.G.shape[1]
+    free = np.ones(n, dtype=bool) if fixed_mask is None else ~np.asarray(fixed_mask, dtype=bool)
+    Gf = ev.G if free.all() else ev.G[:, free]
+    return GaussNewtonSystem(free=free, gram=mean_tau * (Gf.T @ Gf),
+                             rhs=mean_tau * (Gf.T @ (yhat - ev.y)))
+
+
 def gauss_newton_step(mu: np.ndarray, ev: ForwardEval, yhat: np.ndarray,
                       mean_tau: float, prior: SmoothPrior | None,
                       regularization_active: bool,
-                      fixed_mask: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
+                      fixed_mask: np.ndarray | None = None,
+                      system: GaussNewtonSystem | None = None) -> tuple[np.ndarray, bool]:
     """Solve the symmetric Gauss-Newton system for the mean increment.
 
     With regularization off the prior terms are dropped from both sides.
     Clamped components are excluded from the solve and returned as exactly 0.
+    `system`, when given, holds this linearization's data-term blocks (from
+    `gauss_newton_system` with the same ev, yhat, mean_tau and fixed_mask) and
+    is reused instead of formed again; the pair precisions are scattered into
+    a copy of its free block as sparse entries.
     Returns (delta_mu, floor_used) where floor_used records a Tikhonov fallback
     on a singular system.
     """
-    n = mu.shape[0]
-    free = np.ones(n, dtype=bool) if fixed_mask is None else ~np.asarray(fixed_mask, dtype=bool)
-    r = yhat - ev.y
-    H = mean_tau * (ev.G.T @ ev.G)
-    rhs = mean_tau * (ev.G.T @ r)
+    if system is None:
+        system = gauss_newton_system(ev, yhat, mean_tau, fixed_mask)
+    free = system.free
+    Hf, rhsf = system.gram, system.rhs
     if regularization_active and prior is not None:
-        P = _pair_precision_matrix(prior, n)
-        H = H + P.toarray()
-        rhs = rhs - P @ mu
-    Hf = H[np.ix_(free, free)]
-    rhsf = rhs[free]
+        P = _pair_precision_matrix(prior, mu.shape[0])
+        Pf = P[free][:, free].tocoo()
+        Hf = Hf.copy()
+        Hf[Pf.row, Pf.col] += Pf.data
+        rhsf = rhsf - (P @ mu)[free]
     floor_used = False
     sol = None
     for attempt in range(2):
@@ -162,7 +195,7 @@ def gauss_newton_step(mu: np.ndarray, ev: ForwardEval, yhat: np.ndarray,
         floor_used = True
     if sol is None:
         sol = np.linalg.lstsq(Hf, rhsf, rcond=None)[0]
-    delta = np.zeros(n)
+    delta = np.zeros(mu.shape[0])
     delta[free] = sol
     return delta, floor_used
 
@@ -193,6 +226,8 @@ def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
     forward call); exhausting the halvings ends the phase.  So does a step
     whose predicted gain, -<tau>/2 |r - G delta|^2 + log p(mu + delta) - F_mu,
     is at most GAIN_RTOL (1 + |F_mu|), or an accepted step whose actual gain is.
+    With regularization on, the trial step is the corrector step delta_1 when
+    its predicted gain passes the same tolerance (see the module docstring).
     """
     mu = state.mu.copy()
     calls = 0
@@ -220,12 +255,25 @@ def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
             logp_fn = lambda m: 0.0
         r = yhat - ev.y
         f_curr = -0.5 * mean_tau * float(r @ r) + logp_fn(mu)
+        tol = GAIN_RTOL * (1.0 + abs(f_curr))
+
+        def predicted_gain(step: np.ndarray) -> float:
+            r_lin = r - ev.G @ step
+            return -0.5 * mean_tau * float(r_lin @ r_lin) + logp_fn(mu + step) - f_curr
+
+        system = gauss_newton_system(ev, yhat, mean_tau, fixed_mask)
         delta, _ = gauss_newton_step(mu, ev, yhat, mean_tau, cur_prior,
-                                     reg_active, fixed_mask)
-        r_lin = r - ev.G @ delta
-        pred = -0.5 * mean_tau * float(r_lin @ r_lin) + logp_fn(mu + delta) - f_curr
-        if pred <= GAIN_RTOL * (1.0 + abs(f_curr)):
+                                     reg_active, fixed_mask, system=system)
+        if predicted_gain(delta) <= tol:
             break
+        corrected = False
+        if reg_active:
+            delta1, _ = gauss_newton_step(mu, ev, yhat, mean_tau,
+                                          em_phi(mu + delta, cur_prior),
+                                          True, fixed_mask, system=system)
+            if predicted_gain(delta1) > tol:
+                delta, corrected = delta1, True
+        del system        # free the Gram before the trial call, the phase's memory peak
         dn = float(np.linalg.norm(delta))
         accepted = False
         halvings = 0
@@ -256,13 +304,13 @@ def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
                                               f_before=f_curr, f_after=f_curr,
                                               forward_calls=halvings,
                                               regularization_active=reg_active,
-                                              halvings=halvings))
+                                              halvings=halvings, corrected=corrected))
             break
         reports.append(MuUpdateReport(accepted=True, delta_norm=dn * scale,
                                       f_before=f_curr, f_after=f_try,
                                       forward_calls=halvings + 1,
                                       regularization_active=reg_active,
-                                      halvings=halvings))
+                                      halvings=halvings, corrected=corrected))
         mu, ev = trial, ev_try
         accepted_count += 1
         a, b = update_q_tau(state, ev, yhat)

@@ -235,16 +235,6 @@ class _ReducedSystem:
     lu: spla.SuperLU
     U: np.ndarray             # full displacement vector
 
-    # free and free_pos forward to the plan for the tests' dense oracle,
-    # which predates the plan; the library reads system.plan directly
-    @property
-    def free(self) -> np.ndarray:
-        return self.plan.free
-
-    @property
-    def free_pos(self) -> np.ndarray:
-        return self.plan.free_pos
-
 
 def _moduli(psi: np.ndarray) -> np.ndarray:
     try:

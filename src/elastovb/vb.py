@@ -10,7 +10,7 @@ with a named breakdown, and exposes low-rank posterior statistics for Psi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import digamma
@@ -78,7 +78,6 @@ class ElboBreakdown:
     tau_terms: float           # E_q[log p(tau)] + H[q(tau)]
     log_prior_mu: float
     log_prior_w: float = 0.0   # uniform on the orthonormal-columns manifold
-    extra: dict = field(default_factory=dict)
 
     @property
     def total(self) -> float:

@@ -153,6 +153,32 @@ def test_pipeline_smoke(small_cfg_path, tmp_path, capsys):
     assert trace["stop_reason"] in ("info_gain", "max_bases", "full_rank")
 
 
+def test_run_trace_records_mean_phase(small_cfg_path, tmp_path, capsys):
+    out = tmp_path / "mu"
+    args = ["--config", str(small_cfg_path), "--out", str(out)]
+    assert main(["generate"] + args) == 0
+    assert main(["invert"] + args) == 0
+    trace = json.loads((out / "run_trace.json").read_text())
+    assert trace["schema_version"] == 1
+    mu = trace["mu_phase"]
+    assert mu["forward_calls"] == trace["forward_calls"]   # the only stage that solves
+    assert mu["budget_exhausted"] is False
+    assert isinstance(mu["floored_count"], int) and mu["floored_count"] >= 0
+    steps = mu["steps"]
+    assert steps and all(st["accepted"] for st in steps)
+    for st in steps:
+        assert {"accepted", "halvings", "regularization_active", "corrected"} <= set(st)
+        assert st["regularization_active"] or not st["corrected"]
+    # the first call linearizes at mu0; every other call is a step's trial
+    assert 1 + sum(st["forward_calls"] for st in steps) == mu["forward_calls"]
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("mu_phase:")]
+    assert lines == [f"mu_phase: {len(steps)} accepted steps, "
+                     f"{sum(st['halvings'] for st in steps)} halvings, "
+                     f"{sum(st['corrected'] for st in steps)} corrector steps"]
+
+
 def test_invert_max_bases_override(small_cfg_path, tmp_path):
     out = tmp_path / "cap"
     args = ["--config", str(small_cfg_path), "--out", str(out)]

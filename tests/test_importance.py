@@ -4,15 +4,34 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from elastovb.forward import (ForwardEval, ForwardModel, ForwardSolveError,
                               LinearOracleModel)
-from elastovb.importance import (compare_vb_is, ess, fixed_tau_log_evidence,
-                                 marginal_log_likelihood, run_is)
+from elastovb.importance import compare_vb_is, ess, marginal_log_likelihood, run_is
 from elastovb.vb import ReducedPosterior
+
+
+def fixed_tau_log_evidence(state: ReducedPosterior, A: np.ndarray, offset: np.ndarray,
+                           yhat: np.ndarray, tau: float) -> float:
+    """Closed-form log p(yhat | mu, W) for a linear model at known noise precision.
+
+    Marginalizes Theta analytically: yhat ~ N(A mu + offset, tau^-1 I + (AW)
+    Lambda0^-1 (AW)^T).  Used as the oracle against the IS evidence estimate.
+    """
+    d_y = yhat.shape[0]
+    mean = A @ state.mu + offset
+    C = np.eye(d_y) / tau
+    if state.d_theta:
+        AW = A @ state.W
+        C = C + (AW / state.lambda0[None, :]) @ AW.T
+    sign, logdet = np.linalg.slogdet(C)
+    if sign <= 0:
+        raise RuntimeError("covariance not positive definite")
+    r = yhat - mean
+    return -0.5 * (d_y * math.log(2.0 * math.pi) + logdet + float(r @ np.linalg.solve(C, r)))
 
 
 class RefusingModel(ForwardModel):
@@ -81,6 +100,9 @@ def test_ess_all_zero():
 @example([1.7132633813440214e-155, 1.7132633813440214e-155], 0.0625)  # subnormal squares
 def test_ess_rescaling_invariance(w, c):
     w = np.array(w)
+    # no ESS can be invariant when scaling rounds a weight (w = [0, 5e-324]
+    # at c = 0.5 underflows to all zeros), so keep the weights that scale exactly
+    assume(np.allclose((c * w) / c, w, rtol=1e-15, atol=0))
     assert abs(ess(w) - ess(c * w)) <= 1e-12
 
 

@@ -7,10 +7,11 @@ from elastovb.config import build_model, example1_config, generate_data, initial
 from elastovb.forward import (CallCounter, FemForwardModel, ForwardEval,
                               ForwardModel, LinearOracleModel, free_dofs)
 from elastovb.mean_update import (MuUpdateReport, SmoothPrior, em_phi,
-                                  gauss_newton_step, log_prior_mu_and_grad,
-                                  neighbor_pairs, update_mu)
+                                  gauss_newton_step, gauss_newton_system,
+                                  log_prior_mu_and_grad, neighbor_pairs,
+                                  update_mu)
 from elastovb.mesh_fem import Mesh2D
-from elastovb.vb import ReducedPosterior
+from elastovb.vb import ReducedPosterior, update_q_tau
 
 
 def empty_state(d, a0=1.0, b0=1.0):
@@ -139,6 +140,23 @@ def test_clamped_components_stay_exactly_zero(rng):
     assert np.max(np.abs(resid)) < 1e-10
 
 
+def test_reused_system_gives_the_same_step(rng):
+    A = rng.normal(size=(10, 6))
+    model = LinearOracleModel(A)
+    mu = rng.normal(size=6)
+    yhat = rng.normal(size=10)
+    fixed = np.array([False, False, True, False, False, False])
+    prior = em_phi(mu, SmoothPrior.for_grid(3, 2, 2.0, 1.0))
+    ev = model.evaluate(mu)
+    system = gauss_newton_system(ev, yhat, 4.0, fixed)
+    gram = system.gram.copy()
+    for reg in (True, False):
+        fresh, _ = gauss_newton_step(mu, ev, yhat, 4.0, prior, reg, fixed)
+        reused, _ = gauss_newton_step(mu, ev, yhat, 4.0, prior, reg, fixed, system=system)
+        assert np.array_equal(fresh, reused)
+    assert np.array_equal(system.gram, gram)        # the prior goes into a copy
+
+
 def test_regularized_system_matches_dense_construction(rng):
     A = rng.normal(size=(10, 6))
     model = LinearOracleModel(A)
@@ -208,27 +226,56 @@ class ScaledJacobianModel(ForwardModel):
         return ForwardEval(y=ev.y, G=None if ev.G is None else ev.G * self.scale)
 
 
+def example1_mean_phase(snr=None, noise_seed=None, jacobian_scale=None):
+    """The mean phase alone on the benchmark configuration, as `driver.run` calls it."""
+    cfg = example1_config()
+    if snr is not None:
+        cfg.noise.snr = snr
+    if noise_seed is not None:
+        cfg.noise.seed = noise_seed
+    obs, _, _ = generate_data(cfg)
+    model, mesh, _, _, clamp = build_model(cfg)
+    if jacobian_scale is not None:
+        model = ScaledJacobianModel(model, jacobian_scale)
+    s = cfg.solver
+    state = empty_state(mesh.n_elems, a0=s.a0, b0=s.b0)
+    state.mu = initial_mu(cfg, mesh)
+    prior = SmoothPrior.for_grid(mesh.nx, mesh.ny, cfg.prior.a_phi, cfg.prior.b_phi)
+    return update_mu(state, model, obs.yhat, prior,
+                     max_outer=s.mu_max_outer, reg_delay=s.mu_reg_delay,
+                     max_halvings=s.mu_max_halvings, call_budget=s.mu_call_budget,
+                     fixed_mask=clamp)
+
+
 def test_example1_call_count_robust_to_jacobian_rounding():
     # a relative change of ~1e-15 in G must not change how many forward calls
     # the mean phase spends on the benchmark configuration (a step-norm stop
     # spent 21, 27 and 24 calls at the first, third and fourth scale)
-    cfg = example1_config()
-    obs, _, _ = generate_data(cfg)
-    model, mesh, _, _, clamp = build_model(cfg)
-    s = cfg.solver
     calls = []
     for scale in (1.0, 1.0 + 1e-15, 1.0 - 1e-15, 1.0 + 3e-15):
-        state = empty_state(mesh.n_elems, a0=s.a0, b0=s.b0)
-        state.mu = initial_mu(cfg, mesh)
-        prior = SmoothPrior.for_grid(mesh.nx, mesh.ny, cfg.prior.a_phi, cfg.prior.b_phi)
-        res = update_mu(state, ScaledJacobianModel(model, scale), obs.yhat, prior,
-                        max_outer=s.mu_max_outer, reg_delay=s.mu_reg_delay,
-                        max_halvings=s.mu_max_halvings, call_budget=s.mu_call_budget,
-                        fixed_mask=clamp)
+        res = example1_mean_phase(jacobian_scale=scale)
         assert not res.budget_exhausted
         assert sum(rep.halvings for rep in res.reports) == 0
         calls.append(res.forward_calls)
     assert calls == [calls[0]] * 4
+
+
+def test_example1_mean_phase_calls_with_corrector():
+    # one forward call per linearization plus a corrector E-step: the shipped
+    # benchmark took 16 calls without the corrector
+    res = example1_mean_phase()
+    assert res.forward_calls <= 12
+    assert sum(rep.halvings for rep in res.reports) == 0
+    assert any(rep.corrected for rep in res.reports)
+    assert not any(rep.corrected for rep in res.reports if not rep.regularization_active)
+
+
+@pytest.mark.parametrize("noise_seed", range(1, 9))
+def test_example1_noise_seeds_mean_phase_calls(noise_seed):
+    # without the corrector these seeds took 16, 18, 16, 17, 16, 18, 16, 20 calls
+    res = example1_mean_phase(snr=1e5, noise_seed=noise_seed)
+    assert not res.budget_exhausted
+    assert res.forward_calls <= 13
 
 
 def test_accepted_steps_strictly_improve_fem_objective(rng):
@@ -249,23 +296,80 @@ def test_accepted_steps_strictly_improve_fem_objective(rng):
     assert r1 @ r1 < r0 @ r0
 
 
-def test_em_map_fixed_point_stationarity(rng):
-    # linear model with regularization from the first step: the phase should
-    # land where tau A^T (yhat - A mu) = L^T <Phi> L mu at self-consistent Phi
-    A = rng.normal(size=(12, 5))
-    psi_true = np.array([0.0, 0.0, 1.0, 1.0, 1.0])
-    tau = 50.0
-    yhat = A @ psi_true + rng.normal(0.0, 1.0 / np.sqrt(tau), 12)
-    model = LinearOracleModel(A)
-    prior = SmoothPrior.for_grid(5, 1, a_phi=1.0, b_phi=1.0)
-    state = empty_state(5, a0=tau * 1e8, b0=1e8)      # pins <tau> ~= tau
-    res = update_mu(state, model, yhat, prior=prior, reg_delay=0, max_outer=200)
+def assert_em_fixed_point(res, A, yhat):
+    """tau A^T (yhat - A mu) = L^T <Phi> L mu at the Phi of the final mu."""
     post = em_phi(res.mu, res.prior)
-    L = pair_operator(post.pairs, 5)
+    L = pair_operator(post.pairs, A.shape[1])
     P = L.T @ np.diag(post.mean_phi) @ L
     grad = (res.a / res.b) * (A.T @ (yhat - A @ res.mu)) - P @ res.mu
     scale = (res.a / res.b) * float(np.linalg.norm(A.T @ yhat)) + 1.0
     assert np.linalg.norm(grad) / scale < 1e-6
+
+
+def em_map_problem(rng, tau=50.0):
+    A = rng.normal(size=(12, 5))
+    psi_true = np.array([0.0, 0.0, 1.0, 1.0, 1.0])
+    yhat = A @ psi_true + rng.normal(0.0, 1.0 / np.sqrt(tau), 12)
+    state = empty_state(5, a0=tau * 1e8, b0=1e8)      # pins <tau> ~= tau
+    return A, yhat, state
+
+
+def test_em_map_fixed_point_stationarity(rng):
+    # linear model with regularization from the first step: the phase should
+    # land where tau A^T (yhat - A mu) = L^T <Phi> L mu at self-consistent Phi
+    A, yhat, state = em_map_problem(rng)
+    prior = SmoothPrior.for_grid(5, 1, a_phi=1.0, b_phi=1.0)
+    res = update_mu(state, LinearOracleModel(A), yhat, prior=prior, reg_delay=0,
+                    max_outer=200)
+    assert_em_fixed_point(res, A, yhat)
+
+
+def test_corrector_steps_reach_em_fixed_point(rng):
+    # the same fixed point after unregularized warm-up steps, with the trial
+    # steps taken from the corrector E-step where it predicts a gain
+    A, yhat, state = em_map_problem(rng)
+    prior = SmoothPrior.for_grid(5, 1, a_phi=1.0, b_phi=1.0)
+    res = update_mu(state, LinearOracleModel(A), yhat, prior=prior, reg_delay=1,
+                    max_outer=200)
+    assert any(rep.corrected for rep in res.reports)
+    assert not res.reports[0].corrected            # no E-step before the prior is on
+    assert all(rep.f_after > rep.f_before for rep in res.reports if rep.accepted)
+    assert_em_fixed_point(res, A, yhat)
+
+
+def test_corrector_without_frozen_gain_falls_back():
+    # one jump the data pull to 10 from 0.1, with b_phi = 0: the E-step at
+    # mu + delta_0 stiffens the pair enough that delta_1 overshoots the frozen
+    # model's maximizer by more than |delta_0|, so its predicted gain is
+    # negative and the trial must be delta_0
+    A = np.eye(2)
+    model = LinearOracleModel(A)
+    yhat = np.array([5.0, -5.0])
+    state = empty_state(2, a0=2e8, b0=1e8)          # pins <tau> ~= 2
+    state.mu = np.array([0.05, -0.05])
+    prior = SmoothPrior(pairs=np.array([[0, 1]]))
+    res = update_mu(state, model, yhat, prior=prior, reg_delay=0, max_outer=1)
+    (rep,) = res.reports
+    assert rep.accepted and not rep.corrected
+
+    ev = model.evaluate(state.mu)
+    a, b = update_q_tau(state, ev, yhat)
+    tau = a / b
+    system = gauss_newton_system(ev, yhat, tau)
+    prior0 = em_phi(state.mu, prior)
+    delta0, _ = gauss_newton_step(state.mu, ev, yhat, tau, prior0, True, system=system)
+    delta1, _ = gauss_newton_step(state.mu, ev, yhat, tau, em_phi(state.mu + delta0, prior),
+                                  True, system=system)
+
+    def frozen_gain(step):
+        r = yhat - A @ (state.mu + step)
+        r0 = yhat - ev.y
+        return (-0.5 * tau * (r @ r - r0 @ r0)
+                + log_prior_mu_and_grad(state.mu + step, prior0)[0]
+                - log_prior_mu_and_grad(state.mu, prior0)[0])
+
+    assert frozen_gain(delta0) > 0.0 >= frozen_gain(delta1)
+    assert rep.delta_norm == pytest.approx(np.linalg.norm(delta0), rel=1e-12)
 
 
 def test_call_budget_accounting(rng):

@@ -252,10 +252,11 @@ def dense_adjoint_jacobian(mesh, bc, field_, Q, poisson):
     sparse production path must reproduce this to rounding.
     """
     system = _solve_reduced(mesh, bc, field_, poisson)
-    rhs = np.zeros((system.free.size, Q.size))
-    rhs[system.free_pos[Q], np.arange(Q.size)] = 1.0
+    plan = system.plan
+    rhs = np.zeros((plan.free.size, Q.size))
+    rhs[plan.free_pos[Q], np.arange(Q.size)] = 1.0
     nu = np.zeros((mesh.n_dofs, Q.size))
-    nu[system.free] = system.lu.solve(rhs)
+    nu[plan.free] = system.lu.solve(rhs)
     dofs = mesh.element_dofs()
     v = system.U[dofs] @ element_stiffness_unit(mesh, poisson).T
     G = -np.exp(field_.psi)[None, :] * np.einsum("keo,ke->ok", nu[dofs], v)
