@@ -17,8 +17,7 @@ from .mean_update import (MuPhaseResult, SmoothPrior, em_phi, gauss_newton_step,
                           log_prior_mu_and_grad, update_mu)
 from .driver import (DriverConfig, RunTrace, add_basis, info_gain,
                      next_prior_precision, run, state_from_dict)
-from .importance import (ISReport, compare_vb_is, ess, marginal_log_likelihood,
-                         run_is)
+from .importance import ISReport, compare_vb_is, ess, run_is
 from .config import (ObservationFile, RunConfig, build_model, example1_config,
                      generate_data, initial_mu, load_config)
 
@@ -36,7 +35,7 @@ __all__ = [
     "log_prior_mu_and_grad", "update_mu",
     "DriverConfig", "RunTrace", "add_basis", "info_gain",
     "next_prior_precision", "run", "state_from_dict",
-    "ISReport", "compare_vb_is", "ess", "marginal_log_likelihood", "run_is",
+    "ISReport", "compare_vb_is", "ess", "run_is",
     "ObservationFile", "RunConfig", "build_model", "example1_config",
     "generate_data", "initial_mu", "load_config",
     "__version__",

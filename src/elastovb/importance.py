@@ -47,20 +47,6 @@ def ess(weights: np.ndarray) -> float:
     return total * total / (w.size * sq)
 
 
-def marginal_log_likelihood(theta: np.ndarray, state: ReducedPosterior,
-                            model: ForwardModel, yhat: np.ndarray) -> float:
-    """log of the tau-integrated likelihood at Psi = mu + W theta, up to a constant.
-
-    The value is log Gamma(a0 + d_y/2) - (a0 + d_y/2) log(b0 + |r|^2/2); the
-    theta-independent factor (2 pi)^(-d_y/2) b0^a0 / Gamma(a0) is excluded here
-    (it cancels in normalized weights) and restored analytically in evidence
-    reports when the tau prior is proper.
-    """
-    ev = model.evaluate(state.mu + state.W @ theta, jacobian=False)
-    r = yhat - ev.y
-    return _marginal_from_rsq(float(r @ r), state.a0, state.b0, yhat.shape[0])
-
-
 def _marginal_constant(a0: float, b0: float, d_y: int) -> float:
     """Residual-independent part of the marginalized log-likelihood."""
     shape = a0 + 0.5 * d_y
@@ -81,10 +67,6 @@ def _marginal_varying(rsq: float, a0: float, b0: float, d_y: int) -> float:
     if b0 > 0.0:
         return -shape * math.log1p(0.5 * rsq / b0)
     return -shape * math.log(max(0.5 * rsq, RESIDUAL_FLOOR))
-
-
-def _marginal_from_rsq(rsq: float, a0: float, b0: float, d_y: int) -> float:
-    return _marginal_constant(a0, b0, d_y) + _marginal_varying(rsq, a0, b0, d_y)
 
 
 def _fixed_tau_loglik(rsq: float, tau: float, d_y: int) -> float:

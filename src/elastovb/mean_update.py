@@ -150,8 +150,11 @@ def gauss_newton_system(ev: ForwardEval, yhat: np.ndarray, mean_tau: float,
     n = ev.G.shape[1]
     free = np.ones(n, dtype=bool) if fixed_mask is None else ~np.asarray(fixed_mask, dtype=bool)
     Gf = ev.G if free.all() else ev.G[:, free]
-    return GaussNewtonSystem(free=free, gram=mean_tau * (Gf.T @ Gf),
-                             rhs=mean_tau * (Gf.T @ (yhat - ev.y)))
+    gram = Gf.T @ Gf
+    gram *= mean_tau          # in place: no second (n_free x n_free) temporary
+    rhs = Gf.T @ (yhat - ev.y)
+    rhs *= mean_tau
+    return GaussNewtonSystem(free=free, gram=gram, rhs=rhs)
 
 
 def gauss_newton_step(mu: np.ndarray, ev: ForwardEval, yhat: np.ndarray,
@@ -283,6 +286,7 @@ def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
                 budget_exhausted = True
                 break
             trial = mu + scale * delta
+            ev_try = None     # a rejected trial's G must not outlive its rejection
             try:
                 ev_try = model.evaluate(trial)
                 calls += 1

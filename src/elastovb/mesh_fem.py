@@ -9,7 +9,9 @@ AssemblyPlan, so a solve costs one exp, one bincount, the factorization, the
 solve and a residual check.  Output sensitivities dy/dpsi reuse that
 factorization and are computed by direct differentiation, one right-hand side
 per active element: observing every free dof makes d_y about 2 n_elems, so this
-is the smaller side (the adjoint method would need one per observable).
+is the smaller side (the adjoint method would need one per observable).  The
+right-hand sides are solved in blocks of SENSITIVITY_BLOCK columns written
+straight into G, so a Jacobian holds G and one (n_free x block) pair at a time.
 
 Node (ix, iy) has index iy*(nx+1) + ix; its displacement dofs are
 (2*index, 2*index + 1) for (ux, uy).  Element (ex, ey) has index ey*nx + ex.
@@ -22,6 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+
+SENSITIVITY_BLOCK = 32    # right-hand sides per sensitivity solve
 
 
 class SingularSystemError(RuntimeError):
@@ -312,9 +317,11 @@ def adjoint_jacobian(mesh: Mesh2D, bc: BoundarySpec, field_: MaterialField,
     a right-hand side per active (unclamped) element.  The adjoint route needs
     one per observable instead; models built from a config observe every free
     dof, so d_y is about 2 n_elems and the direct side is always the smaller.
-    Columns of clamped elements are exactly zero.  A system from
-    _solve_reduced at the same field can be passed in to reuse its
-    factorization and plan.
+    The solves run over blocks of SENSITIVITY_BLOCK active elements, each block's
+    rows written into G, and give the same bits as one solve over all of them.
+    Columns of clamped elements are exactly zero; with every element clamped
+    nothing is solved.  A system from _solve_reduced at the same field can be
+    passed in to reuse its factorization and plan.
     """
     Q = np.asarray(Q, dtype=int)
     if system is None:
@@ -328,10 +335,15 @@ def adjoint_jacobian(mesh: Mesh2D, bc: BoundarySpec, field_: MaterialField,
                          "prescribed displacements are constant")
     active = np.flatnonzero(~field_.fixed_mask)
     G = np.zeros((Q.size, mesh.n_elems))
-    if active.size:
-        # the right-hand sides die with the solve call, so at most two
-        # (n_free x n_active) blocks are alive at any time
-        G[:, active] = system.lu.solve(_sensitivity_rhs(system, active))[rows]
+    # Besides G, only one block's right-hand sides and solution are alive.
+    # SuperLU solves a single right-hand side on another BLAS path, with other
+    # rounding, so a lone trailing column joins the block before it.
+    starts = list(range(0, active.size, SENSITIVITY_BLOCK))
+    if len(starts) > 1 and active.size - starts[-1] == 1:
+        starts.pop()
+    for lo, hi in zip(starts, starts[1:] + [active.size]):
+        cols = active[lo:hi]
+        G[:, cols] = system.lu.solve(_sensitivity_rhs(system, cols))[rows]
     return G
 
 

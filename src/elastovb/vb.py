@@ -77,12 +77,10 @@ class ElboBreakdown:
     theta_terms: float         # E_q[log p(Theta)] + H[q(Theta)]
     tau_terms: float           # E_q[log p(tau)] + H[q(tau)]
     log_prior_mu: float
-    log_prior_w: float = 0.0   # uniform on the orthonormal-columns manifold
 
     @property
     def total(self) -> float:
-        return (self.likelihood + self.theta_terms + self.tau_terms
-                + self.log_prior_mu + self.log_prior_w)
+        return self.likelihood + self.theta_terms + self.tau_terms + self.log_prior_mu
 
 
 def column_data_terms(W: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -102,8 +100,14 @@ def update_q_tau(state: ReducedPosterior, ev: ForwardEval, yhat: np.ndarray) -> 
     if state.d_theta:
         s = column_data_terms(state.W, ev.G)
         trace = float(np.sum(s / state.lam))
-    b = state.b0 + 0.5 * float(r @ r) + 0.5 * trace
+    misfit = float(r @ r)
+    b = state.b0 + 0.5 * misfit + 0.5 * trace
     if b <= 0.0:
+        if misfit == 0.0 and state.b0 == 0.0:
+            raise RuntimeError(
+                "q(tau) rate is 0: zero misfit under the improper noise prior b0 = 0 "
+                "(the mean fits the data exactly, so the noise precision is unbounded); "
+                "set b0 > 0 (config key solver.b0)")
         raise RuntimeError(f"q(tau) rate collapsed to {b}; inputs must be invalid")
     return a, b
 
@@ -163,7 +167,7 @@ def elbo(state: ReducedPosterior, ev: ForwardEval, yhat: np.ndarray,
 
     log_prior_mu is the (EM-surrogate) log prior of the current mean field,
     computed by the mean-update module; it is a bound itself.  The uniform
-    prior on W contributes a constant reported as 0.
+    prior on W contributes a constant, which is dropped.
     """
     r = yhat - ev.y
     d_y = yhat.shape[0]

@@ -1,5 +1,7 @@
 """Forward-model interface: evaluation contract, call accounting, determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,26 @@ def test_value_only_evaluation(clamp_rows, rng):
     assert counter.count == 2
     assert value.G is None
     assert value.y.tobytes() == full.y.tobytes()
+
+
+def test_jacobian_evaluation_peak_memory_near_G(rng):
+    # one value+Jacobian call at 20x20 (380 active elements): besides G only
+    # one block of right-hand sides and solutions is alive.  Solving all
+    # active elements at once peaked at 2.9 G.nbytes.
+    mesh = Mesh2D(20, 20, 20.0, 20.0)
+    bc = compression_bc(mesh)
+    fixed = np.zeros(mesh.n_elems, dtype=bool)
+    fixed[-mesh.nx:] = True
+    model = FemForwardModel(mesh, bc, free_dofs(mesh, bc), fixed_mask=fixed, poisson=0.3)
+    psi = rng.normal(0.0, 0.4, mesh.n_elems)
+    model.evaluate(psi)        # first-call allocations stay out of the measurement
+    tracemalloc.start()
+    try:
+        ev = model.evaluate(psi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * ev.G.nbytes
 
 
 def test_fem_model_wraps_failures():

@@ -10,8 +10,25 @@ from scipy.integrate import quad
 
 from elastovb.forward import (ForwardEval, ForwardModel, ForwardSolveError,
                               LinearOracleModel)
-from elastovb.importance import compare_vb_is, ess, marginal_log_likelihood, run_is
+from elastovb.importance import (_marginal_constant, _marginal_varying, compare_vb_is,
+                                 ess, run_is)
 from elastovb.vb import ReducedPosterior
+
+
+def marginal_log_likelihood(theta: np.ndarray, state: ReducedPosterior,
+                            model: ForwardModel, yhat: np.ndarray) -> float:
+    """log of the tau-integrated likelihood at Psi = mu + W theta, up to a constant.
+
+    The value is log Gamma(a0 + d_y/2) - (a0 + d_y/2) log(b0 + |r|^2/2); the
+    theta-independent factor (2 pi)^(-d_y/2) b0^a0 / Gamma(a0) is excluded
+    (it cancels in normalized weights).  It is assembled from the two parts
+    run_is uses, so the quadrature checks below cover them.
+    """
+    ev = model.evaluate(state.mu + state.W @ theta, jacobian=False)
+    r = yhat - ev.y
+    rsq, d_y = float(r @ r), yhat.shape[0]
+    return (_marginal_constant(state.a0, state.b0, d_y)
+            + _marginal_varying(rsq, state.a0, state.b0, d_y))
 
 
 def fixed_tau_log_evidence(state: ReducedPosterior, A: np.ndarray, offset: np.ndarray,

@@ -1,5 +1,7 @@
 """Mean-field Gauss-Newton phase and the hierarchical jump-penalty prior."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -380,6 +382,47 @@ def test_call_budget_accounting(rng):
     res = update_mu(empty_state(3), model, yhat, call_budget=2)
     assert res.budget_exhausted
     assert res.forward_calls == counter.count == 2
+
+
+class ArctanModel(ForwardModel):
+    """y = arctan(10 psi): far from the root the full Gauss-Newton step overshoots.
+
+    Keeps a weak reference to every evaluation it returns and records, at each
+    call, how many of them are still alive.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.returned = []
+        self.alive_at_call = []
+
+    @property
+    def d_psi(self):
+        return 1
+
+    @property
+    def d_y(self):
+        return 1
+
+    def _evaluate(self, psi, jacobian):
+        self.alive_at_call.append(sum(ref() is not None for ref in self.returned))
+        ev = ForwardEval(y=np.arctan(10.0 * psi),
+                         G=(10.0 / (1.0 + 100.0 * psi ** 2))[:, None] if jacobian else None)
+        self.returned.append(weakref.ref(ev))
+        return ev
+
+
+def test_rejected_trial_released_before_the_next_trial():
+    # from psi = 1 the full step lands near -14 and the first halvings are
+    # rejected; when any trial is evaluated, only the current iterate's
+    # evaluation may still be alive, never a rejected trial's
+    model = ArctanModel()
+    state = empty_state(1)
+    state.mu = np.array([1.0])
+    res = update_mu(state, model, np.zeros(1))
+    assert res.reports[0].accepted and res.reports[0].halvings >= 2
+    assert model.alive_at_call[0] == 0
+    assert max(model.alive_at_call) == 1
 
 
 def test_report_validation():

@@ -6,14 +6,17 @@ agreement with the production path is meaningful.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from elastovb import mesh_fem
 from elastovb.mesh_fem import (BoundarySpec, MaterialField, Mesh2D,
-                               SingularSystemError, _solve_reduced,
-                               adjoint_jacobian, assemble_and_solve,
-                               element_stiffness_unit, observe)
+                               SingularSystemError, _sensitivity_rhs,
+                               _solve_reduced, adjoint_jacobian,
+                               assemble_and_solve, element_stiffness_unit,
+                               observe)
 from elastovb.forward import FemForwardModel, ForwardSolveError, free_dofs
 
 from conftest import cantilever_bc, compression_bc
@@ -277,6 +280,62 @@ def test_adjoint_matches_dense_contraction(make_bc, poisson, rng):
     assert G.shape == G_dense.shape == (Q.size, mesh.n_elems)
     assert np.linalg.norm(G - G_dense) <= 1e-12 * np.linalg.norm(G_dense)
     assert np.all(G[:, fixed] == 0.0)
+
+
+def single_block_jacobian(system, field_, Q):
+    """All active elements' sensitivities from one solve with every right-hand side."""
+    rows = system.plan.free_pos[Q]
+    active = np.flatnonzero(~field_.fixed_mask)
+    G = np.zeros((Q.size, field_.psi.size))
+    G[:, active] = system.lu.solve(_sensitivity_rhs(system, active))[rows]
+    return G
+
+
+@pytest.mark.parametrize("nx,ny,clamp_top,make_bc", [
+    (4, 4, False, compression_bc),    # 16 active: below one block
+    (11, 3, False, compression_bc),   # 33 active: one column past a block
+    (7, 5, False, compression_bc),    # 35 active: not a multiple of the block
+    (10, 10, True, compression_bc),   # clamped top row, 90 active over three blocks
+    (9, 5, False, cantilever_bc),     # traction loading, 45 active
+])
+@pytest.mark.parametrize("block", [None, 2, 7, 128])
+def test_blocked_sensitivities_match_single_block_solve(nx, ny, clamp_top, make_bc,
+                                                        block, rng, monkeypatch):
+    # a column's solve does not depend on the other columns of its block, so
+    # the blocked G equals the one-block G bit for bit at any block size of 2
+    # or more (a block of one column takes SuperLU's single-vector path)
+    if block is not None:
+        monkeypatch.setattr(mesh_fem, "SENSITIVITY_BLOCK", block)
+    mesh = Mesh2D(nx, ny, float(nx), float(ny))
+    bc = make_bc(mesh)
+    fixed = np.zeros(mesh.n_elems, dtype=bool)
+    if clamp_top:
+        fixed[-mesh.nx:] = True
+    field_ = MaterialField(rng.normal(0.0, 0.6, mesh.n_elems), fixed_mask=fixed)
+    Q = free_dofs(mesh, bc)[::-1]     # unsorted rows exercise the row map too
+    system = _solve_reduced(mesh, bc, field_, 0.3)
+    G = adjoint_jacobian(mesh, bc, field_, Q, poisson=0.3, system=system)
+    assert np.array_equal(G, single_block_jacobian(system, field_, Q))
+    assert np.all(G[:, fixed] == 0.0)
+
+
+class _NoSolve:
+    """Stands in for a factorization whose solve must not be reached."""
+
+    def solve(self, rhs):
+        raise AssertionError("lu.solve called")
+
+
+def test_all_clamped_jacobian_skips_the_solve(rng):
+    mesh = Mesh2D(3, 3, 3.0, 3.0)
+    bc = compression_bc(mesh)
+    field_ = MaterialField(rng.normal(0.0, 0.5, mesh.n_elems),
+                           fixed_mask=np.ones(mesh.n_elems, dtype=bool))
+    Q = free_dofs(mesh, bc)
+    system = replace(_solve_reduced(mesh, bc, field_, 0.3), lu=_NoSolve())
+    G = adjoint_jacobian(mesh, bc, field_, Q, poisson=0.3, system=system)
+    assert G.shape == (Q.size, mesh.n_elems)
+    assert np.all(G == 0.0)
 
 
 @pytest.mark.parametrize("make_bc", [compression_bc, cantilever_bc])

@@ -62,6 +62,17 @@ def test_tau_rate_collapse_raises():
         update_q_tau(state, ev, np.zeros(2))   # zero residual, improper prior
 
 
+def test_exact_fit_under_improper_prior_names_the_cause():
+    # yhat equals the model output bit for bit, so the misfit is exactly 0
+    # without relying on a solver's rounding
+    state = make_state(np.zeros(2), np.zeros((2, 0)), [], [])
+    y = np.array([0.3, -1.7, 2.5])
+    ev = ForwardEval(y=y, G=np.ones((3, 2)))
+    with pytest.raises(RuntimeError, match=r"zero misfit under the improper noise "
+                                           r"prior b0 = 0.*set b0 > 0"):
+        update_q_tau(state, ev, y.copy())
+
+
 # ---------------------------------------------------------------------------
 # q(Theta)
 
@@ -138,7 +149,6 @@ def test_elbo_addends_and_likelihood_formula():
     # theta terms: (log 2 - 2/3 - log 3 + 1)/2
     assert br.theta_terms == pytest.approx(0.5 * (math.log(2) - 2 / 3 - math.log(3) + 1))
     assert br.log_prior_mu == -1.25
-    assert br.log_prior_w == 0.0
     assert br.total == pytest.approx(br.likelihood + br.theta_terms + br.tau_terms
                                      + br.log_prior_mu)
 
