@@ -12,7 +12,6 @@ from .forward import (CallCounter, FemForwardModel, ForwardEval, ForwardModel,
                       ForwardSolveError, LinearOracleModel, free_dofs)
 from .vb import (ElboBreakdown, ReducedPosterior, concentrated_tau_prior, elbo,
                  posterior_psi_stats, q_fixed_point, update_q_tau, update_q_theta)
-from .stiefel import bb_step, cayley_step, grad_FW, optimize_W
 from .mean_update import (MuPhaseResult, SmoothPrior, em_phi, gauss_newton_step,
                           log_prior_mu_and_grad, update_mu)
 from .driver import (DriverConfig, RunTrace, add_basis, info_gain,
@@ -30,7 +29,6 @@ __all__ = [
     "ForwardSolveError", "LinearOracleModel", "free_dofs",
     "ElboBreakdown", "ReducedPosterior", "concentrated_tau_prior", "elbo",
     "posterior_psi_stats", "q_fixed_point", "update_q_tau", "update_q_theta",
-    "bb_step", "cayley_step", "grad_FW", "optimize_W",
     "MuPhaseResult", "SmoothPrior", "em_phi", "gauss_newton_step",
     "log_prior_mu_and_grad", "update_mu",
     "DriverConfig", "RunTrace", "add_basis", "info_gain",

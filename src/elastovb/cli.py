@@ -79,7 +79,6 @@ def _build_parser() -> _Parser:
                    help="override target SNR (a number, or 'inf' for exact data)")
 
     i = add("invert", "run the adaptive subspace inversion")
-    i.add_argument("--seed", type=int, default=None, help="override solver seed")
     i.add_argument("--max-bases", type=int, default=None,
                    help="override the basis-count cap")
 
@@ -146,8 +145,6 @@ def cmd_generate(args) -> int:
 
 def cmd_invert(args) -> int:
     cfg = cfgmod.load_config(args.config)
-    if args.seed is not None:
-        cfg.solver.seed = args.seed
     if args.max_bases is not None:
         if args.max_bases < 0:
             raise UsageError("--max-bases must be nonnegative")

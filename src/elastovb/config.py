@@ -15,7 +15,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields as dataclass_fields
+import typing
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,16 @@ def _as_int(value, where: str) -> int:
         return int(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where} must be an integer, got {value!r}") from exc
+
+
+# Each solver key is parsed as its DriverConfig annotation says (int, or float).
+_SOLVER_PARSERS = {
+    name: _as_int if int in (hint, *typing.get_args(hint)) else _as_float
+    for name, hint in typing.get_type_hints(DriverConfig).items()}
+
+# Knobs of the iterative basis optimizer that one eigendecomposition replaced.
+_REMOVED_SOLVER_KEYS = {"w_max_iters", "w_tol", "w_alpha_init", "sweep_f_tol",
+                        "sweep_window", "max_sweeps"}
 
 
 @dataclass
@@ -284,19 +295,15 @@ def config_from_dict(raw: dict) -> RunConfig:
                        seed=_as_int(nb.get("seed", 0), "noise.seed"))
 
     sb = block("solver")
-    solver_fields = {f.name for f in dataclass_fields(DriverConfig)}
-    _check_keys(sb, solver_fields, "solver")
-    kwargs = {}
-    for key, value in sb.items():
-        if value is None:
-            kwargs[key] = None
-        elif key in ("info_gain_window", "max_bases", "seed", "mu_max_outer",
-                     "mu_reg_delay", "mu_max_halvings", "mu_call_budget",
-                     "w_max_iters", "q_max_iters", "sweep_window", "max_sweeps"):
-            kwargs[key] = _as_int(value, f"solver.{key}")
-        else:
-            kwargs[key] = _as_float(value, f"solver.{key}")
-    solver = DriverConfig(**kwargs)
+    removed = sorted(set(sb) & _REMOVED_SOLVER_KEYS)
+    if removed:
+        raise ConfigError(f"solver.{removed[0]} was removed: the basis now comes from "
+                          "one eigendecomposition, which has nothing to tune; "
+                          "delete the key")
+    _check_keys(sb, set(_SOLVER_PARSERS), "solver")
+    solver = DriverConfig(**{
+        key: None if value is None else _SOLVER_PARSERS[key](value, f"solver.{key}")
+        for key, value in sb.items()})
 
     cb = block("clamp")
     _check_keys(cb, {"top_element_rows", "value"}, "clamp")

@@ -1,11 +1,14 @@
 """Orchestration of the full inference: mean phase, then adaptive basis growth.
 
-The mean field is updated first (the only place forward evaluations happen),
-then reduced coordinates are added one at a time.  For each subspace size the
-basis optimizer and the closed-form q updates alternate until the bound F is
-stable; growth stops once the relative information gain of newly added
-coordinates stays below a threshold for a configured number of consecutive
-sizes, or when a basis cap or the free-parameter count is reached.
+The mean field is updated first (the only place forward evaluations happen).
+The Jacobian G at the final mean is then frozen, so the basis that maximizes
+the bound at every subspace size is known in closed form: the minor
+eigenvectors of the free-element Gram matrix A_ff = G_f^T G_f, the directions
+of largest linearized posterior variance.  One eigendecomposition gives them
+all; stage d appends eigenvector d (ascending eigenvalue order) and refits the
+closed-form q updates.  Growth stops once the relative information gain of
+newly added coordinates stays below a threshold for a configured number of
+consecutive stages, or when a basis cap or the free-parameter count is reached.
 """
 
 from __future__ import annotations
@@ -13,11 +16,11 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+from scipy.linalg import eigh
 
-from .forward import ForwardModel
+from .forward import ForwardEval, ForwardModel
 from .mean_update import MuPhaseResult, SmoothPrior, update_mu
-from .stiefel import optimize_W
-from .vb import ReducedPosterior, elbo, q_fixed_point
+from .vb import ElboBreakdown, ReducedPosterior, elbo, q_fixed_point
 
 SCHEMA_VERSION = 1
 
@@ -28,21 +31,15 @@ class DriverConfig:
     info_gain_threshold: float = 0.01
     info_gain_window: int = 5
     max_bases: int | None = None
-    seed: int = 0
+    seed: int = 0                   # unused: nothing is drawn; kept so configs load
     a0: float = 0.0
     b0: float = 0.0
     mu_max_outer: int = 30
     mu_reg_delay: int = 5
     mu_max_halvings: int = 10
     mu_call_budget: int | None = 38
-    w_max_iters: int = 200
-    w_tol: float = 1e-9
-    w_alpha_init: float = 1e-3
     q_max_iters: int = 50
     q_tol: float = 1e-10
-    sweep_f_tol: float = 1e-8
-    sweep_window: int = 3
-    max_sweeps: int = 200
 
     def validate(self) -> None:
         if not 0.0 < self.info_gain_threshold < 1.0:
@@ -80,42 +77,41 @@ def next_prior_precision(lambda0_1: float, lambda_prev: float, lambda0_prev: flo
     return max(lambda0_1, lambda_prev - lambda0_prev)
 
 
-def add_basis(state: ReducedPosterior, rng: np.random.Generator, lambda0_1: float,
-              fixed_mask: np.ndarray | None = None) -> ReducedPosterior:
-    """Append one random unit column orthogonal to the current basis.
+def add_basis(state: ReducedPosterior, w: np.ndarray, lambda0_1: float) -> ReducedPosterior:
+    """Append the unit column w, which the caller keeps orthogonal to the basis.
 
-    Rows of clamped elements stay zero so the subspace never moves them.  The
-    prior precision of the new coordinate follows the nondecreasing schedule;
-    its posterior precision starts at the prior.
+    The prior precision of the new coordinate follows the nondecreasing
+    schedule; its posterior precision starts at the prior.
     """
-    d_psi = state.d_psi
-    n_free = d_psi if fixed_mask is None else int(np.count_nonzero(~fixed_mask))
-    if state.d_theta >= n_free:
-        raise ValueError("cannot add a basis column beyond the free-parameter count")
-    v = None
-    for _ in range(20):
-        cand = rng.standard_normal(d_psi)
-        if fixed_mask is not None:
-            cand[np.asarray(fixed_mask, dtype=bool)] = 0.0
-        for _ in range(2):  # re-orthogonalize twice to kill rounding residue
-            if state.d_theta:
-                cand = cand - state.W @ (state.W.T @ cand)
-        nrm = float(np.linalg.norm(cand))
-        if nrm > 1e-8:
-            v = cand / nrm
-            break
-    if v is None:
-        raise RuntimeError("failed to draw a new basis direction")
+    w = np.asarray(w, dtype=float)
+    if w.shape != (state.d_psi,):
+        raise ValueError(f"basis column has shape {w.shape}, expected ({state.d_psi},)")
     if state.d_theta == 0:
         lam0_new = lambda0_1
     else:
         lam0_new = next_prior_precision(lambda0_1, float(state.lam[-1]),
                                         float(state.lambda0[-1]))
     new = state.copy()
-    new.W = np.column_stack([state.W, v])
+    new.W = np.column_stack([state.W, w])
     new.lambda0 = np.append(state.lambda0, lam0_new)
     new.lam = np.append(state.lam, lam0_new)
     return new
+
+
+def optimize_W(free: np.ndarray, ev: ForwardEval) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenbasis of the free-element Gram A_ff = G_f^T G_f, ascending eigenvalues.
+
+    Returns (basis, eigenvalues): basis is (d_psi, n_free) with orthonormal
+    columns and exactly zero rows at clamped elements.  The sign of each
+    column is fixed so that its entry of largest magnitude is positive, which
+    makes the basis a function of G alone.  No forward evaluation happens here.
+    """
+    vals, vecs = eigh((ev.G.T @ ev.G)[np.ix_(free, free)], overwrite_a=True)
+    cols = np.arange(vecs.shape[1])
+    vecs *= np.where(vecs[np.argmax(np.abs(vecs), axis=0), cols] < 0.0, -1.0, 1.0)
+    basis = np.zeros((ev.G.shape[1], vecs.shape[1]))
+    basis[free] = vecs
+    return basis, vals
 
 
 @dataclass
@@ -125,7 +121,7 @@ class StageRecord:
     gain_degenerate: bool
     elbo: float
     forward_calls: int
-    sweeps: int
+    sweeps: int                     # q fits in the stage: always 1
     lambda0: list[float]
     lam: list[float]
 
@@ -180,7 +176,12 @@ def state_from_dict(d: dict) -> ReducedPosterior:
 def run(model: ForwardModel, yhat: np.ndarray, config: DriverConfig,
         prior: SmoothPrior | None = None, fixed_mask: np.ndarray | None = None,
         mu0: np.ndarray | None = None) -> RunTrace:
-    """Full adaptive inference; deterministic given config.seed."""
+    """Full adaptive inference; deterministic given the model, data and config.
+
+    Forward calls happen only in the mean phase.  The basis phase takes one
+    eigendecomposition of the free-element Gram at the final mean (none when
+    no basis column is allowed) and one q fixed point per stage.
+    """
     config.validate()
     yhat = np.asarray(yhat, dtype=float)
     if yhat.shape[0] != model.d_y:
@@ -190,7 +191,6 @@ def run(model: ForwardModel, yhat: np.ndarray, config: DriverConfig,
     state = ReducedPosterior(mu=mu0.copy(), W=np.zeros((d_psi, 0)),
                              lambda0=np.zeros(0), lam=np.zeros(0),
                              a0=config.a0, b0=config.b0)
-    rng = np.random.default_rng(config.seed)
 
     mu_res = update_mu(state, model, yhat, prior,
                        max_outer=config.mu_max_outer, reg_delay=config.mu_reg_delay,
@@ -203,46 +203,38 @@ def run(model: ForwardModel, yhat: np.ndarray, config: DriverConfig,
     calls = mu_res.forward_calls
 
     elbo_rows: list[dict] = []
-    f0 = elbo(state, ev, yhat, log_prior_mu)
-    elbo_rows.append({"d_theta": 0, "sweep": 0, "f": f0.total,
-                      "likelihood": f0.likelihood, "theta_terms": f0.theta_terms,
-                      "tau_terms": f0.tau_terms, "log_prior_mu": f0.log_prior_mu,
-                      "forward_calls": calls})
 
-    n_free = d_psi if fixed_mask is None else int(np.count_nonzero(~fixed_mask))
+    def record_elbo(br: ElboBreakdown, sweep: int) -> None:
+        elbo_rows.append({"d_theta": state.d_theta, "sweep": sweep, "f": br.total,
+                          "likelihood": br.likelihood, "theta_terms": br.theta_terms,
+                          "tau_terms": br.tau_terms, "log_prior_mu": br.log_prior_mu,
+                          "forward_calls": calls})
+
+    record_elbo(elbo(state, ev, yhat, log_prior_mu), 0)
+
+    free = (np.arange(d_psi) if fixed_mask is None
+            else np.flatnonzero(~np.asarray(fixed_mask, dtype=bool)))
+    n_free = free.size
     max_bases = n_free if config.max_bases is None else min(config.max_bases, n_free)
 
     records: list[StageRecord] = []
     gains: list[float] = []
     stop_reason = "max_bases" if max_bases == 0 else None
+    if max_bases:
+        basis, _ = optimize_W(free, ev)
     while state.d_theta < max_bases:
-        state = add_basis(state, rng, config.lambda0_1, fixed_mask)
-        f_hist: list[float] = []
-        sweeps = 0
-        for sweep in range(1, config.max_sweeps + 1):
-            sweeps = sweep
-            W_new, _ = optimize_W(state, ev, max_iters=config.w_max_iters,
-                                  tol=config.w_tol, alpha_init=config.w_alpha_init)
-            state.W = W_new
-            state = q_fixed_point(state, ev, yhat, max_iters=config.q_max_iters,
-                                  tol=config.q_tol)
-            br = elbo(state, ev, yhat, log_prior_mu)
-            f_hist.append(br.total)
-            elbo_rows.append({"d_theta": state.d_theta, "sweep": sweep, "f": br.total,
-                              "likelihood": br.likelihood, "theta_terms": br.theta_terms,
-                              "tau_terms": br.tau_terms, "log_prior_mu": br.log_prior_mu,
-                              "forward_calls": calls})
-            if len(f_hist) > config.sweep_window:
-                recent = f_hist[-(config.sweep_window + 1):]
-                if max(recent) - min(recent) <= config.sweep_f_tol * (1.0 + abs(recent[-1])):
-                    break
+        state = add_basis(state, basis[:, state.d_theta], config.lambda0_1)
+        state = q_fixed_point(state, ev, yhat, max_iters=config.q_max_iters,
+                              tol=config.q_tol)
+        br = elbo(state, ev, yhat, log_prior_mu)
+        record_elbo(br, 1)
         terms = kl_terms(state.lambda0, state.lam)
         degenerate = float(np.sum(terms)) == 0.0
         gain = info_gain(state.lambda0, state.lam, state.d_theta)
         gains.append(gain)
         records.append(StageRecord(d_theta=state.d_theta, info_gain=gain,
-                                   gain_degenerate=degenerate, elbo=f_hist[-1],
-                                   forward_calls=calls, sweeps=sweeps,
+                                   gain_degenerate=degenerate, elbo=br.total,
+                                   forward_calls=calls, sweeps=1,
                                    lambda0=state.lambda0.tolist(),
                                    lam=state.lam.tolist()))
         if (len(gains) >= config.info_gain_window

@@ -1,9 +1,16 @@
 """Shared helpers: boundary conditions and small meshes used across suites."""
 
-import numpy as np
-import pytest
+import os
 
-from elastovb.mesh_fem import BoundarySpec, Mesh2D
+# One BLAS thread, set before numpy loads: a suite that shares its CPUs with
+# another process must not oversubscribe them with BLAS worker threads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from elastovb.mesh_fem import BoundarySpec, Mesh2D  # noqa: E402
 
 
 def compression_bc(mesh: Mesh2D, u_top: float = -0.1) -> BoundarySpec:

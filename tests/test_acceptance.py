@@ -21,7 +21,6 @@ from elastovb.forward import CallCounter, FemForwardModel, LinearOracleModel
 from elastovb.importance import compare_vb_is, ess, run_is
 from elastovb.mean_update import SmoothPrior, update_mu
 from elastovb.mesh_fem import BoundarySpec, Mesh2D
-from elastovb.stiefel import cayley_step, orthonormality_defect, skew_factors
 from elastovb.vb import (ReducedPosterior, concentrated_tau_prior,
                          posterior_psi_stats, q_fixed_point)
 
@@ -63,13 +62,9 @@ def fullrank(golden):
     """Reference run with every free element direction in the basis.
 
     The gain window is set beyond reach so growth only stops at full rank.
-    Inner budgets are loosened to keep the 90-coordinate run near a minute;
-    the compared quantities are insensitive to this (the posterior moments
-    move by < 2% between the loose and the default budgets).
     """
     cfg = example1_config()
-    solver = DriverConfig(info_gain_window=200, sweep_f_tol=1e-6,
-                          max_sweeps=25, w_max_iters=80)
+    solver = DriverConfig(info_gain_window=200)
     model, mesh, bc, obs_dofs, mask = build_model(cfg, CallCounter())
     prior = SmoothPrior.for_grid(mesh.nx, mesh.ny, cfg.prior.a_phi, cfg.prior.b_phi)
     trace = run(model, golden.obs.yhat, solver, prior=prior, fixed_mask=mask,
@@ -224,16 +219,16 @@ def test_criterion_5_conjugate_oracle(capsys):
 # 6. Property suites
 
 
-def test_criterion_6a_stiefel_orthonormality(capsys):
-    rng = np.random.default_rng(0)
-    W, _ = np.linalg.qr(rng.normal(size=(15, 4)))
+def test_criterion_6a_stiefel_orthonormality(golden, fullrank, capsys):
+    # the bases the driver returns are points of the Stiefel manifold: every
+    # column has unit length and the columns are mutually orthogonal
     worst = 0.0
-    for _ in range(100):
-        D = rng.normal(size=W.shape)
-        W = cayley_step(W, skew_factors(D, W), alpha=0.2)
-        worst = max(worst, orthonormality_defect(W))
+    for trace in (golden.trace, fullrank):
+        W = trace.state.W
+        worst = max(worst, float(np.max(np.abs(W.T @ W - np.eye(W.shape[1])))))
     announce(capsys, f"CRITERION 6a: {'PASS' if worst <= 1e-10 else 'FAIL'} — "
-             f"max defect over 100 steps = {worst:.2e} (need <=1e-10)")
+             f"max orthonormality defect of the golden and full-rank bases = "
+             f"{worst:.2e} (need <=1e-10)")
     assert worst <= 1e-10
 
 

@@ -233,6 +233,19 @@ def test_invalid_field_exits_one_with_message(block, key, value, tmp_path, capsy
     assert f"{block}.{key}" in err
 
 
+@pytest.mark.parametrize("key", ["w_max_iters", "w_tol", "w_alpha_init",
+                                 "sweep_f_tol", "sweep_window", "max_sweeps"])
+def test_removed_solver_key_exits_one_naming_it(key, tmp_path, capsys):
+    d = small_dict()
+    d["solver"][key] = 10
+    path = tmp_path / "old.yaml"
+    path.write_text(yaml.safe_dump(d))
+    assert main(["generate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("elastovb: config error:")
+    assert f"solver.{key} was removed" in err
+
+
 def run_cli(*args):
     """`python -m elastovb.cli` in a child that imports the package under test."""
     src = str(Path(elastovb.__file__).resolve().parents[1])
