@@ -75,7 +75,7 @@ def _build_parser() -> _Parser:
 
     g = add("generate", "synthesize noisy observations from the phantom")
     g.add_argument("--seed", type=int, default=None, help="override noise seed")
-    g.add_argument("--snr", default=None,
+    g.add_argument("--snr", type=float, default=None,
                    help="override target SNR (a number, or 'inf' for exact data)")
 
     i = add("invert", "run the adaptive subspace inversion")
@@ -120,11 +120,8 @@ def cmd_generate(args) -> int:
     if args.seed is not None:
         cfg.noise.seed = args.seed
     if args.snr is not None:
-        try:
-            cfg.noise.snr = float(args.snr)
-        except ValueError as exc:
-            raise UsageError(f"--snr must be a number or 'inf': {args.snr!r}") from exc
-        cfg.validate()
+        cfg.noise.snr = args.snr
+    cfg.validate()
     out = _out_dir(args, cfg)
     out.mkdir(parents=True, exist_ok=True)
     try:
@@ -146,9 +143,8 @@ def cmd_generate(args) -> int:
 def cmd_invert(args) -> int:
     cfg = cfgmod.load_config(args.config)
     if args.max_bases is not None:
-        if args.max_bases < 0:
-            raise UsageError("--max-bases must be nonnegative")
         cfg.solver.max_bases = args.max_bases
+    cfg.validate()
     out = _out_dir(args, cfg)
     obs_path = out / OBS_FILE
     if not obs_path.exists():
@@ -209,6 +205,11 @@ def cmd_invert(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = cfgmod.load_config(args.config)
+    if args.seed is not None:
+        cfg.validation.seed = args.seed
+    if args.samples is not None:
+        cfg.validation.samples = args.samples
+    cfg.validate()
     out = _out_dir(args, cfg)
     obs_path, trace_path = out / OBS_FILE, out / TRACE_FILE
     for p in (obs_path, trace_path):
@@ -217,17 +218,14 @@ def cmd_validate(args) -> int:
     obs = ObservationFile.load(obs_path)
     try:
         state = state_from_dict(json.loads(trace_path.read_text()))
-    except (json.JSONDecodeError, KeyError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"unreadable run trace {trace_path}: {exc}") from exc
 
     counter = CallCounter()
     model, mesh, bc, obs_dofs, mask = cfgmod.build_model(cfg, counter)
     if obs.d_y != model.d_y or state.d_psi != model.d_psi:
         raise UsageError("run trace does not match the configured mesh/bc")
-    M = args.samples if args.samples is not None else cfg.validation.samples
-    seed = args.seed if args.seed is not None else cfg.validation.seed
-    if M < 2:
-        raise UsageError("--samples must be >= 2")
+    M, seed = cfg.validation.samples, cfg.validation.seed
 
     try:
         report = run_is(state, model, obs.yhat, M=M, seed=seed)
@@ -298,7 +296,7 @@ def cmd_report(args) -> int:
                     f"mu_phase: {sum(st['accepted'] for st in steps)} accepted steps, "
                     f"{sum(st['halvings'] for st in steps)} halvings, "
                     f"{sum(st['corrected'] for st in steps)} corrector steps")
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             lines.append(f"run trace unreadable: {exc}")
     else:
         missing.append(TRACE_FILE)
@@ -322,7 +320,7 @@ def cmd_report(args) -> int:
             rep = json.loads(is_path.read_text())
             lines.append(f"ess: {_fmt(rep['ess'])}")
             lines.append(f"mean_rel_median: {_fmt(rep['mean_rel_median'])}")
-        except (json.JSONDecodeError, KeyError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             lines.append(f"IS report unreadable: {exc}")
     else:
         missing.append(IS_FILE)

@@ -1,8 +1,15 @@
 """Run configuration, phantom synthesis, and artifact file formats.
 
 A run is described by one YAML file with nested blocks (mesh, phantom, bc,
-noise, solver, clamp, prior, validation, output).  This module parses and
-validates that file, builds the mesh/boundary/phantom objects from it, and
+noise, solver, clamp, prior, validation, output), each a dataclass.  One
+reader builds them from the dataclass fields: every key is converted as its
+field is annotated (integers must be integral, booleans true or false,
+strings strings, and only an `X | None` field takes null), an absent key or a
+null block or list takes the field's default, and every error names the
+dotted key, e.g. `phantom.inclusions[0].center[1]`.  Defaults live only on
+the dataclasses and rules across fields only in `RunConfig.validate`.
+
+The module also builds the mesh/boundary/phantom objects from a config and
 reads/writes the on-disk artifacts: the observation file (JSON), element
 fields and nodal displacements (CSV), and re-emitted configs.
 
@@ -16,7 +23,7 @@ import csv
 import json
 import math
 import typing
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,33 +43,53 @@ class ConfigError(ValueError):
 
 
 def _check_keys(block: dict, allowed: set[str], where: str) -> None:
-    extra = sorted(set(block) - allowed)
+    extra = sorted(set(block) - allowed, key=str)
+    removed = [key for key in extra if f"{where}.{key}" in _REMOVED_KEYS]
+    if removed:
+        raise ConfigError(f"{where}.{removed[0]} was removed: the basis now comes from "
+                          "one eigendecomposition, which has nothing to tune; "
+                          "delete the key")
     if extra:
         raise ConfigError(f"unknown keys in {where}: {extra}")
 
 
 def _as_float(value, where: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where} must be a number, got {value!r}") from exc
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ConfigError(f"{where} must be a number, got {value!r}")
 
 
 def _as_int(value, where: str) -> int:
-    try:
+    if isinstance(value, float) and value.is_integer():
         return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where} must be an integer, got {value!r}") from exc
+    if not isinstance(value, (bool, float)):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{where} must be an integer, got {value!r}")
 
 
-# Each solver key is parsed as its DriverConfig annotation says (int, or float).
-_SOLVER_PARSERS = {
-    name: _as_int if int in (hint, *typing.get_args(hint)) else _as_float
-    for name, hint in typing.get_type_hints(DriverConfig).items()}
+def _as_bool(value, where: str) -> bool:
+    if isinstance(value, bool):
+        return value
+    raise ConfigError(f"{where} must be true or false, got {value!r}")
+
+
+def _as_str(value, where: str) -> str:
+    if isinstance(value, str):
+        return value
+    raise ConfigError(f"{where} must be a string, got {value!r}")
+
+
+_SCALARS = {int: _as_int, float: _as_float, bool: _as_bool, str: _as_str}
 
 # Knobs of the iterative basis optimizer that one eigendecomposition replaced.
-_REMOVED_SOLVER_KEYS = {"w_max_iters", "w_tol", "w_alpha_init", "sweep_f_tol",
-                        "sweep_window", "max_sweeps"}
+_REMOVED_KEYS = {f"solver.{key}" for key in (
+    "w_max_iters", "w_tol", "w_alpha_init", "sweep_f_tol", "sweep_window", "max_sweeps")}
 
 
 @dataclass
@@ -173,7 +200,9 @@ class RunConfig:
                 raise ConfigError(f"unknown edge {cond.edge!r}; expected one of {_EDGES}")
             if cond.ux is None and cond.uy is None:
                 raise ConfigError(f"edge {cond.edge!r} prescribes no component")
-        for load in self.bc.loads:
+        for i, load in enumerate(self.bc.loads):
+            if len(load.node) != 2:
+                raise ConfigError(f"bc.loads[{i}].node must be [ix, iy]")
             ix, iy = load.node
             if not (0 <= ix <= m.nx and 0 <= iy <= m.ny):
                 raise ConfigError(f"load node {load.node} outside the grid")
@@ -207,130 +236,46 @@ class RunConfig:
             raise ConfigError(f"unknown inclusion shape {inc.shape!r}")
 
     def to_dict(self) -> dict:
-        d = {
-            "mesh": asdict(self.mesh),
-            "phantom": asdict(self.phantom),
-            "bc": asdict(self.bc),
-            "noise": asdict(self.noise),
-            "solver": asdict(self.solver),
-            "clamp": asdict(self.clamp),
-            "prior": asdict(self.prior),
-            "validation": asdict(self.validation),
-            "output": asdict(self.output),
-            "mu0": self.mu0,
-        }
-        return d
+        return asdict(self)
+
+
+def _parse(cls, raw, where: str = ""):
+    """Build dataclass `cls` from the mapping `raw`, converting each key as its
+    field is annotated.  `where` is the dotted path of `raw` in the config.
+
+    An absent key, or a null block or list, takes the field's default."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where or 'config root'} must be a mapping, got {raw!r}")
+    hints = typing.get_type_hints(cls)
+    _check_keys(raw, set(hints), where or "config")
+    values = {}
+    for f in fields(cls):
+        path, hint, value = f"{where}.{f.name}".lstrip("."), hints[f.name], raw.get(f.name)
+        if value is None and (f.name not in raw or is_dataclass(hint)
+                              or typing.get_origin(hint) is list):
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{path} is required")
+            continue
+        values[f.name] = _convert(hint, value, path)
+    return cls(**values)
+
+
+def _convert(hint, value, where: str):
+    if is_dataclass(hint):
+        return _parse(hint, value, where)
+    args = typing.get_args(hint)
+    if type(None) in args:                          # X | None: null is the value
+        (inner,) = set(args) - {type(None)}
+        return None if value is None else _convert(inner, value, where)
+    if typing.get_origin(hint) is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        return [_convert(args[0], item, f"{where}[{i}]") for i, item in enumerate(value)]
+    return _SCALARS[hint](value, where)
 
 
 def config_from_dict(raw: dict) -> RunConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
-    _check_keys(raw, {"mesh", "phantom", "bc", "noise", "solver", "clamp",
-                      "prior", "validation", "output", "mu0"}, "config")
-    if "mesh" not in raw or not isinstance(raw["mesh"], dict):
-        raise ConfigError("config requires a mesh block")
-
-    def block(name: str) -> dict:
-        b = raw.get(name) or {}
-        if not isinstance(b, dict):
-            raise ConfigError(f"{name} block must be a mapping")
-        return b
-
-    mb = block("mesh")
-    _check_keys(mb, {"nx", "ny", "lx", "ly", "poisson"}, "mesh")
-    try:
-        mesh = MeshBlock(nx=_as_int(mb["nx"], "mesh.nx"), ny=_as_int(mb["ny"], "mesh.ny"),
-                         lx=_as_float(mb["lx"], "mesh.lx"),
-                         ly=_as_float(mb["ly"], "mesh.ly"),
-                         poisson=_as_float(mb.get("poisson", 0.0), "mesh.poisson"))
-    except KeyError as exc:
-        raise ConfigError(f"mesh block missing key {exc.args[0]!r}") from exc
-
-    pb = block("phantom")
-    _check_keys(pb, {"background", "inclusions"}, "phantom")
-    inclusions = []
-    for i, entry in enumerate(pb.get("inclusions") or []):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"phantom.inclusions[{i}] must be a mapping")
-        _check_keys(entry, {"shape", "value", "center", "radii", "x", "y"},
-                    f"phantom.inclusions[{i}]")
-        if "shape" not in entry or "value" not in entry:
-            raise ConfigError(f"phantom.inclusions[{i}] needs shape and value")
-        inclusions.append(Inclusion(
-            shape=str(entry["shape"]),
-            value=_as_float(entry["value"], "inclusion value"),
-            center=[float(v) for v in entry.get("center", [])],
-            radii=[float(v) for v in entry.get("radii", [])],
-            x=[float(v) for v in entry.get("x", [])],
-            y=[float(v) for v in entry.get("y", [])]))
-    phantom = PhantomBlock(background=_as_float(pb.get("background", 0.0),
-                                                "phantom.background"),
-                           inclusions=inclusions)
-
-    bb = block("bc")
-    _check_keys(bb, {"dirichlet", "loads"}, "bc")
-    dirichlet = []
-    for i, entry in enumerate(bb.get("dirichlet") or []):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"bc.dirichlet[{i}] must be a mapping")
-        _check_keys(entry, {"edge", "ux", "uy"}, f"bc.dirichlet[{i}]")
-        dirichlet.append(EdgeCondition(
-            edge=str(entry.get("edge", "")),
-            ux=None if entry.get("ux") is None else _as_float(entry["ux"], "ux"),
-            uy=None if entry.get("uy") is None else _as_float(entry["uy"], "uy")))
-    loads = []
-    for i, entry in enumerate(bb.get("loads") or []):
-        _check_keys(entry, {"node", "fx", "fy"}, f"bc.loads[{i}]")
-        node = entry.get("node")
-        if not isinstance(node, (list, tuple)) or len(node) != 2:
-            raise ConfigError(f"bc.loads[{i}].node must be [ix, iy]")
-        loads.append(PointLoad(node=[_as_int(v, f"bc.loads[{i}].node") for v in node],
-                               fx=_as_float(entry.get("fx", 0.0), "fx"),
-                               fy=_as_float(entry.get("fy", 0.0), "fy")))
-    bc = BCBlock(dirichlet=dirichlet, loads=loads)
-
-    nb = block("noise")
-    _check_keys(nb, {"snr", "seed"}, "noise")
-    noise = NoiseBlock(snr=_as_float(nb.get("snr", 1e5), "noise.snr"),
-                       seed=_as_int(nb.get("seed", 0), "noise.seed"))
-
-    sb = block("solver")
-    removed = sorted(set(sb) & _REMOVED_SOLVER_KEYS)
-    if removed:
-        raise ConfigError(f"solver.{removed[0]} was removed: the basis now comes from "
-                          "one eigendecomposition, which has nothing to tune; "
-                          "delete the key")
-    _check_keys(sb, set(_SOLVER_PARSERS), "solver")
-    solver = DriverConfig(**{
-        key: None if value is None else _SOLVER_PARSERS[key](value, f"solver.{key}")
-        for key, value in sb.items()})
-
-    cb = block("clamp")
-    _check_keys(cb, {"top_element_rows", "value"}, "clamp")
-    clamp = ClampBlock(top_element_rows=_as_int(cb.get("top_element_rows", 0),
-                                                "clamp.top_element_rows"),
-                       value=_as_float(cb.get("value", 0.0), "clamp.value"))
-
-    prb = block("prior")
-    _check_keys(prb, {"enabled", "a_phi", "b_phi"}, "prior")
-    prior = PriorBlock(enabled=bool(prb.get("enabled", False)),
-                       a_phi=_as_float(prb.get("a_phi", 0.0), "prior.a_phi"),
-                       b_phi=_as_float(prb.get("b_phi", 0.0), "prior.b_phi"))
-
-    vb_ = block("validation")
-    _check_keys(vb_, {"samples", "seed"}, "validation")
-    validation = ValidationBlock(
-        samples=_as_int(vb_.get("samples", 1000), "validation.samples"),
-        seed=_as_int(vb_.get("seed", 0), "validation.seed"))
-
-    ob = block("output")
-    _check_keys(ob, {"directory", "formats"}, "output")
-    output = OutputBlock(directory=str(ob.get("directory", "out")),
-                         formats=[str(f) for f in (ob.get("formats") or ["csv", "json"])])
-
-    cfg = RunConfig(mesh=mesh, phantom=phantom, bc=bc, noise=noise, solver=solver,
-                    clamp=clamp, prior=prior, validation=validation, output=output,
-                    mu0=_as_float(raw.get("mu0", 0.0), "mu0"))
+    cfg = _parse(RunConfig, raw)
     cfg.validate()
     return cfg
 
@@ -491,6 +436,8 @@ class ObservationFile:
             raise ConfigError(f"cannot read observations {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid observation file {path}: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise ConfigError(f"invalid observation file {path}: root must be a mapping")
         try:
             return cls(d_y=int(payload["d_y"]),
                        obs_dofs=payload["obs_dofs"], yhat=payload["yhat"],
@@ -499,6 +446,8 @@ class ObservationFile:
                        snr_target=float(payload["snr_target"]))
         except KeyError as exc:
             raise ConfigError(f"observation file missing key {exc.args[0]!r}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid observation file {path}: {exc}") from exc
 
 
 def generate_data(cfg: RunConfig) -> tuple[ObservationFile, np.ndarray, np.ndarray]:

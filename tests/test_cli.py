@@ -52,6 +52,55 @@ def test_config_round_trip(tmp_path):
     assert again.to_dict() == cfg.to_dict()
 
 
+def test_shipped_example1_yaml_is_example1_config():
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "example1.yaml"
+    assert load_config(shipped) == example1_config()
+
+
+def every_field_dict():
+    """A complete config with every field away from its dataclass default."""
+    return {
+        "mesh": {"nx": 6, "ny": 5, "lx": 3.0, "ly": 2.5, "poisson": 0.3},
+        "phantom": {"background": 0.25, "inclusions": [
+            {"shape": "rectangle", "value": 1.5, "center": [], "radii": [],
+             "x": [0.5, 1.5], "y": [0.5, 2.0]},
+            {"shape": "ellipse", "value": -0.5, "center": [2.0, 1.0],
+             "radii": [0.5, 0.4], "x": [], "y": []}]},
+        "bc": {"dirichlet": [{"edge": "bottom", "ux": 0.0, "uy": None},
+                             {"edge": "left", "ux": 0.1, "uy": 0.0}],
+               "loads": [{"node": [3, 5], "fx": 0.01, "fy": -0.02}]},
+        "noise": {"snr": 250.0, "seed": 7},
+        "solver": {"lambda0_1": 1e-8, "info_gain_threshold": 0.05,
+                   "info_gain_window": 3, "max_bases": 3, "seed": 4, "a0": 1.0,
+                   "b0": 2.0, "mu_max_outer": 12, "mu_reg_delay": 2,
+                   "mu_max_halvings": 4, "mu_call_budget": None, "q_max_iters": 20,
+                   "q_tol": 1e-8},
+        "clamp": {"top_element_rows": 2, "value": 0.5},
+        "prior": {"enabled": True, "a_phi": 1.0, "b_phi": 0.5},
+        "validation": {"samples": 10, "seed": 9},
+        "output": {"directory": "elsewhere", "formats": ["json"]},
+        "mu0": 0.5,
+    }
+
+
+def test_every_field_round_trips(tmp_path):
+    cfg = config_from_dict(every_field_dict())
+    assert cfg.to_dict() == every_field_dict()      # no key fell back to a default
+    path = tmp_path / "cfg.yaml"
+    save_config(cfg, path)
+    assert load_config(path).to_dict() == cfg.to_dict()
+
+
+def test_null_optional_fields_load():
+    d = example1_dict()
+    d["solver"]["max_bases"] = None
+    d["bc"]["dirichlet"][0]["ux"] = None
+    d["phantom"] = None                             # a null block takes its default
+    cfg = config_from_dict(d)
+    assert cfg.solver.max_bases is None and cfg.bc.dirichlet[0].ux is None
+    assert cfg.phantom == cfgmod.PhantomBlock()
+
+
 def test_unknown_key_rejected():
     d = example1_dict()
     d["mesh"]["cells"] = 10
@@ -203,9 +252,12 @@ def test_usage_errors_exit_one(small_cfg_path, tmp_path):
                  "--out", str(tmp_path)]) == 1               # missing config file
     assert main(["report", "--out", str(tmp_path / "nodir")]) == 1
     out = tmp_path / "neg"
-    main(["generate", "--config", str(small_cfg_path), "--out", str(out)])
-    assert main(["invert", "--config", str(small_cfg_path), "--out", str(out),
-                 "--max-bases", "-2"]) == 1
+    args = ["--config", str(small_cfg_path), "--out", str(out)]
+    main(["generate"] + args)
+    assert main(["invert"] + args + ["--max-bases", "-2"]) == 1
+    assert main(["invert"] + args) == 0
+    assert main(["validate"] + args + ["--samples", "1"]) == 1
+    assert main(["generate"] + args + ["--snr", "x"]) == 1
 
 
 def test_bad_yaml_exits_one(tmp_path):
@@ -233,6 +285,42 @@ def test_invalid_field_exits_one_with_message(block, key, value, tmp_path, capsy
     assert f"{block}.{key}" in err
 
 
+DELETE = object()
+
+
+@pytest.mark.parametrize("keys,value,named", [
+    (("phantom", "inclusions", 0, "center"), ["a", 5], "phantom.inclusions[0].center[0]"),
+    (("phantom", "inclusions", 0, "center"), 5.0, "phantom.inclusions[0].center"),
+    (("phantom", "inclusions"), 5, "phantom.inclusions"),
+    (("phantom", "inclusions", 0, "shape"), DELETE, "phantom.inclusions[0].shape"),
+    (("bc", "loads"), [3], "bc.loads[0]"),
+    (("bc", "loads"), [{"node": [1], "fx": 0.1}], "bc.loads[0].node"),
+    (("solver", "lambda0_1"), None, "solver.lambda0_1"),
+    (("prior", "enabled"), "no", "prior.enabled"),
+    (("output", "formats"), "csv", "output.formats"),
+    (("output", "directory"), ["a"], "output.directory"),
+    (("mesh", "nx"), 10.7, "mesh.nx"),
+    (("mesh", "nx"), True, "mesh.nx"),
+    (("mesh", "nx"), DELETE, "mesh.nx"),
+], ids=lambda p: "missing" if p is DELETE else None if isinstance(p, tuple) else str(p))
+def test_malformed_field_exits_one_naming_it(keys, value, named, tmp_path, capsys):
+    d = small_dict()
+    *parents, last = keys
+    block = d
+    for key in parents:
+        block = block[key]
+    if value is DELETE:
+        del block[last]
+    else:
+        block[last] = value
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(d))
+    assert main(["generate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("elastovb: config error:")
+    assert named in err
+
+
 @pytest.mark.parametrize("key", ["w_max_iters", "w_tol", "w_alpha_init",
                                  "sweep_f_tol", "sweep_window", "max_sweeps"])
 def test_removed_solver_key_exits_one_naming_it(key, tmp_path, capsys):
@@ -244,6 +332,34 @@ def test_removed_solver_key_exits_one_naming_it(key, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("elastovb: config error:")
     assert f"solver.{key} was removed" in err
+
+
+@pytest.mark.parametrize("name,corrupt", [
+    ("observations.json", lambda obs: [obs]),
+    ("observations.json", lambda obs: {**obs, "d_y": "x"}),
+    ("observations.json", lambda obs: {**obs, "yhat": "abc"}),
+    ("observations.json", lambda obs: {**obs, "tau_true": None}),
+    ("run_trace.json", lambda trace: [trace]),
+    ("run_trace.json", lambda trace: {**trace, "state": {**trace["state"], "mu": "abc"}}),
+    ("run_trace.json", lambda trace: {**trace, "state": {**trace["state"], "a": None}}),
+], ids=["obs-root-list", "obs-d_y-text", "obs-yhat-text", "obs-tau_true-null",
+        "trace-root-list", "trace-mu-text", "trace-a-null"])
+def test_malformed_artifact_exits_one_or_is_reported(name, corrupt, small_cfg_path,
+                                                     tmp_path, capsys):
+    out = tmp_path / "art"
+    args = ["--config", str(small_cfg_path), "--out", str(out)]
+    assert main(["generate"] + args) == 0
+    assert main(["invert"] + args) == 0
+    path = out / name
+    path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+    capsys.readouterr()
+    verbs = ["validate"] if name == "run_trace.json" else ["invert", "validate"]
+    for verb in verbs:
+        assert main([verb] + args) == 1
+        assert str(path) in capsys.readouterr().err
+    assert main(["report", "--out", str(out)]) == 0
+    unreadable = "run trace" if name == "run_trace.json" else "observations"
+    assert f"{unreadable} unreadable: " in capsys.readouterr().out
 
 
 def run_cli(*args):
