@@ -282,7 +282,10 @@ def cmd_report(args) -> int:
             payload = json.loads(trace_path.read_text())
             state = state_from_dict(payload)
             lines.append(f"d_theta: {state.d_theta}")
-            lines.append(f"forward_calls: {payload.get('forward_calls', 'unknown')}")
+            calls = f"forward_calls: {payload.get('forward_calls', 'unknown')}"
+            if "jacobians" in payload.get("mu_phase", {}):
+                calls += f" ({payload['mu_phase']['jacobians']} with a Jacobian)"
+            lines.append(calls)
             lines.append(f"stop_reason: {payload.get('stop_reason', 'unknown')}")
             rows = payload.get("elbo_rows", [])
             if rows:

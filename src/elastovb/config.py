@@ -36,6 +36,7 @@ from .mesh_fem import BoundarySpec, MaterialField, Mesh2D, assemble_and_solve, o
 SCHEMA_VERSION = 1
 FLOAT_FMT = "%.17g"
 _EDGES = ("bottom", "top", "left", "right")
+_FORMATS = ("csv", "json")
 
 
 class ConfigError(ValueError):
@@ -187,53 +188,59 @@ class RunConfig:
 
     def validate(self) -> None:
         m = self.mesh
-        if m.nx < 1 or m.ny < 1 or m.lx <= 0 or m.ly <= 0:
-            raise ConfigError("mesh dimensions must be positive")
+        for key in ("nx", "ny", "lx", "ly"):
+            if not getattr(m, key) > 0:
+                raise ConfigError(f"mesh.{key} must be positive, got {getattr(m, key)!r}")
         if not 0.0 <= m.poisson < 0.5:
             raise ConfigError(f"mesh.poisson {m.poisson} outside [0, 0.5)")
         if not self.noise.snr > 0:
             raise ConfigError("noise.snr must be positive")
-        for inc in self.phantom.inclusions:
-            self._validate_inclusion(inc)
-        for cond in self.bc.dirichlet:
+        for i, inc in enumerate(self.phantom.inclusions):
+            self._validate_inclusion(inc, f"phantom.inclusions[{i}]")
+        for i, cond in enumerate(self.bc.dirichlet):
             if cond.edge not in _EDGES:
-                raise ConfigError(f"unknown edge {cond.edge!r}; expected one of {_EDGES}")
+                raise ConfigError(f"bc.dirichlet[{i}].edge: unknown edge {cond.edge!r}; "
+                                  f"expected one of {_EDGES}")
             if cond.ux is None and cond.uy is None:
-                raise ConfigError(f"edge {cond.edge!r} prescribes no component")
+                raise ConfigError(f"bc.dirichlet[{i}]: edge {cond.edge!r} prescribes no component")
         for i, load in enumerate(self.bc.loads):
             if len(load.node) != 2:
                 raise ConfigError(f"bc.loads[{i}].node must be [ix, iy]")
             ix, iy = load.node
             if not (0 <= ix <= m.nx and 0 <= iy <= m.ny):
-                raise ConfigError(f"load node {load.node} outside the grid")
+                raise ConfigError(f"bc.loads[{i}].node {load.node} outside the grid")
         if not self.bc.dirichlet:
-            raise ConfigError("at least one Dirichlet edge is required")
+            raise ConfigError("bc.dirichlet: at least one Dirichlet edge is required")
         if not 0 <= self.clamp.top_element_rows <= m.ny:
             raise ConfigError("clamp.top_element_rows outside [0, ny]")
         if self.validation.samples < 2:
             raise ConfigError("validation.samples must be >= 2")
+        for i, fmt in enumerate(self.output.formats):
+            if fmt not in _FORMATS:
+                raise ConfigError(f"output.formats[{i}]: unknown format {fmt!r}; "
+                                  f"expected one of {_FORMATS}")
         try:
             self.solver.validate()
         except ValueError as exc:
             raise ConfigError(f"solver block: {exc}") from exc
 
-    def _validate_inclusion(self, inc: Inclusion) -> None:
+    def _validate_inclusion(self, inc: Inclusion, where: str) -> None:
         m = self.mesh
         if inc.shape == "ellipse":
             if len(inc.center) != 2 or len(inc.radii) != 2:
-                raise ConfigError("ellipse needs center [cx, cy] and radii [rx, ry]")
+                raise ConfigError(f"{where}: ellipse needs center [cx, cy] and radii [rx, ry]")
             (cx, cy), (rx, ry) = inc.center, inc.radii
             if rx <= 0 or ry <= 0:
-                raise ConfigError("ellipse radii must be positive")
+                raise ConfigError(f"{where}.radii: ellipse radii must be positive")
             if cx - rx < 0 or cx + rx > m.lx or cy - ry < 0 or cy + ry > m.ly:
-                raise ConfigError("ellipse extends outside the domain")
+                raise ConfigError(f"{where}: ellipse extends outside the domain")
         elif inc.shape == "rectangle":
             if len(inc.x) != 2 or len(inc.y) != 2:
-                raise ConfigError("rectangle needs x [x0, x1] and y [y0, y1]")
+                raise ConfigError(f"{where}: rectangle needs x [x0, x1] and y [y0, y1]")
             if not (0 <= inc.x[0] < inc.x[1] <= m.lx and 0 <= inc.y[0] < inc.y[1] <= m.ly):
-                raise ConfigError("rectangle extends outside the domain")
+                raise ConfigError(f"{where}: rectangle extends outside the domain")
         else:
-            raise ConfigError(f"unknown inclusion shape {inc.shape!r}")
+            raise ConfigError(f"{where}.shape: unknown inclusion shape {inc.shape!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

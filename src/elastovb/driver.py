@@ -155,6 +155,7 @@ class RunTrace:
         if mu is not None:
             out["mu_phase"] = {
                 "forward_calls": mu.forward_calls,
+                "jacobians": mu.jacobians,
                 "budget_exhausted": mu.budget_exhausted,
                 "floored_count": 0 if mu.prior is None else mu.prior.floored_count,
                 "steps": [asdict(r) for r in mu.reports],

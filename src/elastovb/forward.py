@@ -1,17 +1,22 @@
 """Forward-model contract: evaluate outputs and sensitivities at a parameter point.
 
-Every model returns the output vector and, unless the caller asks for the value
-only (`jacobian=False`, as importance sampling does), its Jacobian; models that
-cannot provide sensitivities are not admitted.  Each evaluation bumps a shared
-call counter by exactly one, with or without the Jacobian.  The counter is the
-unit of computational cost throughout the package.
+A model's `_evaluate` gives the output vector together with a handle that can
+solve for its Jacobian later, from the same forward solve (for the FEM model,
+the call's held factorization); models that cannot provide sensitivities are
+not admitted.  `evaluate(psi)` is that value followed by `with_jacobian()`;
+with `jacobian=False` the caller keeps the value-only evaluation and asks for G
+only if it reads it, as the mean phase does for its accepted trial alone.  Each
+evaluation bumps a shared call counter by exactly one, whether or not its
+Jacobian is ever solved.  The counter is the unit of computational cost
+throughout the package.
 """
 
 from __future__ import annotations
 
 import threading
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,11 +36,16 @@ class ForwardSolveError(RuntimeError):
 class ForwardEval:
     """Model output y (length d_y) and sensitivity matrix G (d_y x d_psi).
 
-    G is None for a value-only evaluation.
+    G is None for a value-only evaluation.  A value-only evaluation from a
+    model also holds `_jacobian`, a private handle that solves for G from the
+    call's own forward solve; `with_jacobian()` spends it.  An evaluation with
+    G holds no handle, so it keeps no factorization alive.
     """
 
     y: np.ndarray
     G: np.ndarray | None
+    _jacobian: Callable[[], np.ndarray] | None = field(default=None, repr=False,
+                                                       compare=False)
 
     def __post_init__(self) -> None:
         if self.G is not None and self.y.shape[0] != self.G.shape[0]:
@@ -43,6 +53,17 @@ class ForwardEval:
         if not (np.all(np.isfinite(self.y))
                 and (self.G is None or np.all(np.isfinite(self.G)))):
             raise ValueError("forward evaluation produced non-finite values")
+
+    def with_jacobian(self) -> "ForwardEval":
+        """The same evaluation with G filled in and no handle; no new forward call.
+
+        A failed sensitivity solve raises ForwardSolveError.
+        """
+        if self.G is not None:
+            return self
+        if self._jacobian is None:
+            raise ValueError("value-only evaluation holds no Jacobian handle")
+        return ForwardEval(y=self.y, G=self._jacobian())
 
 
 class CallCounter:
@@ -80,15 +101,20 @@ class ForwardModel(ABC):
     def d_y(self) -> int: ...
 
     @abstractmethod
-    def _evaluate(self, psi: np.ndarray, jacobian: bool) -> ForwardEval: ...
+    def _evaluate(self, psi: np.ndarray) -> ForwardEval:
+        """Value-only evaluation holding a handle that solves for its Jacobian."""
 
     def evaluate(self, psi: np.ndarray, jacobian: bool = True) -> ForwardEval:
-        """One forward call; with jacobian=False the result's G is None."""
+        """One forward call; with jacobian=False the result's G is None.
+
+        A value-only result can still give its G through `with_jacobian()`.
+        """
         psi = np.asarray(psi, dtype=float)
         if psi.shape != (self.d_psi,):
             raise ValueError(f"psi has shape {psi.shape}, expected ({self.d_psi},)")
         self.counter.increment()
-        return self._evaluate(psi, jacobian)
+        ev = self._evaluate(psi)
+        return ev.with_jacobian() if jacobian else ev
 
 
 class LinearOracleModel(ForwardModel):
@@ -111,9 +137,8 @@ class LinearOracleModel(ForwardModel):
     def d_y(self) -> int:
         return self.A.shape[0]
 
-    def _evaluate(self, psi: np.ndarray, jacobian: bool) -> ForwardEval:
-        return ForwardEval(y=self.A @ psi + self.offset,
-                           G=self.A.copy() if jacobian else None)
+    def _evaluate(self, psi: np.ndarray) -> ForwardEval:
+        return ForwardEval(y=self.A @ psi + self.offset, G=None, _jacobian=self.A.copy)
 
 
 class FemForwardModel(ForwardModel):
@@ -145,15 +170,22 @@ class FemForwardModel(ForwardModel):
     def d_y(self) -> int:
         return self.obs_dofs.size
 
-    def _evaluate(self, psi: np.ndarray, jacobian: bool) -> ForwardEval:
+    def _evaluate(self, psi: np.ndarray) -> ForwardEval:
         field_ = MaterialField(psi=psi, fixed_mask=self.fixed_mask)
         try:
             system = _solve_reduced(self.mesh, self.bc, field_, self.poisson, plan=self.plan)
-            G = (adjoint_jacobian(self.mesh, self.bc, field_, self.obs_dofs,
-                                  self.poisson, system=system) if jacobian else None)
         except Exception as exc:
             raise ForwardSolveError(f"forward solve failed: {exc}", psi) from exc
-        return ForwardEval(y=system.U[self.obs_dofs].copy(), G=G)
+
+        def jacobian() -> np.ndarray:
+            # the held factorization, moduli and U of this call; no second solve
+            try:
+                return adjoint_jacobian(self.mesh, self.bc, field_, self.obs_dofs,
+                                        self.poisson, system=system)
+            except Exception as exc:
+                raise ForwardSolveError(f"sensitivity solve failed: {exc}", psi) from exc
+
+        return ForwardEval(y=system.U[self.obs_dofs].copy(), G=None, _jacobian=jacobian)
 
 
 def free_dofs(mesh: Mesh2D, bc: BoundarySpec) -> np.ndarray:

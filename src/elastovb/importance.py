@@ -96,13 +96,14 @@ def run_is(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
     for m in range(M):
         theta = thetas[m]
         try:
-            ev = model.evaluate(state.mu + (state.W @ theta if d_theta else 0.0),
-                                jacobian=False)
+            # keep y only: the evaluation's held factorization goes at once
+            y = model.evaluate(state.mu + (state.W @ theta if d_theta else 0.0),
+                               jacobian=False).y
         except ForwardSolveError:
             log_w[m] = -np.inf
             discarded += 1
             continue
-        r = yhat - ev.y
+        r = yhat - y
         rsq = float(r @ r)
         if fixed_tau is None:
             ll = _marginal_varying(rsq, state.a0, state.b0, d_y)

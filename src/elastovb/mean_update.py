@@ -8,12 +8,14 @@ ascends the resulting quadratic surrogate.  Because the surrogate touches the
 true objective at the expansion point, any step that improves the surrogate at
 fixed pair precisions also improves the true objective.
 
-Each outer iteration costs exactly one forward evaluation (value and Jacobian
-together); trial steps are accepted only if the exact objective, at the
-iteration's frozen <tau> and pair precisions, strictly increases.  Before a
-trial is spent, the Gauss-Newton model predicts the step's gain from the
-Jacobian already in hand; a predicted gain below the phase's relative
-tolerance ends the phase, since such a step cannot be told from rounding.
+Each trial costs one forward evaluation, for its value only; trial steps are
+accepted only if the exact objective, at the iteration's frozen <tau> and pair
+precisions, strictly increases.  Only the accepted trial's Jacobian is solved,
+from that trial's own factorization, so an outer iteration costs one Jacobian
+and as many value solves as it has trials.  Before a trial is spent, the
+Gauss-Newton model predicts the step's gain from the Jacobian already in hand;
+a predicted gain below the phase's relative tolerance ends the phase, since
+such a step cannot be told from rounding.
 
 The E-step needs no forward call, so with the prior active each linearization
 also takes one corrector step: the E-step is redone at mu + delta_0 and the
@@ -157,24 +159,19 @@ def gauss_newton_system(ev: ForwardEval, yhat: np.ndarray, mean_tau: float,
     return GaussNewtonSystem(free=free, gram=gram, rhs=rhs)
 
 
-def gauss_newton_step(mu: np.ndarray, ev: ForwardEval, yhat: np.ndarray,
-                      mean_tau: float, prior: SmoothPrior | None,
-                      regularization_active: bool,
-                      fixed_mask: np.ndarray | None = None,
-                      system: GaussNewtonSystem | None = None) -> tuple[np.ndarray, bool]:
+def gauss_newton_step(mu: np.ndarray, system: GaussNewtonSystem,
+                      prior: SmoothPrior | None,
+                      regularization_active: bool) -> tuple[np.ndarray, bool]:
     """Solve the symmetric Gauss-Newton system for the mean increment.
 
-    With regularization off the prior terms are dropped from both sides.
-    Clamped components are excluded from the solve and returned as exactly 0.
-    `system`, when given, holds this linearization's data-term blocks (from
-    `gauss_newton_system` with the same ev, yhat, mean_tau and fixed_mask) and
-    is reused instead of formed again; the pair precisions are scattered into
-    a copy of its free block as sparse entries.
+    `system` holds the linearization's data-term blocks, from
+    `gauss_newton_system`; the pair precisions are scattered into a copy of
+    its free block as sparse entries.  With regularization off the prior terms
+    are dropped from both sides.  Clamped components are excluded from the
+    solve and returned as exactly 0.
     Returns (delta_mu, floor_used) where floor_used records a Tikhonov fallback
     on a singular system.
     """
-    if system is None:
-        system = gauss_newton_system(ev, yhat, mean_tau, fixed_mask)
     free = system.free
     Hf, rhsf = system.gram, system.rhs
     if regularization_active and prior is not None:
@@ -212,6 +209,7 @@ class MuPhaseResult:
     prior: SmoothPrior | None
     reports: list[MuUpdateReport] = field(default_factory=list)
     forward_calls: int = 0
+    jacobians: int = 0                     # evaluations whose G was solved
     log_prior_value: float = 0.0
     budget_exhausted: bool = False
 
@@ -226,16 +224,22 @@ def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
     The jump-penalty regularization is switched on once `reg_delay` steps have
     been accepted; before that, steps are plain Gauss-Newton on the data term.
     A rejected trial is halved up to max_halvings times (each trial costs one
-    forward call); exhausting the halvings ends the phase.  So does a step
-    whose predicted gain, -<tau>/2 |r - G delta|^2 + log p(mu + delta) - F_mu,
-    is at most GAIN_RTOL (1 + |F_mu|), or an accepted step whose actual gain is.
-    With regularization on, the trial step is the corrector step delta_1 when
-    its predicted gain passes the same tolerance (see the module docstring).
+    value-only forward call); exhausting the halvings ends the phase.  So does
+    a step whose predicted gain, -<tau>/2 |r - G delta|^2 + log p(mu + delta)
+    - F_mu, is at most GAIN_RTOL (1 + |F_mu|), or an accepted step whose actual
+    gain is.  With regularization on, the trial step is the corrector step
+    delta_1 when its predicted gain passes the same tolerance (see the module
+    docstring).
+
+    The accepted trial's G is solved from its own factorization after mu's G
+    is released, so one G is alive at a time.  If that solve fails, the trial
+    counts as failed and is halved; should the phase then end without an
+    accepted step, one more counted call (past the budget if need be) solves
+    G at mu again.
     """
     mu = state.mu.copy()
-    calls = 0
     ev = model.evaluate(mu)
-    calls += 1
+    calls = jacobians = 1
     a, b = update_q_tau(state, ev, yhat)
     cur_prior = prior
     reports: list[MuUpdateReport] = []
@@ -265,15 +269,12 @@ def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
             return -0.5 * mean_tau * float(r_lin @ r_lin) + logp_fn(mu + step) - f_curr
 
         system = gauss_newton_system(ev, yhat, mean_tau, fixed_mask)
-        delta, _ = gauss_newton_step(mu, ev, yhat, mean_tau, cur_prior,
-                                     reg_active, fixed_mask, system=system)
+        delta, _ = gauss_newton_step(mu, system, cur_prior, reg_active)
         if predicted_gain(delta) <= tol:
             break
         corrected = False
         if reg_active:
-            delta1, _ = gauss_newton_step(mu, ev, yhat, mean_tau,
-                                          em_phi(mu + delta, cur_prior),
-                                          True, fixed_mask, system=system)
+            delta1, _ = gauss_newton_step(mu, system, em_phi(mu + delta, cur_prior), True)
             if predicted_gain(delta1) > tol:
                 delta, corrected = delta1, True
         del system        # free the Gram before the trial call, the phase's memory peak
@@ -286,20 +287,20 @@ def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
                 budget_exhausted = True
                 break
             trial = mu + scale * delta
-            ev_try = None     # a rejected trial's G must not outlive its rejection
+            ev_try = None     # a rejected trial's factorization must not outlive its rejection
+            calls += 1
             try:
-                ev_try = model.evaluate(trial)
-                calls += 1
+                ev_try = model.evaluate(trial, jacobian=False)
+                r_try = yhat - ev_try.y
+                f_try = -0.5 * mean_tau * float(r_try @ r_try) + logp_fn(trial)
+                if f_try > f_curr:
+                    ev = None     # one G alive at a time: mu's goes before the trial's is solved
+                    ev_try = ev_try.with_jacobian()
+                    jacobians += 1
+                    accepted = True
+                    break
             except ForwardSolveError:
-                calls += 1
-                halvings += 1
-                scale *= 0.5
-                continue
-            r_try = yhat - ev_try.y
-            f_try = -0.5 * mean_tau * float(r_try @ r_try) + logp_fn(trial)
-            if f_try > f_curr:
-                accepted = True
-                break
+                pass
             halvings += 1
             scale *= 0.5
         if not accepted:
@@ -321,10 +322,15 @@ def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
         if (f_try - f_curr) <= GAIN_RTOL * (1.0 + abs(f_curr)):
             break
 
+    if ev is None:    # the accepted trial's Jacobian failed after mu's was released
+        ev = model.evaluate(mu)
+        calls += 1
+        jacobians += 1
     log_prior_value = 0.0
     if cur_prior is not None:
         cur_prior = em_phi(mu, cur_prior)
         log_prior_value, _ = log_prior_mu_and_grad(mu, cur_prior)
     return MuPhaseResult(mu=mu, ev=ev, a=a, b=b, prior=cur_prior, reports=reports,
-                         forward_calls=calls, log_prior_value=log_prior_value,
+                         forward_calls=calls, jacobians=jacobians,
+                         log_prior_value=log_prior_value,
                          budget_exhausted=budget_exhausted)

@@ -220,9 +220,13 @@ def test_run_trace_records_mean_phase(small_cfg_path, tmp_path, capsys):
         assert st["regularization_active"] or not st["corrected"]
     # the first call linearizes at mu0; every other call is a step's trial
     assert 1 + sum(st["forward_calls"] for st in steps) == mu["forward_calls"]
+    assert mu["jacobians"] == 1 + len(steps)
     capsys.readouterr()
     assert main(["report", "--out", str(out)]) == 0
-    lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("mu_phase:")]
+    text = capsys.readouterr().out
+    assert (f"forward_calls: {trace['forward_calls']} ({mu['jacobians']} with a Jacobian)"
+            in text.splitlines())
+    lines = [l for l in text.splitlines() if l.startswith("mu_phase:")]
     assert lines == [f"mu_phase: {len(steps)} accepted steps, "
                      f"{sum(st['halvings'] for st in steps)} halvings, "
                      f"{sum(st['corrected'] for st in steps)} corrector steps"]
@@ -332,6 +336,45 @@ def test_removed_solver_key_exits_one_naming_it(key, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("elastovb: config error:")
     assert f"solver.{key} was removed" in err
+
+
+def add_second_inclusion(d):
+    d["phantom"]["inclusions"].append(
+        {"shape": "ellipse", "center": [2.0, 2.0], "radii": [2.0, -1.0], "value": 1.0})
+
+
+@pytest.mark.parametrize("edit,named", [
+    (add_second_inclusion, "phantom.inclusions[1]"),
+    (lambda d: d["mesh"].update(lx=-1.0), "mesh.lx"),
+    (lambda d: d["bc"]["dirichlet"][0].update(edge="lft"), "bc.dirichlet[0].edge"),
+], ids=["inclusion_radii", "mesh_lx", "dirichlet_edge"])
+def test_cross_field_rule_exits_one_naming_key(edit, named, tmp_path, capsys):
+    d = small_dict()
+    edit(d)
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(d))
+    assert main(["generate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("elastovb: config error:")
+    assert named in err
+
+
+def test_unknown_output_format_exits_one_naming_it(small_cfg_path, tmp_path, capsys):
+    # valid artifacts are in place, so only the format can stop invert and validate
+    out = tmp_path / "fmt"
+    assert main(["generate", "--config", str(small_cfg_path), "--out", str(out)]) == 0
+    assert main(["invert", "--config", str(small_cfg_path), "--out", str(out)]) == 0
+    d = yaml.safe_load(small_cfg_path.read_text())
+    d["output"]["formats"] = ["cvs"]
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(d))
+    capsys.readouterr()
+    for verb in ("generate", "invert", "validate"):
+        assert main([verb, "--config", str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("elastovb: config error:")
+        assert "output.formats[0]" in err
+    assert not (out / "is_report.json").exists()
 
 
 @pytest.mark.parametrize("name,corrupt", [

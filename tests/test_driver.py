@@ -322,12 +322,15 @@ def test_basis_beats_random_frames_at_the_same_schedule(example1):
 class RoundedJacobianModel(FemForwardModel):
     """FemForwardModel whose G carries a fixed relative perturbation of 1e-13."""
 
-    def _evaluate(self, psi, jacobian):
-        ev = super()._evaluate(psi, jacobian)
-        if ev.G is None:
-            return ev
-        noise = np.random.default_rng(1).uniform(-1.0, 1.0, ev.G.shape)
-        return ForwardEval(y=ev.y, G=ev.G * (1.0 + 1e-13 * noise))
+    def _evaluate(self, psi):
+        ev = super()._evaluate(psi)
+
+        def jacobian():
+            G = ev.with_jacobian().G
+            noise = np.random.default_rng(1).uniform(-1.0, 1.0, G.shape)
+            return G * (1.0 + 1e-13 * noise)
+
+        return ForwardEval(y=ev.y, G=None, _jacobian=jacobian)
 
 
 def test_basis_stable_under_rounding_of_G(example1):
@@ -340,3 +343,12 @@ def test_basis_stable_under_rounding_of_G(example1):
     assert other.stop_reason == base.stop_reason
     assert other.forward_calls == base.forward_calls
     assert np.max(np.abs(other.state.W - base.state.W)) <= 1e-8
+
+
+def test_run_trace_counts_mean_phase_jacobians(example1):
+    # the start plus one per accepted step; example1 rejects no trial, so
+    # every forward call solves a Jacobian
+    mu_phase = example1.trace.to_dict()["mu_phase"]
+    accepted = sum(st["accepted"] for st in mu_phase["steps"])
+    assert mu_phase["jacobians"] == 1 + accepted == 11
+    assert mu_phase["forward_calls"] == 11

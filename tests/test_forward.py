@@ -1,5 +1,6 @@
 """Forward-model interface: evaluation contract, call accounting, determinism."""
 
+import gc
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from elastovb.forward import (CallCounter, FemForwardModel, ForwardEval,
                               ForwardSolveError, LinearOracleModel, free_dofs)
-from elastovb.mesh_fem import Mesh2D
+from elastovb.mesh_fem import Mesh2D, _ReducedSystem
 
 from conftest import compression_bc
 
@@ -96,6 +97,71 @@ def test_value_only_evaluation(clamp_rows, rng):
     assert counter.count == 2
     assert value.G is None
     assert value.y.tobytes() == full.y.tobytes()
+
+
+def test_value_only_evaluation_gives_its_jacobian_later(rng):
+    # the held factorization gives the same bits as a value+Jacobian call,
+    # with no second solve and no second count
+    mesh = Mesh2D(4, 3, 4.0, 3.0)
+    bc = compression_bc(mesh)
+    fixed = np.zeros(mesh.n_elems, dtype=bool)
+    fixed[-mesh.nx:] = True
+    counter = CallCounter()
+    model = FemForwardModel(mesh, bc, free_dofs(mesh, bc), fixed_mask=fixed,
+                            poisson=0.3, counter=counter)
+    psi = rng.normal(0.0, 0.4, mesh.n_elems)
+    value = model.evaluate(psi, jacobian=False)
+    model.evaluate(psi + 1.0)                    # another field in between
+    assert counter.count == 2
+    full = value.with_jacobian()
+    assert counter.count == 2
+    assert full.y is value.y
+    assert full.G.tobytes() == model.evaluate(psi).G.tobytes()
+    assert full.with_jacobian() is full
+
+
+def test_completed_evaluation_holds_no_factorization(rng):
+    mesh = Mesh2D(3, 3, 3.0, 3.0)
+    bc = compression_bc(mesh)
+    model = FemForwardModel(mesh, bc, free_dofs(mesh, bc))
+    psi = rng.normal(0.0, 0.4, mesh.n_elems)
+
+    def systems_alive():
+        gc.collect()
+        return sum(isinstance(o, _ReducedSystem) for o in gc.get_objects())
+
+    before = systems_alive()
+    value = model.evaluate(psi, jacobian=False)
+    assert value._jacobian is not None
+    assert systems_alive() == before + 1
+    full = value.with_jacobian()
+    del value
+    fresh = model.evaluate(psi)
+    assert full._jacobian is None and fresh._jacobian is None
+    assert systems_alive() == before
+
+
+def test_value_only_evaluation_without_handle_refuses_jacobian():
+    with pytest.raises(ValueError, match="no Jacobian handle"):
+        ForwardEval(y=np.zeros(2), G=None).with_jacobian()
+
+
+def test_failed_sensitivity_solve_is_a_forward_solve_error(rng, monkeypatch):
+    import elastovb.forward as fwd
+
+    mesh = Mesh2D(3, 3, 3.0, 3.0)
+    bc = compression_bc(mesh)
+    model = FemForwardModel(mesh, bc, free_dofs(mesh, bc))
+    psi = rng.normal(0.0, 0.4, mesh.n_elems)
+    value = model.evaluate(psi, jacobian=False)
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("no pivot")
+
+    monkeypatch.setattr(fwd, "adjoint_jacobian", broken)
+    with pytest.raises(ForwardSolveError, match="sensitivity solve failed") as err:
+        value.with_jacobian()
+    assert np.array_equal(err.value.psi, psi)
 
 
 def test_jacobian_evaluation_peak_memory_near_G(rng):

@@ -66,10 +66,10 @@ class RefusingModel(ForwardModel):
     def d_y(self):
         return self.A.shape[0]
 
-    def _evaluate(self, psi, jacobian=True):
+    def _evaluate(self, psi):
         if psi[0] > 0.0:
             raise ForwardSolveError("refused", psi)
-        return ForwardEval(y=self.A @ psi, G=self.A.copy() if jacobian else None)
+        return ForwardEval(y=self.A @ psi, G=None, _jacobian=self.A.copy)
 
 
 def point_state(mu, a0=0.0, b0=0.0):
@@ -259,7 +259,7 @@ def test_all_discarded_flags_degenerate():
     A = np.ones((3, 1))
 
     class AlwaysFails(RefusingModel):
-        def _evaluate(self, psi, jacobian=True):
+        def _evaluate(self, psi):
             raise ForwardSolveError("no", psi)
 
     state = ReducedPosterior(mu=np.zeros(1), W=np.eye(1),

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from elastovb.config import build_model, example1_config, generate_data, initial_mu
+import elastovb.forward as fwd
 from elastovb.forward import (CallCounter, FemForwardModel, ForwardEval,
-                              ForwardModel, LinearOracleModel, free_dofs)
+                              ForwardModel, ForwardSolveError, LinearOracleModel,
+                              free_dofs)
 from elastovb.mean_update import (MuUpdateReport, SmoothPrior, em_phi,
                                   gauss_newton_step, gauss_newton_system,
                                   log_prior_mu_and_grad, neighbor_pairs,
@@ -97,8 +99,8 @@ def test_unregularized_step_solves_least_squares(rng):
     yhat = rng.normal(size=9)
     mu = rng.normal(size=4)
     model = LinearOracleModel(A)
-    delta, floored = gauss_newton_step(mu, model.evaluate(mu), yhat,
-                                       mean_tau=3.0, prior=None,
+    system = gauss_newton_system(model.evaluate(mu), yhat, mean_tau=3.0)
+    delta, floored = gauss_newton_step(mu, system, prior=None,
                                        regularization_active=False)
     target = np.linalg.lstsq(A, yhat, rcond=None)[0]
     assert np.max(np.abs((mu + delta) - target)) < 1e-10
@@ -108,9 +110,8 @@ def test_unregularized_step_solves_least_squares(rng):
 def test_scalar_newton_step_by_hand():
     model = LinearOracleModel(np.array([[2.0]]))
     mu = np.array([1.0])
-    delta, _ = gauss_newton_step(mu, model.evaluate(mu), np.array([6.0]),
-                                 mean_tau=5.0, prior=None,
-                                 regularization_active=False)
+    system = gauss_newton_system(model.evaluate(mu), np.array([6.0]), mean_tau=5.0)
+    delta, _ = gauss_newton_step(mu, system, prior=None, regularization_active=False)
     assert delta[0] == pytest.approx(2.0, rel=1e-14)
 
 
@@ -118,8 +119,8 @@ def test_singular_system_records_tikhonov_floor():
     A = np.array([[1.0, 1.0], [2.0, 2.0]])      # rank one
     model = LinearOracleModel(A)
     mu = np.zeros(2)
-    delta, floored = gauss_newton_step(mu, model.evaluate(mu), np.array([1.0, 2.0]),
-                                       mean_tau=1.0, prior=None,
+    system = gauss_newton_system(model.evaluate(mu), np.array([1.0, 2.0]), mean_tau=1.0)
+    delta, floored = gauss_newton_step(mu, system, prior=None,
                                        regularization_active=False)
     assert floored
     assert np.all(np.isfinite(delta))
@@ -131,9 +132,8 @@ def test_clamped_components_stay_exactly_zero(rng):
     mu = rng.normal(size=5)
     yhat = rng.normal(size=8)
     fixed = np.array([False, True, False, False, True])
-    delta, _ = gauss_newton_step(mu, model.evaluate(mu), yhat,
-                                 mean_tau=2.0, prior=None,
-                                 regularization_active=False, fixed_mask=fixed)
+    system = gauss_newton_system(model.evaluate(mu), yhat, mean_tau=2.0, fixed_mask=fixed)
+    delta, _ = gauss_newton_step(mu, system, prior=None, regularization_active=False)
     assert delta[1] == 0.0 and delta[4] == 0.0
     free = ~fixed
     H = 2.0 * (A.T @ A)
@@ -153,8 +153,8 @@ def test_reused_system_gives_the_same_step(rng):
     system = gauss_newton_system(ev, yhat, 4.0, fixed)
     gram = system.gram.copy()
     for reg in (True, False):
-        fresh, _ = gauss_newton_step(mu, ev, yhat, 4.0, prior, reg, fixed)
-        reused, _ = gauss_newton_step(mu, ev, yhat, 4.0, prior, reg, fixed, system=system)
+        fresh, _ = gauss_newton_step(mu, gauss_newton_system(ev, yhat, 4.0, fixed), prior, reg)
+        reused, _ = gauss_newton_step(mu, system, prior, reg)
         assert np.array_equal(fresh, reused)
     assert np.array_equal(system.gram, gram)        # the prior goes into a copy
 
@@ -166,8 +166,8 @@ def test_regularized_system_matches_dense_construction(rng):
     yhat = rng.normal(size=10)
     prior = em_phi(mu, SmoothPrior.for_grid(3, 2, 2.0, 1.0))
     tau = 4.0
-    delta, _ = gauss_newton_step(mu, model.evaluate(mu), yhat, tau, prior,
-                                 regularization_active=True)
+    system = gauss_newton_system(model.evaluate(mu), yhat, tau)
+    delta, _ = gauss_newton_step(mu, system, prior, regularization_active=True)
     L = pair_operator(prior.pairs, 6)
     P = L.T @ np.diag(prior.mean_phi) @ L
     H = tau * (A.T @ A) + P
@@ -223,14 +223,20 @@ class ScaledJacobianModel(ForwardModel):
     def d_y(self):
         return self.inner.d_y
 
-    def _evaluate(self, psi, jacobian):
-        ev = self.inner._evaluate(psi, jacobian)
-        return ForwardEval(y=ev.y, G=None if ev.G is None else ev.G * self.scale)
+    def _evaluate(self, psi):
+        ev = self.inner._evaluate(psi)
+        return ForwardEval(y=ev.y, G=None,
+                           _jacobian=lambda: ev.with_jacobian().G * self.scale)
 
 
-def example1_mean_phase(snr=None, noise_seed=None, jacobian_scale=None):
-    """The mean phase alone on the benchmark configuration, as `driver.run` calls it."""
+def example1_mean_phase(snr=None, noise_seed=None, jacobian_scale=None, mesh_n=None):
+    """The mean phase alone on the benchmark configuration, as `driver.run` calls it.
+
+    mesh_n refines the grid to mesh_n x mesh_n elements on the same domain.
+    """
     cfg = example1_config()
+    if mesh_n is not None:
+        cfg.mesh.nx = cfg.mesh.ny = mesh_n
     if snr is not None:
         cfg.noise.snr = snr
     if noise_seed is not None:
@@ -359,9 +365,8 @@ def test_corrector_without_frozen_gain_falls_back():
     tau = a / b
     system = gauss_newton_system(ev, yhat, tau)
     prior0 = em_phi(state.mu, prior)
-    delta0, _ = gauss_newton_step(state.mu, ev, yhat, tau, prior0, True, system=system)
-    delta1, _ = gauss_newton_step(state.mu, ev, yhat, tau, em_phi(state.mu + delta0, prior),
-                                  True, system=system)
+    delta0, _ = gauss_newton_step(state.mu, system, prior0, True)
+    delta1, _ = gauss_newton_step(state.mu, system, em_phi(state.mu + delta0, prior), True)
 
     def frozen_gain(step):
         r = yhat - A @ (state.mu + step)
@@ -384,17 +389,99 @@ def test_call_budget_accounting(rng):
     assert res.forward_calls == counter.count == 2
 
 
+class JacobianRefusingModel(LinearOracleModel):
+    """Linear model whose value solve, or only its Jacobian solve, fails at one call."""
+
+    def __init__(self, A, refuse_call, value=False):
+        super().__init__(A)
+        self.refuse_call = refuse_call
+        self.refuse_value = value
+
+    def _evaluate(self, psi):
+        ev = super()._evaluate(psi)
+        if self.counter.count != self.refuse_call:
+            return ev
+        if self.refuse_value:
+            raise ForwardSolveError("value solve refused", psi)
+
+        def refuse():
+            raise ForwardSolveError("sensitivity solve refused", psi)
+
+        return ForwardEval(y=ev.y, G=None, _jacobian=refuse)
+
+
+def test_failed_jacobian_halves_the_trial_like_a_failed_solve(rng):
+    # the first trial (call 2) solves its value and is accepted, but its G
+    # fails: it is halved and counted once, exactly as a failed value solve
+    A = rng.normal(size=(6, 3)) + 2.0 * np.eye(6, 3)
+    yhat = rng.normal(size=6)
+    jac_model = JacobianRefusingModel(A, refuse_call=2)
+    val_model = JacobianRefusingModel(A, refuse_call=2, value=True)
+    jac = update_mu(empty_state(3), jac_model, yhat)
+    val = update_mu(empty_state(3), val_model, yhat)
+    first = jac.reports[0]
+    assert first.accepted and first.halvings == 1 and first.forward_calls == 2
+    assert jac.forward_calls == jac_model.counter.count == val_model.counter.count
+    assert jac.reports == val.reports
+    assert np.array_equal(jac.mu, val.mu)
+    assert np.array_equal(jac.ev.G, A)
+    assert jac.jacobians == val.jacobians == 1 + sum(r.accepted for r in jac.reports)
+
+
+def test_failed_jacobian_without_a_later_accept_solves_mu_again(rng):
+    # with no halving allowed the phase ends at mu, whose G was released
+    # before the failed solve: one more counted call gives it back
+    A = rng.normal(size=(6, 3)) + 2.0 * np.eye(6, 3)
+    model = JacobianRefusingModel(A, refuse_call=2)
+    res = update_mu(empty_state(3), model, rng.normal(size=6), max_halvings=0)
+    (rep,) = res.reports
+    assert not rep.accepted and rep.forward_calls == 1
+    assert res.forward_calls == model.counter.count == 3
+    assert res.jacobians == 2
+    assert np.array_equal(res.mu, np.zeros(3))
+    assert np.array_equal(res.ev.G, A) and np.array_equal(res.ev.y, np.zeros(6))
+
+
+@pytest.mark.parametrize("mesh_n", [None, 20], ids=["example1", "mesh20"])
+def test_jacobians_solved_only_for_accepted_trials(mesh_n, monkeypatch):
+    # every rejected trial is a value solve only; the accepted trial's G has
+    # the bits of a fresh value+Jacobian call at the same field
+    solved = []
+    inner = fwd.adjoint_jacobian
+
+    def counting(*args, **kwargs):
+        solved.append(args[2].psi.copy())
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(fwd, "adjoint_jacobian", counting)
+    res = example1_mean_phase(mesh_n=mesh_n)
+    accepted = sum(rep.accepted for rep in res.reports)
+    assert len(solved) == res.jacobians == 1 + accepted
+    assert res.forward_calls == res.jacobians + sum(rep.halvings for rep in res.reports)
+    assert np.array_equal(solved[-1], res.mu)
+    monkeypatch.undo()
+    cfg = example1_config()
+    if mesh_n is not None:
+        cfg.mesh.nx = cfg.mesh.ny = mesh_n
+    fresh = build_model(cfg)[0].evaluate(res.mu)
+    assert res.ev.G.tobytes() == fresh.G.tobytes()
+    assert res.ev.y.tobytes() == fresh.y.tobytes()
+
+
 class ArctanModel(ForwardModel):
     """y = arctan(10 psi): far from the root the full Gauss-Newton step overshoots.
 
-    Keeps a weak reference to every evaluation it returns and records, at each
-    call, how many of them are still alive.
+    Keeps a weak reference to every value-only evaluation and every G it
+    returns, and records how many of each are alive at each call and how
+    many G are alive at each Jacobian solve.
     """
 
     def __init__(self):
         super().__init__()
-        self.returned = []
-        self.alive_at_call = []
+        self.values = []
+        self.jacobians = []
+        self.alive_at_call = []          # (value-only evaluations, G) alive
+        self.g_alive_at_solve = []
 
     @property
     def d_psi(self):
@@ -404,25 +491,49 @@ class ArctanModel(ForwardModel):
     def d_y(self):
         return 1
 
-    def _evaluate(self, psi, jacobian):
-        self.alive_at_call.append(sum(ref() is not None for ref in self.returned))
-        ev = ForwardEval(y=np.arctan(10.0 * psi),
-                         G=(10.0 / (1.0 + 100.0 * psi ** 2))[:, None] if jacobian else None)
-        self.returned.append(weakref.ref(ev))
+    @staticmethod
+    def _alive(refs):
+        return sum(ref() is not None for ref in refs)
+
+    def _evaluate(self, psi):
+        self.alive_at_call.append((self._alive(self.values), self._alive(self.jacobians)))
+
+        def jacobian():
+            self.g_alive_at_solve.append(self._alive(self.jacobians))
+            G = (10.0 / (1.0 + 100.0 * psi ** 2))[:, None]
+            self.jacobians.append(weakref.ref(G))
+            return G
+
+        ev = ForwardEval(y=np.arctan(10.0 * psi), G=None, _jacobian=jacobian)
+        self.values.append(weakref.ref(ev))
         return ev
 
 
 def test_rejected_trial_released_before_the_next_trial():
     # from psi = 1 the full step lands near -14 and the first halvings are
-    # rejected; when any trial is evaluated, only the current iterate's
-    # evaluation may still be alive, never a rejected trial's
+    # rejected; when any trial is evaluated, only the current iterate's G may
+    # still be alive, never a rejected trial's evaluation or its handle
     model = ArctanModel()
     state = empty_state(1)
     state.mu = np.array([1.0])
     res = update_mu(state, model, np.zeros(1))
     assert res.reports[0].accepted and res.reports[0].halvings >= 2
-    assert model.alive_at_call[0] == 0
-    assert max(model.alive_at_call) == 1
+    assert model.alive_at_call[0] == (0, 0)
+    assert max(v for v, _ in model.alive_at_call) == 0
+    assert max(g for _, g in model.alive_at_call) == 1
+
+
+def test_one_jacobian_alive_at_each_solve():
+    # the accepted trial's G is solved only after mu's G is released, and
+    # only accepted trials (plus the start) solve one
+    model = ArctanModel()
+    state = empty_state(1)
+    state.mu = np.array([1.0])
+    res = update_mu(state, model, np.zeros(1))
+    accepted = sum(rep.accepted for rep in res.reports)
+    assert len(model.g_alive_at_solve) == res.jacobians == 1 + accepted
+    assert model.g_alive_at_solve == [0] * res.jacobians
+    assert res.forward_calls == model.counter.count > res.jacobians
 
 
 def test_report_validation():
