@@ -144,7 +144,7 @@ class LinearOracleModel(ForwardModel):
 class FemForwardModel(ForwardModel):
     """Plane-strain elastography model: displacements at observed dofs vs log-moduli.
 
-    The assembly plan (element stiffness, dof maps, loads, sparsity pattern) is
+    The assembly plan (element stiffness, dof maps, loads, band slots) is
     built at construction; a singular configuration still surfaces at
     `evaluate`, as a ForwardSolveError.
     """

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from .forward import ForwardEval, ForwardModel, ForwardSolveError
 from .vb import ReducedPosterior, update_q_tau
@@ -127,16 +126,6 @@ def log_prior_mu_and_grad(mu: np.ndarray, prior: SmoothPrior) -> tuple[float, np
     return value, grad
 
 
-def _pair_precision_matrix(prior: SmoothPrior, n: int) -> sp.csr_matrix:
-    """Sparse L^T diag(<phi>) L for the pair-difference operator L."""
-    phi = prior.mean_phi
-    k, l = prior.pairs[:, 0], prior.pairs[:, 1]
-    rows = np.concatenate([k, l, k, l])
-    cols = np.concatenate([k, l, l, k])
-    data = np.concatenate([phi, phi, -phi, -phi])
-    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-
-
 @dataclass
 class GaussNewtonSystem:
     """Data-term blocks of one linearization, restricted to the free elements."""
@@ -165,21 +154,29 @@ def gauss_newton_step(mu: np.ndarray, system: GaussNewtonSystem,
     """Solve the symmetric Gauss-Newton system for the mean increment.
 
     `system` holds the linearization's data-term blocks, from
-    `gauss_newton_system`; the pair precisions are scattered into a copy of
-    its free block as sparse entries.  With regularization off the prior terms
-    are dropped from both sides.  Clamped components are excluded from the
-    solve and returned as exactly 0.
+    `gauss_newton_system`; the prior precision P = L^T diag(<phi>) L (L the
+    pair-difference operator) is scattered pair by pair into a copy of its
+    free block, a pair with one clamped end adding to its free end's diagonal
+    only, and -(P mu) on the free components is the prior's gradient.  With
+    regularization off the prior terms are dropped from both sides.  Clamped
+    components are excluded from the solve and returned as exactly 0.
     Returns (delta_mu, floor_used) where floor_used records a Tikhonov fallback
     on a singular system.
     """
     free = system.free
     Hf, rhsf = system.gram, system.rhs
     if regularization_active and prior is not None:
-        P = _pair_precision_matrix(prior, mu.shape[0])
-        Pf = P[free][:, free].tocoo()
+        phi = prior.mean_phi
+        k, l = prior.pairs[:, 0], prior.pairs[:, 1]
+        pos = np.cumsum(free) - 1             # component -> row of the free block
         Hf = Hf.copy()
-        Hf[Pf.row, Pf.col] += Pf.data
-        rhsf = rhsf - (P @ mu)[free]
+        Hf.flat[::Hf.shape[0] + 1] += np.bincount(
+            np.concatenate([k, l]), weights=np.concatenate([phi, phi]),
+            minlength=mu.shape[0])[free]
+        both = free[k] & free[l]              # pairs are distinct, so no entry repeats
+        Hf[pos[k[both]], pos[l[both]]] -= phi[both]
+        Hf[pos[l[both]], pos[k[both]]] -= phi[both]
+        rhsf = rhsf + log_prior_mu_and_grad(mu, prior)[1][free]
     floor_used = False
     sol = None
     for attempt in range(2):

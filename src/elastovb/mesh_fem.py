@@ -4,12 +4,15 @@ The solver works on a regular nx-by-ny grid of bilinear 4-node quads with a
 per-element elastic modulus given in log scale, psi_k = log(E_k).  Loads are
 either prescribed nodal displacements or applied nodal tractions.  Everything
 that does not depend on psi (the element stiffness, the dof maps, the load
-vector and the sparsity pattern of the reduced stiffness) is built once into an
-AssemblyPlan, so a solve costs one exp, one bincount, the factorization, the
-solve and a residual check.  Output sensitivities dy/dpsi reuse that
-factorization and are computed by direct differentiation, one right-hand side
-per active element: observing every free dof makes d_y about 2 n_elems, so this
-is the smaller side (the adjoint method would need one per observable).  The
+vector and where each element entry lands in the band of the reduced
+stiffness) is built once into an AssemblyPlan.  The reduced stiffness is
+symmetric positive definite with half-bandwidth at most 2 nx + 5 in the node
+numbering below, so a solve costs one exp, one bincount, a banded Cholesky
+factorization (LAPACK pbtrf, which needs no fill-reducing ordering), the solve
+and a residual check.  Output sensitivities dy/dpsi reuse that factorization
+and are computed by direct differentiation, one right-hand side per active
+element: observing every free dof makes d_y about 2 n_elems, so this is the
+smaller side (the adjoint method would need one per observable).  The
 right-hand sides are solved in blocks of SENSITIVITY_BLOCK columns written
 straight into G, so a Jacobian holds G and one (n_free x block) pair at a time.
 
@@ -22,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.blas import dsbmv
 
 
 SENSITIVITY_BLOCK = 32    # right-hand sides per sensitivity solve
@@ -176,9 +179,12 @@ class AssemblyPlan:
     """The parts of K(psi) U = f that do not depend on psi, built once per model.
 
     Both the reduced stiffness K_ff and the Dirichlet lift K_fp u_p are linear
-    in the moduli E = exp(psi): entry j adds E[elem[j]] * coef[j] to slot[j],
-    where slots [0, nnz) are K_ff's CSC data and slots [nnz, nnz + n_free) are
-    the lift, so one bincount assembles both.
+    in the moduli E = exp(psi): entry j adds E[elem[j]] * coef[j] to slot[j].
+    Slots [0, (kd + 1) n_free) are K_ff's upper triangle in LAPACK band
+    storage, column-major so that it reshapes to a Fortran-ordered
+    (kd + 1, n_free) array with K_ff[i, j] in row kd + i - j of column j;
+    slots past it are the lift, so one bincount assembles both.  kd is the
+    tight half-bandwidth, the largest |i - j| over K_ff's nonzeros.
     """
 
     ke: np.ndarray            # 8x8 element stiffness at E = 1
@@ -187,15 +193,23 @@ class AssemblyPlan:
     free_pos: np.ndarray      # full-length map dof -> position in free list (-1 if prescribed)
     U0: np.ndarray            # full-length prescribed displacements, zero on free dofs
     f_free: np.ndarray        # applied tractions on the free dofs
-    indices: np.ndarray       # CSC row indices of K_ff
-    indptr: np.ndarray        # CSC column pointers of K_ff
+    kd: int                   # half-bandwidth of K_ff
     elem: np.ndarray          # element of each assembly entry
     coef: np.ndarray          # value of each assembly entry at E = 1
     slot: np.ndarray          # destination of each assembly entry
 
+    def assemble(self, e_mod: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """K_ff's upper band, (kd + 1, n_free) Fortran-ordered, and f_f - K_fp u_p."""
+        n_free = self.free.size
+        n_band = (self.kd + 1) * n_free
+        acc = np.bincount(self.slot, weights=e_mod[self.elem] * self.coef,
+                          minlength=n_band + n_free)
+        return (acc[:n_band].reshape(self.kd + 1, n_free, order="F"),
+                self.f_free - acc[n_band:])
+
 
 def assembly_plan(mesh: Mesh2D, bc: BoundarySpec, poisson: float = 0.0) -> AssemblyPlan:
-    """Element stiffness, dof maps, load vector and the sparsity pattern of K_ff."""
+    """Element stiffness, dof maps, load vector and the band slots of K_ff."""
     n = mesh.n_dofs
     ke = element_stiffness_unit(mesh, poisson)
     dofs = mesh.element_dofs()
@@ -215,20 +229,17 @@ def assembly_plan(mesh: Mesh2D, bc: BoundarySpec, poisson: float = 0.0) -> Assem
         f[dof] += val
 
     pos = free_pos[dofs]
-    # element e couples its local dofs a (row) and b (column)
-    e, a, b = np.nonzero((pos[:, :, None] >= 0) & (pos[:, None, :] >= 0))
-    # column-major keys sort into CSC order; duplicates share a slot
-    keys, slot = np.unique(pos[e, b] * n_free + pos[e, a], return_inverse=True)
-    indptr = np.zeros(n_free + 1, dtype=int)
-    np.cumsum(np.bincount(keys // n_free, minlength=n_free), out=indptr[1:])
+    # element e couples its local dofs a (row i) and b (column j); keep i <= j
+    e, a, b = np.nonzero((pos[:, :, None] >= 0) & (pos[:, :, None] <= pos[:, None, :]))
+    i, j = pos[e, a], pos[e, b]
+    kd = int(np.max(j - i, initial=0))
     lift = U0[dofs] @ ke.T            # element k adds E_k lift[k, c] to its free dof c
     k, c = np.nonzero((pos >= 0) & (lift != 0.0))
     return AssemblyPlan(
-        ke=ke, dofs=dofs, free=free, free_pos=free_pos, U0=U0, f_free=f[free],
-        indices=keys % n_free, indptr=indptr,
+        ke=ke, dofs=dofs, free=free, free_pos=free_pos, U0=U0, f_free=f[free], kd=kd,
         elem=np.concatenate([e, k]),
         coef=np.concatenate([ke[a, b], lift[k, c]]),
-        slot=np.concatenate([slot.ravel(), keys.size + pos[k, c]]))
+        slot=np.concatenate([j * (kd + 1) + kd + i - j, (kd + 1) * n_free + pos[k, c]]))
 
 
 @dataclass
@@ -237,7 +248,7 @@ class _ReducedSystem:
 
     plan: AssemblyPlan
     e_mod: np.ndarray         # moduli exp(psi)
-    lu: spla.SuperLU
+    factor: np.ndarray        # upper band Cholesky factor of K_ff, as cholesky_banded gives it
     U: np.ndarray             # full displacement vector
 
 
@@ -267,21 +278,16 @@ def _solve_reduced(mesh: Mesh2D, bc: BoundarySpec, field_: MaterialField,
     if n_free == 0:
         raise SingularSystemError("all dofs prescribed, nothing to solve")
     e_mod = _moduli(field_.psi)
-    nnz = plan.indices.size
-    acc = np.bincount(plan.slot, weights=e_mod[plan.elem] * plan.coef,
-                      minlength=nnz + n_free)
-    K_ff = sp.csc_matrix((acc[:nnz], plan.indices, plan.indptr), shape=(n_free, n_free))
-    rhs = plan.f_free - acc[nnz:]
+    band, rhs = plan.assemble(e_mod)
     try:
-        # K_ff is symmetric, so order on its own pattern rather than on A^T A's
-        lu = spla.splu(K_ff, permc_spec="MMD_AT_PLUS_A")
-        u_f = lu.solve(rhs)
-    except RuntimeError as exc:  # zero pivot and friends
+        factor = cholesky_banded(band, check_finite=False)
+    except np.linalg.LinAlgError as exc:  # a pivot that is not positive
         raise SingularSystemError(
             f"stiffness factorization failed ({exc}; {_modulus_range(field_.psi)}); check "
             "that the Dirichlet set constrains all rigid-body modes and that the "
             "modulus contrast is not extreme") from exc
-    resid = np.linalg.norm(K_ff @ u_f - rhs)
+    u_f = cho_solve_banded((factor, False), rhs, check_finite=False)
+    resid = np.linalg.norm(dsbmv(plan.kd, 1.0, band, u_f) - rhs)
     if not np.all(np.isfinite(u_f)) or resid > 1e-8 * (1.0 + np.linalg.norm(rhs)):
         raise SingularSystemError(
             f"reduced solve inaccurate (residual {resid:.3e}; {_modulus_range(field_.psi)}); "
@@ -289,7 +295,7 @@ def _solve_reduced(mesh: Mesh2D, bc: BoundarySpec, field_: MaterialField,
             "Dirichlet set leaves rigid-body modes unconstrained")
     U = plan.U0.copy()
     U[plan.free] = u_f
-    return _ReducedSystem(plan=plan, e_mod=e_mod, lu=lu, U=U)
+    return _ReducedSystem(plan=plan, e_mod=e_mod, factor=factor, U=U)
 
 
 def assemble_and_solve(mesh: Mesh2D, bc: BoundarySpec, field_: MaterialField,
@@ -336,14 +342,15 @@ def adjoint_jacobian(mesh: Mesh2D, bc: BoundarySpec, field_: MaterialField,
     active = np.flatnonzero(~field_.fixed_mask)
     G = np.zeros((Q.size, mesh.n_elems))
     # Besides G, only one block's right-hand sides and solution are alive.
-    # SuperLU solves a single right-hand side on another BLAS path, with other
-    # rounding, so a lone trailing column joins the block before it.
+    # LAPACK solves a single right-hand side with other rounding than a column
+    # inside a block, so a lone trailing column joins the block before it.
     starts = list(range(0, active.size, SENSITIVITY_BLOCK))
     if len(starts) > 1 and active.size - starts[-1] == 1:
         starts.pop()
     for lo, hi in zip(starts, starts[1:] + [active.size]):
         cols = active[lo:hi]
-        G[:, cols] = system.lu.solve(_sensitivity_rhs(system, cols))[rows]
+        G[:, cols] = cho_solve_banded((system.factor, False), _sensitivity_rhs(system, cols),
+                                      check_finite=False)[rows]
     return G
 
 

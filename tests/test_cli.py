@@ -405,13 +405,26 @@ def test_malformed_artifact_exits_one_or_is_reported(name, corrupt, small_cfg_pa
     assert f"{unreadable} unreadable: " in capsys.readouterr().out
 
 
-def run_cli(*args):
-    """`python -m elastovb.cli` in a child that imports the package under test."""
+def run_child(*args):
+    """`python *args` in a child that imports the package under test."""
     src = str(Path(elastovb.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "elastovb.cli", *args],
-                          capture_output=True, text=True,
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
+
+
+def run_cli(*args):
+    """`python -m elastovb.cli` in a child that imports the package under test."""
+    return run_child("-m", "elastovb.cli", *args)
+
+
+def test_package_import_leaves_scipy_sparse_unloaded():
+    # the forward solves use LAPACK's banded Cholesky; loading scipy.sparse
+    # would cost every process its import time and resident memory
+    proc = run_child("-c", "import sys, elastovb, elastovb.cli; "
+                           "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_bad_flag_exits_one_in_subprocess(small_cfg_path):

@@ -175,6 +175,31 @@ def test_regularized_system_matches_dense_construction(rng):
     assert np.max(np.abs(H @ delta - rhs)) < 1e-9
 
 
+def test_regularized_step_with_clamped_components_matches_dense_construction(rng):
+    # on the 3x2 grid, clamping elements 1 and 5 leaves two pairs with both
+    # ends free and five with one clamped end, which reach the free block only
+    # on their free end's diagonal and through mu of the clamped end
+    A = rng.normal(size=(10, 6))
+    model = LinearOracleModel(A)
+    mu = rng.normal(size=6)
+    yhat = rng.normal(size=10)
+    fixed = np.array([False, True, False, False, False, True])
+    free = ~fixed
+    prior = em_phi(mu, SmoothPrior.for_grid(3, 2, 2.0, 1.0))
+    tau = 4.0
+    system = gauss_newton_system(model.evaluate(mu), yhat, tau, fixed)
+    delta, floor_used = gauss_newton_step(mu, system, prior, regularization_active=True)
+    L = pair_operator(prior.pairs, 6)
+    P = L.T @ np.diag(prior.mean_phi) @ L
+    Af = A[:, free]
+    H = tau * (Af.T @ Af) + P[np.ix_(free, free)]
+    rhs = tau * (Af.T @ (yhat - A @ mu)) - (P @ mu)[free]
+    assert not floor_used
+    assert np.all(delta[fixed] == 0.0)
+    assert np.max(np.abs(H @ delta[free] - rhs)) < 1e-9
+    assert np.allclose(delta[free], np.linalg.solve(H, rhs), rtol=1e-10, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Full mean phase
 

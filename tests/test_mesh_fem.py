@@ -6,17 +6,17 @@ agreement with the production path is meaningful.
 """
 
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve_banded
 
 from elastovb import mesh_fem
 from elastovb.mesh_fem import (BoundarySpec, MaterialField, Mesh2D,
                                SingularSystemError, _sensitivity_rhs,
                                _solve_reduced, adjoint_jacobian,
-                               assemble_and_solve, element_stiffness_unit,
-                               observe)
+                               assemble_and_solve, assembly_plan,
+                               element_stiffness_unit, observe)
 from elastovb.forward import FemForwardModel, ForwardSolveError, free_dofs
 
 from conftest import cantilever_bc, compression_bc
@@ -51,8 +51,8 @@ def oracle_element_stiffness(hx, hy, e_mod, poisson):
     return K
 
 
-def oracle_solve(mesh, bc, psi, poisson=0.0):
-    """Dense assembly and a block solve with explicit index bookkeeping."""
+def oracle_stiffness(mesh, psi, poisson=0.0):
+    """Dense global stiffness K(psi) on every dof, assembled element by element."""
     n = mesh.n_dofs
     K = np.zeros((n, n))
     hx, hy = mesh.lx / mesh.nx, mesh.ly / mesh.ny
@@ -68,17 +68,68 @@ def oracle_solve(mesh, bc, psi, poisson=0.0):
             for a in range(8):
                 for b in range(8):
                     K[dofs[a], dofs[b]] += Ke[a, b]
+    return K
+
+
+def oracle_reduced(mesh, bc, psi, poisson=0.0):
+    """Free dofs, K_ff and f_f - K_fp u_p with explicit index bookkeeping."""
+    n = mesh.n_dofs
+    K = oracle_stiffness(mesh, psi, poisson)
     f = np.zeros(n)
     for dof, val in bc.tractions:
         f[dof] += val
     pres = {dof: val for dof, val in bc.dirichlet}
     free = [i for i in range(n) if i not in pres]
-    U = np.zeros(n)
-    for dof, val in pres.items():
-        U[dof] = val
     rhs = f[free] - K[np.ix_(free, list(pres))] @ np.array(list(pres.values()))
-    U[free] = np.linalg.solve(K[np.ix_(free, free)], rhs)
+    return free, K[np.ix_(free, free)], rhs
+
+
+def oracle_solve(mesh, bc, psi, poisson=0.0):
+    """Dense assembly and a block solve."""
+    free, K_ff, rhs = oracle_reduced(mesh, bc, psi, poisson)
+    U = np.zeros(mesh.n_dofs)
+    for dof, val in bc.dirichlet:
+        U[dof] = val
+    U[free] = np.linalg.solve(K_ff, rhs)
     return U
+
+
+def unpack_upper_band(band):
+    """Dense symmetric matrix from LAPACK upper band storage; slots outside it must be 0."""
+    kd, n = band.shape[0] - 1, band.shape[1]
+    K = np.zeros((n, n))
+    for j in range(n):
+        for r in range(kd + 1):
+            i = j + r - kd
+            if i < 0:
+                assert band[r, j] == 0.0
+            else:
+                K[i, j] = K[j, i] = band[r, j]
+    return K
+
+
+# ---------------------------------------------------------------------------
+# Assembly
+
+
+@pytest.mark.parametrize("nx,ny", [(5, 4), (11, 3), (3, 9)])
+@pytest.mark.parametrize("make_bc", [compression_bc, cantilever_bc])
+def test_band_assembly_matches_dense_oracle(nx, ny, make_bc, rng):
+    # the band holds every nonzero of K_ff and nothing else, and kd is tight
+    mesh = Mesh2D(nx, ny, float(nx), float(ny))
+    bc = make_bc(mesh)
+    psi = rng.normal(0.0, 0.6, mesh.n_elems)
+    plan = assembly_plan(mesh, bc, poisson=0.3)
+    band, rhs = plan.assemble(np.exp(psi))
+    free, K_ff, rhs_oracle = oracle_reduced(mesh, bc, psi, poisson=0.3)
+    assert np.array_equal(plan.free, free)
+    i, j = np.nonzero(K_ff)
+    assert plan.kd == np.max(np.abs(i - j))
+    assert band.shape == (plan.kd + 1, len(free))
+    K_band = unpack_upper_band(band)
+    assert np.array_equal(K_band != 0.0, K_ff != 0.0)
+    assert np.max(np.abs(K_band - K_ff)) <= 1e-12 * np.max(np.abs(K_ff))
+    assert np.max(np.abs(rhs - rhs_oracle)) <= 1e-12 * (1.0 + np.max(np.abs(rhs_oracle)))
 
 
 # ---------------------------------------------------------------------------
@@ -252,14 +303,14 @@ def dense_adjoint_jacobian(mesh, bc, field_, Q, poisson):
     """Adjoint sensitivities by the dense (n_elems, 8, d_y) contraction.
 
     nu holds the adjoint fields on every dof (zero on prescribed ones); the
-    sparse production path must reproduce this to rounding.
+    blocked production path must reproduce this to rounding.
     """
     system = _solve_reduced(mesh, bc, field_, poisson)
     plan = system.plan
     rhs = np.zeros((plan.free.size, Q.size))
     rhs[plan.free_pos[Q], np.arange(Q.size)] = 1.0
     nu = np.zeros((mesh.n_dofs, Q.size))
-    nu[plan.free] = system.lu.solve(rhs)
+    nu[plan.free] = cho_solve_banded((system.factor, False), rhs)
     dofs = mesh.element_dofs()
     v = system.U[dofs] @ element_stiffness_unit(mesh, poisson).T
     G = -np.exp(field_.psi)[None, :] * np.einsum("keo,ke->ok", nu[dofs], v)
@@ -287,7 +338,8 @@ def single_block_jacobian(system, field_, Q):
     rows = system.plan.free_pos[Q]
     active = np.flatnonzero(~field_.fixed_mask)
     G = np.zeros((Q.size, field_.psi.size))
-    G[:, active] = system.lu.solve(_sensitivity_rhs(system, active))[rows]
+    G[:, active] = cho_solve_banded((system.factor, False),
+                                    _sensitivity_rhs(system, active))[rows]
     return G
 
 
@@ -303,7 +355,7 @@ def test_blocked_sensitivities_match_single_block_solve(nx, ny, clamp_top, make_
                                                         block, rng, monkeypatch):
     # a column's solve does not depend on the other columns of its block, so
     # the blocked G equals the one-block G bit for bit at any block size of 2
-    # or more (a block of one column takes SuperLU's single-vector path)
+    # or more (LAPACK solves a block of one column with other rounding)
     if block is not None:
         monkeypatch.setattr(mesh_fem, "SENSITIVITY_BLOCK", block)
     mesh = Mesh2D(nx, ny, float(nx), float(ny))
@@ -319,20 +371,18 @@ def test_blocked_sensitivities_match_single_block_solve(nx, ny, clamp_top, make_
     assert np.all(G[:, fixed] == 0.0)
 
 
-class _NoSolve:
-    """Stands in for a factorization whose solve must not be reached."""
-
-    def solve(self, rhs):
-        raise AssertionError("lu.solve called")
-
-
-def test_all_clamped_jacobian_skips_the_solve(rng):
+def test_all_clamped_jacobian_skips_the_solve(rng, monkeypatch):
     mesh = Mesh2D(3, 3, 3.0, 3.0)
     bc = compression_bc(mesh)
     field_ = MaterialField(rng.normal(0.0, 0.5, mesh.n_elems),
                            fixed_mask=np.ones(mesh.n_elems, dtype=bool))
     Q = free_dofs(mesh, bc)
-    system = replace(_solve_reduced(mesh, bc, field_, 0.3), lu=_NoSolve())
+    system = _solve_reduced(mesh, bc, field_, 0.3)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("sensitivity solve called")
+
+    monkeypatch.setattr(mesh_fem, "cho_solve_banded", no_solve)
     G = adjoint_jacobian(mesh, bc, field_, Q, poisson=0.3, system=system)
     assert G.shape == (Q.size, mesh.n_elems)
     assert np.all(G == 0.0)
