@@ -6,10 +6,9 @@ variational posterior confined to an adaptively grown low-dimensional
 subspace, and validates the result by importance sampling.
 """
 
-from .mesh_fem import (BoundarySpec, MaterialField, Mesh2D, SingularSystemError,
-                       adjoint_jacobian, assemble_and_solve, observe)
+from .mesh_fem import BoundarySpec, Mesh2D, SingularSystemError, adjoint_jacobian
 from .forward import (CallCounter, FemForwardModel, ForwardEval, ForwardModel,
-                      ForwardSolveError, LinearOracleModel, free_dofs)
+                      ForwardSolveError, LinearOracleModel)
 from .vb import (ElboBreakdown, ReducedPosterior, concentrated_tau_prior, elbo,
                  posterior_psi_stats, q_fixed_point, update_q_tau, update_q_theta)
 from .mean_update import (MuPhaseResult, SmoothPrior, em_phi, gauss_newton_step,
@@ -17,16 +16,15 @@ from .mean_update import (MuPhaseResult, SmoothPrior, em_phi, gauss_newton_step,
 from .driver import (DriverConfig, RunTrace, add_basis, info_gain,
                      next_prior_precision, run, state_from_dict)
 from .importance import ISReport, compare_vb_is, ess, run_is
-from .config import (ObservationFile, RunConfig, build_model, example1_config,
-                     generate_data, initial_mu, load_config)
+from .config import (ObservationFile, RunConfig, build_model, generate_data,
+                     initial_mu, load_config)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundarySpec", "MaterialField", "Mesh2D", "SingularSystemError",
-    "adjoint_jacobian", "assemble_and_solve", "observe",
+    "BoundarySpec", "Mesh2D", "SingularSystemError", "adjoint_jacobian",
     "CallCounter", "FemForwardModel", "ForwardEval", "ForwardModel",
-    "ForwardSolveError", "LinearOracleModel", "free_dofs",
+    "ForwardSolveError", "LinearOracleModel",
     "ElboBreakdown", "ReducedPosterior", "concentrated_tau_prior", "elbo",
     "posterior_psi_stats", "q_fixed_point", "update_q_tau", "update_q_theta",
     "MuPhaseResult", "SmoothPrior", "em_phi", "gauss_newton_step",
@@ -34,7 +32,7 @@ __all__ = [
     "DriverConfig", "RunTrace", "add_basis", "info_gain",
     "next_prior_precision", "run", "state_from_dict",
     "ISReport", "compare_vb_is", "ess", "run_is",
-    "ObservationFile", "RunConfig", "build_model", "example1_config",
-    "generate_data", "initial_mu", "load_config",
+    "ObservationFile", "RunConfig", "build_model", "generate_data",
+    "initial_mu", "load_config",
     "__version__",
 ]

@@ -152,7 +152,7 @@ def cmd_invert(args) -> int:
     obs = ObservationFile.load(obs_path)
 
     counter = CallCounter()
-    model, mesh, bc, obs_dofs, mask = cfgmod.build_model(cfg, counter)
+    model, mesh, _, obs_dofs, _ = cfgmod.build_model(cfg, counter)
     if obs.d_y != model.d_y or not np.array_equal(obs.obs_dofs, obs_dofs):
         raise UsageError("observation file does not match the configured mesh/bc")
     prior = (SmoothPrior.for_grid(mesh.nx, mesh.ny, cfg.prior.a_phi, cfg.prior.b_phi)
@@ -161,8 +161,7 @@ def cmd_invert(args) -> int:
 
     t0 = time.perf_counter()
     try:
-        trace = driver_run(model, obs.yhat, cfg.solver, prior=prior,
-                           fixed_mask=mask, mu0=mu0)
+        trace = driver_run(model, obs.yhat, cfg.solver, prior=prior, mu0=mu0)
     except (ForwardSolveError, SingularSystemError, FloatingPointError,
             np.linalg.LinAlgError, RuntimeError) as exc:
         _write_json(out / ERROR_FILE, {"stage": "invert", "error": str(exc),
@@ -222,14 +221,14 @@ def cmd_validate(args) -> int:
         raise UsageError(f"unreadable run trace {trace_path}: {exc}") from exc
 
     counter = CallCounter()
-    model, mesh, bc, obs_dofs, mask = cfgmod.build_model(cfg, counter)
+    model, mesh, _, _, _ = cfgmod.build_model(cfg, counter)
     if obs.d_y != model.d_y or state.d_psi != model.d_psi:
         raise UsageError("run trace does not match the configured mesh/bc")
     M, seed = cfg.validation.samples, cfg.validation.seed
 
     try:
         report = run_is(state, model, obs.yhat, M=M, seed=seed)
-        comparison = compare_vb_is(state, report, free_mask=~mask)
+        comparison = compare_vb_is(state, report, free_mask=~model.fixed_mask)
     except (SingularSystemError, FloatingPointError, np.linalg.LinAlgError,
             RuntimeError) as exc:
         _write_json(out / ERROR_FILE, {"stage": "validate", "error": str(exc),

@@ -30,8 +30,8 @@ import numpy as np
 import yaml
 
 from .driver import DriverConfig
-from .forward import CallCounter, FemForwardModel, free_dofs
-from .mesh_fem import BoundarySpec, MaterialField, Mesh2D, assemble_and_solve, observe
+from .forward import CallCounter, FemForwardModel
+from .mesh_fem import BoundarySpec, Mesh2D, _solve_reduced
 
 SCHEMA_VERSION = 1
 FLOAT_FMT = "%.17g"
@@ -54,12 +54,21 @@ def _check_keys(block: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {extra}")
 
 
+# Every float in a config is finite, except at these keys, where inf has a
+# documented meaning.
+_INF_ALLOWED = {"noise.snr"}        # inf = exact data
+
+
 def _as_float(value, where: str) -> float:
     if not isinstance(value, bool):
         try:
-            return float(value)
+            number = float(value)
         except (TypeError, ValueError, OverflowError):
             pass
+        else:
+            if math.isfinite(number) or (number == math.inf and where in _INF_ALLOWED):
+                return number
+            raise ConfigError(f"{where} must be finite, got {value!r}")
     raise ConfigError(f"{where} must be a number, got {value!r}")
 
 
@@ -221,8 +230,8 @@ class RunConfig:
                                   f"expected one of {_FORMATS}")
         try:
             self.solver.validate()
-        except ValueError as exc:
-            raise ConfigError(f"solver block: {exc}") from exc
+        except ValueError as exc:       # the message starts with the field name
+            raise ConfigError(f"solver.{exc}") from exc
 
     def _validate_inclusion(self, inc: Inclusion, where: str) -> None:
         m = self.mesh
@@ -377,15 +386,14 @@ def build_model(cfg: RunConfig, counter: CallCounter | None = None
                 ) -> tuple[FemForwardModel, Mesh2D, BoundarySpec, np.ndarray, np.ndarray]:
     """Forward model observing every free dof, plus its building blocks.
 
-    Returns (model, mesh, bc, obs_dofs, clamp mask).
+    Returns (model, mesh, bc, obs_dofs, clamp mask); the last two are the
+    model's own `obs_dofs` and `fixed_mask`.
     """
     mesh = build_mesh(cfg)
     bc = build_bc(cfg, mesh)
-    obs = free_dofs(mesh, bc)
-    mask = clamp_mask(cfg, mesh)
-    model = FemForwardModel(mesh, bc, obs, fixed_mask=mask,
+    model = FemForwardModel(mesh, bc, fixed_mask=clamp_mask(cfg, mesh),
                             poisson=cfg.mesh.poisson, counter=counter)
-    return model, mesh, bc, obs, mask
+    return model, mesh, bc, model.obs_dofs, model.fixed_mask
 
 
 def initial_mu(cfg: RunConfig, mesh: Mesh2D) -> np.ndarray:
@@ -419,6 +427,8 @@ class ObservationFile:
         self.y_clean = np.asarray(self.y_clean, dtype=float)
         if not (self.d_y == self.obs_dofs.size == self.yhat.size == self.y_clean.size):
             raise ConfigError("observation file length mismatch")
+        if not (np.all(np.isfinite(self.yhat)) and np.all(np.isfinite(self.y_clean))):
+            raise ConfigError("observations must be finite")
         if not self.tau_true > 0:
             raise ConfigError("tau_true must be positive")
 
@@ -461,14 +471,14 @@ def generate_data(cfg: RunConfig) -> tuple[ObservationFile, np.ndarray, np.ndarr
     """Solve the phantom forward problem and add noise at the target SNR.
 
     Noise is i.i.d. Gaussian with sigma^2 = mean(y^2)/snr, so tau_true =
-    snr/mean(y^2).  Returns (observations, true field, full displacement).
+    snr/mean(y^2).  The phantom is solved with the plan of `build_model`'s
+    model, uncounted, and observed at its dofs.  Returns (observations, true
+    field, full displacement).
     """
-    mesh = build_mesh(cfg)
-    bc = build_bc(cfg, mesh)
+    model, mesh, _, obs, _ = build_model(cfg)
     psi_true = build_phantom(cfg, mesh)
-    U = assemble_and_solve(mesh, bc, MaterialField(psi_true), poisson=cfg.mesh.poisson)
-    obs = free_dofs(mesh, bc)
-    y = observe(U, obs)
+    U = _solve_reduced(model.plan, psi_true).U
+    y = U[obs]
     if math.isinf(cfg.noise.snr):
         yhat = y.copy()
         tau_true = math.inf
@@ -531,33 +541,3 @@ def write_node_displacements(path: str | Path, mesh: Mesh2D, U: np.ndarray) -> N
             writer.writerow([node % (mesh.nx + 1), node // (mesh.nx + 1),
                              FLOAT_FMT % U[2 * node], FLOAT_FMT % U[2 * node + 1]])
 
-
-def example1_dict() -> dict:
-    """Built-in tissue-mimicking benchmark: 10x10 unit-modulus matrix with a
-    stiff circular inclusion, compressed from the top by a 1% displacement."""
-    return {
-        "mesh": {"nx": 10, "ny": 10, "lx": 10.0, "ly": 10.0, "poisson": 0.0},
-        "phantom": {
-            "background": 0.0,
-            "inclusions": [
-                {"shape": "ellipse", "center": [5.0, 5.0], "radii": [2.0, 2.0],
-                 "value": float(np.log(5.0))},
-            ],
-        },
-        "bc": {
-            "dirichlet": [
-                {"edge": "bottom", "ux": 0.0, "uy": 0.0},
-                {"edge": "top", "ux": 0.0, "uy": -0.1},
-            ],
-        },
-        "noise": {"snr": 1e5, "seed": 1},
-        "solver": {"seed": 0},
-        "clamp": {"top_element_rows": 1, "value": 0.0},
-        "prior": {"enabled": True, "a_phi": 0.0, "b_phi": 0.0},
-        "validation": {"samples": 1000, "seed": 0},
-        "output": {"directory": "runs/example1", "formats": ["csv", "json"]},
-    }
-
-
-def example1_config() -> RunConfig:
-    return config_from_dict(example1_dict())

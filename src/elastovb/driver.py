@@ -4,11 +4,13 @@ The mean field is updated first (the only place forward evaluations happen).
 The Jacobian G at the final mean is then frozen, so the basis that maximizes
 the bound at every subspace size is known in closed form: the minor
 eigenvectors of the free-element Gram matrix A_ff = G_f^T G_f, the directions
-of largest linearized posterior variance.  One eigendecomposition gives them
-all; stage d appends eigenvector d (ascending eigenvalue order) and refits the
-closed-form q updates.  Growth stops once the relative information gain of
-newly added coordinates stays below a threshold for a configured number of
-consecutive stages, or when a basis cap or the free-parameter count is reached.
+of largest linearized posterior variance.  The free elements are those outside
+the model's clamp set, `model.fixed_mask`, which is the only copy of it.  One
+eigendecomposition gives them all; stage d appends eigenvector d (ascending
+eigenvalue order) and refits the closed-form q updates.  Growth stops once the
+relative information gain of newly added coordinates stays below a threshold
+for a configured number of consecutive stages, or when a basis cap or the
+free-parameter count is reached.
 """
 
 from __future__ import annotations
@@ -50,6 +52,10 @@ class DriverConfig:
             raise ValueError("lambda0_1 must be positive")
         if self.max_bases is not None and self.max_bases < 0:
             raise ValueError("max_bases must be nonnegative")
+        if not self.a0 >= 0.0:           # Gamma(a0, b0) noise prior; 0 is improper
+            raise ValueError("a0 must be nonnegative")
+        if not self.b0 >= 0.0:
+            raise ValueError("b0 must be nonnegative")
 
 
 def kl_terms(lambda0: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -165,23 +171,28 @@ class RunTrace:
 
 def state_from_dict(d: dict) -> ReducedPosterior:
     s = d["state"] if "state" in d else d
-    return ReducedPosterior(
+    state = ReducedPosterior(
         mu=np.asarray(s["mu"], dtype=float),
         W=np.asarray(s["W"], dtype=float).reshape(len(s["mu"]), -1),
         lambda0=np.asarray(s["lambda0"], dtype=float),
         lam=np.asarray(s["lam"], dtype=float),
         a0=float(s["a0"]), b0=float(s["b0"]), a=float(s["a"]), b=float(s["b"]),
     )
+    if not all(np.all(np.isfinite(x)) for x in (state.mu, state.W, state.lambda0, state.lam,
+                                                 [state.a0, state.b0, state.a, state.b])):
+        raise ValueError("state holds non-finite numbers")
+    return state
 
 
 def run(model: ForwardModel, yhat: np.ndarray, config: DriverConfig,
-        prior: SmoothPrior | None = None, fixed_mask: np.ndarray | None = None,
-        mu0: np.ndarray | None = None) -> RunTrace:
+        prior: SmoothPrior | None = None, mu0: np.ndarray | None = None) -> RunTrace:
     """Full adaptive inference; deterministic given the model, data and config.
 
     Forward calls happen only in the mean phase.  The basis phase takes one
     eigendecomposition of the free-element Gram at the final mean (none when
-    no basis column is allowed) and one q fixed point per stage.
+    no basis column is allowed) and one q fixed point per stage.  The clamped
+    elements are the model's `fixed_mask`: the mean phase leaves them at mu0
+    and the basis has zero rows there.
     """
     config.validate()
     yhat = np.asarray(yhat, dtype=float)
@@ -196,7 +207,7 @@ def run(model: ForwardModel, yhat: np.ndarray, config: DriverConfig,
     mu_res = update_mu(state, model, yhat, prior,
                        max_outer=config.mu_max_outer, reg_delay=config.mu_reg_delay,
                        max_halvings=config.mu_max_halvings,
-                       call_budget=config.mu_call_budget, fixed_mask=fixed_mask)
+                       call_budget=config.mu_call_budget)
     state.mu = mu_res.mu
     state.a, state.b = mu_res.a, mu_res.b
     ev = mu_res.ev
@@ -213,8 +224,7 @@ def run(model: ForwardModel, yhat: np.ndarray, config: DriverConfig,
 
     record_elbo(elbo(state, ev, yhat, log_prior_mu), 0)
 
-    free = (np.arange(d_psi) if fixed_mask is None
-            else np.flatnonzero(~np.asarray(fixed_mask, dtype=bool)))
+    free = np.flatnonzero(~model.fixed_mask)
     n_free = free.size
     max_bases = n_free if config.max_bases is None else min(config.max_bases, n_free)
 

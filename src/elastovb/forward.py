@@ -8,7 +8,9 @@ with `jacobian=False` the caller keeps the value-only evaluation and asks for G
 only if it reads it, as the mean phase does for its accepted trial alone.  Each
 evaluation bumps a shared call counter by exactly one, whether or not its
 Jacobian is ever solved.  The counter is the unit of computational cost
-throughout the package.
+throughout the package.  A model also owns its clamp set, `fixed_mask`, and the
+FEM model owns its assembly plan and observed dofs, so nothing that defines
+the map is passed alongside it.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh_fem import (BoundarySpec, MaterialField, Mesh2D, adjoint_jacobian,
-                       assembly_plan, _solve_reduced)
+from .mesh_fem import (BoundarySpec, Mesh2D, adjoint_jacobian, assembly_plan,
+                       _solve_reduced)
 
 
 class ForwardSolveError(RuntimeError):
@@ -87,10 +89,23 @@ class CallCounter:
 
 
 class ForwardModel(ABC):
-    """Abstract forward model: psi -> (y, dy/dpsi)."""
+    """Abstract forward model: psi -> (y, dy/dpsi), with its clamp set.
 
-    def __init__(self, counter: CallCounter | None = None):
+    `fixed_mask` marks the components of psi that are clamped: held at their
+    value and never inferred.  The model is its only owner; the mean phase and
+    the basis phase read it from here.  Subclasses call `__init__` once d_psi
+    is defined.
+    """
+
+    def __init__(self, counter: CallCounter | None = None,
+                 fixed_mask: np.ndarray | None = None):
         self.counter = counter if counter is not None else CallCounter()
+        mask = (np.zeros(self.d_psi, dtype=bool) if fixed_mask is None
+                else np.array(fixed_mask, dtype=bool))
+        if mask.shape != (self.d_psi,):
+            raise ValueError(f"fixed_mask has shape {mask.shape}, expected ({self.d_psi},)")
+        mask.setflags(write=False)
+        self.fixed_mask = mask
 
     @property
     @abstractmethod
@@ -112,6 +127,8 @@ class ForwardModel(ABC):
         psi = np.asarray(psi, dtype=float)
         if psi.shape != (self.d_psi,):
             raise ValueError(f"psi has shape {psi.shape}, expected ({self.d_psi},)")
+        if not np.all(np.isfinite(psi)):
+            raise ValueError("psi contains non-finite log-moduli")
         self.counter.increment()
         ev = self._evaluate(psi)
         return ev.with_jacobian() if jacobian else ev
@@ -121,9 +138,9 @@ class LinearOracleModel(ForwardModel):
     """y = A psi + offset with constant Jacobian A; conjugate-Gaussian test model."""
 
     def __init__(self, A: np.ndarray, offset: np.ndarray | None = None,
-                 counter: CallCounter | None = None):
-        super().__init__(counter)
+                 counter: CallCounter | None = None, fixed_mask: np.ndarray | None = None):
         self.A = np.asarray(A, dtype=float)
+        super().__init__(counter, fixed_mask)
         self.offset = (np.zeros(self.A.shape[0]) if offset is None
                        else np.asarray(offset, dtype=float))
         if self.offset.shape != (self.A.shape[0],):
@@ -144,23 +161,30 @@ class LinearOracleModel(ForwardModel):
 class FemForwardModel(ForwardModel):
     """Plane-strain elastography model: displacements at observed dofs vs log-moduli.
 
-    The assembly plan (element stiffness, dof maps, loads, band slots) is
-    built at construction; a singular configuration still surfaces at
-    `evaluate`, as a ForwardSolveError.
+    The model owns the three facts that define its map: the assembly plan
+    (element stiffness, dof maps, loads, band slots, and so the free dofs), the
+    observed dofs, and the clamped elements, whose sensitivity columns are
+    exactly zero and never solved.  It observes every free dof unless given a
+    subset, which must hold free dofs only.  All of it is fixed at
+    construction; a singular configuration still surfaces at `evaluate`, as a
+    ForwardSolveError.
     """
 
-    def __init__(self, mesh: Mesh2D, bc: BoundarySpec, obs_dofs: np.ndarray,
+    def __init__(self, mesh: Mesh2D, bc: BoundarySpec, obs_dofs: np.ndarray | None = None,
                  fixed_mask: np.ndarray | None = None, poisson: float = 0.0,
                  counter: CallCounter | None = None):
-        super().__init__(counter)
         self.mesh = mesh
-        self.bc = bc
-        self.obs_dofs = np.asarray(obs_dofs, dtype=int)
-        self.poisson = poisson
-        if fixed_mask is None:
-            fixed_mask = np.zeros(mesh.n_elems, dtype=bool)
-        self.fixed_mask = np.asarray(fixed_mask, dtype=bool)
+        super().__init__(counter, fixed_mask)
         self.plan = assembly_plan(mesh, bc, poisson)
+        self.obs_dofs = Q = (self.plan.free if obs_dofs is None
+                             else np.asarray(obs_dofs, dtype=int))
+        if Q.size and (Q.min() < 0 or Q.max() >= mesh.n_dofs):
+            raise IndexError("observation dof out of range")
+        prescribed = self.plan.free_pos[Q] < 0
+        if np.any(prescribed):
+            raise ValueError(f"observed dofs {Q[prescribed].tolist()} are prescribed; "
+                             "their displacements do not depend on psi")
+        self.active = np.flatnonzero(~self.fixed_mask)
 
     @property
     def d_psi(self) -> int:
@@ -171,26 +195,16 @@ class FemForwardModel(ForwardModel):
         return self.obs_dofs.size
 
     def _evaluate(self, psi: np.ndarray) -> ForwardEval:
-        field_ = MaterialField(psi=psi, fixed_mask=self.fixed_mask)
         try:
-            system = _solve_reduced(self.mesh, self.bc, field_, self.poisson, plan=self.plan)
+            system = _solve_reduced(self.plan, psi)
         except Exception as exc:
             raise ForwardSolveError(f"forward solve failed: {exc}", psi) from exc
 
         def jacobian() -> np.ndarray:
             # the held factorization, moduli and U of this call; no second solve
             try:
-                return adjoint_jacobian(self.mesh, self.bc, field_, self.obs_dofs,
-                                        self.poisson, system=system)
+                return adjoint_jacobian(self.mesh, system, self.active, self.obs_dofs)
             except Exception as exc:
                 raise ForwardSolveError(f"sensitivity solve failed: {exc}", psi) from exc
 
         return ForwardEval(y=system.U[self.obs_dofs].copy(), G=None, _jacobian=jacobian)
-
-
-def free_dofs(mesh: Mesh2D, bc: BoundarySpec) -> np.ndarray:
-    """All dof indices not prescribed by the boundary conditions, ascending."""
-    ddofs, _ = bc.dirichlet_arrays(mesh.n_dofs)
-    prescribed = np.zeros(mesh.n_dofs, dtype=bool)
-    prescribed[ddofs] = True
-    return np.flatnonzero(~prescribed)

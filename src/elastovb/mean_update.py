@@ -136,10 +136,12 @@ class GaussNewtonSystem:
 
 
 def gauss_newton_system(ev: ForwardEval, yhat: np.ndarray, mean_tau: float,
-                        fixed_mask: np.ndarray | None = None) -> GaussNewtonSystem:
-    """Form the data-term Gram matrix and right-hand side once per linearization."""
-    n = ev.G.shape[1]
-    free = np.ones(n, dtype=bool) if fixed_mask is None else ~np.asarray(fixed_mask, dtype=bool)
+                        fixed_mask: np.ndarray) -> GaussNewtonSystem:
+    """Form the data-term Gram matrix and right-hand side once per linearization.
+
+    `fixed_mask` is the model's clamp set; clamped columns of G are left out.
+    """
+    free = ~fixed_mask
     Gf = ev.G if free.all() else ev.G[:, free]
     gram = Gf.T @ Gf
     gram *= mean_tau          # in place: no second (n_free x n_free) temporary
@@ -214,8 +216,7 @@ class MuPhaseResult:
 def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
               prior: SmoothPrior | None = None, max_outer: int = 30,
               reg_delay: int = 5, max_halvings: int = 10,
-              call_budget: int | None = None,
-              fixed_mask: np.ndarray | None = None) -> MuPhaseResult:
+              call_budget: int | None = None) -> MuPhaseResult:
     """Run the mean-update phase from state.mu; all forward calls happen here.
 
     The jump-penalty regularization is switched on once `reg_delay` steps have
@@ -228,11 +229,12 @@ def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
     delta_1 when its predicted gain passes the same tolerance (see the module
     docstring).
 
-    The accepted trial's G is solved from its own factorization after mu's G
-    is released, so one G is alive at a time.  If that solve fails, the trial
-    counts as failed and is halved; should the phase then end without an
-    accepted step, one more counted call (past the budget if need be) solves
-    G at mu again.
+    The model's clamped components (`model.fixed_mask`) keep their value in
+    state.mu.  The accepted trial's G is solved from its own factorization
+    after mu's G is released, so one G is alive at a time.  If that solve
+    fails, the trial counts as failed and is halved; should the phase then end
+    without an accepted step, one more counted call (past the budget if need
+    be) solves G at mu again.
     """
     mu = state.mu.copy()
     ev = model.evaluate(mu)
@@ -265,7 +267,7 @@ def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
             r_lin = r - ev.G @ step
             return -0.5 * mean_tau * float(r_lin @ r_lin) + logp_fn(mu + step) - f_curr
 
-        system = gauss_newton_system(ev, yhat, mean_tau, fixed_mask)
+        system = gauss_newton_system(ev, yhat, mean_tau, model.fixed_mask)
         delta, _ = gauss_newton_step(mu, system, cur_prior, reg_active)
         if predicted_gain(delta) <= tol:
             break

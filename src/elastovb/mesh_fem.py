@@ -5,16 +5,18 @@ per-element elastic modulus given in log scale, psi_k = log(E_k).  Loads are
 either prescribed nodal displacements or applied nodal tractions.  Everything
 that does not depend on psi (the element stiffness, the dof maps, the load
 vector and where each element entry lands in the band of the reduced
-stiffness) is built once into an AssemblyPlan.  The reduced stiffness is
-symmetric positive definite with half-bandwidth at most 2 nx + 5 in the node
-numbering below, so a solve costs one exp, one bincount, a banded Cholesky
-factorization (LAPACK pbtrf, which needs no fill-reducing ordering), the solve
-and a residual check.  Output sensitivities dy/dpsi reuse that factorization
-and are computed by direct differentiation, one right-hand side per active
-element: observing every free dof makes d_y about 2 n_elems, so this is the
-smaller side (the adjoint method would need one per observable).  The
-right-hand sides are solved in blocks of SENSITIVITY_BLOCK columns written
-straight into G, so a Jacobian holds G and one (n_free x block) pair at a time.
+stiffness) is built once into an AssemblyPlan, which `forward.FemForwardModel`
+owns together with its observed dofs and its clamped elements; every solve is
+`_solve_reduced(plan, psi)`.  The reduced stiffness is symmetric positive
+definite with half-bandwidth at most 2 nx + 5 in the node numbering below, so a
+solve costs one exp, one bincount, a banded Cholesky factorization (LAPACK
+pbtrf, which needs no fill-reducing ordering), the solve and a residual check.
+Output sensitivities dy/dpsi reuse that factorization and are computed by
+direct differentiation, one right-hand side per active element: observing
+every free dof makes d_y about 2 n_elems, so this is the smaller side (the
+adjoint method would need one per observable).  The right-hand sides are
+solved in blocks of SENSITIVITY_BLOCK columns written straight into G, so a
+Jacobian holds G and one (n_free x block) pair at a time.
 
 Node (ix, iy) has index iy*(nx+1) + ix; its displacement dofs are
 (2*index, 2*index + 1) for (ux, uy).  Element (ex, ey) has index ey*nx + ex.
@@ -119,25 +121,6 @@ class BoundarySpec:
         if dofs.min() < 0 or dofs.max() >= n_dofs:
             raise IndexError("Dirichlet dof out of range")
         return dofs, vals
-
-
-@dataclass
-class MaterialField:
-    """Per-element log-modulus vector with optional clamped entries."""
-
-    psi: np.ndarray
-    fixed_mask: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        self.psi = np.asarray(self.psi, dtype=float)
-        if not np.all(np.isfinite(self.psi)):
-            raise ValueError("material field contains non-finite log-moduli")
-        if self.fixed_mask is None:
-            self.fixed_mask = np.zeros(self.psi.shape, dtype=bool)
-        else:
-            self.fixed_mask = np.asarray(self.fixed_mask, dtype=bool)
-            if self.fixed_mask.shape != self.psi.shape:
-                raise ValueError("fixed_mask shape does not match psi")
 
 
 def element_stiffness_unit(mesh: Mesh2D, poisson: float, n_gauss: int = 2) -> np.ndarray:
@@ -267,30 +250,25 @@ def _modulus_range(psi: np.ndarray) -> str:
     return f"log-moduli in [{lo:.4g}, {hi:.4g}], contrast e^{hi - lo:.4g}"
 
 
-def _solve_reduced(mesh: Mesh2D, bc: BoundarySpec, field_: MaterialField,
-                   poisson: float, plan: AssemblyPlan | None = None) -> _ReducedSystem:
-    """Factor K_ff(psi) and solve for U; without a plan, one is built for this call."""
-    if field_.psi.shape[0] != mesh.n_elems:
-        raise ValueError(f"field length {field_.psi.shape[0]} != element count {mesh.n_elems}")
-    if plan is None:
-        plan = assembly_plan(mesh, bc, poisson)
+def _solve_reduced(plan: AssemblyPlan, psi: np.ndarray) -> _ReducedSystem:
+    """Factor K_ff(psi) and solve for U, the one forward solve of the package."""
     n_free = plan.free.size
     if n_free == 0:
         raise SingularSystemError("all dofs prescribed, nothing to solve")
-    e_mod = _moduli(field_.psi)
+    e_mod = _moduli(psi)
     band, rhs = plan.assemble(e_mod)
     try:
         factor = cholesky_banded(band, check_finite=False)
     except np.linalg.LinAlgError as exc:  # a pivot that is not positive
         raise SingularSystemError(
-            f"stiffness factorization failed ({exc}; {_modulus_range(field_.psi)}); check "
+            f"stiffness factorization failed ({exc}; {_modulus_range(psi)}); check "
             "that the Dirichlet set constrains all rigid-body modes and that the "
             "modulus contrast is not extreme") from exc
     u_f = cho_solve_banded((factor, False), rhs, check_finite=False)
     resid = np.linalg.norm(dsbmv(plan.kd, 1.0, band, u_f) - rhs)
     if not np.all(np.isfinite(u_f)) or resid > 1e-8 * (1.0 + np.linalg.norm(rhs)):
         raise SingularSystemError(
-            f"reduced solve inaccurate (residual {resid:.3e}; {_modulus_range(field_.psi)}); "
+            f"reduced solve inaccurate (residual {resid:.3e}; {_modulus_range(psi)}); "
             "either the modulus contrast is too large for double precision or the "
             "Dirichlet set leaves rigid-body modes unconstrained")
     U = plan.U0.copy()
@@ -298,49 +276,25 @@ def _solve_reduced(mesh: Mesh2D, bc: BoundarySpec, field_: MaterialField,
     return _ReducedSystem(plan=plan, e_mod=e_mod, factor=factor, U=U)
 
 
-def assemble_and_solve(mesh: Mesh2D, bc: BoundarySpec, field_: MaterialField,
-                       poisson: float = 0.0) -> np.ndarray:
-    """Solve K(psi) U = f with prescribed dofs eliminated; returns full U."""
-    return _solve_reduced(mesh, bc, field_, poisson).U
-
-
-def observe(U: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """y_i = U[Q[i]]; Q is an integer dof-selection array (may be empty)."""
-    Q = np.asarray(Q, dtype=int)
-    if Q.size and (Q.min() < 0 or Q.max() >= U.shape[0]):
-        raise IndexError("observation dof out of range")
-    return U[Q].copy()
-
-
-def adjoint_jacobian(mesh: Mesh2D, bc: BoundarySpec, field_: MaterialField,
-                     Q: np.ndarray, poisson: float = 0.0,
-                     system: _ReducedSystem | None = None) -> np.ndarray:
-    """Sensitivities G[i, k] = d y_i / d psi_k, one solve per active element.
+def adjoint_jacobian(mesh: Mesh2D, system: _ReducedSystem, active: np.ndarray,
+                     Q: np.ndarray) -> np.ndarray:
+    """Sensitivities G[i, k] = d y_i / d psi_k at the field `system` was solved for.
 
     Differentiating K_ff u_f = f_f - K_fp u_p gives du_f/dpsi_k = K_ff^-1 b_k,
     with b_k = -E_k Ke_unit U_e on element k's free dofs (the chain rule through
-    E_k = exp(psi_k) included), so G[:, active] = S_Q K_ff^-1 B^T: one solve with
-    a right-hand side per active (unclamped) element.  The adjoint route needs
-    one per observable instead; models built from a config observe every free
-    dof, so d_y is about 2 n_elems and the direct side is always the smaller.
-    The solves run over blocks of SENSITIVITY_BLOCK active elements, each block's
-    rows written into G, and give the same bits as one solve over all of them.
-    Columns of clamped elements are exactly zero; with every element clamped
-    nothing is solved.  A system from _solve_reduced at the same field can be
-    passed in to reuse its factorization and plan.
+    E_k = exp(psi_k) included), so G[:, active] = S_Q K_ff^-1 B^T: one solve
+    with the system's factorization per active element.  The adjoint route
+    needs one per observable instead; models built from a config observe every
+    free dof, so d_y is about 2 n_elems and the direct side is always the
+    smaller.  The solves run over blocks of SENSITIVITY_BLOCK active elements,
+    each block's rows written into G, and give the same bits as one solve over
+    all of them.  Columns of the other (clamped) elements are exactly zero;
+    with no active element nothing is solved.  Q holds free dofs only, which
+    the forward model checks once when it is built.  `perfbench/tracing.py`
+    reads the mesh and Q as the first and fourth positional arguments.
     """
-    Q = np.asarray(Q, dtype=int)
-    if system is None:
-        system = _solve_reduced(mesh, bc, field_, poisson)
-    plan = system.plan
-    if Q.size and (Q.min() < 0 or Q.max() >= mesh.n_dofs):
-        raise IndexError("observation dof out of range")
-    rows = plan.free_pos[Q]
-    if np.any(rows < 0):
-        raise ValueError(f"sensitivities requested for prescribed dofs {Q[rows < 0].tolist()}; "
-                         "prescribed displacements are constant")
-    active = np.flatnonzero(~field_.fixed_mask)
-    G = np.zeros((Q.size, mesh.n_elems))
+    rows = system.plan.free_pos[Q]
+    G = np.zeros((rows.size, mesh.n_elems))
     # Besides G, only one block's right-hand sides and solution are alive.
     # LAPACK solves a single right-hand side with other rounding than a column
     # inside a block, so a lone trailing column joins the block before it.

@@ -1,6 +1,7 @@
-"""Shared helpers: boundary conditions and small meshes used across suites."""
+"""Shared helpers: the shipped example1 config, boundary conditions and small meshes."""
 
 import os
+from pathlib import Path
 
 # One BLAS thread, set before numpy loads: a suite that shares its CPUs with
 # another process must not oversubscribe them with BLAS worker threads.
@@ -9,8 +10,21 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
+import yaml  # noqa: E402
 
+from elastovb.config import RunConfig, load_config  # noqa: E402
 from elastovb.mesh_fem import BoundarySpec, Mesh2D  # noqa: E402
+
+EXAMPLE1_YAML = Path(__file__).resolve().parents[1] / "configs" / "example1.yaml"
+
+
+def example1_dict() -> dict:
+    """The shipped benchmark config as a plain mapping, fresh on every call."""
+    return yaml.safe_load(EXAMPLE1_YAML.read_text())
+
+
+def example1_config() -> RunConfig:
+    return load_config(EXAMPLE1_YAML)
 
 
 def compression_bc(mesh: Mesh2D, u_top: float = -0.1) -> BoundarySpec:

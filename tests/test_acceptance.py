@@ -14,8 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from elastovb.config import (build_model, example1_config, generate_data,
-                             initial_mu)
+from elastovb.config import build_model, generate_data, initial_mu
 from elastovb.driver import DriverConfig, info_gain, kl_terms, run
 from elastovb.forward import CallCounter, FemForwardModel, LinearOracleModel
 from elastovb.importance import compare_vb_is, ess, run_is
@@ -23,6 +22,8 @@ from elastovb.mean_update import SmoothPrior, update_mu
 from elastovb.mesh_fem import BoundarySpec, Mesh2D
 from elastovb.vb import (ReducedPosterior, concentrated_tau_prior,
                          posterior_psi_stats, q_fixed_point)
+
+from conftest import example1_config
 
 DURATIONS: dict[str, float] = {}
 
@@ -49,8 +50,7 @@ def golden():
     model, mesh, bc, obs_dofs, mask = build_model(cfg, counter)
     prior = SmoothPrior.for_grid(mesh.nx, mesh.ny, cfg.prior.a_phi, cfg.prior.b_phi)
     t0 = time.perf_counter()
-    trace = run(model, obs.yhat, cfg.solver, prior=prior, fixed_mask=mask,
-                mu0=initial_mu(cfg, mesh))
+    trace = run(model, obs.yhat, cfg.solver, prior=prior, mu0=initial_mu(cfg, mesh))
     wall = time.perf_counter() - t0
     return SimpleNamespace(cfg=cfg, obs=obs, psi_true=psi_true, model=model,
                            mesh=mesh, mask=mask, trace=trace, wall=wall,
@@ -65,10 +65,9 @@ def fullrank(golden):
     """
     cfg = example1_config()
     solver = DriverConfig(info_gain_window=200)
-    model, mesh, bc, obs_dofs, mask = build_model(cfg, CallCounter())
+    model, mesh, _, _, _ = build_model(cfg, CallCounter())
     prior = SmoothPrior.for_grid(mesh.nx, mesh.ny, cfg.prior.a_phi, cfg.prior.b_phi)
-    trace = run(model, golden.obs.yhat, solver, prior=prior, fixed_mask=mask,
-                mu0=initial_mu(cfg, mesh))
+    trace = run(model, golden.obs.yhat, solver, prior=prior, mu0=initial_mu(cfg, mesh))
     return trace
 
 
@@ -238,8 +237,7 @@ def test_criterion_6b_adjoint_vs_finite_differences(capsys):
     for nx, ny in [(3, 3), (4, 4)]:
         mesh = Mesh2D(nx, ny, float(nx), float(ny))
         bc = compression_bc(mesh)
-        from elastovb.forward import free_dofs
-        model = FemForwardModel(mesh, bc, free_dofs(mesh, bc))
+        model = FemForwardModel(mesh, bc)
         rng = np.random.default_rng(nx)
         psi = rng.normal(0.0, 0.3, mesh.n_elems)
         G = model.evaluate(psi).G
@@ -318,10 +316,9 @@ def test_criterion_6e_ess_rescaling_invariance(capsys):
 
 def test_criterion_6f_displacement_shift_invariance(capsys):
     from conftest import compression_bc
-    from elastovb.forward import free_dofs
     mesh = Mesh2D(4, 4, 4.0, 4.0)
     bc = compression_bc(mesh)
-    model = FemForwardModel(mesh, bc, free_dofs(mesh, bc))
+    model = FemForwardModel(mesh, bc)
     rng = np.random.default_rng(4)
     psi = rng.normal(0.0, 0.5, 16)
     y0 = model.evaluate(psi).y

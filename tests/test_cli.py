@@ -15,8 +15,9 @@ import elastovb
 from elastovb import config as cfgmod
 from elastovb.cli import main
 from elastovb.config import (ConfigError, ObservationFile, config_from_dict,
-                             example1_config, example1_dict, load_config,
-                             save_config)
+                             load_config, save_config)
+
+from conftest import example1_config, example1_dict
 
 
 def small_dict(nx=4, ny=4, snr=1e4, seed=3):
@@ -50,11 +51,6 @@ def test_config_round_trip(tmp_path):
     save_config(cfg, path)
     again = load_config(path)
     assert again.to_dict() == cfg.to_dict()
-
-
-def test_shipped_example1_yaml_is_example1_config():
-    shipped = Path(__file__).resolve().parents[1] / "configs" / "example1.yaml"
-    assert load_config(shipped) == example1_config()
 
 
 def every_field_dict():
@@ -359,6 +355,51 @@ def test_cross_field_rule_exits_one_naming_key(edit, named, tmp_path, capsys):
     assert named in err
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("keys,value", [
+    (("phantom", "background"), NAN),
+    (("phantom", "background"), INF),
+    (("mu0",), NAN),
+    (("clamp", "value"), NAN),
+    (("solver", "b0"), NAN),
+    (("mesh", "lx"), INF),
+    (("bc", "dirichlet", 1, "uy"), NAN),
+    (("solver", "b0"), -1.0),
+    (("solver", "a0"), -1.0),
+    (("solver", "lambda0_1"), INF),
+    (("noise", "snr"), -INF),
+], ids=lambda p: ".".join(map(str, p)) if isinstance(p, tuple) else str(p))
+def test_bad_number_exits_one_naming_it(keys, value, tmp_path, capsys):
+    # each used to end in a traceback, in exit 2, or in a run that went ahead
+    out = tmp_path / "o"
+    good = tmp_path / "good.yaml"
+    good.write_text(yaml.safe_dump(small_dict()))
+    assert main(["generate", "--config", str(good), "--out", str(out)]) == 0
+    d = small_dict()
+    *parents, last = keys
+    block = d
+    for key in parents:
+        block = block[key]
+    block[last] = value
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(d))
+    named = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys).lstrip(".")
+    capsys.readouterr()
+    for verb in ("generate", "invert"):
+        assert main([verb, "--config", str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("elastovb: config error:") and "Traceback" not in err
+        assert named in err
+
+
+def test_noise_snr_alone_may_be_infinite():
+    d = small_dict()
+    d["noise"]["snr"] = INF
+    assert math.isinf(config_from_dict(d).noise.snr)
+
+
 def test_unknown_output_format_exits_one_naming_it(small_cfg_path, tmp_path, capsys):
     # valid artifacts are in place, so only the format can stop invert and validate
     out = tmp_path / "fmt"
@@ -382,11 +423,14 @@ def test_unknown_output_format_exits_one_naming_it(small_cfg_path, tmp_path, cap
     ("observations.json", lambda obs: {**obs, "d_y": "x"}),
     ("observations.json", lambda obs: {**obs, "yhat": "abc"}),
     ("observations.json", lambda obs: {**obs, "tau_true": None}),
+    ("observations.json", lambda obs: {**obs, "yhat": [math.nan] + obs["yhat"][1:]}),
     ("run_trace.json", lambda trace: [trace]),
     ("run_trace.json", lambda trace: {**trace, "state": {**trace["state"], "mu": "abc"}}),
     ("run_trace.json", lambda trace: {**trace, "state": {**trace["state"], "a": None}}),
+    ("run_trace.json", lambda trace: {**trace, "state": {
+        **trace["state"], "mu": [math.nan] + trace["state"]["mu"][1:]}}),
 ], ids=["obs-root-list", "obs-d_y-text", "obs-yhat-text", "obs-tau_true-null",
-        "trace-root-list", "trace-mu-text", "trace-a-null"])
+        "obs-yhat-nan", "trace-root-list", "trace-mu-text", "trace-a-null", "trace-mu-nan"])
 def test_malformed_artifact_exits_one_or_is_reported(name, corrupt, small_cfg_path,
                                                      tmp_path, capsys):
     out = tmp_path / "art"

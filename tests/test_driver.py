@@ -9,13 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elastovb.config import build_model, example1_config, generate_data, initial_mu
+from elastovb.config import build_model, generate_data, initial_mu
 from elastovb.driver import (DriverConfig, add_basis, info_gain, kl_terms,
                              next_prior_precision, optimize_W, run, state_from_dict)
 from elastovb.forward import (CallCounter, FemForwardModel, ForwardEval,
                               LinearOracleModel)
 from elastovb.mean_update import SmoothPrior
 from elastovb.vb import ReducedPosterior, elbo, q_fixed_point
+
+from conftest import example1_config
 
 
 def zero_state(d_psi, d_theta=0, **kw):
@@ -226,7 +228,7 @@ def test_run_info_gain_stop_with_clamp(rng):
     fixed[10:] = True
     yhat = A @ psi_true + rng.normal(0.0, 1e-4, 30)
     cfg = DriverConfig(info_gain_window=3)
-    trace = run(LinearOracleModel(A), yhat, cfg, fixed_mask=fixed)
+    trace = run(LinearOracleModel(A, fixed_mask=fixed), yhat, cfg)
     assert trace.stop_reason == "info_gain"
     assert trace.state.d_theta == 4           # 1 + window consecutive low gains
     assert np.all(trace.state.W[10:, :] == 0.0)
@@ -244,8 +246,8 @@ def test_run_without_basis_columns_takes_no_eigendecomposition(linear_problem, r
     yhat = A @ psi_true + rng.normal(0.0, 0.01, 8)
     trace = run(LinearOracleModel(A), yhat, DriverConfig(max_bases=0))
     assert (trace.stop_reason, trace.state.d_theta, trace.records) == ("max_bases", 0, [])
-    trace = run(LinearOracleModel(A), yhat, DriverConfig(),
-                fixed_mask=np.ones(4, dtype=bool))
+    trace = run(LinearOracleModel(A, fixed_mask=np.ones(4, dtype=bool)), yhat,
+                DriverConfig())
     assert (trace.stop_reason, trace.state.d_theta, trace.records) == ("max_bases", 0, [])
     with pytest.raises(AssertionError, match="eigh called"):
         run(LinearOracleModel(A), yhat, DriverConfig(max_bases=1))
@@ -255,21 +257,35 @@ def test_run_without_basis_columns_takes_no_eigendecomposition(linear_problem, r
 # The basis the driver returns, on the built-in benchmark
 
 
-def run_example1(model_cls=FemForwardModel, **model_kw):
+def run_example1(model_cls=FemForwardModel):
     cfg = example1_config()
     obs, _, _ = generate_data(cfg)
-    _, mesh, bc, obs_dofs, mask = build_model(cfg)
-    model = model_cls(mesh, bc, obs_dofs, fixed_mask=mask, poisson=cfg.mesh.poisson,
-                      **model_kw)
+    _, mesh, bc, _, mask = build_model(cfg)
+    model = model_cls(mesh, bc, fixed_mask=mask, poisson=cfg.mesh.poisson)
     prior = SmoothPrior.for_grid(mesh.nx, mesh.ny, cfg.prior.a_phi, cfg.prior.b_phi)
-    trace = run(model, obs.yhat, cfg.solver, prior=prior, fixed_mask=mask,
-                mu0=initial_mu(cfg, mesh))
+    trace = run(model, obs.yhat, cfg.solver, prior=prior, mu0=initial_mu(cfg, mesh))
     return SimpleNamespace(trace=trace, yhat=obs.yhat, mask=mask)
 
 
 @pytest.fixture(scope="module")
 def example1():
     return run_example1()
+
+
+def test_run_reads_the_clamp_set_from_the_model():
+    # the config-built model and `run` with no mask argument: the clamped top
+    # row stays out of the basis.  While `run` took the mask as a separate
+    # argument, this call gave d_theta 5, 22 forward calls and all five basis
+    # columns on the clamped row.
+    cfg = example1_config()
+    obs, _, _ = generate_data(cfg)
+    model, mesh, _, _, _ = build_model(cfg)
+    prior = SmoothPrior.for_grid(mesh.nx, mesh.ny, cfg.prior.a_phi, cfg.prior.b_phi)
+    trace = run(model, obs.yhat, cfg.solver, prior=prior, mu0=initial_mu(cfg, mesh))
+    assert trace.state.d_theta == 6
+    assert trace.forward_calls == 11
+    assert model.fixed_mask.sum() == mesh.nx
+    assert np.sum(trace.state.W[model.fixed_mask] ** 2) == 0.0
 
 
 def test_basis_is_the_ordered_minor_eigenbasis(example1):

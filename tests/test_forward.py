@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from elastovb.forward import (CallCounter, FemForwardModel, ForwardEval,
-                              ForwardSolveError, LinearOracleModel, free_dofs)
+                              ForwardSolveError, LinearOracleModel)
 from elastovb.mesh_fem import Mesh2D, _ReducedSystem
 
 from conftest import compression_bc
@@ -54,6 +54,28 @@ def test_evaluate_validates_shape():
         model.evaluate(np.zeros((2, 1)))
 
 
+def test_evaluate_rejects_nonfinite_psi():
+    model = LinearOracleModel(np.eye(2))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            model.evaluate(np.array([0.0, bad]))
+    assert model.counter.count == 0
+
+
+def test_model_owns_its_clamp_set():
+    # nothing is clamped unless the model is told so; the model keeps its own
+    # read-only copy, so no later edit of the caller's array can disagree with it
+    assert not LinearOracleModel(np.eye(3)).fixed_mask.any()
+    given = np.array([True, False, False])
+    model = LinearOracleModel(np.eye(3), fixed_mask=given)
+    given[1] = True
+    assert model.fixed_mask.tolist() == [True, False, False]
+    with pytest.raises(ValueError):
+        model.fixed_mask[2] = True
+    with pytest.raises(ValueError, match="fixed_mask has shape"):
+        LinearOracleModel(np.eye(3), fixed_mask=np.zeros(2, dtype=bool))
+
+
 def test_forward_eval_validates():
     with pytest.raises(ValueError):
         ForwardEval(y=np.zeros(3), G=np.zeros((2, 4)))
@@ -70,7 +92,7 @@ def test_fem_model_bit_identical_and_counts(rng):
     mesh = Mesh2D(3, 3, 3.0, 3.0)
     bc = compression_bc(mesh)
     counter = CallCounter()
-    model = FemForwardModel(mesh, bc, free_dofs(mesh, bc), counter=counter)
+    model = FemForwardModel(mesh, bc, counter=counter)
     psi = rng.normal(0.0, 0.4, mesh.n_elems)
     ev1 = model.evaluate(psi)
     other = model.evaluate(psi + rng.normal(0.0, 0.4, mesh.n_elems))
@@ -89,8 +111,7 @@ def test_value_only_evaluation(clamp_rows, rng):
     fixed = np.zeros(mesh.n_elems, dtype=bool)
     fixed[mesh.n_elems - clamp_rows * mesh.nx:] = True
     counter = CallCounter()
-    model = FemForwardModel(mesh, bc, free_dofs(mesh, bc), fixed_mask=fixed,
-                            poisson=0.3, counter=counter)
+    model = FemForwardModel(mesh, bc, fixed_mask=fixed, poisson=0.3, counter=counter)
     psi = rng.normal(0.0, 0.4, mesh.n_elems)
     full = model.evaluate(psi)
     value = model.evaluate(psi, jacobian=False)
@@ -107,8 +128,7 @@ def test_value_only_evaluation_gives_its_jacobian_later(rng):
     fixed = np.zeros(mesh.n_elems, dtype=bool)
     fixed[-mesh.nx:] = True
     counter = CallCounter()
-    model = FemForwardModel(mesh, bc, free_dofs(mesh, bc), fixed_mask=fixed,
-                            poisson=0.3, counter=counter)
+    model = FemForwardModel(mesh, bc, fixed_mask=fixed, poisson=0.3, counter=counter)
     psi = rng.normal(0.0, 0.4, mesh.n_elems)
     value = model.evaluate(psi, jacobian=False)
     model.evaluate(psi + 1.0)                    # another field in between
@@ -123,7 +143,7 @@ def test_value_only_evaluation_gives_its_jacobian_later(rng):
 def test_completed_evaluation_holds_no_factorization(rng):
     mesh = Mesh2D(3, 3, 3.0, 3.0)
     bc = compression_bc(mesh)
-    model = FemForwardModel(mesh, bc, free_dofs(mesh, bc))
+    model = FemForwardModel(mesh, bc)
     psi = rng.normal(0.0, 0.4, mesh.n_elems)
 
     def systems_alive():
@@ -151,7 +171,7 @@ def test_failed_sensitivity_solve_is_a_forward_solve_error(rng, monkeypatch):
 
     mesh = Mesh2D(3, 3, 3.0, 3.0)
     bc = compression_bc(mesh)
-    model = FemForwardModel(mesh, bc, free_dofs(mesh, bc))
+    model = FemForwardModel(mesh, bc)
     psi = rng.normal(0.0, 0.4, mesh.n_elems)
     value = model.evaluate(psi, jacobian=False)
 
@@ -172,7 +192,7 @@ def test_jacobian_evaluation_peak_memory_near_G(rng):
     bc = compression_bc(mesh)
     fixed = np.zeros(mesh.n_elems, dtype=bool)
     fixed[-mesh.nx:] = True
-    model = FemForwardModel(mesh, bc, free_dofs(mesh, bc), fixed_mask=fixed, poisson=0.3)
+    model = FemForwardModel(mesh, bc, fixed_mask=fixed, poisson=0.3)
     psi = rng.normal(0.0, 0.4, mesh.n_elems)
     model.evaluate(psi)        # first-call allocations stay out of the measurement
     tracemalloc.start()

@@ -55,8 +55,8 @@ class RefusingModel(ForwardModel):
     """Linear model that fails whenever the first parameter is positive."""
 
     def __init__(self, A):
-        super().__init__()
         self.A = A
+        super().__init__()
 
     @property
     def d_psi(self):

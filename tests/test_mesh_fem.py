@@ -12,12 +12,10 @@ import pytest
 from scipy.linalg import cho_solve_banded
 
 from elastovb import mesh_fem
-from elastovb.mesh_fem import (BoundarySpec, MaterialField, Mesh2D,
-                               SingularSystemError, _sensitivity_rhs,
-                               _solve_reduced, adjoint_jacobian,
-                               assemble_and_solve, assembly_plan,
-                               element_stiffness_unit, observe)
-from elastovb.forward import FemForwardModel, ForwardSolveError, free_dofs
+from elastovb.mesh_fem import (BoundarySpec, Mesh2D, SingularSystemError,
+                               _sensitivity_rhs, _solve_reduced, adjoint_jacobian,
+                               assembly_plan, element_stiffness_unit)
+from elastovb.forward import FemForwardModel, ForwardSolveError
 
 from conftest import cantilever_bc, compression_bc
 
@@ -136,12 +134,17 @@ def test_band_assembly_matches_dense_oracle(nx, ny, make_bc, rng):
 # Solutions
 
 
+def solve_with_plan(mesh, bc, psi, poisson=0.0):
+    """Full displacement from the package's one solve path, with a plan for the call."""
+    return _solve_reduced(assembly_plan(mesh, bc, poisson), psi).U
+
+
 def test_uniform_compression_is_exact():
     # nu = 0 and uniform modulus: the exact solution u = (0, -0.01 x2) is
     # bilinear, so the FE solution reproduces it to machine precision
     mesh = Mesh2D(10, 10, 10.0, 10.0)
     bc = compression_bc(mesh, u_top=-0.1)
-    U = assemble_and_solve(mesh, bc, MaterialField(np.zeros(100)), poisson=0.0)
+    U = solve_with_plan(mesh, bc, np.zeros(100), poisson=0.0)
     coords = mesh.node_coords()
     expected = np.zeros(mesh.n_dofs)
     expected[1::2] = -0.01 * coords[:, 1]
@@ -152,7 +155,7 @@ def test_matches_dense_oracle_dirichlet(rng):
     mesh = Mesh2D(2, 2, 2.0, 1.0)
     bc = compression_bc(mesh, u_top=-0.05)
     psi = rng.normal(0.0, 0.7, mesh.n_elems)
-    U = assemble_and_solve(mesh, bc, MaterialField(psi), poisson=0.3)
+    U = solve_with_plan(mesh, bc, psi, poisson=0.3)
     U_oracle = oracle_solve(mesh, bc, psi, poisson=0.3)
     assert np.max(np.abs(U - U_oracle)) < 1e-12
 
@@ -161,7 +164,7 @@ def test_matches_dense_oracle_traction(rng):
     mesh = Mesh2D(3, 2, 3.0, 2.0)
     bc = cantilever_bc(mesh, load=0.02)
     psi = rng.normal(0.0, 0.5, mesh.n_elems)
-    U = assemble_and_solve(mesh, bc, MaterialField(psi), poisson=0.25)
+    U = solve_with_plan(mesh, bc, psi, poisson=0.25)
     U_oracle = oracle_solve(mesh, bc, psi, poisson=0.25)
     assert np.max(np.abs(U - U_oracle)) < 1e-12
 
@@ -173,8 +176,8 @@ def test_displacement_shift_invariance(shift, rng):
     mesh = Mesh2D(4, 4, 2.0, 2.0)
     bc = compression_bc(mesh)
     psi = rng.normal(0.0, 0.6, mesh.n_elems)
-    U0 = assemble_and_solve(mesh, bc, MaterialField(psi))
-    U1 = assemble_and_solve(mesh, bc, MaterialField(psi + shift))
+    U0 = solve_with_plan(mesh, bc, psi)
+    U1 = solve_with_plan(mesh, bc, psi + shift)
     assert np.max(np.abs(U0 - U1)) < 1e-12
 
 
@@ -184,8 +187,8 @@ def test_shift_invariance_fails_under_traction(rng):
     mesh = Mesh2D(3, 3, 3.0, 3.0)
     bc = cantilever_bc(mesh)
     psi = rng.normal(0.0, 0.3, mesh.n_elems)
-    U0 = assemble_and_solve(mesh, bc, MaterialField(psi))
-    U1 = assemble_and_solve(mesh, bc, MaterialField(psi + 1.0))
+    U0 = solve_with_plan(mesh, bc, psi)
+    U1 = solve_with_plan(mesh, bc, psi + 1.0)
     assert np.max(np.abs(U0 - np.e * U1)) < 1e-12
 
 
@@ -197,7 +200,7 @@ def test_mirror_symmetry():
     psi = np.zeros(16)
     psi[5] = psi[6] = 1.0      # two center elements of row 1, mirror images
     psi[9] = psi[10] = 1.0
-    U = assemble_and_solve(mesh, bc, MaterialField(psi))
+    U = solve_with_plan(mesh, bc, psi)
     for iy in range(mesh.ny + 1):
         for ix in range(mesh.nx + 1):
             a = mesh.node_index(ix, iy)
@@ -206,11 +209,11 @@ def test_mirror_symmetry():
             assert abs(U[2 * a + 1] - U[2 * b + 1]) < 1e-10
 
 
-def strain_energy(mesh, field_, U, poisson=0.0):
+def strain_energy(mesh, psi, U, poisson=0.0):
     """U^T K(psi) U, summed element by element."""
     Ue = U[mesh.element_dofs()]
     ke = element_stiffness_unit(mesh, poisson)
-    return float(np.exp(field_.psi) @ np.einsum("ka,ab,kb->k", Ue, ke, Ue))
+    return float(np.exp(psi) @ np.einsum("ka,ab,kb->k", Ue, ke, Ue))
 
 
 def test_strain_energy_nonnegative(rng):
@@ -218,7 +221,7 @@ def test_strain_energy_nonnegative(rng):
     psi = rng.normal(0.0, 1.0, mesh.n_elems)
     for _ in range(5):
         U = rng.normal(0.0, 1.0, mesh.n_dofs)
-        assert strain_energy(mesh, MaterialField(psi), U, poisson=0.2) >= 0.0
+        assert strain_energy(mesh, psi, U, poisson=0.2) >= 0.0
 
 
 def test_rigid_motion_has_zero_energy():
@@ -226,7 +229,7 @@ def test_rigid_motion_has_zero_energy():
     U = np.zeros(mesh.n_dofs)
     U[0::2] = 0.7          # uniform translation
     U[1::2] = -1.3
-    e = strain_energy(mesh, MaterialField(np.zeros(mesh.n_elems)), U, poisson=0.3)
+    e = strain_energy(mesh, np.zeros(mesh.n_elems), U, poisson=0.3)
     assert abs(e) < 1e-12
 
 
@@ -241,8 +244,8 @@ def fd_jacobian(mesh, bc, psi, Q, poisson, step=1e-6):
         up[k] += step
         dn = psi.copy()
         dn[k] -= step
-        yu = observe(assemble_and_solve(mesh, bc, MaterialField(up), poisson), Q)
-        yd = observe(assemble_and_solve(mesh, bc, MaterialField(dn), poisson), Q)
+        yu = solve_with_plan(mesh, bc, up, poisson)[Q]
+        yd = solve_with_plan(mesh, bc, dn, poisson)[Q]
         cols.append((yu - yd) / (2.0 * step))
     return np.column_stack(cols)
 
@@ -256,9 +259,9 @@ def test_adjoint_matches_finite_differences(nx, ny, make_bc, poisson, rng):
     mesh = Mesh2D(nx, ny, float(nx), float(ny))
     bc = make_bc(mesh)
     psi = rng.normal(0.0, 0.5, mesh.n_elems)
-    Q = free_dofs(mesh, bc)
-    G = adjoint_jacobian(mesh, bc, MaterialField(psi), Q, poisson=poisson)
-    G_fd = fd_jacobian(mesh, bc, psi, Q, poisson)
+    model = FemForwardModel(mesh, bc, poisson=poisson)
+    G = model.evaluate(psi).G
+    G_fd = fd_jacobian(mesh, bc, psi, model.obs_dofs, poisson)
     scale = np.max(np.abs(G_fd)) + 1e-30
     assert np.max(np.abs(G - G_fd)) / scale < 1e-5
 
@@ -268,8 +271,7 @@ def test_jacobian_rows_sum_to_zero_for_dirichlet_loading(rng):
     mesh = Mesh2D(4, 4, 4.0, 4.0)
     bc = compression_bc(mesh)
     psi = rng.normal(0.0, 0.5, mesh.n_elems)
-    Q = free_dofs(mesh, bc)
-    G = adjoint_jacobian(mesh, bc, MaterialField(psi), Q)
+    G = FemForwardModel(mesh, bc).evaluate(psi).G
     assert np.max(np.abs(G @ np.ones(mesh.n_elems))) < 1e-10 * np.max(np.abs(G))
 
 
@@ -279,8 +281,7 @@ def test_clamped_elements_have_zero_columns(rng):
     psi = rng.normal(0.0, 0.5, mesh.n_elems)
     fixed = np.zeros(mesh.n_elems, dtype=bool)
     fixed[6:] = True       # top element row
-    Q = free_dofs(mesh, bc)
-    G = adjoint_jacobian(mesh, bc, MaterialField(psi, fixed_mask=fixed), Q)
+    G = FemForwardModel(mesh, bc, fixed_mask=fixed).evaluate(psi).G
     assert np.all(G[:, 6:] == 0.0)
     assert np.any(G[:, :6] != 0.0)
 
@@ -290,31 +291,30 @@ def test_all_elements_clamped_gives_zero_jacobian(rng):
     mesh = Mesh2D(3, 3, 3.0, 3.0)
     bc = compression_bc(mesh)
     psi = rng.normal(0.0, 0.5, mesh.n_elems)
-    Q = free_dofs(mesh, bc)
     fixed = np.ones(mesh.n_elems, dtype=bool)
-    ev = FemForwardModel(mesh, bc, Q, fixed_mask=fixed, poisson=0.3).evaluate(psi)
-    free_ev = FemForwardModel(mesh, bc, Q, poisson=0.3).evaluate(psi)
-    assert ev.G.shape == (Q.size, mesh.n_elems)
+    ev = FemForwardModel(mesh, bc, fixed_mask=fixed, poisson=0.3).evaluate(psi)
+    free_ev = FemForwardModel(mesh, bc, poisson=0.3).evaluate(psi)
+    assert ev.G.shape == (free_ev.y.size, mesh.n_elems)
     assert np.all(ev.G == 0.0)
     assert np.array_equal(ev.y, free_ev.y)
 
 
-def dense_adjoint_jacobian(mesh, bc, field_, Q, poisson):
+def dense_adjoint_jacobian(mesh, bc, psi, fixed, Q, poisson):
     """Adjoint sensitivities by the dense (n_elems, 8, d_y) contraction.
 
     nu holds the adjoint fields on every dof (zero on prescribed ones); the
     blocked production path must reproduce this to rounding.
     """
-    system = _solve_reduced(mesh, bc, field_, poisson)
-    plan = system.plan
+    plan = assembly_plan(mesh, bc, poisson)
+    system = _solve_reduced(plan, psi)
     rhs = np.zeros((plan.free.size, Q.size))
     rhs[plan.free_pos[Q], np.arange(Q.size)] = 1.0
     nu = np.zeros((mesh.n_dofs, Q.size))
     nu[plan.free] = cho_solve_banded((system.factor, False), rhs)
     dofs = mesh.element_dofs()
     v = system.U[dofs] @ element_stiffness_unit(mesh, poisson).T
-    G = -np.exp(field_.psi)[None, :] * np.einsum("keo,ke->ok", nu[dofs], v)
-    G[:, field_.fixed_mask] = 0.0
+    G = -np.exp(psi)[None, :] * np.einsum("keo,ke->ok", nu[dofs], v)
+    G[:, fixed] = 0.0
     return G
 
 
@@ -324,20 +324,19 @@ def test_adjoint_matches_dense_contraction(make_bc, poisson, rng):
     bc = make_bc(mesh)
     fixed = np.zeros(mesh.n_elems, dtype=bool)
     fixed[-mesh.nx:] = True       # top element row clamped
-    field_ = MaterialField(rng.normal(0.0, 0.6, mesh.n_elems), fixed_mask=fixed)
-    Q = free_dofs(mesh, bc)
-    G = adjoint_jacobian(mesh, bc, field_, Q, poisson=poisson)
-    G_dense = dense_adjoint_jacobian(mesh, bc, field_, Q, poisson)
-    assert G.shape == G_dense.shape == (Q.size, mesh.n_elems)
+    psi = rng.normal(0.0, 0.6, mesh.n_elems)
+    model = FemForwardModel(mesh, bc, fixed_mask=fixed, poisson=poisson)
+    G = model.evaluate(psi).G
+    G_dense = dense_adjoint_jacobian(mesh, bc, psi, fixed, model.obs_dofs, poisson)
+    assert G.shape == G_dense.shape == (model.d_y, mesh.n_elems)
     assert np.linalg.norm(G - G_dense) <= 1e-12 * np.linalg.norm(G_dense)
     assert np.all(G[:, fixed] == 0.0)
 
 
-def single_block_jacobian(system, field_, Q):
+def single_block_jacobian(system, active, Q):
     """All active elements' sensitivities from one solve with every right-hand side."""
     rows = system.plan.free_pos[Q]
-    active = np.flatnonzero(~field_.fixed_mask)
-    G = np.zeros((Q.size, field_.psi.size))
+    G = np.zeros((Q.size, system.e_mod.size))
     G[:, active] = cho_solve_banded((system.factor, False),
                                     _sensitivity_rhs(system, active))[rows]
     return G
@@ -363,27 +362,27 @@ def test_blocked_sensitivities_match_single_block_solve(nx, ny, clamp_top, make_
     fixed = np.zeros(mesh.n_elems, dtype=bool)
     if clamp_top:
         fixed[-mesh.nx:] = True
-    field_ = MaterialField(rng.normal(0.0, 0.6, mesh.n_elems), fixed_mask=fixed)
-    Q = free_dofs(mesh, bc)[::-1]     # unsorted rows exercise the row map too
-    system = _solve_reduced(mesh, bc, field_, 0.3)
-    G = adjoint_jacobian(mesh, bc, field_, Q, poisson=0.3, system=system)
-    assert np.array_equal(G, single_block_jacobian(system, field_, Q))
+    active = np.flatnonzero(~fixed)
+    plan = assembly_plan(mesh, bc, 0.3)
+    system = _solve_reduced(plan, rng.normal(0.0, 0.6, mesh.n_elems))
+    Q = plan.free[::-1]               # unsorted rows exercise the row map too
+    G = adjoint_jacobian(mesh, system, active, Q)
+    assert np.array_equal(G, single_block_jacobian(system, active, Q))
     assert np.all(G[:, fixed] == 0.0)
 
 
 def test_all_clamped_jacobian_skips_the_solve(rng, monkeypatch):
     mesh = Mesh2D(3, 3, 3.0, 3.0)
     bc = compression_bc(mesh)
-    field_ = MaterialField(rng.normal(0.0, 0.5, mesh.n_elems),
-                           fixed_mask=np.ones(mesh.n_elems, dtype=bool))
-    Q = free_dofs(mesh, bc)
-    system = _solve_reduced(mesh, bc, field_, 0.3)
+    plan = assembly_plan(mesh, bc, 0.3)
+    system = _solve_reduced(plan, rng.normal(0.0, 0.5, mesh.n_elems))
+    Q = plan.free
 
     def no_solve(*args, **kwargs):
         raise AssertionError("sensitivity solve called")
 
     monkeypatch.setattr(mesh_fem, "cho_solve_banded", no_solve)
-    G = adjoint_jacobian(mesh, bc, field_, Q, poisson=0.3, system=system)
+    G = adjoint_jacobian(mesh, system, np.empty(0, dtype=int), Q)
     assert G.shape == (Q.size, mesh.n_elems)
     assert np.all(G == 0.0)
 
@@ -396,13 +395,15 @@ def test_model_plan_matches_plan_free_and_dense_oracle(make_bc, rng):
     bc = make_bc(mesh)
     fixed = np.zeros(mesh.n_elems, dtype=bool)
     fixed[-mesh.nx:] = True       # top element row clamped
-    field_ = MaterialField(rng.normal(0.0, 0.6, mesh.n_elems), fixed_mask=fixed)
-    Q = free_dofs(mesh, bc)
-    ev = FemForwardModel(mesh, bc, Q, fixed_mask=fixed, poisson=0.3).evaluate(field_.psi)
-    y_free = observe(assemble_and_solve(mesh, bc, field_, poisson=0.3), Q)
-    G_free = adjoint_jacobian(mesh, bc, field_, Q, poisson=0.3)
-    y_oracle = observe(oracle_solve(mesh, bc, field_.psi, poisson=0.3), Q)
-    G_dense = dense_adjoint_jacobian(mesh, bc, field_, Q, 0.3)
+    psi = rng.normal(0.0, 0.6, mesh.n_elems)
+    model = FemForwardModel(mesh, bc, fixed_mask=fixed, poisson=0.3)
+    ev = model.evaluate(psi)
+    Q = model.obs_dofs
+    system = _solve_reduced(assembly_plan(mesh, bc, 0.3), psi)
+    y_free = system.U[Q]
+    G_free = adjoint_jacobian(mesh, system, np.flatnonzero(~fixed), Q)
+    y_oracle = oracle_solve(mesh, bc, psi, poisson=0.3)[Q]
+    G_dense = dense_adjoint_jacobian(mesh, bc, psi, fixed, Q, 0.3)
     for y_ref, G_ref in ((y_free, G_free), (y_oracle, G_dense)):
         assert np.linalg.norm(ev.y - y_ref) <= 1e-12 * np.linalg.norm(y_ref)
         assert np.linalg.norm(ev.G - G_ref) <= 1e-12 * np.linalg.norm(G_ref)
@@ -413,46 +414,40 @@ def test_unsorted_observation_subset_gives_exact_rows(rng):
     mesh = Mesh2D(4, 4, 4.0, 4.0)
     bc = cantilever_bc(mesh)
     psi = rng.normal(0.0, 0.5, mesh.n_elems)
-    Q = free_dofs(mesh, bc)
-    full = FemForwardModel(mesh, bc, Q, poisson=0.3).evaluate(psi)
+    model = FemForwardModel(mesh, bc, poisson=0.3)
+    full = model.evaluate(psi)
     pick = np.array([17, 3, 9])
-    sub = FemForwardModel(mesh, bc, Q[pick], poisson=0.3).evaluate(psi)
+    sub = FemForwardModel(mesh, bc, model.obs_dofs[pick], poisson=0.3).evaluate(psi)
     assert np.array_equal(sub.y, full.y[pick])
     assert np.array_equal(sub.G, full.G[pick])
 
 
-def test_adjoint_rejects_prescribed_dofs(mesh3):
+def test_model_rejects_bad_obs_dofs_at_construction(mesh3):
+    # a prescribed displacement has no sensitivity, and a dof past the mesh
+    # does not exist: both are refused once, when the model is built
     bc = compression_bc(mesh3)
     pres = bc.dirichlet[0][0]
-    with pytest.raises(ValueError):
-        adjoint_jacobian(mesh3, bc, MaterialField(np.zeros(9)), np.array([pres]))
+    with pytest.raises(ValueError, match="prescribed"):
+        FemForwardModel(mesh3, bc, np.array([pres]))
+    for dof in (-1, mesh3.n_dofs):
+        with pytest.raises(IndexError, match="out of range"):
+            FemForwardModel(mesh3, bc, np.array([dof]))
 
 
 # ---------------------------------------------------------------------------
 # Validation and error paths
 
 
-def test_observe_range_check():
-    U = np.arange(8.0)
-    assert np.array_equal(observe(U, np.array([1, 5])), [1.0, 5.0])
-    with pytest.raises(IndexError):
-        observe(U, np.array([8]))
-
-
-def solve_plan_free(mesh, bc, psi):
-    return assemble_and_solve(mesh, bc, MaterialField(psi))
-
-
 def solve_through_model(mesh, bc, psi):
     """The model's plan path; a failure must arrive as a ForwardSolveError."""
-    model = FemForwardModel(mesh, bc, free_dofs(mesh, bc))
+    model = FemForwardModel(mesh, bc)
     try:
         return model.evaluate(psi).y
     except ForwardSolveError as exc:
         raise exc.__cause__
 
 
-SOLVE_PATHS = (solve_plan_free, solve_through_model)
+SOLVE_PATHS = (solve_with_plan, solve_through_model)
 
 
 def test_singular_without_constraints():
@@ -491,11 +486,6 @@ def test_boundary_spec_rejects_duplicates_and_overlap():
         BoundarySpec(dirichlet=[(0, 0.0), (0, 1.0)])
     with pytest.raises(ValueError):
         BoundarySpec(dirichlet=[(2, 0.0)], tractions=[(2, 1.0)])
-
-
-def test_material_field_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        MaterialField(np.array([0.0, np.nan]))
 
 
 def test_mesh_validation():
