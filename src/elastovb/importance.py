@@ -4,7 +4,10 @@ Draws reduced coordinates from the variational proposal q(Theta), weights them
 by the tau-marginalized exact likelihood times the prior over the proposal, and
 reports the effective sample size, an evidence estimate, and self-normalized
 moment estimates for the latent field.  Every sample costs one value-only
-forward call.
+forward call.  The moments are formed in the d_theta-dimensional sample space
+(a weighted d_theta x d_theta covariance mapped through W), so no
+(d_psi x M) array is built, and the evidence reuses the shifted weights, so
+the module loads no scipy.
 """
 
 from __future__ import annotations
@@ -13,10 +16,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .forward import ForwardModel, ForwardSolveError
-from .vb import ReducedPosterior
+from .vb import ReducedPosterior, posterior_psi_stats
 
 RESIDUAL_FLOOR = 1e-300
 
@@ -128,15 +130,17 @@ def run_is(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
         shift = float(np.max(log_w[finite]))
         weights = np.where(finite, np.exp(log_w - shift), 0.0)
         ess_val = ess(weights)
-        log_evidence = float(logsumexp(log_w[finite])) - math.log(M)
-        wn = weights / float(np.sum(weights))
-        X = thetas.T if d_theta else np.zeros((0, M))
-        theta_mean = X @ wn if d_theta else np.zeros(0)
-        psi_mean = state.mu + (state.W @ theta_mean if d_theta else 0.0)
+        total = float(np.sum(weights))
+        log_evidence = shift + math.log(total) - math.log(M)
         if d_theta:
-            dev = state.W @ (X - theta_mean[:, None])   # (d_psi, M)
-            psi_var = (dev ** 2) @ wn
+            wn = weights / total
+            theta_mean = thetas.T @ wn
+            Xc = thetas - theta_mean                # (M, d_theta)
+            C = (Xc * wn[:, None]).T @ Xc           # weighted covariance of theta
+            psi_mean = state.mu + state.W @ theta_mean
+            psi_var = np.einsum("ij,jk,ik->i", state.W, C, state.W)
         else:
+            psi_mean = state.mu.copy()
             psi_var = np.zeros(state.d_psi)
         psi_std = np.sqrt(np.maximum(psi_var, 0.0))
 
@@ -165,8 +169,6 @@ def compare_vb_is(state: ReducedPosterior, report: ISReport,
     differences are relative to the VB std, floored to avoid division by zero.
     Returns per-element arrays plus max/median summaries.
     """
-    from .vb import posterior_psi_stats
-
     mean_vb, _, std_vb = posterior_psi_stats(state)
     sel = np.ones(state.d_psi, dtype=bool) if free_mask is None else np.asarray(free_mask, bool)
     mean_scale = float(np.max(mean_vb[sel]) - np.min(mean_vb[sel]))

@@ -123,8 +123,12 @@ class BoundarySpec:
         return dofs, vals
 
 
-def element_stiffness_unit(mesh: Mesh2D, poisson: float, n_gauss: int = 2) -> np.ndarray:
-    """8x8 stiffness of one rectangular element with E = 1, plane strain."""
+def element_stiffness_unit(mesh: Mesh2D, poisson: float) -> np.ndarray:
+    """8x8 stiffness of one rectangular element with E = 1, plane strain.
+
+    The 2x2 Gauss rule (points +-1/sqrt(3), weights 1) integrates the
+    rectangular bilinear element's stiffness exactly.
+    """
     if not 0.0 <= poisson < 0.5:
         raise ValueError(f"Poisson ratio must be in [0, 0.5), got {poisson}")
     nu = poisson
@@ -136,13 +140,13 @@ def element_stiffness_unit(mesh: Mesh2D, poisson: float, n_gauss: int = 2) -> np
     ])
     a = mesh.lx / mesh.nx  # element width
     b = mesh.ly / mesh.ny  # element height
-    pts, wts = np.polynomial.legendre.leggauss(n_gauss)
+    g = np.sqrt(3.0) / 3.0    # 1/sqrt(3), correctly rounded
     # local node coords in (xi, eta)
     xi_n = np.array([-1.0, 1.0, 1.0, -1.0])
     eta_n = np.array([-1.0, -1.0, 1.0, 1.0])
     Ke = np.zeros((8, 8))
-    for xi, wx in zip(pts, wts):
-        for eta, wy in zip(pts, wts):
+    for xi in (-g, g):
+        for eta in (-g, g):
             dN_dxi = 0.25 * xi_n * (1.0 + eta * eta_n)
             dN_deta = 0.25 * eta_n * (1.0 + xi * xi_n)
             dN_dx = dN_dxi * 2.0 / a
@@ -153,7 +157,7 @@ def element_stiffness_unit(mesh: Mesh2D, poisson: float, n_gauss: int = 2) -> np
             B[2, 0::2] = dN_dy
             B[2, 1::2] = dN_dx
             detJ = (a / 2.0) * (b / 2.0)
-            Ke += (B.T @ C @ B) * detJ * wx * wy
+            Ke += (B.T @ C @ B) * detJ
     return Ke
 
 

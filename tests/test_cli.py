@@ -462,11 +462,13 @@ def run_cli(*args):
     return run_child("-m", "elastovb.cli", *args)
 
 
-def test_package_import_leaves_scipy_sparse_unloaded():
-    # the forward solves use LAPACK's banded Cholesky; loading scipy.sparse
-    # would cost every process its import time and resident memory
+@pytest.mark.parametrize("package", ["scipy.sparse", "scipy.special"])
+def test_package_import_leaves_scipy_sparse_unloaded(package):
+    # the package uses scipy only for LAPACK (banded and dense Cholesky, eigh);
+    # loading scipy.sparse or scipy.special would cost every process its
+    # import time and resident memory
     proc = run_child("-c", "import sys, elastovb, elastovb.cli; "
-                           "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+                           f"print(sorted(m for m in sys.modules if m.startswith({package!r})))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

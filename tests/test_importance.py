@@ -1,12 +1,14 @@
 """Importance-sampling validation: weights, ESS, evidence, moment checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import logsumexp
 
 from elastovb.forward import (ForwardEval, ForwardModel, ForwardSolveError,
                               LinearOracleModel)
@@ -253,6 +255,57 @@ def test_discarded_samples_are_counted_and_zero_weighted(rng):
     assert rep.forward_calls == 100
     assert not rep.degenerate
     assert np.isfinite(rep.log_evidence)
+
+
+def widened_state(rng, d_psi, d_theta):
+    """A state whose proposal is wider than the prior, so the weights spread."""
+    W, _ = np.linalg.qr(rng.normal(size=(d_psi, d_theta)))
+    lam = np.linspace(1.0, 3.0, d_theta)
+    return ReducedPosterior(mu=rng.normal(size=d_psi), W=W, lambda0=2.0 * lam, lam=lam)
+
+
+def test_run_is_moments_and_evidence_match_explicit_forms(rng):
+    # oracle: redraw run_is's samples, weight each field psi_m = mu + W theta_m
+    # explicitly, and take the log evidence as a logsumexp of the log weights
+    A = rng.normal(size=(8, 6))
+    yhat = rng.normal(size=8)
+    tau, M, seed = 3.0, 400, 7
+    state = widened_state(rng, 6, 3)
+    rep = run_is(state, RefusingModel(A), yhat, M, seed=seed, fixed_tau=tau)
+    assert 0 < rep.discarded < M and rep.ess < 0.9
+
+    thetas = np.random.default_rng(seed).standard_normal((M, 3)) / np.sqrt(state.lam)
+    psis = state.mu + thetas @ state.W.T                  # (M, d_psi)
+    ok = psis[:, 0] <= 0.0                                # RefusingModel's accepted draws
+    rsq = np.sum((yhat - psis @ A.T) ** 2, axis=1)
+    log_w = (0.5 * yhat.size * (math.log(tau) - math.log(2.0 * math.pi)) - 0.5 * tau * rsq
+             + 0.5 * np.sum(np.log(state.lambda0) - state.lambda0 * thetas ** 2, axis=1)
+             - 0.5 * np.sum(np.log(state.lam) - state.lam * thetas ** 2, axis=1))
+    assert rep.log_evidence == pytest.approx(logsumexp(log_w[ok]) - math.log(M), rel=1e-14)
+
+    assert np.array_equal(rep.weights == 0.0, ~ok)
+    wn = rep.weights / np.sum(rep.weights)
+    mean = wn @ psis
+    std = np.sqrt(wn @ (psis - mean) ** 2)
+    assert rep.psi_mean == pytest.approx(mean, rel=1e-12)
+    assert rep.psi_std == pytest.approx(std, rel=1e-12)
+
+
+def test_run_is_builds_no_field_by_sample_array(rng):
+    # the moments need only d_theta x d_theta work arrays: the traced peak
+    # stays below one (d_psi x M) float array
+    d_psi, M = 400, 1000
+    A = rng.normal(size=(10, d_psi))
+    state = widened_state(rng, d_psi, 6)
+    model, yhat = LinearOracleModel(A), rng.normal(size=10)
+    tracemalloc.start()
+    try:
+        rep = run_is(state, model, yhat, M, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.ess > 0.0 and np.all(rep.psi_std > 0.0)
+    assert peak < d_psi * M * 8
 
 
 def test_all_discarded_flags_degenerate():

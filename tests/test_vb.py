@@ -11,9 +11,10 @@ import pytest
 from scipy.special import digamma
 
 from elastovb.forward import ForwardEval, LinearOracleModel
-from elastovb.vb import (ElboBreakdown, ReducedPosterior, column_data_terms,
-                         concentrated_tau_prior, elbo, posterior_psi_stats,
-                         q_fixed_point, update_q_tau, update_q_theta)
+from elastovb.vb import (_DIGAMMA_CUTOFF, ElboBreakdown, ReducedPosterior, _digamma,
+                         column_data_terms, concentrated_tau_prior, elbo,
+                         posterior_psi_stats, q_fixed_point, update_q_tau,
+                         update_q_theta)
 
 
 def make_state(mu, W, lambda0, lam, **kw):
@@ -248,6 +249,19 @@ def test_mean_tau_requires_update():
     state.a, state.b = 6.0, 2.0
     assert state.mean_tau == 3.0
     assert state.mean_log_tau == pytest.approx(digamma(6.0) - math.log(2.0))
+
+
+def test_digamma_matches_scipy():
+    # log grid over [1e-3, 1e15]: both sides of the recurrence cutoff, the sign
+    # change near 1.4616 and the shapes of a concentrated prior (~1e14)
+    xs = np.concatenate([np.logspace(-3, 15, 4001),
+                         np.nextafter(_DIGAMMA_CUTOFF, [0.0, np.inf]), [_DIGAMMA_CUTOFF]])
+    assert xs.min() < 1.0 < _DIGAMMA_CUTOFF < xs.max()
+    got = np.array([_digamma(float(x)) for x in xs])
+    ref = digamma(xs)
+    # absolute where |digamma| < 1, relative above
+    err = np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)
+    assert err.max() <= 2e-15
 
 
 def test_concentrated_tau_prior_moments():
