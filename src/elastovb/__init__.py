@@ -9,8 +9,8 @@ subspace, and validates the result by importance sampling.
 from .mesh_fem import BoundarySpec, Mesh2D, SingularSystemError, adjoint_jacobian
 from .forward import (CallCounter, FemForwardModel, ForwardEval, ForwardModel,
                       ForwardSolveError, LinearOracleModel)
-from .vb import (ElboBreakdown, ReducedPosterior, concentrated_tau_prior, elbo,
-                 posterior_psi_stats, q_fixed_point, update_q_tau, update_q_theta)
+from .vb import (ElboBreakdown, ReducedPosterior, elbo, posterior_psi_stats,
+                 q_fixed_point, update_q_tau, update_q_theta)
 from .mean_update import (MuPhaseResult, SmoothPrior, em_phi, gauss_newton_step,
                           log_prior_mu_and_grad, update_mu)
 from .driver import (DriverConfig, RunTrace, add_basis, info_gain,
@@ -25,8 +25,8 @@ __all__ = [
     "BoundarySpec", "Mesh2D", "SingularSystemError", "adjoint_jacobian",
     "CallCounter", "FemForwardModel", "ForwardEval", "ForwardModel",
     "ForwardSolveError", "LinearOracleModel",
-    "ElboBreakdown", "ReducedPosterior", "concentrated_tau_prior", "elbo",
-    "posterior_psi_stats", "q_fixed_point", "update_q_tau", "update_q_theta",
+    "ElboBreakdown", "ReducedPosterior", "elbo", "posterior_psi_stats",
+    "q_fixed_point", "update_q_tau", "update_q_theta",
     "MuPhaseResult", "SmoothPrior", "em_phi", "gauss_newton_step",
     "log_prior_mu_and_grad", "update_mu",
     "DriverConfig", "RunTrace", "add_basis", "info_gain",

@@ -176,7 +176,7 @@ def cmd_invert(args) -> int:
     payload["wall_time_s"] = wall
     _write_json(out / TRACE_FILE, payload)
 
-    mean, _, std = posterior_psi_stats(trace.state)
+    mean, std = posterior_psi_stats(trace.state)
     cfgmod.write_element_field(out / MEAN_FILE, mesh, mean)
     cfgmod.write_element_field(out / STD_FILE, mesh, std)
     _write_rows(out / LAMBDA_FILE, ["index", "lambda0", "lambda"],
@@ -253,11 +253,10 @@ def cmd_validate(args) -> int:
         "std_rel_median": comparison["std_rel_median"],
     }
     _write_json(out / IS_FILE, payload)
-    if "csv" in cfg.output.formats:
-        _write_rows(out / "is_weights.csv", ["index", "weight"],
-                    [[i, _fmt(w)] for i, w in enumerate(report.weights)])
-        cfgmod.write_element_field(out / "is_mean.csv", mesh, report.psi_mean)
-        cfgmod.write_element_field(out / "is_std.csv", mesh, report.psi_std)
+    _write_rows(out / "is_weights.csv", ["index", "weight"],
+                [[i, _fmt(w)] for i, w in enumerate(report.weights)])
+    cfgmod.write_element_field(out / "is_mean.csv", mesh, report.psi_mean)
+    cfgmod.write_element_field(out / "is_std.csv", mesh, report.psi_std)
     print(f"ess: {_fmt(report.ess)}")
     print(f"discarded: {report.discarded}")
     print(f"mean_rel_median: {_fmt(comparison['mean_rel_median'])}")

@@ -36,7 +36,6 @@ from .mesh_fem import BoundarySpec, Mesh2D, _solve_reduced
 SCHEMA_VERSION = 1
 FLOAT_FMT = "%.17g"
 _EDGES = ("bottom", "top", "left", "right")
-_FORMATS = ("csv", "json")
 
 
 class ConfigError(ValueError):
@@ -179,7 +178,6 @@ class ValidationBlock:
 @dataclass
 class OutputBlock:
     directory: str = "out"
-    formats: list[str] = field(default_factory=lambda: ["csv", "json"])
 
 
 @dataclass
@@ -204,6 +202,10 @@ class RunConfig:
             raise ConfigError(f"mesh.poisson {m.poisson} outside [0, 0.5)")
         if not self.noise.snr > 0:
             raise ConfigError("noise.snr must be positive")
+        for key in ("noise", "validation"):
+            seed = getattr(self, key).seed
+            if seed < 0:
+                raise ConfigError(f"{key}.seed must be nonnegative, got {seed}")
         for i, inc in enumerate(self.phantom.inclusions):
             self._validate_inclusion(inc, f"phantom.inclusions[{i}]")
         for i, cond in enumerate(self.bc.dirichlet):
@@ -220,14 +222,11 @@ class RunConfig:
                 raise ConfigError(f"bc.loads[{i}].node {load.node} outside the grid")
         if not self.bc.dirichlet:
             raise ConfigError("bc.dirichlet: at least one Dirichlet edge is required")
-        if not 0 <= self.clamp.top_element_rows <= m.ny:
-            raise ConfigError("clamp.top_element_rows outside [0, ny]")
+        if not 0 <= self.clamp.top_element_rows < m.ny:    # one free row at least
+            raise ConfigError(f"clamp.top_element_rows {self.clamp.top_element_rows} "
+                              f"outside [0, ny) = [0, {m.ny})")
         if self.validation.samples < 2:
             raise ConfigError("validation.samples must be >= 2")
-        for i, fmt in enumerate(self.output.formats):
-            if fmt not in _FORMATS:
-                raise ConfigError(f"output.formats[{i}]: unknown format {fmt!r}; "
-                                  f"expected one of {_FORMATS}")
         try:
             self.solver.validate()
         except ValueError as exc:       # the message starts with the field name
@@ -508,26 +507,6 @@ def write_element_field(path: str | Path, mesh: Mesh2D, values: np.ndarray) -> N
         writer.writerow(["elem_ix", "elem_iy", "value"])
         for k in range(mesh.n_elems):
             writer.writerow([k % mesh.nx, k // mesh.nx, FLOAT_FMT % values[k]])
-
-
-def read_element_field(path: str | Path) -> np.ndarray:
-    """Reads a field CSV back into element order ey*nx + ex."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            rows.append((int(row["elem_ix"]), int(row["elem_iy"]),
-                         float(row["value"])))
-    if not rows:
-        raise ConfigError(f"empty field file {path}")
-    nx = max(r[0] for r in rows) + 1
-    ny = max(r[1] for r in rows) + 1
-    values = np.full(nx * ny, np.nan)
-    for ix, iy, v in rows:
-        values[iy * nx + ix] = v
-    if np.any(np.isnan(values)):
-        raise ConfigError(f"field file {path} does not cover the full grid")
-    return values
 
 
 def write_node_displacements(path: str | Path, mesh: Mesh2D, U: np.ndarray) -> None:

@@ -86,8 +86,11 @@ def next_prior_precision(lambda0_1: float, lambda_prev: float, lambda0_prev: flo
 def add_basis(state: ReducedPosterior, w: np.ndarray, lambda0_1: float) -> ReducedPosterior:
     """Append the unit column w, which the caller keeps orthogonal to the basis.
 
-    The prior precision of the new coordinate follows the nondecreasing
-    schedule; its posterior precision starts at the prior.
+    The prior precision of the new coordinate is max(lambda0_1, lam_prev -
+    lambda0_prev) = max(lambda0_1, <tau> e_prev), with e_prev the previous
+    column's data term and <tau> from the previous stage; its posterior
+    precision starts at the prior.  The basis columns' e ascend, but <tau>
+    falls as columns are added, so lambda0 need not be nondecreasing.
     """
     w = np.asarray(w, dtype=float)
     if w.shape != (state.d_psi,):
@@ -181,6 +184,12 @@ def state_from_dict(d: dict) -> ReducedPosterior:
     if not all(np.all(np.isfinite(x)) for x in (state.mu, state.W, state.lambda0, state.lam,
                                                  [state.a0, state.b0, state.a, state.b])):
         raise ValueError("state holds non-finite numbers")
+    d = state.d_theta
+    if state.lambda0.shape != (d,) or state.lam.shape != (d,):
+        raise ValueError(f"state has {d} basis columns, {state.lambda0.size} prior "
+                         f"and {state.lam.size} posterior precisions")
+    if not (np.all(state.lambda0 > 0.0) and np.all(state.lam > 0.0)):
+        raise ValueError("state precisions lambda0 and lam must be positive")
     return state
 
 

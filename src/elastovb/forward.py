@@ -83,10 +83,6 @@ class CallCounter:
         with self._lock:
             self._count += 1
 
-    def reset(self) -> None:
-        with self._lock:
-            self._count = 0
-
 
 class ForwardModel(ABC):
     """Abstract forward model: psi -> (y, dy/dpsi), with its clamp set.

@@ -66,13 +66,6 @@ class Mesh2D:
     def node_index(self, ix: int, iy: int) -> int:
         return iy * (self.nx + 1) + ix
 
-    def node_coords(self) -> np.ndarray:
-        """(n_nodes, 2) array of node coordinates on the regular grid."""
-        xs = np.linspace(0.0, self.lx, self.nx + 1)
-        ys = np.linspace(0.0, self.ly, self.ny + 1)
-        gx, gy = np.meshgrid(xs, ys)  # row-major in iy
-        return np.column_stack([gx.ravel(), gy.ravel()])
-
     def element_dofs(self) -> np.ndarray:
         """(n_elems, 8) global dof indices per element, node order CCW from lower-left."""
         ex, ey = np.meshgrid(np.arange(self.nx), np.arange(self.ny))

@@ -1,4 +1,5 @@
-"""Shared helpers: the shipped example1 config, boundary conditions and small meshes."""
+"""Shared helpers: the shipped example1 config, boundary conditions, small meshes
+and a point-mass noise prior."""
 
 import os
 from pathlib import Path
@@ -46,6 +47,13 @@ def cantilever_bc(mesh: Mesh2D, load: float = 0.01) -> BoundarySpec:
         dirichlet += [(2 * n, 0.0), (2 * n + 1, 0.0)]
     tip = mesh.node_index(mesh.nx, 0)
     return BoundarySpec(dirichlet=dirichlet, tractions=[(2 * tip + 1, -load)])
+
+
+def concentrated_tau_prior(tau: float, scale: float = 1e12) -> tuple[float, float]:
+    """Gamma prior (a0, b0) sharply peaked at a known noise precision tau."""
+    if tau <= 0.0:
+        raise ValueError("tau must be positive")
+    return tau * scale, scale
 
 
 @pytest.fixture

@@ -74,7 +74,7 @@ def every_field_dict():
         "clamp": {"top_element_rows": 2, "value": 0.5},
         "prior": {"enabled": True, "a_phi": 1.0, "b_phi": 0.5},
         "validation": {"samples": 10, "seed": 9},
-        "output": {"directory": "elsewhere", "formats": ["json"]},
+        "output": {"directory": "elsewhere"},
         "mu0": 0.5,
     }
 
@@ -166,8 +166,11 @@ def test_csv_schemas(small_cfg_path, tmp_path):
     main(["generate", "--config", str(small_cfg_path), "--out", str(out)])
     assert (out / "true_field.csv").read_text().splitlines()[0] == "elem_ix,elem_iy,value"
     assert (out / "displacement.csv").read_text().splitlines()[0] == "node_ix,node_iy,ux,uy"
-    field = cfgmod.read_element_field(out / "true_field.csv")
-    assert field.shape == (16,)
+    rows = [line.split(",") for line in
+            (out / "true_field.csv").read_text().splitlines()[1:]]
+    # one row per element, in element order ey*nx + ex
+    assert [(int(ix), int(iy)) for ix, iy, _ in rows] == [(k % 4, k // 4) for k in range(16)]
+    field = np.array([float(v) for _, _, v in rows])
     assert np.any(field == 1.0) and np.any(field == 0.0)
 
 
@@ -238,6 +241,21 @@ def test_invert_max_bases_override(small_cfg_path, tmp_path):
     assert trace["stop_reason"] == "max_bases"
 
 
+def test_empty_basis_run_validates(small_cfg_path, tmp_path):
+    # at d_theta = 0 every sample is the mean: equal weights and no spread
+    out = tmp_path / "d0"
+    args = ["--config", str(small_cfg_path), "--out", str(out)]
+    assert main(["generate"] + args) == 0
+    assert main(["invert"] + args + ["--max-bases", "0"]) == 0
+    assert main(["validate"] + args) == 0
+    trace = json.loads((out / "run_trace.json").read_text())
+    assert trace["state"]["lam"] == [] and trace["stop_reason"] == "max_bases"
+    assert json.loads((out / "is_report.json").read_text())["ess"] == 1.0
+    std = [line.split(",")[2] for line in (out / "is_std.csv").read_text().splitlines()[1:]]
+    assert len(std) == 16 and all(float(v) == 0.0 for v in std)
+    assert (out / "is_mean.csv").read_text() == (out / "posterior_mean.csv").read_text()
+
+
 # ---------------------------------------------------------------------------
 # Exit codes
 
@@ -255,7 +273,9 @@ def test_usage_errors_exit_one(small_cfg_path, tmp_path):
     args = ["--config", str(small_cfg_path), "--out", str(out)]
     main(["generate"] + args)
     assert main(["invert"] + args + ["--max-bases", "-2"]) == 1
+    assert main(["generate"] + args + ["--seed", "-1"]) == 1
     assert main(["invert"] + args) == 0
+    assert main(["validate"] + args + ["--seed", "-1"]) == 1
     assert main(["validate"] + args + ["--samples", "1"]) == 1
     assert main(["generate"] + args + ["--snr", "x"]) == 1
 
@@ -297,7 +317,7 @@ DELETE = object()
     (("bc", "loads"), [{"node": [1], "fx": 0.1}], "bc.loads[0].node"),
     (("solver", "lambda0_1"), None, "solver.lambda0_1"),
     (("prior", "enabled"), "no", "prior.enabled"),
-    (("output", "formats"), "csv", "output.formats"),
+    (("noise", "snr"), "loud", "noise.snr"),
     (("output", "directory"), ["a"], "output.directory"),
     (("mesh", "nx"), 10.7, "mesh.nx"),
     (("mesh", "nx"), True, "mesh.nx"),
@@ -343,7 +363,8 @@ def add_second_inclusion(d):
     (add_second_inclusion, "phantom.inclusions[1]"),
     (lambda d: d["mesh"].update(lx=-1.0), "mesh.lx"),
     (lambda d: d["bc"]["dirichlet"][0].update(edge="lft"), "bc.dirichlet[0].edge"),
-], ids=["inclusion_radii", "mesh_lx", "dirichlet_edge"])
+    (lambda d: d["clamp"].update(top_element_rows=d["mesh"]["ny"]), "clamp.top_element_rows"),
+], ids=["inclusion_radii", "mesh_lx", "dirichlet_edge", "clamp_every_row"])
 def test_cross_field_rule_exits_one_naming_key(edit, named, tmp_path, capsys):
     d = small_dict()
     edit(d)
@@ -370,6 +391,8 @@ NAN, INF = float("nan"), float("inf")
     (("solver", "a0"), -1.0),
     (("solver", "lambda0_1"), INF),
     (("noise", "snr"), -INF),
+    (("noise", "seed"), -1),
+    (("validation", "seed"), -2),
 ], ids=lambda p: ".".join(map(str, p)) if isinstance(p, tuple) else str(p))
 def test_bad_number_exits_one_naming_it(keys, value, tmp_path, capsys):
     # each used to end in a traceback, in exit 2, or in a run that went ahead
@@ -400,13 +423,13 @@ def test_noise_snr_alone_may_be_infinite():
     assert math.isinf(config_from_dict(d).noise.snr)
 
 
-def test_unknown_output_format_exits_one_naming_it(small_cfg_path, tmp_path, capsys):
-    # valid artifacts are in place, so only the format can stop invert and validate
+def test_removed_output_formats_key_exits_one_as_unknown(small_cfg_path, tmp_path, capsys):
+    # valid artifacts are in place, so only the key can stop invert and validate
     out = tmp_path / "fmt"
     assert main(["generate", "--config", str(small_cfg_path), "--out", str(out)]) == 0
     assert main(["invert", "--config", str(small_cfg_path), "--out", str(out)]) == 0
     d = yaml.safe_load(small_cfg_path.read_text())
-    d["output"]["formats"] = ["cvs"]
+    d["output"]["formats"] = ["csv", "json"]
     bad = tmp_path / "bad.yaml"
     bad.write_text(yaml.safe_dump(d))
     capsys.readouterr()
@@ -414,7 +437,7 @@ def test_unknown_output_format_exits_one_naming_it(small_cfg_path, tmp_path, cap
         assert main([verb, "--config", str(bad), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("elastovb: config error:")
-        assert "output.formats[0]" in err
+        assert "unknown keys in output: ['formats']" in err
     assert not (out / "is_report.json").exists()
 
 
@@ -429,8 +452,13 @@ def test_unknown_output_format_exits_one_naming_it(small_cfg_path, tmp_path, cap
     ("run_trace.json", lambda trace: {**trace, "state": {**trace["state"], "a": None}}),
     ("run_trace.json", lambda trace: {**trace, "state": {
         **trace["state"], "mu": [math.nan] + trace["state"]["mu"][1:]}}),
+    ("run_trace.json", lambda trace: {**trace, "state": {
+        **trace["state"], "lam": trace["state"]["lam"][:-1]}}),
+    ("run_trace.json", lambda trace: {**trace, "state": {
+        **trace["state"], "lam": [-1.0] + trace["state"]["lam"][1:]}}),
 ], ids=["obs-root-list", "obs-d_y-text", "obs-yhat-text", "obs-tau_true-null",
-        "obs-yhat-nan", "trace-root-list", "trace-mu-text", "trace-a-null", "trace-mu-nan"])
+        "obs-yhat-nan", "trace-root-list", "trace-mu-text", "trace-a-null", "trace-mu-nan",
+        "trace-lam-short", "trace-lam-negative"])
 def test_malformed_artifact_exits_one_or_is_reported(name, corrupt, small_cfg_path,
                                                      tmp_path, capsys):
     out = tmp_path / "art"
