@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .forward import ForwardEval, ForwardModel
-from .mean_update import MuPhaseResult, SmoothPrior, update_mu
+from .mean_update import MuPhaseResult, SmoothPrior, free_gram, update_mu
 from .vb import ElboBreakdown, ReducedPosterior, elbo, q_fixed_point
 
 SCHEMA_VERSION = 1
@@ -110,17 +110,23 @@ def add_basis(state: ReducedPosterior, w: np.ndarray, lambda0_1: float) -> Reduc
 def optimize_W(free: np.ndarray, ev: ForwardEval) -> tuple[np.ndarray, np.ndarray]:
     """Eigenbasis of the free-element Gram A_ff = G_f^T G_f, ascending eigenvalues.
 
-    Returns (basis, eigenvalues): basis is (d_psi, n_free) with orthonormal
-    columns and exactly zero rows at clamped elements.  The sign of each
-    column is fixed so that its entry of largest magnitude is positive, which
-    makes the basis a function of G alone.  No forward evaluation happens here.
+    Returns (vectors, eigenvalues): vectors is (n_free, n_free) with
+    orthonormal columns, row i belonging to element free[i]; the caller
+    scatters a column into d_psi, with exactly zero rows at the clamped
+    elements, only when it takes it.  The sign of each column is fixed so that
+    its entry of largest magnitude is positive, which makes the basis a
+    function of G alone.  A_ff comes from `free_gram` and is decomposed in
+    place, so besides G at most two (n_free x n_free) arrays are alive.  No
+    forward evaluation happens here.
     """
-    vals, vecs = eigh((ev.G.T @ ev.G)[np.ix_(free, free)], overwrite_a=True)
+    gram = free_gram(ev.G, free)
+    # gram is symmetric, so gram.T is the same matrix in the Fortran order
+    # that LAPACK overwrites without a copy
+    vals, vecs = eigh(gram.T, overwrite_a=True)
+    del gram                  # freed before np.abs makes its (n_free x n_free) temporary
     cols = np.arange(vecs.shape[1])
     vecs *= np.where(vecs[np.argmax(np.abs(vecs), axis=0), cols] < 0.0, -1.0, 1.0)
-    basis = np.zeros((ev.G.shape[1], vecs.shape[1]))
-    basis[free] = vecs
-    return basis, vals
+    return vecs, vals
 
 
 @dataclass
@@ -241,9 +247,11 @@ def run(model: ForwardModel, yhat: np.ndarray, config: DriverConfig,
     gains: list[float] = []
     stop_reason = "max_bases" if max_bases == 0 else None
     if max_bases:
-        basis, _ = optimize_W(free, ev)
+        vecs, _ = optimize_W(free, ev)
     while state.d_theta < max_bases:
-        state = add_basis(state, basis[:, state.d_theta], config.lambda0_1)
+        w = np.zeros(d_psi)
+        w[free] = vecs[:, state.d_theta]
+        state = add_basis(state, w, config.lambda0_1)
         state = q_fixed_point(state, ev, yhat, max_iters=config.q_max_iters,
                               tol=config.q_tol)
         br = elbo(state, ev, yhat, log_prior_mu)

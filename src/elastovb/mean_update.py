@@ -19,12 +19,16 @@ such a step cannot be told from rounding.
 
 The E-step needs no forward call, so with the prior active each linearization
 also takes one corrector step: the E-step is redone at mu + delta_0 and the
-same linearized system (same G, residual and <tau>, one Gram matrix) is solved
-again for delta_1.  delta_1 becomes the trial step only if the frozen-precision
-Gauss-Newton model still predicts a gain for it above the tolerance; otherwise
-delta_0 is tried, so the acceptance test and the objective it reads are the
-same either way.  Exactly one corrector is taken: iterating the E-step to
-convergence on one linearization collapses noisy data to the flat field.
+same linearized system (same G, residual and <tau>, one Gram matrix formed
+once) is solved again for delta_1.  delta_1 becomes the trial step only if the
+frozen-precision Gauss-Newton model still predicts a gain for it above the
+tolerance; otherwise delta_0 is tried, so the acceptance test and the
+objective it reads are the same either way.  Exactly one corrector is taken:
+iterating the E-step to convergence on one linearization collapses noisy data
+to the flat field.
+
+Each solve copies the Gram once and factors the copy in place, so with G and
+the Gram at most one more (n_free x n_free) array is alive.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dsyrk
 
 from .forward import ForwardEval, ForwardModel, ForwardSolveError
 from .vb import ReducedPosterior, update_q_tau
@@ -40,6 +45,7 @@ from .vb import ReducedPosterior, update_q_tau
 B_PHI_FLOOR = 1e-12
 TIKHONOV_FLOOR = 1e-10
 GAIN_RTOL = 1e-9          # relative objective gain below which the mean phase stops
+GRAM_ROWS = 64            # rows of G_f copied per rank update in free_gram
 
 
 def neighbor_pairs(nx: int, ny: int) -> np.ndarray:
@@ -126,12 +132,35 @@ def log_prior_mu_and_grad(mu: np.ndarray, prior: SmoothPrior) -> tuple[float, np
     return value, grad
 
 
+def free_gram(G: np.ndarray, cols: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """scale G_f^T G_f, G_f the columns `cols` of G, without a copy of G_f.
+
+    G_f is copied GRAM_ROWS rows at a time and each block is added by BLAS
+    syrk to the lower triangle of the result; the upper triangle is then
+    mirrored from the lower.  Besides the (n_free x n_free) result, one
+    (GRAM_ROWS x n_free) block is alive.
+    """
+    n = cols.size
+    gram = np.zeros((n, n))
+    if n == 0:                # every element clamped; syrk rejects an empty operand
+        return gram
+    for start in range(0, G.shape[0], GRAM_ROWS):
+        # np.take's C-ordered block and the C-ordered result, transposed, are
+        # the Fortran-ordered operands syrk reads and updates in place; the
+        # block is freed when syrk returns, before the next one is taken
+        dsyrk(scale, np.take(G[start:start + GRAM_ROWS], cols, axis=1).T,
+              beta=1.0, c=gram.T, overwrite_c=True)
+    for j in range(1, n):
+        gram[:j, j] = gram[j, :j]
+    return gram
+
+
 @dataclass
 class GaussNewtonSystem:
     """Data-term blocks of one linearization, restricted to the free elements."""
 
     free: np.ndarray          # (n,) bool mask of the solved components
-    gram: np.ndarray          # <tau> G_f^T G_f
+    gram: np.ndarray          # <tau> G_f^T G_f; solves copy it, never write it
     rhs: np.ndarray           # <tau> G_f^T (yhat - y)
 
 
@@ -140,14 +169,29 @@ def gauss_newton_system(ev: ForwardEval, yhat: np.ndarray, mean_tau: float,
     """Form the data-term Gram matrix and right-hand side once per linearization.
 
     `fixed_mask` is the model's clamp set; clamped columns of G are left out.
+    Neither block copies the free columns of G: the Gram is `free_gram`'s and
+    the right-hand side is the free entries of <tau> G^T (yhat - y), so the
+    Gram is the only (n_free x n_free) array made.
     """
     free = ~fixed_mask
-    Gf = ev.G if free.all() else ev.G[:, free]
-    gram = Gf.T @ Gf
-    gram *= mean_tau          # in place: no second (n_free x n_free) temporary
-    rhs = Gf.T @ (yhat - ev.y)
+    gram = free_gram(ev.G, np.flatnonzero(free), mean_tau)
+    rhs = (ev.G.T @ (yhat - ev.y))[free]
     rhs *= mean_tau
     return GaussNewtonSystem(free=free, gram=gram, rhs=rhs)
+
+
+def _cholesky_solve(H: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """Solve H x = rhs for symmetric H, overwriting H with its factor.
+
+    None if H is not numerically positive definite or x is not finite.
+    """
+    try:
+        # H is symmetric, so H.T is the same matrix in the Fortran order that
+        # LAPACK factors in place, with no copy
+        x = scipy.linalg.cho_solve(scipy.linalg.cho_factor(H.T, overwrite_a=True), rhs)
+    except np.linalg.LinAlgError:
+        return None
+    return x if np.all(np.isfinite(x)) else None
 
 
 def gauss_newton_step(mu: np.ndarray, system: GaussNewtonSystem,
@@ -156,44 +200,50 @@ def gauss_newton_step(mu: np.ndarray, system: GaussNewtonSystem,
     """Solve the symmetric Gauss-Newton system for the mean increment.
 
     `system` holds the linearization's data-term blocks, from
-    `gauss_newton_system`; the prior precision P = L^T diag(<phi>) L (L the
-    pair-difference operator) is scattered pair by pair into a copy of its
-    free block, a pair with one clamped end adding to its free end's diagonal
-    only, and -(P mu) on the free components is the prior's gradient.  With
-    regularization off the prior terms are dropped from both sides.  Clamped
-    components are excluded from the solve and returned as exactly 0.
-    Returns (delta_mu, floor_used) where floor_used records a Tikhonov fallback
-    on a singular system.
+    `gauss_newton_system`, and is left unchanged.  Each factorization works
+    on one fresh copy of its Gram, into which the prior precision P = L^T
+    diag(<phi>) L (L the pair-difference operator) is scattered pair by pair,
+    a pair with one clamped end adding to its free end's diagonal only, and
+    which the Cholesky factor then overwrites; -(P mu) on the free components
+    is the prior's gradient.  With regularization off the prior terms are
+    dropped from both sides.  Should the factorization fail, its buffer is
+    released before a fresh copy takes the Tikhonov floor on its diagonal, so
+    at most one copy is alive besides the Gram.  Clamped components are
+    excluded from the solve and returned as exactly 0.  Returns (delta_mu,
+    floor_used) where floor_used records a Tikhonov fallback on a singular
+    system.
     """
     free = system.free
-    Hf, rhsf = system.gram, system.rhs
+    rhsf = system.rhs
+    n = rhsf.size
+    prior_diag = None
     if regularization_active and prior is not None:
         phi = prior.mean_phi
         k, l = prior.pairs[:, 0], prior.pairs[:, 1]
         pos = np.cumsum(free) - 1             # component -> row of the free block
-        Hf = Hf.copy()
-        Hf.flat[::Hf.shape[0] + 1] += np.bincount(
-            np.concatenate([k, l]), weights=np.concatenate([phi, phi]),
-            minlength=mu.shape[0])[free]
+        prior_diag = np.bincount(np.concatenate([k, l]), weights=np.concatenate([phi, phi]),
+                                 minlength=mu.shape[0])[free]
         both = free[k] & free[l]              # pairs are distinct, so no entry repeats
-        Hf[pos[k[both]], pos[l[both]]] -= phi[both]
-        Hf[pos[l[both]], pos[k[both]]] -= phi[both]
+        rows, cols, off = pos[k[both]], pos[l[both]], phi[both]
         rhsf = rhsf + log_prior_mu_and_grad(mu, prior)[1][free]
+
+    def matrix(floor: float) -> np.ndarray:
+        H = system.gram.copy()
+        if prior_diag is not None:
+            H.flat[::n + 1] += prior_diag
+            H[rows, cols] -= off
+            H[cols, rows] -= off
+        if floor:
+            H.flat[::n + 1] += floor
+        return H
+
     floor_used = False
-    sol = None
-    for attempt in range(2):
-        try:
-            c, low = scipy.linalg.cho_factor(Hf)
-            cand = scipy.linalg.cho_solve((c, low), rhsf)
-            if np.all(np.isfinite(cand)):
-                sol = cand
-                break
-        except np.linalg.LinAlgError:
-            pass
-        Hf = Hf + TIKHONOV_FLOOR * np.eye(Hf.shape[0])
-        floor_used = True
+    sol = _cholesky_solve(matrix(0.0), rhsf)
     if sol is None:
-        sol = np.linalg.lstsq(Hf, rhsf, rcond=None)[0]
+        floor_used = True
+        sol = _cholesky_solve(matrix(TIKHONOV_FLOOR), rhsf)
+    if sol is None:
+        sol = np.linalg.lstsq(matrix(TIKHONOV_FLOOR), rhsf, rcond=None)[0]
     delta = np.zeros(mu.shape[0])
     delta[free] = sol
     return delta, floor_used

@@ -1,7 +1,8 @@
-"""Shared helpers: the shipped example1 config, boundary conditions, small meshes
-and a point-mass noise prior."""
+"""Shared helpers: the shipped example1 config, boundary conditions, small meshes,
+a point-mass noise prior and a traced memory peak."""
 
 import os
+import tracemalloc
 from pathlib import Path
 
 # One BLAS thread, set before numpy loads: a suite that shares its CPUs with
@@ -14,6 +15,7 @@ import pytest  # noqa: E402
 import yaml  # noqa: E402
 
 from elastovb.config import RunConfig, load_config  # noqa: E402
+from elastovb.forward import FemForwardModel  # noqa: E402
 from elastovb.mesh_fem import BoundarySpec, Mesh2D  # noqa: E402
 
 EXAMPLE1_YAML = Path(__file__).resolve().parents[1] / "configs" / "example1.yaml"
@@ -47,6 +49,25 @@ def cantilever_bc(mesh: Mesh2D, load: float = 0.01) -> BoundarySpec:
         dirichlet += [(2 * n, 0.0), (2 * n + 1, 0.0)]
     tip = mesh.node_index(mesh.nx, 0)
     return BoundarySpec(dirichlet=dirichlet, tractions=[(2 * tip + 1, -load)])
+
+
+def top_clamped_model(n: int) -> FemForwardModel:
+    """n x n compression model with its top row of elements clamped."""
+    mesh = Mesh2D(n, n, float(n), float(n))
+    fixed = np.zeros(mesh.n_elems, dtype=bool)
+    fixed[-mesh.nx:] = True
+    return FemForwardModel(mesh, compression_bc(mesh), fixed_mask=fixed, poisson=0.3)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes allocated while fn runs, after one untraced warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def concentrated_tau_prior(tau: float, scale: float = 1e12) -> tuple[float, float]:

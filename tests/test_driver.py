@@ -17,7 +17,7 @@ from elastovb.forward import (CallCounter, FemForwardModel, ForwardEval,
 from elastovb.mean_update import SmoothPrior
 from elastovb.vb import ReducedPosterior, elbo, q_fixed_point
 
-from conftest import example1_config
+from conftest import example1_config, top_clamped_model, traced_peak
 
 
 def zero_state(d_psi, d_theta=0, **kw):
@@ -108,15 +108,32 @@ def test_add_basis_respects_clamp_and_cap(rng):
     fixed = np.zeros(6, dtype=bool)
     fixed[4:] = True
     G = rng.normal(size=(9, 6))
-    basis, _ = optimize_W(np.flatnonzero(~fixed), ForwardEval(y=np.zeros(9), G=G))
-    assert basis.shape == (6, 4)            # one column per free element, no more
-    state = zero_state(6)
-    for k in range(4):
-        state = add_basis(state, basis[:, k], 1e-10)
+    vecs, vals = optimize_W(np.flatnonzero(~fixed), ForwardEval(y=np.zeros(9), G=G))
+    assert vecs.shape == (4, 4)             # one column per free element, no more
+    assert orthonormality_defect(vecs) < 1e-10
+    assert np.allclose((vecs * vals) @ vecs.T, G[:, :4].T @ G[:, :4], rtol=0.0, atol=1e-12)
+    # the driver scatters each column it takes onto the free rows; G is
+    # constant, so the run's final Jacobian gives the same eigenvectors
+    yhat = G @ rng.normal(size=6) + rng.normal(0.0, 0.01, 9)
+    state = run(LinearOracleModel(G, fixed_mask=fixed), yhat, DriverConfig()).state
+    assert state.d_theta == 4
     assert np.all(state.W[4:, :] == 0.0)
+    assert np.array_equal(state.W[:4, :], vecs)
     assert orthonormality_defect(state.W) < 1e-10
     with pytest.raises(ValueError):
         add_basis(state, np.ones(5), 1e-10)
+
+
+def test_optimize_W_peak_memory_near_two_grams():
+    # 20x20 with the top row clamped (n_free = 380), in units of one
+    # (n_free x n_free) float64 array: the Gram, decomposed in place (1), the
+    # eigenvectors (1) and the finiteness check's boolean mask (1/8).  Forming
+    # the full d_psi^2 Gram, copying its free block and scattering every
+    # column into d_psi peaked at 3.1.
+    model = top_clamped_model(20)
+    ev = model.evaluate(np.random.default_rng(0).normal(0.0, 0.4, model.d_psi))
+    free = np.flatnonzero(~model.fixed_mask)
+    assert traced_peak(lambda: optimize_W(free, ev)) < 2.5 * 8 * free.size ** 2
 
 
 def test_config_validation():
@@ -150,11 +167,23 @@ def test_run_caps_at_max_bases(linear_problem, rng):
 
 
 def test_run_zero_noise_recovers_truth(linear_problem):
+    # a proper noise prior keeps q(tau) defined however closely the first
+    # Gauss-Newton step lands on psi_true
     A, psi_true = linear_problem
-    trace = run(LinearOracleModel(A), A @ psi_true, DriverConfig())
+    trace = run(LinearOracleModel(A), A @ psi_true, DriverConfig(a0=1e-6, b0=1e-6))
     assert np.max(np.abs(trace.state.mu - psi_true)) < 1e-6
     assert trace.stop_reason == "full_rank"
     assert trace.state.d_theta == 4
+
+
+def test_run_from_an_exact_fit_needs_a_proper_noise_prior(linear_problem):
+    # started at psi_true, the model output equals the data bit for bit
+    A, psi_true = linear_problem
+    model, yhat = LinearOracleModel(A), A @ psi_true
+    with pytest.raises(RuntimeError, match=r"zero misfit under the improper noise prior"):
+        run(model, yhat, DriverConfig(), mu0=psi_true)
+    trace = run(model, yhat, DriverConfig(a0=1e-6, b0=1e-6), mu0=psi_true)
+    assert np.array_equal(trace.state.mu, psi_true)
 
 
 @pytest.mark.xfail(

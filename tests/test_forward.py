@@ -1,7 +1,6 @@
 """Forward-model interface: evaluation contract, call accounting, determinism."""
 
 import gc
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from elastovb.forward import (CallCounter, FemForwardModel, ForwardEval,
                               ForwardSolveError, LinearOracleModel)
 from elastovb.mesh_fem import Mesh2D, _ReducedSystem
 
-from conftest import compression_bc
+from conftest import compression_bc, top_clamped_model, traced_peak
 
 
 def test_linear_oracle_identity():
@@ -186,20 +185,10 @@ def test_jacobian_evaluation_peak_memory_near_G(rng):
     # one value+Jacobian call at 20x20 (380 active elements): besides G only
     # one block of right-hand sides and solutions is alive.  Solving all
     # active elements at once peaked at 2.9 G.nbytes.
-    mesh = Mesh2D(20, 20, 20.0, 20.0)
-    bc = compression_bc(mesh)
-    fixed = np.zeros(mesh.n_elems, dtype=bool)
-    fixed[-mesh.nx:] = True
-    model = FemForwardModel(mesh, bc, fixed_mask=fixed, poisson=0.3)
-    psi = rng.normal(0.0, 0.4, mesh.n_elems)
-    model.evaluate(psi)        # first-call allocations stay out of the measurement
-    tracemalloc.start()
-    try:
-        ev = model.evaluate(psi)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * ev.G.nbytes
+    model = top_clamped_model(20)
+    psi = rng.normal(0.0, 0.4, model.d_psi)
+    peak = traced_peak(lambda: model.evaluate(psi))
+    assert peak < 1.5 * 8 * model.d_y * model.d_psi
 
 
 def test_fem_model_wraps_failures():

@@ -9,14 +9,14 @@ from elastovb.config import build_model, generate_data, initial_mu
 import elastovb.forward as fwd
 from elastovb.forward import (CallCounter, FemForwardModel, ForwardEval,
                               ForwardModel, ForwardSolveError, LinearOracleModel)
-from elastovb.mean_update import (MuUpdateReport, SmoothPrior, em_phi,
-                                  gauss_newton_step, gauss_newton_system,
+from elastovb.mean_update import (GRAM_ROWS, MuUpdateReport, SmoothPrior, em_phi,
+                                  free_gram, gauss_newton_step, gauss_newton_system,
                                   log_prior_mu_and_grad, neighbor_pairs,
                                   update_mu)
 from elastovb.mesh_fem import Mesh2D
 from elastovb.vb import ReducedPosterior, update_q_tau
 
-from conftest import example1_config
+from conftest import example1_config, top_clamped_model, traced_peak
 
 
 def empty_state(d, a0=1.0, b0=1.0):
@@ -118,15 +118,28 @@ def test_scalar_newton_step_by_hand():
 
 
 def test_singular_system_records_tikhonov_floor():
-    A = np.array([[1.0, 1.0], [2.0, 2.0]])      # rank one
+    # <tau> G^T G and the one pair's prior precision both vanish on (1, 1);
+    # in powers of two the Cholesky meets an exactly zero pivot with the prior
+    # on or off, and the floor is not lost against H's entries (2^-30, 2^-28)
+    A = 2.0 ** -16 * np.array([[1.0, -1.0], [1.0, -1.0]])
     model = LinearOracleModel(A)
-    mu = np.zeros(2)
-    system = gauss_newton_system(model.evaluate(mu), np.array([1.0, 2.0]), 1.0,
-                                 model.fixed_mask)
-    delta, floored = gauss_newton_step(mu, system, prior=None,
-                                       regularization_active=False)
-    assert floored
-    assert np.all(np.isfinite(delta))
+    mu = np.array([0.3, -0.2])
+    yhat = np.array([1.0, 2.0])
+    prior = SmoothPrior(pairs=np.array([[0, 1]]), a_post=np.array([3.0]),
+                        b_post=np.array([2.0 ** 30]))         # <phi> = 3 * 2^-30
+    L = pair_operator(prior.pairs, 2)
+    P = L.T @ np.diag(prior.mean_phi) @ L
+    system = gauss_newton_system(model.evaluate(mu), yhat, 2.0, model.fixed_mask)
+    gram = system.gram.copy()
+    for reg in (False, True):
+        delta, floored = gauss_newton_step(mu, system, prior, regularization_active=reg)
+        assert floored
+        H = 2.0 * (A.T @ A) + (P if reg else 0.0)
+        rhs = 2.0 * (A.T @ (yhat - A @ mu)) - (P @ mu if reg else 0.0)
+        assert np.allclose(delta, np.linalg.solve(H + 1e-10 * np.eye(2), rhs),
+                           rtol=1e-12, atol=0.0)
+        # the failed in-place factorization worked on a copy, not on the Gram
+        assert np.array_equal(system.gram, gram)
 
 
 def test_clamped_components_stay_exactly_zero(rng):
@@ -201,6 +214,50 @@ def test_regularized_step_with_clamped_components_matches_dense_construction(rng
     assert np.all(delta[fixed] == 0.0)
     assert np.max(np.abs(H @ delta[free] - rhs)) < 1e-9
     assert np.allclose(delta[free], np.linalg.solve(H, rhs), rtol=1e-10, atol=1e-12)
+
+
+def test_free_gram_matches_the_dense_product(rng):
+    # more rows than one block, a partial last block and scattered free columns
+    G = rng.normal(size=(2 * GRAM_ROWS + 5, 9))
+    cols = np.array([0, 2, 3, 7, 8])
+    gram = free_gram(G, cols, 3.0)
+    assert np.array_equal(gram, gram.T)
+    assert np.allclose(gram, 3.0 * (G[:, cols].T @ G[:, cols]), rtol=1e-13, atol=1e-12)
+
+
+# Peaks at 20x20 with the top row clamped (n_free = 380; G is 2.2 n_free^2),
+# in units of one (n_free x n_free) float64 array; G and the system exist
+# before tracing starts.  Solving with a copy of G_f and copying the Gram
+# twice per step peaked at 3.1 and 2.1.
+
+
+@pytest.fixture(scope="module")
+def mesh20_linearization():
+    model = top_clamped_model(20)
+    rng = np.random.default_rng(0)
+    psi = rng.normal(0.0, 0.4, model.d_psi)
+    ev = model.evaluate(psi)
+    yhat = ev.y + rng.normal(0.0, 1e-3, model.d_y)
+    return model, psi, ev, yhat
+
+
+def test_gauss_newton_system_peak_memory_near_one_gram(mesh20_linearization):
+    # the Gram (1) plus one GRAM_ROWS block of G_f (64/380 = 0.17)
+    model, _, ev, yhat = mesh20_linearization
+    unit = 8 * np.count_nonzero(~model.fixed_mask) ** 2
+    peak = traced_peak(lambda: gauss_newton_system(ev, yhat, 3.0, model.fixed_mask))
+    assert peak < 1.5 * unit
+
+
+def test_regularized_step_peak_memory_near_one_copy(mesh20_linearization):
+    # one copy of the Gram, factored in place (1), plus the finiteness
+    # check's boolean mask (1/8)
+    model, psi, ev, yhat = mesh20_linearization
+    unit = 8 * np.count_nonzero(~model.fixed_mask) ** 2
+    system = gauss_newton_system(ev, yhat, 3.0, model.fixed_mask)
+    prior = em_phi(psi, SmoothPrior.for_grid(20, 20, 0.0, 1e-2))
+    peak = traced_peak(lambda: gauss_newton_step(psi, system, prior, True))
+    assert peak < 1.5 * unit
 
 
 # ---------------------------------------------------------------------------
