@@ -44,7 +44,15 @@ LAMBDA_FILE = "lambda_table.csv"
 ELBO_FILE = "elbo_trace.csv"
 GAIN_FILE = "info_gain.csv"
 IS_FILE = "is_report.json"
+IS_WEIGHTS_FILE = "is_weights.csv"
+IS_MEAN_FILE = "is_mean.csv"
+IS_STD_FILE = "is_std.csv"
 ERROR_FILE = "error.json"
+
+# What each stage writes; a stage that runs again removes its own and every
+# later stage's files first, so no artifact outlives the inputs it came from
+INVERT_FILES = (TRACE_FILE, MEAN_FILE, STD_FILE, LAMBDA_FILE, ELBO_FILE, GAIN_FILE)
+VALIDATE_FILES = (IS_FILE, IS_WEIGHTS_FILE, IS_MEAN_FILE, IS_STD_FILE)
 
 
 class UsageError(Exception):
@@ -115,6 +123,11 @@ def _fmt(x: float) -> str:
     return cfgmod.FLOAT_FMT % x
 
 
+def _remove_stale(out: Path, names: tuple[str, ...]) -> None:
+    for name in names + (ERROR_FILE,):
+        (out / name).unlink(missing_ok=True)
+
+
 def cmd_generate(args) -> int:
     cfg = cfgmod.load_config(args.config)
     if args.seed is not None:
@@ -130,6 +143,7 @@ def cmd_generate(args) -> int:
         print(f"forward solve failed on the phantom: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     mesh = cfgmod.build_mesh(cfg)
+    _remove_stale(out, INVERT_FILES + VALIDATE_FILES)
     obs.save(out / OBS_FILE)
     cfgmod.write_element_field(out / TRUE_FIELD_FILE, mesh, psi_true)
     cfgmod.write_node_displacements(out / DISPLACEMENT_FILE, mesh, U)
@@ -158,6 +172,7 @@ def cmd_invert(args) -> int:
     prior = (SmoothPrior.for_grid(mesh.nx, mesh.ny, cfg.prior.a_phi, cfg.prior.b_phi)
              if cfg.prior.enabled else None)
     mu0 = cfgmod.initial_mu(cfg, mesh)
+    _remove_stale(out, INVERT_FILES + VALIDATE_FILES)
 
     t0 = time.perf_counter()
     try:
@@ -225,6 +240,7 @@ def cmd_validate(args) -> int:
     if obs.d_y != model.d_y or state.d_psi != model.d_psi:
         raise UsageError("run trace does not match the configured mesh/bc")
     M, seed = cfg.validation.samples, cfg.validation.seed
+    _remove_stale(out, VALIDATE_FILES)
 
     try:
         report = run_is(state, model, obs.yhat, M=M, seed=seed)
@@ -253,10 +269,10 @@ def cmd_validate(args) -> int:
         "std_rel_median": comparison["std_rel_median"],
     }
     _write_json(out / IS_FILE, payload)
-    _write_rows(out / "is_weights.csv", ["index", "weight"],
+    _write_rows(out / IS_WEIGHTS_FILE, ["index", "weight"],
                 [[i, _fmt(w)] for i, w in enumerate(report.weights)])
-    cfgmod.write_element_field(out / "is_mean.csv", mesh, report.psi_mean)
-    cfgmod.write_element_field(out / "is_std.csv", mesh, report.psi_std)
+    cfgmod.write_element_field(out / IS_MEAN_FILE, mesh, report.psi_mean)
+    cfgmod.write_element_field(out / IS_STD_FILE, mesh, report.psi_std)
     print(f"ess: {_fmt(report.ess)}")
     print(f"discarded: {report.discarded}")
     print(f"mean_rel_median: {_fmt(comparison['mean_rel_median'])}")

@@ -5,12 +5,16 @@ The Jacobian G at the final mean is then frozen, so the basis that maximizes
 the bound at every subspace size is known in closed form: the minor
 eigenvectors of the free-element Gram matrix A_ff = G_f^T G_f, the directions
 of largest linearized posterior variance.  The free elements are those outside
-the model's clamp set, `model.fixed_mask`, which is the only copy of it.  One
-eigendecomposition gives them all; stage d appends eigenvector d (ascending
-eigenvalue order) and refits the closed-form q updates.  Growth stops once the
-relative information gain of newly added coordinates stays below a threshold
-for a configured number of consecutive stages, or when a basis cap or the
-free-parameter count is reached.
+the model's clamp set, `model.fixed_mask`, which is the only copy of it.  Stage
+d appends eigenvector d (ascending eigenvalue order) and refits the closed-form
+q updates.  Growth stops once the relative information gain of newly added
+coordinates stays below a threshold for a configured number of consecutive
+stages, or when a basis cap or the free-parameter count is reached.
+
+Only the minor end of the spectrum is decomposed: first the info_gain_window
++ 1 pairs that cover the earliest info-gain stop, then, should growth pass
+them, the rest up to the cap.  Each decomposition works in place on the free
+Gram, so besides G the Gram is the only (n_free x n_free) array alive.
 """
 
 from __future__ import annotations
@@ -107,23 +111,24 @@ def add_basis(state: ReducedPosterior, w: np.ndarray, lambda0_1: float) -> Reduc
     return new
 
 
-def optimize_W(free: np.ndarray, ev: ForwardEval) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenbasis of the free-element Gram A_ff = G_f^T G_f, ascending eigenvalues.
+def optimize_W(free: np.ndarray, ev: ForwardEval, start: int,
+               stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs start..stop-1 of the free-element Gram A_ff = G_f^T G_f.
 
-    Returns (vectors, eigenvalues): vectors is (n_free, n_free) with
-    orthonormal columns, row i belonging to element free[i]; the caller
-    scatters a column into d_psi, with exactly zero rows at the clamped
-    elements, only when it takes it.  The sign of each column is fixed so that
-    its entry of largest magnitude is positive, which makes the basis a
-    function of G alone.  A_ff comes from `free_gram` and is decomposed in
-    place, so besides G at most two (n_free x n_free) arrays are alive.  No
-    forward evaluation happens here.
+    Returns (vectors, eigenvalues) in ascending eigenvalue order: vectors is
+    (n_free, stop - start) with orthonormal columns, row i belonging to
+    element free[i]; the caller scatters a column into d_psi, with exactly
+    zero rows at the clamped elements, only when it takes it.  The sign of
+    each column is fixed so that its entry of largest magnitude is positive,
+    which makes the basis a function of G alone.  A_ff comes from `free_gram`
+    and only the requested pairs are computed, in place, so besides G the
+    Gram is the only (n_free x n_free) array alive.  No forward evaluation
+    happens here.
     """
-    gram = free_gram(ev.G, free)
-    # gram is symmetric, so gram.T is the same matrix in the Fortran order
-    # that LAPACK overwrites without a copy
-    vals, vecs = eigh(gram.T, overwrite_a=True)
-    del gram                  # freed before np.abs makes its (n_free x n_free) temporary
+    # the Gram is symmetric, so its transpose is the same matrix in the
+    # Fortran order that LAPACK overwrites without a copy
+    vals, vecs = eigh(free_gram(ev.G, free).T, overwrite_a=True,
+                      subset_by_index=[start, stop - 1])
     cols = np.arange(vecs.shape[1])
     vecs *= np.where(vecs[np.argmax(np.abs(vecs), axis=0), cols] < 0.0, -1.0, 1.0)
     return vecs, vals
@@ -203,11 +208,11 @@ def run(model: ForwardModel, yhat: np.ndarray, config: DriverConfig,
         prior: SmoothPrior | None = None, mu0: np.ndarray | None = None) -> RunTrace:
     """Full adaptive inference; deterministic given the model, data and config.
 
-    Forward calls happen only in the mean phase.  The basis phase takes one
-    eigendecomposition of the free-element Gram at the final mean (none when
-    no basis column is allowed) and one q fixed point per stage.  The clamped
-    elements are the model's `fixed_mask`: the mean phase leaves them at mu0
-    and the basis has zero rows there.
+    Forward calls happen only in the mean phase.  The basis phase takes at
+    most two partial eigendecompositions of the free-element Gram at the final
+    mean (none when no basis column is allowed) and one q fixed point per
+    stage.  The clamped elements are the model's `fixed_mask`: the mean phase
+    leaves them at mu0 and the basis has zero rows there.
     """
     config.validate()
     yhat = np.asarray(yhat, dtype=float)
@@ -246,11 +251,13 @@ def run(model: ForwardModel, yhat: np.ndarray, config: DriverConfig,
     records: list[StageRecord] = []
     gains: list[float] = []
     stop_reason = "max_bases" if max_bases == 0 else None
-    if max_bases:
-        vecs, _ = optimize_W(free, ev)
+    block = min(max_bases, config.info_gain_window + 1)
     while state.d_theta < max_bases:
+        if state.d_theta in (0, block):     # the first block, then the rest
+            first = state.d_theta
+            vecs, _ = optimize_W(free, ev, first, block if first == 0 else max_bases)
         w = np.zeros(d_psi)
-        w[free] = vecs[:, state.d_theta]
+        w[free] = vecs[:, state.d_theta - first]
         state = add_basis(state, w, config.lambda0_1)
         state = q_fixed_point(state, ev, yhat, max_iters=config.q_max_iters,
                               tol=config.q_tol)

@@ -27,12 +27,13 @@ objective it reads are the same either way.  Exactly one corrector is taken:
 iterating the E-step to convergence on one linearization collapses noisy data
 to the flat field.
 
-Each solve copies the Gram once and factors the copy in place, so with G and
-the Gram at most one more (n_free x n_free) array is alive.
+Each solve factors the Gram itself in place and restores it afterwards, so
+besides G the Gram is the only (n_free x n_free) array alive.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -132,6 +133,17 @@ def log_prior_mu_and_grad(mu: np.ndarray, prior: SmoothPrior) -> tuple[float, np
     return value, grad
 
 
+def _mirror_lower(a: np.ndarray) -> np.ndarray:
+    """Copy the strict lower triangle of the square `a` onto its strict upper one.
+
+    Works in place, a column at a time, so no (n x n) temporary is made;
+    `_mirror_lower(a.T)` copies the upper triangle onto the lower instead.
+    """
+    for j in range(1, a.shape[0]):
+        a[:j, j] = a[j, :j]
+    return a
+
+
 def free_gram(G: np.ndarray, cols: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """scale G_f^T G_f, G_f the columns `cols` of G, without a copy of G_f.
 
@@ -150,8 +162,7 @@ def free_gram(G: np.ndarray, cols: np.ndarray, scale: float = 1.0) -> np.ndarray
         # block is freed when syrk returns, before the next one is taken
         dsyrk(scale, np.take(G[start:start + GRAM_ROWS], cols, axis=1).T,
               beta=1.0, c=gram.T, overwrite_c=True)
-    for j in range(1, n):
-        gram[:j, j] = gram[j, :j]
+    _mirror_lower(gram)
     return gram
 
 
@@ -160,7 +171,7 @@ class GaussNewtonSystem:
     """Data-term blocks of one linearization, restricted to the free elements."""
 
     free: np.ndarray          # (n,) bool mask of the solved components
-    gram: np.ndarray          # <tau> G_f^T G_f; solves copy it, never write it
+    gram: np.ndarray          # <tau> G_f^T G_f; solves factor it in place and restore it
     rhs: np.ndarray           # <tau> G_f^T (yhat - y)
 
 
@@ -181,13 +192,14 @@ def gauss_newton_system(ev: ForwardEval, yhat: np.ndarray, mean_tau: float,
 
 
 def _cholesky_solve(H: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-    """Solve H x = rhs for symmetric H, overwriting H with its factor.
+    """Solve H x = rhs from the lower triangle of H, overwriting it with the factor.
 
-    None if H is not numerically positive definite or x is not finite.
+    H's strict upper triangle is neither read nor written.  None if H is not
+    numerically positive definite or x is not finite.
     """
     try:
-        # H is symmetric, so H.T is the same matrix in the Fortran order that
-        # LAPACK factors in place, with no copy
+        # H.T is the Fortran-ordered view whose upper triangle is H's lower
+        # one: LAPACK factors it in place, with no copy
         x = scipy.linalg.cho_solve(scipy.linalg.cho_factor(H.T, overwrite_a=True), rhs)
     except np.linalg.LinAlgError:
         return None
@@ -200,22 +212,25 @@ def gauss_newton_step(mu: np.ndarray, system: GaussNewtonSystem,
     """Solve the symmetric Gauss-Newton system for the mean increment.
 
     `system` holds the linearization's data-term blocks, from
-    `gauss_newton_system`, and is left unchanged.  Each factorization works
-    on one fresh copy of its Gram, into which the prior precision P = L^T
-    diag(<phi>) L (L the pair-difference operator) is scattered pair by pair,
-    a pair with one clamped end adding to its free end's diagonal only, and
-    which the Cholesky factor then overwrites; -(P mu) on the free components
-    is the prior's gradient.  With regularization off the prior terms are
-    dropped from both sides.  Should the factorization fail, its buffer is
-    released before a fresh copy takes the Tikhonov floor on its diagonal, so
-    at most one copy is alive besides the Gram.  Clamped components are
-    excluded from the solve and returned as exactly 0.  Returns (delta_mu,
-    floor_used) where floor_used records a Tikhonov fallback on a singular
-    system.
+    `gauss_newton_system`; its Gram is factored in place and is bit for bit
+    the same on return, so the corrector can solve it again.  Each
+    factorization reads only the Gram's lower triangle and diagonal: the prior
+    precision P = L^T diag(<phi>) L (L the pair-difference operator) goes
+    there pair by pair, a pair with one clamped end adding to its free end's
+    diagonal only, and -(P mu) on the free components is the prior's
+    gradient.  With regularization off the prior terms are dropped from both
+    sides.  The strict upper triangle and one saved copy of the diagonal
+    restore the Gram after each factorization, failed or not, so should the
+    first one fail, the retry with the Tikhonov floor on the diagonal starts
+    from the Gram again; only if that fails too does a last-resort least
+    squares solve take one full copy.  Clamped components are excluded from
+    the solve and returned as exactly 0.  Returns (delta_mu, floor_used)
+    where floor_used records a Tikhonov fallback on a singular system.
     """
     free = system.free
+    H = system.gram
     rhsf = system.rhs
-    n = rhsf.size
+    n = H.shape[0]
     prior_diag = None
     if regularization_active and prior is not None:
         phi = prior.mean_phi
@@ -225,25 +240,36 @@ def gauss_newton_step(mu: np.ndarray, system: GaussNewtonSystem,
                                  minlength=mu.shape[0])[free]
         both = free[k] & free[l]              # pairs are distinct, so no entry repeats
         rows, cols, off = pos[k[both]], pos[l[both]], phi[both]
+        lower = (np.maximum(rows, cols), np.minimum(rows, cols))
         rhsf = rhsf + log_prior_mu_and_grad(mu, prior)[1][free]
+    diag = H.diagonal().copy()
 
-    def matrix(floor: float) -> np.ndarray:
-        H = system.gram.copy()
-        if prior_diag is not None:
-            H.flat[::n + 1] += prior_diag
-            H[rows, cols] -= off
-            H[cols, rows] -= off
-        if floor:
-            H.flat[::n + 1] += floor
-        return H
+    @contextmanager
+    def loaded(floor: float):
+        """Inside the block the Gram's lower triangle and diagonal hold those of
+        gram + P + floor I; on leaving it the Gram is restored."""
+        try:
+            if prior_diag is not None:
+                H.flat[::n + 1] += prior_diag
+                H[lower] -= off
+            if floor:
+                H.flat[::n + 1] += floor
+            yield
+        finally:
+            H.flat[::n + 1] = diag
+            _mirror_lower(H.T)
 
     floor_used = False
-    sol = _cholesky_solve(matrix(0.0), rhsf)
+    with loaded(0.0):
+        sol = _cholesky_solve(H, rhsf)
     if sol is None:
         floor_used = True
-        sol = _cholesky_solve(matrix(TIKHONOV_FLOOR), rhsf)
+        with loaded(TIKHONOV_FLOOR):
+            sol = _cholesky_solve(H, rhsf)
     if sol is None:
-        sol = np.linalg.lstsq(matrix(TIKHONOV_FLOOR), rhsf, rcond=None)[0]
+        with loaded(TIKHONOV_FLOOR):
+            full = H.copy()
+        sol = np.linalg.lstsq(_mirror_lower(full), rhsf, rcond=None)[0]
     delta = np.zeros(mu.shape[0])
     delta[free] = sol
     return delta, floor_used

@@ -256,6 +256,31 @@ def test_empty_basis_run_validates(small_cfg_path, tmp_path):
     assert (out / "is_mean.csv").read_text() == (out / "posterior_mean.csv").read_text()
 
 
+def test_rerun_removes_the_artifacts_of_later_stages(small_cfg_path, tmp_path, capsys):
+    # validating a d = 0 posterior and then inverting again used to leave the
+    # d = 0 importance-sampling report beside the new posterior, and `report`
+    # printed the new d_theta next to the old ESS
+    out = tmp_path / "rerun"
+    args = ["--config", str(small_cfg_path), "--out", str(out)]
+    assert main(["generate"] + args) == 0
+    assert main(["invert"] + args + ["--max-bases", "0"]) == 0
+    assert main(["validate"] + args) == 0
+    (out / "error.json").write_text("{}")
+    assert main(["invert"] + args) == 0
+    for name in ("is_report.json", "is_weights.csv", "is_mean.csv", "is_std.csv",
+                 "error.json"):
+        assert not (out / name).exists()
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert "missing: is_report.json" in text.splitlines()
+    assert "ess:" not in text
+    assert main(["validate"] + args) == 0
+    assert main(["generate"] + args) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "config.yaml", "displacement.csv", "observations.json", "true_field.csv"]
+
+
 # ---------------------------------------------------------------------------
 # Exit codes
 

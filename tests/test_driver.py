@@ -108,7 +108,7 @@ def test_add_basis_respects_clamp_and_cap(rng):
     fixed = np.zeros(6, dtype=bool)
     fixed[4:] = True
     G = rng.normal(size=(9, 6))
-    vecs, vals = optimize_W(np.flatnonzero(~fixed), ForwardEval(y=np.zeros(9), G=G))
+    vecs, vals = optimize_W(np.flatnonzero(~fixed), ForwardEval(y=np.zeros(9), G=G), 0, 4)
     assert vecs.shape == (4, 4)             # one column per free element, no more
     assert orthonormality_defect(vecs) < 1e-10
     assert np.allclose((vecs * vals) @ vecs.T, G[:, :4].T @ G[:, :4], rtol=0.0, atol=1e-12)
@@ -124,16 +124,36 @@ def test_add_basis_respects_clamp_and_cap(rng):
         add_basis(state, np.ones(5), 1e-10)
 
 
-def test_optimize_W_peak_memory_near_two_grams():
+def test_optimize_W_peak_memory_near_one_gram():
     # 20x20 with the top row clamped (n_free = 380), in units of one
-    # (n_free x n_free) float64 array: the Gram, decomposed in place (1), the
-    # eigenvectors (1) and the finiteness check's boolean mask (1/8).  Forming
-    # the full d_psi^2 Gram, copying its free block and scattering every
-    # column into d_psi peaked at 3.1.
+    # (n_free x n_free) float64 array: the Gram, decomposed in place (1), and
+    # the finiteness check's boolean mask (1/8); the six eigenvectors the
+    # driver's first block takes are 6/380.  Computing all n_free eigenvectors
+    # peaked at 2.1, and forming the full d_psi^2 Gram and copying its free
+    # block at 3.1.
     model = top_clamped_model(20)
     ev = model.evaluate(np.random.default_rng(0).normal(0.0, 0.4, model.d_psi))
     free = np.flatnonzero(~model.fixed_mask)
-    assert traced_peak(lambda: optimize_W(free, ev)) < 2.5 * 8 * free.size ** 2
+    assert traced_peak(lambda: optimize_W(free, ev, 0, 6)) < 1.5 * 8 * free.size ** 2
+
+
+def test_run_peak_memory_near_G_plus_one_gram():
+    # the whole run on the 20x20 model with the top row clamped: one G at a
+    # time, and besides it the Gram of the linearization or of the basis
+    # phase, which both solves and eigendecompositions overwrite in place.
+    # A factored copy of the Gram, or all n_free eigenvectors, peaked at
+    # G + 2.2 (n_free x n_free) arrays.
+    model = top_clamped_model(20)
+    psi_true = np.zeros(model.d_psi)
+    psi_true[150:160] = 1.0
+    y = model.evaluate(psi_true, jacobian=False).y
+    yhat = y + np.random.default_rng(1).normal(0.0, 1e-3 * float(np.std(y)), model.d_y)
+    prior = SmoothPrior.for_grid(20, 20)
+    traces = []
+    peak = traced_peak(lambda: traces.append(run(model, yhat, DriverConfig(), prior=prior)))
+    assert (traces[-1].state.d_theta, traces[-1].stop_reason) == (6, "info_gain")
+    n_free = int(np.count_nonzero(~model.fixed_mask))
+    assert peak <= 8 * model.d_y * model.d_psi + 1.5 * 8 * n_free ** 2
 
 
 def test_config_validation():
@@ -280,6 +300,61 @@ def test_run_without_basis_columns_takes_no_eigendecomposition(linear_problem, r
     assert (trace.stop_reason, trace.state.d_theta, trace.records) == ("max_bases", 0, [])
     with pytest.raises(AssertionError, match="eigh called"):
         run(LinearOracleModel(A), yhat, DriverConfig(max_bases=1))
+
+
+def block_problem(rng):
+    # 12 parameters, 2 clamped; with lambda0_1 = 1 every gain stays above the
+    # threshold, so growth runs on to the cap
+    A = rng.normal(size=(30, 12))
+    fixed = np.zeros(12, dtype=bool)
+    fixed[10:] = True
+    yhat = A @ rng.normal(size=12) + rng.normal(0.0, 1e-2, 30)
+    return LinearOracleModel(A, fixed_mask=fixed), yhat
+
+
+def record_optimize_W(monkeypatch):
+    """Wrap the driver's optimize_W; the list receives (start, stop, pairs computed)."""
+    calls = []
+    real = optimize_W
+
+    def recorded(free, ev, start, stop):
+        vecs, vals = real(free, ev, start, stop)
+        calls.append((start, stop, vals.size))
+        return vecs, vals
+
+    monkeypatch.setattr("elastovb.driver.optimize_W", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("max_bases,stop_reason", [(None, "full_rank"), (7, "max_bases")])
+def test_basis_across_the_block_boundary_is_the_minor_eigenbasis(max_bases, stop_reason,
+                                                                  rng, monkeypatch):
+    # info_gain_window 3 makes a first block of 4 pairs; the run passes it and
+    # takes the rest up to the cap in a second decomposition
+    model, yhat = block_problem(rng)
+    calls = record_optimize_W(monkeypatch)
+    cfg = DriverConfig(info_gain_window=3, lambda0_1=1.0, max_bases=max_bases)
+    trace = run(model, yhat, cfg)
+    d = 10 if max_bases is None else max_bases
+    assert (trace.state.d_theta, trace.stop_reason) == (d, stop_reason)
+    assert calls == [(0, 4, 4), (4, d, d - 4)]
+    free = ~model.fixed_mask
+    G_f = model.evaluate(trace.state.mu).G[:, free]
+    _, vecs = np.linalg.eigh(G_f.T @ G_f)
+    vecs = vecs[:, :d] * np.where(
+        vecs[np.argmax(np.abs(vecs[:, :d]), axis=0), np.arange(d)] < 0.0, -1.0, 1.0)
+    W = trace.state.W
+    assert np.all(W[~free] == 0.0)
+    assert np.max(np.abs(W[free] - vecs)) <= 1e-12
+    assert orthonormality_defect(W) <= 1e-13
+
+
+def test_cap_below_the_block_decomposes_only_the_capped_pairs(rng, monkeypatch):
+    model, yhat = block_problem(rng)
+    calls = record_optimize_W(monkeypatch)
+    trace = run(model, yhat, DriverConfig(info_gain_window=5, lambda0_1=1.0, max_bases=3))
+    assert (trace.state.d_theta, trace.stop_reason) == (3, "max_bases")
+    assert calls == [(0, 3, 3)]
 
 
 # ---------------------------------------------------------------------------

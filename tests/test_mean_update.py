@@ -1,18 +1,20 @@
 """Mean-field Gauss-Newton phase and the hierarchical jump-penalty prior."""
 
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from elastovb.config import build_model, generate_data, initial_mu
 import elastovb.forward as fwd
 from elastovb.forward import (CallCounter, FemForwardModel, ForwardEval,
                               ForwardModel, ForwardSolveError, LinearOracleModel)
-from elastovb.mean_update import (GRAM_ROWS, MuUpdateReport, SmoothPrior, em_phi,
-                                  free_gram, gauss_newton_step, gauss_newton_system,
-                                  log_prior_mu_and_grad, neighbor_pairs,
-                                  update_mu)
+from elastovb.mean_update import (GRAM_ROWS, TIKHONOV_FLOOR, GaussNewtonSystem,
+                                  MuUpdateReport, SmoothPrior, em_phi, free_gram,
+                                  gauss_newton_step, gauss_newton_system,
+                                  log_prior_mu_and_grad, neighbor_pairs, update_mu)
 from elastovb.mesh_fem import Mesh2D
 from elastovb.vb import ReducedPosterior, update_q_tau
 
@@ -138,7 +140,8 @@ def test_singular_system_records_tikhonov_floor():
         rhs = 2.0 * (A.T @ (yhat - A @ mu)) - (P @ mu if reg else 0.0)
         assert np.allclose(delta, np.linalg.solve(H + 1e-10 * np.eye(2), rhs),
                            rtol=1e-12, atol=0.0)
-        # the failed in-place factorization worked on a copy, not on the Gram
+        # the failed factorization and the floored retry both overwrote the
+        # Gram, which each restored
         assert np.array_equal(system.gram, gram)
 
 
@@ -172,7 +175,7 @@ def test_reused_system_gives_the_same_step(rng):
         fresh, _ = gauss_newton_step(mu, gauss_newton_system(ev, yhat, 4.0, fixed), prior, reg)
         reused, _ = gauss_newton_step(mu, system, prior, reg)
         assert np.array_equal(fresh, reused)
-    assert np.array_equal(system.gram, gram)        # the prior goes into a copy
+    assert np.array_equal(system.gram, gram)        # factored in place, then restored
 
 
 def test_regularized_system_matches_dense_construction(rng):
@@ -216,6 +219,95 @@ def test_regularized_step_with_clamped_components_matches_dense_construction(rng
     assert np.allclose(delta[free], np.linalg.solve(H, rhs), rtol=1e-10, atol=1e-12)
 
 
+def full_matrix(mu, system, prior, reg, floor=0.0):
+    """(H, rhs) built whole, on a copy of the Gram: the prior on both
+    triangles, then the floor on the diagonal."""
+    free = system.free
+    H = system.gram.copy()
+    rhs = system.rhs
+    n = rhs.size
+    if reg:
+        phi = prior.mean_phi
+        k, l = prior.pairs[:, 0], prior.pairs[:, 1]
+        pos = np.cumsum(free) - 1
+        H.flat[::n + 1] += np.bincount(np.concatenate([k, l]),
+                                       weights=np.concatenate([phi, phi]),
+                                       minlength=mu.shape[0])[free]
+        both = free[k] & free[l]
+        rows, cols, off = pos[k[both]], pos[l[both]], phi[both]
+        H[rows, cols] -= off
+        H[cols, rows] -= off
+        rhs = rhs + log_prior_mu_and_grad(mu, prior)[1][free]
+    if floor:
+        H.flat[::n + 1] += floor
+    return H, rhs
+
+
+def step_problem(rng, fixed=()):
+    A = rng.normal(size=(10, 6))
+    mu = rng.normal(size=6)
+    yhat = rng.normal(size=10)
+    mask = np.zeros(6, dtype=bool)
+    mask[list(fixed)] = True
+    system = gauss_newton_system(LinearOracleModel(A).evaluate(mu), yhat, 4.0, mask)
+    return mu, system
+
+
+@pytest.mark.parametrize("case", ["unregularized", "regularized", "clamped", "reversed-pairs"])
+def test_in_place_step_matches_a_factored_copy_bit_for_bit(case, rng):
+    # the in-place solve loads only the lower triangle that LAPACK reads, so
+    # delta carries the bits of a solve that factors a whole copy of H; with
+    # the pairs reversed, the prior's entries fall on the other triangle
+    mu, system = step_problem(rng, fixed=(1, 5) if case == "clamped" else ())
+    pairs = neighbor_pairs(3, 2)
+    if case == "reversed-pairs":
+        pairs = pairs[:, ::-1]
+    prior = em_phi(mu, SmoothPrior(pairs=pairs, a_phi=2.0, b_phi=1.0))
+    reg = case != "unregularized"
+    gram = system.gram.copy()
+    delta, floored = gauss_newton_step(mu, system, prior, reg)
+    H, rhs = full_matrix(mu, system, prior, reg)
+    expected = np.zeros(6)
+    expected[system.free] = scipy.linalg.cho_solve(
+        scipy.linalg.cho_factor(H.T, overwrite_a=True), rhs)
+    assert not floored
+    assert np.array_equal(delta, expected)
+    assert np.array_equal(system.gram, gram)
+
+
+@pytest.mark.parametrize("reg", [False, True])
+def test_least_squares_fallback_restores_the_gram(reg, rng):
+    # an indefinite Gram fails both Cholesky factorizations; the last resort
+    # solves the whole floored matrix by least squares
+    B = rng.normal(size=(6, 6))
+    gram = B + B.T - 20.0 * np.eye(6)
+    system = GaussNewtonSystem(free=np.ones(6, dtype=bool), gram=gram, rhs=rng.normal(size=6))
+    mu = rng.normal(size=6)
+    prior = em_phi(mu, SmoothPrior.for_grid(3, 2, 2.0, 1.0))
+    kept = gram.copy()
+    delta, floored = gauss_newton_step(mu, system, prior, reg)
+    H, rhs = full_matrix(mu, system, prior, reg, TIKHONOV_FLOOR)
+    assert floored
+    assert np.array_equal(delta, np.linalg.lstsq(H, rhs, rcond=None)[0])
+    assert np.array_equal(system.gram, kept)
+
+
+@pytest.mark.parametrize("case", ["non-finite-prior", "mismatched-rhs"])
+def test_step_that_raises_restores_the_gram(case, rng):
+    # a NaN precision fails the finiteness check after the prior is loaded;
+    # a right-hand side of the wrong length fails after the factorization
+    mu, system = step_problem(rng)
+    prior = em_phi(mu, SmoothPrior.for_grid(3, 2, 2.0, 1.0))
+    if case == "non-finite-prior":
+        prior = replace(prior, a_post=np.full(prior.d_pairs, np.nan))
+    else:
+        system = replace(system, rhs=np.ones(7))
+    gram = system.gram.copy()
+    with pytest.raises(ValueError):
+        gauss_newton_step(mu, system, prior, case == "non-finite-prior")
+    assert np.array_equal(system.gram, gram)
+
+
 def test_free_gram_matches_the_dense_product(rng):
     # more rows than one block, a partial last block and scattered free columns
     G = rng.normal(size=(2 * GRAM_ROWS + 5, 9))
@@ -228,7 +320,8 @@ def test_free_gram_matches_the_dense_product(rng):
 # Peaks at 20x20 with the top row clamped (n_free = 380; G is 2.2 n_free^2),
 # in units of one (n_free x n_free) float64 array; G and the system exist
 # before tracing starts.  Solving with a copy of G_f and copying the Gram
-# twice per step peaked at 3.1 and 2.1.
+# twice per step peaked at 3.1 and 2.1; factoring one copy of the Gram per
+# step peaked at 1.16.
 
 
 @pytest.fixture(scope="module")
@@ -249,15 +342,15 @@ def test_gauss_newton_system_peak_memory_near_one_gram(mesh20_linearization):
     assert peak < 1.5 * unit
 
 
-def test_regularized_step_peak_memory_near_one_copy(mesh20_linearization):
-    # one copy of the Gram, factored in place (1), plus the finiteness
-    # check's boolean mask (1/8)
+def test_regularized_step_peak_memory_under_half_a_gram(mesh20_linearization):
+    # the Gram is factored in place, so only the finiteness check's boolean
+    # mask (1/8) and vectors of length n_free are made
     model, psi, ev, yhat = mesh20_linearization
     unit = 8 * np.count_nonzero(~model.fixed_mask) ** 2
     system = gauss_newton_system(ev, yhat, 3.0, model.fixed_mask)
     prior = em_phi(psi, SmoothPrior.for_grid(20, 20, 0.0, 1e-2))
     peak = traced_peak(lambda: gauss_newton_step(psi, system, prior, True))
-    assert peak < 1.5 * unit
+    assert peak < 0.5 * unit
 
 
 # ---------------------------------------------------------------------------
