@@ -10,7 +10,7 @@ from .mesh_fem import BoundarySpec, Mesh2D, SingularSystemError, adjoint_jacobia
 from .forward import (CallCounter, FemForwardModel, ForwardEval, ForwardModel,
                       ForwardSolveError, LinearOracleModel)
 from .vb import (ElboBreakdown, ReducedPosterior, elbo, posterior_psi_stats,
-                 q_fixed_point, update_q_tau, update_q_theta)
+                 q_fixed_point, update_q_tau)
 from .mean_update import (MuPhaseResult, SmoothPrior, em_phi, gauss_newton_step,
                           log_prior_mu_and_grad, update_mu)
 from .driver import (DriverConfig, RunTrace, add_basis, info_gain,
@@ -26,7 +26,7 @@ __all__ = [
     "CallCounter", "FemForwardModel", "ForwardEval", "ForwardModel",
     "ForwardSolveError", "LinearOracleModel",
     "ElboBreakdown", "ReducedPosterior", "elbo", "posterior_psi_stats",
-    "q_fixed_point", "update_q_tau", "update_q_theta",
+    "q_fixed_point", "update_q_tau",
     "MuPhaseResult", "SmoothPrior", "em_phi", "gauss_newton_step",
     "log_prior_mu_and_grad", "update_mu",
     "DriverConfig", "RunTrace", "add_basis", "info_gain",

@@ -44,10 +44,9 @@ class ConfigError(ValueError):
 
 def _check_keys(block: dict, allowed: set[str], where: str) -> None:
     extra = sorted(set(block) - allowed, key=str)
-    removed = [key for key in extra if f"{where}.{key}" in _REMOVED_KEYS]
+    removed = [f"{where}.{key}" for key in extra if f"{where}.{key}" in _REMOVED_KEYS]
     if removed:
-        raise ConfigError(f"{where}.{removed[0]} was removed: the basis now comes from "
-                          "one eigendecomposition, which has nothing to tune; "
+        raise ConfigError(f"{removed[0]} was removed: {_REMOVED_KEYS[removed[0]]}; "
                           "delete the key")
     if extra:
         raise ConfigError(f"unknown keys in {where}: {extra}")
@@ -96,9 +95,15 @@ def _as_str(value, where: str) -> str:
 
 _SCALARS = {int: _as_int, float: _as_float, bool: _as_bool, str: _as_str}
 
-# Knobs of the iterative basis optimizer that one eigendecomposition replaced.
-_REMOVED_KEYS = {f"solver.{key}" for key in (
-    "w_max_iters", "w_tol", "w_alpha_init", "sweep_f_tol", "sweep_window", "max_sweeps")}
+# Keys of earlier versions, with the reason each went.
+_REMOVED_KEYS = {f"solver.{key}": reason for keys, reason in (
+    (("w_max_iters", "w_tol", "w_alpha_init"),
+     "the basis now comes from one eigendecomposition, which has nothing to tune"),
+    (("sweep_f_tol", "sweep_window", "max_sweeps"),
+     "each stage takes one eigenvector and fits q once: there are no sweeps to bound"),
+    (("q_max_iters", "q_tol"),
+     "q is now fitted exactly by one scalar solve, with no iteration cap or tolerance"),
+) for key in keys}
 
 
 @dataclass

@@ -6,10 +6,11 @@ the bound at every subspace size is known in closed form: the minor
 eigenvectors of the free-element Gram matrix A_ff = G_f^T G_f, the directions
 of largest linearized posterior variance.  The free elements are those outside
 the model's clamp set, `model.fixed_mask`, which is the only copy of it.  Stage
-d appends eigenvector d (ascending eigenvalue order) and refits the closed-form
-q updates.  Growth stops once the relative information gain of newly added
-coordinates stays below a threshold for a configured number of consecutive
-stages, or when a basis cap or the free-parameter count is reached.
+d appends eigenvector d (ascending eigenvalue order) and fits q exactly from the
+data terms |G w_i|^2 and the final residual alone.  Growth stops once the
+relative information gain of newly added coordinates stays below a threshold
+for a configured number of consecutive stages, or when a basis cap or the
+free-parameter count is reached.
 
 Only the minor end of the spectrum is decomposed: first the info_gain_window
 + 1 pairs that cover the earliest info-gain stop, then, should growth pass
@@ -44,8 +45,6 @@ class DriverConfig:
     mu_reg_delay: int = 5
     mu_max_halvings: int = 10
     mu_call_budget: int | None = 38
-    q_max_iters: int = 50
-    q_tol: float = 1e-10
 
     def validate(self) -> None:
         if not 0.0 < self.info_gain_threshold < 1.0:
@@ -233,6 +232,7 @@ def run(model: ForwardModel, yhat: np.ndarray, config: DriverConfig,
     ev = mu_res.ev
     log_prior_mu = mu_res.log_prior_value
     calls = mu_res.forward_calls
+    r = yhat - ev.y
 
     elbo_rows: list[dict] = []
 
@@ -242,7 +242,8 @@ def run(model: ForwardModel, yhat: np.ndarray, config: DriverConfig,
                           "tau_terms": br.tau_terms, "log_prior_mu": br.log_prior_mu,
                           "forward_calls": calls})
 
-    record_elbo(elbo(state, ev, yhat, log_prior_mu), 0)
+    e = np.zeros(0)       # |G w_i|^2 of the basis columns
+    record_elbo(elbo(state, e, r, log_prior_mu), 0)
 
     free = np.flatnonzero(~model.fixed_mask)
     n_free = free.size
@@ -258,10 +259,12 @@ def run(model: ForwardModel, yhat: np.ndarray, config: DriverConfig,
             vecs, _ = optimize_W(free, ev, first, block if first == 0 else max_bases)
         w = np.zeros(d_psi)
         w[free] = vecs[:, state.d_theta - first]
+        # |G w|^2 is w's eigenvalue; eigh would leave a zero one at ~eps |A_ff|
+        Gw = ev.G @ w
+        e = np.append(e, float(Gw @ Gw))
         state = add_basis(state, w, config.lambda0_1)
-        state = q_fixed_point(state, ev, yhat, max_iters=config.q_max_iters,
-                              tol=config.q_tol)
-        br = elbo(state, ev, yhat, log_prior_mu)
+        state = q_fixed_point(state, e, r)
+        br = elbo(state, e, r, log_prior_mu)
         record_elbo(br, 1)
         terms = kl_terms(state.lambda0, state.lam)
         degenerate = float(np.sum(terms)) == 0.0

@@ -315,7 +315,7 @@ def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
     mu = state.mu.copy()
     ev = model.evaluate(mu)
     calls = jacobians = 1
-    a, b = update_q_tau(state, ev, yhat)
+    a, b = update_q_tau(state, yhat - ev.y)
     cur_prior = prior
     reports: list[MuUpdateReport] = []
     accepted_count = 0
@@ -393,7 +393,7 @@ def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
                                       halvings=halvings, corrected=corrected))
         mu, ev = trial, ev_try
         accepted_count += 1
-        a, b = update_q_tau(state, ev, yhat)
+        a, b = update_q_tau(state, r_try)
         if (f_try - f_curr) <= GAIN_RTOL * (1.0 + abs(f_curr)):
             break
 

@@ -2,8 +2,9 @@
 
 The posterior over the latent field is parameterized as Psi = mu + W Theta with
 q(Theta) = N(0, Lambda^-1) (diagonal, zero mean by construction) and
-q(tau) = Gamma(a, b) for the noise precision.  This module performs the
-conjugate updates of (Lambda, a, b), evaluates the variational lower bound F
+q(tau) = Gamma(a, b) for the noise precision.  This module fits (Lambda, a, b)
+exactly from the residual r = yhat - y(mu) and the basis columns' data terms
+e_i = |G w_i|^2 (never G itself), evaluates the variational lower bound F
 with a named breakdown, and exposes low-rank posterior statistics for Psi.
 The one special function the bound needs, E_q[log tau] = digamma(a) - log b,
 uses the closed-form `_digamma` below, so the module loads no scipy.
@@ -15,8 +16,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-
-from .forward import ForwardEval
 
 # Below the cutoff, digamma(x) = digamma(x + 1) - 1/x raises x; at or above it
 # the asymptotic series through x^-14 truncates below 1e-16 (a cutoff of 6
@@ -89,20 +88,11 @@ class ElboBreakdown:
         return self.likelihood + self.theta_terms + self.tau_terms + self.log_prior_mu
 
 
-def column_data_terms(W: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """s_i = w_i^T G^T G w_i = |G w_i|^2 for each basis column."""
-    GW = G @ W
-    return np.einsum("ij,ij->j", GW, GW)
-
-
-def update_q_tau(state: ReducedPosterior, ev: ForwardEval, yhat: np.ndarray) -> tuple[float, float]:
-    """Conjugate Gamma update: a = a0 + d_y/2, b = b0 + misfit/2 + trace/2."""
-    r = yhat - ev.y
-    d_y = yhat.shape[0]
-    a = state.a0 + 0.5 * d_y
-    trace = float(np.sum(column_data_terms(state.W, ev.G) / state.lam))
+def update_q_tau(state: ReducedPosterior, r: np.ndarray) -> tuple[float, float]:
+    """q(tau) with no basis column (the mean phase's): a = a0 + d_y/2, b = b0 + |r|^2/2."""
     misfit = float(r @ r)
-    b = state.b0 + 0.5 * misfit + 0.5 * trace
+    a = state.a0 + 0.5 * r.size
+    b = state.b0 + 0.5 * misfit
     if b <= 0.0:
         if misfit == 0.0 and state.b0 == 0.0:
             raise RuntimeError(
@@ -113,28 +103,29 @@ def update_q_tau(state: ReducedPosterior, ev: ForwardEval, yhat: np.ndarray) -> 
     return a, b
 
 
-def update_q_theta(state: ReducedPosterior, ev: ForwardEval) -> np.ndarray:
-    """lambda_i = lambda0_i + <tau> |G w_i|^2; q(Theta) keeps mean zero."""
-    s = column_data_terms(state.W, ev.G)
-    return state.lambda0 + state.mean_tau * s
+def q_fixed_point(state: ReducedPosterior, e: np.ndarray, r: np.ndarray) -> ReducedPosterior:
+    """Fixed point of the conjugate q updates, for data terms e_i = |G w_i|^2.
 
-
-def q_fixed_point(state: ReducedPosterior, ev: ForwardEval, yhat: np.ndarray,
-                  max_iters: int = 50, tol: float = 1e-10) -> ReducedPosterior:
-    """Iterate the two conjugate updates at fixed (mu, W, G) to their fixed point."""
-    st = state.copy()
-    if st.a <= 0.0 or st.b <= 0.0:
-        st.a, st.b = update_q_tau(st, ev, yhat)
-    for _ in range(max_iters):
-        lam_new = update_q_theta(st, ev)
-        rel = float(np.max(np.abs(lam_new - st.lam) / (1.0 + np.abs(st.lam)), initial=0.0))
-        st.lam = lam_new
-        a_new, b_new = update_q_tau(st, ev, yhat)
-        rel += abs(a_new - st.a) / (1.0 + abs(st.a)) + abs(b_new - st.b) / (1.0 + abs(st.b))
-        st.a, st.b = a_new, b_new
-        if rel < tol:
+    With r = yhat - y(mu): a = a0 + d_y/2, lam_i = lambda0_i + (a/b) e_i, and the
+    rate b solves b = c + (b/2a) sum_i beta_i / (b + beta_i), c = b0 + |r|^2/2,
+    beta_i = a e_i / lambda0_i.  The right side is concave and rises from c > 0,
+    so the root is unique.  Newton's method from the right side's supremum falls
+    monotonically onto it, at least halving the distance each step while at
+    most d_y of the e_i are positive, and stops at rounding.
+    """
+    a, c = update_q_tau(state, r)
+    beta = (a * e / state.lambda0)[e > 0.0]     # a column with e_i = 0 adds nothing
+    slack = 2.0 * a - beta.size                 # 2a (1 - slope of the right side at 0)
+    b = c + float(np.sum(beta)) / (2.0 * a)
+    while True:
+        u = b / (b + beta)
+        v = beta / (b + beta)
+        b_next = ((2.0 * a * c + b * float(np.sum(u * v)))
+                  / (slack + float(np.sum(u * (1.0 + v)))))
+        if not b_next < b:
             break
-    return st
+        b = b_next
+    return replace(state, a=a, b=b, lam=state.lambda0 + (a / b) * e)
 
 
 def _log_gamma_normalizer(shape: float, rate: float) -> float:
@@ -160,18 +151,18 @@ def tau_bound_terms(state: ReducedPosterior) -> float:
     return val
 
 
-def elbo(state: ReducedPosterior, ev: ForwardEval, yhat: np.ndarray,
+def elbo(state: ReducedPosterior, e: np.ndarray, r: np.ndarray,
          log_prior_mu: float = 0.0) -> ElboBreakdown:
     """Variational lower bound at the current state, with named addends.
 
-    log_prior_mu is the (EM-surrogate) log prior of the current mean field,
-    computed by the mean-update module; it is a bound itself.  The uniform
-    prior on W contributes a constant, which is dropped.
+    e and r are as in `q_fixed_point`.  log_prior_mu is the (EM-surrogate) log
+    prior of the current mean field, computed by the mean-update module; it is
+    a bound itself.  The uniform prior on W contributes a constant, which is
+    dropped.
     """
-    r = yhat - ev.y
-    d_y = yhat.shape[0]
+    d_y = r.shape[0]
     mean_tau = state.mean_tau
-    trace = float(np.sum(column_data_terms(state.W, ev.G) / state.lam))
+    trace = float(np.sum(e / state.lam))
     theta_terms = 0.5 * float(np.sum(np.log(state.lambda0) - state.lambda0 / state.lam
                                      - np.log(state.lam)) + state.d_theta)
     likelihood = (-0.5 * d_y * math.log(2.0 * math.pi) + 0.5 * d_y * state.mean_log_tau

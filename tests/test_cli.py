@@ -69,8 +69,7 @@ def every_field_dict():
         "solver": {"lambda0_1": 1e-8, "info_gain_threshold": 0.05,
                    "info_gain_window": 3, "max_bases": 3, "seed": 4, "a0": 1.0,
                    "b0": 2.0, "mu_max_outer": 12, "mu_reg_delay": 2,
-                   "mu_max_halvings": 4, "mu_call_budget": None, "q_max_iters": 20,
-                   "q_tol": 1e-8},
+                   "mu_max_halvings": 4, "mu_call_budget": None},
         "clamp": {"top_element_rows": 2, "value": 0.5},
         "prior": {"enabled": True, "a_phi": 1.0, "b_phi": 0.5},
         "validation": {"samples": 10, "seed": 9},
@@ -366,9 +365,22 @@ def test_malformed_field_exits_one_naming_it(keys, value, named, tmp_path, capsy
     assert named in err
 
 
-@pytest.mark.parametrize("key", ["w_max_iters", "w_tol", "w_alpha_init",
-                                 "sweep_f_tol", "sweep_window", "max_sweeps"])
-def test_removed_solver_key_exits_one_naming_it(key, tmp_path, capsys):
+EIGENBASIS = "the basis now comes from one eigendecomposition"
+NO_SWEEPS = "there are no sweeps to bound"
+EXACT_Q = "fitted exactly by one scalar solve"
+
+
+@pytest.mark.parametrize("key,reason", [
+    pytest.param("w_max_iters", EIGENBASIS, id="w_max_iters"),
+    pytest.param("w_tol", EIGENBASIS, id="w_tol"),
+    pytest.param("w_alpha_init", EIGENBASIS, id="w_alpha_init"),
+    pytest.param("sweep_f_tol", NO_SWEEPS, id="sweep_f_tol"),
+    pytest.param("sweep_window", NO_SWEEPS, id="sweep_window"),
+    pytest.param("max_sweeps", NO_SWEEPS, id="max_sweeps"),
+    pytest.param("q_max_iters", EXACT_Q, id="q_max_iters"),
+    pytest.param("q_tol", EXACT_Q, id="q_tol"),
+])
+def test_removed_solver_key_exits_one_naming_it(key, reason, tmp_path, capsys):
     d = small_dict()
     d["solver"][key] = 10
     path = tmp_path / "old.yaml"
@@ -376,7 +388,8 @@ def test_removed_solver_key_exits_one_naming_it(key, tmp_path, capsys):
     assert main(["generate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("elastovb: config error:")
-    assert f"solver.{key} was removed" in err
+    assert f"solver.{key} was removed: " in err
+    assert reason in err
 
 
 def add_second_inclusion(d):

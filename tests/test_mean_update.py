@@ -538,7 +538,7 @@ def test_corrector_without_frozen_gain_falls_back():
     assert rep.accepted and not rep.corrected
 
     ev = model.evaluate(state.mu)
-    a, b = update_q_tau(state, ev, yhat)
+    a, b = update_q_tau(state, yhat - ev.y)
     tau = a / b
     system = gauss_newton_system(ev, yhat, tau, model.fixed_mask)
     prior0 = em_phi(state.mu, prior)
