@@ -24,7 +24,7 @@ import numpy as np
 from . import config as cfgmod
 from .config import ConfigError, ObservationFile, RunConfig
 from .driver import run as driver_run, state_from_dict
-from .forward import CallCounter, ForwardSolveError
+from .forward import CallCounter, FemForwardModel, ForwardSolveError
 from .importance import compare_vb_is, run_is
 from .mean_update import SmoothPrior
 from .mesh_fem import SingularSystemError
@@ -154,6 +154,12 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _check_observed_dofs(obs: ObservationFile, model: FemForwardModel) -> None:
+    """Observations are usable only at the dofs the configured model observes."""
+    if obs.d_y != model.d_y or not np.array_equal(obs.obs_dofs, model.obs_dofs):
+        raise UsageError("observation file does not match the configured mesh/bc")
+
+
 def cmd_invert(args) -> int:
     cfg = cfgmod.load_config(args.config)
     if args.max_bases is not None:
@@ -166,9 +172,8 @@ def cmd_invert(args) -> int:
     obs = ObservationFile.load(obs_path)
 
     counter = CallCounter()
-    model, mesh, _, obs_dofs, _ = cfgmod.build_model(cfg, counter)
-    if obs.d_y != model.d_y or not np.array_equal(obs.obs_dofs, obs_dofs):
-        raise UsageError("observation file does not match the configured mesh/bc")
+    model, mesh, _, _, _ = cfgmod.build_model(cfg, counter)
+    _check_observed_dofs(obs, model)
     prior = (SmoothPrior.for_grid(mesh.nx, mesh.ny, cfg.prior.a_phi, cfg.prior.b_phi)
              if cfg.prior.enabled else None)
     mu0 = cfgmod.initial_mu(cfg, mesh)
@@ -237,7 +242,8 @@ def cmd_validate(args) -> int:
 
     counter = CallCounter()
     model, mesh, _, _, _ = cfgmod.build_model(cfg, counter)
-    if obs.d_y != model.d_y or state.d_psi != model.d_psi:
+    _check_observed_dofs(obs, model)
+    if state.d_psi != model.d_psi:
         raise UsageError("run trace does not match the configured mesh/bc")
     M, seed = cfg.validation.samples, cfg.validation.seed
     _remove_stale(out, VALIDATE_FILES)

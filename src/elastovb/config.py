@@ -460,9 +460,11 @@ class ObservationFile:
         if not isinstance(payload, dict):
             raise ConfigError(f"invalid observation file {path}: root must be a mapping")
         try:
-            return cls(d_y=int(payload["d_y"]),
-                       obs_dofs=payload["obs_dofs"], yhat=payload["yhat"],
-                       y_clean=payload["y_clean"], seed=int(payload["seed"]),
+            return cls(d_y=_as_int(payload["d_y"], "d_y"),
+                       obs_dofs=[_as_int(dof, f"obs_dofs[{i}]")
+                                 for i, dof in enumerate(payload["obs_dofs"])],
+                       yhat=payload["yhat"], y_clean=payload["y_clean"],
+                       seed=_as_int(payload["seed"], "seed"),
                        tau_true=float(payload["tau_true"]),
                        snr_target=float(payload["snr_target"]))
         except KeyError as exc:

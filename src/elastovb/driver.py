@@ -14,8 +14,11 @@ free-parameter count is reached.
 
 Only the minor end of the spectrum is decomposed: first the info_gain_window
 + 1 pairs that cover the earliest info-gain stop, then, should growth pass
-them, the rest up to the cap.  Each decomposition works in place on the free
-Gram, so besides G the Gram is the only (n_free x n_free) array alive.
+them, the rest up to the cap.  The first decomposition works in place on the
+free Gram the final evaluation formed with its sensitivities; only a second
+one forms it again, from the same sensitivities.  G itself is never formed
+(each |G w_i|^2 takes one solve), so the Gram is the only (n_free x n_free)
+array alive.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .forward import ForwardEval, ForwardModel
-from .mean_update import MuPhaseResult, SmoothPrior, free_gram, update_mu
+from .mean_update import MuPhaseResult, SmoothPrior, update_mu
 from .vb import ElboBreakdown, ReducedPosterior, elbo, q_fixed_point
 
 SCHEMA_VERSION = 1
@@ -119,15 +122,16 @@ def optimize_W(free: np.ndarray, ev: ForwardEval, start: int,
     element free[i]; the caller scatters a column into d_psi, with exactly
     zero rows at the clamped elements, only when it takes it.  The sign of
     each column is fixed so that its entry of largest magnitude is positive,
-    which makes the basis a function of G alone.  A_ff comes from `free_gram`
-    and only the requested pairs are computed, in place, so besides G the
-    Gram is the only (n_free x n_free) array alive.  No forward evaluation
-    happens here.
+    which makes the basis a function of G alone.  A_ff is the Gram the
+    evaluation holds, taken over and decomposed in place; a later call forms
+    it again from ev's sensitivities.  Only the requested pairs are computed,
+    so the Gram is the only (n_free x n_free) array alive.  No forward
+    evaluation happens here.
     """
+    gram = ev.G.take_gram()
     # the Gram is symmetric, so its transpose is the same matrix in the
     # Fortran order that LAPACK overwrites without a copy
-    vals, vecs = eigh(free_gram(ev.G, free).T, overwrite_a=True,
-                      subset_by_index=[start, stop - 1])
+    vals, vecs = eigh(gram.T, overwrite_a=True, subset_by_index=[start, stop - 1])
     cols = np.arange(vecs.shape[1])
     vecs *= np.where(vecs[np.argmax(np.abs(vecs), axis=0), cols] < 0.0, -1.0, 1.0)
     return vecs, vals
@@ -245,7 +249,7 @@ def run(model: ForwardModel, yhat: np.ndarray, config: DriverConfig,
     e = np.zeros(0)       # |G w_i|^2 of the basis columns
     record_elbo(elbo(state, e, r, log_prior_mu), 0)
 
-    free = np.flatnonzero(~model.fixed_mask)
+    free = model.active
     n_free = free.size
     max_bases = n_free if config.max_bases is None else min(config.max_bases, n_free)
 

@@ -1,16 +1,18 @@
 """Forward-model contract: evaluate outputs and sensitivities at a parameter point.
 
-A model's `_evaluate` gives the output vector together with a handle that can
-solve for its Jacobian later, from the same forward solve (for the FEM model,
-the call's held factorization); models that cannot provide sensitivities are
-not admitted.  `evaluate(psi)` is that value followed by `with_jacobian()`;
-with `jacobian=False` the caller keeps the value-only evaluation and asks for G
-only if it reads it, as the mean phase does for its accepted trial alone.  Each
-evaluation bumps a shared call counter by exactly one, whether or not its
-Jacobian is ever solved.  The counter is the unit of computational cost
-throughout the package.  A model also owns its clamp set, `fixed_mask`, and the
-FEM model owns its assembly plan and observed dofs, so nothing that defines
-the map is passed alongside it.
+A model's `_evaluate` gives the output vector together with a handle that
+gives its sensitivities later, from the same forward solve; models that cannot
+provide sensitivities are not admitted.  The sensitivities G are an operator
+(`mesh_fem.Sensitivities`): G v, G^T w and the free Gram G_f^T G_f.  The FEM
+model's operator works on the call's held banded factorization and never forms
+the dense (d_y x d_psi) G.  `evaluate(psi)` is that value followed by
+`with_jacobian()`; with `jacobian=False` the caller keeps the value-only
+evaluation and asks for G only if it reads it, as the mean phase does for its
+accepted trial alone.  Each evaluation bumps a shared call counter by exactly
+one, whether or not its sensitivities are ever formed.  The counter is the
+unit of computational cost throughout the package.  A model also owns its
+clamp set, `fixed_mask`, and the FEM model owns its assembly plan and
+observed dofs, so nothing that defines the map is passed alongside it.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh_fem import (BoundarySpec, Mesh2D, adjoint_jacobian, assembly_plan,
-                       _solve_reduced)
+from .mesh_fem import (BoundarySpec, Mesh2D, Sensitivities, adjoint_jacobian,
+                       assembly_plan, mirror_lower, _solve_reduced)
 
 
 class ForwardSolveError(RuntimeError):
@@ -36,30 +38,30 @@ class ForwardSolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class ForwardEval:
-    """Model output y (length d_y) and sensitivity matrix G (d_y x d_psi).
+    """Model output y (length d_y) and sensitivities G, an operator of shape (d_y, d_psi).
 
     G is None for a value-only evaluation.  A value-only evaluation from a
-    model also holds `_jacobian`, a private handle that solves for G from the
-    call's own forward solve; `with_jacobian()` spends it.  An evaluation with
-    G holds no handle, so it keeps no factorization alive.
+    model also holds `_jacobian`, a private handle that gives G from the call's
+    own forward solve; `with_jacobian()` spends it.  An evaluation with G holds
+    no handle; for the FEM model, G keeps the call's banded factor.
     """
 
     y: np.ndarray
-    G: np.ndarray | None
-    _jacobian: Callable[[], np.ndarray] | None = field(default=None, repr=False,
-                                                       compare=False)
+    G: Sensitivities | None
+    _jacobian: Callable[[], Sensitivities] | None = field(default=None, repr=False,
+                                                          compare=False)
 
     def __post_init__(self) -> None:
         if self.G is not None and self.y.shape[0] != self.G.shape[0]:
             raise ValueError(f"y has {self.y.shape[0]} entries but G has {self.G.shape[0]} rows")
-        if not (np.all(np.isfinite(self.y))
-                and (self.G is None or np.all(np.isfinite(self.G)))):
+        if not np.all(np.isfinite(self.y)):
             raise ValueError("forward evaluation produced non-finite values")
 
     def with_jacobian(self) -> "ForwardEval":
         """The same evaluation with G filled in and no handle; no new forward call.
 
-        A failed sensitivity solve raises ForwardSolveError.
+        The FEM model forms G's free Gram here, so a failed or non-finite
+        sensitivity solve raises ForwardSolveError now.
         """
         if self.G is not None:
             return self
@@ -89,8 +91,9 @@ class ForwardModel(ABC):
 
     `fixed_mask` marks the components of psi that are clamped: held at their
     value and never inferred.  The model is its only owner; the mean phase and
-    the basis phase read it from here.  Subclasses call `__init__` once d_psi
-    is defined.
+    the basis phase read it from here.  `active` lists the other components,
+    the columns of the sensitivities' free Gram.  Subclasses call `__init__`
+    once d_psi is defined.
     """
 
     def __init__(self, counter: CallCounter | None = None,
@@ -102,6 +105,7 @@ class ForwardModel(ABC):
             raise ValueError(f"fixed_mask has shape {mask.shape}, expected ({self.d_psi},)")
         mask.setflags(write=False)
         self.fixed_mask = mask
+        self.active = np.flatnonzero(~mask)
 
     @property
     @abstractmethod
@@ -130,6 +134,27 @@ class ForwardModel(ABC):
         return ev.with_jacobian() if jacobian else ev
 
 
+class DenseSensitivities(Sensitivities):
+    """Sensitivities held as a dense (d_y x d_psi) matrix A, for closed-form test models."""
+
+    def __init__(self, A: np.ndarray, free: np.ndarray):
+        if not np.all(np.isfinite(A)):
+            raise ValueError("forward evaluation produced non-finite values")
+        self.A = A
+        self.shape = A.shape
+        self._free = free
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        return self.A @ v
+
+    def rmatvec(self, w: np.ndarray) -> np.ndarray:
+        return self.A.T @ w
+
+    def _form_gram(self) -> np.ndarray:
+        A_f = self.A[:, self._free]
+        return mirror_lower(A_f.T @ A_f)
+
+
 class LinearOracleModel(ForwardModel):
     """y = A psi + offset with constant Jacobian A; conjugate-Gaussian test model."""
 
@@ -151,7 +176,8 @@ class LinearOracleModel(ForwardModel):
         return self.A.shape[0]
 
     def _evaluate(self, psi: np.ndarray) -> ForwardEval:
-        return ForwardEval(y=self.A @ psi + self.offset, G=None, _jacobian=self.A.copy)
+        return ForwardEval(y=self.A @ psi + self.offset, G=None,
+                           _jacobian=lambda: DenseSensitivities(self.A, self.active))
 
 
 class FemForwardModel(ForwardModel):
@@ -180,7 +206,6 @@ class FemForwardModel(ForwardModel):
         if np.any(prescribed):
             raise ValueError(f"observed dofs {Q[prescribed].tolist()} are prescribed; "
                              "their displacements do not depend on psi")
-        self.active = np.flatnonzero(~self.fixed_mask)
 
     @property
     def d_psi(self) -> int:
@@ -196,7 +221,7 @@ class FemForwardModel(ForwardModel):
         except Exception as exc:
             raise ForwardSolveError(f"forward solve failed: {exc}", psi) from exc
 
-        def jacobian() -> np.ndarray:
+        def jacobian() -> Sensitivities:
             # the held factorization, moduli and U of this call; no second solve
             try:
                 return adjoint_jacobian(self.mesh, system, self.active, self.obs_dofs)

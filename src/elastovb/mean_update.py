@@ -27,8 +27,12 @@ objective it reads are the same either way.  Exactly one corrector is taken:
 iterating the E-step to convergence on one linearization collapses noisy data
 to the flat field.
 
-Each solve factors the Gram itself in place and restores it afterwards, so
-besides G the Gram is the only (n_free x n_free) array alive.
+G is never formed: the Gram is the one the linearization's evaluation formed
+with its sensitivities (`mesh_fem.Sensitivities`), the right-hand side and the
+predicted gains take one solve each with the evaluation's factorization, and
+each Gauss-Newton solve factors the Gram itself in place and restores it
+afterwards.  So the Gram is the only (n_free x n_free) array alive, and the
+dense (d_y x d_psi) G is never made.
 """
 
 from __future__ import annotations
@@ -38,15 +42,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import dsyrk
 
 from .forward import ForwardEval, ForwardModel, ForwardSolveError
+from .mesh_fem import mirror_lower
 from .vb import ReducedPosterior, update_q_tau
 
 B_PHI_FLOOR = 1e-12
 TIKHONOV_FLOOR = 1e-10
 GAIN_RTOL = 1e-9          # relative objective gain below which the mean phase stops
-GRAM_ROWS = 64            # rows of G_f copied per rank update in free_gram
 
 
 def neighbor_pairs(nx: int, ny: int) -> np.ndarray:
@@ -133,62 +136,29 @@ def log_prior_mu_and_grad(mu: np.ndarray, prior: SmoothPrior) -> tuple[float, np
     return value, grad
 
 
-def _mirror_lower(a: np.ndarray) -> np.ndarray:
-    """Copy the strict lower triangle of the square `a` onto its strict upper one.
-
-    Works in place, a column at a time, so no (n x n) temporary is made;
-    `_mirror_lower(a.T)` copies the upper triangle onto the lower instead.
-    """
-    for j in range(1, a.shape[0]):
-        a[:j, j] = a[j, :j]
-    return a
-
-
-def free_gram(G: np.ndarray, cols: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """scale G_f^T G_f, G_f the columns `cols` of G, without a copy of G_f.
-
-    G_f is copied GRAM_ROWS rows at a time and each block is added by BLAS
-    syrk to the lower triangle of the result; the upper triangle is then
-    mirrored from the lower.  Besides the (n_free x n_free) result, one
-    (GRAM_ROWS x n_free) block is alive.
-    """
-    n = cols.size
-    gram = np.zeros((n, n))
-    if n == 0:                # every element clamped; syrk rejects an empty operand
-        return gram
-    for start in range(0, G.shape[0], GRAM_ROWS):
-        # np.take's C-ordered block and the C-ordered result, transposed, are
-        # the Fortran-ordered operands syrk reads and updates in place; the
-        # block is freed when syrk returns, before the next one is taken
-        dsyrk(scale, np.take(G[start:start + GRAM_ROWS], cols, axis=1).T,
-              beta=1.0, c=gram.T, overwrite_c=True)
-    _mirror_lower(gram)
-    return gram
-
-
 @dataclass
 class GaussNewtonSystem:
     """Data-term blocks of one linearization, restricted to the free elements."""
 
     free: np.ndarray          # (n,) bool mask of the solved components
-    gram: np.ndarray          # <tau> G_f^T G_f; solves factor it in place and restore it
+    gram: np.ndarray          # G_f^T G_f, the evaluation's; solves load it in place, then restore it
+    scale: float              # <tau>, which the solves apply to the Gram
     rhs: np.ndarray           # <tau> G_f^T (yhat - y)
 
 
 def gauss_newton_system(ev: ForwardEval, yhat: np.ndarray, mean_tau: float,
                         fixed_mask: np.ndarray) -> GaussNewtonSystem:
-    """Form the data-term Gram matrix and right-hand side once per linearization.
+    """The data-term blocks of the linearization at `ev`, with no (n_free x n_free) copy.
 
-    `fixed_mask` is the model's clamp set; clamped columns of G are left out.
-    Neither block copies the free columns of G: the Gram is `free_gram`'s and
-    the right-hand side is the free entries of <tau> G^T (yhat - y), so the
-    Gram is the only (n_free x n_free) array made.
+    `fixed_mask` is the model's clamp set, the one the evaluation's free Gram
+    leaves out.  The Gram is the one the evaluation holds, formed with its
+    sensitivities, and the right-hand side is the free entries of
+    <tau> G^T (yhat - y), one solve.
     """
     free = ~fixed_mask
-    gram = free_gram(ev.G, np.flatnonzero(free), mean_tau)
-    rhs = (ev.G.T @ (yhat - ev.y))[free]
+    rhs = ev.G.rmatvec(yhat - ev.y)[free]
     rhs *= mean_tau
-    return GaussNewtonSystem(free=free, gram=gram, rhs=rhs)
+    return GaussNewtonSystem(free=free, gram=ev.G.gram(), scale=mean_tau, rhs=rhs)
 
 
 def _cholesky_solve(H: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
@@ -213,12 +183,12 @@ def gauss_newton_step(mu: np.ndarray, system: GaussNewtonSystem,
 
     `system` holds the linearization's data-term blocks, from
     `gauss_newton_system`; its Gram is factored in place and is bit for bit
-    the same on return, so the corrector can solve it again.  Each
-    factorization reads only the Gram's lower triangle and diagonal: the prior
-    precision P = L^T diag(<phi>) L (L the pair-difference operator) goes
-    there pair by pair, a pair with one clamped end adding to its free end's
-    diagonal only, and -(P mu) on the free components is the prior's
-    gradient.  With regularization off the prior terms are dropped from both
+    the same on return, so the corrector and the basis phase can use it again.
+    Each factorization reads only the Gram's lower triangle and diagonal:
+    <tau> scales them in place, and the prior precision P = L^T diag(<phi>) L
+    (L the pair-difference operator) goes there pair by pair, a pair with one
+    clamped end adding to its free end's diagonal only, and -(P mu) on the
+    free components is the prior's gradient.  With regularization off the prior terms are dropped from both
     sides.  The strict upper triangle and one saved copy of the diagonal
     restore the Gram after each factorization, failed or not, so should the
     first one fail, the retry with the Tikhonov floor on the diagonal starts
@@ -247,8 +217,9 @@ def gauss_newton_step(mu: np.ndarray, system: GaussNewtonSystem,
     @contextmanager
     def loaded(floor: float):
         """Inside the block the Gram's lower triangle and diagonal hold those of
-        gram + P + floor I; on leaving it the Gram is restored."""
+        <tau> gram + P + floor I; on leaving it the Gram is restored."""
         try:
+            np.multiply(H, system.scale, out=H, where=np.tri(n, dtype=bool))
             if prior_diag is not None:
                 H.flat[::n + 1] += prior_diag
                 H[lower] -= off
@@ -257,7 +228,7 @@ def gauss_newton_step(mu: np.ndarray, system: GaussNewtonSystem,
             yield
         finally:
             H.flat[::n + 1] = diag
-            _mirror_lower(H.T)
+            mirror_lower(H.T)
 
     floor_used = False
     with loaded(0.0):
@@ -269,7 +240,7 @@ def gauss_newton_step(mu: np.ndarray, system: GaussNewtonSystem,
     if sol is None:
         with loaded(TIKHONOV_FLOOR):
             full = H.copy()
-        sol = np.linalg.lstsq(_mirror_lower(full), rhsf, rcond=None)[0]
+        sol = np.linalg.lstsq(mirror_lower(full), rhsf, rcond=None)[0]
     delta = np.zeros(mu.shape[0])
     delta[free] = sol
     return delta, floor_used
@@ -306,11 +277,11 @@ def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
     docstring).
 
     The model's clamped components (`model.fixed_mask`) keep their value in
-    state.mu.  The accepted trial's G is solved from its own factorization
-    after mu's G is released, so one G is alive at a time.  If that solve
-    fails, the trial counts as failed and is halved; should the phase then end
-    without an accepted step, one more counted call (past the budget if need
-    be) solves G at mu again.
+    state.mu.  The accepted trial's sensitivities, free Gram included, are
+    formed from its own factorization after mu's are released, so one Gram is
+    alive at a time.  If that fails, the trial counts as failed and is halved;
+    should the phase then end without an accepted step, one more counted call
+    (past the budget if need be) forms them at mu again.
     """
     mu = state.mu.copy()
     ev = model.evaluate(mu)
@@ -369,7 +340,7 @@ def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
                 r_try = yhat - ev_try.y
                 f_try = -0.5 * mean_tau * float(r_try @ r_try) + logp_fn(trial)
                 if f_try > f_curr:
-                    ev = None     # one G alive at a time: mu's goes before the trial's is solved
+                    ev = None     # one Gram alive at a time: mu's goes before the trial's is formed
                     ev_try = ev_try.with_jacobian()
                     jacobians += 1
                     accepted = True

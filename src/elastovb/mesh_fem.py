@@ -11,12 +11,13 @@ owns together with its observed dofs and its clamped elements; every solve is
 definite with half-bandwidth at most 2 nx + 5 in the node numbering below, so a
 solve costs one exp, one bincount, a banded Cholesky factorization (LAPACK
 pbtrf, which needs no fill-reducing ordering), the solve and a residual check.
-Output sensitivities dy/dpsi reuse that factorization and are computed by
-direct differentiation, one right-hand side per active element: observing
-every free dof makes d_y about 2 n_elems, so this is the smaller side (the
-adjoint method would need one per observable).  The right-hand sides are
-solved in blocks of SENSITIVITY_BLOCK columns written straight into G, so a
-Jacobian holds G and one (n_free x block) pair at a time.
+Output sensitivities dy/dpsi reuse that factorization as an operator,
+`BandedSensitivities`, and the dense (d_y x n_elems) G is never formed: G v
+and G^T w take one solve each, and the free Gram G_f^T G_f, which the mean and
+basis phases factor and decompose, is formed from two solves per column over
+blocks of SENSITIVITY_BLOCK active elements.  Its memory is the Gram and one
+(n_free x block) array, where a dense G would be d_y n_elems (39 MiB at 40x40,
+~650 MB at 80x80).
 
 Node (ix, iy) has index iy*(nx+1) + ix; its displacement dofs are
 (2*index, 2*index + 1) for (ux, uy).  Element (ex, ey) has index ey*nx + ex.
@@ -24,6 +25,7 @@ Node (ix, iy) has index iy*(nx+1) + ix; its displacement dofs are
 
 from __future__ import annotations
 
+from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -273,45 +275,150 @@ def _solve_reduced(plan: AssemblyPlan, psi: np.ndarray) -> _ReducedSystem:
     return _ReducedSystem(plan=plan, e_mod=e_mod, factor=factor, U=U)
 
 
+class Sensitivities(ABC):
+    """The sensitivities G = dy/dpsi (d_y x d_psi) as an operator, with a held free Gram.
+
+    An implementation gives G v (`G @ v`), G^T w (`G.rmatvec(w)`) and
+    `_form_gram`, the unscaled free Gram A_ff = G_f^T G_f over the model's
+    unclamped columns.  The Gram is formed on the first request and held:
+    `gram()` lends it to a caller that restores whatever it overwrites, and
+    `take_gram()` hands it over for good, so the next request forms it again.
+    """
+
+    shape: tuple[int, int]
+    _gram: np.ndarray | None = None
+
+    @abstractmethod
+    def __matmul__(self, v: np.ndarray) -> np.ndarray: ...
+
+    @abstractmethod
+    def rmatvec(self, w: np.ndarray) -> np.ndarray: ...
+
+    @abstractmethod
+    def _form_gram(self) -> np.ndarray: ...
+
+    def gram(self) -> np.ndarray:
+        if self._gram is None:
+            self._gram = self._form_gram()
+        return self._gram
+
+    def take_gram(self) -> np.ndarray:
+        gram, self._gram = self.gram(), None
+        return gram
+
+
+class BandedSensitivities(Sensitivities):
+    """G = S_Q K_ff^-1 B^T on the held banded factor of K_ff; G itself is never formed.
+
+    B^T's column for an active element is `adjoint_jacobian`'s b_k and zero
+    for a clamped one, S_Q picks the observed rows, and P_Q = S_Q^T S_Q counts
+    the observations of each free dof (the identity when every free dof is
+    observed once, and then skipped).  G v and G^T w take one solve each; with
+    no active element nothing is solved.  The free Gram A_ff =
+    B_f K_ff^-1 P_Q K_ff^-1 B_f^T is formed over blocks of SENSITIVITY_BLOCK
+    active columns: two solves per block and an 8-term sparse contraction into
+    the lower triangle, which is then mirrored onto the upper one.  Besides
+    the Gram only one block's (n_free x block) arrays are alive.
+    """
+
+    def __init__(self, system: _ReducedSystem, active: np.ndarray, rows: np.ndarray,
+                 d_psi: int):
+        plan = system.plan
+        n_free = plan.free.size
+        dofs = plan.dofs[active]
+        pos = plan.free_pos[dofs]
+        vals = -system.e_mod[active, None] * (system.U[dofs] @ plan.ke.T)
+        self.shape = (rows.size, d_psi)
+        self._factor = (system.factor, False)
+        self._active = active
+        self._rows = rows
+        self._n_free = n_free
+        # B^T's entries, eight per active element: a prescribed dof adds 0 to row 0
+        self._pos = np.maximum(pos, 0)
+        self._vals = np.where(pos >= 0, vals, 0.0)
+        count = np.bincount(rows, minlength=n_free).astype(float)
+        self._obs_count = None if np.all(count == 1.0) else count
+
+    def _rhs(self, idx: np.ndarray, weights: np.ndarray, m: int) -> np.ndarray:
+        """(n_free x m) right-hand sides: the weights summed at flat indices row + n_free col."""
+        flat = np.bincount(idx.ravel(), weights=weights.ravel(), minlength=self._n_free * m)
+        return flat.reshape(m, self._n_free).T          # Fortran-ordered, as LAPACK reads it
+
+    def _solve(self, b: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        return cho_solve_banded(self._factor, b, overwrite_b=overwrite, check_finite=False)
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        """G v for a d_psi vector or a (d_psi x m) matrix v: one solve."""
+        v = np.asarray(v, dtype=float)
+        out_shape = (self.shape[0],) + v.shape[1:]
+        if self._active.size == 0:
+            return np.zeros(out_shape)
+        V = v[self._active].reshape(self._active.size, 1, -1)
+        m = V.shape[2]
+        x = self._solve(self._rhs(self._pos[:, :, None] + self._n_free * np.arange(m),
+                                  self._vals[:, :, None] * V, m), overwrite=True)
+        return x[self._rows].reshape(out_shape)
+
+    def rmatvec(self, w: np.ndarray) -> np.ndarray:
+        """G^T w for a d_y vector w: one solve; exactly zero at the clamped elements."""
+        out = np.zeros(self.shape[1])
+        if self._active.size:
+            x = self._solve(np.bincount(self._rows, weights=w, minlength=self._n_free),
+                            overwrite=True)
+            out[self._active] = np.sum(self._vals * x[self._pos], axis=1)
+        return out
+
+    def _form_gram(self) -> np.ndarray:
+        n = self._active.size
+        gram = np.empty((n, n))
+        # LAPACK solves a single right-hand side with other rounding than a
+        # column inside a block, so a lone trailing column joins the block
+        # before it; the Gram then has the same bits at any block size
+        starts = list(range(0, n, SENSITIVITY_BLOCK))
+        if len(starts) > 1 and n - starts[-1] == 1:
+            starts.pop()
+        for lo, hi in zip(starts, starts[1:] + [n]):
+            m = hi - lo
+            x = self._solve(self._rhs(self._pos[lo:hi] + self._n_free * np.arange(m)[:, None],
+                                      self._vals[lo:hi], m), overwrite=True)
+            if self._obs_count is not None:
+                x *= self._obs_count[:, None]
+            x = self._solve(x, overwrite=True)
+            # rows lo.. of columns lo..hi-1: the block's part of the lower triangle
+            block = gram[lo:, lo:hi]
+            np.multiply(self._vals[lo:, 0, None], x[self._pos[lo:, 0]], out=block)
+            for c in range(1, 8):
+                block += self._vals[lo:, c, None] * x[self._pos[lo:, c]]
+            if not np.all(np.isfinite(block)):
+                raise SingularSystemError("sensitivity solve produced non-finite values")
+        return mirror_lower(gram)
+
+
+def mirror_lower(a: np.ndarray) -> np.ndarray:
+    """Copy the strict lower triangle of the square `a` onto its strict upper one.
+
+    Works in place, a column at a time, so no (n x n) temporary is made;
+    `mirror_lower(a.T)` copies the upper triangle onto the lower instead.
+    """
+    for j in range(1, a.shape[0]):
+        a[:j, j] = a[j, :j]
+    return a
+
+
 def adjoint_jacobian(mesh: Mesh2D, system: _ReducedSystem, active: np.ndarray,
-                     Q: np.ndarray) -> np.ndarray:
+                     Q: np.ndarray) -> BandedSensitivities:
     """Sensitivities G[i, k] = d y_i / d psi_k at the field `system` was solved for.
 
     Differentiating K_ff u_f = f_f - K_fp u_p gives du_f/dpsi_k = K_ff^-1 b_k,
     with b_k = -E_k Ke_unit U_e on element k's free dofs (the chain rule through
-    E_k = exp(psi_k) included), so G[:, active] = S_Q K_ff^-1 B^T: one solve
-    with the system's factorization per active element.  The adjoint route
-    needs one per observable instead; models built from a config observe every
-    free dof, so d_y is about 2 n_elems and the direct side is always the
-    smaller.  The solves run over blocks of SENSITIVITY_BLOCK active elements,
-    each block's rows written into G, and give the same bits as one solve over
-    all of them.  Columns of the other (clamped) elements are exactly zero;
-    with no active element nothing is solved.  Q holds free dofs only, which
-    the forward model checks once when it is built.  `perfbench/tracing.py`
-    reads the mesh and Q as the first and fourth positional arguments.
+    E_k = exp(psi_k) included), so G[:, active] = S_Q K_ff^-1 B^T; the columns
+    of the other (clamped) elements are exactly zero.  G is returned as an
+    operator on the system's factorization, with its free Gram over the active
+    elements formed here, so a non-finite sensitivity raises now.  Q holds free
+    dofs only, which the forward model checks once when it is built.
+    `perfbench/tracing.py` reads the mesh and Q as the first and fourth
+    positional arguments.
     """
-    rows = system.plan.free_pos[Q]
-    G = np.zeros((rows.size, mesh.n_elems))
-    # Besides G, only one block's right-hand sides and solution are alive.
-    # LAPACK solves a single right-hand side with other rounding than a column
-    # inside a block, so a lone trailing column joins the block before it.
-    starts = list(range(0, active.size, SENSITIVITY_BLOCK))
-    if len(starts) > 1 and active.size - starts[-1] == 1:
-        starts.pop()
-    for lo, hi in zip(starts, starts[1:] + [active.size]):
-        cols = active[lo:hi]
-        G[:, cols] = cho_solve_banded((system.factor, False), _sensitivity_rhs(system, cols),
-                                      check_finite=False)[rows]
+    G = BandedSensitivities(system, active, system.plan.free_pos[Q], mesh.n_elems)
+    G.gram()
     return G
-
-
-def _sensitivity_rhs(system: _ReducedSystem, active: np.ndarray) -> np.ndarray:
-    """B^T: column k is -E_k Ke_unit U_e on active element k's free dofs."""
-    plan = system.plan
-    dofs = plan.dofs[active]
-    pos = plan.free_pos[dofs]
-    v = -system.e_mod[active, None] * (system.U[dofs] @ plan.ke.T)   # (n_active, 8)
-    k, c = np.nonzero(pos >= 0)
-    Bt = np.zeros((plan.free.size, active.size), order="F")
-    Bt[pos[k, c], k] = v[k, c]              # an element's 8 dofs are distinct
-    return Bt

@@ -24,6 +24,7 @@ from elastovb.vb import ReducedPosterior, posterior_psi_stats
 
 import vb_oracle as oracle
 from conftest import concentrated_tau_prior, example1_config
+from jacobian_oracle import dense
 
 DURATIONS: dict[str, float] = {}
 
@@ -241,7 +242,7 @@ def test_criterion_6b_adjoint_vs_finite_differences(capsys):
         model = FemForwardModel(mesh, bc)
         rng = np.random.default_rng(nx)
         psi = rng.normal(0.0, 0.3, mesh.n_elems)
-        G = model.evaluate(psi).G
+        G = dense(model.evaluate(psi).G)
         G_fd = np.empty_like(G)
         h = 1e-6
         for k in range(mesh.n_elems):

@@ -515,6 +515,56 @@ def test_malformed_artifact_exits_one_or_is_reported(name, corrupt, small_cfg_pa
     assert f"{unreadable} unreadable: " in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("key,value", [
+    ("d_y", lambda obs: obs["d_y"] + 0.5),
+    ("seed", lambda obs: 1.5),
+    ("seed", lambda obs: True),
+    ("obs_dofs[2]", lambda obs: obs["obs_dofs"][2] + 0.5),
+], ids=["d_y-fraction", "seed-fraction", "seed-bool", "obs_dofs-fraction"])
+def test_observation_file_integer_exits_one_naming_it(key, value, small_cfg_path,
+                                                       tmp_path, capsys):
+    # integers in the observation file follow the config reader's rule: a
+    # fraction or a boolean is refused, where int() used to truncate it
+    out = tmp_path / "ints"
+    args = ["--config", str(small_cfg_path), "--out", str(out)]
+    assert main(["generate"] + args) == 0
+    assert main(["invert"] + args) == 0
+    path = out / "observations.json"
+    obs = json.loads(path.read_text())
+    if key.startswith("obs_dofs"):
+        obs["obs_dofs"][2] = value(obs)
+    else:
+        obs[key] = value(obs)
+    path.write_text(json.dumps(obs))
+    capsys.readouterr()
+    for verb in ("invert", "validate"):
+        assert main([verb] + args) == 1
+        assert f"{key} must be an integer" in capsys.readouterr().err
+
+
+def test_validate_refuses_observations_of_another_model(tmp_path, capsys):
+    # left/right Dirichlet edges in place of bottom/top observe as many dofs
+    # (198) on the square example1 mesh, but other ones: validate must refuse
+    # the observations exactly as invert does, not weigh them against the
+    # other model (it exited 0 with an ESS of 0.54)
+    d = example1_dict()
+    d["validation"]["samples"] = 20
+    d["output"]["directory"] = str(tmp_path / "out")
+    path = tmp_path / "example1.yaml"
+    path.write_text(yaml.safe_dump(d))
+    assert main(["generate", "--config", str(path)]) == 0
+    assert main(["invert", "--config", str(path)]) == 0
+    for cond, edge in zip(d["bc"]["dirichlet"], ("left", "right")):
+        cond["edge"] = edge
+    other = tmp_path / "other.yaml"
+    other.write_text(yaml.safe_dump(d))
+    capsys.readouterr()
+    for verb in ("invert", "validate"):
+        assert main([verb, "--config", str(other)]) == 1
+        assert "observation file does not match" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "is_report.json").exists()
+
+
 def run_child(*args):
     """`python *args` in a child that imports the package under test."""
     src = str(Path(elastovb.__file__).resolve().parents[1])

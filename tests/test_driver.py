@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 from elastovb.config import build_model, generate_data, initial_mu
 from elastovb.driver import (DriverConfig, add_basis, info_gain, kl_terms,
                              next_prior_precision, optimize_W, run, state_from_dict)
-from elastovb.forward import (CallCounter, FemForwardModel, ForwardEval,
-                              LinearOracleModel)
+from elastovb.forward import (CallCounter, DenseSensitivities, FemForwardModel,
+                              ForwardEval, LinearOracleModel)
 from elastovb.mean_update import SmoothPrior
 from elastovb.vb import ReducedPosterior
 
 import vb_oracle as oracle
 from conftest import concentrated_tau_prior, example1_config, top_clamped_model, traced_peak
+from jacobian_oracle import dense
 
 
 def zero_state(d_psi, d_theta=0, **kw):
@@ -109,7 +110,8 @@ def test_add_basis_respects_clamp_and_cap(rng):
     fixed = np.zeros(6, dtype=bool)
     fixed[4:] = True
     G = rng.normal(size=(9, 6))
-    vecs, vals = optimize_W(np.flatnonzero(~fixed), ForwardEval(y=np.zeros(9), G=G), 0, 4)
+    ev = LinearOracleModel(G, fixed_mask=fixed).evaluate(np.zeros(6))
+    vecs, vals = optimize_W(np.flatnonzero(~fixed), ev, 0, 4)
     assert vecs.shape == (4, 4)             # one column per free element, no more
     assert orthonormality_defect(vecs) < 1e-10
     assert np.allclose((vecs * vals) @ vecs.T, G[:, :4].T @ G[:, :4], rtol=0.0, atol=1e-12)
@@ -127,11 +129,12 @@ def test_add_basis_respects_clamp_and_cap(rng):
 
 def test_optimize_W_peak_memory_near_one_gram():
     # 20x20 with the top row clamped (n_free = 380), in units of one
-    # (n_free x n_free) float64 array: the Gram, decomposed in place (1), and
-    # the finiteness check's boolean mask (1/8); the six eigenvectors the
-    # driver's first block takes are 6/380.  Computing all n_free eigenvectors
-    # peaked at 2.1, and forming the full d_psi^2 Gram and copying its free
-    # block at 3.1.
+    # (n_free x n_free) float64 array.  The first call takes the Gram the
+    # evaluation holds; the traced second one forms it again from the
+    # sensitivities: the Gram (1), one block of solves (0.18) and the
+    # contraction's temporaries, then the in-place decomposition (measured
+    # 1.40).  Computing all n_free eigenvectors peaked at 2.1, and forming the
+    # full d_psi^2 Gram and copying its free block at 3.1.
     model = top_clamped_model(20)
     ev = model.evaluate(np.random.default_rng(0).normal(0.0, 0.4, model.d_psi))
     free = np.flatnonzero(~model.fixed_mask)
@@ -139,11 +142,11 @@ def test_optimize_W_peak_memory_near_one_gram():
 
 
 def test_run_peak_memory_near_G_plus_one_gram():
-    # the whole run on the 20x20 model with the top row clamped: one G at a
-    # time, and besides it the Gram of the linearization or of the basis
-    # phase, which both solves and eigendecompositions overwrite in place.
-    # A factored copy of the Gram, or all n_free eigenvectors, peaked at
-    # G + 2.2 (n_free x n_free) arrays.
+    # the whole run on the 20x20 model with the top row clamped: one Gram at a
+    # time, the linearization's or the basis phase's, which both solves and
+    # eigendecompositions overwrite in place, and no dense G (measured 1.9
+    # (n_free x n_free) arrays; G alone is 2.2).  A factored copy of the
+    # Gram, or all n_free eigenvectors, peaked at G + 2.2.
     model = top_clamped_model(20)
     psi_true = np.zeros(model.d_psi)
     psi_true[150:160] = 1.0
@@ -353,7 +356,7 @@ def test_basis_across_the_block_boundary_is_the_minor_eigenbasis(max_bases, stop
     assert (trace.state.d_theta, trace.stop_reason) == (d, stop_reason)
     assert calls == [(0, 4, 4), (4, d, d - 4)]
     free = ~model.fixed_mask
-    G_f = model.evaluate(trace.state.mu).G[:, free]
+    G_f = dense(model.evaluate(trace.state.mu).G)[:, free]
     _, vecs = np.linalg.eigh(G_f.T @ G_f)
     vecs = vecs[:, :d] * np.where(
         vecs[np.argmax(np.abs(vecs[:, :d]), axis=0), np.arange(d)] < 0.0, -1.0, 1.0)
@@ -409,7 +412,7 @@ def test_run_reads_the_clamp_set_from_the_model():
 def test_basis_is_the_ordered_minor_eigenbasis(example1):
     state, ev = example1.trace.state, example1.trace.mu_result.ev
     free = ~example1.mask
-    G_f = ev.G[:, free]
+    G_f = dense(ev.G)[:, free]
     A_ff = G_f.T @ G_f
     W_f = state.W[free]
     assert state.d_theta == 6
@@ -481,9 +484,9 @@ class RoundedJacobianModel(FemForwardModel):
         ev = super()._evaluate(psi)
 
         def jacobian():
-            G = ev.with_jacobian().G
+            G = dense(ev.with_jacobian().G)
             noise = np.random.default_rng(1).uniform(-1.0, 1.0, G.shape)
-            return G * (1.0 + 1e-13 * noise)
+            return DenseSensitivities(G * (1.0 + 1e-13 * noise), self.active)
 
         return ForwardEval(y=ev.y, G=None, _jacobian=jacobian)
 

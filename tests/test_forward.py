@@ -1,6 +1,7 @@
 """Forward-model interface: evaluation contract, call accounting, determinism."""
 
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from elastovb.forward import (CallCounter, FemForwardModel, ForwardEval,
 from elastovb.mesh_fem import Mesh2D, _ReducedSystem
 
 from conftest import compression_bc, top_clamped_model, traced_peak
+from jacobian_oracle import dense
 
 
 def test_linear_oracle_identity():
@@ -17,7 +19,7 @@ def test_linear_oracle_identity():
     model = LinearOracleModel(A)
     ev = model.evaluate(np.array([1.0, -2.0, 0.5]))
     assert np.array_equal(ev.y, [1.0, -2.0, 0.5])
-    assert np.array_equal(ev.G, A)
+    assert np.array_equal(dense(ev.G), A)
 
 
 def test_linear_oracle_offset_and_jacobian(rng):
@@ -29,7 +31,7 @@ def test_linear_oracle_offset_and_jacobian(rng):
     assert np.allclose(ev.y, A @ psi + off, atol=1e-14)
     # Jacobian independent of the evaluation point
     ev2 = model.evaluate(psi + 1.0)
-    assert np.array_equal(ev.G, ev2.G)
+    assert np.array_equal(dense(ev.G), dense(ev2.G))
     value = model.evaluate(psi, jacobian=False)
     assert value.G is None and np.array_equal(value.y, ev.y)
 
@@ -97,7 +99,8 @@ def test_fem_model_bit_identical_and_counts(rng):
     assert counter.count == 3
     assert not np.array_equal(ev1.y, other.y)
     assert np.array_equal(ev1.y, ev2.y)
-    assert np.array_equal(ev1.G, ev2.G)
+    assert np.array_equal(dense(ev1.G), dense(ev2.G))
+    assert np.array_equal(ev1.G.gram(), ev2.G.gram())
     assert model.d_psi == 9 and model.d_y == ev1.y.size == ev1.G.shape[0]
 
 
@@ -133,11 +136,15 @@ def test_value_only_evaluation_gives_its_jacobian_later(rng):
     full = value.with_jacobian()
     assert counter.count == 2
     assert full.y is value.y
-    assert full.G.tobytes() == model.evaluate(psi).G.tobytes()
+    fresh = model.evaluate(psi).G
+    assert dense(full.G).tobytes() == dense(fresh).tobytes()
+    assert full.G.gram().tobytes() == fresh.gram().tobytes()
     assert full.with_jacobian() is full
 
 
-def test_completed_evaluation_holds_no_factorization(rng):
+def test_completed_evaluation_holds_no_reduced_system(rng):
+    # the value-only handle holds the call's whole solved system; once the
+    # sensitivities are formed it is spent, and G keeps only the banded factor
     mesh = Mesh2D(3, 3, 3.0, 3.0)
     bc = compression_bc(mesh)
     model = FemForwardModel(mesh, bc)
@@ -182,13 +189,28 @@ def test_failed_sensitivity_solve_is_a_forward_solve_error(rng, monkeypatch):
 
 
 def test_jacobian_evaluation_peak_memory_near_G(rng):
-    # one value+Jacobian call at 20x20 (380 active elements): besides G only
-    # one block of right-hand sides and solutions is alive.  Solving all
-    # active elements at once peaked at 2.9 G.nbytes.
+    # one value+Jacobian call at 20x20 (380 active elements): besides the free
+    # Gram only one block of right-hand sides and solutions is alive.  Solving
+    # all active elements at once into a dense G peaked at 2.9 G.nbytes.
     model = top_clamped_model(20)
     psi = rng.normal(0.0, 0.4, model.d_psi)
     peak = traced_peak(lambda: model.evaluate(psi))
     assert peak < 1.5 * 8 * model.d_y * model.d_psi
+
+
+def test_sensitivities_never_form_the_dense_jacobian(rng):
+    # one value+Jacobian call at 40x40 with the top row clamped: the free Gram
+    # (18.6 MiB) and one block of solves, below the dense G it never forms
+    # (d_y x n_elems, 39 MiB), which the blocked direct solve peaked above
+    model = top_clamped_model(40)
+    psi = rng.normal(0.0, 0.4, model.d_psi)
+    tracemalloc.start()
+    try:
+        model.evaluate(psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * model.d_y * model.d_psi
 
 
 def test_fem_model_wraps_failures():

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import logsumexp
 
-from elastovb.forward import (ForwardEval, ForwardModel, ForwardSolveError,
-                              LinearOracleModel)
+from elastovb.forward import (DenseSensitivities, ForwardEval, ForwardModel,
+                              ForwardSolveError, LinearOracleModel)
 from elastovb.importance import (_marginal_constant, _marginal_varying, compare_vb_is,
                                  ess, run_is)
 from elastovb.vb import ReducedPosterior, posterior_psi_stats
@@ -73,7 +73,8 @@ class RefusingModel(ForwardModel):
     def _evaluate(self, psi):
         if psi[0] > 0.0:
             raise ForwardSolveError("refused", psi)
-        return ForwardEval(y=self.A @ psi, G=None, _jacobian=self.A.copy)
+        return ForwardEval(y=self.A @ psi, G=None,
+                           _jacobian=lambda: DenseSensitivities(self.A, self.active))
 
 
 def point_state(mu, a0=0.0, b0=0.0):

@@ -9,16 +9,18 @@ import scipy.linalg
 
 from elastovb.config import build_model, generate_data, initial_mu
 import elastovb.forward as fwd
-from elastovb.forward import (CallCounter, FemForwardModel, ForwardEval,
-                              ForwardModel, ForwardSolveError, LinearOracleModel)
-from elastovb.mean_update import (GRAM_ROWS, TIKHONOV_FLOOR, GaussNewtonSystem,
-                                  MuUpdateReport, SmoothPrior, em_phi, free_gram,
-                                  gauss_newton_step, gauss_newton_system,
-                                  log_prior_mu_and_grad, neighbor_pairs, update_mu)
-from elastovb.mesh_fem import Mesh2D
+from elastovb.forward import (CallCounter, DenseSensitivities, FemForwardModel,
+                              ForwardEval, ForwardModel, ForwardSolveError,
+                              LinearOracleModel)
+from elastovb.mean_update import (TIKHONOV_FLOOR, GaussNewtonSystem, MuUpdateReport,
+                                  SmoothPrior, em_phi, gauss_newton_step,
+                                  gauss_newton_system, log_prior_mu_and_grad,
+                                  neighbor_pairs, update_mu)
+from elastovb.mesh_fem import Mesh2D, _solve_reduced
 from elastovb.vb import ReducedPosterior, update_q_tau
 
-from conftest import example1_config, top_clamped_model, traced_peak
+from conftest import compression_bc, example1_config, top_clamped_model, traced_peak
+from jacobian_oracle import dense, direct_jacobian
 
 
 def empty_state(d, a0=1.0, b0=1.0):
@@ -147,10 +149,10 @@ def test_singular_system_records_tikhonov_floor():
 
 def test_clamped_components_stay_exactly_zero(rng):
     A = rng.normal(size=(8, 5))
-    model = LinearOracleModel(A)
+    fixed = np.array([False, True, False, False, True])
+    model = LinearOracleModel(A, fixed_mask=fixed)
     mu = rng.normal(size=5)
     yhat = rng.normal(size=8)
-    fixed = np.array([False, True, False, False, True])
     system = gauss_newton_system(model.evaluate(mu), yhat, 2.0, fixed)
     delta, _ = gauss_newton_step(mu, system, prior=None, regularization_active=False)
     assert delta[1] == 0.0 and delta[4] == 0.0
@@ -163,10 +165,10 @@ def test_clamped_components_stay_exactly_zero(rng):
 
 def test_reused_system_gives_the_same_step(rng):
     A = rng.normal(size=(10, 6))
-    model = LinearOracleModel(A)
+    fixed = np.array([False, False, True, False, False, False])
+    model = LinearOracleModel(A, fixed_mask=fixed)
     mu = rng.normal(size=6)
     yhat = rng.normal(size=10)
-    fixed = np.array([False, False, True, False, False, False])
     prior = em_phi(mu, SmoothPrior.for_grid(3, 2, 2.0, 1.0))
     ev = model.evaluate(mu)
     system = gauss_newton_system(ev, yhat, 4.0, fixed)
@@ -199,10 +201,10 @@ def test_regularized_step_with_clamped_components_matches_dense_construction(rng
     # ends free and five with one clamped end, which reach the free block only
     # on their free end's diagonal and through mu of the clamped end
     A = rng.normal(size=(10, 6))
-    model = LinearOracleModel(A)
+    fixed = np.array([False, True, False, False, False, True])
+    model = LinearOracleModel(A, fixed_mask=fixed)
     mu = rng.normal(size=6)
     yhat = rng.normal(size=10)
-    fixed = np.array([False, True, False, False, False, True])
     free = ~fixed
     prior = em_phi(mu, SmoothPrior.for_grid(3, 2, 2.0, 1.0))
     tau = 4.0
@@ -220,10 +222,10 @@ def test_regularized_step_with_clamped_components_matches_dense_construction(rng
 
 
 def full_matrix(mu, system, prior, reg, floor=0.0):
-    """(H, rhs) built whole, on a copy of the Gram: the prior on both
+    """(H, rhs) built whole, on a scaled copy of the Gram: the prior on both
     triangles, then the floor on the diagonal."""
     free = system.free
-    H = system.gram.copy()
+    H = system.scale * system.gram
     rhs = system.rhs
     n = rhs.size
     if reg:
@@ -249,7 +251,8 @@ def step_problem(rng, fixed=()):
     yhat = rng.normal(size=10)
     mask = np.zeros(6, dtype=bool)
     mask[list(fixed)] = True
-    system = gauss_newton_system(LinearOracleModel(A).evaluate(mu), yhat, 4.0, mask)
+    system = gauss_newton_system(LinearOracleModel(A, fixed_mask=mask).evaluate(mu), yhat,
+                                 4.0, mask)
     return mu, system
 
 
@@ -281,7 +284,8 @@ def test_least_squares_fallback_restores_the_gram(reg, rng):
     # solves the whole floored matrix by least squares
     B = rng.normal(size=(6, 6))
     gram = B + B.T - 20.0 * np.eye(6)
-    system = GaussNewtonSystem(free=np.ones(6, dtype=bool), gram=gram, rhs=rng.normal(size=6))
+    system = GaussNewtonSystem(free=np.ones(6, dtype=bool), gram=gram, scale=1.0,
+                               rhs=rng.normal(size=6))
     mu = rng.normal(size=6)
     prior = em_phi(mu, SmoothPrior.for_grid(3, 2, 2.0, 1.0))
     kept = gram.copy()
@@ -309,19 +313,30 @@ def test_step_that_raises_restores_the_gram(case, rng):
 
 
 def test_free_gram_matches_the_dense_product(rng):
-    # more rows than one block, a partial last block and scattered free columns
-    G = rng.normal(size=(2 * GRAM_ROWS + 5, 9))
-    cols = np.array([0, 2, 3, 7, 8])
-    gram = free_gram(G, cols, 3.0)
-    assert np.array_equal(gram, gram.T)
-    assert np.allclose(gram, 3.0 * (G[:, cols].T @ G[:, cols]), rtol=1e-13, atol=1e-12)
+    # the system's blocks from the evaluation's sensitivity operator against
+    # the dense products of the direct-differentiation G: 40 free elements,
+    # more than one block of columns, with scattered clamps
+    mesh = Mesh2D(7, 6, 7.0, 6.0)
+    fixed = np.zeros(mesh.n_elems, dtype=bool)
+    fixed[[0, 5, 17, 30, 41]] = True
+    model = FemForwardModel(mesh, compression_bc(mesh), fixed_mask=fixed, poisson=0.3)
+    psi = rng.normal(0.0, 0.4, mesh.n_elems)
+    ev = model.evaluate(psi)
+    yhat = ev.y + rng.normal(0.0, 1e-3, model.d_y)
+    system = gauss_newton_system(ev, yhat, 3.0, fixed)
+    G_f = direct_jacobian(mesh, _solve_reduced(model.plan, psi), model.active,
+                          model.obs_dofs)[:, ~fixed]
+    assert system.gram is ev.G.gram() and system.scale == 3.0
+    assert np.array_equal(system.gram, system.gram.T)
+    assert np.allclose(system.gram, G_f.T @ G_f, rtol=1e-13, atol=1e-13 * np.abs(G_f).max() ** 2)
+    assert np.allclose(system.rhs, 3.0 * G_f.T @ (yhat - ev.y), rtol=1e-12, atol=0.0)
 
 
-# Peaks at 20x20 with the top row clamped (n_free = 380; G is 2.2 n_free^2),
-# in units of one (n_free x n_free) float64 array; G and the system exist
-# before tracing starts.  Solving with a copy of G_f and copying the Gram
-# twice per step peaked at 3.1 and 2.1; factoring one copy of the Gram per
-# step peaked at 1.16.
+# Peaks at 20x20 with the top row clamped (n_free = 380; a dense G would be
+# 2.2 n_free^2), in units of one (n_free x n_free) float64 array; the
+# evaluation, its Gram and the system exist before tracing starts.  Solving
+# with a copy of G_f and copying the Gram twice per step peaked at 3.1 and
+# 2.1; factoring one copy of the Gram per step peaked at 1.16.
 
 
 @pytest.fixture(scope="module")
@@ -335,7 +350,9 @@ def mesh20_linearization():
 
 
 def test_gauss_newton_system_peak_memory_near_one_gram(mesh20_linearization):
-    # the Gram (1) plus one GRAM_ROWS block of G_f (64/380 = 0.17)
+    # the system borrows the Gram the evaluation holds and makes only vectors
+    # (measured 0.06); forming the Gram from a dense G took the Gram (1) plus
+    # one 64-row block of G_f (64/380 = 0.17)
     model, _, ev, yhat = mesh20_linearization
     unit = 8 * np.count_nonzero(~model.fixed_mask) ** 2
     peak = traced_peak(lambda: gauss_newton_system(ev, yhat, 3.0, model.fixed_mask))
@@ -343,8 +360,9 @@ def test_gauss_newton_system_peak_memory_near_one_gram(mesh20_linearization):
 
 
 def test_regularized_step_peak_memory_under_half_a_gram(mesh20_linearization):
-    # the Gram is factored in place, so only the finiteness check's boolean
-    # mask (1/8) and vectors of length n_free are made
+    # the Gram is factored in place, so only boolean masks (1/8 each, one at
+    # a time: the triangle <tau> scales and the finiteness check's) and
+    # vectors of length n_free are made
     model, psi, ev, yhat = mesh20_linearization
     unit = 8 * np.count_nonzero(~model.fixed_mask) ** 2
     system = gauss_newton_system(ev, yhat, 3.0, model.fixed_mask)
@@ -403,8 +421,8 @@ class ScaledJacobianModel(ForwardModel):
 
     def _evaluate(self, psi):
         ev = self.inner._evaluate(psi)
-        return ForwardEval(y=ev.y, G=None,
-                           _jacobian=lambda: ev.with_jacobian().G * self.scale)
+        return ForwardEval(y=ev.y, G=None, _jacobian=lambda: DenseSensitivities(
+            dense(ev.with_jacobian().G) * self.scale, self.active))
 
 
 def example1_mean_phase(snr=None, noise_seed=None, jacobian_scale=None, mesh_n=None):
@@ -601,7 +619,7 @@ def test_failed_jacobian_halves_the_trial_like_a_failed_solve(rng):
     assert jac.forward_calls == jac_model.counter.count == val_model.counter.count
     assert jac.reports == val.reports
     assert np.array_equal(jac.mu, val.mu)
-    assert np.array_equal(jac.ev.G, A)
+    assert np.array_equal(dense(jac.ev.G), A)
     assert jac.jacobians == val.jacobians == 1 + sum(r.accepted for r in jac.reports)
 
 
@@ -616,7 +634,7 @@ def test_failed_jacobian_without_a_later_accept_solves_mu_again(rng):
     assert res.forward_calls == model.counter.count == 3
     assert res.jacobians == 2
     assert np.array_equal(res.mu, np.zeros(3))
-    assert np.array_equal(res.ev.G, A) and np.array_equal(res.ev.y, np.zeros(6))
+    assert np.array_equal(dense(res.ev.G), A) and np.array_equal(res.ev.y, np.zeros(6))
 
 
 @pytest.mark.parametrize("mesh_n", [None, 20], ids=["example1", "mesh20"])
@@ -641,7 +659,8 @@ def test_jacobians_solved_only_for_accepted_trials(mesh_n, monkeypatch):
     if mesh_n is not None:
         cfg.mesh.nx = cfg.mesh.ny = mesh_n
     fresh = build_model(cfg)[0].evaluate(res.mu)
-    assert res.ev.G.tobytes() == fresh.G.tobytes()
+    assert res.ev.G.gram().tobytes() == fresh.G.gram().tobytes()
+    assert dense(res.ev.G).tobytes() == dense(fresh.G).tobytes()
     assert res.ev.y.tobytes() == fresh.y.tobytes()
 
 
@@ -677,7 +696,7 @@ class ArctanModel(ForwardModel):
 
         def jacobian():
             self.g_alive_at_solve.append(self._alive(self.jacobians))
-            G = (10.0 / (1.0 + 100.0 * psi ** 2))[:, None]
+            G = DenseSensitivities((10.0 / (1.0 + 100.0 * psi ** 2))[:, None], np.arange(1))
             self.jacobians.append(weakref.ref(G))
             return G
 

@@ -13,11 +13,12 @@ from scipy.linalg import cho_solve_banded
 
 from elastovb import mesh_fem
 from elastovb.mesh_fem import (BoundarySpec, Mesh2D, SingularSystemError,
-                               _sensitivity_rhs, _solve_reduced, adjoint_jacobian,
-                               assembly_plan, element_stiffness_unit)
+                               _solve_reduced, adjoint_jacobian, assembly_plan,
+                               element_stiffness_unit)
 from elastovb.forward import FemForwardModel, ForwardSolveError
 
 from conftest import cantilever_bc, compression_bc
+from jacobian_oracle import dense, direct_jacobian
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +261,7 @@ def test_adjoint_matches_finite_differences(nx, ny, make_bc, poisson, rng):
     bc = make_bc(mesh)
     psi = rng.normal(0.0, 0.5, mesh.n_elems)
     model = FemForwardModel(mesh, bc, poisson=poisson)
-    G = model.evaluate(psi).G
+    G = dense(model.evaluate(psi).G)
     G_fd = fd_jacobian(mesh, bc, psi, model.obs_dofs, poisson)
     scale = np.max(np.abs(G_fd)) + 1e-30
     assert np.max(np.abs(G - G_fd)) / scale < 1e-5
@@ -272,7 +273,7 @@ def test_jacobian_rows_sum_to_zero_for_dirichlet_loading(rng):
     bc = compression_bc(mesh)
     psi = rng.normal(0.0, 0.5, mesh.n_elems)
     G = FemForwardModel(mesh, bc).evaluate(psi).G
-    assert np.max(np.abs(G @ np.ones(mesh.n_elems))) < 1e-10 * np.max(np.abs(G))
+    assert np.max(np.abs(G @ np.ones(mesh.n_elems))) < 1e-10 * np.max(np.abs(dense(G)))
 
 
 def test_clamped_elements_have_zero_columns(rng):
@@ -281,7 +282,7 @@ def test_clamped_elements_have_zero_columns(rng):
     psi = rng.normal(0.0, 0.5, mesh.n_elems)
     fixed = np.zeros(mesh.n_elems, dtype=bool)
     fixed[6:] = True       # top element row
-    G = FemForwardModel(mesh, bc, fixed_mask=fixed).evaluate(psi).G
+    G = dense(FemForwardModel(mesh, bc, fixed_mask=fixed).evaluate(psi).G)
     assert np.all(G[:, 6:] == 0.0)
     assert np.any(G[:, :6] != 0.0)
 
@@ -295,7 +296,8 @@ def test_all_elements_clamped_gives_zero_jacobian(rng):
     ev = FemForwardModel(mesh, bc, fixed_mask=fixed, poisson=0.3).evaluate(psi)
     free_ev = FemForwardModel(mesh, bc, poisson=0.3).evaluate(psi)
     assert ev.G.shape == (free_ev.y.size, mesh.n_elems)
-    assert np.all(ev.G == 0.0)
+    assert np.all(dense(ev.G) == 0.0)
+    assert ev.G.gram().shape == (0, 0)
     assert np.array_equal(ev.y, free_ev.y)
 
 
@@ -326,20 +328,11 @@ def test_adjoint_matches_dense_contraction(make_bc, poisson, rng):
     fixed[-mesh.nx:] = True       # top element row clamped
     psi = rng.normal(0.0, 0.6, mesh.n_elems)
     model = FemForwardModel(mesh, bc, fixed_mask=fixed, poisson=poisson)
-    G = model.evaluate(psi).G
+    G = dense(model.evaluate(psi).G)
     G_dense = dense_adjoint_jacobian(mesh, bc, psi, fixed, model.obs_dofs, poisson)
     assert G.shape == G_dense.shape == (model.d_y, mesh.n_elems)
     assert np.linalg.norm(G - G_dense) <= 1e-12 * np.linalg.norm(G_dense)
     assert np.all(G[:, fixed] == 0.0)
-
-
-def single_block_jacobian(system, active, Q):
-    """All active elements' sensitivities from one solve with every right-hand side."""
-    rows = system.plan.free_pos[Q]
-    G = np.zeros((Q.size, system.e_mod.size))
-    G[:, active] = cho_solve_banded((system.factor, False),
-                                    _sensitivity_rhs(system, active))[rows]
-    return G
 
 
 @pytest.mark.parametrize("nx,ny,clamp_top,make_bc", [
@@ -352,11 +345,11 @@ def single_block_jacobian(system, active, Q):
 @pytest.mark.parametrize("block", [None, 2, 7, 128])
 def test_blocked_sensitivities_match_single_block_solve(nx, ny, clamp_top, make_bc,
                                                         block, rng, monkeypatch):
-    # a column's solve does not depend on the other columns of its block, so
-    # the blocked G equals the one-block G bit for bit at any block size of 2
-    # or more (LAPACK solves a block of one column with other rounding)
-    if block is not None:
-        monkeypatch.setattr(mesh_fem, "SENSITIVITY_BLOCK", block)
+    # a column's two solves do not depend on the other columns of its block,
+    # so the free Gram formed in blocks equals the one formed from a single
+    # block of every active column bit for bit, at any block size of 2 or
+    # more (LAPACK solves a block of one column with other rounding)
+    size = mesh_fem.SENSITIVITY_BLOCK if block is None else block
     mesh = Mesh2D(nx, ny, float(nx), float(ny))
     bc = make_bc(mesh)
     fixed = np.zeros(mesh.n_elems, dtype=bool)
@@ -366,9 +359,12 @@ def test_blocked_sensitivities_match_single_block_solve(nx, ny, clamp_top, make_
     plan = assembly_plan(mesh, bc, 0.3)
     system = _solve_reduced(plan, rng.normal(0.0, 0.6, mesh.n_elems))
     Q = plan.free[::-1]               # unsorted rows exercise the row map too
+    monkeypatch.setattr(mesh_fem, "SENSITIVITY_BLOCK", active.size)
+    single = adjoint_jacobian(mesh, system, active, Q).gram()
+    monkeypatch.setattr(mesh_fem, "SENSITIVITY_BLOCK", size)
     G = adjoint_jacobian(mesh, system, active, Q)
-    assert np.array_equal(G, single_block_jacobian(system, active, Q))
-    assert np.all(G[:, fixed] == 0.0)
+    assert np.array_equal(G.gram(), single)
+    assert np.all(dense(G)[:, fixed] == 0.0)
 
 
 def test_all_clamped_jacobian_skips_the_solve(rng, monkeypatch):
@@ -384,7 +380,9 @@ def test_all_clamped_jacobian_skips_the_solve(rng, monkeypatch):
     monkeypatch.setattr(mesh_fem, "cho_solve_banded", no_solve)
     G = adjoint_jacobian(mesh, system, np.empty(0, dtype=int), Q)
     assert G.shape == (Q.size, mesh.n_elems)
-    assert np.all(G == 0.0)
+    assert G.gram().shape == (0, 0)
+    assert np.all(dense(G) == 0.0)
+    assert np.all(G.rmatvec(np.ones(Q.size)) == 0.0)
 
 
 @pytest.mark.parametrize("make_bc", [compression_bc, cantilever_bc])
@@ -401,13 +399,13 @@ def test_model_plan_matches_plan_free_and_dense_oracle(make_bc, rng):
     Q = model.obs_dofs
     system = _solve_reduced(assembly_plan(mesh, bc, 0.3), psi)
     y_free = system.U[Q]
-    G_free = adjoint_jacobian(mesh, system, np.flatnonzero(~fixed), Q)
+    G_free = dense(adjoint_jacobian(mesh, system, np.flatnonzero(~fixed), Q))
     y_oracle = oracle_solve(mesh, bc, psi, poisson=0.3)[Q]
     G_dense = dense_adjoint_jacobian(mesh, bc, psi, fixed, Q, 0.3)
     for y_ref, G_ref in ((y_free, G_free), (y_oracle, G_dense)):
         assert np.linalg.norm(ev.y - y_ref) <= 1e-12 * np.linalg.norm(y_ref)
-        assert np.linalg.norm(ev.G - G_ref) <= 1e-12 * np.linalg.norm(G_ref)
-    assert np.all(ev.G[:, fixed] == 0.0)
+        assert np.linalg.norm(dense(ev.G) - G_ref) <= 1e-12 * np.linalg.norm(G_ref)
+    assert np.all(dense(ev.G)[:, fixed] == 0.0)
 
 
 def test_unsorted_observation_subset_gives_exact_rows(rng):
@@ -419,7 +417,39 @@ def test_unsorted_observation_subset_gives_exact_rows(rng):
     pick = np.array([17, 3, 9])
     sub = FemForwardModel(mesh, bc, model.obs_dofs[pick], poisson=0.3).evaluate(psi)
     assert np.array_equal(sub.y, full.y[pick])
-    assert np.array_equal(sub.G, full.G[pick])
+    assert np.array_equal(dense(sub.G), dense(full.G)[pick])
+
+
+@pytest.mark.parametrize("case", ["dirichlet", "traction", "clamped-row", "all-clamped",
+                                  "unsorted-subset"])
+def test_operator_matches_the_direct_jacobian(case, rng):
+    # G v, G^T w and the free Gram against the dense G of direct
+    # differentiation; the subset, unsorted and with one dof observed twice,
+    # is the only case whose Gram weighs the free dofs by their observations
+    mesh = Mesh2D(6, 4, 6.0, 4.0)
+    bc = (cantilever_bc if case == "traction" else compression_bc)(mesh)
+    fixed = np.zeros(mesh.n_elems, dtype=bool)
+    if case == "clamped-row":
+        fixed[-mesh.nx:] = True
+    elif case == "all-clamped":
+        fixed[:] = True
+    plan = assembly_plan(mesh, bc, 0.3)
+    Q = None
+    if case == "unsorted-subset":
+        Q = rng.permutation(plan.free)[:plan.free.size // 3]
+        Q = np.append(Q, Q[0])
+    model = FemForwardModel(mesh, bc, Q, fixed_mask=fixed, poisson=0.3)
+    psi = rng.normal(0.0, 0.5, mesh.n_elems)
+    G = model.evaluate(psi).G
+    G_ref = direct_jacobian(mesh, _solve_reduced(plan, psi), model.active, model.obs_dofs)
+    G_f = G_ref[:, model.active]
+    v, w = rng.normal(size=mesh.n_elems), rng.normal(size=model.d_y)
+    assert G.shape == G_ref.shape == (model.d_y, mesh.n_elems)
+    for got, want in ((G @ v, G_ref @ v), (G.rmatvec(w), G_ref.T @ w),
+                      (G.gram(), G_f.T @ G_f)):
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    assert np.array_equal(G.gram(), G.gram().T)
+    assert np.all(G.rmatvec(w)[fixed] == 0.0)
 
 
 def test_model_rejects_bad_obs_dofs_at_construction(mesh3):
