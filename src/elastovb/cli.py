@@ -236,7 +236,7 @@ def cmd_validate(args) -> int:
             raise UsageError(f"missing {p}; run the earlier stages first")
     obs = ObservationFile.load(obs_path)
     try:
-        state = state_from_dict(json.loads(trace_path.read_text()))
+        state, clamped = state_from_dict(json.loads(trace_path.read_text()))
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"unreadable run trace {trace_path}: {exc}") from exc
 
@@ -245,6 +245,10 @@ def cmd_validate(args) -> int:
     _check_observed_dofs(obs, model)
     if state.d_psi != model.d_psi:
         raise UsageError("run trace does not match the configured mesh/bc")
+    if not np.array_equal(clamped, model.fixed_mask):
+        raise UsageError(f"run trace was inverted with elements "
+                         f"{np.flatnonzero(clamped).tolist()} clamped; the config clamps "
+                         f"{np.flatnonzero(model.fixed_mask).tolist()}")
     M, seed = cfg.validation.samples, cfg.validation.seed
     _remove_stale(out, VALIDATE_FILES)
 
@@ -300,7 +304,7 @@ def cmd_report(args) -> int:
     if trace_path.exists():
         try:
             payload = json.loads(trace_path.read_text())
-            state = state_from_dict(payload)
+            state, _ = state_from_dict(payload)
             lines.append(f"d_theta: {state.d_theta}")
             calls = f"forward_calls: {payload.get('forward_calls', 'unknown')}"
             if "jacobians" in payload.get("mu_phase", {}):

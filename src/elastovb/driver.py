@@ -26,8 +26,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
 
+from ._lapack import syevr
 from .forward import ForwardEval, ForwardModel
 from .mean_update import MuPhaseResult, SmoothPrior, update_mu
 from .vb import ElboBreakdown, ReducedPosterior, elbo, q_fixed_point
@@ -131,7 +131,7 @@ def optimize_W(free: np.ndarray, ev: ForwardEval, start: int,
     gram = ev.G.take_gram()
     # the Gram is symmetric, so its transpose is the same matrix in the
     # Fortran order that LAPACK overwrites without a copy
-    vals, vecs = eigh(gram.T, overwrite_a=True, subset_by_index=[start, stop - 1])
+    vals, vecs = syevr(gram.T, start, stop)
     cols = np.arange(vecs.shape[1])
     vecs *= np.where(vecs[np.argmax(np.abs(vecs), axis=0), cols] < 0.0, -1.0, 1.0)
     return vecs, vals
@@ -153,6 +153,7 @@ class StageRecord:
 class RunTrace:
     records: list[StageRecord]
     state: ReducedPosterior
+    fixed_mask: np.ndarray          # the model's clamp set the run was made under
     forward_calls: int
     stop_reason: str
     mu_result: MuPhaseResult | None = None
@@ -172,6 +173,7 @@ class RunTrace:
                 "lam": self.state.lam.tolist(),
                 "a0": self.state.a0, "b0": self.state.b0,
                 "a": self.state.a, "b": self.state.b,
+                "clamped": np.flatnonzero(self.fixed_mask).tolist(),
             },
         }
         mu = self.mu_result
@@ -186,7 +188,13 @@ class RunTrace:
         return out
 
 
-def state_from_dict(d: dict) -> ReducedPosterior:
+def state_from_dict(d: dict) -> tuple[ReducedPosterior, np.ndarray]:
+    """The posterior a run trace (or its `state` block) holds, and its clamp set.
+
+    The clamp set is returned as a mask over the d_psi elements; the basis
+    has zero rows there.  A missing key, a malformed number or a state that
+    is inconsistent in itself raises KeyError, TypeError or ValueError.
+    """
     s = d["state"] if "state" in d else d
     state = ReducedPosterior(
         mu=np.asarray(s["mu"], dtype=float),
@@ -204,7 +212,15 @@ def state_from_dict(d: dict) -> ReducedPosterior:
                          f"and {state.lam.size} posterior precisions")
     if not (np.all(state.lambda0 > 0.0) and np.all(state.lam > 0.0)):
         raise ValueError("state precisions lambda0 and lam must be positive")
-    return state
+    clamped = s["clamped"]
+    if not (isinstance(clamped, list)
+            and all(type(k) is int and 0 <= k < state.d_psi for k in clamped)):
+        raise ValueError(f"clamped must list element indices in [0, {state.d_psi})")
+    fixed_mask = np.zeros(state.d_psi, dtype=bool)
+    fixed_mask[clamped] = True
+    if np.any(state.W[fixed_mask] != 0.0):
+        raise ValueError("state basis has nonzero rows at clamped elements")
+    return state, fixed_mask
 
 
 def run(model: ForwardModel, yhat: np.ndarray, config: DriverConfig,
@@ -286,5 +302,6 @@ def run(model: ForwardModel, yhat: np.ndarray, config: DriverConfig,
             break
     if stop_reason is None:
         stop_reason = "max_bases" if max_bases < n_free else "full_rank"
-    return RunTrace(records=records, state=state, forward_calls=calls,
-                    stop_reason=stop_reason, mu_result=mu_res, elbo_rows=elbo_rows)
+    return RunTrace(records=records, state=state, fixed_mask=model.fixed_mask,
+                    forward_calls=calls, stop_reason=stop_reason, mu_result=mu_res,
+                    elbo_rows=elbo_rows)

@@ -41,8 +41,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
+from ._lapack import posv
 from .forward import ForwardEval, ForwardModel, ForwardSolveError
 from .mesh_fem import mirror_lower
 from .vb import ReducedPosterior, update_q_tau
@@ -170,7 +170,7 @@ def _cholesky_solve(H: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     try:
         # H.T is the Fortran-ordered view whose upper triangle is H's lower
         # one: LAPACK factors it in place, with no copy
-        x = scipy.linalg.cho_solve(scipy.linalg.cho_factor(H.T, overwrite_a=True), rhs)
+        x = posv(H.T, rhs)
     except np.linalg.LinAlgError:
         return None
     return x if np.all(np.isfinite(x)) else None

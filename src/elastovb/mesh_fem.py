@@ -10,7 +10,9 @@ owns together with its observed dofs and its clamped elements; every solve is
 `_solve_reduced(plan, psi)`.  The reduced stiffness is symmetric positive
 definite with half-bandwidth at most 2 nx + 5 in the node numbering below, so a
 solve costs one exp, one bincount, a banded Cholesky factorization (LAPACK
-pbtrf, which needs no fill-reducing ordering), the solve and a residual check.
+pbtrf, which needs no fill-reducing ordering), the solve (pbtrs) and a residual
+check (BLAS sbmv).  The three run in the OpenBLAS that numpy bundles, bound in
+`_lapack`, so the package loads no scipy.
 Output sensitivities dy/dpsi reuse that factorization as an operator,
 `BandedSensitivities`, and the dense (d_y x n_elems) G is never formed: G v
 and G^T w take one solve each, and the free Gram G_f^T G_f, which the mean and
@@ -29,8 +31,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
-from scipy.linalg.blas import dsbmv
+
+from ._lapack import pbtrf, pbtrs, sbmv
 
 
 SENSITIVITY_BLOCK = 32    # right-hand sides per sensitivity solve
@@ -230,7 +232,7 @@ class _ReducedSystem:
 
     plan: AssemblyPlan
     e_mod: np.ndarray         # moduli exp(psi)
-    factor: np.ndarray        # upper band Cholesky factor of K_ff, as cholesky_banded gives it
+    factor: np.ndarray        # upper band Cholesky factor of K_ff, as pbtrf gives it
     U: np.ndarray             # full displacement vector
 
 
@@ -257,14 +259,14 @@ def _solve_reduced(plan: AssemblyPlan, psi: np.ndarray) -> _ReducedSystem:
     e_mod = _moduli(psi)
     band, rhs = plan.assemble(e_mod)
     try:
-        factor = cholesky_banded(band, check_finite=False)
+        factor = pbtrf(band)
     except np.linalg.LinAlgError as exc:  # a pivot that is not positive
         raise SingularSystemError(
             f"stiffness factorization failed ({exc}; {_modulus_range(psi)}); check "
             "that the Dirichlet set constrains all rigid-body modes and that the "
             "modulus contrast is not extreme") from exc
-    u_f = cho_solve_banded((factor, False), rhs, check_finite=False)
-    resid = np.linalg.norm(dsbmv(plan.kd, 1.0, band, u_f) - rhs)
+    u_f = pbtrs(factor, rhs)
+    resid = np.linalg.norm(sbmv(band, u_f) - rhs)
     if not np.all(np.isfinite(u_f)) or resid > 1e-8 * (1.0 + np.linalg.norm(rhs)):
         raise SingularSystemError(
             f"reduced solve inaccurate (residual {resid:.3e}; {_modulus_range(psi)}); "
@@ -329,7 +331,7 @@ class BandedSensitivities(Sensitivities):
         pos = plan.free_pos[dofs]
         vals = -system.e_mod[active, None] * (system.U[dofs] @ plan.ke.T)
         self.shape = (rows.size, d_psi)
-        self._factor = (system.factor, False)
+        self._factor = system.factor
         self._active = active
         self._rows = rows
         self._n_free = n_free
@@ -344,8 +346,9 @@ class BandedSensitivities(Sensitivities):
         flat = np.bincount(idx.ravel(), weights=weights.ravel(), minlength=self._n_free * m)
         return flat.reshape(m, self._n_free).T          # Fortran-ordered, as LAPACK reads it
 
-    def _solve(self, b: np.ndarray, overwrite: bool = False) -> np.ndarray:
-        return cho_solve_banded(self._factor, b, overwrite_b=overwrite, check_finite=False)
+    def _solve(self, b: np.ndarray) -> np.ndarray:
+        """K_ff^-1 b, in place: every caller's b is a fresh Fortran-ordered array."""
+        return pbtrs(self._factor, b, overwrite=True)
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         """G v for a d_psi vector or a (d_psi x m) matrix v: one solve."""
@@ -356,15 +359,14 @@ class BandedSensitivities(Sensitivities):
         V = v[self._active].reshape(self._active.size, 1, -1)
         m = V.shape[2]
         x = self._solve(self._rhs(self._pos[:, :, None] + self._n_free * np.arange(m),
-                                  self._vals[:, :, None] * V, m), overwrite=True)
+                                  self._vals[:, :, None] * V, m))
         return x[self._rows].reshape(out_shape)
 
     def rmatvec(self, w: np.ndarray) -> np.ndarray:
         """G^T w for a d_y vector w: one solve; exactly zero at the clamped elements."""
         out = np.zeros(self.shape[1])
         if self._active.size:
-            x = self._solve(np.bincount(self._rows, weights=w, minlength=self._n_free),
-                            overwrite=True)
+            x = self._solve(np.bincount(self._rows, weights=w, minlength=self._n_free))
             out[self._active] = np.sum(self._vals * x[self._pos], axis=1)
         return out
 
@@ -380,10 +382,10 @@ class BandedSensitivities(Sensitivities):
         for lo, hi in zip(starts, starts[1:] + [n]):
             m = hi - lo
             x = self._solve(self._rhs(self._pos[lo:hi] + self._n_free * np.arange(m)[:, None],
-                                      self._vals[lo:hi], m), overwrite=True)
+                                      self._vals[lo:hi], m))
             if self._obs_count is not None:
                 x *= self._obs_count[:, None]
-            x = self._solve(x, overwrite=True)
+            x = self._solve(x)
             # rows lo.. of columns lo..hi-1: the block's part of the lower triangle
             block = gram[lo:, lo:hi]
             np.multiply(self._vals[lo:, 0, None], x[self._pos[lo:, 0]], out=block)

@@ -494,9 +494,14 @@ def test_removed_output_formats_key_exits_one_as_unknown(small_cfg_path, tmp_pat
         **trace["state"], "lam": trace["state"]["lam"][:-1]}}),
     ("run_trace.json", lambda trace: {**trace, "state": {
         **trace["state"], "lam": [-1.0] + trace["state"]["lam"][1:]}}),
+    ("run_trace.json", lambda trace: {**trace, "state": {
+        k: v for k, v in trace["state"].items() if k != "clamped"}}),
+    ("run_trace.json", lambda trace: {**trace, "state": {**trace["state"], "clamped": [1.5]}}),
+    ("run_trace.json", lambda trace: {**trace, "state": {**trace["state"], "clamped": [0]}}),
 ], ids=["obs-root-list", "obs-d_y-text", "obs-yhat-text", "obs-tau_true-null",
         "obs-yhat-nan", "trace-root-list", "trace-mu-text", "trace-a-null", "trace-mu-nan",
-        "trace-lam-short", "trace-lam-negative"])
+        "trace-lam-short", "trace-lam-negative", "trace-clamped-missing",
+        "trace-clamped-fraction", "trace-clamped-basis-row"])
 def test_malformed_artifact_exits_one_or_is_reported(name, corrupt, small_cfg_path,
                                                      tmp_path, capsys):
     out = tmp_path / "art"
@@ -565,6 +570,27 @@ def test_validate_refuses_observations_of_another_model(tmp_path, capsys):
     assert not (tmp_path / "out" / "is_report.json").exists()
 
 
+def test_validate_refuses_a_trace_inverted_under_another_clamp_set(small_cfg_path, tmp_path,
+                                                                   capsys):
+    # a posterior inverted with one clamped row, weighed under a config that
+    # clamps two, used to exit 0 and report moments over the other model's
+    # free elements
+    out = tmp_path / "clamp"
+    args = ["--out", str(out)]
+    assert main(["generate", "--config", str(small_cfg_path)] + args) == 0
+    assert main(["invert", "--config", str(small_cfg_path)] + args) == 0
+    d = small_dict()
+    d["clamp"]["top_element_rows"] = 2
+    other = tmp_path / "two_rows.yaml"
+    other.write_text(yaml.safe_dump(d))
+    capsys.readouterr()
+    assert main(["validate", "--config", str(other)] + args) == 1
+    assert ("run trace was inverted with elements [12, 13, 14, 15] clamped; the config "
+            "clamps [8, 9, 10, 11, 12, 13, 14, 15]") in capsys.readouterr().err
+    assert not (out / "is_report.json").exists()
+    assert main(["validate", "--config", str(small_cfg_path), "--samples", "20"] + args) == 0
+
+
 def run_child(*args):
     """`python *args` in a child that imports the package under test."""
     src = str(Path(elastovb.__file__).resolve().parents[1])
@@ -578,11 +604,11 @@ def run_cli(*args):
     return run_child("-m", "elastovb.cli", *args)
 
 
-@pytest.mark.parametrize("package", ["scipy.sparse", "scipy.special"])
+@pytest.mark.parametrize("package", ["scipy.sparse", "scipy.special", "scipy"])
 def test_package_import_leaves_scipy_sparse_unloaded(package):
-    # the package uses scipy only for LAPACK (banded and dense Cholesky, eigh);
-    # loading scipy.sparse or scipy.special would cost every process its
-    # import time and resident memory
+    # the package calls LAPACK in numpy's own OpenBLAS and loads no scipy
+    # module at all; scipy.linalg alone would double every process's import
+    # time and resident memory (58 MB against 30 MB)
     proc = run_child("-c", "import sys, elastovb, elastovb.cli; "
                            f"print(sorted(m for m in sys.modules if m.startswith({package!r})))")
     assert proc.returncode == 0, proc.stderr

@@ -269,8 +269,11 @@ def test_run_reproducible_bit_for_bit(linear_problem, rng):
 def test_run_trace_round_trips_through_dict(linear_problem, rng):
     A, psi_true = linear_problem
     yhat = A @ psi_true + rng.normal(0.0, 0.01, 8)
-    trace = run(LinearOracleModel(A), yhat, DriverConfig(max_bases=2))
-    back = state_from_dict(trace.to_dict())
+    fixed = np.array([False, True, False, False])
+    trace = run(LinearOracleModel(A, fixed_mask=fixed), yhat, DriverConfig(max_bases=2))
+    assert trace.to_dict()["state"]["clamped"] == [1]
+    back, clamped = state_from_dict(trace.to_dict())
+    assert np.array_equal(clamped, fixed)
     assert np.array_equal(back.mu, trace.state.mu)
     assert np.array_equal(back.W, trace.state.W)
     assert np.array_equal(back.lam, trace.state.lam)
@@ -307,7 +310,7 @@ def test_run_without_basis_columns_takes_no_eigendecomposition(linear_problem, r
     def refuse(*args, **kwargs):
         raise AssertionError("eigh called although no basis column is allowed")
 
-    monkeypatch.setattr("elastovb.driver.eigh", refuse)
+    monkeypatch.setattr("elastovb.driver.syevr", refuse)
     A, psi_true = linear_problem
     yhat = A @ psi_true + rng.normal(0.0, 0.01, 8)
     trace = run(LinearOracleModel(A), yhat, DriverConfig(max_bases=0))
