@@ -6,9 +6,8 @@ variational posterior confined to an adaptively grown low-dimensional
 subspace, and validates the result by importance sampling.
 """
 
-from .mesh_fem import BoundarySpec, Mesh2D, SingularSystemError, adjoint_jacobian
-from .forward import (CallCounter, FemForwardModel, ForwardEval, ForwardModel,
-                      ForwardSolveError, LinearOracleModel)
+from .mesh_fem import BoundarySpec, Mesh2D, adjoint_jacobian
+from .forward import FemForwardModel, ForwardEval, ForwardModel, ForwardSolveError
 from .vb import (ElboBreakdown, ReducedPosterior, elbo, posterior_psi_stats,
                  q_fixed_point, update_q_tau)
 from .mean_update import (MuPhaseResult, SmoothPrior, em_phi, gauss_newton_step,
@@ -22,9 +21,8 @@ from .config import (ObservationFile, RunConfig, build_model, generate_data,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundarySpec", "Mesh2D", "SingularSystemError", "adjoint_jacobian",
-    "CallCounter", "FemForwardModel", "ForwardEval", "ForwardModel",
-    "ForwardSolveError", "LinearOracleModel",
+    "BoundarySpec", "Mesh2D", "adjoint_jacobian",
+    "FemForwardModel", "ForwardEval", "ForwardModel", "ForwardSolveError",
     "ElboBreakdown", "ReducedPosterior", "elbo", "posterior_psi_stats",
     "q_fixed_point", "update_q_tau",
     "MuPhaseResult", "SmoothPrior", "em_phi", "gauss_newton_step",

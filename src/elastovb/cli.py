@@ -23,16 +23,19 @@ import numpy as np
 
 from . import config as cfgmod
 from .config import ConfigError, ObservationFile, RunConfig
-from .driver import run as driver_run, state_from_dict
-from .forward import CallCounter, FemForwardModel, ForwardSolveError
+from .driver import SCHEMA_VERSION, run as driver_run, state_from_dict
+from .forward import FemForwardModel, ForwardSolveError
 from .importance import compare_vb_is, run_is
 from .mean_update import SmoothPrior
-from .mesh_fem import SingularSystemError
 from .vb import posterior_psi_stats
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
+
+# A stage's numerical failures: ForwardSolveError and the q(tau) fit's
+# failures are RuntimeErrors, and numpy raises the other two
+NUMERICAL_FAILURES = (RuntimeError, FloatingPointError, np.linalg.LinAlgError)
 
 OBS_FILE = "observations.json"
 TRUE_FIELD_FILE = "true_field.csv"
@@ -128,6 +131,15 @@ def _remove_stale(out: Path, names: tuple[str, ...]) -> None:
         (out / name).unlink(missing_ok=True)
 
 
+def _numerical_failure(out: Path, stage: str, exc: Exception, calls: int) -> int:
+    """Record a stage's numerical failure in error.json and on stderr."""
+    _write_json(out / ERROR_FILE, {"stage": stage, "error": str(exc),
+                                   "type": type(exc).__name__, "forward_calls": calls})
+    noun = {"invert": "inversion", "validate": "validation"}[stage]
+    print(f"{noun} failed after {calls} forward calls: {exc}", file=sys.stderr)
+    return EXIT_NUMERICAL
+
+
 def cmd_generate(args) -> int:
     cfg = cfgmod.load_config(args.config)
     if args.seed is not None:
@@ -139,7 +151,7 @@ def cmd_generate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         obs, psi_true, U = cfgmod.generate_data(cfg)
-    except SingularSystemError as exc:
+    except ForwardSolveError as exc:
         print(f"forward solve failed on the phantom: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     mesh = cfgmod.build_mesh(cfg)
@@ -171,8 +183,7 @@ def cmd_invert(args) -> int:
         raise UsageError(f"missing {obs_path}; run generate first")
     obs = ObservationFile.load(obs_path)
 
-    counter = CallCounter()
-    model, mesh, _, _, _ = cfgmod.build_model(cfg, counter)
+    model, mesh, _, _, _ = cfgmod.build_model(cfg)
     _check_observed_dofs(obs, model)
     prior = (SmoothPrior.for_grid(mesh.nx, mesh.ny, cfg.prior.a_phi, cfg.prior.b_phi)
              if cfg.prior.enabled else None)
@@ -182,14 +193,8 @@ def cmd_invert(args) -> int:
     t0 = time.perf_counter()
     try:
         trace = driver_run(model, obs.yhat, cfg.solver, prior=prior, mu0=mu0)
-    except (ForwardSolveError, SingularSystemError, FloatingPointError,
-            np.linalg.LinAlgError, RuntimeError) as exc:
-        _write_json(out / ERROR_FILE, {"stage": "invert", "error": str(exc),
-                                       "type": type(exc).__name__,
-                                       "forward_calls": counter.count})
-        print(f"inversion failed after {counter.count} forward calls: {exc}",
-              file=sys.stderr)
-        return EXIT_NUMERICAL
+    except NUMERICAL_FAILURES as exc:
+        return _numerical_failure(out, "invert", exc, model.calls)
     wall = time.perf_counter() - t0
 
     payload = trace.to_dict()
@@ -240,8 +245,7 @@ def cmd_validate(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"unreadable run trace {trace_path}: {exc}") from exc
 
-    counter = CallCounter()
-    model, mesh, _, _, _ = cfgmod.build_model(cfg, counter)
+    model, mesh, _, _, _ = cfgmod.build_model(cfg)
     _check_observed_dofs(obs, model)
     if state.d_psi != model.d_psi:
         raise UsageError("run trace does not match the configured mesh/bc")
@@ -255,16 +259,10 @@ def cmd_validate(args) -> int:
     try:
         report = run_is(state, model, obs.yhat, M=M, seed=seed)
         comparison = compare_vb_is(state, report, free_mask=~model.fixed_mask)
-    except (SingularSystemError, FloatingPointError, np.linalg.LinAlgError,
-            RuntimeError) as exc:
-        _write_json(out / ERROR_FILE, {"stage": "validate", "error": str(exc),
-                                       "type": type(exc).__name__,
-                                       "forward_calls": counter.count})
-        print(f"validation failed after {counter.count} forward calls: {exc}",
-              file=sys.stderr)
-        return EXIT_NUMERICAL
+    except NUMERICAL_FAILURES as exc:
+        return _numerical_failure(out, "validate", exc, model.calls)
     payload = {
-        "schema_version": cfgmod.SCHEMA_VERSION,
+        "schema_version": SCHEMA_VERSION,
         "M": report.M,
         "seed": seed,
         "ess": report.ess,

@@ -29,11 +29,10 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .driver import DriverConfig
-from .forward import CallCounter, FemForwardModel
+from .driver import SCHEMA_VERSION, DriverConfig
+from .forward import FemForwardModel
 from .mesh_fem import BoundarySpec, Mesh2D, _solve_reduced
 
-SCHEMA_VERSION = 1
 FLOAT_FMT = "%.17g"
 _EDGES = ("bottom", "top", "left", "right")
 
@@ -386,7 +385,7 @@ def clamp_mask(cfg: RunConfig, mesh: Mesh2D) -> np.ndarray:
     return mask
 
 
-def build_model(cfg: RunConfig, counter: CallCounter | None = None
+def build_model(cfg: RunConfig
                 ) -> tuple[FemForwardModel, Mesh2D, BoundarySpec, np.ndarray, np.ndarray]:
     """Forward model observing every free dof, plus its building blocks.
 
@@ -396,7 +395,7 @@ def build_model(cfg: RunConfig, counter: CallCounter | None = None
     mesh = build_mesh(cfg)
     bc = build_bc(cfg, mesh)
     model = FemForwardModel(mesh, bc, fixed_mask=clamp_mask(cfg, mesh),
-                            poisson=cfg.mesh.poisson, counter=counter)
+                            poisson=cfg.mesh.poisson)
     return model, mesh, bc, model.obs_dofs, model.fixed_mask
 
 

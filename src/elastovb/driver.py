@@ -32,7 +32,7 @@ from .forward import ForwardEval, ForwardModel
 from .mean_update import MuPhaseResult, SmoothPrior, update_mu
 from .vb import ElboBreakdown, ReducedPosterior, elbo, q_fixed_point
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 1        # of every JSON artifact: observations, run trace, IS report
 
 
 @dataclass
@@ -113,20 +113,20 @@ def add_basis(state: ReducedPosterior, w: np.ndarray, lambda0_1: float) -> Reduc
     return new
 
 
-def optimize_W(free: np.ndarray, ev: ForwardEval, start: int,
-               stop: int) -> tuple[np.ndarray, np.ndarray]:
+def optimize_W(ev: ForwardEval, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs start..stop-1 of the free-element Gram A_ff = G_f^T G_f.
 
     Returns (vectors, eigenvalues) in ascending eigenvalue order: vectors is
-    (n_free, stop - start) with orthonormal columns, row i belonging to
-    element free[i]; the caller scatters a column into d_psi, with exactly
-    zero rows at the clamped elements, only when it takes it.  The sign of
-    each column is fixed so that its entry of largest magnitude is positive,
-    which makes the basis a function of G alone.  A_ff is the Gram the
-    evaluation holds, taken over and decomposed in place; a later call forms
-    it again from ev's sensitivities.  Only the requested pairs are computed,
-    so the Gram is the only (n_free x n_free) array alive.  No forward
-    evaluation happens here.
+    (n_free, stop - start) with orthonormal columns, row i belonging to the
+    model's i-th unclamped element, `active[i]`; the caller scatters a column
+    into d_psi, with exactly zero rows at the clamped elements, only when it
+    takes it.  The sign of each column is fixed so that its entry of largest
+    magnitude is positive, which makes the basis a function of G alone.  A_ff
+    is the Gram the evaluation holds, taken over and decomposed in place; a
+    later call forms it again from ev's sensitivities.  Only the requested
+    pairs are computed, so the Gram is the only (n_free x n_free) array alive.
+    No forward evaluation happens here.  `perfbench/tracing.py` reads `ev`,
+    which the driver passes by keyword.
     """
     gram = ev.G.take_gram()
     # the Gram is symmetric, so its transpose is the same matrix in the
@@ -276,7 +276,8 @@ def run(model: ForwardModel, yhat: np.ndarray, config: DriverConfig,
     while state.d_theta < max_bases:
         if state.d_theta in (0, block):     # the first block, then the rest
             first = state.d_theta
-            vecs, _ = optimize_W(free, ev, first, block if first == 0 else max_bases)
+            vecs, _ = optimize_W(ev=ev, start=first,
+                                 stop=block if first == 0 else max_bases)
         w = np.zeros(d_psi)
         w[free] = vecs[:, state.d_theta - first]
         # |G w|^2 is w's eigenvalue; eigh would leave a zero one at ~eps |A_ff|

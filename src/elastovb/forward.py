@@ -5,35 +5,28 @@ gives its sensitivities later, from the same forward solve; models that cannot
 provide sensitivities are not admitted.  The sensitivities G are an operator
 (`mesh_fem.Sensitivities`): G v, G^T w and the free Gram G_f^T G_f.  The FEM
 model's operator works on the call's held banded factorization and never forms
-the dense (d_y x d_psi) G.  `evaluate(psi)` is that value followed by
-`with_jacobian()`; with `jacobian=False` the caller keeps the value-only
-evaluation and asks for G only if it reads it, as the mean phase does for its
-accepted trial alone.  Each evaluation bumps a shared call counter by exactly
-one, whether or not its sensitivities are ever formed.  The counter is the
-unit of computational cost throughout the package.  A model also owns its
+the dense (d_y x d_psi) G.  `evaluate(psi)` is the value alone; a caller
+that reads G asks for it with `with_jacobian()`, as the mean phase does for
+its start and its accepted trials only.  Each evaluation bumps the model's
+`calls` by exactly one, whether or not its sensitivities are ever formed;
+that count is the unit of computational cost throughout the package.  A
+numerical failure of the solve or of its sensitivities is the one
+`ForwardSolveError`, raised in `mesh_fem` where it is detected; anything else
+a model raises is a bug and propagates as it is.  A model also owns its
 clamp set, `fixed_mask`, and the FEM model owns its assembly plan and
 observed dofs, so nothing that defines the map is passed alongside it.
 """
 
 from __future__ import annotations
 
-import threading
 from abc import ABC, abstractmethod
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh_fem import (BoundarySpec, Mesh2D, Sensitivities, adjoint_jacobian,
-                       assembly_plan, mirror_lower, _solve_reduced)
-
-
-class ForwardSolveError(RuntimeError):
-    """Forward solver failed; carries the offending parameter vector."""
-
-    def __init__(self, message: str, psi: np.ndarray):
-        super().__init__(message)
-        self.psi = np.array(psi, copy=True)
+from .mesh_fem import (BoundarySpec, ForwardSolveError, Mesh2D, Sensitivities,
+                       adjoint_jacobian, assembly_plan, _solve_reduced)
 
 
 @dataclass(frozen=True)
@@ -70,35 +63,18 @@ class ForwardEval:
         return ForwardEval(y=self.y, G=self._jacobian())
 
 
-class CallCounter:
-    """Thread-safe forward-call accumulator."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._count = 0
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    def increment(self) -> None:
-        with self._lock:
-            self._count += 1
-
-
 class ForwardModel(ABC):
     """Abstract forward model: psi -> (y, dy/dpsi), with its clamp set.
 
     `fixed_mask` marks the components of psi that are clamped: held at their
     value and never inferred.  The model is its only owner; the mean phase and
     the basis phase read it from here.  `active` lists the other components,
-    the columns of the sensitivities' free Gram.  Subclasses call `__init__`
-    once d_psi is defined.
+    the columns of the sensitivities' free Gram.  `calls` counts the model's
+    evaluations.  Subclasses call `__init__` once d_psi is defined.
     """
 
-    def __init__(self, counter: CallCounter | None = None,
-                 fixed_mask: np.ndarray | None = None):
-        self.counter = counter if counter is not None else CallCounter()
+    def __init__(self, fixed_mask: np.ndarray | None = None):
+        self.calls = 0
         mask = (np.zeros(self.d_psi, dtype=bool) if fixed_mask is None
                 else np.array(fixed_mask, dtype=bool))
         if mask.shape != (self.d_psi,):
@@ -119,65 +95,15 @@ class ForwardModel(ABC):
     def _evaluate(self, psi: np.ndarray) -> ForwardEval:
         """Value-only evaluation holding a handle that solves for its Jacobian."""
 
-    def evaluate(self, psi: np.ndarray, jacobian: bool = True) -> ForwardEval:
-        """One forward call; with jacobian=False the result's G is None.
-
-        A value-only result can still give its G through `with_jacobian()`.
-        """
+    def evaluate(self, psi: np.ndarray) -> ForwardEval:
+        """One forward call, value only; the result gives G through `with_jacobian()`."""
         psi = np.asarray(psi, dtype=float)
         if psi.shape != (self.d_psi,):
             raise ValueError(f"psi has shape {psi.shape}, expected ({self.d_psi},)")
         if not np.all(np.isfinite(psi)):
             raise ValueError("psi contains non-finite log-moduli")
-        self.counter.increment()
-        ev = self._evaluate(psi)
-        return ev.with_jacobian() if jacobian else ev
-
-
-class DenseSensitivities(Sensitivities):
-    """Sensitivities held as a dense (d_y x d_psi) matrix A, for closed-form test models."""
-
-    def __init__(self, A: np.ndarray, free: np.ndarray):
-        if not np.all(np.isfinite(A)):
-            raise ValueError("forward evaluation produced non-finite values")
-        self.A = A
-        self.shape = A.shape
-        self._free = free
-
-    def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        return self.A @ v
-
-    def rmatvec(self, w: np.ndarray) -> np.ndarray:
-        return self.A.T @ w
-
-    def _form_gram(self) -> np.ndarray:
-        A_f = self.A[:, self._free]
-        return mirror_lower(A_f.T @ A_f)
-
-
-class LinearOracleModel(ForwardModel):
-    """y = A psi + offset with constant Jacobian A; conjugate-Gaussian test model."""
-
-    def __init__(self, A: np.ndarray, offset: np.ndarray | None = None,
-                 counter: CallCounter | None = None, fixed_mask: np.ndarray | None = None):
-        self.A = np.asarray(A, dtype=float)
-        super().__init__(counter, fixed_mask)
-        self.offset = (np.zeros(self.A.shape[0]) if offset is None
-                       else np.asarray(offset, dtype=float))
-        if self.offset.shape != (self.A.shape[0],):
-            raise ValueError("offset length does not match A rows")
-
-    @property
-    def d_psi(self) -> int:
-        return self.A.shape[1]
-
-    @property
-    def d_y(self) -> int:
-        return self.A.shape[0]
-
-    def _evaluate(self, psi: np.ndarray) -> ForwardEval:
-        return ForwardEval(y=self.A @ psi + self.offset, G=None,
-                           _jacobian=lambda: DenseSensitivities(self.A, self.active))
+        self.calls += 1
+        return self._evaluate(psi)
 
 
 class FemForwardModel(ForwardModel):
@@ -193,10 +119,9 @@ class FemForwardModel(ForwardModel):
     """
 
     def __init__(self, mesh: Mesh2D, bc: BoundarySpec, obs_dofs: np.ndarray | None = None,
-                 fixed_mask: np.ndarray | None = None, poisson: float = 0.0,
-                 counter: CallCounter | None = None):
+                 fixed_mask: np.ndarray | None = None, poisson: float = 0.0):
         self.mesh = mesh
-        super().__init__(counter, fixed_mask)
+        super().__init__(fixed_mask)
         self.plan = assembly_plan(mesh, bc, poisson)
         self.obs_dofs = Q = (self.plan.free if obs_dofs is None
                              else np.asarray(obs_dofs, dtype=int))
@@ -216,16 +141,10 @@ class FemForwardModel(ForwardModel):
         return self.obs_dofs.size
 
     def _evaluate(self, psi: np.ndarray) -> ForwardEval:
-        try:
-            system = _solve_reduced(self.plan, psi)
-        except Exception as exc:
-            raise ForwardSolveError(f"forward solve failed: {exc}", psi) from exc
+        system = _solve_reduced(self.plan, psi)
 
         def jacobian() -> Sensitivities:
             # the held factorization, moduli and U of this call; no second solve
-            try:
-                return adjoint_jacobian(self.mesh, system, self.active, self.obs_dofs)
-            except Exception as exc:
-                raise ForwardSolveError(f"sensitivity solve failed: {exc}", psi) from exc
+            return adjoint_jacobian(self.mesh, system, self.active, self.obs_dofs)
 
         return ForwardEval(y=system.U[self.obs_dofs].copy(), G=None, _jacobian=jacobian)

@@ -97,7 +97,7 @@ def run_is(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
         theta = thetas[m]
         try:
             # keep y only: the evaluation's held factorization goes at once
-            y = model.evaluate(state.mu + state.W @ theta, jacobian=False).y
+            y = model.evaluate(state.mu + state.W @ theta).y
         except ForwardSolveError:
             log_w[m] = -np.inf
             discarded += 1

@@ -177,8 +177,7 @@ def _cholesky_solve(H: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
 
 
 def gauss_newton_step(mu: np.ndarray, system: GaussNewtonSystem,
-                      prior: SmoothPrior | None,
-                      regularization_active: bool) -> tuple[np.ndarray, bool]:
+                      prior: SmoothPrior | None) -> tuple[np.ndarray, bool]:
     """Solve the symmetric Gauss-Newton system for the mean increment.
 
     `system` holds the linearization's data-term blocks, from
@@ -188,21 +187,22 @@ def gauss_newton_step(mu: np.ndarray, system: GaussNewtonSystem,
     <tau> scales them in place, and the prior precision P = L^T diag(<phi>) L
     (L the pair-difference operator) goes there pair by pair, a pair with one
     clamped end adding to its free end's diagonal only, and -(P mu) on the
-    free components is the prior's gradient.  With regularization off the prior terms are dropped from both
-    sides.  The strict upper triangle and one saved copy of the diagonal
-    restore the Gram after each factorization, failed or not, so should the
-    first one fail, the retry with the Tikhonov floor on the diagonal starts
-    from the Gram again; only if that fails too does a last-resort least
-    squares solve take one full copy.  Clamped components are excluded from
-    the solve and returned as exactly 0.  Returns (delta_mu, floor_used)
-    where floor_used records a Tikhonov fallback on a singular system.
+    free components is the prior's gradient.  With no prior (None) both
+    sides hold the data terms alone.  The strict upper triangle and one saved
+    copy of the diagonal restore the Gram after each factorization, failed or
+    not, so should the first one fail, the retry with the Tikhonov floor on
+    the diagonal starts from the Gram again; only if that fails too does a
+    last-resort least squares solve take one full copy.  Clamped components
+    are excluded from the solve and returned as exactly 0.  Returns
+    (delta_mu, floor_used) where floor_used records a Tikhonov fallback on a
+    singular system.
     """
     free = system.free
     H = system.gram
     rhsf = system.rhs
     n = H.shape[0]
     prior_diag = None
-    if regularization_active and prior is not None:
+    if prior is not None:
         phi = prior.mean_phi
         k, l = prior.pairs[:, 0], prior.pairs[:, 1]
         pos = np.cumsum(free) - 1             # component -> row of the free block
@@ -284,7 +284,7 @@ def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
     (past the budget if need be) forms them at mu again.
     """
     mu = state.mu.copy()
-    ev = model.evaluate(mu)
+    ev = model.evaluate(mu).with_jacobian()
     calls = jacobians = 1
     a, b = update_q_tau(state, yhat - ev.y)
     cur_prior = prior
@@ -315,12 +315,12 @@ def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
             return -0.5 * mean_tau * float(r_lin @ r_lin) + logp_fn(mu + step) - f_curr
 
         system = gauss_newton_system(ev, yhat, mean_tau, model.fixed_mask)
-        delta, _ = gauss_newton_step(mu, system, cur_prior, reg_active)
+        delta, _ = gauss_newton_step(mu, system, cur_prior if reg_active else None)
         if predicted_gain(delta) <= tol:
             break
         corrected = False
         if reg_active:
-            delta1, _ = gauss_newton_step(mu, system, em_phi(mu + delta, cur_prior), True)
+            delta1, _ = gauss_newton_step(mu, system, em_phi(mu + delta, cur_prior))
             if predicted_gain(delta1) > tol:
                 delta, corrected = delta1, True
         del system        # free the Gram before the trial call, the phase's memory peak
@@ -336,7 +336,7 @@ def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
             ev_try = None     # a rejected trial's factorization must not outlive its rejection
             calls += 1
             try:
-                ev_try = model.evaluate(trial, jacobian=False)
+                ev_try = model.evaluate(trial)
                 r_try = yhat - ev_try.y
                 f_try = -0.5 * mean_tau * float(r_try @ r_try) + logp_fn(trial)
                 if f_try > f_curr:
@@ -369,7 +369,7 @@ def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
             break
 
     if ev is None:    # the accepted trial's Jacobian failed after mu's was released
-        ev = model.evaluate(mu)
+        ev = model.evaluate(mu).with_jacobian()
         calls += 1
         jacobians += 1
     log_prior_value = 0.0

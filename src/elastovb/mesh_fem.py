@@ -38,8 +38,13 @@ from ._lapack import pbtrf, pbtrs, sbmv
 SENSITIVITY_BLOCK = 32    # right-hand sides per sensitivity solve
 
 
-class SingularSystemError(RuntimeError):
-    """Stiffness system is singular after applying Dirichlet conditions."""
+class ForwardSolveError(RuntimeError):
+    """A forward solve failed numerically, the one failure a forward call names.
+
+    It is raised where the failure is detected: a modulus that overflows,
+    a stiffness that is singular or solved inaccurately, or a sensitivity
+    solve that gives non-finite values.
+    """
 
 
 @dataclass(frozen=True)
@@ -241,7 +246,7 @@ def _moduli(psi: np.ndarray) -> np.ndarray:
         with np.errstate(over="raise"):
             return np.exp(psi)
     except FloatingPointError as exc:
-        raise SingularSystemError(
+        raise ForwardSolveError(
             f"modulus overflow: exp(psi) at max psi {float(np.max(psi)):.4g}") from exc
 
 
@@ -255,20 +260,20 @@ def _solve_reduced(plan: AssemblyPlan, psi: np.ndarray) -> _ReducedSystem:
     """Factor K_ff(psi) and solve for U, the one forward solve of the package."""
     n_free = plan.free.size
     if n_free == 0:
-        raise SingularSystemError("all dofs prescribed, nothing to solve")
+        raise ForwardSolveError("all dofs prescribed, nothing to solve")
     e_mod = _moduli(psi)
     band, rhs = plan.assemble(e_mod)
     try:
         factor = pbtrf(band)
     except np.linalg.LinAlgError as exc:  # a pivot that is not positive
-        raise SingularSystemError(
+        raise ForwardSolveError(
             f"stiffness factorization failed ({exc}; {_modulus_range(psi)}); check "
             "that the Dirichlet set constrains all rigid-body modes and that the "
             "modulus contrast is not extreme") from exc
     u_f = pbtrs(factor, rhs)
     resid = np.linalg.norm(sbmv(band, u_f) - rhs)
     if not np.all(np.isfinite(u_f)) or resid > 1e-8 * (1.0 + np.linalg.norm(rhs)):
-        raise SingularSystemError(
+        raise ForwardSolveError(
             f"reduced solve inaccurate (residual {resid:.3e}; {_modulus_range(psi)}); "
             "either the modulus contrast is too large for double precision or the "
             "Dirichlet set leaves rigid-body modes unconstrained")
@@ -392,7 +397,7 @@ class BandedSensitivities(Sensitivities):
             for c in range(1, 8):
                 block += self._vals[lo:, c, None] * x[self._pos[lo:, c]]
             if not np.all(np.isfinite(block)):
-                raise SingularSystemError("sensitivity solve produced non-finite values")
+                raise ForwardSolveError("sensitivity solve produced non-finite values")
         return mirror_lower(gram)
 
 

@@ -16,7 +16,7 @@ import pytest
 
 from elastovb.config import build_model, generate_data, initial_mu
 from elastovb.driver import DriverConfig, info_gain, kl_terms, run
-from elastovb.forward import CallCounter, FemForwardModel, LinearOracleModel
+from elastovb.forward import FemForwardModel
 from elastovb.importance import compare_vb_is, ess, run_is
 from elastovb.mean_update import SmoothPrior, update_mu
 from elastovb.mesh_fem import BoundarySpec, Mesh2D
@@ -25,6 +25,7 @@ from elastovb.vb import ReducedPosterior, posterior_psi_stats
 import vb_oracle as oracle
 from conftest import concentrated_tau_prior, example1_config
 from jacobian_oracle import dense
+from linear_oracle import LinearOracleModel
 
 DURATIONS: dict[str, float] = {}
 
@@ -47,15 +48,13 @@ def golden():
     """Adaptive run on the benchmark: data generation plus inference."""
     cfg = example1_config()
     obs, psi_true, U = generate_data(cfg)
-    counter = CallCounter()
-    model, mesh, bc, obs_dofs, mask = build_model(cfg, counter)
+    model, mesh, bc, obs_dofs, mask = build_model(cfg)
     prior = SmoothPrior.for_grid(mesh.nx, mesh.ny, cfg.prior.a_phi, cfg.prior.b_phi)
     t0 = time.perf_counter()
     trace = run(model, obs.yhat, cfg.solver, prior=prior, mu0=initial_mu(cfg, mesh))
     wall = time.perf_counter() - t0
     return SimpleNamespace(cfg=cfg, obs=obs, psi_true=psi_true, model=model,
-                           mesh=mesh, mask=mask, trace=trace, wall=wall,
-                           counter=counter)
+                           mesh=mesh, mask=mask, trace=trace, wall=wall)
 
 
 @pytest.fixture(scope="session")
@@ -66,7 +65,7 @@ def fullrank(golden):
     """
     cfg = example1_config()
     solver = DriverConfig(info_gain_window=200)
-    model, mesh, _, _, _ = build_model(cfg, CallCounter())
+    model, mesh, _, _, _ = build_model(cfg)
     prior = SmoothPrior.for_grid(mesh.nx, mesh.ny, cfg.prior.a_phi, cfg.prior.b_phi)
     trace = run(model, golden.obs.yhat, solver, prior=prior, mu0=initial_mu(cfg, mesh))
     return trace
@@ -85,7 +84,7 @@ def test_criterion_1_golden_run_envelope(golden, capsys):
              f"wall={golden.wall:.1f}s (need <=60)")
     assert 5 <= d_theta <= 12
     assert calls <= 40
-    assert golden.counter.count == calls
+    assert golden.model.calls == calls
     assert golden.wall <= 60.0
 
 
@@ -179,7 +178,7 @@ def test_criterion_3_noise_precision_recovery(golden, capsys):
 
 def test_criterion_4_importance_sampling(golden, capsys):
     cfg = golden.cfg
-    model, mesh, bc, obs_dofs, mask = build_model(cfg, CallCounter())
+    model, mesh, bc, obs_dofs, mask = build_model(cfg)
     report = run_is(golden.trace.state, model, golden.obs.yhat,
                     M=1000, seed=cfg.validation.seed)
     cmp = compare_vb_is(golden.trace.state, report, free_mask=~mask)
@@ -242,7 +241,7 @@ def test_criterion_6b_adjoint_vs_finite_differences(capsys):
         model = FemForwardModel(mesh, bc)
         rng = np.random.default_rng(nx)
         psi = rng.normal(0.0, 0.3, mesh.n_elems)
-        G = dense(model.evaluate(psi).G)
+        G = dense(model.evaluate(psi).with_jacobian().G)
         G_fd = np.empty_like(G)
         h = 1e-6
         for k in range(mesh.n_elems):

@@ -648,7 +648,7 @@ def test_validate_numerical_failure_exits_two(small_cfg_path, tmp_path, monkeypa
     assert main(["invert"] + args) == 0
 
     def failing_run_is(state, model, yhat, M, seed):
-        model.evaluate(state.mu, jacobian=False)
+        model.evaluate(state.mu)
         raise np.linalg.LinAlgError("posterior covariance not positive definite")
 
     monkeypatch.setattr("elastovb.cli.run_is", failing_run_is)

@@ -12,14 +12,14 @@ from hypothesis import strategies as st
 from elastovb.config import build_model, generate_data, initial_mu
 from elastovb.driver import (DriverConfig, add_basis, info_gain, kl_terms,
                              next_prior_precision, optimize_W, run, state_from_dict)
-from elastovb.forward import (CallCounter, DenseSensitivities, FemForwardModel,
-                              ForwardEval, LinearOracleModel)
+from elastovb.forward import FemForwardModel, ForwardEval
 from elastovb.mean_update import SmoothPrior
 from elastovb.vb import ReducedPosterior
 
 import vb_oracle as oracle
 from conftest import concentrated_tau_prior, example1_config, top_clamped_model, traced_peak
 from jacobian_oracle import dense
+from linear_oracle import DenseSensitivities, LinearOracleModel
 
 
 def zero_state(d_psi, d_theta=0, **kw):
@@ -110,8 +110,8 @@ def test_add_basis_respects_clamp_and_cap(rng):
     fixed = np.zeros(6, dtype=bool)
     fixed[4:] = True
     G = rng.normal(size=(9, 6))
-    ev = LinearOracleModel(G, fixed_mask=fixed).evaluate(np.zeros(6))
-    vecs, vals = optimize_W(np.flatnonzero(~fixed), ev, 0, 4)
+    ev = LinearOracleModel(G, fixed_mask=fixed).evaluate(np.zeros(6)).with_jacobian()
+    vecs, vals = optimize_W(ev, 0, 4)
     assert vecs.shape == (4, 4)             # one column per free element, no more
     assert orthonormality_defect(vecs) < 1e-10
     assert np.allclose((vecs * vals) @ vecs.T, G[:, :4].T @ G[:, :4], rtol=0.0, atol=1e-12)
@@ -136,9 +136,10 @@ def test_optimize_W_peak_memory_near_one_gram():
     # 1.40).  Computing all n_free eigenvectors peaked at 2.1, and forming the
     # full d_psi^2 Gram and copying its free block at 3.1.
     model = top_clamped_model(20)
-    ev = model.evaluate(np.random.default_rng(0).normal(0.0, 0.4, model.d_psi))
-    free = np.flatnonzero(~model.fixed_mask)
-    assert traced_peak(lambda: optimize_W(free, ev, 0, 6)) < 1.5 * 8 * free.size ** 2
+    psi = np.random.default_rng(0).normal(0.0, 0.4, model.d_psi)
+    ev = model.evaluate(psi).with_jacobian()
+    n_free = model.active.size
+    assert traced_peak(lambda: optimize_W(ev, 0, 6)) < 1.5 * 8 * n_free ** 2
 
 
 def test_run_peak_memory_near_G_plus_one_gram():
@@ -150,7 +151,7 @@ def test_run_peak_memory_near_G_plus_one_gram():
     model = top_clamped_model(20)
     psi_true = np.zeros(model.d_psi)
     psi_true[150:160] = 1.0
-    y = model.evaluate(psi_true, jacobian=False).y
+    y = model.evaluate(psi_true).y
     yhat = y + np.random.default_rng(1).normal(0.0, 1e-3 * float(np.std(y)), model.d_y)
     prior = SmoothPrior.for_grid(20, 20)
     traces = []
@@ -247,11 +248,10 @@ def test_run_prior_precisions_end_nondecreasing(linear_problem, rng):
 
 def test_run_counts_calls_only_in_mean_phase(linear_problem, rng):
     A, psi_true = linear_problem
-    counter = CallCounter()
-    model = LinearOracleModel(A, counter=counter)
+    model = LinearOracleModel(A)
     yhat = A @ psi_true + rng.normal(0.0, 0.01, 8)
     trace = run(model, yhat, DriverConfig())
-    assert counter.count == trace.forward_calls == trace.mu_result.forward_calls
+    assert model.calls == trace.forward_calls == trace.mu_result.forward_calls
     assert all(r.forward_calls == trace.forward_calls for r in trace.records)
 
 
@@ -337,8 +337,8 @@ def record_optimize_W(monkeypatch):
     calls = []
     real = optimize_W
 
-    def recorded(free, ev, start, stop):
-        vecs, vals = real(free, ev, start, stop)
+    def recorded(ev, start, stop):
+        vecs, vals = real(ev, start, stop)
         calls.append((start, stop, vals.size))
         return vecs, vals
 
@@ -359,7 +359,7 @@ def test_basis_across_the_block_boundary_is_the_minor_eigenbasis(max_bases, stop
     assert (trace.state.d_theta, trace.stop_reason) == (d, stop_reason)
     assert calls == [(0, 4, 4), (4, d, d - 4)]
     free = ~model.fixed_mask
-    G_f = dense(model.evaluate(trace.state.mu).G)[:, free]
+    G_f = dense(model.evaluate(trace.state.mu).with_jacobian().G)[:, free]
     _, vecs = np.linalg.eigh(G_f.T @ G_f)
     vecs = vecs[:, :d] * np.where(
         vecs[np.argmax(np.abs(vecs[:, :d]), axis=0), np.arange(d)] < 0.0, -1.0, 1.0)

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import logsumexp
 
-from elastovb.forward import (DenseSensitivities, ForwardEval, ForwardModel,
-                              ForwardSolveError, LinearOracleModel)
+from elastovb.forward import ForwardEval, ForwardModel, ForwardSolveError
 from elastovb.importance import (_marginal_constant, _marginal_varying, compare_vb_is,
                                  ess, run_is)
 from elastovb.vb import ReducedPosterior, posterior_psi_stats
 
 from conftest import concentrated_tau_prior
+from linear_oracle import DenseSensitivities, LinearOracleModel
 
 
 def marginal_log_likelihood(theta: np.ndarray, state: ReducedPosterior,
@@ -28,7 +28,7 @@ def marginal_log_likelihood(theta: np.ndarray, state: ReducedPosterior,
     (it cancels in normalized weights).  It is assembled from the two parts
     run_is uses, so the quadrature checks below cover them.
     """
-    ev = model.evaluate(state.mu + state.W @ theta, jacobian=False)
+    ev = model.evaluate(state.mu + state.W @ theta)
     r = yhat - ev.y
     rsq, d_y = float(r @ r), yhat.shape[0]
     return (_marginal_constant(state.a0, state.b0, d_y)
@@ -72,7 +72,7 @@ class RefusingModel(ForwardModel):
 
     def _evaluate(self, psi):
         if psi[0] > 0.0:
-            raise ForwardSolveError("refused", psi)
+            raise ForwardSolveError("refused")
         return ForwardEval(y=self.A @ psi, G=None,
                            _jacobian=lambda: DenseSensitivities(self.A, self.active))
 
@@ -314,7 +314,7 @@ def test_all_discarded_flags_degenerate():
 
     class AlwaysFails(RefusingModel):
         def _evaluate(self, psi):
-            raise ForwardSolveError("no", psi)
+            raise ForwardSolveError("no")
 
     state = ReducedPosterior(mu=np.zeros(1), W=np.eye(1),
                              lambda0=np.ones(1), lam=np.ones(1))

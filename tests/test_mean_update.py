@@ -9,9 +9,7 @@ import scipy.linalg
 
 from elastovb.config import build_model, generate_data, initial_mu
 import elastovb.forward as fwd
-from elastovb.forward import (CallCounter, DenseSensitivities, FemForwardModel,
-                              ForwardEval, ForwardModel, ForwardSolveError,
-                              LinearOracleModel)
+from elastovb.forward import FemForwardModel, ForwardEval, ForwardModel, ForwardSolveError
 from elastovb.mean_update import (TIKHONOV_FLOOR, GaussNewtonSystem, MuUpdateReport,
                                   SmoothPrior, em_phi, gauss_newton_step,
                                   gauss_newton_system, log_prior_mu_and_grad,
@@ -21,6 +19,7 @@ from elastovb.vb import ReducedPosterior, update_q_tau
 
 from conftest import compression_bc, example1_config, top_clamped_model, traced_peak
 from jacobian_oracle import dense, direct_jacobian
+from linear_oracle import DenseSensitivities, LinearOracleModel
 
 
 def empty_state(d, a0=1.0, b0=1.0):
@@ -104,9 +103,9 @@ def test_unregularized_step_solves_least_squares(rng):
     yhat = rng.normal(size=9)
     mu = rng.normal(size=4)
     model = LinearOracleModel(A)
-    system = gauss_newton_system(model.evaluate(mu), yhat, 3.0, model.fixed_mask)
-    delta, floored = gauss_newton_step(mu, system, prior=None,
-                                       regularization_active=False)
+    system = gauss_newton_system(model.evaluate(mu).with_jacobian(), yhat, 3.0,
+                                 model.fixed_mask)
+    delta, floored = gauss_newton_step(mu, system, prior=None)
     target = np.linalg.lstsq(A, yhat, rcond=None)[0]
     assert np.max(np.abs((mu + delta) - target)) < 1e-10
     assert not floored
@@ -115,9 +114,9 @@ def test_unregularized_step_solves_least_squares(rng):
 def test_scalar_newton_step_by_hand():
     model = LinearOracleModel(np.array([[2.0]]))
     mu = np.array([1.0])
-    system = gauss_newton_system(model.evaluate(mu), np.array([6.0]), 5.0,
+    system = gauss_newton_system(model.evaluate(mu).with_jacobian(), np.array([6.0]), 5.0,
                                  model.fixed_mask)
-    delta, _ = gauss_newton_step(mu, system, prior=None, regularization_active=False)
+    delta, _ = gauss_newton_step(mu, system, prior=None)
     assert delta[0] == pytest.approx(2.0, rel=1e-14)
 
 
@@ -133,10 +132,11 @@ def test_singular_system_records_tikhonov_floor():
                         b_post=np.array([2.0 ** 30]))         # <phi> = 3 * 2^-30
     L = pair_operator(prior.pairs, 2)
     P = L.T @ np.diag(prior.mean_phi) @ L
-    system = gauss_newton_system(model.evaluate(mu), yhat, 2.0, model.fixed_mask)
+    system = gauss_newton_system(model.evaluate(mu).with_jacobian(), yhat, 2.0,
+                                 model.fixed_mask)
     gram = system.gram.copy()
     for reg in (False, True):
-        delta, floored = gauss_newton_step(mu, system, prior, regularization_active=reg)
+        delta, floored = gauss_newton_step(mu, system, prior if reg else None)
         assert floored
         H = 2.0 * (A.T @ A) + (P if reg else 0.0)
         rhs = 2.0 * (A.T @ (yhat - A @ mu)) - (P @ mu if reg else 0.0)
@@ -153,8 +153,8 @@ def test_clamped_components_stay_exactly_zero(rng):
     model = LinearOracleModel(A, fixed_mask=fixed)
     mu = rng.normal(size=5)
     yhat = rng.normal(size=8)
-    system = gauss_newton_system(model.evaluate(mu), yhat, 2.0, fixed)
-    delta, _ = gauss_newton_step(mu, system, prior=None, regularization_active=False)
+    system = gauss_newton_system(model.evaluate(mu).with_jacobian(), yhat, 2.0, fixed)
+    delta, _ = gauss_newton_step(mu, system, prior=None)
     assert delta[1] == 0.0 and delta[4] == 0.0
     free = ~fixed
     H = 2.0 * (A.T @ A)
@@ -170,12 +170,13 @@ def test_reused_system_gives_the_same_step(rng):
     mu = rng.normal(size=6)
     yhat = rng.normal(size=10)
     prior = em_phi(mu, SmoothPrior.for_grid(3, 2, 2.0, 1.0))
-    ev = model.evaluate(mu)
+    ev = model.evaluate(mu).with_jacobian()
     system = gauss_newton_system(ev, yhat, 4.0, fixed)
     gram = system.gram.copy()
     for reg in (True, False):
-        fresh, _ = gauss_newton_step(mu, gauss_newton_system(ev, yhat, 4.0, fixed), prior, reg)
-        reused, _ = gauss_newton_step(mu, system, prior, reg)
+        step_prior = prior if reg else None
+        fresh, _ = gauss_newton_step(mu, gauss_newton_system(ev, yhat, 4.0, fixed), step_prior)
+        reused, _ = gauss_newton_step(mu, system, step_prior)
         assert np.array_equal(fresh, reused)
     assert np.array_equal(system.gram, gram)        # factored in place, then restored
 
@@ -187,8 +188,9 @@ def test_regularized_system_matches_dense_construction(rng):
     yhat = rng.normal(size=10)
     prior = em_phi(mu, SmoothPrior.for_grid(3, 2, 2.0, 1.0))
     tau = 4.0
-    system = gauss_newton_system(model.evaluate(mu), yhat, tau, model.fixed_mask)
-    delta, _ = gauss_newton_step(mu, system, prior, regularization_active=True)
+    system = gauss_newton_system(model.evaluate(mu).with_jacobian(), yhat, tau,
+                                 model.fixed_mask)
+    delta, _ = gauss_newton_step(mu, system, prior)
     L = pair_operator(prior.pairs, 6)
     P = L.T @ np.diag(prior.mean_phi) @ L
     H = tau * (A.T @ A) + P
@@ -208,8 +210,8 @@ def test_regularized_step_with_clamped_components_matches_dense_construction(rng
     free = ~fixed
     prior = em_phi(mu, SmoothPrior.for_grid(3, 2, 2.0, 1.0))
     tau = 4.0
-    system = gauss_newton_system(model.evaluate(mu), yhat, tau, fixed)
-    delta, floor_used = gauss_newton_step(mu, system, prior, regularization_active=True)
+    system = gauss_newton_system(model.evaluate(mu).with_jacobian(), yhat, tau, fixed)
+    delta, floor_used = gauss_newton_step(mu, system, prior)
     L = pair_operator(prior.pairs, 6)
     P = L.T @ np.diag(prior.mean_phi) @ L
     Af = A[:, free]
@@ -251,8 +253,8 @@ def step_problem(rng, fixed=()):
     yhat = rng.normal(size=10)
     mask = np.zeros(6, dtype=bool)
     mask[list(fixed)] = True
-    system = gauss_newton_system(LinearOracleModel(A, fixed_mask=mask).evaluate(mu), yhat,
-                                 4.0, mask)
+    ev = LinearOracleModel(A, fixed_mask=mask).evaluate(mu).with_jacobian()
+    system = gauss_newton_system(ev, yhat, 4.0, mask)
     return mu, system
 
 
@@ -268,7 +270,7 @@ def test_in_place_step_matches_a_factored_copy_bit_for_bit(case, rng):
     prior = em_phi(mu, SmoothPrior(pairs=pairs, a_phi=2.0, b_phi=1.0))
     reg = case != "unregularized"
     gram = system.gram.copy()
-    delta, floored = gauss_newton_step(mu, system, prior, reg)
+    delta, floored = gauss_newton_step(mu, system, prior if reg else None)
     H, rhs = full_matrix(mu, system, prior, reg)
     expected = np.zeros(6)
     expected[system.free] = scipy.linalg.cho_solve(
@@ -289,7 +291,7 @@ def test_least_squares_fallback_restores_the_gram(reg, rng):
     mu = rng.normal(size=6)
     prior = em_phi(mu, SmoothPrior.for_grid(3, 2, 2.0, 1.0))
     kept = gram.copy()
-    delta, floored = gauss_newton_step(mu, system, prior, reg)
+    delta, floored = gauss_newton_step(mu, system, prior if reg else None)
     H, rhs = full_matrix(mu, system, prior, reg, TIKHONOV_FLOOR)
     assert floored
     assert np.array_equal(delta, np.linalg.lstsq(H, rhs, rcond=None)[0])
@@ -308,7 +310,7 @@ def test_step_that_raises_restores_the_gram(case, rng):
         system = replace(system, rhs=np.ones(7))
     gram = system.gram.copy()
     with pytest.raises(ValueError):
-        gauss_newton_step(mu, system, prior, case == "non-finite-prior")
+        gauss_newton_step(mu, system, prior if case == "non-finite-prior" else None)
     assert np.array_equal(system.gram, gram)
 
 
@@ -321,7 +323,7 @@ def test_free_gram_matches_the_dense_product(rng):
     fixed[[0, 5, 17, 30, 41]] = True
     model = FemForwardModel(mesh, compression_bc(mesh), fixed_mask=fixed, poisson=0.3)
     psi = rng.normal(0.0, 0.4, mesh.n_elems)
-    ev = model.evaluate(psi)
+    ev = model.evaluate(psi).with_jacobian()
     yhat = ev.y + rng.normal(0.0, 1e-3, model.d_y)
     system = gauss_newton_system(ev, yhat, 3.0, fixed)
     G_f = direct_jacobian(mesh, _solve_reduced(model.plan, psi), model.active,
@@ -344,7 +346,7 @@ def mesh20_linearization():
     model = top_clamped_model(20)
     rng = np.random.default_rng(0)
     psi = rng.normal(0.0, 0.4, model.d_psi)
-    ev = model.evaluate(psi)
+    ev = model.evaluate(psi).with_jacobian()
     yhat = ev.y + rng.normal(0.0, 1e-3, model.d_y)
     return model, psi, ev, yhat
 
@@ -367,7 +369,7 @@ def test_regularized_step_peak_memory_under_half_a_gram(mesh20_linearization):
     unit = 8 * np.count_nonzero(~model.fixed_mask) ** 2
     system = gauss_newton_system(ev, yhat, 3.0, model.fixed_mask)
     prior = em_phi(psi, SmoothPrior.for_grid(20, 20, 0.0, 1e-2))
-    peak = traced_peak(lambda: gauss_newton_step(psi, system, prior, True))
+    peak = traced_peak(lambda: gauss_newton_step(psi, system, prior))
     assert peak < 0.5 * unit
 
 
@@ -393,13 +395,12 @@ def test_no_trial_call_for_a_gain_below_tolerance(rng):
     # far below the stop tolerance, so the phase ends without a trial call
     A = rng.normal(size=(7, 4))
     psi_true = rng.normal(size=4)
-    counter = CallCounter()
-    model = LinearOracleModel(A, counter=counter)
+    model = LinearOracleModel(A)
     state = empty_state(4, a0=1e8, b0=1e8)          # pins <tau> ~= 1
     state.mu = psi_true + 1e-7
     res = update_mu(state, model, A @ psi_true)
     assert res.reports == []
-    assert res.forward_calls == counter.count == 1
+    assert res.forward_calls == model.calls == 1
     assert np.array_equal(res.mu, state.mu)
 
 
@@ -409,7 +410,7 @@ class ScaledJacobianModel(ForwardModel):
     def __init__(self, inner, scale):
         self.inner = inner
         self.scale = scale
-        super().__init__(inner.counter, inner.fixed_mask)
+        super().__init__(inner.fixed_mask)
 
     @property
     def d_psi(self):
@@ -555,13 +556,13 @@ def test_corrector_without_frozen_gain_falls_back():
     (rep,) = res.reports
     assert rep.accepted and not rep.corrected
 
-    ev = model.evaluate(state.mu)
+    ev = model.evaluate(state.mu).with_jacobian()
     a, b = update_q_tau(state, yhat - ev.y)
     tau = a / b
     system = gauss_newton_system(ev, yhat, tau, model.fixed_mask)
     prior0 = em_phi(state.mu, prior)
-    delta0, _ = gauss_newton_step(state.mu, system, prior0, True)
-    delta1, _ = gauss_newton_step(state.mu, system, em_phi(state.mu + delta0, prior), True)
+    delta0, _ = gauss_newton_step(state.mu, system, prior0)
+    delta1, _ = gauss_newton_step(state.mu, system, em_phi(state.mu + delta0, prior))
 
     def frozen_gain(step):
         r = yhat - A @ (state.mu + step)
@@ -576,12 +577,11 @@ def test_corrector_without_frozen_gain_falls_back():
 
 def test_call_budget_accounting(rng):
     A = rng.normal(size=(6, 3))
-    counter = CallCounter()
-    model = LinearOracleModel(A, counter=counter)
+    model = LinearOracleModel(A)
     yhat = rng.normal(size=6)
     res = update_mu(empty_state(3), model, yhat, call_budget=2)
     assert res.budget_exhausted
-    assert res.forward_calls == counter.count == 2
+    assert res.forward_calls == model.calls == 2
 
 
 class JacobianRefusingModel(LinearOracleModel):
@@ -594,13 +594,13 @@ class JacobianRefusingModel(LinearOracleModel):
 
     def _evaluate(self, psi):
         ev = super()._evaluate(psi)
-        if self.counter.count != self.refuse_call:
+        if self.calls != self.refuse_call:
             return ev
         if self.refuse_value:
-            raise ForwardSolveError("value solve refused", psi)
+            raise ForwardSolveError("value solve refused")
 
         def refuse():
-            raise ForwardSolveError("sensitivity solve refused", psi)
+            raise ForwardSolveError("sensitivity solve refused")
 
         return ForwardEval(y=ev.y, G=None, _jacobian=refuse)
 
@@ -616,7 +616,7 @@ def test_failed_jacobian_halves_the_trial_like_a_failed_solve(rng):
     val = update_mu(empty_state(3), val_model, yhat)
     first = jac.reports[0]
     assert first.accepted and first.halvings == 1 and first.forward_calls == 2
-    assert jac.forward_calls == jac_model.counter.count == val_model.counter.count
+    assert jac.forward_calls == jac_model.calls == val_model.calls
     assert jac.reports == val.reports
     assert np.array_equal(jac.mu, val.mu)
     assert np.array_equal(dense(jac.ev.G), A)
@@ -631,7 +631,7 @@ def test_failed_jacobian_without_a_later_accept_solves_mu_again(rng):
     res = update_mu(empty_state(3), model, rng.normal(size=6), max_halvings=0)
     (rep,) = res.reports
     assert not rep.accepted and rep.forward_calls == 1
-    assert res.forward_calls == model.counter.count == 3
+    assert res.forward_calls == model.calls == 3
     assert res.jacobians == 2
     assert np.array_equal(res.mu, np.zeros(3))
     assert np.array_equal(dense(res.ev.G), A) and np.array_equal(res.ev.y, np.zeros(6))
@@ -658,7 +658,7 @@ def test_jacobians_solved_only_for_accepted_trials(mesh_n, monkeypatch):
     cfg = example1_config()
     if mesh_n is not None:
         cfg.mesh.nx = cfg.mesh.ny = mesh_n
-    fresh = build_model(cfg)[0].evaluate(res.mu)
+    fresh = build_model(cfg)[0].evaluate(res.mu).with_jacobian()
     assert res.ev.G.gram().tobytes() == fresh.G.gram().tobytes()
     assert dense(res.ev.G).tobytes() == dense(fresh.G).tobytes()
     assert res.ev.y.tobytes() == fresh.y.tobytes()
@@ -729,7 +729,7 @@ def test_one_jacobian_alive_at_each_solve():
     accepted = sum(rep.accepted for rep in res.reports)
     assert len(model.g_alive_at_solve) == res.jacobians == 1 + accepted
     assert model.g_alive_at_solve == [0] * res.jacobians
-    assert res.forward_calls == model.counter.count > res.jacobians
+    assert res.forward_calls == model.calls > res.jacobians
 
 
 def test_report_validation():

@@ -15,11 +15,12 @@ from hypothesis import strategies as st
 from scipy.special import digamma
 
 import vb_oracle as oracle
-from elastovb.forward import ForwardEval, LinearOracleModel
+from elastovb.forward import ForwardEval
 from elastovb.vb import (_DIGAMMA_CUTOFF, ReducedPosterior, _digamma, elbo,
                          posterior_psi_stats, q_fixed_point, update_q_tau)
 
 from conftest import concentrated_tau_prior
+from linear_oracle import LinearOracleModel
 
 
 def make_state(mu, W, lambda0, lam, **kw):
@@ -127,7 +128,7 @@ def test_fixed_point_self_consistent(rng):
     W, _ = np.linalg.qr(rng.normal(size=(5, 3)))
     state = make_state(rng.normal(size=5), W, [1e-6, 1e-6, 1e-6],
                        [1e-6, 1e-6, 1e-6])
-    ev = model.evaluate(state.mu)
+    ev = model.evaluate(state.mu).with_jacobian()
     yhat = ev.y + rng.normal(0.0, 0.05, 8)
     st = q_fixed_point(state, *data_terms(state, ev, yhat))
     lam_again = oracle.update_q_theta(st, ev)
@@ -141,7 +142,7 @@ def test_fixed_point_deterministic(rng):
     model = LinearOracleModel(rng.normal(size=(6, 4)))
     W, _ = np.linalg.qr(rng.normal(size=(4, 2)))
     state = make_state(np.zeros(4), W, [0.5, 1.0], [0.5, 1.0])
-    ev = model.evaluate(state.mu)
+    ev = model.evaluate(state.mu).with_jacobian()
     terms = data_terms(state, ev, np.ones(6))
     s1 = q_fixed_point(state, *terms)
     s2 = q_fixed_point(state, *terms)
