@@ -148,7 +148,10 @@ def cmd_generate(args) -> int:
         cfg.noise.snr = args.snr
     cfg.validate()
     out = _out_dir(args, cfg)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:    # a file in its place, say
+        raise UsageError(f"cannot create output directory {out}: {exc}") from exc
     try:
         obs, psi_true, U = cfgmod.generate_data(cfg)
     except ForwardSolveError as exc:
@@ -242,7 +245,7 @@ def cmd_validate(args) -> int:
     obs = ObservationFile.load(obs_path)
     try:
         state, clamped = state_from_dict(json.loads(trace_path.read_text()))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"unreadable run trace {trace_path}: {exc}") from exc
 
     model, mesh, _, _, _ = cfgmod.build_model(cfg)
@@ -321,7 +324,7 @@ def cmd_report(args) -> int:
                     f"mu_phase: {sum(st['accepted'] for st in steps)} accepted steps, "
                     f"{sum(st['halvings'] for st in steps)} halvings, "
                     f"{sum(st['corrected'] for st in steps)} corrector steps")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             lines.append(f"run trace unreadable: {exc}")
     else:
         missing.append(TRACE_FILE)
@@ -345,7 +348,7 @@ def cmd_report(args) -> int:
             rep = json.loads(is_path.read_text())
             lines.append(f"ess: {_fmt(rep['ess'])}")
             lines.append(f"mean_rel_median: {_fmt(rep['mean_rel_median'])}")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             lines.append(f"IS report unreadable: {exc}")
     else:
         missing.append(IS_FILE)

@@ -520,6 +520,40 @@ def test_malformed_artifact_exits_one_or_is_reported(name, corrupt, small_cfg_pa
     assert f"{unreadable} unreadable: " in capsys.readouterr().out
 
 
+def test_output_path_taken_by_a_file_exits_one(small_cfg_path, tmp_path, capsys):
+    # mkdir on an existing file raised FileExistsError with a traceback
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    capsys.readouterr()
+    assert main(["generate", "--config", str(small_cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("elastovb: error: cannot create output directory")
+    assert str(out) in err
+
+
+@pytest.mark.parametrize("name", ["run_trace.json", "is_report.json"])
+def test_artifact_that_is_a_directory_exits_one_or_is_reported(name, small_cfg_path,
+                                                                tmp_path, capsys):
+    # a directory in an artifact's place is an unreadable artifact, as
+    # malformed JSON is; reading it raised IsADirectoryError with a traceback
+    out = tmp_path / "dir"
+    args = ["--config", str(small_cfg_path), "--out", str(out)]
+    for verb in ("generate", "invert", "validate"):
+        assert main([verb] + args) == 0
+    path = out / name
+    path.unlink()
+    path.mkdir()
+    capsys.readouterr()
+    if name == "run_trace.json":
+        assert main(["validate"] + args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("elastovb: error: unreadable run trace")
+        assert str(path) in err
+    assert main(["report", "--out", str(out)]) == 0
+    unreadable = "run trace" if name == "run_trace.json" else "IS report"
+    assert f"{unreadable} unreadable: " in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("key,value", [
     ("d_y", lambda obs: obs["d_y"] + 0.5),
     ("seed", lambda obs: 1.5),
@@ -604,15 +638,28 @@ def run_cli(*args):
     return run_child("-m", "elastovb.cli", *args)
 
 
-@pytest.mark.parametrize("package", ["scipy.sparse", "scipy.special", "scipy"])
-def test_package_import_leaves_scipy_sparse_unloaded(package):
+@pytest.mark.parametrize("package", ["scipy.sparse", "scipy.special", "scipy", "numpy.ma"])
+def test_package_import_leaves_scipy_sparse_unloaded(package, small_cfg_path, tmp_path):
     # the package calls LAPACK in numpy's own OpenBLAS and loads no scipy
     # module at all; scipy.linalg alone would double every process's import
-    # time and resident memory (58 MB against 30 MB)
-    proc = run_child("-c", "import sys, elastovb, elastovb.cli; "
-                           f"print(sorted(m for m in sys.modules if m.startswith({package!r})))")
+    # time and resident memory (58 MB against 30 MB). np.median's NaN check
+    # would import numpy.ma (1.3 MB); numpy.matrixlib loads with numpy, so
+    # a package matches by name or dotted prefix only. The child runs every
+    # verb in one interpreter, as the benchmark does.
+    out = tmp_path / "footprint"
+    proc = run_child("-c", f"""
+import sys
+from elastovb.cli import main
+args = ["--config", {str(small_cfg_path)!r}, "--out", {str(out)!r}]
+codes = [main([verb] + args) for verb in ("generate", "invert", "validate")]
+codes.append(main(["report", "--out", {str(out)!r}]))
+print(codes)
+print(sorted(m for m in sys.modules if m == {package!r} or m.startswith({package + "."!r})))
+""")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    *_, codes, loaded = proc.stdout.strip().splitlines()
+    assert codes == "[0, 0, 0, 0]"
+    assert loaded == "[]"
 
 
 def test_bad_flag_exits_one_in_subprocess(small_cfg_path):

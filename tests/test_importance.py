@@ -11,8 +11,8 @@ from scipy.integrate import quad
 from scipy.special import logsumexp
 
 from elastovb.forward import ForwardEval, ForwardModel, ForwardSolveError
-from elastovb.importance import (_marginal_constant, _marginal_varying, compare_vb_is,
-                                 ess, run_is)
+from elastovb.importance import (_marginal_constant, _marginal_varying, _median,
+                                 compare_vb_is, ess, run_is)
 from elastovb.vb import ReducedPosterior, posterior_psi_stats
 
 from conftest import concentrated_tau_prior
@@ -326,6 +326,29 @@ def test_all_discarded_flags_degenerate():
 
 # ---------------------------------------------------------------------------
 # Moment comparison report
+
+
+# a small pool makes ties (and signed-zero ties) common among arbitrary floats
+MEDIAN_TIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan])
+
+
+@given(st.lists(st.one_of(MEDIAN_TIES, st.floats()), min_size=1, max_size=41))
+@example([3.0])
+@example([2.0, 1.0, 2.0, 1.0])
+@example([-math.inf, 1.0, math.inf])
+@example([-math.inf, math.inf])
+@example([math.inf, 1e308, math.inf, 1e308])
+@example([-0.0, 0.0, -0.0])
+@example([1.0, math.nan, 2.0])
+@example([math.nan, 1.0])
+def test_median_matches_numpy_bit_for_bit(xs):
+    x = np.array(xs)
+    with np.errstate(all="ignore"):     # np.mean's inf - inf and overflow warnings
+        expected = float(np.median(x))
+    got = _median(x)
+    assert got.hex() == expected.hex()
+    if any(math.isnan(v) for v in xs):
+        assert math.isnan(got)
 
 
 def test_compare_vb_is_normalizations(rng):
