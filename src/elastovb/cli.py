@@ -40,6 +40,7 @@ NUMERICAL_FAILURES = (RuntimeError, FloatingPointError, np.linalg.LinAlgError)
 OBS_FILE = "observations.json"
 TRUE_FIELD_FILE = "true_field.csv"
 DISPLACEMENT_FILE = "displacement.csv"
+CONFIG_FILE = "config.yaml"
 TRACE_FILE = "run_trace.json"
 MEAN_FILE = "posterior_mean.csv"
 STD_FILE = "posterior_std.csv"
@@ -54,6 +55,7 @@ ERROR_FILE = "error.json"
 
 # What each stage writes; a stage that runs again removes its own and every
 # later stage's files first, so no artifact outlives the inputs it came from
+GENERATE_FILES = (OBS_FILE, TRUE_FIELD_FILE, DISPLACEMENT_FILE, CONFIG_FILE)
 INVERT_FILES = (TRACE_FILE, MEAN_FILE, STD_FILE, LAMBDA_FILE, ELBO_FILE, GAIN_FILE)
 VALIDATE_FILES = (IS_FILE, IS_WEIGHTS_FILE, IS_MEAN_FILE, IS_STD_FILE)
 
@@ -128,7 +130,11 @@ def _fmt(x: float) -> str:
 
 def _remove_stale(out: Path, names: tuple[str, ...]) -> None:
     for name in names + (ERROR_FILE,):
-        (out / name).unlink(missing_ok=True)
+        path = out / name
+        try:
+            path.unlink(missing_ok=True)
+        except OSError as exc:    # a directory in its place, say
+            raise UsageError(f"cannot remove stale artifact {path}: {exc}") from exc
 
 
 def _numerical_failure(out: Path, stage: str, exc: Exception, calls: int) -> int:
@@ -158,11 +164,11 @@ def cmd_generate(args) -> int:
         print(f"forward solve failed on the phantom: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     mesh = cfgmod.build_mesh(cfg)
-    _remove_stale(out, INVERT_FILES + VALIDATE_FILES)
+    _remove_stale(out, GENERATE_FILES + INVERT_FILES + VALIDATE_FILES)
     obs.save(out / OBS_FILE)
     cfgmod.write_element_field(out / TRUE_FIELD_FILE, mesh, psi_true)
     cfgmod.write_node_displacements(out / DISPLACEMENT_FILE, mesh, U)
-    cfgmod.save_config(cfg, out / "config.yaml")
+    cfgmod.save_config(cfg, out / CONFIG_FILE)
     tau = "inf" if math.isinf(obs.tau_true) else _fmt(obs.tau_true)
     print(f"wrote {obs.d_y} observations to {out / OBS_FILE}")
     print(f"tau_true: {tau}")
@@ -322,7 +328,8 @@ def cmd_report(args) -> int:
                 steps = payload["mu_phase"]["steps"]
                 lines.append(
                     f"mu_phase: {sum(st['accepted'] for st in steps)} accepted steps, "
-                    f"{sum(st['halvings'] for st in steps)} halvings, "
+                    f"{sum(st['halvings'] for st in steps)} trials not accepted "
+                    f"({sum(st['failed'] for st in steps)} failed), "
                     f"{sum(st['corrected'] for st in steps)} corrector steps")
         except (OSError, KeyError, TypeError, ValueError) as exc:
             lines.append(f"run trace unreadable: {exc}")

@@ -10,12 +10,19 @@ fixed pair precisions also improves the true objective.
 
 Each trial costs one forward evaluation, for its value only; trial steps are
 accepted only if the exact objective, at the iteration's frozen <tau> and pair
-precisions, strictly increases.  Only the accepted trial's Jacobian is solved,
-from that trial's own factorization, so an outer iteration costs one Jacobian
-and as many value solves as it has trials.  Before a trial is spent, the
-Gauss-Newton model predicts the step's gain from the Jacobian already in hand;
-a predicted gain below the phase's relative tolerance ends the phase, since
-such a step cannot be told from rounding.
+precisions, strictly increases.  A step's trials are mu + 2^-k delta on the
+grid k = 0..max_halvings, and the step takes the least k whose trial solves
+and passes that test.  Far along the ray the forward solve can fail (an
+overflowing modulus, a singular system); past such failures the phase does not
+walk the grid one exponent per call but gallops over k = 0, 1, 3, 7, ... and
+bisects back to the first trial that solves, then goes on from there one
+exponent at a time.  When failure is monotone in the step length, that is the
+step plain halving takes, reached in fewer calls.  Only the accepted trial's
+Jacobian is solved, from that trial's own factorization, so an outer
+iteration costs one Jacobian and as many value solves as it has trials.
+Before a trial is spent, the Gauss-Newton model predicts the step's gain from
+the Jacobian already in hand; a predicted gain below the phase's relative
+tolerance ends the phase, since such a step cannot be told from rounding.
 
 The E-step needs no forward call, so with the prior active each linearization
 also takes one corrector step: the E-step is redone at mu + delta_0 and the
@@ -37,6 +44,7 @@ dense (d_y x d_psi) G is never made.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
@@ -102,7 +110,8 @@ class MuUpdateReport:
     f_after: float
     forward_calls: int
     regularization_active: bool
-    halvings: int = 0
+    halvings: int = 0                      # trials of the step that were not accepted
+    failed: int = 0                        # trials whose value or Jacobian solve raised
     corrected: bool = False                # the trial step came from the corrector E-step
 
     def __post_init__(self) -> None:
@@ -246,6 +255,32 @@ def gauss_newton_step(mu: np.ndarray, system: GaussNewtonSystem,
     return delta, floor_used
 
 
+def _first_solving(solves: Callable[[int], bool | None], max_halvings: int) -> int:
+    """The least exponent k in 0..max_halvings whose trial solves, by search.
+
+    `solves(k)` spends a call on the trial at 2^-k and tells whether it solved
+    (None: no call left).  The search gallops over k = 0, 1, 3, 7, ...
+    (capped at max_halvings) to a trial that solves, then bisects between
+    it and the last one that failed, so crossing b failed trials costs
+    O(log b) calls where halving spends one on each.  When failure is
+    monotone in the step length, the answer is the first k that halving
+    would see solve.  max_halvings + 1 if no trial solves or the calls run
+    out.
+    """
+    lo, hi = -1, max_halvings + 1     # the greatest k seen to fail, the least seen to solve
+    gallop = True
+    while hi - lo > 1:
+        k = min(max(2 * lo + 1, 0), max_halvings) if gallop else (lo + hi) // 2
+        solved = solves(k)
+        if solved is None:
+            return max_halvings + 1
+        if solved:
+            hi, gallop = k, False
+        else:
+            lo = k
+    return hi
+
+
 @dataclass
 class MuPhaseResult:
     mu: np.ndarray
@@ -268,20 +303,28 @@ def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
 
     The jump-penalty regularization is switched on once `reg_delay` steps have
     been accepted; before that, steps are plain Gauss-Newton on the data term.
-    A rejected trial is halved up to max_halvings times (each trial costs one
-    value-only forward call); exhausting the halvings ends the phase.  So does
-    a step whose predicted gain, -<tau>/2 |r - G delta|^2 + log p(mu + delta)
-    - F_mu, is at most GAIN_RTOL (1 + |F_mu|), or an accepted step whose actual
-    gain is.  With regularization on, the trial step is the corrector step
-    delta_1 when its predicted gain passes the same tolerance (see the module
-    docstring).
+    Each trial of a step is mu + 2^-k delta, one value-only forward call, and
+    the step takes the least k in 0..max_halvings whose trial solves and
+    passes the acceptance test; finding none ends the phase.  While trials
+    raise ForwardSolveError the least k that solves is found by exponential
+    search (`_first_solving`); from it, each rejected trial moves on to k + 1.
+    The phase also ends at a step whose predicted gain, -<tau>/2 |r - G
+    delta|^2 + log p(mu + delta) - F_mu, is at most GAIN_RTOL (1 + |F_mu|),
+    or at an accepted step whose actual gain is.  With regularization on, the
+    trial step is the corrector step delta_1 when its predicted gain passes
+    the same tolerance (see the module docstring).
 
     The model's clamped components (`model.fixed_mask`) keep their value in
     state.mu.  The accepted trial's sensitivities, free Gram included, are
     formed from its own factorization after mu's are released, so one Gram is
-    alive at a time.  If that fails, the trial counts as failed and is halved;
-    should the phase then end without an accepted step, one more counted call
-    (past the budget if need be) forms them at mu again.
+    alive at a time.  If that fails, the trial counts as failed and the step
+    goes on at k + 1; should the phase then end without an accepted step, one
+    more counted call (past the budget if need be) forms them at mu again.
+    A rejected trial's evaluation is released at once.  While the search
+    runs, one more value-only evaluation may be held: the least exponent's
+    trial that solved and passed, which the step takes unless a trial at a
+    smaller k passes first (one banded factor: 41 KB on 10x10, 2.2 MB on
+    40x40; solving it again instead cost the 40x40 run 2 more calls).
 
     The phase's memory peak is a trial's banded solve (factor, solve and
     residual check), which runs while mu's evaluation and its Gram are still
@@ -331,43 +374,72 @@ def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
         # free it before an accepted trial forms its own, and two would be alive
         del system
         dn = float(np.linalg.norm(delta))
-        accepted = False
-        halvings = 0
-        scale = 1.0
-        while halvings <= max_halvings:
+        step_start, failed = calls, 0
+        # the step's trials are mu + 2^-k delta, k = 0..max_halvings: `settled`
+        # holds the exponents whose trial failed or was rejected, and `held` the
+        # least exponent's trial that passed, (k, trial, evaluation, r, F_mu)
+        settled: set[int] = set()
+        held = None
+
+        def probe(k: int) -> bool | None:
+            """Spend one value-only call on the trial at 2^-k: whether it solved,
+            or None with no call left."""
+            nonlocal calls, failed, held, budget_exhausted
             if out_of_budget():
                 budget_exhausted = True
-                break
-            trial = mu + scale * delta
-            ev_try = None     # a rejected trial's factorization must not outlive its rejection
+                return None
+            trial = mu + 0.5 ** k * delta
             calls += 1
             try:
-                ev_try = model.evaluate(trial)
-                r_try = yhat - ev_try.y
-                f_try = -0.5 * mean_tau * float(r_try @ r_try) + logp_fn(trial)
-                if f_try > f_curr:
-                    ev = None     # one Gram alive at a time: mu's goes before the trial's is formed
-                    ev_try = ev_try.with_jacobian()
-                    jacobians += 1
-                    accepted = True
-                    break
+                ev_k = model.evaluate(trial)
             except ForwardSolveError:
-                pass
-            halvings += 1
-            scale *= 0.5
+                failed += 1
+                settled.add(k)
+                return False
+            r_k = yhat - ev_k.y
+            f_k = -0.5 * mean_tau * float(r_k @ r_k) + logp_fn(trial)
+            if f_k > f_curr:
+                held = (k, trial, ev_k, r_k, f_k)   # the one it replaces had a larger k
+            else:
+                settled.add(k)    # and its evaluation is dropped on return
+            return True
+
+        accepted = False
+        for k in range(_first_solving(probe, max_halvings), max_halvings + 1):
+            if k not in settled and (held is None or held[0] != k):
+                if probe(k) is None:
+                    break
+            if k in settled:
+                continue
+            _, trial, ev_try, r_try, f_try = held
+            held = ev = None  # one Gram alive at a time: mu's goes before the trial's is formed
+            try:
+                ev_try = ev_try.with_jacobian()
+            except ForwardSolveError:
+                failed += 1
+                ev_try = None
+                continue
+            jacobians += 1
+            accepted = True
+            break
+        held = None           # a trial still held when the calls ran out goes with the step
+        trials = calls - step_start
         if not accepted:
             if not budget_exhausted:
-                reports.append(MuUpdateReport(accepted=False, delta_norm=dn * scale,
+                reports.append(MuUpdateReport(accepted=False,
+                                              delta_norm=dn * 0.5 ** (max_halvings + 1),
                                               f_before=f_curr, f_after=f_curr,
-                                              forward_calls=halvings,
+                                              forward_calls=trials,
                                               regularization_active=reg_active,
-                                              halvings=halvings, corrected=corrected))
+                                              halvings=trials, failed=failed,
+                                              corrected=corrected))
             break
-        reports.append(MuUpdateReport(accepted=True, delta_norm=dn * scale,
+        reports.append(MuUpdateReport(accepted=True, delta_norm=dn * 0.5 ** k,
                                       f_before=f_curr, f_after=f_try,
-                                      forward_calls=halvings + 1,
+                                      forward_calls=trials,
                                       regularization_active=reg_active,
-                                      halvings=halvings, corrected=corrected))
+                                      halvings=trials - 1, failed=failed,
+                                      corrected=corrected))
         mu, ev = trial, ev_try
         accepted_count += 1
         a, b = update_q_tau(state, r_try)

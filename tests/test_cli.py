@@ -214,7 +214,9 @@ def test_run_trace_records_mean_phase(small_cfg_path, tmp_path, capsys):
     steps = mu["steps"]
     assert steps and all(st["accepted"] for st in steps)
     for st in steps:
-        assert {"accepted", "halvings", "regularization_active", "corrected"} <= set(st)
+        assert ({"accepted", "halvings", "failed", "regularization_active", "corrected"}
+                <= set(st))
+        assert 0 <= st["failed"] <= st["halvings"] == st["forward_calls"] - st["accepted"]
         assert st["regularization_active"] or not st["corrected"]
     # the first call linearizes at mu0; every other call is a step's trial
     assert 1 + sum(st["forward_calls"] for st in steps) == mu["forward_calls"]
@@ -226,7 +228,8 @@ def test_run_trace_records_mean_phase(small_cfg_path, tmp_path, capsys):
             in text.splitlines())
     lines = [l for l in text.splitlines() if l.startswith("mu_phase:")]
     assert lines == [f"mu_phase: {len(steps)} accepted steps, "
-                     f"{sum(st['halvings'] for st in steps)} halvings, "
+                     f"{sum(st['halvings'] for st in steps)} trials not accepted "
+                     f"({sum(st['failed'] for st in steps)} failed), "
                      f"{sum(st['corrected'] for st in steps)} corrector steps"]
 
 
@@ -552,6 +555,31 @@ def test_artifact_that_is_a_directory_exits_one_or_is_reported(name, small_cfg_p
     assert main(["report", "--out", str(out)]) == 0
     unreadable = "run trace" if name == "run_trace.json" else "IS report"
     assert f"{unreadable} unreadable: " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("verb,name", [
+    ("generate", "observations.json"), ("generate", "config.yaml"),
+    ("invert", "run_trace.json"), ("invert", "posterior_mean.csv"),
+    ("invert", "error.json"), ("validate", "is_weights.csv"),
+])
+def test_directory_in_an_artifacts_place_exits_one(verb, name, small_cfg_path, tmp_path,
+                                                   capsys):
+    # a verb meeting a directory where it writes an artifact raised
+    # IsADirectoryError with a traceback, from ObservationFile.save when
+    # generating and from Path.unlink when removing a stale artifact
+    out = tmp_path / "dirs"
+    args = ["--config", str(small_cfg_path), "--out", str(out)]
+    verbs = ["generate", "invert", "validate"]
+    for earlier in verbs[:verbs.index(verb)]:
+        assert main([earlier] + args) == 0
+    path = out / name
+    path.mkdir(parents=True)
+    capsys.readouterr()
+    assert main([verb] + args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("elastovb: error: cannot remove stale artifact")
+    assert str(path) in err
+    assert path.is_dir()
 
 
 @pytest.mark.parametrize("key,value", [

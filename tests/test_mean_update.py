@@ -502,6 +502,18 @@ def test_example1_noise_seeds_mean_phase_calls(noise_seed):
     assert res.forward_calls <= 13
 
 
+def test_noisy10_mean_phase_searches_past_failed_solves():
+    # the benchmark's noisy10 (SNR 1e2, the shipped noise seed 1): step 4's
+    # trials at 2^0..2^-7 fail to solve (three exp overflows, then singular
+    # solves); halving spent 10 calls there and 28 in all, the search probes
+    # 2^0, 2^-1, 2^-3, 2^-7 (fail), 2^-10, 2^-8 (solve, 2^-8 rejected), 2^-9
+    res = example1_mean_phase(snr=1e2)
+    assert [rep.forward_calls for rep in res.reports] == [2, 2, 2, 7, 2] + [1] * 9
+    assert [rep.failed for rep in res.reports] == [0, 0, 0, 4] + [0] * 10
+    assert res.forward_calls == 25 and res.reports[3].accepted
+    assert not res.budget_exhausted
+
+
 def test_accepted_steps_strictly_improve_fem_objective(rng):
     mesh = Mesh2D(3, 3, 3.0, 3.0)
     from conftest import compression_bc
@@ -657,6 +669,196 @@ def test_failed_jacobian_without_a_later_accept_solves_mu_again(rng):
     assert np.array_equal(dense(res.ev.G), A) and np.array_equal(res.ev.y, np.zeros(6))
 
 
+class CliffModel(LinearOracleModel):
+    """Linear model whose value solve fails where |psi| > `radius`, and whose
+    Jacobian solve also fails where |psi| > `jacobian_radius`; counts both."""
+
+    def __init__(self, A, radius, jacobian_radius=np.inf):
+        super().__init__(A)
+        self.radius = radius
+        self.jacobian_radius = jacobian_radius
+        self.failures = 0
+
+    def _evaluate(self, psi):
+        norm = np.linalg.norm(psi)
+        if norm > self.radius:
+            self.failures += 1
+            raise ForwardSolveError("value solve past the cliff")
+        if norm <= self.jacobian_radius:
+            return super()._evaluate(psi)
+
+        def refuse():
+            self.failures += 1
+            raise ForwardSolveError("sensitivity solve past the cliff")
+
+        return ForwardEval(y=self.A @ psi, G=None, _jacobian=refuse)
+
+
+def cliff_problem(seed):
+    """A, yhat and the phase's first Gauss-Newton step from psi = 0."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(6, 3)) + 2.0 * np.eye(6, 3)
+    yhat = rng.normal(size=6)
+    state = empty_state(3)
+    ev = LinearOracleModel(A).evaluate(state.mu).with_jacobian()
+    a, b = update_q_tau(state, yhat - ev.y)
+    system = gauss_newton_system(ev, yhat, a / b, np.zeros(3, dtype=bool))
+    return A, yhat, gauss_newton_step(state.mu, system, None)[0]
+
+
+def halving_reference(model, yhat, delta, max_halvings):
+    """The step plain halving takes from psi = 0: the least k whose trial
+    2^-k delta solves value and Jacobian and raises F_mu; (k, psi), or (None, 0)."""
+    state = empty_state(delta.size)
+    ev = model.evaluate(state.mu).with_jacobian()
+    a, b = update_q_tau(state, yhat - ev.y)
+    f0 = -0.5 * (a / b) * float((yhat - ev.y) @ (yhat - ev.y))
+    for k in range(max_halvings + 1):
+        trial = state.mu + 0.5 ** k * delta
+        try:
+            ev_k = model.evaluate(trial)
+            r = yhat - ev_k.y
+            if -0.5 * (a / b) * float(r @ r) > f0:
+                ev_k.with_jacobian()
+                return k, trial
+        except ForwardSolveError:
+            pass
+    return None, state.mu
+
+
+# calls to reach the first exponent b whose trial solves, of max_halvings = 10
+FIRST_SOLVING = [*range(11), None]
+HALVING_CALLS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 11]
+SEARCH_CALLS = [1, 2, 4, 4, 6, 6, 6, 6, 6, 7, 7, 5]
+
+
+@pytest.mark.parametrize("b,halving_calls,search_calls",
+                         zip(FIRST_SOLVING, HALVING_CALLS, SEARCH_CALLS),
+                         ids=[f"b={b}" for b in FIRST_SOLVING])
+def test_search_past_failed_solves_takes_the_halving_step(b, halving_calls, search_calls):
+    # every trial beyond the cliff fails, every one within it is accepted:
+    # the step is halving's, bit for bit, in the search's calls
+    A, yhat, delta = cliff_problem(0)
+    dn = np.linalg.norm(delta)
+    radius = dn * (1.5 * 0.5 ** b if b is not None else 0.5 ** 11)
+    ref_model = CliffModel(A, radius)
+    k_ref, mu_ref = halving_reference(ref_model, yhat, delta, 10)
+    assert k_ref == b and ref_model.calls == 1 + halving_calls
+    model = CliffModel(A, radius)
+    res = update_mu(empty_state(3), model, yhat, max_outer=1, max_halvings=10)
+    (rep,) = res.reports
+    assert rep.accepted == (b is not None)
+    assert res.mu.tobytes() == mu_ref.tobytes()
+    assert rep.forward_calls == search_calls
+    assert res.forward_calls == model.calls == 1 + search_calls
+    assert rep.failed == model.failures
+    assert rep.halvings == rep.forward_calls - rep.accepted
+    if b is not None:
+        assert rep.delta_norm == dn * 0.5 ** b
+
+
+@pytest.mark.parametrize("b", range(10))
+def test_failed_jacobian_at_the_first_solving_trial_moves_on(b):
+    # the trial at 2^-b solves and passes but its G fails: the step is
+    # accepted at 2^-(b+1), which is solved again if the search saw it
+    A, yhat, delta = cliff_problem(1)
+    dn = np.linalg.norm(delta)
+    model = CliffModel(A, 1.5 * 0.5 ** b * dn, jacobian_radius=0.75 * 0.5 ** b * dn)
+    k_ref, mu_ref = halving_reference(CliffModel(A, model.radius, model.jacobian_radius),
+                                      yhat, delta, 10)
+    assert k_ref == b + 1
+    res = update_mu(empty_state(3), model, yhat, max_outer=1, max_halvings=10)
+    (rep,) = res.reports
+    assert rep.accepted and res.mu.tobytes() == mu_ref.tobytes()
+    assert rep.forward_calls == SEARCH_CALLS[b] + 1
+    assert rep.failed == model.failures >= 1
+    assert res.jacobians == 2 and np.array_equal(dense(res.ev.G), A)
+
+
+class PatternModel(ForwardModel):
+    """y = A arctan(psi), whose value solve fails at the exponents `fail` of every step.
+
+    A trial is at exponent k when its distance from the last field whose G
+    was solved is 2^-k times that of the step's first trial.  Logs each
+    trial as (k, solved) and keeps every field whose G was solved.
+    """
+
+    def __init__(self, A, fail):
+        self.A = A
+        super().__init__()
+        self.fail = set(fail)
+        self.solved_g = []
+        self.first_step = None
+        self.trials = []
+
+    @property
+    def d_psi(self):
+        return self.A.shape[1]
+
+    @property
+    def d_y(self):
+        return self.A.shape[0]
+
+    def _evaluate(self, psi):
+        if self.solved_g:
+            step = float(np.linalg.norm(psi - self.solved_g[-1]))
+            self.first_step = self.first_step or step
+            k = round(np.log2(self.first_step / step))
+            self.trials.append((k, k not in self.fail))
+            if k in self.fail:
+                raise ForwardSolveError("value solve at a failing exponent")
+
+        def jacobian():
+            self.solved_g.append(psi.copy())
+            self.first_step = None
+            return DenseSensitivities(self.A / (1.0 + psi ** 2), self.active)
+
+        return ForwardEval(y=self.A @ np.arctan(psi), G=None, _jacobian=jacobian)
+
+
+@pytest.mark.parametrize("fail", [(0, 1, 3, 4, 8), (0, 1, 3, 7, 10), (1, 2, 5), (0, 2, 3, 9)],
+                         ids=lambda fail: "fail-" + "-".join(map(str, fail)))
+def test_non_monotone_failures_keep_every_step_an_ascent(fail, rng):
+    # where a trial fails at a shorter step than one that solves, the search
+    # may take another step than halving, or none: with (0, 1, 3, 7, 10) it
+    # sees only failures and ends the phase where halving would accept 2^-2;
+    # still every accepted field lowers the misfit (raises F_mu at any frozen
+    # <tau>) and the calls keep to the budget
+    A = rng.normal(size=(6, 3)) + 2.0 * np.eye(6, 3)
+    yhat = A @ np.arctan(rng.normal(size=3)) + 0.01 * rng.normal(size=6)
+    model = PatternModel(A, fail)
+    res = update_mu(empty_state(3), model, yhat, call_budget=30)
+    reported, failed = (sum(rep.failed for rep in res.reports),
+                        sum(not ok for _, ok in model.trials))
+    # a step cut short by the budget is not reported
+    assert reported == failed or res.budget_exhausted and reported <= failed
+    assert res.forward_calls == model.calls <= 30
+    misfits = [float(np.sum((yhat - A @ np.arctan(psi)) ** 2)) for psi in model.solved_g]
+    assert len(misfits) == res.jacobians == 1 + sum(rep.accepted for rep in res.reports)
+    assert all(later < earlier for earlier, later in zip(misfits, misfits[1:]))
+    assert np.array_equal(model.solved_g[-1], res.mu)
+    if fail == (0, 1, 3, 7, 10):
+        assert model.trials == [(k, False) for k in fail]
+        assert [rep.accepted for rep in res.reports] == [False]
+
+
+@pytest.mark.parametrize("budget", range(2, 7))
+def test_call_budget_runs_out_mid_search(budget):
+    # b = 8 takes the trials at k = 0, 1, 3, 7 (fail), 10 and 8 (solve): a
+    # budget that ends the search first leaves mu where it was, and the
+    # trial held from the gallop is not taken
+    A, yhat, delta = cliff_problem(2)
+    model = CliffModel(A, 1.5 * 0.5 ** 8 * np.linalg.norm(delta))
+    res = update_mu(empty_state(3), model, yhat, call_budget=budget)
+    assert res.budget_exhausted and res.reports == []
+    assert res.forward_calls == model.calls == budget
+    assert np.array_equal(res.mu, np.zeros(3))
+    assert res.jacobians == 1 and np.array_equal(dense(res.ev.G), A)
+    full = update_mu(empty_state(3), CliffModel(A, model.radius), yhat, max_outer=1,
+                     call_budget=7)
+    assert full.reports[0].accepted and full.forward_calls == 7
+
+
 @pytest.mark.parametrize("mesh_n", [None, 20], ids=["example1", "mesh20"])
 def test_jacobians_solved_only_for_accepted_trials(mesh_n, monkeypatch):
     # every rejected trial is a value solve only; the accepted trial's G has
@@ -689,15 +891,22 @@ class ArctanModel(ForwardModel):
 
     Keeps a weak reference to every value-only evaluation and every G it
     returns, and records how many of each are alive at each call and how
-    many G are alive at each Jacobian solve.
+    many G are alive at each Jacobian solve.  Its solve fails where |psi|
+    exceeds `limit`.  `y_alive_at_call` logs each call as (|y| at the last
+    field whose G was solved, [|y| of each value-only evaluation alive]);
+    with yhat = 0 a trial passes the acceptance test exactly when its |y| is
+    below the first.
     """
 
-    def __init__(self):
+    def __init__(self, limit=np.inf):
         super().__init__()
+        self.limit = limit
         self.values = []
         self.jacobians = []
         self.alive_at_call = []          # (value-only evaluations, G) alive
         self.g_alive_at_solve = []
+        self.y_at_g = None
+        self.y_alive_at_call = []
 
     @property
     def d_psi(self):
@@ -713,14 +922,20 @@ class ArctanModel(ForwardModel):
 
     def _evaluate(self, psi):
         self.alive_at_call.append((self._alive(self.values), self._alive(self.jacobians)))
+        self.y_alive_at_call.append(
+            (self.y_at_g, [abs(float(ref().y[0])) for ref in self.values if ref() is not None]))
+        if abs(psi[0]) > self.limit:
+            raise ForwardSolveError("modulus overflow past the limit")
+        y = np.arctan(10.0 * psi)
 
         def jacobian():
             self.g_alive_at_solve.append(self._alive(self.jacobians))
+            self.y_at_g = abs(float(y[0]))
             G = DenseSensitivities((10.0 / (1.0 + 100.0 * psi ** 2))[:, None], np.arange(1))
             self.jacobians.append(weakref.ref(G))
             return G
 
-        ev = ForwardEval(y=np.arctan(10.0 * psi), G=None, _jacobian=jacobian)
+        ev = ForwardEval(y=y, G=None, _jacobian=jacobian)
         self.values.append(weakref.ref(ev))
         return ev
 
@@ -750,6 +965,24 @@ def test_one_jacobian_alive_at_each_solve():
     assert len(model.g_alive_at_solve) == res.jacobians == 1 + accepted
     assert model.g_alive_at_solve == [0] * res.jacobians
     assert res.forward_calls == model.calls > res.jacobians
+
+
+def test_search_holds_at_most_one_passing_trial_at_each_call():
+    # from psi = 1 the full step lands near -14, past |psi| = 3; the gallop
+    # finds 2^-3 solving and passing and holds it while the bisection tries
+    # 2^-2, which solves but is rejected: at no call is more than that one
+    # trial alive, and never a rejected one
+    model = ArctanModel(limit=3.0)
+    state = empty_state(1)
+    state.mu = np.array([1.0])
+    res = update_mu(state, model, np.zeros(1))
+    assert res.reports[0].accepted and res.reports[0].failed == 2
+    assert res.reports[0].forward_calls == 4
+    assert model.y_alive_at_call[0] == (None, [])
+    for y_mu, alive in model.y_alive_at_call[1:]:
+        assert len(alive) <= 1
+        assert all(y < y_mu for y in alive)
+    assert any(alive for _, alive in model.y_alive_at_call)
 
 
 def test_report_validation():
