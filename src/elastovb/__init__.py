@@ -8,8 +8,8 @@ subspace, and validates the result by importance sampling.
 
 from .mesh_fem import BoundarySpec, Mesh2D, adjoint_jacobian
 from .forward import FemForwardModel, ForwardEval, ForwardModel, ForwardSolveError
-from .vb import (ElboBreakdown, ReducedPosterior, elbo, posterior_psi_stats,
-                 q_fixed_point, update_q_tau)
+from .vb import (ElboBreakdown, NoisePrecisionError, ReducedPosterior, elbo,
+                 posterior_psi_stats, q_fixed_point, update_q_tau)
 from .mean_update import (MuPhaseResult, SmoothPrior, em_phi, gauss_newton_step,
                           log_prior_mu_and_grad, update_mu)
 from .driver import (DriverConfig, RunTrace, add_basis, info_gain,
@@ -23,8 +23,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundarySpec", "Mesh2D", "adjoint_jacobian",
     "FemForwardModel", "ForwardEval", "ForwardModel", "ForwardSolveError",
-    "ElboBreakdown", "ReducedPosterior", "elbo", "posterior_psi_stats",
-    "q_fixed_point", "update_q_tau",
+    "ElboBreakdown", "NoisePrecisionError", "ReducedPosterior", "elbo",
+    "posterior_psi_stats", "q_fixed_point", "update_q_tau",
     "MuPhaseResult", "SmoothPrior", "em_phi", "gauss_newton_step",
     "log_prior_mu_and_grad", "update_mu",
     "DriverConfig", "RunTrace", "add_basis", "info_gain",

@@ -8,34 +8,44 @@ The four verbs compose through files in the output directory:
     elastovb report   --out DIR                          # human-readable summary
 
 Exit codes: 0 success, 1 usage/configuration error, 2 numerical failure.
+
+This module owns every artifact: its name, its format and its schema
+version.  One writer stamps `schema_version` on each JSON file, one writer
+formats every CSV, and one reader refuses a JSON file of another version.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
 import time
+from collections.abc import Callable, Iterable
 from pathlib import Path
 
 import numpy as np
 
 from . import config as cfgmod
 from .config import ConfigError, ObservationFile, RunConfig
-from .driver import SCHEMA_VERSION, run as driver_run, state_from_dict
+from .driver import run as driver_run, state_from_dict
 from .forward import FemForwardModel, ForwardSolveError
 from .importance import compare_vb_is, run_is
 from .mean_update import SmoothPrior
-from .vb import posterior_psi_stats
+from .mesh_fem import Mesh2D
+from .vb import NoisePrecisionError, posterior_psi_stats
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 
-# A stage's numerical failures: ForwardSolveError and the q(tau) fit's
-# failures are RuntimeErrors, and numpy raises the other two
-NUMERICAL_FAILURES = (RuntimeError, FloatingPointError, np.linalg.LinAlgError)
+# A stage's numerical failures, each raised where it is detected; any other
+# exception is a bug and propagates with its traceback
+NUMERICAL_FAILURES = (ForwardSolveError, NoisePrecisionError, np.linalg.LinAlgError)
+
+SCHEMA_VERSION = 2        # of every JSON artifact
+FLOAT_FMT = "%.17g"       # every float in a CSV: 17 digits round-trip losslessly
 
 OBS_FILE = "observations.json"
 TRUE_FIELD_FILE = "true_field.csv"
@@ -113,19 +123,52 @@ def _out_dir(args, cfg: RunConfig | None) -> Path:
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    payload = {"schema_version": SCHEMA_VERSION, **payload}
     path.write_text(json.dumps(payload, indent=1) + "\n")
 
 
-def _write_rows(path: Path, header: list[str], rows: list[list]) -> None:
-    import csv
+def _read_json(path: Path, what: str, parse: Callable[[dict], object]):
+    """`parse` of the JSON artifact at `path`, a `what` of this schema version.
+
+    An unreadable file, another schema version or a payload that `parse`
+    refuses (KeyError, IndexError, TypeError, ValueError) raises UsageError
+    naming the file.
+    """
+    try:
+        payload = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:    # a directory, say, or malformed JSON
+        raise UsageError(f"unreadable {what} {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise UsageError(f"unreadable {what} {path}: root must be a mapping")
+    version = payload.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise UsageError(f"unreadable {what} {path}: schema_version {version!r}, but this "
+                         f"version of elastovb reads {SCHEMA_VERSION}; rerun the stage "
+                         "that writes it")
+    try:
+        return parse(payload)
+    except KeyError as exc:
+        raise UsageError(f"unreadable {what} {path}: missing key {exc}") from exc
+    except (IndexError, TypeError, ValueError) as exc:
+        raise UsageError(f"unreadable {what} {path}: {exc}") from exc
+
+
+def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows([_fmt(x) if isinstance(x, float) else x for x in row]
+                         for row in rows)
+
+
+def _write_field(path: Path, mesh: Mesh2D, values: np.ndarray) -> None:
+    """One row per element, in element order ey*nx + ex."""
+    _write_csv(path, ["elem_ix", "elem_iy", "value"],
+               ([k % mesh.nx, k // mesh.nx, v] for k, v in enumerate(values)))
 
 
 def _fmt(x: float) -> str:
-    return cfgmod.FLOAT_FMT % x
+    return FLOAT_FMT % x
 
 
 def _remove_stale(out: Path, names: tuple[str, ...]) -> None:
@@ -165,19 +208,20 @@ def cmd_generate(args) -> int:
         return EXIT_NUMERICAL
     mesh = cfgmod.build_mesh(cfg)
     _remove_stale(out, GENERATE_FILES + INVERT_FILES + VALIDATE_FILES)
-    obs.save(out / OBS_FILE)
-    cfgmod.write_element_field(out / TRUE_FIELD_FILE, mesh, psi_true)
-    cfgmod.write_node_displacements(out / DISPLACEMENT_FILE, mesh, U)
+    _write_json(out / OBS_FILE, obs.to_dict())
+    _write_field(out / TRUE_FIELD_FILE, mesh, psi_true)
+    _write_csv(out / DISPLACEMENT_FILE, ["node_ix", "node_iy", "ux", "uy"],
+               ([n % (mesh.nx + 1), n // (mesh.nx + 1), ux, uy]
+                for n, (ux, uy) in enumerate(U.reshape(-1, 2))))
     cfgmod.save_config(cfg, out / CONFIG_FILE)
-    tau = "inf" if math.isinf(obs.tau_true) else _fmt(obs.tau_true)
-    print(f"wrote {obs.d_y} observations to {out / OBS_FILE}")
-    print(f"tau_true: {tau}")
+    print(f"wrote {obs.yhat.size} observations to {out / OBS_FILE}")
+    print(f"tau_true: {_fmt(obs.tau_true)}")
     return EXIT_OK
 
 
 def _check_observed_dofs(obs: ObservationFile, model: FemForwardModel) -> None:
     """Observations are usable only at the dofs the configured model observes."""
-    if obs.d_y != model.d_y or not np.array_equal(obs.obs_dofs, model.obs_dofs):
+    if not np.array_equal(obs.obs_dofs, model.obs_dofs):
         raise UsageError("observation file does not match the configured mesh/bc")
 
 
@@ -190,7 +234,7 @@ def cmd_invert(args) -> int:
     obs_path = out / OBS_FILE
     if not obs_path.exists():
         raise UsageError(f"missing {obs_path}; run generate first")
-    obs = ObservationFile.load(obs_path)
+    obs = _read_json(obs_path, "observations", ObservationFile.from_dict)
 
     model, mesh, _, _, _ = cfgmod.build_model(cfg)
     _check_observed_dofs(obs, model)
@@ -211,27 +255,20 @@ def cmd_invert(args) -> int:
     _write_json(out / TRACE_FILE, payload)
 
     mean, std = posterior_psi_stats(trace.state)
-    cfgmod.write_element_field(out / MEAN_FILE, mesh, mean)
-    cfgmod.write_element_field(out / STD_FILE, mesh, std)
-    _write_rows(out / LAMBDA_FILE, ["index", "lambda0", "lambda"],
-                [[i + 1, _fmt(l0), _fmt(l)] for i, (l0, l) in
-                 enumerate(zip(trace.state.lambda0, trace.state.lam))])
-    _write_rows(out / ELBO_FILE,
-                ["d_theta", "sweep", "f", "likelihood", "theta_terms",
-                 "tau_terms", "log_prior_mu", "forward_calls"],
-                [[r["d_theta"], r["sweep"], _fmt(r["f"]), _fmt(r["likelihood"]),
-                  _fmt(r["theta_terms"]), _fmt(r["tau_terms"]),
-                  _fmt(r["log_prior_mu"]), r["forward_calls"]]
-                 for r in trace.elbo_rows])
-    _write_rows(out / GAIN_FILE,
-                ["d_theta", "info_gain", "degenerate", "elbo", "sweeps"],
-                [[r.d_theta, _fmt(r.info_gain), int(r.gain_degenerate),
-                  _fmt(r.elbo), r.sweeps] for r in trace.records])
-    final_f = trace.elbo_rows[-1]["f"] if trace.elbo_rows else float("nan")
+    _write_field(out / MEAN_FILE, mesh, mean)
+    _write_field(out / STD_FILE, mesh, std)
+    _write_csv(out / LAMBDA_FILE, ["index", "lambda0", "lambda"],
+               ([i, l0, l] for i, (l0, l) in
+                enumerate(zip(trace.state.lambda0, trace.state.lam), start=1)))
+    _write_csv(out / ELBO_FILE, list(trace.elbo_rows[0]),
+               (list(r.values()) for r in trace.elbo_rows))
+    _write_csv(out / GAIN_FILE, ["d_theta", "info_gain", "degenerate", "elbo"],
+               ([r.d_theta, r.info_gain, int(r.gain_degenerate), r.elbo]
+                for r in trace.records))
     print(f"d_theta: {trace.state.d_theta}")
     print(f"forward_calls: {trace.forward_calls}")
     print(f"stop_reason: {trace.stop_reason}")
-    print(f"elbo: {_fmt(final_f)}")
+    print(f"elbo: {_fmt(trace.elbo_rows[-1]['f'])}")
     print(f"wall_time_s: {wall:.2f}")
     return EXIT_OK
 
@@ -248,11 +285,8 @@ def cmd_validate(args) -> int:
     for p in (obs_path, trace_path):
         if not p.exists():
             raise UsageError(f"missing {p}; run the earlier stages first")
-    obs = ObservationFile.load(obs_path)
-    try:
-        state, clamped = state_from_dict(json.loads(trace_path.read_text()))
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"unreadable run trace {trace_path}: {exc}") from exc
+    obs = _read_json(obs_path, "observations", ObservationFile.from_dict)
+    state, clamped = _read_json(trace_path, "run trace", state_from_dict)
 
     model, mesh, _, _, _ = cfgmod.build_model(cfg)
     _check_observed_dofs(obs, model)
@@ -271,7 +305,6 @@ def cmd_validate(args) -> int:
     except NUMERICAL_FAILURES as exc:
         return _numerical_failure(out, "validate", exc, model.calls)
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "M": report.M,
         "seed": seed,
         "ess": report.ess,
@@ -286,10 +319,10 @@ def cmd_validate(args) -> int:
         "std_rel_median": comparison["std_rel_median"],
     }
     _write_json(out / IS_FILE, payload)
-    _write_rows(out / IS_WEIGHTS_FILE, ["index", "weight"],
-                [[i, _fmt(w)] for i, w in enumerate(report.weights)])
-    cfgmod.write_element_field(out / IS_MEAN_FILE, mesh, report.psi_mean)
-    cfgmod.write_element_field(out / IS_STD_FILE, mesh, report.psi_std)
+    _write_csv(out / IS_WEIGHTS_FILE, ["index", "weight"],
+               ([i, w] for i, w in enumerate(report.weights)))
+    _write_field(out / IS_MEAN_FILE, mesh, report.psi_mean)
+    _write_field(out / IS_STD_FILE, mesh, report.psi_std)
     print(f"ess: {_fmt(report.ess)}")
     print(f"discarded: {report.discarded}")
     print(f"mean_rel_median: {_fmt(comparison['mean_rel_median'])}")
@@ -299,6 +332,36 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _trace_summary(payload: dict) -> tuple[list[str], float]:
+    state, _ = state_from_dict(payload)
+    mu = payload["mu_phase"]
+    steps = mu["steps"]
+    return [
+        f"d_theta: {state.d_theta}",
+        f"forward_calls: {payload['forward_calls']} ({mu['jacobians']} with a Jacobian)",
+        f"stop_reason: {payload['stop_reason']}",
+        f"elbo: {_fmt(payload['elbo_rows'][-1]['f'])}",
+        f"tau_mean: {_fmt(state.mean_tau)}",
+        f"mu_phase: {sum(st['accepted'] for st in steps)} accepted steps, "
+        f"{sum(st['halvings'] for st in steps)} trials not accepted "
+        f"({sum(st['failed'] for st in steps)} failed), "
+        f"{sum(st['corrected'] for st in steps)} corrector steps",
+    ], state.mean_tau
+
+
+def _obs_summary(payload: dict, tau_mean: float | None) -> tuple[list[str], None]:
+    tau_true = ObservationFile.from_dict(payload).tau_true
+    lines = [f"tau_true: {_fmt(tau_true)}"]
+    if tau_mean is not None and math.isfinite(tau_true):
+        lines.append(f"tau_ratio: {_fmt(tau_mean / tau_true)}")
+    return lines, None
+
+
+def _is_summary(payload: dict) -> tuple[list[str], None]:
+    return [f"ess: {_fmt(payload['ess'])}",
+            f"mean_rel_median: {_fmt(payload['mean_rel_median'])}"], None
+
+
 def cmd_report(args) -> int:
     out = _out_dir(args, None)
     if not out.is_dir():
@@ -306,59 +369,23 @@ def cmd_report(args) -> int:
     missing: list[str] = []
     lines: list[str] = []
 
-    trace_path = out / TRACE_FILE
-    tau_mean = None
-    if trace_path.exists():
+    def summary(name: str, what: str, parse: Callable[[dict], tuple[list[str], object]]):
+        """Print the lines of `parse` and return its value; a missing file is
+        listed, and an unreadable one prints one line and returns None."""
+        if not (out / name).exists():
+            missing.append(name)
+            return None
         try:
-            payload = json.loads(trace_path.read_text())
-            state, _ = state_from_dict(payload)
-            lines.append(f"d_theta: {state.d_theta}")
-            calls = f"forward_calls: {payload.get('forward_calls', 'unknown')}"
-            if "jacobians" in payload.get("mu_phase", {}):
-                calls += f" ({payload['mu_phase']['jacobians']} with a Jacobian)"
-            lines.append(calls)
-            lines.append(f"stop_reason: {payload.get('stop_reason', 'unknown')}")
-            rows = payload.get("elbo_rows", [])
-            if rows:
-                lines.append(f"elbo: {_fmt(rows[-1]['f'])}")
-            if state.a > 0 and state.b > 0:
-                tau_mean = state.a / state.b
-                lines.append(f"tau_mean: {_fmt(tau_mean)}")
-            if "mu_phase" in payload:
-                steps = payload["mu_phase"]["steps"]
-                lines.append(
-                    f"mu_phase: {sum(st['accepted'] for st in steps)} accepted steps, "
-                    f"{sum(st['halvings'] for st in steps)} trials not accepted "
-                    f"({sum(st['failed'] for st in steps)} failed), "
-                    f"{sum(st['corrected'] for st in steps)} corrector steps")
-        except (OSError, KeyError, TypeError, ValueError) as exc:
-            lines.append(f"run trace unreadable: {exc}")
-    else:
-        missing.append(TRACE_FILE)
+            more, value = _read_json(out / name, what, parse)
+        except UsageError as exc:
+            lines.append(str(exc))
+            return None
+        lines.extend(more)
+        return value
 
-    obs_path = out / OBS_FILE
-    if obs_path.exists():
-        try:
-            obs = ObservationFile.load(obs_path)
-            tau = "inf" if math.isinf(obs.tau_true) else _fmt(obs.tau_true)
-            lines.append(f"tau_true: {tau}")
-            if tau_mean is not None and math.isfinite(obs.tau_true):
-                lines.append(f"tau_ratio: {_fmt(tau_mean / obs.tau_true)}")
-        except ConfigError as exc:
-            lines.append(f"observations unreadable: {exc}")
-    else:
-        missing.append(OBS_FILE)
-
-    is_path = out / IS_FILE
-    if is_path.exists():
-        try:
-            rep = json.loads(is_path.read_text())
-            lines.append(f"ess: {_fmt(rep['ess'])}")
-            lines.append(f"mean_rel_median: {_fmt(rep['mean_rel_median'])}")
-        except (OSError, KeyError, TypeError, ValueError) as exc:
-            lines.append(f"IS report unreadable: {exc}")
-    else:
-        missing.append(IS_FILE)
+    tau_mean = summary(TRACE_FILE, "run trace", _trace_summary)
+    summary(OBS_FILE, "observations", lambda payload: _obs_summary(payload, tau_mean))
+    summary(IS_FILE, "IS report", _is_summary)
 
     for line in lines:
         print(line)

@@ -1,4 +1,4 @@
-"""Run configuration, phantom synthesis, and artifact file formats.
+"""Run configuration and phantom synthesis.
 
 A run is described by one YAML file with nested blocks (mesh, phantom, bc,
 noise, solver, clamp, prior, validation, output), each a dataclass.  One
@@ -9,18 +9,14 @@ null block or list takes the field's default, and every error names the
 dotted key, e.g. `phantom.inclusions[0].center[1]`.  Defaults live only on
 the dataclasses and rules across fields only in `RunConfig.validate`.
 
-The module also builds the mesh/boundary/phantom objects from a config and
-reads/writes the on-disk artifacts: the observation file (JSON), element
-fields and nodal displacements (CSV), and re-emitted configs.
-
-All floats are written with 17 significant digits so files round-trip
-losslessly and regeneration with the same seed is byte-identical.
+The module also reads and writes the YAML config, builds the
+mesh/boundary/phantom objects from it, synthesizes the observations and maps
+them to and from the dict that `observations.json` holds; `cli` owns the
+JSON and CSV artifacts and their format.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
@@ -29,11 +25,10 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .driver import SCHEMA_VERSION, DriverConfig
+from .driver import DriverConfig
 from .forward import FemForwardModel
 from .mesh_fem import BoundarySpec, Mesh2D, _solve_reduced
 
-FLOAT_FMT = "%.17g"
 _EDGES = ("bottom", "top", "left", "right")
 
 
@@ -406,7 +401,7 @@ def initial_mu(cfg: RunConfig, mesh: Mesh2D) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Observation file
+# Observations
 
 
 @dataclass
@@ -416,7 +411,6 @@ class ObservationFile:
     tau_true is the generating noise precision (inf for exact data) and is
     never consumed by the inversion itself.
     """
-    d_y: int
     obs_dofs: np.ndarray
     yhat: np.ndarray
     y_clean: np.ndarray
@@ -428,17 +422,15 @@ class ObservationFile:
         self.obs_dofs = np.asarray(self.obs_dofs, dtype=int)
         self.yhat = np.asarray(self.yhat, dtype=float)
         self.y_clean = np.asarray(self.y_clean, dtype=float)
-        if not (self.d_y == self.obs_dofs.size == self.yhat.size == self.y_clean.size):
+        if not (self.obs_dofs.size == self.yhat.size == self.y_clean.size):
             raise ConfigError("observation file length mismatch")
         if not (np.all(np.isfinite(self.yhat)) and np.all(np.isfinite(self.y_clean))):
             raise ConfigError("observations must be finite")
         if not self.tau_true > 0:
             raise ConfigError("tau_true must be positive")
 
-    def save(self, path: str | Path) -> None:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "d_y": self.d_y,
+    def to_dict(self) -> dict:
+        return {
             "obs_dofs": self.obs_dofs.tolist(),
             "yhat": self.yhat.tolist(),
             "y_clean": self.y_clean.tolist(),
@@ -446,30 +438,14 @@ class ObservationFile:
             "tau_true": self.tau_true,     # serialized as Infinity for exact data
             "snr_target": self.snr_target,
         }
-        Path(path).write_text(json.dumps(payload, indent=1) + "\n")
 
     @classmethod
-    def load(cls, path: str | Path) -> "ObservationFile":
-        try:
-            payload = json.loads(Path(path).read_text())
-        except OSError as exc:
-            raise ConfigError(f"cannot read observations {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid observation file {path}: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ConfigError(f"invalid observation file {path}: root must be a mapping")
-        try:
-            return cls(d_y=_as_int(payload["d_y"], "d_y"),
-                       obs_dofs=[_as_int(dof, f"obs_dofs[{i}]")
-                                 for i, dof in enumerate(payload["obs_dofs"])],
-                       yhat=payload["yhat"], y_clean=payload["y_clean"],
-                       seed=_as_int(payload["seed"], "seed"),
-                       tau_true=float(payload["tau_true"]),
-                       snr_target=float(payload["snr_target"]))
-        except KeyError as exc:
-            raise ConfigError(f"observation file missing key {exc.args[0]!r}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid observation file {path}: {exc}") from exc
+    def from_dict(cls, d: dict) -> "ObservationFile":
+        """Integers follow the config reader's rule; a missing key raises KeyError."""
+        return cls(obs_dofs=[_as_int(dof, f"obs_dofs[{i}]")
+                             for i, dof in enumerate(d["obs_dofs"])],
+                   yhat=d["yhat"], y_clean=d["y_clean"], seed=_as_int(d["seed"], "seed"),
+                   tau_true=float(d["tau_true"]), snr_target=float(d["snr_target"]))
 
 
 def generate_data(cfg: RunConfig) -> tuple[ObservationFile, np.ndarray, np.ndarray]:
@@ -494,35 +470,7 @@ def generate_data(cfg: RunConfig) -> tuple[ObservationFile, np.ndarray, np.ndarr
         rng = np.random.default_rng(cfg.noise.seed)
         yhat = y + rng.normal(0.0, math.sqrt(sigma2), size=y.shape)
         tau_true = 1.0 / sigma2
-    out = ObservationFile(d_y=y.size, obs_dofs=obs, yhat=yhat, y_clean=y,
+    out = ObservationFile(obs_dofs=obs, yhat=yhat, y_clean=y,
                           seed=cfg.noise.seed, tau_true=tau_true,
                           snr_target=cfg.noise.snr)
     return out, psi_true, U
-
-
-# ---------------------------------------------------------------------------
-# CSV field formats
-
-
-def write_element_field(path: str | Path, mesh: Mesh2D, values: np.ndarray) -> None:
-    values = np.asarray(values, dtype=float)
-    if values.shape != (mesh.n_elems,):
-        raise ValueError(f"expected {mesh.n_elems} element values, got {values.shape}")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["elem_ix", "elem_iy", "value"])
-        for k in range(mesh.n_elems):
-            writer.writerow([k % mesh.nx, k // mesh.nx, FLOAT_FMT % values[k]])
-
-
-def write_node_displacements(path: str | Path, mesh: Mesh2D, U: np.ndarray) -> None:
-    U = np.asarray(U, dtype=float)
-    if U.shape != (mesh.n_dofs,):
-        raise ValueError(f"expected {mesh.n_dofs} dof values, got {U.shape}")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node_ix", "node_iy", "ux", "uy"])
-        for node in range(mesh.n_nodes):
-            writer.writerow([node % (mesh.nx + 1), node // (mesh.nx + 1),
-                             FLOAT_FMT % U[2 * node], FLOAT_FMT % U[2 * node + 1]])
-

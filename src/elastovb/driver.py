@@ -32,8 +32,6 @@ from .forward import ForwardEval, ForwardModel
 from .mean_update import MuPhaseResult, SmoothPrior, update_mu
 from .vb import ElboBreakdown, ReducedPosterior, elbo, q_fixed_point
 
-SCHEMA_VERSION = 1        # of every JSON artifact: observations, run trace, IS report
-
 
 @dataclass
 class DriverConfig:
@@ -62,6 +60,10 @@ class DriverConfig:
             raise ValueError("a0 must be nonnegative")
         if not self.b0 >= 0.0:
             raise ValueError("b0 must be nonnegative")
+        for key in ("mu_max_outer", "mu_reg_delay", "mu_max_halvings", "mu_call_budget"):
+            value = getattr(self, key)
+            if value is not None and value < 0:
+                raise ValueError(f"{key} must be nonnegative, got {value}")
 
 
 def kl_terms(lambda0: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -143,8 +145,7 @@ class StageRecord:
     info_gain: float
     gain_degenerate: bool
     elbo: float
-    forward_calls: int
-    sweeps: int                     # q fits in the stage: always 1
+    sweeps: int                     # q fits in the stage: always 1 (perfbench/run.py reads it)
     lambda0: list[float]
     lam: list[float]
 
@@ -156,12 +157,12 @@ class RunTrace:
     fixed_mask: np.ndarray          # the model's clamp set the run was made under
     forward_calls: int
     stop_reason: str
-    mu_result: MuPhaseResult | None = None
+    mu_result: MuPhaseResult
     elbo_rows: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        out = {
-            "schema_version": SCHEMA_VERSION,
+        mu = self.mu_result
+        return {
             "stop_reason": self.stop_reason,
             "forward_calls": self.forward_calls,
             "records": [asdict(r) for r in self.records],
@@ -175,27 +176,24 @@ class RunTrace:
                 "a": self.state.a, "b": self.state.b,
                 "clamped": np.flatnonzero(self.fixed_mask).tolist(),
             },
-        }
-        mu = self.mu_result
-        if mu is not None:
-            out["mu_phase"] = {
+            "mu_phase": {
                 "forward_calls": mu.forward_calls,
                 "jacobians": mu.jacobians,
                 "budget_exhausted": mu.budget_exhausted,
                 "floored_count": 0 if mu.prior is None else mu.prior.floored_count,
                 "steps": [asdict(r) for r in mu.reports],
-            }
-        return out
+            },
+        }
 
 
 def state_from_dict(d: dict) -> tuple[ReducedPosterior, np.ndarray]:
-    """The posterior a run trace (or its `state` block) holds, and its clamp set.
+    """The posterior a run trace's dict (`RunTrace.to_dict`) holds, and its clamp set.
 
     The clamp set is returned as a mask over the d_psi elements; the basis
     has zero rows there.  A missing key, a malformed number or a state that
     is inconsistent in itself raises KeyError, TypeError or ValueError.
     """
-    s = d["state"] if "state" in d else d
+    s = d["state"]
     state = ReducedPosterior(
         mu=np.asarray(s["mu"], dtype=float),
         W=np.asarray(s["W"], dtype=float).reshape(len(s["mu"]), -1),
@@ -251,19 +249,17 @@ def run(model: ForwardModel, yhat: np.ndarray, config: DriverConfig,
     state.a, state.b = mu_res.a, mu_res.b
     ev = mu_res.ev
     log_prior_mu = mu_res.log_prior_value
-    calls = mu_res.forward_calls
     r = yhat - ev.y
 
     elbo_rows: list[dict] = []
 
-    def record_elbo(br: ElboBreakdown, sweep: int) -> None:
-        elbo_rows.append({"d_theta": state.d_theta, "sweep": sweep, "f": br.total,
+    def record_elbo(br: ElboBreakdown) -> None:
+        elbo_rows.append({"d_theta": state.d_theta, "f": br.total,
                           "likelihood": br.likelihood, "theta_terms": br.theta_terms,
-                          "tau_terms": br.tau_terms, "log_prior_mu": br.log_prior_mu,
-                          "forward_calls": calls})
+                          "tau_terms": br.tau_terms, "log_prior_mu": br.log_prior_mu})
 
     e = np.zeros(0)       # |G w_i|^2 of the basis columns
-    record_elbo(elbo(state, e, r, log_prior_mu), 0)
+    record_elbo(elbo(state, e, r, log_prior_mu))
 
     free = model.active
     n_free = free.size
@@ -286,14 +282,13 @@ def run(model: ForwardModel, yhat: np.ndarray, config: DriverConfig,
         state = add_basis(state, w, config.lambda0_1)
         state = q_fixed_point(state, e, r)
         br = elbo(state, e, r, log_prior_mu)
-        record_elbo(br, 1)
+        record_elbo(br)
         terms = kl_terms(state.lambda0, state.lam)
         degenerate = float(np.sum(terms)) == 0.0
         gain = info_gain(state.lambda0, state.lam, state.d_theta)
         gains.append(gain)
         records.append(StageRecord(d_theta=state.d_theta, info_gain=gain,
-                                   gain_degenerate=degenerate, elbo=br.total,
-                                   forward_calls=calls, sweeps=1,
+                                   gain_degenerate=degenerate, elbo=br.total, sweeps=1,
                                    lambda0=state.lambda0.tolist(),
                                    lam=state.lam.tolist()))
         if (len(gains) >= config.info_gain_window
@@ -304,5 +299,6 @@ def run(model: ForwardModel, yhat: np.ndarray, config: DriverConfig,
     if stop_reason is None:
         stop_reason = "max_bases" if max_bases < n_free else "full_rank"
     return RunTrace(records=records, state=state, fixed_mask=model.fixed_mask,
-                    forward_calls=calls, stop_reason=stop_reason, mu_result=mu_res,
+                    forward_calls=mu_res.forward_calls, stop_reason=stop_reason,
+                    mu_result=mu_res,
                     elbo_rows=elbo_rows)

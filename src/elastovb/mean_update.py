@@ -314,10 +314,11 @@ def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
     trial step is the corrector step delta_1 when its predicted gain passes
     the same tolerance (see the module docstring).
 
-    The model's clamped components (`model.fixed_mask`) keep their value in
-    state.mu.  The accepted trial's sensitivities, free Gram included, are
-    formed from its own factorization after mu's are released, so one Gram is
-    alive at a time.  If that fails, the trial counts as failed and the step
+    The phase's forward calls, which `call_budget` bounds, are the growth of
+    `model.calls` since entry.  The model's clamped components
+    (`model.fixed_mask`) keep their value in state.mu.  The accepted trial's
+    sensitivities, free Gram included, are formed from its own factorization
+    after mu's are released, so one Gram is alive at a time.  If that fails, the trial counts as failed and the step
     goes on at k + 1; should the phase then end without an accepted step, one
     more counted call (past the budget if need be) forms them at mu again.
     A rejected trial's evaluation is released at once.  While the search
@@ -331,8 +332,9 @@ def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
     held (2.18 MB traced on a 20x20 mesh, of which the Gram is 1.16 MB).
     """
     mu = state.mu.copy()
+    start = model.calls
     ev = model.evaluate(mu).with_jacobian()
-    calls = jacobians = 1
+    jacobians = 1
     a, b = update_q_tau(state, yhat - ev.y)
     cur_prior = prior
     reports: list[MuUpdateReport] = []
@@ -340,7 +342,7 @@ def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
     budget_exhausted = False
 
     def out_of_budget() -> bool:
-        return call_budget is not None and calls >= call_budget
+        return call_budget is not None and model.calls - start >= call_budget
 
     for _ in range(max_outer):
         if out_of_budget():
@@ -374,7 +376,7 @@ def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
         # free it before an accepted trial forms its own, and two would be alive
         del system
         dn = float(np.linalg.norm(delta))
-        step_start, failed = calls, 0
+        step_start, failed = model.calls, 0
         # the step's trials are mu + 2^-k delta, k = 0..max_halvings: `settled`
         # holds the exponents whose trial failed or was rejected, and `held` the
         # least exponent's trial that passed, (k, trial, evaluation, r, F_mu)
@@ -384,12 +386,11 @@ def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
         def probe(k: int) -> bool | None:
             """Spend one value-only call on the trial at 2^-k: whether it solved,
             or None with no call left."""
-            nonlocal calls, failed, held, budget_exhausted
+            nonlocal failed, held, budget_exhausted
             if out_of_budget():
                 budget_exhausted = True
                 return None
             trial = mu + 0.5 ** k * delta
-            calls += 1
             try:
                 ev_k = model.evaluate(trial)
             except ForwardSolveError:
@@ -423,7 +424,7 @@ def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
             accepted = True
             break
         held = None           # a trial still held when the calls ran out goes with the step
-        trials = calls - step_start
+        trials = model.calls - step_start
         if not accepted:
             if not budget_exhausted:
                 reports.append(MuUpdateReport(accepted=False,
@@ -448,13 +449,12 @@ def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
 
     if ev is None:    # the accepted trial's Jacobian failed after mu's was released
         ev = model.evaluate(mu).with_jacobian()
-        calls += 1
         jacobians += 1
     log_prior_value = 0.0
     if cur_prior is not None:
         cur_prior = em_phi(mu, cur_prior)
         log_prior_value, _ = log_prior_mu_and_grad(mu, cur_prior)
     return MuPhaseResult(mu=mu, ev=ev, a=a, b=b, prior=cur_prior, reports=reports,
-                         forward_calls=calls, jacobians=jacobians,
+                         forward_calls=model.calls - start, jacobians=jacobians,
                          log_prior_value=log_prior_value,
                          budget_exhausted=budget_exhausted)

@@ -88,18 +88,25 @@ class ElboBreakdown:
         return self.likelihood + self.theta_terms + self.tau_terms + self.log_prior_mu
 
 
+class NoisePrecisionError(RuntimeError):
+    """q(tau) has no proper noise precision: its rate b is not positive."""
+
+
 def update_q_tau(state: ReducedPosterior, r: np.ndarray) -> tuple[float, float]:
-    """q(tau) with no basis column (the mean phase's): a = a0 + d_y/2, b = b0 + |r|^2/2."""
+    """q(tau) with no basis column (the mean phase's): a = a0 + d_y/2, b = b0 + |r|^2/2.
+
+    Raises NoisePrecisionError if b is not positive.
+    """
     misfit = float(r @ r)
     a = state.a0 + 0.5 * r.size
     b = state.b0 + 0.5 * misfit
     if b <= 0.0:
         if misfit == 0.0 and state.b0 == 0.0:
-            raise RuntimeError(
+            raise NoisePrecisionError(
                 "q(tau) rate is 0: zero misfit under the improper noise prior b0 = 0 "
                 "(the mean fits the data exactly, so the noise precision is unbounded); "
                 "set b0 > 0 (config key solver.b0)")
-        raise RuntimeError(f"q(tau) rate collapsed to {b}; inputs must be invalid")
+        raise NoisePrecisionError(f"q(tau) rate collapsed to {b}; inputs must be invalid")
     return a, b
 
 

@@ -12,12 +12,17 @@ import pytest
 import yaml
 
 import elastovb
+from elastovb import cli
 from elastovb import config as cfgmod
 from elastovb.cli import main
 from elastovb.config import (ConfigError, ObservationFile, config_from_dict,
                              load_config, save_config)
 
 from conftest import example1_config, example1_dict
+
+
+def load_observations(path):
+    return cli._read_json(path, "observations", ObservationFile.from_dict)
 
 
 def small_dict(nx=4, ny=4, snr=1e4, seed=3):
@@ -132,7 +137,7 @@ def test_generation_is_byte_identical(small_cfg_path, tmp_path):
 def test_empirical_snr_near_target(small_cfg_path, tmp_path):
     out = tmp_path / "snr"
     assert main(["generate", "--config", str(small_cfg_path), "--out", str(out)]) == 0
-    obs = ObservationFile.load(out / "observations.json")
+    obs = load_observations(out / "observations.json")
     noise = obs.yhat - obs.y_clean
     snr = float(np.mean(obs.y_clean ** 2) / np.mean(noise ** 2))
     assert snr == pytest.approx(obs.snr_target, rel=0.35)
@@ -144,7 +149,7 @@ def test_infinite_snr_gives_exact_data(small_cfg_path, tmp_path):
     out = tmp_path / "exact"
     assert main(["generate", "--config", str(small_cfg_path),
                  "--out", str(out), "--snr", "inf"]) == 0
-    obs = ObservationFile.load(out / "observations.json")
+    obs = load_observations(out / "observations.json")
     assert np.array_equal(obs.yhat, obs.y_clean)
     assert math.isinf(obs.tau_true)
 
@@ -152,9 +157,10 @@ def test_infinite_snr_gives_exact_data(small_cfg_path, tmp_path):
 def test_observation_file_round_trip(small_cfg_path, tmp_path):
     out = tmp_path / "rt"
     main(["generate", "--config", str(small_cfg_path), "--out", str(out)])
-    obs = ObservationFile.load(out / "observations.json")
-    obs.save(out / "copy.json")
-    again = ObservationFile.load(out / "copy.json")
+    obs = load_observations(out / "observations.json")
+    cli._write_json(out / "copy.json", obs.to_dict())
+    assert (out / "copy.json").read_bytes() == (out / "observations.json").read_bytes()
+    again = load_observations(out / "copy.json")
     assert np.array_equal(obs.yhat, again.yhat)
     assert np.array_equal(obs.obs_dofs, again.obs_dofs)
     assert obs.tau_true == again.tau_true
@@ -196,7 +202,7 @@ def test_pipeline_smoke(small_cfg_path, tmp_path, capsys):
                  "is_report.json", "is_weights.csv"):
         assert (out / name).exists()
     trace = json.loads((out / "run_trace.json").read_text())
-    assert trace["schema_version"] == 1
+    assert trace["schema_version"] == 2
     assert trace["stop_reason"] in ("info_gain", "max_bases", "full_rank")
 
 
@@ -206,7 +212,7 @@ def test_run_trace_records_mean_phase(small_cfg_path, tmp_path, capsys):
     assert main(["generate"] + args) == 0
     assert main(["invert"] + args) == 0
     trace = json.loads((out / "run_trace.json").read_text())
-    assert trace["schema_version"] == 1
+    assert trace["schema_version"] == 2
     mu = trace["mu_phase"]
     assert mu["forward_calls"] == trace["forward_calls"]   # the only stage that solves
     assert mu["budget_exhausted"] is False
@@ -434,9 +440,14 @@ NAN, INF = float("nan"), float("inf")
     (("noise", "snr"), -INF),
     (("noise", "seed"), -1),
     (("validation", "seed"), -2),
+    (("solver", "mu_max_outer"), -1),
+    (("solver", "mu_reg_delay"), -1),
+    (("solver", "mu_max_halvings"), -1),
+    (("solver", "mu_call_budget"), -5),
 ], ids=lambda p: ".".join(map(str, p)) if isinstance(p, tuple) else str(p))
 def test_bad_number_exits_one_naming_it(keys, value, tmp_path, capsys):
     # each used to end in a traceback, in exit 2, or in a run that went ahead
+    # (a negative mean-phase count left mu at the flat field after one call)
     out = tmp_path / "o"
     good = tmp_path / "good.yaml"
     good.write_text(yaml.safe_dump(small_dict()))
@@ -482,12 +493,21 @@ def test_removed_output_formats_key_exits_one_as_unknown(small_cfg_path, tmp_pat
     assert not (out / "is_report.json").exists()
 
 
+DIRECTORY = object()      # the artifact replaced by a directory
+
+
+def schema_1(payload):
+    return {**payload, "schema_version": 1}
+
+
 @pytest.mark.parametrize("name,corrupt", [
     ("observations.json", lambda obs: [obs]),
-    ("observations.json", lambda obs: {**obs, "d_y": "x"}),
+    ("observations.json", lambda obs: {**obs, "seed": "x"}),
     ("observations.json", lambda obs: {**obs, "yhat": "abc"}),
     ("observations.json", lambda obs: {**obs, "tau_true": None}),
     ("observations.json", lambda obs: {**obs, "yhat": [math.nan] + obs["yhat"][1:]}),
+    ("observations.json", schema_1),
+    ("observations.json", DIRECTORY),
     ("run_trace.json", lambda trace: [trace]),
     ("run_trace.json", lambda trace: {**trace, "state": {**trace["state"], "mu": "abc"}}),
     ("run_trace.json", lambda trace: {**trace, "state": {**trace["state"], "a": None}}),
@@ -501,26 +521,45 @@ def test_removed_output_formats_key_exits_one_as_unknown(small_cfg_path, tmp_pat
         k: v for k, v in trace["state"].items() if k != "clamped"}}),
     ("run_trace.json", lambda trace: {**trace, "state": {**trace["state"], "clamped": [1.5]}}),
     ("run_trace.json", lambda trace: {**trace, "state": {**trace["state"], "clamped": [0]}}),
-], ids=["obs-root-list", "obs-d_y-text", "obs-yhat-text", "obs-tau_true-null",
-        "obs-yhat-nan", "trace-root-list", "trace-mu-text", "trace-a-null", "trace-mu-nan",
-        "trace-lam-short", "trace-lam-negative", "trace-clamped-missing",
-        "trace-clamped-fraction", "trace-clamped-basis-row"])
+    ("run_trace.json", schema_1),
+    ("is_report.json", schema_1),
+], ids=["obs-root-list", "obs-seed-text", "obs-yhat-text", "obs-tau_true-null",
+        "obs-yhat-nan", "obs-schema-1", "obs-directory", "trace-root-list", "trace-mu-text",
+        "trace-a-null", "trace-mu-nan", "trace-lam-short", "trace-lam-negative",
+        "trace-clamped-missing", "trace-clamped-fraction", "trace-clamped-basis-row",
+        "trace-schema-1", "is-schema-1"])
 def test_malformed_artifact_exits_one_or_is_reported(name, corrupt, small_cfg_path,
                                                      tmp_path, capsys):
+    # an artifact of another schema version is refused by its version, not
+    # by the first key it lacks (report printed "run trace unreadable:
+    # 'failed'" for a trace written before mu_phase steps counted failures)
     out = tmp_path / "art"
     args = ["--config", str(small_cfg_path), "--out", str(out)]
-    assert main(["generate"] + args) == 0
-    assert main(["invert"] + args) == 0
+    stages = ["generate", "invert"] + (["validate"] if name == "is_report.json" else [])
+    for verb in stages:
+        assert main([verb] + args) == 0
     path = out / name
-    path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+    if corrupt is DIRECTORY:
+        path.unlink()
+        path.mkdir()
+    else:
+        path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+    versions = ["schema_version 1", "reads 2"] if corrupt is schema_1 else []
     capsys.readouterr()
-    verbs = ["validate"] if name == "run_trace.json" else ["invert", "validate"]
-    for verb in verbs:
+    readers = {"observations.json": ["invert", "validate"], "run_trace.json": ["validate"],
+               "is_report.json": []}[name]
+    for verb in readers:
         assert main([verb] + args) == 1
-        assert str(path) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(path) in err and all(v in err for v in versions)
     assert main(["report", "--out", str(out)]) == 0
-    unreadable = "run trace" if name == "run_trace.json" else "observations"
-    assert f"{unreadable} unreadable: " in capsys.readouterr().out
+    what = {"observations.json": "observations", "run_trace.json": "run trace",
+            "is_report.json": "IS report"}[name]
+    text = capsys.readouterr().out
+    unreadable = [line for line in text.splitlines() if "unreadable" in line]
+    assert len(unreadable) == 1 and "KeyError" not in text
+    assert unreadable[0].startswith(f"unreadable {what} {path}: ")
+    assert all(v in unreadable[0] for v in versions)
 
 
 def test_output_path_taken_by_a_file_exits_one(small_cfg_path, tmp_path, capsys):
@@ -553,8 +592,8 @@ def test_artifact_that_is_a_directory_exits_one_or_is_reported(name, small_cfg_p
         assert err.startswith("elastovb: error: unreadable run trace")
         assert str(path) in err
     assert main(["report", "--out", str(out)]) == 0
-    unreadable = "run trace" if name == "run_trace.json" else "IS report"
-    assert f"{unreadable} unreadable: " in capsys.readouterr().out
+    what = "run trace" if name == "run_trace.json" else "IS report"
+    assert f"unreadable {what} {path}: " in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("verb,name", [
@@ -565,7 +604,7 @@ def test_artifact_that_is_a_directory_exits_one_or_is_reported(name, small_cfg_p
 def test_directory_in_an_artifacts_place_exits_one(verb, name, small_cfg_path, tmp_path,
                                                    capsys):
     # a verb meeting a directory where it writes an artifact raised
-    # IsADirectoryError with a traceback, from ObservationFile.save when
+    # IsADirectoryError with a traceback, from the observation writer when
     # generating and from Path.unlink when removing a stale artifact
     out = tmp_path / "dirs"
     args = ["--config", str(small_cfg_path), "--out", str(out)]
@@ -583,11 +622,10 @@ def test_directory_in_an_artifacts_place_exits_one(verb, name, small_cfg_path, t
 
 
 @pytest.mark.parametrize("key,value", [
-    ("d_y", lambda obs: obs["d_y"] + 0.5),
     ("seed", lambda obs: 1.5),
     ("seed", lambda obs: True),
     ("obs_dofs[2]", lambda obs: obs["obs_dofs"][2] + 0.5),
-], ids=["d_y-fraction", "seed-fraction", "seed-bool", "obs_dofs-fraction"])
+], ids=["seed-fraction", "seed-bool", "obs_dofs-fraction"])
 def test_observation_file_integer_exits_one_naming_it(key, value, small_cfg_path,
                                                        tmp_path, capsys):
     # integers in the observation file follow the config reader's rule: a
@@ -731,10 +769,42 @@ def test_validate_numerical_failure_exits_two(small_cfg_path, tmp_path, monkeypa
     assert main(["validate"] + args) == 2
     assert "not positive definite" in capsys.readouterr().err
     error = json.loads((out / "error.json").read_text())
-    assert error == {"stage": "validate", "type": "LinAlgError",
+    assert error == {"schema_version": 2, "stage": "validate", "type": "LinAlgError",
                      "error": "posterior covariance not positive definite",
                      "forward_calls": 1}
     assert not (out / "is_report.json").exists()
+
+
+def test_exact_fit_exits_two(tmp_path, capsys):
+    # a flat phantom at mu0 with exact data fits at the first call, so q(tau)
+    # has no rate under the improper noise prior: a named numerical failure
+    d = small_dict()
+    d["phantom"]["inclusions"] = []
+    path = tmp_path / "flat.yaml"
+    path.write_text(yaml.safe_dump(d))
+    args = ["--config", str(path), "--out", str(tmp_path / "o")]
+    assert main(["generate"] + args + ["--snr", "inf"]) == 0
+    capsys.readouterr()
+    assert main(["invert"] + args) == 2
+    assert "set b0 > 0 (config key solver.b0)" in capsys.readouterr().err
+    error = json.loads((tmp_path / "o" / "error.json").read_text())
+    assert error["type"] == "NoisePrecisionError" and error["forward_calls"] == 1
+
+
+def test_bug_in_a_solve_propagates_without_error_file(small_cfg_path, tmp_path, monkeypatch):
+    # only named numerical failures exit 2; any other exception is a bug, and
+    # used to be reported as one (exit 2, an error.json of its type)
+    out = tmp_path / "bug"
+    args = ["--config", str(small_cfg_path), "--out", str(out)]
+    assert main(["generate"] + args) == 0
+
+    def broken_solve(plan, psi):
+        raise NotImplementedError("injected bug")
+
+    monkeypatch.setattr("elastovb.forward._solve_reduced", broken_solve)
+    with pytest.raises(NotImplementedError, match="injected bug"):
+        main(["invert"] + args)
+    assert not (out / "error.json").exists()
 
 
 def test_report_on_empty_directory(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""The package exports only what the library itself uses, and catches only named errors."""
+"""The package exports only what the library uses, catches only named errors, and
+leaves artifact formats to the CLI."""
 
 import ast
 from pathlib import Path
@@ -63,3 +64,21 @@ def test_no_handler_catches_every_exception():
             if node.type is None or names & broad:
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"catch-all handlers: {found}"
+
+
+def test_only_the_cli_reads_or_writes_artifact_formats():
+    # every artifact's name, format and schema version has one owner
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if {m.split(".")[0] for m in modules} & {"json", "csv"}:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"artifact formats outside cli.py: {found}"

@@ -16,8 +16,8 @@ from scipy.special import digamma
 
 import vb_oracle as oracle
 from elastovb.forward import ForwardEval
-from elastovb.vb import (_DIGAMMA_CUTOFF, ReducedPosterior, _digamma, elbo,
-                         posterior_psi_stats, q_fixed_point, update_q_tau)
+from elastovb.vb import (_DIGAMMA_CUTOFF, NoisePrecisionError, ReducedPosterior, _digamma,
+                         elbo, posterior_psi_stats, q_fixed_point, update_q_tau)
 
 from conftest import concentrated_tau_prior
 from linear_oracle import LinearOracleModel
@@ -79,8 +79,8 @@ def test_exact_fit_under_improper_prior_names_the_cause():
     # without relying on a solver's rounding
     state = make_state(np.zeros(2), np.zeros((2, 0)), [], [])
     y = np.array([0.3, -1.7, 2.5])
-    with pytest.raises(RuntimeError, match=r"zero misfit under the improper noise "
-                                           r"prior b0 = 0.*set b0 > 0"):
+    with pytest.raises(NoisePrecisionError, match=r"zero misfit under the improper noise "
+                                                  r"prior b0 = 0.*set b0 > 0"):
         update_q_tau(state, y.copy() - y)
 
 
