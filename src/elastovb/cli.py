@@ -345,7 +345,8 @@ def _trace_summary(payload: dict) -> tuple[list[str], float]:
         f"mu_phase: {sum(st['accepted'] for st in steps)} accepted steps, "
         f"{sum(st['halvings'] for st in steps)} trials not accepted "
         f"({sum(st['failed'] for st in steps)} failed), "
-        f"{sum(st['corrected'] for st in steps)} corrector steps",
+        f"{sum(st['corrected'] for st in steps)} corrector steps"
+        + (" (call budget used up)" if mu["budget_exhausted"] else ""),
     ], state.mean_tau
 
 

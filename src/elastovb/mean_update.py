@@ -58,6 +58,7 @@ from .vb import ReducedPosterior, update_q_tau
 B_PHI_FLOOR = 1e-12
 TIKHONOV_FLOOR = 1e-10
 GAIN_RTOL = 1e-9          # relative objective gain below which the mean phase stops
+FAILED, REJECTED, PASSED = "failed", "rejected", "passed"   # a trial call's outcomes
 
 
 def neighbor_pairs(nx: int, ny: int) -> np.ndarray:
@@ -189,22 +190,19 @@ def gauss_newton_step(mu: np.ndarray, system: GaussNewtonSystem,
                       prior: SmoothPrior | None) -> tuple[np.ndarray, bool]:
     """Solve the symmetric Gauss-Newton system for the mean increment.
 
-    `system` holds the linearization's data-term blocks, from
-    `gauss_newton_system`; its Gram is factored in place and is bit for bit
-    the same on return, so the corrector and the basis phase can use it again.
-    Each factorization reads only the Gram's lower triangle and diagonal:
-    <tau> scales them in place, and the prior precision P = L^T diag(<phi>) L
-    (L the pair-difference operator) goes there pair by pair, a pair with one
-    clamped end adding to its free end's diagonal only, and -(P mu) on the
-    free components is the prior's gradient.  With no prior (None) both
-    sides hold the data terms alone.  The strict upper triangle and one saved
-    copy of the diagonal restore the Gram after each factorization, failed or
-    not, so should the first one fail, the retry with the Tikhonov floor on
-    the diagonal starts from the Gram again; only if that fails too does a
-    last-resort least squares solve take one full copy.  Clamped components
-    are excluded from the solve and returned as exactly 0.  Returns
-    (delta_mu, floor_used) where floor_used records a Tikhonov fallback on a
-    singular system.
+    `system` holds the linearization's data-term blocks (`gauss_newton_system`).
+    Each factorization reads only the Gram's lower triangle and diagonal: <tau>
+    scales them in place, and the prior precision P = L^T diag(<phi>) L (L the
+    pair-difference operator) goes there pair by pair, a pair with one clamped
+    end adding to its free end's diagonal only; -(P mu) on the free components
+    is the prior's gradient.  With no prior (None) both sides hold the data
+    terms alone.  The strict upper triangle and one saved copy of the diagonal
+    restore the Gram bit for bit after each factorization, failed or not, so
+    the corrector and the basis phase can use it again and a retry with the
+    Tikhonov floor on the diagonal starts from it; only if that fails too does
+    a last-resort least squares solve take one full copy.  Clamped components
+    are returned as exactly 0.  Returns (delta_mu, floor_used), floor_used
+    recording a Tikhonov fallback on a singular system.
     """
     free = system.free
     H = system.gram
@@ -255,6 +253,38 @@ def gauss_newton_step(mu: np.ndarray, system: GaussNewtonSystem,
     return delta, floor_used
 
 
+def _f_mu(mu: np.ndarray, r: np.ndarray, mean_tau: float, prior: SmoothPrior | None) -> float:
+    """F_mu at mu from its residual r = yhat - y(mu); no prior (None) adds no log p term."""
+    logp = 0.0 if prior is None else log_prior_mu_and_grad(mu, prior)[0]
+    return -0.5 * mean_tau * float(r @ r) + logp
+
+
+def _trial_direction(mu: np.ndarray, ev: ForwardEval, yhat: np.ndarray, mean_tau: float,
+                     prior: SmoothPrior | None, fixed_mask: np.ndarray, f_mu: float,
+                     tol: float) -> tuple[np.ndarray, bool] | None:
+    """A step's direction from the linearization at mu, and whether the corrector gave it.
+
+    The predicted gain of delta is -<tau>/2 |r - G delta|^2 + log p(mu + delta)
+    - f_mu.  None if delta_0's is at most `tol`; with a prior, delta_1 replaces
+    delta_0 if its gain is above `tol` too (see the module docstring).  The
+    linearized system holds mu's Gram too and lives only in here.
+    """
+    r = yhat - ev.y
+
+    def gain(step: np.ndarray) -> float:
+        return _f_mu(mu + step, r - ev.G @ step, mean_tau, prior) - f_mu
+
+    system = gauss_newton_system(ev, yhat, mean_tau, fixed_mask)
+    delta, _ = gauss_newton_step(mu, system, prior)
+    if gain(delta) <= tol:
+        return None
+    if prior is not None:
+        delta1, _ = gauss_newton_step(mu, system, em_phi(mu + delta, prior))
+        if gain(delta1) > tol:
+            return delta1, True
+    return delta, False
+
+
 def _first_solving(solves: Callable[[int], bool | None], max_halvings: int) -> int:
     """The least exponent k in 0..max_halvings whose trial solves, by search.
 
@@ -268,14 +298,13 @@ def _first_solving(solves: Callable[[int], bool | None], max_halvings: int) -> i
     out.
     """
     lo, hi = -1, max_halvings + 1     # the greatest k seen to fail, the least seen to solve
-    gallop = True
-    while hi - lo > 1:
-        k = min(max(2 * lo + 1, 0), max_halvings) if gallop else (lo + hi) // 2
+    while hi - lo > 1:       # gallop until a trial solves, then bisect
+        k = min(max(2 * lo + 1, 0), max_halvings) if hi > max_halvings else (lo + hi) // 2
         solved = solves(k)
         if solved is None:
             return max_halvings + 1
         if solved:
-            hi, gallop = k, False
+            hi = k
         else:
             lo = k
     return hi
@@ -295,166 +324,136 @@ class MuPhaseResult:
     budget_exhausted: bool = False
 
 
+@dataclass
+class _Trial:
+    """A step's ledger entry: one call on the trial mu + 2^-k delta and its outcome."""
+
+    k: int
+    mu: np.ndarray
+    outcome: str = FAILED                  # REJECTED or PASSED once it solved
+    f: float = -np.inf                     # F_mu at the trial, once it solved
+    ev: ForwardEval | None = None          # kept by the step's least passing k alone
+
+
 def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
               prior: SmoothPrior | None = None, max_outer: int = 30,
               reg_delay: int = 5, max_halvings: int = 10,
               call_budget: int | None = None) -> MuPhaseResult:
     """Run the mean-update phase from state.mu; all forward calls happen here.
 
-    The jump-penalty regularization is switched on once `reg_delay` steps have
-    been accepted; before that, steps are plain Gauss-Newton on the data term.
-    Each trial of a step is mu + 2^-k delta, one value-only forward call, and
-    the step takes the least k in 0..max_halvings whose trial solves and
-    passes the acceptance test; finding none ends the phase.  While trials
-    raise ForwardSolveError the least k that solves is found by exponential
-    search (`_first_solving`); from it, each rejected trial moves on to k + 1.
-    The phase also ends at a step whose predicted gain, -<tau>/2 |r - G
-    delta|^2 + log p(mu + delta) - F_mu, is at most GAIN_RTOL (1 + |F_mu|),
-    or at an accepted step whose actual gain is.  With regularization on, the
-    trial step is the corrector step delta_1 when its predicted gain passes
-    the same tolerance (see the module docstring).
+    Steps are plain Gauss-Newton on the data term until the jump-penalty prior
+    goes on: after `reg_delay` accepted steps, or at the first step before
+    that which accepts no trial while calls remain.  With the prior on, such a
+    step ends the phase, as do a step whose predicted gain (`_trial_direction`)
+    is at most GAIN_RTOL (1 + |F_mu|) and an accepted step whose actual gain
+    is.  `call_budget` bounds the growth of `model.calls` since entry; the
+    model's clamped components (`model.fixed_mask`) keep their state.mu value.
 
-    The phase's forward calls, which `call_budget` bounds, are the growth of
-    `model.calls` since entry.  The model's clamped components
-    (`model.fixed_mask`) keep their value in state.mu.  The accepted trial's
-    sensitivities, free Gram included, are formed from its own factorization
-    after mu's are released, so one Gram is alive at a time.  If that fails, the trial counts as failed and the step
-    goes on at k + 1; should the phase then end without an accepted step, one
-    more counted call (past the budget if need be) forms them at mu again.
-    A rejected trial's evaluation is released at once.  While the search
-    runs, one more value-only evaluation may be held: the least exponent's
-    trial that solved and passed, which the step takes unless a trial at a
-    smaller k passes first (one banded factor: 41 KB on 10x10, 2.2 MB on
-    40x40; solving it again instead cost the 40x40 run 2 more calls).
-
-    The phase's memory peak is a trial's banded solve (factor, solve and
-    residual check), which runs while mu's evaluation and its Gram are still
-    held (2.18 MB traced on a 20x20 mesh, of which the Gram is 1.16 MB).
+    mu's evaluation, Gram included, is released before the accepted trial
+    forms its own from its factorization, so one Gram is alive at a time.  If
+    that fails, the trial counts as failed and the step goes on at k + 1; a
+    step that then accepts nothing forms mu's again at one more counted call
+    (past the budget if need be), so mu's evaluation is whole after every
+    step.  A rejected trial's evaluation goes at once; the least passing
+    trial's is kept while the search runs (one banded factor: 41 KB on 10x10,
+    2.2 MB on 40x40; solving it again cost the 40x40 run 2 more calls).  The
+    memory peak is a trial's banded solve while mu's evaluation and Gram are
+    held (2.17 MB traced on a 20x20 mesh, of which the Gram is 1.16 MB).
     """
     mu = state.mu.copy()
     start = model.calls
     ev = model.evaluate(mu).with_jacobian()
     jacobians = 1
     a, b = update_q_tau(state, yhat - ev.y)
-    cur_prior = prior
     reports: list[MuUpdateReport] = []
-    accepted_count = 0
+    warmup = reg_delay                     # accepted steps left before the prior goes on
     budget_exhausted = False
 
-    def out_of_budget() -> bool:
-        return call_budget is not None and model.calls - start >= call_budget
+    def out_of_budget() -> bool:           # and records it in budget_exhausted
+        nonlocal budget_exhausted
+        budget_exhausted = call_budget is not None and model.calls - start >= call_budget
+        return budget_exhausted
 
     for _ in range(max_outer):
         if out_of_budget():
-            budget_exhausted = True
             break
         mean_tau = a / b
-        reg_active = cur_prior is not None and accepted_count >= reg_delay
-        if reg_active:
-            cur_prior = em_phi(mu, cur_prior)
-            logp_fn = lambda m, pr=cur_prior: log_prior_mu_and_grad(m, pr)[0]
-        else:
-            logp_fn = lambda m: 0.0
-        r = yhat - ev.y
-        f_curr = -0.5 * mean_tau * float(r @ r) + logp_fn(mu)
+        step_prior = None
+        if prior is not None and warmup <= 0:
+            step_prior = prior = em_phi(mu, prior)
+        f_curr = _f_mu(mu, yhat - ev.y, mean_tau, step_prior)
         tol = GAIN_RTOL * (1.0 + abs(f_curr))
-
-        def predicted_gain(step: np.ndarray) -> float:
-            r_lin = r - ev.G @ step
-            return -0.5 * mean_tau * float(r_lin @ r_lin) + logp_fn(mu + step) - f_curr
-
-        system = gauss_newton_system(ev, yhat, mean_tau, model.fixed_mask)
-        delta, _ = gauss_newton_step(mu, system, cur_prior if reg_active else None)
-        if predicted_gain(delta) <= tol:
+        direction = _trial_direction(mu, ev, yhat, mean_tau, step_prior, model.fixed_mask,
+                                     f_curr, tol)
+        if direction is None:
             break
-        corrected = False
-        if reg_active:
-            delta1, _ = gauss_newton_step(mu, system, em_phi(mu + delta, cur_prior))
-            if predicted_gain(delta1) > tol:
-                delta, corrected = delta1, True
-        # system holds mu's Gram too: without this, `ev = None` below would not
-        # free it before an accepted trial forms its own, and two would be alive
-        del system
-        dn = float(np.linalg.norm(delta))
-        step_start, failed = model.calls, 0
-        # the step's trials are mu + 2^-k delta, k = 0..max_halvings: `settled`
-        # holds the exponents whose trial failed or was rejected, and `held` the
-        # least exponent's trial that passed, (k, trial, evaluation, r, F_mu)
-        settled: set[int] = set()
-        held = None
+        delta, corrected = direction
+        ledger: list[_Trial] = []          # the step's trial calls, each with its outcome
 
         def probe(k: int) -> bool | None:
-            """Spend one value-only call on the trial at 2^-k: whether it solved,
-            or None with no call left."""
-            nonlocal failed, held, budget_exhausted
+            """One value-only call on the trial at 2^-k, into the ledger: whether it
+            solved, or None with no call left."""
             if out_of_budget():
-                budget_exhausted = True
                 return None
-            trial = mu + 0.5 ** k * delta
+            trial = _Trial(k, mu + 0.5 ** k * delta)
+            ledger.append(trial)
             try:
-                ev_k = model.evaluate(trial)
+                ev_k = model.evaluate(trial.mu)
             except ForwardSolveError:
-                failed += 1
-                settled.add(k)
                 return False
-            r_k = yhat - ev_k.y
-            f_k = -0.5 * mean_tau * float(r_k @ r_k) + logp_fn(trial)
-            if f_k > f_curr:
-                held = (k, trial, ev_k, r_k, f_k)   # the one it replaces had a larger k
-            else:
-                settled.add(k)    # and its evaluation is dropped on return
+            trial.f = _f_mu(trial.mu, yhat - ev_k.y, mean_tau, step_prior)
+            trial.outcome = PASSED if trial.f > f_curr else REJECTED
+            if trial.outcome == PASSED:
+                for other in ledger:       # a passing trial at a larger k is dropped
+                    other.ev = None
+                trial.ev = ev_k
             return True
 
-        accepted = False
-        for k in range(_first_solving(probe, max_halvings), max_halvings + 1):
-            if k not in settled and (held is None or held[0] != k):
+        taken = None
+        k = _first_solving(probe, max_halvings)
+        while k <= max_halvings:
+            seen = {t.k: t for t in ledger}.get(k)     # the latest call at k
+            if seen is None or seen.outcome == PASSED and seen.ev is None:
                 if probe(k) is None:
                     break
-            if k in settled:
-                continue
-            _, trial, ev_try, r_try, f_try = held
-            held = ev = None  # one Gram alive at a time: mu's goes before the trial's is formed
-            try:
-                ev_try = ev_try.with_jacobian()
-            except ForwardSolveError:
-                failed += 1
-                ev_try = None
-                continue
+                seen = ledger[-1]
+            if seen.ev is not None:
+                ev = None  # one Gram alive at a time: mu's goes before the trial's is formed
+                try:
+                    seen.ev = seen.ev.with_jacobian()
+                except ForwardSolveError:
+                    seen.outcome, seen.ev = FAILED, None
+                else:
+                    taken, jacobians = seen, jacobians + 1
+                    break
+            k += 1
+        if not budget_exhausted:           # a step the budget cut short is not reported
+            accepted = taken is not None
+            reports.append(MuUpdateReport(
+                accepted=accepted, delta_norm=float(np.linalg.norm(delta)) * 0.5 ** k,
+                f_before=f_curr, f_after=taken.f if accepted else f_curr,
+                forward_calls=len(ledger), halvings=len(ledger) - accepted,
+                failed=sum(t.outcome == FAILED for t in ledger),
+                regularization_active=step_prior is not None, corrected=corrected))
+        if taken is not None:
+            mu, ev = taken.mu, taken.ev
+            warmup -= 1
+            a, b = update_q_tau(state, yhat - ev.y)
+            if taken.f - f_curr <= tol:
+                break
+            continue
+        if ev is None:    # the taken trial's Jacobian failed after mu's was released
+            ev = model.evaluate(mu).with_jacobian()
             jacobians += 1
-            accepted = True
+        if step_prior is not None or prior is None or budget_exhausted:
             break
-        held = None           # a trial still held when the calls ran out goes with the step
-        trials = model.calls - step_start
-        if not accepted:
-            if not budget_exhausted:
-                reports.append(MuUpdateReport(accepted=False,
-                                              delta_norm=dn * 0.5 ** (max_halvings + 1),
-                                              f_before=f_curr, f_after=f_curr,
-                                              forward_calls=trials,
-                                              regularization_active=reg_active,
-                                              halvings=trials, failed=failed,
-                                              corrected=corrected))
-            break
-        reports.append(MuUpdateReport(accepted=True, delta_norm=dn * 0.5 ** k,
-                                      f_before=f_curr, f_after=f_try,
-                                      forward_calls=trials,
-                                      regularization_active=reg_active,
-                                      halvings=trials - 1, failed=failed,
-                                      corrected=corrected))
-        mu, ev = trial, ev_try
-        accepted_count += 1
-        a, b = update_q_tau(state, r_try)
-        if (f_try - f_curr) <= GAIN_RTOL * (1.0 + abs(f_curr)):
-            break
+        warmup = 0        # a warm-up step that accepts nothing switches the prior on
 
-    if ev is None:    # the accepted trial's Jacobian failed after mu's was released
-        ev = model.evaluate(mu).with_jacobian()
-        jacobians += 1
     log_prior_value = 0.0
-    if cur_prior is not None:
-        cur_prior = em_phi(mu, cur_prior)
-        log_prior_value, _ = log_prior_mu_and_grad(mu, cur_prior)
-    return MuPhaseResult(mu=mu, ev=ev, a=a, b=b, prior=cur_prior, reports=reports,
+    if prior is not None:
+        prior = em_phi(mu, prior)
+        log_prior_value, _ = log_prior_mu_and_grad(mu, prior)
+    return MuPhaseResult(mu=mu, ev=ev, a=a, b=b, prior=prior, reports=reports,
                          forward_calls=model.calls - start, jacobians=jacobians,
                          log_prior_value=log_prior_value,
                          budget_exhausted=budget_exhausted)

@@ -239,6 +239,24 @@ def test_run_trace_records_mean_phase(small_cfg_path, tmp_path, capsys):
                      f"{sum(st['corrected'] for st in steps)} corrector steps"]
 
 
+def test_report_says_when_the_call_budget_ran_out(tmp_path, capsys):
+    # the trace records an exhausted budget; the report's mu_phase line says so
+    cfg = config_from_dict(small_dict())
+    cfg.solver.mu_call_budget = 2
+    out = tmp_path / "out"
+    cfg.output.directory = str(out)
+    save_config(cfg, tmp_path / "run.yaml")
+    args = ["--config", str(tmp_path / "run.yaml")]
+    assert main(["generate"] + args) == 0
+    assert main(["invert"] + args) == 0
+    mu = json.loads((out / "run_trace.json").read_text())["mu_phase"]
+    assert mu["budget_exhausted"] is True and mu["forward_calls"] == 2
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("mu_phase:")]
+    assert len(lines) == 1 and lines[0].endswith(" corrector steps (call budget used up)")
+
+
 def test_invert_max_bases_override(small_cfg_path, tmp_path):
     out = tmp_path / "cap"
     args = ["--config", str(small_cfg_path), "--out", str(out)]

@@ -380,8 +380,8 @@ def test_cap_below_the_block_decomposes_only_the_capped_pairs(rng, monkeypatch):
 # The basis the driver returns, on the built-in benchmark
 
 
-def run_example1(model_cls=FemForwardModel):
-    cfg = example1_config()
+def run_example1(model_cls=FemForwardModel, cfg=None):
+    cfg = example1_config() if cfg is None else cfg
     obs, _, _ = generate_data(cfg)
     _, mesh, bc, _, mask = build_model(cfg)
     model = model_cls(mesh, bc, fixed_mask=mask, poisson=cfg.mesh.poisson)
@@ -393,6 +393,25 @@ def run_example1(model_cls=FemForwardModel):
 @pytest.fixture(scope="module")
 def example1():
     return run_example1()
+
+
+# (Poisson ratio, SNR, noise seed) of example1 runs whose unregularized warm-up
+# has a step that accepts no trial.  While such a step ended the mean phase,
+# each reported a runaway field (free |mu| from 16.5 to 1.9e48) with d 7 to 13.
+STALLED_WARM_UPS = [(0.0, 1e3, 7), (0.0, 1e2, 5), (0.3, 1e3, 18), (0.3, 1e2, 6),
+                    (0.3, 1e2, 11), (0.49, 1e3, 15), (0.49, 1e3, 20), (0.49, 1e2, 2)]
+
+
+@pytest.mark.parametrize("poisson,snr,noise_seed", STALLED_WARM_UPS)
+def test_stalled_warm_up_switches_the_prior_on(poisson, snr, noise_seed):
+    cfg = example1_config()
+    cfg.mesh.poisson, cfg.noise.snr, cfg.noise.seed = poisson, snr, noise_seed
+    res = run_example1(cfg=cfg)
+    reports = res.trace.mu_result.reports
+    assert any(not rep.accepted and not rep.regularization_active for rep in reports)
+    assert reports[-1].regularization_active
+    assert np.max(np.abs(res.trace.state.mu[~res.mask])) < 10.0
+    assert res.trace.state.d_theta == 6
 
 
 def test_run_reads_the_clamp_set_from_the_model():

@@ -669,6 +669,28 @@ def test_failed_jacobian_without_a_later_accept_solves_mu_again(rng):
     assert np.array_equal(dense(res.ev.G), A) and np.array_equal(res.ev.y, np.zeros(6))
 
 
+def test_warm_up_step_whose_jacobian_fails_goes_on_with_the_prior(rng):
+    # the warm-up's first step has one trial (call 2), which passes but whose
+    # G fails: the step accepts nothing, call 3 forms mu's evaluation again,
+    # and the phase goes on from mu = 0 with the prior on
+    A = rng.normal(size=(6, 3)) + 2.0 * np.eye(6, 3)
+    yhat = rng.normal(size=6)
+    model = JacobianRefusingModel(A, refuse_call=2)
+    prior = SmoothPrior.for_grid(3, 1, a_phi=1.0, b_phi=1.0)
+    res = update_mu(empty_state(3), model, yhat, prior=prior, reg_delay=2, max_halvings=0)
+    stalled, *regularized = res.reports
+    assert not stalled.accepted and not stalled.regularization_active
+    assert stalled.forward_calls == stalled.failed == 1
+    assert regularized and all(rep.regularization_active for rep in regularized)
+    a, b = update_q_tau(empty_state(3), yhat)
+    assert regularized[0].accepted
+    assert regularized[0].f_before == pytest.approx(-0.5 * (a / b) * (yhat @ yhat), rel=1e-12)
+    assert res.forward_calls == model.calls == 3 + sum(rep.forward_calls for rep in regularized)
+    assert res.jacobians == 2 + sum(rep.accepted for rep in regularized)
+    assert np.array_equal(dense(res.ev.G), A)
+    assert np.array_equal(res.ev.y, model.evaluate(res.mu).y)
+
+
 class CliffModel(LinearOracleModel):
     """Linear model whose value solve fails where |psi| > `radius`, and whose
     Jacobian solve also fails where |psi| > `jacobian_radius`; counts both."""
