@@ -238,8 +238,7 @@ def cmd_invert(args) -> int:
 
     model, mesh, _, _, _ = cfgmod.build_model(cfg)
     _check_observed_dofs(obs, model)
-    prior = (SmoothPrior.for_grid(mesh.nx, mesh.ny, cfg.prior.a_phi, cfg.prior.b_phi)
-             if cfg.prior.enabled else None)
+    prior = SmoothPrior.for_grid(mesh.nx, mesh.ny, cfg.prior.a_phi, cfg.prior.b_phi)
     mu0 = cfgmod.initial_mu(cfg, mesh)
     _remove_stale(out, INVERT_FILES + VALIDATE_FILES)
 
@@ -336,6 +335,9 @@ def _trace_summary(payload: dict) -> tuple[list[str], float]:
     state, _ = state_from_dict(payload)
     mu = payload["mu_phase"]
     steps = mu["steps"]
+    notes = ["call budget used up"] if mu["budget_exhausted"] else []
+    if not any(st["regularization_active"] for st in steps):
+        notes.append("no step ran with the jump prior on")
     return [
         f"d_theta: {state.d_theta}",
         f"forward_calls: {payload['forward_calls']} ({mu['jacobians']} with a Jacobian)",
@@ -346,7 +348,7 @@ def _trace_summary(payload: dict) -> tuple[list[str], float]:
         f"{sum(st['halvings'] for st in steps)} trials not accepted "
         f"({sum(st['failed'] for st in steps)} failed), "
         f"{sum(st['corrected'] for st in steps)} corrector steps"
-        + (" (call budget used up)" if mu["budget_exhausted"] else ""),
+        + (f" ({'; '.join(notes)})" if notes else ""),
     ], state.mean_tau
 
 

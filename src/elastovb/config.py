@@ -3,8 +3,8 @@
 A run is described by one YAML file with nested blocks (mesh, phantom, bc,
 noise, solver, clamp, prior, validation, output), each a dataclass.  One
 reader builds them from the dataclass fields: every key is converted as its
-field is annotated (integers must be integral, booleans true or false,
-strings strings, and only an `X | None` field takes null), an absent key or a
+field is annotated (integers must be integral, strings strings, and only an
+`X | None` field takes null), an absent key or a
 null block or list takes the field's default, and every error names the
 dotted key, e.g. `phantom.inclusions[0].center[1]`.  Defaults live only on
 the dataclasses and rules across fields only in `RunConfig.validate`.
@@ -75,28 +75,26 @@ def _as_int(value, where: str) -> int:
     raise ConfigError(f"{where} must be an integer, got {value!r}")
 
 
-def _as_bool(value, where: str) -> bool:
-    if isinstance(value, bool):
-        return value
-    raise ConfigError(f"{where} must be true or false, got {value!r}")
-
-
 def _as_str(value, where: str) -> str:
     if isinstance(value, str):
         return value
     raise ConfigError(f"{where} must be a string, got {value!r}")
 
 
-_SCALARS = {int: _as_int, float: _as_float, bool: _as_bool, str: _as_str}
+_SCALARS = {int: _as_int, float: _as_float, str: _as_str}
 
 # Keys of earlier versions, with the reason each went.
-_REMOVED_KEYS = {f"solver.{key}": reason for keys, reason in (
-    (("w_max_iters", "w_tol", "w_alpha_init"),
+_REMOVED_KEYS = {f"{block}.{key}": reason for block, keys, reason in (
+    ("solver", ("w_max_iters", "w_tol", "w_alpha_init"),
      "the basis now comes from one eigendecomposition, which has nothing to tune"),
-    (("sweep_f_tol", "sweep_window", "max_sweeps"),
+    ("solver", ("sweep_f_tol", "sweep_window", "max_sweeps"),
      "each stage takes one eigenvector and fits q once: there are no sweeps to bound"),
-    (("q_max_iters", "q_tol"),
+    ("solver", ("q_max_iters", "q_tol"),
      "q is now fitted exactly by one scalar solve, with no iteration cap or tolerance"),
+    ("solver", ("mu_max_outer", "mu_max_halvings"),
+     "no shipped configuration changed it; the mean phase takes <= 30 steps of <= 10 halvings"),
+    ("prior", ("enabled",),
+     "the jump prior is part of the model and always on; a_phi and b_phi set it"),
 ) for key in keys}
 
 
@@ -163,7 +161,7 @@ class ClampBlock:
 
 @dataclass
 class PriorBlock:
-    enabled: bool = False
+    """Gamma(a_phi, b_phi) prior on each neighbor pair's jump precision."""
     a_phi: float = 0.0
     b_phi: float = 0.0
 
@@ -205,6 +203,9 @@ class RunConfig:
             seed = getattr(self, key).seed
             if seed < 0:
                 raise ConfigError(f"{key}.seed must be nonnegative, got {seed}")
+        for key in ("a_phi", "b_phi"):      # Gamma shape and rate; 0 is improper
+            if not (value := getattr(self.prior, key)) >= 0.0:
+                raise ConfigError(f"prior.{key} must be nonnegative, got {value!r}")
         for i, inc in enumerate(self.phantom.inclusions):
             self._validate_inclusion(inc, f"phantom.inclusions[{i}]")
         for i, cond in enumerate(self.bc.dirichlet):
@@ -327,31 +328,33 @@ def _edge_nodes(mesh: Mesh2D, edge: str) -> list[int]:
         return [mesh.node_index(ix, mesh.ny) for ix in range(mesh.nx + 1)]
     if edge == "left":
         return [mesh.node_index(0, iy) for iy in range(mesh.ny + 1)]
-    if edge == "right":
-        return [mesh.node_index(mesh.nx, iy) for iy in range(mesh.ny + 1)]
-    raise ConfigError(f"unknown edge {edge!r}")
+    return [mesh.node_index(mesh.nx, iy) for iy in range(mesh.ny + 1)]   # "right"
 
 
 def build_bc(cfg: RunConfig, mesh: Mesh2D) -> BoundarySpec:
+    """The edges' Dirichlet values and the point loads.  A dof that two edges
+    prescribe must get one value, and a load must act on a free dof."""
     values: dict[int, float] = {}
-    for cond in cfg.bc.dirichlet:
+    for i, cond in enumerate(cfg.bc.dirichlet):
         for node in _edge_nodes(mesh, cond.edge):
-            for comp, val in ((0, cond.ux), (1, cond.uy)):
+            for comp, dof, val in (("ux", 2 * node, cond.ux), ("uy", 2 * node + 1, cond.uy)):
                 if val is None:
                     continue
-                dof = 2 * node + comp
                 if dof in values and values[dof] != val:
                     raise ConfigError(
-                        f"conflicting Dirichlet values at dof {dof}: "
-                        f"{values[dof]} vs {val}")
+                        f"bc.dirichlet[{i}].{comp}: {val} at dof {dof} conflicts with "
+                        f"{values[dof]} from an earlier edge")
                 values[dof] = val
     tractions = []
-    for load in cfg.bc.loads:
+    for i, load in enumerate(cfg.bc.loads):
         node = mesh.node_index(load.node[0], load.node[1])
-        if load.fx:
-            tractions.append((2 * node, load.fx))
-        if load.fy:
-            tractions.append((2 * node + 1, load.fy))
+        for comp, dof, val in (("fx", 2 * node, load.fx), ("fy", 2 * node + 1, load.fy)):
+            if not val:
+                continue
+            if dof in values:
+                raise ConfigError(f"bc.loads[{i}].{comp}: bc.dirichlet prescribes this "
+                                  f"component at node {load.node}; a load needs a free dof")
+            tractions.append((dof, val))
     return BoundarySpec(dirichlet=sorted(values.items()), tractions=tractions)
 
 
@@ -466,7 +469,8 @@ def generate_data(cfg: RunConfig) -> tuple[ObservationFile, np.ndarray, np.ndarr
     else:
         sigma2 = float(np.mean(y ** 2)) / cfg.noise.snr
         if sigma2 == 0.0:
-            raise ConfigError("observed response is identically zero; SNR undefined")
+            raise ConfigError("noise.snr: the observed response is identically zero, "
+                              "so no noise level has this SNR")
         rng = np.random.default_rng(cfg.noise.seed)
         yhat = y + rng.normal(0.0, math.sqrt(sigma2), size=y.shape)
         tau_true = 1.0 / sigma2

@@ -42,9 +42,7 @@ class DriverConfig:
     seed: int = 0                   # unused: nothing is drawn; kept so configs load
     a0: float = 0.0
     b0: float = 0.0
-    mu_max_outer: int = 30
     mu_reg_delay: int = 5
-    mu_max_halvings: int = 10
     mu_call_budget: int | None = 38
 
     def validate(self) -> None:
@@ -60,7 +58,7 @@ class DriverConfig:
             raise ValueError("a0 must be nonnegative")
         if not self.b0 >= 0.0:
             raise ValueError("b0 must be nonnegative")
-        for key in ("mu_max_outer", "mu_reg_delay", "mu_max_halvings", "mu_call_budget"):
+        for key in ("mu_reg_delay", "mu_call_budget"):
             value = getattr(self, key)
             if value is not None and value < 0:
                 raise ValueError(f"{key} must be nonnegative, got {value}")
@@ -241,9 +239,7 @@ def run(model: ForwardModel, yhat: np.ndarray, config: DriverConfig,
                              lambda0=np.zeros(0), lam=np.zeros(0),
                              a0=config.a0, b0=config.b0)
 
-    mu_res = update_mu(state, model, yhat, prior,
-                       max_outer=config.mu_max_outer, reg_delay=config.mu_reg_delay,
-                       max_halvings=config.mu_max_halvings,
+    mu_res = update_mu(state, model, yhat, prior, reg_delay=config.mu_reg_delay,
                        call_budget=config.mu_call_budget)
     state.mu = mu_res.mu
     state.a, state.b = mu_res.a, mu_res.b

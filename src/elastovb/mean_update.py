@@ -187,7 +187,7 @@ def _cholesky_solve(H: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
 
 
 def gauss_newton_step(mu: np.ndarray, system: GaussNewtonSystem,
-                      prior: SmoothPrior | None) -> tuple[np.ndarray, bool]:
+                      prior: SmoothPrior | None) -> np.ndarray:
     """Solve the symmetric Gauss-Newton system for the mean increment.
 
     `system` holds the linearization's data-term blocks (`gauss_newton_system`).
@@ -199,10 +199,9 @@ def gauss_newton_step(mu: np.ndarray, system: GaussNewtonSystem,
     terms alone.  The strict upper triangle and one saved copy of the diagonal
     restore the Gram bit for bit after each factorization, failed or not, so
     the corrector and the basis phase can use it again and a retry with the
-    Tikhonov floor on the diagonal starts from it; only if that fails too does
-    a last-resort least squares solve take one full copy.  Clamped components
-    are returned as exactly 0.  Returns (delta_mu, floor_used), floor_used
-    recording a Tikhonov fallback on a singular system.
+    Tikhonov floor on the diagonal starts from it.  If that fails too,
+    np.linalg.LinAlgError is raised.  Returns delta_mu, with the clamped
+    components exactly 0.
     """
     free = system.free
     H = system.gram
@@ -237,20 +236,18 @@ def gauss_newton_step(mu: np.ndarray, system: GaussNewtonSystem,
             H.flat[::n + 1] = diag
             mirror_lower(H.T)
 
-    floor_used = False
     with loaded(0.0):
         sol = _cholesky_solve(H, rhsf)
     if sol is None:
-        floor_used = True
         with loaded(TIKHONOV_FLOOR):
             sol = _cholesky_solve(H, rhsf)
     if sol is None:
-        with loaded(TIKHONOV_FLOOR):
-            full = H.copy()
-        sol = np.linalg.lstsq(mirror_lower(full), rhsf, rcond=None)[0]
+        raise np.linalg.LinAlgError(
+            f"the Gauss-Newton system has no finite Cholesky solve, even with "
+            f"{TIKHONOV_FLOOR:g} added to its diagonal")
     delta = np.zeros(mu.shape[0])
     delta[free] = sol
-    return delta, floor_used
+    return delta
 
 
 def _f_mu(mu: np.ndarray, r: np.ndarray, mean_tau: float, prior: SmoothPrior | None) -> float:
@@ -275,11 +272,11 @@ def _trial_direction(mu: np.ndarray, ev: ForwardEval, yhat: np.ndarray, mean_tau
         return _f_mu(mu + step, r - ev.G @ step, mean_tau, prior) - f_mu
 
     system = gauss_newton_system(ev, yhat, mean_tau, fixed_mask)
-    delta, _ = gauss_newton_step(mu, system, prior)
+    delta = gauss_newton_step(mu, system, prior)
     if gain(delta) <= tol:
         return None
     if prior is not None:
-        delta1, _ = gauss_newton_step(mu, system, em_phi(mu + delta, prior))
+        delta1 = gauss_newton_step(mu, system, em_phi(mu + delta, prior))
         if gain(delta1) > tol:
             return delta1, True
     return delta, False

@@ -73,10 +73,9 @@ def every_field_dict():
         "noise": {"snr": 250.0, "seed": 7},
         "solver": {"lambda0_1": 1e-8, "info_gain_threshold": 0.05,
                    "info_gain_window": 3, "max_bases": 3, "seed": 4, "a0": 1.0,
-                   "b0": 2.0, "mu_max_outer": 12, "mu_reg_delay": 2,
-                   "mu_max_halvings": 4, "mu_call_budget": None},
+                   "b0": 2.0, "mu_reg_delay": 2, "mu_call_budget": None},
         "clamp": {"top_element_rows": 2, "value": 0.5},
-        "prior": {"enabled": True, "a_phi": 1.0, "b_phi": 0.5},
+        "prior": {"a_phi": 1.0, "b_phi": 0.5},
         "validation": {"samples": 10, "seed": 9},
         "output": {"directory": "elsewhere"},
         "mu0": 0.5,
@@ -233,14 +232,18 @@ def test_run_trace_records_mean_phase(small_cfg_path, tmp_path, capsys):
     assert (f"forward_calls: {trace['forward_calls']} ({mu['jacobians']} with a Jacobian)"
             in text.splitlines())
     lines = [l for l in text.splitlines() if l.startswith("mu_phase:")]
+    # a phase that ends inside the warm-up, as this one does, is noted
+    warm_up_only = not any(st["regularization_active"] for st in steps)
     assert lines == [f"mu_phase: {len(steps)} accepted steps, "
                      f"{sum(st['halvings'] for st in steps)} trials not accepted "
                      f"({sum(st['failed'] for st in steps)} failed), "
-                     f"{sum(st['corrected'] for st in steps)} corrector steps"]
+                     f"{sum(st['corrected'] for st in steps)} corrector steps"
+                     + " (no step ran with the jump prior on)" * warm_up_only]
 
 
 def test_report_says_when_the_call_budget_ran_out(tmp_path, capsys):
-    # the trace records an exhausted budget; the report's mu_phase line says so
+    # the trace records an exhausted budget; the report's mu_phase line says
+    # so, and that the phase ended inside the warm-up, with the prior never on
     cfg = config_from_dict(small_dict())
     cfg.solver.mu_call_budget = 2
     out = tmp_path / "out"
@@ -251,10 +254,12 @@ def test_report_says_when_the_call_budget_ran_out(tmp_path, capsys):
     assert main(["invert"] + args) == 0
     mu = json.loads((out / "run_trace.json").read_text())["mu_phase"]
     assert mu["budget_exhausted"] is True and mu["forward_calls"] == 2
+    assert not any(st["regularization_active"] for st in mu["steps"])
     capsys.readouterr()
     assert main(["report", "--out", str(out)]) == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("mu_phase:")]
-    assert len(lines) == 1 and lines[0].endswith(" corrector steps (call budget used up)")
+    assert len(lines) == 1 and lines[0].endswith(
+        " corrector steps (call budget used up; no step ran with the jump prior on)")
 
 
 def test_invert_max_bases_override(small_cfg_path, tmp_path):
@@ -392,31 +397,19 @@ def test_malformed_field_exits_one_naming_it(keys, value, named, tmp_path, capsy
     assert named in err
 
 
-EIGENBASIS = "the basis now comes from one eigendecomposition"
-NO_SWEEPS = "there are no sweeps to bound"
-EXACT_Q = "fitted exactly by one scalar solve"
-
-
-@pytest.mark.parametrize("key,reason", [
-    pytest.param("w_max_iters", EIGENBASIS, id="w_max_iters"),
-    pytest.param("w_tol", EIGENBASIS, id="w_tol"),
-    pytest.param("w_alpha_init", EIGENBASIS, id="w_alpha_init"),
-    pytest.param("sweep_f_tol", NO_SWEEPS, id="sweep_f_tol"),
-    pytest.param("sweep_window", NO_SWEEPS, id="sweep_window"),
-    pytest.param("max_sweeps", NO_SWEEPS, id="max_sweeps"),
-    pytest.param("q_max_iters", EXACT_Q, id="q_max_iters"),
-    pytest.param("q_tol", EXACT_Q, id="q_tol"),
+@pytest.mark.parametrize("block,key,reason", [
+    pytest.param(*dotted.split("."), reason, id=dotted.split(".")[1])
+    for dotted, reason in cfgmod._REMOVED_KEYS.items()
 ])
-def test_removed_solver_key_exits_one_naming_it(key, reason, tmp_path, capsys):
+def test_removed_solver_key_exits_one_naming_it(block, key, reason, tmp_path, capsys):
     d = small_dict()
-    d["solver"][key] = 10
+    d[block][key] = 10
     path = tmp_path / "old.yaml"
     path.write_text(yaml.safe_dump(d))
     assert main(["generate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("elastovb: config error:")
-    assert f"solver.{key} was removed: " in err
-    assert reason in err
+    assert err.startswith("elastovb: config error:") and "Traceback" not in err
+    assert f"{block}.{key} was removed: {reason}; delete the key" in err
 
 
 def add_second_inclusion(d):
@@ -424,21 +417,74 @@ def add_second_inclusion(d):
         {"shape": "ellipse", "center": [2.0, 2.0], "radii": [2.0, -1.0], "value": 1.0})
 
 
-@pytest.mark.parametrize("edit,named", [
-    (add_second_inclusion, "phantom.inclusions[1]"),
-    (lambda d: d["mesh"].update(lx=-1.0), "mesh.lx"),
-    (lambda d: d["bc"]["dirichlet"][0].update(edge="lft"), "bc.dirichlet[0].edge"),
-    (lambda d: d["clamp"].update(top_element_rows=d["mesh"]["ny"]), "clamp.top_element_rows"),
-], ids=["inclusion_radii", "mesh_lx", "dirichlet_edge", "clamp_every_row"])
-def test_cross_field_rule_exits_one_naming_key(edit, named, tmp_path, capsys):
+def set_inclusion(**fields):
+    def edit(d):
+        d["phantom"]["inclusions"] = [{"value": 1.0, **fields}]
+    return edit
+
+
+@pytest.mark.parametrize("edit,named,says", [
+    (add_second_inclusion, "phantom.inclusions[1]", "radii must be positive"),
+    (lambda d: d["mesh"].update(lx=-1.0), "mesh.lx", "must be positive"),
+    (lambda d: d["bc"]["dirichlet"][0].update(edge="lft"), "bc.dirichlet[0].edge",
+     "unknown edge"),
+    (lambda d: d["clamp"].update(top_element_rows=d["mesh"]["ny"]), "clamp.top_element_rows",
+     "outside [0, ny)"),
+    (lambda d: d["bc"]["dirichlet"][0].update(ux=None, uy=None),
+     "bc.dirichlet[0]", "prescribes no component"),
+    (lambda d: d["bc"].update(loads=[{"node": [5, 2], "fx": 0.1}]),
+     "bc.loads[0].node", "outside the grid"),
+    (lambda d: d["bc"].update(loads=[{"node": [2, 4], "fy": -1.0}]),
+     "bc.loads[0].fy", "a load needs a free dof"),
+    (lambda d: d["bc"]["dirichlet"].append({"edge": "left", "ux": 0.5}),
+     "bc.dirichlet[2].ux", "conflicts with 0.0 from an earlier edge"),
+    (lambda d: d["bc"]["dirichlet"][1].update(uy=0.0),
+     "noise.snr", "observed response is identically zero"),
+    (set_inclusion(shape="ellipse", center=[2.0, 2.0]),
+     "phantom.inclusions[0]", "ellipse needs center"),
+    (set_inclusion(shape="ellipse", center=[0.5, 2.0], radii=[1.0, 1.0]),
+     "phantom.inclusions[0]", "ellipse extends outside the domain"),
+    (set_inclusion(shape="rectangle", x=[1.0, 2.0]),
+     "phantom.inclusions[0]", "rectangle needs x"),
+    (set_inclusion(shape="rectangle", x=[1.0, 5.0], y=[1.0, 2.0]),
+     "phantom.inclusions[0]", "rectangle extends outside the domain"),
+    (set_inclusion(shape="triangle"),
+     "phantom.inclusions[0].shape", "unknown inclusion shape"),
+], ids=["inclusion_radii", "mesh_lx", "dirichlet_edge", "clamp_every_row",
+        "edge_without_component", "load_outside_grid", "load_on_prescribed_dof",
+        "conflicting_dirichlet", "zero_response", "ellipse_without_radii",
+        "ellipse_outside", "rectangle_without_y", "rectangle_outside", "unknown_shape"])
+def test_cross_field_rule_exits_one_naming_key(edit, named, says, tmp_path, capsys):
+    # RunConfig.validate reads most rules; the loads and the Dirichlet values
+    # meet the mesh in build_bc, and the response is seen in generate_data
     d = small_dict()
     edit(d)
     path = tmp_path / "bad.yaml"
     path.write_text(yaml.safe_dump(d))
     assert main(["generate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("elastovb: config error:")
-    assert named in err
+    assert err.startswith("elastovb: config error:") and "Traceback" not in err
+    assert named in err and says in err
+    assert not (tmp_path / "o" / "observations.json").exists()
+
+
+def test_rectangle_marks_the_elements_whose_centers_lie_inside(tmp_path):
+    # 4x4 unit elements, centers at 0.5, 1.5, 2.5, 3.5; x = 2.5 is a center on
+    # the rectangle's edge, which counts as inside
+    d = small_dict()
+    set_inclusion(shape="rectangle", x=[1.0, 2.5], y=[0.5, 3.0])(d)
+    d["bc"]["loads"] = [{"node": [4, 2], "fx": 0.05}]
+    path = tmp_path / "rect.yaml"
+    path.write_text(yaml.safe_dump(d))
+    out = tmp_path / "o"
+    assert main(["generate", "--config", str(path), "--out", str(out)]) == 0
+    rows = np.loadtxt(out / "true_field.csv", delimiter=",", skiprows=1)
+    inside = {(int(ix), int(iy)) for ix, iy, value in rows if value == 1.0}
+    assert inside == {(ix, iy) for ix in (1, 2) for iy in (0, 1, 2)}
+    assert np.all(rows[:, 2][rows[:, 2] != 1.0] == 0.0)
+    cfg = load_config(path)
+    mesh = cfgmod.build_mesh(cfg)
+    assert cfgmod.build_bc(cfg, mesh).tractions == [(2 * mesh.node_index(4, 2), 0.05)]
 
 
 NAN, INF = float("nan"), float("inf")
@@ -458,10 +504,12 @@ NAN, INF = float("nan"), float("inf")
     (("noise", "snr"), -INF),
     (("noise", "seed"), -1),
     (("validation", "seed"), -2),
-    (("solver", "mu_max_outer"), -1),
+    (("solver", "mu_max_outer"), -1),       # a removed key: named as removed
     (("solver", "mu_reg_delay"), -1),
-    (("solver", "mu_max_halvings"), -1),
+    (("solver", "mu_max_halvings"), -1),    # a removed key: named as removed
     (("solver", "mu_call_budget"), -5),
+    (("prior", "a_phi"), -1.0),
+    (("prior", "b_phi"), -1.0),
 ], ids=lambda p: ".".join(map(str, p)) if isinstance(p, tuple) else str(p))
 def test_bad_number_exits_one_naming_it(keys, value, tmp_path, capsys):
     # each used to end in a traceback, in exit 2, or in a run that went ahead

@@ -106,10 +106,9 @@ def test_unregularized_step_solves_least_squares(rng):
     model = LinearOracleModel(A)
     system = gauss_newton_system(model.evaluate(mu).with_jacobian(), yhat, 3.0,
                                  model.fixed_mask)
-    delta, floored = gauss_newton_step(mu, system, prior=None)
+    delta = gauss_newton_step(mu, system, prior=None)
     target = np.linalg.lstsq(A, yhat, rcond=None)[0]
     assert np.max(np.abs((mu + delta) - target)) < 1e-10
-    assert not floored
 
 
 def test_scalar_newton_step_by_hand():
@@ -117,32 +116,30 @@ def test_scalar_newton_step_by_hand():
     mu = np.array([1.0])
     system = gauss_newton_system(model.evaluate(mu).with_jacobian(), np.array([6.0]), 5.0,
                                  model.fixed_mask)
-    delta, _ = gauss_newton_step(mu, system, prior=None)
+    delta = gauss_newton_step(mu, system, prior=None)
     assert delta[0] == pytest.approx(2.0, rel=1e-14)
 
 
-def test_singular_system_records_tikhonov_floor():
+def test_singular_system_takes_the_tikhonov_floor():
     # <tau> G^T G and the one pair's prior precision both vanish on (1, 1);
     # in powers of two the Cholesky meets an exactly zero pivot with the prior
-    # on or off, and the floor is not lost against H's entries (2^-30, 2^-28)
+    # on or off, and the floor is not lost against H's entries (2^-30, 2^-28):
+    # the step is the floored system's, bit for bit
     A = 2.0 ** -16 * np.array([[1.0, -1.0], [1.0, -1.0]])
     model = LinearOracleModel(A)
     mu = np.array([0.3, -0.2])
     yhat = np.array([1.0, 2.0])
     prior = SmoothPrior(pairs=np.array([[0, 1]]), a_post=np.array([3.0]),
                         b_post=np.array([2.0 ** 30]))         # <phi> = 3 * 2^-30
-    L = pair_operator(prior.pairs, 2)
-    P = L.T @ np.diag(prior.mean_phi) @ L
     system = gauss_newton_system(model.evaluate(mu).with_jacobian(), yhat, 2.0,
                                  model.fixed_mask)
     gram = system.gram.copy()
     for reg in (False, True):
-        delta, floored = gauss_newton_step(mu, system, prior if reg else None)
-        assert floored
-        H = 2.0 * (A.T @ A) + (P if reg else 0.0)
-        rhs = 2.0 * (A.T @ (yhat - A @ mu)) - (P @ mu if reg else 0.0)
-        assert np.allclose(delta, np.linalg.solve(H + 1e-10 * np.eye(2), rhs),
-                           rtol=1e-12, atol=0.0)
+        with pytest.raises(np.linalg.LinAlgError):
+            factored_copy_step(mu, system, prior, reg)      # singular without the floor
+        delta = gauss_newton_step(mu, system, prior if reg else None)
+        assert np.array_equal(delta, factored_copy_step(mu, system, prior, reg,
+                                                        TIKHONOV_FLOOR))
         # the failed factorization and the floored retry both overwrote the
         # Gram, which each restored
         assert np.array_equal(system.gram, gram)
@@ -155,7 +152,7 @@ def test_clamped_components_stay_exactly_zero(rng):
     mu = rng.normal(size=5)
     yhat = rng.normal(size=8)
     system = gauss_newton_system(model.evaluate(mu).with_jacobian(), yhat, 2.0, fixed)
-    delta, _ = gauss_newton_step(mu, system, prior=None)
+    delta = gauss_newton_step(mu, system, prior=None)
     assert delta[1] == 0.0 and delta[4] == 0.0
     free = ~fixed
     H = 2.0 * (A.T @ A)
@@ -176,8 +173,8 @@ def test_reused_system_gives_the_same_step(rng):
     gram = system.gram.copy()
     for reg in (True, False):
         step_prior = prior if reg else None
-        fresh, _ = gauss_newton_step(mu, gauss_newton_system(ev, yhat, 4.0, fixed), step_prior)
-        reused, _ = gauss_newton_step(mu, system, step_prior)
+        fresh = gauss_newton_step(mu, gauss_newton_system(ev, yhat, 4.0, fixed), step_prior)
+        reused = gauss_newton_step(mu, system, step_prior)
         assert np.array_equal(fresh, reused)
     assert np.array_equal(system.gram, gram)        # factored in place, then restored
 
@@ -191,7 +188,7 @@ def test_regularized_system_matches_dense_construction(rng):
     tau = 4.0
     system = gauss_newton_system(model.evaluate(mu).with_jacobian(), yhat, tau,
                                  model.fixed_mask)
-    delta, _ = gauss_newton_step(mu, system, prior)
+    delta = gauss_newton_step(mu, system, prior)
     L = pair_operator(prior.pairs, 6)
     P = L.T @ np.diag(prior.mean_phi) @ L
     H = tau * (A.T @ A) + P
@@ -212,13 +209,12 @@ def test_regularized_step_with_clamped_components_matches_dense_construction(rng
     prior = em_phi(mu, SmoothPrior.for_grid(3, 2, 2.0, 1.0))
     tau = 4.0
     system = gauss_newton_system(model.evaluate(mu).with_jacobian(), yhat, tau, fixed)
-    delta, floor_used = gauss_newton_step(mu, system, prior)
+    delta = gauss_newton_step(mu, system, prior)
     L = pair_operator(prior.pairs, 6)
     P = L.T @ np.diag(prior.mean_phi) @ L
     Af = A[:, free]
     H = tau * (Af.T @ Af) + P[np.ix_(free, free)]
     rhs = tau * (Af.T @ (yhat - A @ mu)) - (P @ mu)[free]
-    assert not floor_used
     assert np.all(delta[fixed] == 0.0)
     assert np.max(np.abs(H @ delta[free] - rhs)) < 1e-9
     assert np.allclose(delta[free], np.linalg.solve(H, rhs), rtol=1e-10, atol=1e-12)
@@ -248,6 +244,15 @@ def full_matrix(mu, system, prior, reg, floor=0.0):
     return H, rhs
 
 
+def factored_copy_step(mu, system, prior, reg, floor=0.0):
+    """The step from a Cholesky factorization of a whole copy of H (+ floor I)."""
+    H, rhs = full_matrix(mu, system, prior, reg, floor)
+    delta = np.zeros(mu.shape[0])
+    delta[system.free] = scipy.linalg.cho_solve(
+        scipy.linalg.cho_factor(H.T, overwrite_a=True), rhs)
+    return delta
+
+
 def step_problem(rng, fixed=()):
     A = rng.normal(size=(10, 6))
     mu = rng.normal(size=6)
@@ -271,20 +276,15 @@ def test_in_place_step_matches_a_factored_copy_bit_for_bit(case, rng):
     prior = em_phi(mu, SmoothPrior(pairs=pairs, a_phi=2.0, b_phi=1.0))
     reg = case != "unregularized"
     gram = system.gram.copy()
-    delta, floored = gauss_newton_step(mu, system, prior if reg else None)
-    H, rhs = full_matrix(mu, system, prior, reg)
-    expected = np.zeros(6)
-    expected[system.free] = scipy.linalg.cho_solve(
-        scipy.linalg.cho_factor(H.T, overwrite_a=True), rhs)
-    assert not floored
-    assert np.array_equal(delta, expected)
+    delta = gauss_newton_step(mu, system, prior if reg else None)
+    assert np.array_equal(delta, factored_copy_step(mu, system, prior, reg))
     assert np.array_equal(system.gram, gram)
 
 
 @pytest.mark.parametrize("reg", [False, True])
-def test_least_squares_fallback_restores_the_gram(reg, rng):
-    # an indefinite Gram fails both Cholesky factorizations; the last resort
-    # solves the whole floored matrix by least squares
+def test_floored_failure_raises_and_restores_the_gram(reg, rng):
+    # an indefinite Gram fails both Cholesky factorizations: the step raises
+    # the error the CLI reports as a numerical failure, with the Gram intact
     B = rng.normal(size=(6, 6))
     gram = B + B.T - 20.0 * np.eye(6)
     system = GaussNewtonSystem(free=np.ones(6, dtype=bool), gram=gram, scale=1.0,
@@ -292,10 +292,8 @@ def test_least_squares_fallback_restores_the_gram(reg, rng):
     mu = rng.normal(size=6)
     prior = em_phi(mu, SmoothPrior.for_grid(3, 2, 2.0, 1.0))
     kept = gram.copy()
-    delta, floored = gauss_newton_step(mu, system, prior if reg else None)
-    H, rhs = full_matrix(mu, system, prior, reg, TIKHONOV_FLOOR)
-    assert floored
-    assert np.array_equal(delta, np.linalg.lstsq(H, rhs, rcond=None)[0])
+    with pytest.raises(np.linalg.LinAlgError, match="no finite Cholesky solve"):
+        gauss_newton_step(mu, system, prior if reg else None)
     assert np.array_equal(system.gram, kept)
 
 
@@ -450,8 +448,7 @@ def example1_mean_phase(snr=None, noise_seed=None, jacobian_scale=None, mesh_n=N
     state.mu = initial_mu(cfg, mesh)
     prior = SmoothPrior.for_grid(mesh.nx, mesh.ny, cfg.prior.a_phi, cfg.prior.b_phi)
     run = lambda: update_mu(state, model, obs.yhat, prior,  # noqa: E731
-                            max_outer=s.mu_max_outer, reg_delay=s.mu_reg_delay,
-                            max_halvings=s.mu_max_halvings, call_budget=s.mu_call_budget)
+                            reg_delay=s.mu_reg_delay, call_budget=s.mu_call_budget)
     return run() if wrap is None else wrap(run)
 
 
@@ -514,14 +511,21 @@ def test_noisy10_mean_phase_searches_past_failed_solves():
     assert not res.budget_exhausted
 
 
-def test_accepted_steps_strictly_improve_fem_objective(rng):
+def three_by_three_compression(rng, clamp_top_row):
     mesh = Mesh2D(3, 3, 3.0, 3.0)
-    from conftest import compression_bc
-    bc = compression_bc(mesh)
-    model = FemForwardModel(mesh, bc)
+    fixed = np.zeros(9, dtype=bool)
+    fixed[-3:] = clamp_top_row
+    model = FemForwardModel(mesh, compression_bc(mesh), fixed_mask=fixed)
     psi_true = rng.normal(0.0, 0.4, 9)
+    psi_true[fixed] = 0.0                   # the clamped elements' mu0
     y_true = model.evaluate(psi_true).y
-    yhat = y_true + rng.normal(0.0, 1e-4 * float(np.std(y_true)), y_true.size)
+    return model, y_true + rng.normal(0.0, 1e-4 * float(np.std(y_true)), y_true.size)
+
+
+def test_accepted_steps_strictly_improve_fem_objective(rng):
+    # the top row is clamped, as in the shipped config; unclamped, the data
+    # fix the moduli only up to a common factor (the next test)
+    model, yhat = three_by_three_compression(rng, clamp_top_row=True)
     res = update_mu(empty_state(9, a0=0.0, b0=0.0), model, yhat)
     assert any(rep.accepted for rep in res.reports)
     for rep in res.reports:
@@ -530,6 +534,18 @@ def test_accepted_steps_strictly_improve_fem_objective(rng):
     r0 = yhat - model.evaluate(np.zeros(9)).y
     r1 = yhat - res.ev.y
     assert r1 @ r1 < r0 @ r0
+
+
+def test_unclamped_compression_without_load_is_a_numerical_failure(rng):
+    # prescribed displacements alone do not change when every modulus is
+    # scaled by one factor, so with no element clamped G has the all-ones
+    # null vector, which the Tikhonov floor is too small to lift against the
+    # Gram's scale; the phase raises the error the CLI reports with exit 2
+    model, yhat = three_by_three_compression(rng, clamp_top_row=False)
+    G = model.evaluate(np.zeros(9)).with_jacobian().G
+    assert np.linalg.norm(G @ np.ones(9)) < 1e-12 * np.linalg.norm(G @ np.eye(9)[0])
+    with pytest.raises(np.linalg.LinAlgError, match="no finite Cholesky solve"):
+        update_mu(empty_state(9, a0=0.0, b0=0.0), model, yhat)
 
 
 def assert_em_fixed_point(res, A, yhat):
@@ -593,8 +609,8 @@ def test_corrector_without_frozen_gain_falls_back():
     tau = a / b
     system = gauss_newton_system(ev, yhat, tau, model.fixed_mask)
     prior0 = em_phi(state.mu, prior)
-    delta0, _ = gauss_newton_step(state.mu, system, prior0)
-    delta1, _ = gauss_newton_step(state.mu, system, em_phi(state.mu + delta0, prior))
+    delta0 = gauss_newton_step(state.mu, system, prior0)
+    delta1 = gauss_newton_step(state.mu, system, em_phi(state.mu + delta0, prior))
 
     def frozen_gain(step):
         r = yhat - A @ (state.mu + step)
@@ -725,7 +741,7 @@ def cliff_problem(seed):
     ev = LinearOracleModel(A).evaluate(state.mu).with_jacobian()
     a, b = update_q_tau(state, yhat - ev.y)
     system = gauss_newton_system(ev, yhat, a / b, np.zeros(3, dtype=bool))
-    return A, yhat, gauss_newton_step(state.mu, system, None)[0]
+    return A, yhat, gauss_newton_step(state.mu, system, None)
 
 
 def halving_reference(model, yhat, delta, max_halvings):
