@@ -225,6 +225,11 @@ class RunConfig:
         if not 0 <= self.clamp.top_element_rows < m.ny:    # one free row at least
             raise ConfigError(f"clamp.top_element_rows {self.clamp.top_element_rows} "
                               f"outside [0, ny) = [0, {m.ny})")
+        if self.clamp.top_element_rows == 0 and not any(
+                load.fx or load.fy for load in self.bc.loads):
+            raise ConfigError("clamp.top_element_rows 0 needs a point load with a nonzero "
+                              "component: prescribed displacements alone fix the moduli "
+                              "only up to a common factor")
         if self.validation.samples < 2:
             raise ConfigError("validation.samples must be >= 2")
         try:

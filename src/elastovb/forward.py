@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh_fem import (BoundarySpec, ForwardSolveError, Mesh2D, Sensitivities,
+from .mesh_fem import (PSI_MAX, BoundarySpec, ForwardSolveError, Mesh2D, Sensitivities,
                        adjoint_jacobian, assembly_plan, _solve_reduced)
 
 
@@ -70,8 +70,14 @@ class ForwardModel(ABC):
     value and never inferred.  The model is its only owner; the mean phase and
     the basis phase read it from here.  `active` lists the other components,
     the columns of the sensitivities' free Gram.  `calls` counts the model's
-    evaluations.  Subclasses call `__init__` once d_psi is defined.
+    evaluations.  `psi_max` bounds the model's domain: every evaluation at a
+    psi with an entry above it raises ForwardSolveError, so a caller may count
+    such a point as failed without spending a call on it.  It is +inf unless a
+    subclass declares its edge.  Subclasses call `__init__` once d_psi is
+    defined.
     """
+
+    psi_max = np.inf
 
     def __init__(self, fixed_mask: np.ndarray | None = None):
         self.calls = 0
@@ -115,8 +121,11 @@ class FemForwardModel(ForwardModel):
     exactly zero and never solved.  It observes every free dof unless given a
     subset, which must hold free dofs only.  All of it is fixed at
     construction; a singular configuration still surfaces at `evaluate`, as a
-    ForwardSolveError.
+    ForwardSolveError.  Its domain is the log-moduli whose exp does not
+    overflow, `psi_max = mesh_fem.PSI_MAX`.
     """
+
+    psi_max = PSI_MAX
 
     def __init__(self, mesh: Mesh2D, bc: BoundarySpec, obs_dofs: np.ndarray | None = None,
                  fixed_mask: np.ndarray | None = None, poisson: float = 0.0):

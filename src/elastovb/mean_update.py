@@ -17,7 +17,11 @@ overflowing modulus, a singular system); past such failures the phase does not
 walk the grid one exponent per call but gallops over k = 0, 1, 3, 7, ... and
 bisects back to the first trial that solves, then goes on from there one
 exponent at a time.  When failure is monotone in the step length, that is the
-step plain halving takes, reached in fewer calls.  Only the accepted trial's
+step plain halving takes, reached in fewer calls.  A trial outside the model's
+domain (an entry above `model.psi_max`, where the FEM model's modulus
+overflows) fails with no call: mu lies in the domain and the domain is
+convex, so such failures are monotone in the step length and the search
+takes the same step as when it paid a call for each.  Only the accepted trial's
 Jacobian is solved, from that trial's own factorization, so an outer
 iteration costs one Jacobian and as many value solves as it has trials.
 Before a trial is spent, the Gauss-Newton model predicts the step's gain from
@@ -111,8 +115,8 @@ class MuUpdateReport:
     f_after: float
     forward_calls: int
     regularization_active: bool
-    halvings: int = 0                      # trials of the step that were not accepted
-    failed: int = 0                        # trials whose value or Jacobian solve raised
+    halvings: int = 0                      # trial calls of the step that were not accepted
+    failed: int = 0                        # trial calls whose value or Jacobian solve raised
     corrected: bool = False                # the trial step came from the corrector E-step
 
     def __post_init__(self) -> None:
@@ -285,7 +289,7 @@ def _trial_direction(mu: np.ndarray, ev: ForwardEval, yhat: np.ndarray, mean_tau
 def _first_solving(solves: Callable[[int], bool | None], max_halvings: int) -> int:
     """The least exponent k in 0..max_halvings whose trial solves, by search.
 
-    `solves(k)` spends a call on the trial at 2^-k and tells whether it solved
+    `solves(k)` tells whether the trial at 2^-k solved, at one call at most
     (None: no call left).  The search gallops over k = 0, 1, 3, 7, ...
     (capped at max_halvings) to a trial that solves, then bisects between
     it and the last one that failed, so crossing b failed trials costs
@@ -389,10 +393,13 @@ def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
 
         def probe(k: int) -> bool | None:
             """One value-only call on the trial at 2^-k, into the ledger: whether it
-            solved, or None with no call left."""
+            solved, or None with no call left.  A trial outside the model's
+            domain fails with no call and no ledger entry."""
             if out_of_budget():
                 return None
             trial = _Trial(k, mu + 0.5 ** k * delta)
+            if np.max(trial.mu) > model.psi_max:
+                return False
             ledger.append(trial)
             try:
                 ev_k = model.evaluate(trial.mu)
@@ -408,7 +415,7 @@ def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
 
         taken = None
         k = _first_solving(probe, max_halvings)
-        while k <= max_halvings:
+        while k <= max_halvings:   # no trial past one that solved leaves the domain
             seen = {t.k: t for t in ledger}.get(k)     # the latest call at k
             if seen is None or seen.outcome == PASSED and seen.ev is None:
                 if probe(k) is None:

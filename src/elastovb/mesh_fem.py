@@ -36,6 +36,9 @@ from ._lapack import pbtrf, pbtrs, sbmv
 
 
 SENSITIVITY_BLOCK = 32    # right-hand sides per sensitivity solve
+# the largest log-modulus a solve admits, log(DBL_MAX) = 709.782712893384:
+# exp of it is finite, and exp of the next double up overflows
+PSI_MAX = float(np.log(np.finfo(float).max))
 
 
 class ForwardSolveError(RuntimeError):
@@ -242,12 +245,12 @@ class _ReducedSystem:
 
 
 def _moduli(psi: np.ndarray) -> np.ndarray:
-    try:
-        with np.errstate(over="raise"):
-            return np.exp(psi)
-    except FloatingPointError as exc:
+    """exp(psi); a log-modulus above PSI_MAX, whose exp overflows, fails the solve."""
+    top = float(np.max(psi))
+    if top > PSI_MAX:
         raise ForwardSolveError(
-            f"modulus overflow: exp(psi) at max psi {float(np.max(psi)):.4g}") from exc
+            f"modulus overflow: exp(psi) at max psi {top:.4g} (at most {PSI_MAX:.15g})")
+    return np.exp(psi)
 
 
 def _modulus_range(psi: np.ndarray) -> str:

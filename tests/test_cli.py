@@ -430,6 +430,8 @@ def set_inclusion(**fields):
      "unknown edge"),
     (lambda d: d["clamp"].update(top_element_rows=d["mesh"]["ny"]), "clamp.top_element_rows",
      "outside [0, ny)"),
+    (lambda d: d["clamp"].update(top_element_rows=0), "clamp.top_element_rows",
+     "prescribed displacements alone fix the moduli only up to a common factor"),
     (lambda d: d["bc"]["dirichlet"][0].update(ux=None, uy=None),
      "bc.dirichlet[0]", "prescribes no component"),
     (lambda d: d["bc"].update(loads=[{"node": [5, 2], "fx": 0.1}]),
@@ -451,9 +453,10 @@ def set_inclusion(**fields):
     (set_inclusion(shape="triangle"),
      "phantom.inclusions[0].shape", "unknown inclusion shape"),
 ], ids=["inclusion_radii", "mesh_lx", "dirichlet_edge", "clamp_every_row",
-        "edge_without_component", "load_outside_grid", "load_on_prescribed_dof",
-        "conflicting_dirichlet", "zero_response", "ellipse_without_radii",
-        "ellipse_outside", "rectangle_without_y", "rectangle_outside", "unknown_shape"])
+        "no_clamp_without_load", "edge_without_component", "load_outside_grid",
+        "load_on_prescribed_dof", "conflicting_dirichlet", "zero_response",
+        "ellipse_without_radii", "ellipse_outside", "rectangle_without_y",
+        "rectangle_outside", "unknown_shape"])
 def test_cross_field_rule_exits_one_naming_key(edit, named, says, tmp_path, capsys):
     # RunConfig.validate reads most rules; the loads and the Dirichlet values
     # meet the mesh in build_bc, and the response is seen in generate_data
@@ -539,6 +542,18 @@ def test_noise_snr_alone_may_be_infinite():
     d = small_dict()
     d["noise"]["snr"] = INF
     assert math.isinf(config_from_dict(d).noise.snr)
+
+
+def test_unclamped_config_needs_a_nonzero_point_load():
+    # a point load fixes the moduli's common factor that the prescribed
+    # displacements leave free; a load with no nonzero component does not
+    d = small_dict()
+    d["clamp"]["top_element_rows"] = 0
+    d["bc"]["loads"] = [{"node": [4, 2], "fx": 0.0, "fy": 0.0}]
+    with pytest.raises(ConfigError, match="clamp.top_element_rows"):
+        config_from_dict(d)
+    d["bc"]["loads"][0]["fx"] = 0.05
+    assert config_from_dict(d).clamp.top_element_rows == 0
 
 
 def test_removed_output_formats_key_exits_one_as_unknown(small_cfg_path, tmp_path, capsys):

@@ -501,14 +501,30 @@ def test_example1_noise_seeds_mean_phase_calls(noise_seed):
 
 def test_noisy10_mean_phase_searches_past_failed_solves():
     # the benchmark's noisy10 (SNR 1e2, the shipped noise seed 1): step 4's
-    # trials at 2^0..2^-7 fail to solve (three exp overflows, then singular
-    # solves); halving spent 10 calls there and 28 in all, the search probes
-    # 2^0, 2^-1, 2^-3, 2^-7 (fail), 2^-10, 2^-8 (solve, 2^-8 rejected), 2^-9
+    # trials at 2^0..2^-7 fail (exp overflows at 2^0 and 2^-1, max psi 5111
+    # and 2548, then inaccurate solves); halving spent 10 calls there and 28
+    # in all, the search spent 7 while it called the overflowing trials; now
+    # it skips 2^0 and 2^-1 as outside the domain and calls 2^-3, 2^-7
+    # (fail), 2^-10, 2^-8 (solve, 2^-8 rejected), 2^-9
     res = example1_mean_phase(snr=1e2)
-    assert [rep.forward_calls for rep in res.reports] == [2, 2, 2, 7, 2] + [1] * 9
-    assert [rep.failed for rep in res.reports] == [0, 0, 0, 4] + [0] * 10
-    assert res.forward_calls == 25 and res.reports[3].accepted
+    assert [rep.forward_calls for rep in res.reports] == [2, 2, 2, 5, 2] + [1] * 9
+    assert [rep.failed for rep in res.reports] == [0, 0, 0, 2] + [0] * 10
+    assert res.forward_calls == 23 and res.reports[3].accepted
     assert not res.budget_exhausted
+
+
+def test_noisy10_skips_exactly_the_overflowing_calls(monkeypatch):
+    # the same FEM map with no declared domain calls the two overflowing
+    # trials and fails them; it takes every step of the bounded phase, bit
+    # for bit, at two more calls
+    bounded = example1_mean_phase(snr=1e2)
+    monkeypatch.setattr(FemForwardModel, "psi_max", np.inf)
+    unbounded = example1_mean_phase(snr=1e2)
+    assert unbounded.mu.tobytes() == bounded.mu.tobytes()
+    assert ([(rep.accepted, rep.delta_norm) for rep in unbounded.reports]
+            == [(rep.accepted, rep.delta_norm) for rep in bounded.reports])
+    assert unbounded.forward_calls == bounded.forward_calls + 2 == 25
+    assert [rep.failed for rep in unbounded.reports] == [0, 0, 0, 4] + [0] * 10
 
 
 def three_by_three_compression(rng, clamp_top_row):
@@ -811,6 +827,48 @@ def test_failed_jacobian_at_the_first_solving_trial_moves_on(b):
     assert rep.forward_calls == SEARCH_CALLS[b] + 1
     assert rep.failed == model.failures >= 1
     assert res.jacobians == 2 and np.array_equal(dense(res.ev.G), A)
+
+
+class CeilingModel(LinearOracleModel):
+    """Linear model whose value solve fails where an entry of psi is above
+    `ceiling`, as the FEM model's does past its modulus overflow; it declares
+    that edge as its `psi_max` only if `declared`, and counts its calls there."""
+
+    def __init__(self, A, ceiling, declared):
+        super().__init__(A)
+        self.ceiling = ceiling
+        if declared:
+            self.psi_max = ceiling
+        self.over = 0
+
+    def _evaluate(self, psi):
+        if np.max(psi) > self.ceiling:
+            self.over += 1
+            raise ForwardSolveError("modulus overflow past the ceiling")
+        return super()._evaluate(psi)
+
+
+@pytest.mark.parametrize("b", FIRST_SOLVING, ids=[f"b={b}" for b in FIRST_SOLVING])
+def test_declared_domain_skips_calls_and_keeps_every_step(b):
+    # the first step's trials lie outside the domain up to 2^-b (all of them
+    # for b = None), and later steps leave it too; declaring the domain takes
+    # the same steps, bit for bit, and spends no call outside it
+    A, yhat, delta = cliff_problem(0)
+    assert np.max(delta) > 0
+    ceiling = np.max(delta) * (1.5 * 0.5 ** b if b is not None else 0.5 ** 11)
+    bounded = CeilingModel(A, ceiling, declared=True)
+    unbounded = CeilingModel(A, ceiling, declared=False)
+    assert unbounded.psi_max == np.inf and bounded.psi_max == ceiling
+    res_b = update_mu(empty_state(3), bounded, yhat)
+    res_u = update_mu(empty_state(3), unbounded, yhat)
+    assert res_b.mu.tobytes() == res_u.mu.tobytes()
+    assert ([(rep.accepted, rep.delta_norm) for rep in res_b.reports]
+            == [(rep.accepted, rep.delta_norm) for rep in res_u.reports])
+    assert bounded.over == 0 and (unbounded.over > 0) == (b != 0)
+    assert res_u.forward_calls - res_b.forward_calls == unbounded.over
+    assert res_b.forward_calls == bounded.calls and res_u.forward_calls == unbounded.calls
+    assert sum(rep.failed for rep in res_b.reports) == 0
+    assert all(rep.halvings == rep.forward_calls - rep.accepted for rep in res_b.reports)
 
 
 class PatternModel(ForwardModel):

@@ -499,6 +499,28 @@ def test_modulus_overflow_is_named_without_warning():
                 solve(mesh, compression_bc(mesh), psi)
 
 
+def test_modulus_bound_is_the_edge_of_exp_overflow():
+    # PSI_MAX is the largest double whose exp is finite: the moduli accept it,
+    # and the next double up fails, named, with no warning
+    mesh = Mesh2D(3, 3, 3.0, 3.0)
+    psi = np.zeros(mesh.n_elems)
+    psi[4] = mesh_fem.PSI_MAX
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(np.isfinite(mesh_fem._moduli(psi)))
+        psi[4] = np.nextafter(mesh_fem.PSI_MAX, np.inf)
+        with pytest.raises(ForwardSolveError, match="modulus overflow"):
+            mesh_fem._moduli(psi)
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.exp(psi[4]))
+    # the model declares the bound; a direct call past it is still a counted call
+    model = FemForwardModel(mesh, compression_bc(mesh))
+    assert model.psi_max == mesh_fem.PSI_MAX
+    with pytest.raises(ForwardSolveError, match="modulus overflow"):
+        model.evaluate(psi)
+    assert model.calls == 1
+
+
 def test_ill_conditioned_solve_states_modulus_range():
     mesh = Mesh2D(3, 3, 3.0, 3.0)
     psi = np.zeros(mesh.n_elems)
