@@ -44,7 +44,7 @@ EXIT_NUMERICAL = 2
 # exception is a bug and propagates with its traceback
 NUMERICAL_FAILURES = (ForwardSolveError, NoisePrecisionError, np.linalg.LinAlgError)
 
-SCHEMA_VERSION = 2        # of every JSON artifact
+SCHEMA_VERSION = 3        # of every JSON artifact
 FLOAT_FMT = "%.17g"       # every float in a CSV: 17 digits round-trip losslessly
 
 OBS_FILE = "observations.json"
@@ -68,6 +68,11 @@ ERROR_FILE = "error.json"
 GENERATE_FILES = (OBS_FILE, TRUE_FIELD_FILE, DISPLACEMENT_FILE, CONFIG_FILE)
 INVERT_FILES = (TRACE_FILE, MEAN_FILE, STD_FILE, LAMBDA_FILE, ELBO_FILE, GAIN_FILE)
 VALIDATE_FILES = (IS_FILE, IS_WEIGHTS_FILE, IS_MEAN_FILE, IS_STD_FILE)
+
+# The note `report` adds to its mu_phase line for each way the mean phase ends
+# (`MuPhaseResult.stop_reason`); a converged phase gets none
+MU_STOP_NOTES = {"gain_tolerance": None, "no_acceptable_trial": "no trial accepted",
+                 "call_budget": "call budget used up", "max_steps": "step cap reached"}
 
 
 class UsageError(Exception):
@@ -262,8 +267,8 @@ def cmd_invert(args) -> int:
     _write_csv(out / ELBO_FILE, list(trace.elbo_rows[0]),
                (list(r.values()) for r in trace.elbo_rows))
     _write_csv(out / GAIN_FILE, ["d_theta", "info_gain", "degenerate", "elbo"],
-               ([r.d_theta, r.info_gain, int(r.gain_degenerate), r.elbo]
-                for r in trace.records))
+               ([r.d_theta, r.info_gain, int(r.gain_degenerate), row["f"]]
+                for r, row in zip(trace.records, trace.elbo_rows[1:])))
     print(f"d_theta: {trace.state.d_theta}")
     print(f"forward_calls: {trace.forward_calls}")
     print(f"stop_reason: {trace.stop_reason}")
@@ -335,7 +340,10 @@ def _trace_summary(payload: dict) -> tuple[list[str], float]:
     state, _ = state_from_dict(payload)
     mu = payload["mu_phase"]
     steps = mu["steps"]
-    notes = ["call budget used up"] if mu["budget_exhausted"] else []
+    reason = mu["stop_reason"]
+    if reason not in MU_STOP_NOTES:
+        raise ValueError(f"mu_phase stop_reason {reason!r} is none of {sorted(MU_STOP_NOTES)}")
+    notes = [MU_STOP_NOTES[reason]] if MU_STOP_NOTES[reason] else []
     if not any(st["regularization_active"] for st in steps):
         notes.append("no step ran with the jump prior on")
     return [
@@ -345,7 +353,7 @@ def _trace_summary(payload: dict) -> tuple[list[str], float]:
         f"elbo: {_fmt(payload['elbo_rows'][-1]['f'])}",
         f"tau_mean: {_fmt(state.mean_tau)}",
         f"mu_phase: {sum(st['accepted'] for st in steps)} accepted steps, "
-        f"{sum(st['halvings'] for st in steps)} trials not accepted "
+        f"{sum(st['forward_calls'] - st['accepted'] for st in steps)} trials not accepted "
         f"({sum(st['failed'] for st in steps)} failed), "
         f"{sum(st['corrected'] for st in steps)} corrector steps"
         + (f" ({'; '.join(notes)})" if notes else ""),

@@ -139,12 +139,14 @@ def optimize_W(ev: ForwardEval, start: int, stop: int) -> tuple[np.ndarray, np.n
 
 @dataclass
 class StageRecord:
+    """Stage d's gain and posterior precisions.  Its ELBO is `elbo_rows[d]` and
+    its prior precisions `state.lambda0[:d]`: `add_basis` appends to lambda0
+    and never rewrites it, while lam moves with <tau> at every stage."""
+
     d_theta: int
     info_gain: float
     gain_degenerate: bool
-    elbo: float
     sweeps: int                     # q fits in the stage: always 1 (perfbench/run.py reads it)
-    lambda0: list[float]
     lam: list[float]
 
 
@@ -153,10 +155,14 @@ class RunTrace:
     records: list[StageRecord]
     state: ReducedPosterior
     fixed_mask: np.ndarray          # the model's clamp set the run was made under
-    forward_calls: int
     stop_reason: str
     mu_result: MuPhaseResult
     elbo_rows: list[dict] = field(default_factory=list)
+
+    @property
+    def forward_calls(self) -> int:
+        """The run's forward calls, all of them the mean phase's."""
+        return self.mu_result.forward_calls
 
     def to_dict(self) -> dict:
         mu = self.mu_result
@@ -175,9 +181,8 @@ class RunTrace:
                 "clamped": np.flatnonzero(self.fixed_mask).tolist(),
             },
             "mu_phase": {
-                "forward_calls": mu.forward_calls,
                 "jacobians": mu.jacobians,
-                "budget_exhausted": mu.budget_exhausted,
+                "stop_reason": mu.stop_reason,
                 "floored_count": 0 if mu.prior is None else mu.prior.floored_count,
                 "steps": [asdict(r) for r in mu.reports],
             },
@@ -262,7 +267,6 @@ def run(model: ForwardModel, yhat: np.ndarray, config: DriverConfig,
     max_bases = n_free if config.max_bases is None else min(config.max_bases, n_free)
 
     records: list[StageRecord] = []
-    gains: list[float] = []
     stop_reason = "max_bases" if max_bases == 0 else None
     block = min(max_bases, config.info_gain_window + 1)
     while state.d_theta < max_bases:
@@ -277,24 +281,18 @@ def run(model: ForwardModel, yhat: np.ndarray, config: DriverConfig,
         e = np.append(e, float(Gw @ Gw))
         state = add_basis(state, w, config.lambda0_1)
         state = q_fixed_point(state, e, r)
-        br = elbo(state, e, r, log_prior_mu)
-        record_elbo(br)
-        terms = kl_terms(state.lambda0, state.lam)
-        degenerate = float(np.sum(terms)) == 0.0
+        record_elbo(elbo(state, e, r, log_prior_mu))
+        degenerate = float(np.sum(kl_terms(state.lambda0, state.lam))) == 0.0
         gain = info_gain(state.lambda0, state.lam, state.d_theta)
-        gains.append(gain)
         records.append(StageRecord(d_theta=state.d_theta, info_gain=gain,
-                                   gain_degenerate=degenerate, elbo=br.total, sweeps=1,
-                                   lambda0=state.lambda0.tolist(),
+                                   gain_degenerate=degenerate, sweeps=1,
                                    lam=state.lam.tolist()))
-        if (len(gains) >= config.info_gain_window
-                and all(g < config.info_gain_threshold
-                        for g in gains[-config.info_gain_window:])):
+        if (len(records) >= config.info_gain_window
+                and all(rec.info_gain < config.info_gain_threshold
+                        for rec in records[-config.info_gain_window:])):
             stop_reason = "info_gain"
             break
     if stop_reason is None:
         stop_reason = "max_bases" if max_bases < n_free else "full_rank"
     return RunTrace(records=records, state=state, fixed_mask=model.fixed_mask,
-                    forward_calls=mu_res.forward_calls, stop_reason=stop_reason,
-                    mu_result=mu_res,
-                    elbo_rows=elbo_rows)
+                    stop_reason=stop_reason, mu_result=mu_res, elbo_rows=elbo_rows)

@@ -115,13 +115,17 @@ class MuUpdateReport:
     f_after: float
     forward_calls: int
     regularization_active: bool
-    halvings: int = 0                      # trial calls of the step that were not accepted
     failed: int = 0                        # trial calls whose value or Jacobian solve raised
     corrected: bool = False                # the trial step came from the corrector E-step
 
     def __post_init__(self) -> None:
         if self.accepted and not self.f_after > self.f_before:
             raise ValueError("accepted step must strictly increase the objective")
+
+    @property
+    def halvings(self) -> int:
+        """Trial calls of the step that were not accepted (perfbench/tracing.py reads it)."""
+        return self.forward_calls - self.accepted
 
 
 def em_phi(mu: np.ndarray, prior: SmoothPrior) -> SmoothPrior:
@@ -313,16 +317,23 @@ def _first_solving(solves: Callable[[int], bool | None], max_halvings: int) -> i
 
 @dataclass
 class MuPhaseResult:
+    """Where the mean phase ended and what it spent; `stop_reason` names the
+    exit `update_mu` took, one of the four its docstring lists."""
+
     mu: np.ndarray
     ev: ForwardEval
     a: float
     b: float
     prior: SmoothPrior | None
+    stop_reason: str
     reports: list[MuUpdateReport] = field(default_factory=list)
     forward_calls: int = 0
     jacobians: int = 0                     # evaluations whose G was solved
     log_prior_value: float = 0.0
-    budget_exhausted: bool = False
+
+    @property
+    def budget_exhausted(self) -> bool:    # perfbench/tracing.py reads it
+        return self.stop_reason == "call_budget"
 
 
 @dataclass
@@ -344,11 +355,15 @@ def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
 
     Steps are plain Gauss-Newton on the data term until the jump-penalty prior
     goes on: after `reg_delay` accepted steps, or at the first step before
-    that which accepts no trial while calls remain.  With the prior on, such a
-    step ends the phase, as do a step whose predicted gain (`_trial_direction`)
-    is at most GAIN_RTOL (1 + |F_mu|) and an accepted step whose actual gain
-    is.  `call_budget` bounds the growth of `model.calls` since entry; the
-    model's clamped components (`model.fixed_mask`) keep their state.mu value.
+    that which accepts no trial while calls remain.  The phase ends at one of
+    four exits, named in the result's `stop_reason`: a step whose predicted
+    gain (`_trial_direction`) is at most GAIN_RTOL (1 + |F_mu|), or an
+    accepted step whose actual gain is ("gain_tolerance"); a step with the
+    prior on, or with `prior=None`, that accepts no trial
+    ("no_acceptable_trial"); `call_budget`, which bounds the growth of
+    `model.calls` since entry, running out ("call_budget"); and `max_outer`
+    steps run ("max_steps").  The model's clamped components
+    (`model.fixed_mask`) keep their state.mu value.
 
     mu's evaluation, Gram included, is released before the accepted trial
     forms its own from its factorization, so one Gram is alive at a time.  If
@@ -377,6 +392,7 @@ def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
 
     for _ in range(max_outer):
         if out_of_budget():
+            stop_reason = "call_budget"
             break
         mean_tau = a / b
         step_prior = None
@@ -387,6 +403,7 @@ def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
         direction = _trial_direction(mu, ev, yhat, mean_tau, step_prior, model.fixed_mask,
                                      f_curr, tol)
         if direction is None:
+            stop_reason = "gain_tolerance"
             break
         delta, corrected = direction
         ledger: list[_Trial] = []          # the step's trial calls, each with its outcome
@@ -436,7 +453,7 @@ def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
             reports.append(MuUpdateReport(
                 accepted=accepted, delta_norm=float(np.linalg.norm(delta)) * 0.5 ** k,
                 f_before=f_curr, f_after=taken.f if accepted else f_curr,
-                forward_calls=len(ledger), halvings=len(ledger) - accepted,
+                forward_calls=len(ledger),
                 failed=sum(t.outcome == FAILED for t in ledger),
                 regularization_active=step_prior is not None, corrected=corrected))
         if taken is not None:
@@ -444,20 +461,26 @@ def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
             warmup -= 1
             a, b = update_q_tau(state, yhat - ev.y)
             if taken.f - f_curr <= tol:
+                stop_reason = "gain_tolerance"
                 break
             continue
         if ev is None:    # the taken trial's Jacobian failed after mu's was released
             ev = model.evaluate(mu).with_jacobian()
             jacobians += 1
-        if step_prior is not None or prior is None or budget_exhausted:
+        if budget_exhausted:
+            stop_reason = "call_budget"
+            break
+        if step_prior is not None or prior is None:
+            stop_reason = "no_acceptable_trial"
             break
         warmup = 0        # a warm-up step that accepts nothing switches the prior on
+    else:
+        stop_reason = "max_steps"
 
     log_prior_value = 0.0
     if prior is not None:
         prior = em_phi(mu, prior)
         log_prior_value, _ = log_prior_mu_and_grad(mu, prior)
-    return MuPhaseResult(mu=mu, ev=ev, a=a, b=b, prior=prior, reports=reports,
-                         forward_calls=model.calls - start, jacobians=jacobians,
-                         log_prior_value=log_prior_value,
-                         budget_exhausted=budget_exhausted)
+    return MuPhaseResult(mu=mu, ev=ev, a=a, b=b, prior=prior, stop_reason=stop_reason,
+                         reports=reports, forward_calls=model.calls - start,
+                         jacobians=jacobians, log_prior_value=log_prior_value)

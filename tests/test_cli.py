@@ -18,7 +18,7 @@ from elastovb.cli import main
 from elastovb.config import (ConfigError, ObservationFile, config_from_dict,
                              load_config, save_config)
 
-from conftest import example1_config, example1_dict
+from conftest import EXAMPLE1_YAML, example1_config, example1_dict
 
 
 def load_observations(path):
@@ -201,7 +201,7 @@ def test_pipeline_smoke(small_cfg_path, tmp_path, capsys):
                  "is_report.json", "is_weights.csv"):
         assert (out / name).exists()
     trace = json.loads((out / "run_trace.json").read_text())
-    assert trace["schema_version"] == 2
+    assert trace["schema_version"] == cli.SCHEMA_VERSION
     assert trace["stop_reason"] in ("info_gain", "max_bases", "full_rank")
 
 
@@ -211,20 +211,24 @@ def test_run_trace_records_mean_phase(small_cfg_path, tmp_path, capsys):
     assert main(["generate"] + args) == 0
     assert main(["invert"] + args) == 0
     trace = json.loads((out / "run_trace.json").read_text())
-    assert trace["schema_version"] == 2
+    assert trace["schema_version"] == cli.SCHEMA_VERSION
+    # each fact once: a stage's ELBO is its elbo_rows entry, its prior
+    # precisions a prefix of the state's, and the run's calls the mean phase's
+    assert set(trace["records"][0]) == {"d_theta", "info_gain", "gain_degenerate",
+                                        "sweeps", "lam"}
     mu = trace["mu_phase"]
-    assert mu["forward_calls"] == trace["forward_calls"]   # the only stage that solves
-    assert mu["budget_exhausted"] is False
+    assert set(mu) == {"jacobians", "stop_reason", "floored_count", "steps"}
+    assert mu["stop_reason"] == "gain_tolerance"
     assert isinstance(mu["floored_count"], int) and mu["floored_count"] >= 0
     steps = mu["steps"]
     assert steps and all(st["accepted"] for st in steps)
     for st in steps:
-        assert ({"accepted", "halvings", "failed", "regularization_active", "corrected"}
-                <= set(st))
-        assert 0 <= st["failed"] <= st["halvings"] == st["forward_calls"] - st["accepted"]
+        assert ({"accepted", "forward_calls", "failed", "regularization_active", "corrected"}
+                <= set(st)) and "halvings" not in st
+        assert 0 <= st["failed"] <= st["forward_calls"] - st["accepted"]
         assert st["regularization_active"] or not st["corrected"]
     # the first call linearizes at mu0; every other call is a step's trial
-    assert 1 + sum(st["forward_calls"] for st in steps) == mu["forward_calls"]
+    assert 1 + sum(st["forward_calls"] for st in steps) == trace["forward_calls"]
     assert mu["jacobians"] == 1 + len(steps)
     capsys.readouterr()
     assert main(["report", "--out", str(out)]) == 0
@@ -235,7 +239,8 @@ def test_run_trace_records_mean_phase(small_cfg_path, tmp_path, capsys):
     # a phase that ends inside the warm-up, as this one does, is noted
     warm_up_only = not any(st["regularization_active"] for st in steps)
     assert lines == [f"mu_phase: {len(steps)} accepted steps, "
-                     f"{sum(st['halvings'] for st in steps)} trials not accepted "
+                     f"{sum(st['forward_calls'] - st['accepted'] for st in steps)} "
+                     "trials not accepted "
                      f"({sum(st['failed'] for st in steps)} failed), "
                      f"{sum(st['corrected'] for st in steps)} corrector steps"
                      + " (no step ran with the jump prior on)" * warm_up_only]
@@ -252,14 +257,38 @@ def test_report_says_when_the_call_budget_ran_out(tmp_path, capsys):
     args = ["--config", str(tmp_path / "run.yaml")]
     assert main(["generate"] + args) == 0
     assert main(["invert"] + args) == 0
-    mu = json.loads((out / "run_trace.json").read_text())["mu_phase"]
-    assert mu["budget_exhausted"] is True and mu["forward_calls"] == 2
+    trace = json.loads((out / "run_trace.json").read_text())
+    mu = trace["mu_phase"]
+    assert mu["stop_reason"] == "call_budget" and trace["forward_calls"] == 2
     assert not any(st["regularization_active"] for st in mu["steps"])
     capsys.readouterr()
     assert main(["report", "--out", str(out)]) == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("mu_phase:")]
     assert len(lines) == 1 and lines[0].endswith(
         " corrector steps (call budget used up; no step ran with the jump prior on)")
+
+
+@pytest.mark.parametrize("seed,stop,calls,note", [
+    (None, "gain_tolerance", 11, ""),
+    (15, "max_steps", 31, " (step cap reached)")], ids=["shipped", "noise_seed_15"])
+def test_report_says_how_the_mean_phase_ended(seed, stop, calls, note, tmp_path, capsys):
+    # the shipped config converges; at noise seed 15 its mean phase takes all
+    # 30 steps, each accepted, and its last step still gains 7.6e-4, far above
+    # the tolerance, so the report must not print it like a converged run
+    out = tmp_path / "out"
+    args = ["--config", str(EXAMPLE1_YAML), "--out", str(out)]
+    seed_args = [] if seed is None else ["--seed", str(seed)]
+    assert main(["generate"] + args + seed_args) == 0
+    assert main(["invert"] + args) == 0
+    trace = json.loads((out / "run_trace.json").read_text())
+    mu = trace["mu_phase"]
+    assert (mu["stop_reason"], trace["forward_calls"]) == (stop, calls)
+    assert all(st["accepted"] for st in mu["steps"])
+    assert len(mu["steps"]) == calls - 1
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("mu_phase:")]
+    assert len(lines) == 1 and lines[0].endswith(" corrector steps" + note)
 
 
 def test_invert_max_bases_override(small_cfg_path, tmp_path):
@@ -577,8 +606,8 @@ def test_removed_output_formats_key_exits_one_as_unknown(small_cfg_path, tmp_pat
 DIRECTORY = object()      # the artifact replaced by a directory
 
 
-def schema_1(payload):
-    return {**payload, "schema_version": 1}
+def previous_schema(payload):
+    return {**payload, "schema_version": cli.SCHEMA_VERSION - 1}
 
 
 @pytest.mark.parametrize("name,corrupt", [
@@ -587,7 +616,7 @@ def schema_1(payload):
     ("observations.json", lambda obs: {**obs, "yhat": "abc"}),
     ("observations.json", lambda obs: {**obs, "tau_true": None}),
     ("observations.json", lambda obs: {**obs, "yhat": [math.nan] + obs["yhat"][1:]}),
-    ("observations.json", schema_1),
+    ("observations.json", previous_schema),
     ("observations.json", DIRECTORY),
     ("run_trace.json", lambda trace: [trace]),
     ("run_trace.json", lambda trace: {**trace, "state": {**trace["state"], "mu": "abc"}}),
@@ -602,13 +631,13 @@ def schema_1(payload):
         k: v for k, v in trace["state"].items() if k != "clamped"}}),
     ("run_trace.json", lambda trace: {**trace, "state": {**trace["state"], "clamped": [1.5]}}),
     ("run_trace.json", lambda trace: {**trace, "state": {**trace["state"], "clamped": [0]}}),
-    ("run_trace.json", schema_1),
-    ("is_report.json", schema_1),
+    ("run_trace.json", previous_schema),
+    ("is_report.json", previous_schema),
 ], ids=["obs-root-list", "obs-seed-text", "obs-yhat-text", "obs-tau_true-null",
-        "obs-yhat-nan", "obs-schema-1", "obs-directory", "trace-root-list", "trace-mu-text",
-        "trace-a-null", "trace-mu-nan", "trace-lam-short", "trace-lam-negative",
-        "trace-clamped-missing", "trace-clamped-fraction", "trace-clamped-basis-row",
-        "trace-schema-1", "is-schema-1"])
+        "obs-yhat-nan", "obs-schema-previous", "obs-directory", "trace-root-list",
+        "trace-mu-text", "trace-a-null", "trace-mu-nan", "trace-lam-short",
+        "trace-lam-negative", "trace-clamped-missing", "trace-clamped-fraction",
+        "trace-clamped-basis-row", "trace-schema-previous", "is-schema-previous"])
 def test_malformed_artifact_exits_one_or_is_reported(name, corrupt, small_cfg_path,
                                                      tmp_path, capsys):
     # an artifact of another schema version is refused by its version, not
@@ -625,7 +654,8 @@ def test_malformed_artifact_exits_one_or_is_reported(name, corrupt, small_cfg_pa
         path.mkdir()
     else:
         path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
-    versions = ["schema_version 1", "reads 2"] if corrupt is schema_1 else []
+    versions = ([f"schema_version {cli.SCHEMA_VERSION - 1}", f"reads {cli.SCHEMA_VERSION}"]
+                if corrupt is previous_schema else [])
     capsys.readouterr()
     readers = {"observations.json": ["invert", "validate"], "run_trace.json": ["validate"],
                "is_report.json": []}[name]
@@ -850,7 +880,8 @@ def test_validate_numerical_failure_exits_two(small_cfg_path, tmp_path, monkeypa
     assert main(["validate"] + args) == 2
     assert "not positive definite" in capsys.readouterr().err
     error = json.loads((out / "error.json").read_text())
-    assert error == {"schema_version": 2, "stage": "validate", "type": "LinAlgError",
+    assert error == {"schema_version": cli.SCHEMA_VERSION, "stage": "validate",
+                     "type": "LinAlgError",
                      "error": "posterior covariance not positive definite",
                      "forward_calls": 1}
     assert not (out / "is_report.json").exists()

@@ -387,6 +387,7 @@ def test_stationary_at_exact_data(rng):
     assert np.array_equal(res.mu, psi_true)
     assert res.reports == []
     assert res.forward_calls == 1
+    assert res.stop_reason == "gain_tolerance"
 
 
 def test_no_trial_call_for_a_gain_below_tolerance(rng):
@@ -400,6 +401,7 @@ def test_no_trial_call_for_a_gain_below_tolerance(rng):
     res = update_mu(state, model, A @ psi_true)
     assert res.reports == []
     assert res.forward_calls == model.calls == 1
+    assert res.stop_reason == "gain_tolerance"
     assert np.array_equal(res.mu, state.mu)
 
 
@@ -619,6 +621,7 @@ def test_corrector_without_frozen_gain_falls_back():
     res = update_mu(state, model, yhat, prior=prior, reg_delay=0, max_outer=1)
     (rep,) = res.reports
     assert rep.accepted and not rep.corrected
+    assert res.stop_reason == "max_steps"
 
     ev = model.evaluate(state.mu).with_jacobian()
     a, b = update_q_tau(state, yhat - ev.y)
@@ -644,7 +647,7 @@ def test_call_budget_accounting(rng):
     model = LinearOracleModel(A)
     yhat = rng.normal(size=6)
     res = update_mu(empty_state(3), model, yhat, call_budget=2)
-    assert res.budget_exhausted
+    assert res.budget_exhausted and res.stop_reason == "call_budget"
     assert res.forward_calls == model.calls == 2
 
 
@@ -695,6 +698,7 @@ def test_failed_jacobian_without_a_later_accept_solves_mu_again(rng):
     res = update_mu(empty_state(3), model, rng.normal(size=6), max_halvings=0)
     (rep,) = res.reports
     assert not rep.accepted and rep.forward_calls == 1
+    assert res.stop_reason == "no_acceptable_trial"      # no prior to switch on
     assert res.forward_calls == model.calls == 3
     assert res.jacobians == 2
     assert np.array_equal(res.mu, np.zeros(3))
@@ -712,6 +716,7 @@ def test_warm_up_step_whose_jacobian_fails_goes_on_with_the_prior(rng):
     res = update_mu(empty_state(3), model, yhat, prior=prior, reg_delay=2, max_halvings=0)
     stalled, *regularized = res.reports
     assert not stalled.accepted and not stalled.regularization_active
+    assert res.stop_reason == "gain_tolerance"
     assert stalled.forward_calls == stalled.failed == 1
     assert regularized and all(rep.regularization_active for rep in regularized)
     a, b = update_q_tau(empty_state(3), yhat)
@@ -721,6 +726,20 @@ def test_warm_up_step_whose_jacobian_fails_goes_on_with_the_prior(rng):
     assert res.jacobians == 2 + sum(rep.accepted for rep in regularized)
     assert np.array_equal(dense(res.ev.G), A)
     assert np.array_equal(res.ev.y, model.evaluate(res.mu).y)
+
+
+def test_step_with_the_prior_on_that_accepts_nothing_ends_the_phase(rng):
+    # the same failed G with the prior on from the first step: nothing is
+    # left to switch on, so the phase ends there and names that exit
+    A = rng.normal(size=(6, 3)) + 2.0 * np.eye(6, 3)
+    model = JacobianRefusingModel(A, refuse_call=2)
+    prior = SmoothPrior.for_grid(3, 1, a_phi=1.0, b_phi=1.0)
+    res = update_mu(empty_state(3), model, rng.normal(size=6), prior=prior, reg_delay=0,
+                    max_halvings=0)
+    (rep,) = res.reports
+    assert not rep.accepted and rep.regularization_active
+    assert res.stop_reason == "no_acceptable_trial" and not res.budget_exhausted
+    assert res.forward_calls == model.calls == 3
 
 
 class CliffModel(LinearOracleModel):
