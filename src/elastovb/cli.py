@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 import time
 from collections.abc import Callable, Iterable
@@ -104,7 +103,7 @@ def _build_parser() -> _Parser:
     g = add("generate", "synthesize noisy observations from the phantom")
     g.add_argument("--seed", type=int, default=None, help="override noise seed")
     g.add_argument("--snr", type=float, default=None,
-                   help="override target SNR (a number, or 'inf' for exact data)")
+                   help="override target SNR (finite and positive)")
 
     i = add("invert", "run the adaptive subspace inversion")
     i.add_argument("--max-bases", type=int, default=None,
@@ -363,7 +362,7 @@ def _trace_summary(payload: dict) -> tuple[list[str], float]:
 def _obs_summary(payload: dict, tau_mean: float | None) -> tuple[list[str], None]:
     tau_true = ObservationFile.from_dict(payload).tau_true
     lines = [f"tau_true: {_fmt(tau_true)}"]
-    if tau_mean is not None and math.isfinite(tau_true):
+    if tau_mean is not None:
         lines.append(f"tau_ratio: {_fmt(tau_mean / tau_true)}")
     return lines, None
 

@@ -29,7 +29,7 @@ from .driver import DriverConfig
 from .forward import FemForwardModel
 from .mesh_fem import BoundarySpec, Mesh2D, _solve_reduced
 
-_EDGES = ("bottom", "top", "left", "right")
+_EDGES = ("bottom", "top")
 
 
 class ConfigError(ValueError):
@@ -46,11 +46,6 @@ def _check_keys(block: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {extra}")
 
 
-# Every float in a config is finite, except at these keys, where inf has a
-# documented meaning.
-_INF_ALLOWED = {"noise.snr"}        # inf = exact data
-
-
 def _as_float(value, where: str) -> float:
     if not isinstance(value, bool):
         try:
@@ -58,7 +53,7 @@ def _as_float(value, where: str) -> float:
         except (TypeError, ValueError, OverflowError):
             pass
         else:
-            if math.isfinite(number) or (number == math.inf and where in _INF_ALLOWED):
+            if math.isfinite(number):
                 return number
             raise ConfigError(f"{where} must be finite, got {value!r}")
     raise ConfigError(f"{where} must be a number, got {value!r}")
@@ -110,12 +105,10 @@ class MeshBlock:
 @dataclass
 class Inclusion:
     """One phantom inclusion; membership is decided at element centers."""
-    shape: str                      # "ellipse" or "rectangle"
+    shape: str                      # "ellipse", the one shape
     value: float                    # log-modulus inside the shape
-    center: list[float] = field(default_factory=list)   # ellipse only
-    radii: list[float] = field(default_factory=list)    # ellipse only
-    x: list[float] = field(default_factory=list)        # rectangle extents
-    y: list[float] = field(default_factory=list)
+    center: list[float] = field(default_factory=list)
+    radii: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -148,7 +141,7 @@ class BCBlock:
 
 @dataclass
 class NoiseBlock:
-    snr: float = 1e5                # power ratio mean(y^2)/sigma^2; inf = exact data
+    snr: float = 1e5                # power ratio mean(y^2)/sigma^2
     seed: int = 0
 
 
@@ -197,8 +190,9 @@ class RunConfig:
                 raise ConfigError(f"mesh.{key} must be positive, got {getattr(m, key)!r}")
         if not 0.0 <= m.poisson < 0.5:
             raise ConfigError(f"mesh.poisson {m.poisson} outside [0, 0.5)")
-        if not self.noise.snr > 0:
-            raise ConfigError("noise.snr must be positive")
+        if not 0 < self.noise.snr < math.inf:     # --snr skips the reader
+            raise ConfigError(f"noise.snr must be finite and positive, "
+                              f"got {self.noise.snr!r}")
         for key in ("noise", "validation"):
             seed = getattr(self, key).seed
             if seed < 0:
@@ -239,21 +233,16 @@ class RunConfig:
 
     def _validate_inclusion(self, inc: Inclusion, where: str) -> None:
         m = self.mesh
-        if inc.shape == "ellipse":
-            if len(inc.center) != 2 or len(inc.radii) != 2:
-                raise ConfigError(f"{where}: ellipse needs center [cx, cy] and radii [rx, ry]")
-            (cx, cy), (rx, ry) = inc.center, inc.radii
-            if rx <= 0 or ry <= 0:
-                raise ConfigError(f"{where}.radii: ellipse radii must be positive")
-            if cx - rx < 0 or cx + rx > m.lx or cy - ry < 0 or cy + ry > m.ly:
-                raise ConfigError(f"{where}: ellipse extends outside the domain")
-        elif inc.shape == "rectangle":
-            if len(inc.x) != 2 or len(inc.y) != 2:
-                raise ConfigError(f"{where}: rectangle needs x [x0, x1] and y [y0, y1]")
-            if not (0 <= inc.x[0] < inc.x[1] <= m.lx and 0 <= inc.y[0] < inc.y[1] <= m.ly):
-                raise ConfigError(f"{where}: rectangle extends outside the domain")
-        else:
-            raise ConfigError(f"{where}.shape: unknown inclusion shape {inc.shape!r}")
+        if inc.shape != "ellipse":
+            raise ConfigError(f"{where}.shape: unknown inclusion shape {inc.shape!r}; "
+                              "the one shape is 'ellipse'")
+        if len(inc.center) != 2 or len(inc.radii) != 2:
+            raise ConfigError(f"{where}: ellipse needs center [cx, cy] and radii [rx, ry]")
+        (cx, cy), (rx, ry) = inc.center, inc.radii
+        if rx <= 0 or ry <= 0:
+            raise ConfigError(f"{where}.radii: ellipse radii must be positive")
+        if cx - rx < 0 or cx + rx > m.lx or cy - ry < 0 or cy + ry > m.ly:
+            raise ConfigError(f"{where}: ellipse extends outside the domain")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -327,13 +316,8 @@ def build_mesh(cfg: RunConfig) -> Mesh2D:
 
 
 def _edge_nodes(mesh: Mesh2D, edge: str) -> list[int]:
-    if edge == "bottom":
-        return [mesh.node_index(ix, 0) for ix in range(mesh.nx + 1)]
-    if edge == "top":
-        return [mesh.node_index(ix, mesh.ny) for ix in range(mesh.nx + 1)]
-    if edge == "left":
-        return [mesh.node_index(0, iy) for iy in range(mesh.ny + 1)]
-    return [mesh.node_index(mesh.nx, iy) for iy in range(mesh.ny + 1)]   # "right"
+    iy = 0 if edge == "bottom" else mesh.ny          # "top"
+    return [mesh.node_index(ix, iy) for ix in range(mesh.nx + 1)]
 
 
 def build_bc(cfg: RunConfig, mesh: Mesh2D) -> BoundarySpec:
@@ -368,13 +352,9 @@ def build_phantom(cfg: RunConfig, mesh: Mesh2D) -> np.ndarray:
     centers = mesh.element_centers()
     psi = np.full(mesh.n_elems, cfg.phantom.background, dtype=float)
     for inc in cfg.phantom.inclusions:
-        if inc.shape == "ellipse":
-            (cx, cy), (rx, ry) = inc.center, inc.radii
-            inside = (((centers[:, 0] - cx) / rx) ** 2
-                      + ((centers[:, 1] - cy) / ry) ** 2) <= 1.0
-        else:
-            inside = ((inc.x[0] <= centers[:, 0]) & (centers[:, 0] <= inc.x[1])
-                      & (inc.y[0] <= centers[:, 1]) & (centers[:, 1] <= inc.y[1]))
+        (cx, cy), (rx, ry) = inc.center, inc.radii
+        inside = (((centers[:, 0] - cx) / rx) ** 2
+                  + ((centers[:, 1] - cy) / ry) ** 2) <= 1.0
         psi[inside] = inc.value
     return psi
 
@@ -416,7 +396,7 @@ def initial_mu(cfg: RunConfig, mesh: Mesh2D) -> np.ndarray:
 class ObservationFile:
     """Synthetic observations plus the bookkeeping needed to validate a run.
 
-    tau_true is the generating noise precision (inf for exact data) and is
+    tau_true is the generating noise precision, finite and positive, and is
     never consumed by the inversion itself.
     """
     obs_dofs: np.ndarray
@@ -434,8 +414,9 @@ class ObservationFile:
             raise ConfigError("observation file length mismatch")
         if not (np.all(np.isfinite(self.yhat)) and np.all(np.isfinite(self.y_clean))):
             raise ConfigError("observations must be finite")
-        if not self.tau_true > 0:
-            raise ConfigError("tau_true must be positive")
+        if not 0 < self.tau_true < math.inf:
+            raise ConfigError(f"tau_true must be finite and positive, "
+                              f"got {self.tau_true!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -443,7 +424,7 @@ class ObservationFile:
             "yhat": self.yhat.tolist(),
             "y_clean": self.y_clean.tolist(),
             "seed": self.seed,
-            "tau_true": self.tau_true,     # serialized as Infinity for exact data
+            "tau_true": self.tau_true,
             "snr_target": self.snr_target,
         }
 
@@ -468,18 +449,13 @@ def generate_data(cfg: RunConfig) -> tuple[ObservationFile, np.ndarray, np.ndarr
     psi_true = build_phantom(cfg, mesh)
     U = _solve_reduced(model.plan, psi_true).U
     y = U[obs]
-    if math.isinf(cfg.noise.snr):
-        yhat = y.copy()
-        tau_true = math.inf
-    else:
-        sigma2 = float(np.mean(y ** 2)) / cfg.noise.snr
-        if sigma2 == 0.0:
-            raise ConfigError("noise.snr: the observed response is identically zero, "
-                              "so no noise level has this SNR")
-        rng = np.random.default_rng(cfg.noise.seed)
-        yhat = y + rng.normal(0.0, math.sqrt(sigma2), size=y.shape)
-        tau_true = 1.0 / sigma2
+    sigma2 = float(np.mean(y ** 2)) / cfg.noise.snr
+    if sigma2 == 0.0:
+        raise ConfigError("noise.snr: the observed response is identically zero, "
+                          "so no noise level has this SNR")
+    rng = np.random.default_rng(cfg.noise.seed)
+    yhat = y + rng.normal(0.0, math.sqrt(sigma2), size=y.shape)
     out = ObservationFile(obs_dofs=obs, yhat=yhat, y_clean=y,
-                          seed=cfg.noise.seed, tau_true=tau_true,
+                          seed=cfg.noise.seed, tau_true=1.0 / sigma2,
                           snr_target=cfg.noise.snr)
     return out, psi_true, U

@@ -63,13 +63,12 @@ def every_field_dict():
     return {
         "mesh": {"nx": 6, "ny": 5, "lx": 3.0, "ly": 2.5, "poisson": 0.3},
         "phantom": {"background": 0.25, "inclusions": [
-            {"shape": "rectangle", "value": 1.5, "center": [], "radii": [],
-             "x": [0.5, 1.5], "y": [0.5, 2.0]},
+            {"shape": "ellipse", "value": 1.5, "center": [1.0, 1.25], "radii": [0.5, 0.75]},
             {"shape": "ellipse", "value": -0.5, "center": [2.0, 1.0],
-             "radii": [0.5, 0.4], "x": [], "y": []}]},
+             "radii": [0.5, 0.4]}]},
         "bc": {"dirichlet": [{"edge": "bottom", "ux": 0.0, "uy": None},
-                             {"edge": "left", "ux": 0.1, "uy": 0.0}],
-               "loads": [{"node": [3, 5], "fx": 0.01, "fy": -0.02}]},
+                             {"edge": "top", "ux": 0.1, "uy": 0.0}],
+               "loads": [{"node": [3, 2], "fx": 0.01, "fy": -0.02}]},
         "noise": {"snr": 250.0, "seed": 7},
         "solver": {"lambda0_1": 1e-8, "info_gain_threshold": 0.05,
                    "info_gain_window": 3, "max_bases": 3, "seed": 4, "a0": 1.0,
@@ -142,15 +141,6 @@ def test_empirical_snr_near_target(small_cfg_path, tmp_path):
     assert snr == pytest.approx(obs.snr_target, rel=0.35)
     assert obs.tau_true == pytest.approx(
         obs.snr_target / float(np.mean(obs.y_clean ** 2)), rel=1e-12)
-
-
-def test_infinite_snr_gives_exact_data(small_cfg_path, tmp_path):
-    out = tmp_path / "exact"
-    assert main(["generate", "--config", str(small_cfg_path),
-                 "--out", str(out), "--snr", "inf"]) == 0
-    obs = load_observations(out / "observations.json")
-    assert np.array_equal(obs.yhat, obs.y_clean)
-    assert math.isinf(obs.tau_true)
 
 
 def test_observation_file_round_trip(small_cfg_path, tmp_path):
@@ -378,6 +368,7 @@ def test_bad_yaml_exits_one(tmp_path):
     ("solver", "mu_max_outer", "thirty"),
     ("clamp", "top_element_rows", [1]),
     ("validation", "samples", "many"),
+    ("noise", "snr", math.inf),         # data are always noisy: the SNR is finite
 ])
 def test_invalid_field_exits_one_with_message(block, key, value, tmp_path, capsys):
     d = small_dict()
@@ -457,6 +448,8 @@ def set_inclusion(**fields):
     (lambda d: d["mesh"].update(lx=-1.0), "mesh.lx", "must be positive"),
     (lambda d: d["bc"]["dirichlet"][0].update(edge="lft"), "bc.dirichlet[0].edge",
      "unknown edge"),
+    (lambda d: d["bc"]["dirichlet"][0].update(edge="left"), "bc.dirichlet[0].edge",
+     "unknown edge 'left'; expected one of ('bottom', 'top')"),
     (lambda d: d["clamp"].update(top_element_rows=d["mesh"]["ny"]), "clamp.top_element_rows",
      "outside [0, ny)"),
     (lambda d: d["clamp"].update(top_element_rows=0), "clamp.top_element_rows",
@@ -467,52 +460,56 @@ def set_inclusion(**fields):
      "bc.loads[0].node", "outside the grid"),
     (lambda d: d["bc"].update(loads=[{"node": [2, 4], "fy": -1.0}]),
      "bc.loads[0].fy", "a load needs a free dof"),
-    (lambda d: d["bc"]["dirichlet"].append({"edge": "left", "ux": 0.5}),
+    (lambda d: d["bc"]["dirichlet"].append({"edge": "bottom", "ux": 0.5}),
      "bc.dirichlet[2].ux", "conflicts with 0.0 from an earlier edge"),
     (lambda d: d["bc"]["dirichlet"][1].update(uy=0.0),
      "noise.snr", "observed response is identically zero"),
+    (lambda d: ["--snr", "inf"], "noise.snr", "must be finite and positive, got inf"),
     (set_inclusion(shape="ellipse", center=[2.0, 2.0]),
      "phantom.inclusions[0]", "ellipse needs center"),
     (set_inclusion(shape="ellipse", center=[0.5, 2.0], radii=[1.0, 1.0]),
      "phantom.inclusions[0]", "ellipse extends outside the domain"),
-    (set_inclusion(shape="rectangle", x=[1.0, 2.0]),
-     "phantom.inclusions[0]", "rectangle needs x"),
-    (set_inclusion(shape="rectangle", x=[1.0, 5.0], y=[1.0, 2.0]),
-     "phantom.inclusions[0]", "rectangle extends outside the domain"),
+    (set_inclusion(shape="rectangle", center=[2.0, 2.0], radii=[1.0, 1.0]),
+     "phantom.inclusions[0].shape",
+     "unknown inclusion shape 'rectangle'; the one shape is 'ellipse'"),
+    (set_inclusion(shape="rectangle", x=[1.0, 2.0], y=[1.0, 2.0]),
+     "phantom.inclusions[0]", "unknown keys in phantom.inclusions[0]: ['x', 'y']"),
     (set_inclusion(shape="triangle"),
      "phantom.inclusions[0].shape", "unknown inclusion shape"),
-], ids=["inclusion_radii", "mesh_lx", "dirichlet_edge", "clamp_every_row",
+], ids=["inclusion_radii", "mesh_lx", "dirichlet_edge", "left_edge", "clamp_every_row",
         "no_clamp_without_load", "edge_without_component", "load_outside_grid",
-        "load_on_prescribed_dof", "conflicting_dirichlet", "zero_response",
-        "ellipse_without_radii", "ellipse_outside", "rectangle_without_y",
-        "rectangle_outside", "unknown_shape"])
+        "load_on_prescribed_dof", "conflicting_dirichlet", "zero_response", "snr_flag_inf",
+        "ellipse_without_radii", "ellipse_outside", "rectangle", "rectangle_extents",
+        "unknown_shape"])
 def test_cross_field_rule_exits_one_naming_key(edit, named, says, tmp_path, capsys):
     # RunConfig.validate reads most rules; the loads and the Dirichlet values
-    # meet the mesh in build_bc, and the response is seen in generate_data
+    # meet the mesh in build_bc, and the response is seen in generate_data.
+    # An edit may return flags for generate: --snr is checked by the same rules
     d = small_dict()
-    edit(d)
+    flags = edit(d) or []
     path = tmp_path / "bad.yaml"
     path.write_text(yaml.safe_dump(d))
-    assert main(["generate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert main(["generate", "--config", str(path), "--out", str(tmp_path / "o")]
+                + flags) == 1
     err = capsys.readouterr().err
     assert err.startswith("elastovb: config error:") and "Traceback" not in err
     assert named in err and says in err
     assert not (tmp_path / "o" / "observations.json").exists()
 
 
-def test_rectangle_marks_the_elements_whose_centers_lie_inside(tmp_path):
-    # 4x4 unit elements, centers at 0.5, 1.5, 2.5, 3.5; x = 2.5 is a center on
-    # the rectangle's edge, which counts as inside
+def test_ellipse_marks_the_elements_whose_centers_lie_inside(tmp_path):
+    # 4x4 unit elements, centers at 0.5, 1.5, 2.5, 3.5; the centers (1.5, 1.5)
+    # and (2.5, 1.5) lie on the ellipse's boundary, which counts as inside
     d = small_dict()
-    set_inclusion(shape="rectangle", x=[1.0, 2.5], y=[0.5, 3.0])(d)
+    set_inclusion(shape="ellipse", center=[2.0, 1.5], radii=[0.5, 1.0])(d)
     d["bc"]["loads"] = [{"node": [4, 2], "fx": 0.05}]
-    path = tmp_path / "rect.yaml"
+    path = tmp_path / "ellipse.yaml"
     path.write_text(yaml.safe_dump(d))
     out = tmp_path / "o"
     assert main(["generate", "--config", str(path), "--out", str(out)]) == 0
     rows = np.loadtxt(out / "true_field.csv", delimiter=",", skiprows=1)
     inside = {(int(ix), int(iy)) for ix, iy, value in rows if value == 1.0}
-    assert inside == {(ix, iy) for ix in (1, 2) for iy in (0, 1, 2)}
+    assert inside == {(1, 1), (2, 1)}
     assert np.all(rows[:, 2][rows[:, 2] != 1.0] == 0.0)
     cfg = load_config(path)
     mesh = cfgmod.build_mesh(cfg)
@@ -567,12 +564,6 @@ def test_bad_number_exits_one_naming_it(keys, value, tmp_path, capsys):
         assert named in err
 
 
-def test_noise_snr_alone_may_be_infinite():
-    d = small_dict()
-    d["noise"]["snr"] = INF
-    assert math.isinf(config_from_dict(d).noise.snr)
-
-
 def test_unclamped_config_needs_a_nonzero_point_load():
     # a point load fixes the moduli's common factor that the prescribed
     # displacements leave free; a load with no nonzero component does not
@@ -615,6 +606,7 @@ def previous_schema(payload):
     ("observations.json", lambda obs: {**obs, "seed": "x"}),
     ("observations.json", lambda obs: {**obs, "yhat": "abc"}),
     ("observations.json", lambda obs: {**obs, "tau_true": None}),
+    ("observations.json", lambda obs: {**obs, "tau_true": math.inf}),   # exact data
     ("observations.json", lambda obs: {**obs, "yhat": [math.nan] + obs["yhat"][1:]}),
     ("observations.json", previous_schema),
     ("observations.json", DIRECTORY),
@@ -634,10 +626,11 @@ def previous_schema(payload):
     ("run_trace.json", previous_schema),
     ("is_report.json", previous_schema),
 ], ids=["obs-root-list", "obs-seed-text", "obs-yhat-text", "obs-tau_true-null",
-        "obs-yhat-nan", "obs-schema-previous", "obs-directory", "trace-root-list",
-        "trace-mu-text", "trace-a-null", "trace-mu-nan", "trace-lam-short",
-        "trace-lam-negative", "trace-clamped-missing", "trace-clamped-fraction",
-        "trace-clamped-basis-row", "trace-schema-previous", "is-schema-previous"])
+        "obs-tau_true-infinite", "obs-yhat-nan", "obs-schema-previous", "obs-directory",
+        "trace-root-list", "trace-mu-text", "trace-a-null", "trace-mu-nan",
+        "trace-lam-short", "trace-lam-negative", "trace-clamped-missing",
+        "trace-clamped-fraction", "trace-clamped-basis-row", "trace-schema-previous",
+        "is-schema-previous"])
 def test_malformed_artifact_exits_one_or_is_reported(name, corrupt, small_cfg_path,
                                                      tmp_path, capsys):
     # an artifact of another schema version is refused by its version, not
@@ -759,10 +752,9 @@ def test_observation_file_integer_exits_one_naming_it(key, value, small_cfg_path
 
 
 def test_validate_refuses_observations_of_another_model(tmp_path, capsys):
-    # left/right Dirichlet edges in place of bottom/top observe as many dofs
-    # (198) on the square example1 mesh, but other ones: validate must refuse
-    # the observations exactly as invert does, not weigh them against the
-    # other model (it exited 0 with an ESS of 0.54)
+    # a bottom edge that prescribes ux alone observes its uy as well: validate
+    # must refuse the observations exactly as invert does, not weigh them
+    # against the other model
     d = example1_dict()
     d["validation"]["samples"] = 20
     d["output"]["directory"] = str(tmp_path / "out")
@@ -770,8 +762,7 @@ def test_validate_refuses_observations_of_another_model(tmp_path, capsys):
     path.write_text(yaml.safe_dump(d))
     assert main(["generate", "--config", str(path)]) == 0
     assert main(["invert", "--config", str(path)]) == 0
-    for cond, edge in zip(d["bc"]["dirichlet"], ("left", "right")):
-        cond["edge"] = edge
+    d["bc"]["dirichlet"][0] = {"edge": "bottom", "ux": 0.0}
     other = tmp_path / "other.yaml"
     other.write_text(yaml.safe_dump(d))
     capsys.readouterr()
@@ -857,7 +848,7 @@ def test_singular_phantom_exits_two(tmp_path):
     # pinning only horizontal motion leaves a rigid vertical translation;
     # loading that direction makes the solve singular: numerical failure, exit 2
     d = small_dict()
-    d["bc"]["dirichlet"] = [{"edge": "left", "ux": 0.0}]
+    d["bc"]["dirichlet"] = [{"edge": "bottom", "ux": 0.0}]
     d["bc"]["loads"] = [{"node": [4, 4], "fy": -0.01}]
     cfg = config_from_dict(d)
     path = tmp_path / "sing.yaml"
@@ -888,14 +879,18 @@ def test_validate_numerical_failure_exits_two(small_cfg_path, tmp_path, monkeypa
 
 
 def test_exact_fit_exits_two(tmp_path, capsys):
-    # a flat phantom at mu0 with exact data fits at the first call, so q(tau)
-    # has no rate under the improper noise prior: a named numerical failure
+    # a flat phantom at mu0 with its noise-free response as the data fits at
+    # the first call, so q(tau) has no rate under the improper noise prior: a
+    # named numerical failure
     d = small_dict()
     d["phantom"]["inclusions"] = []
     path = tmp_path / "flat.yaml"
     path.write_text(yaml.safe_dump(d))
     args = ["--config", str(path), "--out", str(tmp_path / "o")]
-    assert main(["generate"] + args + ["--snr", "inf"]) == 0
+    assert main(["generate"] + args) == 0
+    obs_path = tmp_path / "o" / "observations.json"
+    obs = json.loads(obs_path.read_text())
+    obs_path.write_text(json.dumps({**obs, "yhat": obs["y_clean"]}))
     capsys.readouterr()
     assert main(["invert"] + args) == 2
     assert "set b0 > 0 (config key solver.b0)" in capsys.readouterr().err

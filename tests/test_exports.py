@@ -1,12 +1,15 @@
 """The package exports only what the library uses, catches only named errors, and
-leaves artifact formats to the CLI."""
+leaves artifact formats to the CLI; the README's library example runs as written."""
 
 import ast
 from pathlib import Path
 
+import pytest
+
 import elastovb
 
 PACKAGE = Path(elastovb.__file__).resolve().parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def references(tree: ast.Module, skip: ast.AST | None) -> set[str]:
@@ -82,3 +85,15 @@ def test_only_the_cli_reads_or_writes_artifact_formats():
             if {m.split(".")[0] for m in modules} & {"json", "csv"}:
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"artifact formats outside cli.py: {found}"
+
+
+def test_readme_library_use_block_runs(monkeypatch, capsys):
+    # the documented API cannot drift from the package: the block runs as
+    # written, from the repository root, on the shipped configuration
+    section = README.read_text().split("\n## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(README.parent)
+    exec(compile(code, str(README), "exec"), {})
+    d_theta, calls, ess = capsys.readouterr().out.split()
+    assert (int(d_theta), int(calls)) == (6, 11)
+    assert float(ess) == pytest.approx(0.141, abs=5e-4)
