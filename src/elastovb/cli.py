@@ -29,7 +29,7 @@ import numpy as np
 from . import config as cfgmod
 from .config import ConfigError, ObservationFile, RunConfig
 from .driver import run as driver_run, state_from_dict
-from .forward import FemForwardModel, ForwardSolveError
+from .forward import ForwardSolveError
 from .importance import compare_vb_is, run_is
 from .mean_update import SmoothPrior
 from .mesh_fem import Mesh2D
@@ -102,18 +102,8 @@ def _build_parser() -> _Parser:
 
     g = add("generate", "synthesize noisy observations from the phantom")
     g.add_argument("--seed", type=int, default=None, help="override noise seed")
-    g.add_argument("--snr", type=float, default=None,
-                   help="override target SNR (finite and positive)")
-
-    i = add("invert", "run the adaptive subspace inversion")
-    i.add_argument("--max-bases", type=int, default=None,
-                   help="override the basis-count cap")
-
-    v = add("validate", "importance-sample the converged posterior")
-    v.add_argument("--seed", type=int, default=None, help="override sampling seed")
-    v.add_argument("--samples", type=int, default=None,
-                   help="number of importance samples")
-
+    add("invert", "run the adaptive subspace inversion")
+    add("validate", "importance-sample the converged posterior")
     add("report", "summarize artifacts in the output directory", needs_config=False)
     return parser
 
@@ -197,9 +187,7 @@ def cmd_generate(args) -> int:
     cfg = cfgmod.load_config(args.config)
     if args.seed is not None:
         cfg.noise.seed = args.seed
-    if args.snr is not None:
-        cfg.noise.snr = args.snr
-    cfg.validate()
+        cfg.validate()
     out = _out_dir(args, cfg)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -223,25 +211,27 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _check_observed_dofs(obs: ObservationFile, model: FemForwardModel) -> None:
-    """Observations are usable only at the dofs the configured model observes."""
+def _stage_inputs(args, inputs: tuple[str, ...]):
+    """The config, output directory, observations, configured model and mesh
+    of a stage that needs the files `inputs` in the output directory.
+
+    A missing input, or observations at other dofs than the model observes,
+    raises UsageError.
+    """
+    cfg = cfgmod.load_config(args.config)
+    out = _out_dir(args, cfg)
+    for name in inputs:
+        if not (out / name).exists():
+            raise UsageError(f"missing {out / name}; run the earlier stages first")
+    obs = _read_json(out / OBS_FILE, "observations", ObservationFile.from_dict)
+    model, mesh, _, _, _ = cfgmod.build_model(cfg)
     if not np.array_equal(obs.obs_dofs, model.obs_dofs):
         raise UsageError("observation file does not match the configured mesh/bc")
+    return cfg, out, obs, model, mesh
 
 
 def cmd_invert(args) -> int:
-    cfg = cfgmod.load_config(args.config)
-    if args.max_bases is not None:
-        cfg.solver.max_bases = args.max_bases
-    cfg.validate()
-    out = _out_dir(args, cfg)
-    obs_path = out / OBS_FILE
-    if not obs_path.exists():
-        raise UsageError(f"missing {obs_path}; run generate first")
-    obs = _read_json(obs_path, "observations", ObservationFile.from_dict)
-
-    model, mesh, _, _, _ = cfgmod.build_model(cfg)
-    _check_observed_dofs(obs, model)
+    cfg, out, obs, model, mesh = _stage_inputs(args, (OBS_FILE,))
     prior = SmoothPrior.for_grid(mesh.nx, mesh.ny, cfg.prior.a_phi, cfg.prior.b_phi)
     mu0 = cfgmod.initial_mu(cfg, mesh)
     _remove_stale(out, INVERT_FILES + VALIDATE_FILES)
@@ -277,22 +267,8 @@ def cmd_invert(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg = cfgmod.load_config(args.config)
-    if args.seed is not None:
-        cfg.validation.seed = args.seed
-    if args.samples is not None:
-        cfg.validation.samples = args.samples
-    cfg.validate()
-    out = _out_dir(args, cfg)
-    obs_path, trace_path = out / OBS_FILE, out / TRACE_FILE
-    for p in (obs_path, trace_path):
-        if not p.exists():
-            raise UsageError(f"missing {p}; run the earlier stages first")
-    obs = _read_json(obs_path, "observations", ObservationFile.from_dict)
-    state, clamped = _read_json(trace_path, "run trace", state_from_dict)
-
-    model, mesh, _, _, _ = cfgmod.build_model(cfg)
-    _check_observed_dofs(obs, model)
+    cfg, out, obs, model, mesh = _stage_inputs(args, (OBS_FILE, TRACE_FILE))
+    state, clamped = _read_json(out / TRACE_FILE, "run trace", state_from_dict)
     if state.d_psi != model.d_psi:
         raise UsageError("run trace does not match the configured mesh/bc")
     if not np.array_equal(clamped, model.fixed_mask):

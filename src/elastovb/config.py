@@ -190,7 +190,8 @@ class RunConfig:
                 raise ConfigError(f"mesh.{key} must be positive, got {getattr(m, key)!r}")
         if not 0.0 <= m.poisson < 0.5:
             raise ConfigError(f"mesh.poisson {m.poisson} outside [0, 0.5)")
-        if not 0 < self.noise.snr < math.inf:     # --snr skips the reader
+        # the reader refuses inf, but a RunConfig edited in code may hold it
+        if not 0 < self.noise.snr < math.inf:
             raise ConfigError(f"noise.snr must be finite and positive, "
                               f"got {self.noise.snr!r}")
         for key in ("noise", "validation"):

@@ -37,6 +37,15 @@ def small_dict(nx=4, ny=4, snr=1e4, seed=3):
     return d
 
 
+def write_small_config(path, **blocks):
+    """small_dict() with each block's keys updated, written to `path`."""
+    d = small_dict()
+    for block, values in blocks.items():
+        d[block].update(values)
+    path.write_text(yaml.safe_dump(d))
+    return path
+
+
 @pytest.fixture
 def small_cfg_path(tmp_path):
     cfg = config_from_dict(small_dict())
@@ -121,6 +130,15 @@ def test_invalid_values_rejected():
         config_from_dict(bad).validate()
 
 
+def test_infinite_snr_set_in_code_is_refused():
+    # the reader refuses .inf; validate keeps a config edited in code from
+    # reaching generate_data, which reports a zero noise level as a zero response
+    cfg = example1_config()
+    cfg.noise.snr = math.inf
+    with pytest.raises(ConfigError, match="noise.snr must be finite and positive, got inf"):
+        cfg.validate()
+
+
 # ---------------------------------------------------------------------------
 # Data generation
 
@@ -172,12 +190,14 @@ def test_csv_schemas(small_cfg_path, tmp_path):
 # Full pipeline (small mesh, in-process)
 
 
-def test_pipeline_smoke(small_cfg_path, tmp_path, capsys):
+def test_pipeline_smoke(tmp_path, capsys):
     out = tmp_path / "pipe"
-    args = ["--config", str(small_cfg_path), "--out", str(out)]
+    path = write_small_config(tmp_path / "run.yaml", validation={"samples": 40})
+    args = ["--config", str(path), "--out", str(out)]
     assert main(["generate"] + args) == 0
     assert main(["invert"] + args) == 0
-    assert main(["validate"] + args + ["--samples", "40"]) == 0
+    assert main(["validate"] + args) == 0
+    assert json.loads((out / "is_report.json").read_text())["M"] == 40
     capsys.readouterr()
     assert main(["report", "--out", str(out)]) == 0
     text = capsys.readouterr().out
@@ -281,22 +301,24 @@ def test_report_says_how_the_mean_phase_ended(seed, stop, calls, note, tmp_path,
     assert len(lines) == 1 and lines[0].endswith(" corrector steps" + note)
 
 
-def test_invert_max_bases_override(small_cfg_path, tmp_path):
+def test_invert_max_bases_override(tmp_path):
     out = tmp_path / "cap"
-    args = ["--config", str(small_cfg_path), "--out", str(out)]
+    path = write_small_config(tmp_path / "run.yaml", solver={"max_bases": 1})
+    args = ["--config", str(path), "--out", str(out)]
     main(["generate"] + args)
-    assert main(["invert"] + args + ["--max-bases", "1"]) == 0
+    assert main(["invert"] + args) == 0
     trace = json.loads((out / "run_trace.json").read_text())
     assert len(trace["state"]["lambda0"]) == 1
     assert trace["stop_reason"] == "max_bases"
 
 
-def test_empty_basis_run_validates(small_cfg_path, tmp_path):
+def test_empty_basis_run_validates(tmp_path):
     # at d_theta = 0 every sample is the mean: equal weights and no spread
     out = tmp_path / "d0"
-    args = ["--config", str(small_cfg_path), "--out", str(out)]
+    path = write_small_config(tmp_path / "run.yaml", solver={"max_bases": 0})
+    args = ["--config", str(path), "--out", str(out)]
     assert main(["generate"] + args) == 0
-    assert main(["invert"] + args + ["--max-bases", "0"]) == 0
+    assert main(["invert"] + args) == 0
     assert main(["validate"] + args) == 0
     trace = json.loads((out / "run_trace.json").read_text())
     assert trace["state"]["lam"] == [] and trace["stop_reason"] == "max_bases"
@@ -312,8 +334,9 @@ def test_rerun_removes_the_artifacts_of_later_stages(small_cfg_path, tmp_path, c
     # printed the new d_theta next to the old ESS
     out = tmp_path / "rerun"
     args = ["--config", str(small_cfg_path), "--out", str(out)]
+    capped = write_small_config(tmp_path / "capped.yaml", solver={"max_bases": 0})
     assert main(["generate"] + args) == 0
-    assert main(["invert"] + args + ["--max-bases", "0"]) == 0
+    assert main(["invert", "--config", str(capped), "--out", str(out)]) == 0
     assert main(["validate"] + args) == 0
     (out / "error.json").write_text("{}")
     assert main(["invert"] + args) == 0
@@ -335,24 +358,36 @@ def test_rerun_removes_the_artifacts_of_later_stages(small_cfg_path, tmp_path, c
 # Exit codes
 
 
-def test_usage_errors_exit_one(small_cfg_path, tmp_path):
+def test_usage_errors_exit_one(small_cfg_path, tmp_path, capsys):
     assert main([]) == 1
-    assert main(["invert", "--config", str(small_cfg_path),
-                 "--out", str(tmp_path / "none")]) == 1      # no observations yet
-    assert main(["validate", "--config", str(small_cfg_path),
-                 "--out", str(tmp_path / "none")]) == 1
+    none = tmp_path / "none"
+    for verb in ("invert", "validate"):             # no observations yet
+        assert main([verb, "--config", str(small_cfg_path), "--out", str(none)]) == 1
+        assert f"missing {none / 'observations.json'};" in capsys.readouterr().err
     assert main(["generate", "--config", str(tmp_path / "absent.yaml"),
                  "--out", str(tmp_path)]) == 1               # missing config file
     assert main(["report", "--out", str(tmp_path / "nodir")]) == 1
     out = tmp_path / "neg"
     args = ["--config", str(small_cfg_path), "--out", str(out)]
-    main(["generate"] + args)
-    assert main(["invert"] + args + ["--max-bases", "-2"]) == 1
     assert main(["generate"] + args + ["--seed", "-1"]) == 1
-    assert main(["invert"] + args) == 0
-    assert main(["validate"] + args + ["--seed", "-1"]) == 1
-    assert main(["validate"] + args + ["--samples", "1"]) == 1
-    assert main(["generate"] + args + ["--snr", "x"]) == 1
+    assert not out.exists()
+    assert main(["generate"] + args) == 0
+    capsys.readouterr()
+    assert main(["validate"] + args) == 1           # no run trace yet
+    assert f"missing {out / 'run_trace.json'};" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb,flag", [
+    ("generate", "--snr"), ("invert", "--max-bases"),
+    ("validate", "--seed"), ("validate", "--samples")])
+def test_retired_override_flag_exits_one(verb, flag, small_cfg_path, tmp_path, capsys):
+    # noise.snr, solver.max_bases, validation.seed and validation.samples are
+    # set in the config file; generate --seed is the one override
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main([verb, "--config", str(small_cfg_path), "--out", str(out), flag, "3"]) == 1
+    assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_yaml_exits_one(tmp_path):
@@ -464,7 +499,6 @@ def set_inclusion(**fields):
      "bc.dirichlet[2].ux", "conflicts with 0.0 from an earlier edge"),
     (lambda d: d["bc"]["dirichlet"][1].update(uy=0.0),
      "noise.snr", "observed response is identically zero"),
-    (lambda d: ["--snr", "inf"], "noise.snr", "must be finite and positive, got inf"),
     (set_inclusion(shape="ellipse", center=[2.0, 2.0]),
      "phantom.inclusions[0]", "ellipse needs center"),
     (set_inclusion(shape="ellipse", center=[0.5, 2.0], radii=[1.0, 1.0]),
@@ -478,19 +512,17 @@ def set_inclusion(**fields):
      "phantom.inclusions[0].shape", "unknown inclusion shape"),
 ], ids=["inclusion_radii", "mesh_lx", "dirichlet_edge", "left_edge", "clamp_every_row",
         "no_clamp_without_load", "edge_without_component", "load_outside_grid",
-        "load_on_prescribed_dof", "conflicting_dirichlet", "zero_response", "snr_flag_inf",
+        "load_on_prescribed_dof", "conflicting_dirichlet", "zero_response",
         "ellipse_without_radii", "ellipse_outside", "rectangle", "rectangle_extents",
         "unknown_shape"])
 def test_cross_field_rule_exits_one_naming_key(edit, named, says, tmp_path, capsys):
     # RunConfig.validate reads most rules; the loads and the Dirichlet values
-    # meet the mesh in build_bc, and the response is seen in generate_data.
-    # An edit may return flags for generate: --snr is checked by the same rules
+    # meet the mesh in build_bc, and the response is seen in generate_data
     d = small_dict()
-    flags = edit(d) or []
+    edit(d)
     path = tmp_path / "bad.yaml"
     path.write_text(yaml.safe_dump(d))
-    assert main(["generate", "--config", str(path), "--out", str(tmp_path / "o")]
-                + flags) == 1
+    assert main(["generate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("elastovb: config error:") and "Traceback" not in err
     assert named in err and says in err
@@ -531,8 +563,11 @@ NAN, INF = float("nan"), float("inf")
     (("solver", "a0"), -1.0),
     (("solver", "lambda0_1"), INF),
     (("noise", "snr"), -INF),
+    (("noise", "snr"), "x"),
     (("noise", "seed"), -1),
     (("validation", "seed"), -2),
+    (("validation", "samples"), 1),
+    (("solver", "max_bases"), -2),
     (("solver", "mu_max_outer"), -1),       # a removed key: named as removed
     (("solver", "mu_reg_delay"), -1),
     (("solver", "mu_max_halvings"), -1),    # a removed key: named as removed
@@ -772,6 +807,22 @@ def test_validate_refuses_observations_of_another_model(tmp_path, capsys):
     assert not (tmp_path / "out" / "is_report.json").exists()
 
 
+def test_stages_refuse_observations_of_another_mesh(small_cfg_path, tmp_path, capsys):
+    # 4x4 observations under a 5x5 config: both readers refuse them before
+    # any stale artifact is removed
+    out = tmp_path / "mesh"
+    args = ["--out", str(out)]
+    for verb in ("generate", "invert"):
+        assert main([verb, "--config", str(small_cfg_path)] + args) == 0
+    other = tmp_path / "five.yaml"
+    other.write_text(yaml.safe_dump(small_dict(nx=5, ny=5)))
+    capsys.readouterr()
+    for verb in ("invert", "validate"):
+        assert main([verb, "--config", str(other)] + args) == 1
+        assert "observation file does not match" in capsys.readouterr().err
+    assert (out / "run_trace.json").exists() and not (out / "is_report.json").exists()
+
+
 def test_validate_refuses_a_trace_inverted_under_another_clamp_set(small_cfg_path, tmp_path,
                                                                    capsys):
     # a posterior inverted with one clamped row, weighed under a config that
@@ -790,7 +841,8 @@ def test_validate_refuses_a_trace_inverted_under_another_clamp_set(small_cfg_pat
     assert ("run trace was inverted with elements [12, 13, 14, 15] clamped; the config "
             "clamps [8, 9, 10, 11, 12, 13, 14, 15]") in capsys.readouterr().err
     assert not (out / "is_report.json").exists()
-    assert main(["validate", "--config", str(small_cfg_path), "--samples", "20"] + args) == 0
+    fewer = write_small_config(tmp_path / "fewer.yaml", validation={"samples": 20})
+    assert main(["validate", "--config", str(fewer)] + args) == 0
 
 
 def run_child(*args):
