@@ -43,7 +43,7 @@ EXIT_NUMERICAL = 2
 # exception is a bug and propagates with its traceback
 NUMERICAL_FAILURES = (ForwardSolveError, NoisePrecisionError, np.linalg.LinAlgError)
 
-SCHEMA_VERSION = 3        # of every JSON artifact
+SCHEMA_VERSION = 4        # of every JSON artifact
 FLOAT_FMT = "%.17g"       # every float in a CSV: 17 digits round-trip losslessly
 
 OBS_FILE = "observations.json"
@@ -193,13 +193,13 @@ def cmd_generate(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:    # a file in its place, say
         raise UsageError(f"cannot create output directory {out}: {exc}") from exc
+    _remove_stale(out, GENERATE_FILES + INVERT_FILES + VALIDATE_FILES)
     try:
         obs, psi_true, U = cfgmod.generate_data(cfg)
     except ForwardSolveError as exc:
         print(f"forward solve failed on the phantom: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     mesh = cfgmod.build_mesh(cfg)
-    _remove_stale(out, GENERATE_FILES + INVERT_FILES + VALIDATE_FILES)
     _write_json(out / OBS_FILE, obs.to_dict())
     _write_field(out / TRUE_FIELD_FILE, mesh, psi_true)
     _write_csv(out / DISPLACEMENT_FILE, ["node_ix", "node_iy", "ux", "uy"],
@@ -290,8 +290,7 @@ def cmd_validate(args) -> int:
         "log_evidence": report.log_evidence,
         "evidence_constant_included": report.evidence_constant_included,
         "discarded": report.discarded,
-        "degenerate": report.degenerate,
-        "forward_calls": report.forward_calls,
+        "forward_calls": report.M,
         "mean_rel_max": comparison["mean_rel_max"],
         "mean_rel_median": comparison["mean_rel_median"],
         "std_rel_max": comparison["std_rel_max"],
@@ -305,7 +304,7 @@ def cmd_validate(args) -> int:
     print(f"ess: {_fmt(report.ess)}")
     print(f"discarded: {report.discarded}")
     print(f"mean_rel_median: {_fmt(comparison['mean_rel_median'])}")
-    if report.degenerate:
+    if report.ess == 0.0:
         print("all importance weights degenerate", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

@@ -395,47 +395,37 @@ def initial_mu(cfg: RunConfig, mesh: Mesh2D) -> np.ndarray:
 
 @dataclass
 class ObservationFile:
-    """Synthetic observations plus the bookkeeping needed to validate a run.
+    """Synthetic observations and the noise precision that generated them.
 
-    tau_true is the generating noise precision, finite and positive, and is
-    never consumed by the inversion itself.
+    tau_true is finite and positive, and is never consumed by the inversion
+    itself.  The noise-free response is `displacement.csv` at `obs_dofs`,
+    and the seed and SNR are the noise block of the run's `config.yaml`.
     """
     obs_dofs: np.ndarray
     yhat: np.ndarray
-    y_clean: np.ndarray
-    seed: int
     tau_true: float
-    snr_target: float
 
     def __post_init__(self) -> None:
         self.obs_dofs = np.asarray(self.obs_dofs, dtype=int)
         self.yhat = np.asarray(self.yhat, dtype=float)
-        self.y_clean = np.asarray(self.y_clean, dtype=float)
-        if not (self.obs_dofs.size == self.yhat.size == self.y_clean.size):
+        if self.obs_dofs.size != self.yhat.size:
             raise ConfigError("observation file length mismatch")
-        if not (np.all(np.isfinite(self.yhat)) and np.all(np.isfinite(self.y_clean))):
+        if not np.all(np.isfinite(self.yhat)):
             raise ConfigError("observations must be finite")
         if not 0 < self.tau_true < math.inf:
             raise ConfigError(f"tau_true must be finite and positive, "
                               f"got {self.tau_true!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "obs_dofs": self.obs_dofs.tolist(),
-            "yhat": self.yhat.tolist(),
-            "y_clean": self.y_clean.tolist(),
-            "seed": self.seed,
-            "tau_true": self.tau_true,
-            "snr_target": self.snr_target,
-        }
+        return {"obs_dofs": self.obs_dofs.tolist(), "yhat": self.yhat.tolist(),
+                "tau_true": self.tau_true}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ObservationFile":
-        """Integers follow the config reader's rule; a missing key raises KeyError."""
+        """Numbers follow the config reader's rules; a missing key raises KeyError."""
         return cls(obs_dofs=[_as_int(dof, f"obs_dofs[{i}]")
                              for i, dof in enumerate(d["obs_dofs"])],
-                   yhat=d["yhat"], y_clean=d["y_clean"], seed=_as_int(d["seed"], "seed"),
-                   tau_true=float(d["tau_true"]), snr_target=float(d["snr_target"]))
+                   yhat=d["yhat"], tau_true=_as_float(d["tau_true"], "tau_true"))
 
 
 def generate_data(cfg: RunConfig) -> tuple[ObservationFile, np.ndarray, np.ndarray]:
@@ -456,7 +446,4 @@ def generate_data(cfg: RunConfig) -> tuple[ObservationFile, np.ndarray, np.ndarr
                           "so no noise level has this SNR")
     rng = np.random.default_rng(cfg.noise.seed)
     yhat = y + rng.normal(0.0, math.sqrt(sigma2), size=y.shape)
-    out = ObservationFile(obs_dofs=obs, yhat=yhat, y_clean=y,
-                          seed=cfg.noise.seed, tau_true=1.0 / sigma2,
-                          snr_target=cfg.noise.snr)
-    return out, psi_true, U
+    return ObservationFile(obs_dofs=obs, yhat=yhat, tau_true=1.0 / sigma2), psi_true, U

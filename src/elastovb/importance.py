@@ -27,14 +27,12 @@ RESIDUAL_FLOOR = 1e-300
 class ISReport:
     M: int
     weights: np.ndarray                  # unnormalized (common scale factored out)
-    ess: float                           # (sum w)^2 / (M sum w^2), in (0, 1]
+    ess: float                           # (sum w)^2 / (M sum w^2); 0 iff no log-weight is finite
     log_evidence: float
     evidence_constant_included: bool     # False under the improper default tau prior
     psi_mean: np.ndarray
     psi_std: np.ndarray
-    forward_calls: int
     discarded: int = 0
-    degenerate: bool = False
 
 
 def ess(weights: np.ndarray) -> float:
@@ -147,8 +145,7 @@ def run_is(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
                 constant_included = True
     return ISReport(M=M, weights=weights, ess=ess_val, log_evidence=log_evidence,
                     evidence_constant_included=constant_included,
-                    psi_mean=psi_mean, psi_std=psi_std, forward_calls=M,
-                    discarded=discarded, degenerate=degenerate)
+                    psi_mean=psi_mean, psi_std=psi_std, discarded=discarded)
 
 
 def _median(x: np.ndarray) -> float:

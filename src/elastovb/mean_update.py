@@ -110,7 +110,7 @@ class SmoothPrior:
 @dataclass
 class MuUpdateReport:
     accepted: bool
-    delta_norm: float
+    delta_norm: float                      # of the step mu took: 0.0 if not accepted
     f_before: float
     f_after: float
     forward_calls: int
@@ -451,7 +451,8 @@ def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
         if not budget_exhausted:           # a step the budget cut short is not reported
             accepted = taken is not None
             reports.append(MuUpdateReport(
-                accepted=accepted, delta_norm=float(np.linalg.norm(delta)) * 0.5 ** k,
+                accepted=accepted,
+                delta_norm=float(np.linalg.norm(delta)) * 0.5 ** k if accepted else 0.0,
                 f_before=f_curr, f_after=taken.f if accepted else f_curr,
                 forward_calls=len(ledger),
                 failed=sum(t.outcome == FAILED for t in ledger),

@@ -189,7 +189,7 @@ def test_criterion_4_importance_sampling(golden, capsys):
              f"(need <=5%), discarded={report.discarded}")
     assert report.ess >= 0.1
     assert cmp["mean_rel_median"] <= 0.05
-    assert report.forward_calls == 1000
+    assert model.calls == 1000
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,12 @@ def load_observations(path):
     return cli._read_json(path, "observations", ObservationFile.from_dict)
 
 
+def clean_response(out, obs_dofs):
+    """The noise-free response at `obs_dofs`: displacement.csv's ux/uy there."""
+    rows = np.loadtxt(out / "displacement.csv", delimiter=",", skiprows=1)
+    return rows[:, 2:].ravel()[obs_dofs]
+
+
 def small_dict(nx=4, ny=4, snr=1e4, seed=3):
     d = example1_dict()
     d["mesh"].update({"nx": nx, "ny": ny, "lx": float(nx), "ly": float(ny)})
@@ -151,14 +157,48 @@ def test_generation_is_byte_identical(small_cfg_path, tmp_path):
 
 
 def test_empirical_snr_near_target(small_cfg_path, tmp_path):
+    # the clean response is displacement.csv at the observed dofs, and the
+    # target SNR is the noise block of the config that generate wrote
     out = tmp_path / "snr"
     assert main(["generate", "--config", str(small_cfg_path), "--out", str(out)]) == 0
     obs = load_observations(out / "observations.json")
-    noise = obs.yhat - obs.y_clean
-    snr = float(np.mean(obs.y_clean ** 2) / np.mean(noise ** 2))
-    assert snr == pytest.approx(obs.snr_target, rel=0.35)
-    assert obs.tau_true == pytest.approx(
-        obs.snr_target / float(np.mean(obs.y_clean ** 2)), rel=1e-12)
+    y = clean_response(out, obs.obs_dofs)
+    snr_target = load_config(out / "config.yaml").noise.snr
+    noise = obs.yhat - y
+    snr = float(np.mean(y ** 2) / np.mean(noise ** 2))
+    assert snr == pytest.approx(snr_target, rel=0.35)
+    assert obs.tau_true == pytest.approx(snr_target / float(np.mean(y ** 2)), rel=1e-12)
+
+
+def test_generated_config_is_the_config_the_run_used(small_cfg_path, tmp_path):
+    # config.yaml holds the noise seed and SNR behind the observations, so
+    # observations.json states neither; no later stage rewrites the file
+    out = tmp_path / "cfg"
+    args = ["--config", str(small_cfg_path), "--out", str(out)]
+    assert main(["generate"] + args + ["--seed", "15"]) == 0
+    ran = load_config(small_cfg_path)
+    assert ran.noise.seed != 15
+    ran.noise.seed = 15
+    assert load_config(out / "config.yaml").to_dict() == ran.to_dict()    # snr included
+    before = (out / "config.yaml").read_bytes()
+    assert main(["invert"] + args) == 0
+    assert main(["validate"] + args) == 0
+    assert (out / "config.yaml").read_bytes() == before
+
+
+def test_each_fact_is_written_once(small_cfg_path, tmp_path):
+    # the clean response, the noise seed and SNR, and the IS report's
+    # all-weights-degenerate flag (= ess == 0) are stated elsewhere
+    out = tmp_path / "once"
+    args = ["--config", str(small_cfg_path), "--out", str(out)]
+    for verb in ("generate", "invert", "validate"):
+        assert main([verb] + args) == 0
+    obs = json.loads((out / "observations.json").read_text())
+    assert set(obs) == {"schema_version", "obs_dofs", "yhat", "tau_true"}
+    report = json.loads((out / "is_report.json").read_text())
+    assert "degenerate" not in report
+    assert report["forward_calls"] == report["M"]
+    assert obs["schema_version"] == report["schema_version"] == cli.SCHEMA_VERSION == 4
 
 
 def test_observation_file_round_trip(small_cfg_path, tmp_path):
@@ -638,9 +678,9 @@ def previous_schema(payload):
 
 @pytest.mark.parametrize("name,corrupt", [
     ("observations.json", lambda obs: [obs]),
-    ("observations.json", lambda obs: {**obs, "seed": "x"}),
     ("observations.json", lambda obs: {**obs, "yhat": "abc"}),
     ("observations.json", lambda obs: {**obs, "tau_true": None}),
+    ("observations.json", lambda obs: {**obs, "tau_true": True}),      # not tau = 1
     ("observations.json", lambda obs: {**obs, "tau_true": math.inf}),   # exact data
     ("observations.json", lambda obs: {**obs, "yhat": [math.nan] + obs["yhat"][1:]}),
     ("observations.json", previous_schema),
@@ -660,7 +700,7 @@ def previous_schema(payload):
     ("run_trace.json", lambda trace: {**trace, "state": {**trace["state"], "clamped": [0]}}),
     ("run_trace.json", previous_schema),
     ("is_report.json", previous_schema),
-], ids=["obs-root-list", "obs-seed-text", "obs-yhat-text", "obs-tau_true-null",
+], ids=["obs-root-list", "obs-yhat-text", "obs-tau_true-null", "obs-tau_true-bool",
         "obs-tau_true-infinite", "obs-yhat-nan", "obs-schema-previous", "obs-directory",
         "trace-root-list", "trace-mu-text", "trace-a-null", "trace-mu-nan",
         "trace-lam-short", "trace-lam-negative", "trace-clamped-missing",
@@ -760,12 +800,8 @@ def test_directory_in_an_artifacts_place_exits_one(verb, name, small_cfg_path, t
     assert path.is_dir()
 
 
-@pytest.mark.parametrize("key,value", [
-    ("seed", lambda obs: 1.5),
-    ("seed", lambda obs: True),
-    ("obs_dofs[2]", lambda obs: obs["obs_dofs"][2] + 0.5),
-], ids=["seed-fraction", "seed-bool", "obs_dofs-fraction"])
-def test_observation_file_integer_exits_one_naming_it(key, value, small_cfg_path,
+@pytest.mark.parametrize("value", [2.5, True], ids=["obs_dofs-fraction", "obs_dofs-bool"])
+def test_observation_file_integer_exits_one_naming_it(value, small_cfg_path,
                                                        tmp_path, capsys):
     # integers in the observation file follow the config reader's rule: a
     # fraction or a boolean is refused, where int() used to truncate it
@@ -775,15 +811,12 @@ def test_observation_file_integer_exits_one_naming_it(key, value, small_cfg_path
     assert main(["invert"] + args) == 0
     path = out / "observations.json"
     obs = json.loads(path.read_text())
-    if key.startswith("obs_dofs"):
-        obs["obs_dofs"][2] = value(obs)
-    else:
-        obs[key] = value(obs)
+    obs["obs_dofs"][2] = value
     path.write_text(json.dumps(obs))
     capsys.readouterr()
     for verb in ("invert", "validate"):
         assert main([verb] + args) == 1
-        assert f"{key} must be an integer" in capsys.readouterr().err
+        assert "obs_dofs[2] must be an integer" in capsys.readouterr().err
 
 
 def test_validate_refuses_observations_of_another_model(tmp_path, capsys):
@@ -908,6 +941,24 @@ def test_singular_phantom_exits_two(tmp_path):
     assert main(["generate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_failed_generate_leaves_no_earlier_artifacts(small_cfg_path, tmp_path, capsys):
+    # a phantom whose modulus overflows fails its solve; the earlier run's
+    # observations used to stay, and invert under the new config exited 0 on them
+    out = tmp_path / "o"
+    args = ["--out", str(out)]
+    for verb in ("generate", "invert", "validate"):
+        assert main([verb, "--config", str(small_cfg_path)] + args) == 0
+    d = small_dict()
+    d["phantom"]["inclusions"][0]["value"] = 800.0      # above mesh_fem.PSI_MAX
+    bad = tmp_path / "overflow.yaml"
+    bad.write_text(yaml.safe_dump(d))
+    assert main(["generate", "--config", str(bad)] + args) == 2
+    assert list(out.iterdir()) == []
+    capsys.readouterr()
+    assert main(["invert", "--config", str(bad)] + args) == 1
+    assert f"missing {out / 'observations.json'};" in capsys.readouterr().err
+
+
 def test_validate_numerical_failure_exits_two(small_cfg_path, tmp_path, monkeypatch, capsys):
     out = tmp_path / "val"
     args = ["--config", str(small_cfg_path), "--out", str(out)]
@@ -942,7 +993,8 @@ def test_exact_fit_exits_two(tmp_path, capsys):
     assert main(["generate"] + args) == 0
     obs_path = tmp_path / "o" / "observations.json"
     obs = json.loads(obs_path.read_text())
-    obs_path.write_text(json.dumps({**obs, "yhat": obs["y_clean"]}))
+    yhat = clean_response(tmp_path / "o", obs["obs_dofs"]).tolist()
+    obs_path.write_text(json.dumps({**obs, "yhat": yhat}))
     capsys.readouterr()
     assert main(["invert"] + args) == 2
     assert "set b0 > 0 (config key solver.b0)" in capsys.readouterr().err

@@ -250,11 +250,12 @@ def test_discarded_samples_are_counted_and_zero_weighted(rng):
     A = rng.normal(size=(4, 2))
     state = ReducedPosterior(mu=np.zeros(2), W=np.eye(2),
                              lambda0=np.ones(2), lam=np.ones(2))
-    rep = run_is(state, RefusingModel(A), rng.normal(size=4), 100, seed=3)
+    model = RefusingModel(A)
+    rep = run_is(state, model, rng.normal(size=4), 100, seed=3)
     assert 0 < rep.discarded < 100          # about half the draws refused
     assert int(np.sum(rep.weights == 0.0)) >= rep.discarded
-    assert rep.forward_calls == 100
-    assert not rep.degenerate
+    assert model.calls == 100               # a refused draw costs its call too
+    assert rep.ess > 0.0
     assert np.isfinite(rep.log_evidence)
 
 
@@ -318,9 +319,10 @@ def test_all_discarded_flags_degenerate():
 
     state = ReducedPosterior(mu=np.zeros(1), W=np.eye(1),
                              lambda0=np.ones(1), lam=np.ones(1))
-    rep = run_is(state, AlwaysFails(A), np.zeros(3), 8, seed=0)
-    assert rep.degenerate
-    assert rep.ess == 0.0
+    model = AlwaysFails(A)
+    rep = run_is(state, model, np.zeros(3), 8, seed=0)
+    assert model.calls == rep.discarded == 8
+    assert rep.ess == 0.0 and not np.any(rep.weights)
     assert rep.log_evidence == -math.inf
 
 

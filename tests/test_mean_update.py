@@ -698,6 +698,8 @@ def test_failed_jacobian_without_a_later_accept_solves_mu_again(rng):
     res = update_mu(empty_state(3), model, rng.normal(size=6), max_halvings=0)
     (rep,) = res.reports
     assert not rep.accepted and rep.forward_calls == 1
+    # mu did not move: the step reads 0, not |delta| * 2^-(max_halvings + 1)
+    assert rep.delta_norm == 0.0 and rep.f_after == rep.f_before
     assert res.stop_reason == "no_acceptable_trial"      # no prior to switch on
     assert res.forward_calls == model.calls == 3
     assert res.jacobians == 2
@@ -826,8 +828,7 @@ def test_search_past_failed_solves_takes_the_halving_step(b, halving_calls, sear
     assert res.forward_calls == model.calls == 1 + search_calls
     assert rep.failed == model.failures
     assert rep.halvings == rep.forward_calls - rep.accepted
-    if b is not None:
-        assert rep.delta_norm == dn * 0.5 ** b
+    assert rep.delta_norm == (dn * 0.5 ** b if b is not None else 0.0)
 
 
 @pytest.mark.parametrize("b", range(10))
