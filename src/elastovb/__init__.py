@@ -12,11 +12,10 @@ from .vb import (ElboBreakdown, NoisePrecisionError, ReducedPosterior, elbo,
                  posterior_psi_stats, q_fixed_point, update_q_tau)
 from .mean_update import (MuPhaseResult, SmoothPrior, em_phi, gauss_newton_step,
                           log_prior_mu_and_grad, update_mu)
-from .driver import (DriverConfig, RunTrace, add_basis, info_gain,
-                     next_prior_precision, run, state_from_dict)
-from .importance import ISReport, compare_vb_is, ess, run_is
-from .config import (ObservationFile, RunConfig, build_model, generate_data,
-                     initial_mu, load_config)
+from .config import (DriverConfig, ObservationFile, RunConfig, build_model,
+                     generate_data, initial_mu, load_config)
+from .driver import RunTrace, add_basis, info_gain, next_prior_precision, run, state_from_dict
+from .importance import DegenerateWeightsError, ISReport, compare_vb_is, ess, run_is
 
 __version__ = "0.1.0"
 
@@ -27,10 +26,9 @@ __all__ = [
     "posterior_psi_stats", "q_fixed_point", "update_q_tau",
     "MuPhaseResult", "SmoothPrior", "em_phi", "gauss_newton_step",
     "log_prior_mu_and_grad", "update_mu",
-    "DriverConfig", "RunTrace", "add_basis", "info_gain",
-    "next_prior_precision", "run", "state_from_dict",
-    "ISReport", "compare_vb_is", "ess", "run_is",
-    "ObservationFile", "RunConfig", "build_model", "generate_data",
+    "DriverConfig", "ObservationFile", "RunConfig", "build_model", "generate_data",
     "initial_mu", "load_config",
+    "RunTrace", "add_basis", "info_gain", "next_prior_precision", "run", "state_from_dict",
+    "DegenerateWeightsError", "ISReport", "compare_vb_is", "ess", "run_is",
     "__version__",
 ]

@@ -27,10 +27,10 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .config import ConfigError, ObservationFile, RunConfig
+from .config import ConfigError, ObservationFile, RunConfig, as_float, as_int
 from .driver import run as driver_run, state_from_dict
 from .forward import ForwardSolveError
-from .importance import compare_vb_is, run_is
+from .importance import DegenerateWeightsError, compare_vb_is, run_is
 from .mean_update import SmoothPrior
 from .mesh_fem import Mesh2D
 from .vb import NoisePrecisionError, posterior_psi_stats
@@ -41,7 +41,8 @@ EXIT_NUMERICAL = 2
 
 # A stage's numerical failures, each raised where it is detected; any other
 # exception is a bug and propagates with its traceback
-NUMERICAL_FAILURES = (ForwardSolveError, NoisePrecisionError, np.linalg.LinAlgError)
+NUMERICAL_FAILURES = (ForwardSolveError, NoisePrecisionError, DegenerateWeightsError,
+                      np.linalg.LinAlgError)
 
 SCHEMA_VERSION = 4        # of every JSON artifact
 FLOAT_FMT = "%.17g"       # every float in a CSV: 17 digits round-trip losslessly
@@ -122,11 +123,10 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _read_json(path: Path, what: str, parse: Callable[[dict], object]):
-    """`parse` of the JSON artifact at `path`, a `what` of this schema version.
-
-    An unreadable file, another schema version or a payload that `parse`
-    refuses (KeyError, IndexError, TypeError, ValueError) raises UsageError
-    naming the file.
+    """`parse` of the JSON artifact at `path`, a `what` of this schema version,
+    given the payload without its `schema_version`.  An unreadable file, another
+    schema version or a payload that `parse` refuses (KeyError, IndexError,
+    TypeError, ValueError) raises UsageError naming the file.
     """
     try:
         payload = json.loads(path.read_text())
@@ -134,7 +134,7 @@ def _read_json(path: Path, what: str, parse: Callable[[dict], object]):
         raise UsageError(f"unreadable {what} {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise UsageError(f"unreadable {what} {path}: root must be a mapping")
-    version = payload.get("schema_version")
+    version = payload.pop("schema_version", None)
     if version != SCHEMA_VERSION:
         raise UsageError(f"unreadable {what} {path}: schema_version {version!r}, but this "
                          f"version of elastovb reads {SCHEMA_VERSION}; rerun the stage "
@@ -304,15 +304,15 @@ def cmd_validate(args) -> int:
     print(f"ess: {_fmt(report.ess)}")
     print(f"discarded: {report.discarded}")
     print(f"mean_rel_median: {_fmt(comparison['mean_rel_median'])}")
-    if report.ess == 0.0:
-        print("all importance weights degenerate", file=sys.stderr)
-        return EXIT_NUMERICAL
     return EXIT_OK
 
 
 def _trace_summary(payload: dict) -> tuple[list[str], float]:
     state, _ = state_from_dict(payload)
     mu = payload["mu_phase"]
+    calls = as_int(payload["forward_calls"], "forward_calls")
+    jacobians = as_int(mu["jacobians"], "mu_phase.jacobians")
+    elbo = as_float(payload["elbo_rows"][-1]["f"], "elbo_rows[-1].f")
     steps = mu["steps"]
     reason = mu["stop_reason"]
     if reason not in MU_STOP_NOTES:
@@ -322,9 +322,9 @@ def _trace_summary(payload: dict) -> tuple[list[str], float]:
         notes.append("no step ran with the jump prior on")
     return [
         f"d_theta: {state.d_theta}",
-        f"forward_calls: {payload['forward_calls']} ({mu['jacobians']} with a Jacobian)",
+        f"forward_calls: {calls} ({jacobians} with a Jacobian)",
         f"stop_reason: {payload['stop_reason']}",
-        f"elbo: {_fmt(payload['elbo_rows'][-1]['f'])}",
+        f"elbo: {_fmt(elbo)}",
         f"tau_mean: {_fmt(state.mean_tau)}",
         f"mu_phase: {sum(st['accepted'] for st in steps)} accepted steps, "
         f"{sum(st['forward_calls'] - st['accepted'] for st in steps)} trials not accepted "
@@ -343,8 +343,8 @@ def _obs_summary(payload: dict, tau_mean: float | None) -> tuple[list[str], None
 
 
 def _is_summary(payload: dict) -> tuple[list[str], None]:
-    return [f"ess: {_fmt(payload['ess'])}",
-            f"mean_rel_median: {_fmt(payload['mean_rel_median'])}"], None
+    return [f"{key}: {_fmt(as_float(payload[key], key))}"
+            for key in ("ess", "mean_rel_median")], None
 
 
 def cmd_report(args) -> int:

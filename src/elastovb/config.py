@@ -7,7 +7,8 @@ field is annotated (integers must be integral, strings strings, and only an
 `X | None` field takes null), an absent key or a
 null block or list takes the field's default, and every error names the
 dotted key, e.g. `phantom.inclusions[0].center[1]`.  Defaults live only on
-the dataclasses and rules across fields only in `RunConfig.validate`.
+the dataclasses and rules on values only in the `validate` methods.  The same
+rules read `observations.json` and the run trace's `state` block back.
 
 The module also reads and writes the YAML config, builds the
 mesh/boundary/phantom objects from it, synthesizes the observations and maps
@@ -25,7 +26,6 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .driver import DriverConfig
 from .forward import FemForwardModel
 from .mesh_fem import BoundarySpec, Mesh2D, _solve_reduced
 
@@ -46,7 +46,7 @@ def _check_keys(block: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {extra}")
 
 
-def _as_float(value, where: str) -> float:
+def as_float(value, where: str) -> float:
     if not isinstance(value, bool):
         try:
             number = float(value)
@@ -59,7 +59,7 @@ def _as_float(value, where: str) -> float:
     raise ConfigError(f"{where} must be a number, got {value!r}")
 
 
-def _as_int(value, where: str) -> int:
+def as_int(value, where: str) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if not isinstance(value, (bool, float)):
@@ -76,7 +76,7 @@ def _as_str(value, where: str) -> str:
     raise ConfigError(f"{where} must be a string, got {value!r}")
 
 
-_SCALARS = {int: _as_int, float: _as_float, str: _as_str}
+_SCALARS = {int: as_int, float: as_float, str: _as_str}
 
 # Keys of earlier versions, with the reason each went.
 _REMOVED_KEYS = {f"{block}.{key}": reason for block, keys, reason in (
@@ -143,6 +143,37 @@ class BCBlock:
 class NoiseBlock:
     snr: float = 1e5                # power ratio mean(y^2)/sigma^2
     seed: int = 0
+
+
+@dataclass
+class DriverConfig:
+    """The `solver` block: basis growth, the noise prior and the mean phase's limits."""
+    lambda0_1: float = 1e-10
+    info_gain_threshold: float = 0.01
+    info_gain_window: int = 5
+    max_bases: int | None = None
+    seed: int = 0                   # unused: nothing is drawn; kept so configs load
+    a0: float = 0.0
+    b0: float = 0.0
+    mu_reg_delay: int = 5
+    mu_call_budget: int | None = 38
+
+    def validate(self) -> None:
+        if not 0.0 < self.info_gain_threshold < 1.0:
+            raise ConfigError("solver.info_gain_threshold must lie in (0, 1)")
+        if self.info_gain_window < 1:
+            raise ConfigError("solver.info_gain_window must be >= 1")
+        if self.lambda0_1 <= 0.0:
+            raise ConfigError("solver.lambda0_1 must be positive")
+        if self.max_bases is not None and self.max_bases < 0:
+            raise ConfigError("solver.max_bases must be nonnegative")
+        for key in ("a0", "b0"):        # Gamma(a0, b0) noise prior; 0 is improper
+            if not getattr(self, key) >= 0.0:
+                raise ConfigError(f"solver.{key} must be nonnegative")
+        for key in ("mu_reg_delay", "mu_call_budget"):
+            value = getattr(self, key)
+            if value is not None and value < 0:
+                raise ConfigError(f"solver.{key} must be nonnegative, got {value}")
 
 
 @dataclass
@@ -227,10 +258,7 @@ class RunConfig:
                               "only up to a common factor")
         if self.validation.samples < 2:
             raise ConfigError("validation.samples must be >= 2")
-        try:
-            self.solver.validate()
-        except ValueError as exc:       # the message starts with the field name
-            raise ConfigError(f"solver.{exc}") from exc
+        self.solver.validate()
 
     def _validate_inclusion(self, inc: Inclusion, where: str) -> None:
         m = self.mesh
@@ -249,9 +277,9 @@ class RunConfig:
         return asdict(self)
 
 
-def _parse(cls, raw, where: str = ""):
+def parse_block(cls, raw, where: str = ""):
     """Build dataclass `cls` from the mapping `raw`, converting each key as its
-    field is annotated.  `where` is the dotted path of `raw` in the config.
+    field is annotated.  `where` is the dotted path of `raw` in its file.
 
     An absent key, or a null block or list, takes the field's default."""
     if not isinstance(raw, dict):
@@ -272,7 +300,7 @@ def _parse(cls, raw, where: str = ""):
 
 def _convert(hint, value, where: str):
     if is_dataclass(hint):
-        return _parse(hint, value, where)
+        return parse_block(hint, value, where)
     args = typing.get_args(hint)
     if type(None) in args:                          # X | None: null is the value
         (inner,) = set(args) - {type(None)}
@@ -285,7 +313,7 @@ def _convert(hint, value, where: str):
 
 
 def config_from_dict(raw: dict) -> RunConfig:
-    cfg = _parse(RunConfig, raw)
+    cfg = parse_block(RunConfig, raw)
     cfg.validate()
     return cfg
 
@@ -410,8 +438,6 @@ class ObservationFile:
         self.yhat = np.asarray(self.yhat, dtype=float)
         if self.obs_dofs.size != self.yhat.size:
             raise ConfigError("observation file length mismatch")
-        if not np.all(np.isfinite(self.yhat)):
-            raise ConfigError("observations must be finite")
         if not 0 < self.tau_true < math.inf:
             raise ConfigError(f"tau_true must be finite and positive, "
                               f"got {self.tau_true!r}")
@@ -422,10 +448,11 @@ class ObservationFile:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ObservationFile":
-        """Numbers follow the config reader's rules; a missing key raises KeyError."""
-        return cls(obs_dofs=[_as_int(dof, f"obs_dofs[{i}]")
-                             for i, dof in enumerate(d["obs_dofs"])],
-                   yhat=d["yhat"], tau_true=_as_float(d["tau_true"], "tau_true"))
+        """Read with the config reader's rules; a missing key raises KeyError."""
+        _check_keys(d, {"obs_dofs", "yhat", "tau_true"}, "observations")
+        return cls(obs_dofs=_convert(list[int], d["obs_dofs"], "obs_dofs"),
+                   yhat=_convert(list[float], d["yhat"], "yhat"),
+                   tau_true=as_float(d["tau_true"], "tau_true"))
 
 
 def generate_data(cfg: RunConfig) -> tuple[ObservationFile, np.ndarray, np.ndarray]:

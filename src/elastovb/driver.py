@@ -28,40 +28,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ._lapack import syevr
+from .config import DriverConfig, parse_block
 from .forward import ForwardEval, ForwardModel
 from .mean_update import MuPhaseResult, SmoothPrior, update_mu
 from .vb import ElboBreakdown, ReducedPosterior, elbo, q_fixed_point
-
-
-@dataclass
-class DriverConfig:
-    lambda0_1: float = 1e-10
-    info_gain_threshold: float = 0.01
-    info_gain_window: int = 5
-    max_bases: int | None = None
-    seed: int = 0                   # unused: nothing is drawn; kept so configs load
-    a0: float = 0.0
-    b0: float = 0.0
-    mu_reg_delay: int = 5
-    mu_call_budget: int | None = 38
-
-    def validate(self) -> None:
-        if not 0.0 < self.info_gain_threshold < 1.0:
-            raise ValueError("info_gain_threshold must lie in (0, 1)")
-        if self.info_gain_window < 1:
-            raise ValueError("info_gain_window must be >= 1")
-        if self.lambda0_1 <= 0.0:
-            raise ValueError("lambda0_1 must be positive")
-        if self.max_bases is not None and self.max_bases < 0:
-            raise ValueError("max_bases must be nonnegative")
-        if not self.a0 >= 0.0:           # Gamma(a0, b0) noise prior; 0 is improper
-            raise ValueError("a0 must be nonnegative")
-        if not self.b0 >= 0.0:
-            raise ValueError("b0 must be nonnegative")
-        for key in ("mu_reg_delay", "mu_call_budget"):
-            value = getattr(self, key)
-            if value is not None and value < 0:
-                raise ValueError(f"{key} must be nonnegative, got {value}")
 
 
 def kl_terms(lambda0: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -189,36 +159,41 @@ class RunTrace:
         }
 
 
+@dataclass
+class _StateBlock:
+    """The run trace's `state` block, as `RunTrace.to_dict` writes it."""
+    mu: list[float]
+    W: list[list[float]]
+    lambda0: list[float]
+    lam: list[float]
+    a0: float
+    b0: float
+    a: float
+    b: float
+    clamped: list[int]
+
+
 def state_from_dict(d: dict) -> tuple[ReducedPosterior, np.ndarray]:
     """The posterior a run trace's dict (`RunTrace.to_dict`) holds, and its clamp set.
 
-    The clamp set is returned as a mask over the d_psi elements; the basis
-    has zero rows there.  A missing key, a malformed number or a state that
-    is inconsistent in itself raises KeyError, TypeError or ValueError.
+    `state` is read with the config reader's rules.  The clamp set is returned
+    as a mask over the d_psi elements; the basis has zero rows there.  A missing
+    key, a malformed value or an inconsistent state raises KeyError or ValueError.
     """
-    s = d["state"]
+    s = parse_block(_StateBlock, d["state"], "state")
     state = ReducedPosterior(
-        mu=np.asarray(s["mu"], dtype=float),
-        W=np.asarray(s["W"], dtype=float).reshape(len(s["mu"]), -1),
-        lambda0=np.asarray(s["lambda0"], dtype=float),
-        lam=np.asarray(s["lam"], dtype=float),
-        a0=float(s["a0"]), b0=float(s["b0"]), a=float(s["a"]), b=float(s["b"]),
-    )
-    if not all(np.all(np.isfinite(x)) for x in (state.mu, state.W, state.lambda0, state.lam,
-                                                 [state.a0, state.b0, state.a, state.b])):
-        raise ValueError("state holds non-finite numbers")
+        mu=np.array(s.mu), W=np.array(s.W).reshape(len(s.mu), -1),
+        lambda0=np.array(s.lambda0), lam=np.array(s.lam), a0=s.a0, b0=s.b0, a=s.a, b=s.b)
     d = state.d_theta
     if state.lambda0.shape != (d,) or state.lam.shape != (d,):
         raise ValueError(f"state has {d} basis columns, {state.lambda0.size} prior "
                          f"and {state.lam.size} posterior precisions")
     if not (np.all(state.lambda0 > 0.0) and np.all(state.lam > 0.0)):
         raise ValueError("state precisions lambda0 and lam must be positive")
-    clamped = s["clamped"]
-    if not (isinstance(clamped, list)
-            and all(type(k) is int and 0 <= k < state.d_psi for k in clamped)):
-        raise ValueError(f"clamped must list element indices in [0, {state.d_psi})")
+    if not all(0 <= k < state.d_psi for k in s.clamped):
+        raise ValueError(f"state.clamped must list element indices in [0, {state.d_psi})")
     fixed_mask = np.zeros(state.d_psi, dtype=bool)
-    fixed_mask[clamped] = True
+    fixed_mask[s.clamped] = True
     if np.any(state.W[fixed_mask] != 0.0):
         raise ValueError("state basis has nonzero rows at clamped elements")
     return state, fixed_mask

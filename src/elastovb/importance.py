@@ -23,11 +23,16 @@ from .vb import ReducedPosterior, posterior_psi_stats
 RESIDUAL_FLOOR = 1e-300
 
 
+class DegenerateWeightsError(RuntimeError):
+    """No sample has a finite log-weight: every forward solve failed, or every
+    residual overflowed."""
+
+
 @dataclass
 class ISReport:
     M: int
     weights: np.ndarray                  # unnormalized (common scale factored out)
-    ess: float                           # (sum w)^2 / (M sum w^2); 0 iff no log-weight is finite
+    ess: float                           # (sum w)^2 / (M sum w^2), in (0, 1]
     log_evidence: float
     evidence_constant_included: bool     # False under the improper default tau prior
     psi_mean: np.ndarray
@@ -80,7 +85,8 @@ def run_is(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
     With fixed_tau given, the exact Gaussian likelihood at that precision is
     used instead of the tau-marginalized one (exercised by closed-form evidence
     checks).  Deterministic for a given seed; the weight reduction uses a fixed
-    summation order.
+    summation order.  A failed forward solve gives its sample zero weight;
+    DegenerateWeightsError is raised when no sample keeps a finite log-weight.
     """
     if M < 2:
         raise ValueError("need at least 2 samples")
@@ -112,38 +118,29 @@ def run_is(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
         log_w[m] = ll + (lp - lq)
 
     finite = np.isfinite(log_w)
-    degenerate = not np.any(finite)
-    if degenerate:
-        weights = np.zeros(M)
-        ess_val = 0.0
-        log_evidence = -math.inf
-        psi_mean = state.mu.copy()
-        psi_std = np.zeros(state.d_psi)
-    else:
-        shift = float(np.max(log_w[finite]))
-        weights = np.where(finite, np.exp(log_w - shift), 0.0)
-        ess_val = ess(weights)
-        total = float(np.sum(weights))
-        log_evidence = shift + math.log(total) - math.log(M)
-        wn = weights / total
-        theta_mean = thetas.T @ wn
-        Xc = thetas - theta_mean                # (M, d_theta)
-        C = (Xc * wn[:, None]).T @ Xc           # weighted covariance of theta
-        psi_mean = state.mu + state.W @ theta_mean
-        psi_var = np.einsum("ij,jk,ik->i", state.W, C, state.W)
-        psi_std = np.sqrt(np.maximum(psi_var, 0.0))
+    if not np.any(finite):
+        raise DegenerateWeightsError(f"no finite importance weight among {M} samples "
+                                     f"({discarded} forward solves failed)")
+    shift = float(np.max(log_w[finite]))
+    weights = np.where(finite, np.exp(log_w - shift), 0.0)
+    total = float(np.sum(weights))
+    log_evidence = shift + math.log(total) - math.log(M)
+    wn = weights / total
+    theta_mean = thetas.T @ wn
+    Xc = thetas - theta_mean                # (M, d_theta)
+    C = (Xc * wn[:, None]).T @ Xc           # weighted covariance of theta
+    psi_mean = state.mu + state.W @ theta_mean
+    psi_var = np.einsum("ij,jk,ik->i", state.W, C, state.W)
+    psi_std = np.sqrt(np.maximum(psi_var, 0.0))
 
-    constant_included = False
-    if not degenerate:
-        if fixed_tau is not None:
-            constant_included = True   # fixed-tau likelihood is already fully normalized
-        else:
-            log_evidence += (_marginal_constant(state.a0, state.b0, d_y)
-                             - 0.5 * d_y * math.log(2.0 * math.pi))
-            if state.a0 > 0.0 and state.b0 > 0.0:
-                log_evidence += state.a0 * math.log(state.b0) - math.lgamma(state.a0)
-                constant_included = True
-    return ISReport(M=M, weights=weights, ess=ess_val, log_evidence=log_evidence,
+    constant_included = fixed_tau is not None   # the fixed-tau likelihood is normalized
+    if fixed_tau is None:
+        log_evidence += (_marginal_constant(state.a0, state.b0, d_y)
+                         - 0.5 * d_y * math.log(2.0 * math.pi))
+        if state.a0 > 0.0 and state.b0 > 0.0:
+            log_evidence += state.a0 * math.log(state.b0) - math.lgamma(state.a0)
+            constant_included = True
+    return ISReport(M=M, weights=weights, ess=ess(weights), log_evidence=log_evidence,
                     evidence_constant_included=constant_included,
                     psi_mean=psi_mean, psi_std=psi_std, discarded=discarded)
 

@@ -17,6 +17,7 @@ from elastovb import config as cfgmod
 from elastovb.cli import main
 from elastovb.config import (ConfigError, ObservationFile, config_from_dict,
                              load_config, save_config)
+from elastovb.forward import ForwardSolveError
 
 from conftest import EXAMPLE1_YAML, example1_config, example1_dict
 
@@ -676,41 +677,75 @@ def previous_schema(payload):
     return {**payload, "schema_version": cli.SCHEMA_VERSION - 1}
 
 
-@pytest.mark.parametrize("name,corrupt", [
-    ("observations.json", lambda obs: [obs]),
-    ("observations.json", lambda obs: {**obs, "yhat": "abc"}),
-    ("observations.json", lambda obs: {**obs, "tau_true": None}),
-    ("observations.json", lambda obs: {**obs, "tau_true": True}),      # not tau = 1
-    ("observations.json", lambda obs: {**obs, "tau_true": math.inf}),   # exact data
-    ("observations.json", lambda obs: {**obs, "yhat": [math.nan] + obs["yhat"][1:]}),
-    ("observations.json", previous_schema),
-    ("observations.json", DIRECTORY),
-    ("run_trace.json", lambda trace: [trace]),
-    ("run_trace.json", lambda trace: {**trace, "state": {**trace["state"], "mu": "abc"}}),
-    ("run_trace.json", lambda trace: {**trace, "state": {**trace["state"], "a": None}}),
-    ("run_trace.json", lambda trace: {**trace, "state": {
-        **trace["state"], "mu": [math.nan] + trace["state"]["mu"][1:]}}),
-    ("run_trace.json", lambda trace: {**trace, "state": {
-        **trace["state"], "lam": trace["state"]["lam"][:-1]}}),
-    ("run_trace.json", lambda trace: {**trace, "state": {
-        **trace["state"], "lam": [-1.0] + trace["state"]["lam"][1:]}}),
-    ("run_trace.json", lambda trace: {**trace, "state": {
-        k: v for k, v in trace["state"].items() if k != "clamped"}}),
-    ("run_trace.json", lambda trace: {**trace, "state": {**trace["state"], "clamped": [1.5]}}),
-    ("run_trace.json", lambda trace: {**trace, "state": {**trace["state"], "clamped": [0]}}),
-    ("run_trace.json", previous_schema),
-    ("is_report.json", previous_schema),
+def forward_calls_true(trace):      # a field that only `report` reads
+    return {**trace, "forward_calls": True}
+
+
+def first_item(key, value):
+    return lambda payload: {**payload, key: [value] + payload[key][1:]}
+
+
+def in_state(corrupt):
+    """`corrupt` applied to the run trace's state block."""
+    return lambda trace: {**trace, "state": corrupt(trace["state"])}
+
+
+@pytest.mark.parametrize("name,corrupt,named", [
+    ("observations.json", lambda obs: [obs], "root must be a mapping"),
+    ("observations.json", lambda obs: {**obs, "yhat": "abc"}, "yhat must be a list"),
+    ("observations.json", lambda obs: {**obs, "tau_true": None},
+     "tau_true must be a number, got None"),
+    ("observations.json", lambda obs: {**obs, "tau_true": True},       # not tau = 1
+     "tau_true must be a number, got True"),
+    ("observations.json", lambda obs: {**obs, "tau_true": math.inf},   # exact data
+     "tau_true must be finite"),
+    ("observations.json", first_item("yhat", math.nan), "yhat[0] must be finite"),
+    ("observations.json", first_item("yhat", True), "yhat[0] must be a number, got True"),
+    ("observations.json", lambda obs: {**obs, "seed": "x"},
+     "unknown keys in observations: ['seed']"),
+    ("observations.json", previous_schema, ""),
+    ("observations.json", DIRECTORY, ""),
+    ("run_trace.json", lambda trace: [trace], "root must be a mapping"),
+    ("run_trace.json", in_state(lambda st: {**st, "mu": "abc"}), "state.mu must be a list"),
+    ("run_trace.json", in_state(lambda st: {**st, "a": None}),
+     "state.a must be a number, got None"),
+    ("run_trace.json", in_state(lambda st: {**st, "a": True}),
+     "state.a must be a number, got True"),
+    ("run_trace.json", in_state(first_item("mu", math.nan)), "state.mu[0] must be finite"),
+    ("run_trace.json", in_state(first_item("mu", True)),
+     "state.mu[0] must be a number, got True"),
+    ("run_trace.json", in_state(lambda st: {**st, "tau": 1.0}),
+     "unknown keys in state: ['tau']"),
+    ("run_trace.json", in_state(lambda st: {**st, "lam": st["lam"][:-1]}),
+     "posterior precisions"),
+    ("run_trace.json", in_state(first_item("lam", -1.0)),
+     "precisions lambda0 and lam must be positive"),
+    ("run_trace.json", in_state(lambda st: {k: v for k, v in st.items() if k != "clamped"}),
+     "state.clamped is required"),
+    ("run_trace.json", in_state(lambda st: {**st, "clamped": [1.5]}),
+     "state.clamped[0] must be an integer"),
+    ("run_trace.json", in_state(lambda st: {**st, "clamped": [0]}),
+     "nonzero rows at clamped elements"),
+    ("run_trace.json", forward_calls_true, "forward_calls must be an integer, got True"),
+    ("run_trace.json", previous_schema, ""),
+    ("is_report.json", lambda report: {**report, "ess": True},
+     "ess must be a number, got True"),
+    ("is_report.json", previous_schema, ""),
 ], ids=["obs-root-list", "obs-yhat-text", "obs-tau_true-null", "obs-tau_true-bool",
-        "obs-tau_true-infinite", "obs-yhat-nan", "obs-schema-previous", "obs-directory",
-        "trace-root-list", "trace-mu-text", "trace-a-null", "trace-mu-nan",
-        "trace-lam-short", "trace-lam-negative", "trace-clamped-missing",
-        "trace-clamped-fraction", "trace-clamped-basis-row", "trace-schema-previous",
+        "obs-tau_true-infinite", "obs-yhat-nan", "obs-yhat-bool", "obs-seed-text",
+        "obs-schema-previous", "obs-directory",
+        "trace-root-list", "trace-mu-text", "trace-a-null", "trace-a-bool", "trace-mu-nan",
+        "trace-mu-bool", "trace-state-unknown-key", "trace-lam-short", "trace-lam-negative",
+        "trace-clamped-missing", "trace-clamped-fraction", "trace-clamped-basis-row",
+        "trace-forward_calls-bool", "trace-schema-previous", "is-ess-bool",
         "is-schema-previous"])
-def test_malformed_artifact_exits_one_or_is_reported(name, corrupt, small_cfg_path,
+def test_malformed_artifact_exits_one_or_is_reported(name, corrupt, named, small_cfg_path,
                                                      tmp_path, capsys):
     # an artifact of another schema version is refused by its version, not
     # by the first key it lacks (report printed "run trace unreadable:
-    # 'failed'" for a trace written before mu_phase steps counted failures)
+    # 'failed'" for a trace written before mu_phase steps counted failures);
+    # a value is read with the config reader's rules, and its error names
+    # the dotted key (a boolean read as 1, and an unknown key passed unseen)
     out = tmp_path / "art"
     args = ["--config", str(small_cfg_path), "--out", str(out)]
     stages = ["generate", "invert"] + (["validate"] if name == "is_report.json" else [])
@@ -722,15 +757,16 @@ def test_malformed_artifact_exits_one_or_is_reported(name, corrupt, small_cfg_pa
         path.mkdir()
     else:
         path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
-    versions = ([f"schema_version {cli.SCHEMA_VERSION - 1}", f"reads {cli.SCHEMA_VERSION}"]
-                if corrupt is previous_schema else [])
+    expected = [named] + ([f"schema_version {cli.SCHEMA_VERSION - 1}",
+                           f"reads {cli.SCHEMA_VERSION}"] if corrupt is previous_schema else [])
     capsys.readouterr()
-    readers = {"observations.json": ["invert", "validate"], "run_trace.json": ["validate"],
-               "is_report.json": []}[name]
+    readers = [] if corrupt is forward_calls_true else {
+        "observations.json": ["invert", "validate"], "run_trace.json": ["validate"],
+        "is_report.json": []}[name]
     for verb in readers:
         assert main([verb] + args) == 1
         err = capsys.readouterr().err
-        assert str(path) in err and all(v in err for v in versions)
+        assert str(path) in err and all(v in err for v in expected)
     assert main(["report", "--out", str(out)]) == 0
     what = {"observations.json": "observations", "run_trace.json": "run trace",
             "is_report.json": "IS report"}[name]
@@ -738,7 +774,7 @@ def test_malformed_artifact_exits_one_or_is_reported(name, corrupt, small_cfg_pa
     unreadable = [line for line in text.splitlines() if "unreadable" in line]
     assert len(unreadable) == 1 and "KeyError" not in text
     assert unreadable[0].startswith(f"unreadable {what} {path}: ")
-    assert all(v in unreadable[0] for v in versions)
+    assert all(v in unreadable[0] for v in expected)
 
 
 def test_output_path_taken_by_a_file_exits_one(small_cfg_path, tmp_path, capsys):
@@ -979,6 +1015,28 @@ def test_validate_numerical_failure_exits_two(small_cfg_path, tmp_path, monkeypa
                      "error": "posterior covariance not positive definite",
                      "forward_calls": 1}
     assert not (out / "is_report.json").exists()
+
+
+def test_validate_with_no_finite_weight_exits_two(small_cfg_path, tmp_path, monkeypatch,
+                                                  capsys):
+    # every importance solve fails: validate used to write a full report
+    # (log_evidence -Infinity, zero weights) and then exit 2; now the one
+    # exit-2 path writes error.json and no validation artifact
+    out = tmp_path / "degenerate"
+    args = ["--config", str(small_cfg_path), "--out", str(out)]
+    assert main(["generate"] + args) == 0
+    assert main(["invert"] + args) == 0
+
+    def failing_solve(plan, psi):
+        raise ForwardSolveError("injected failure")
+
+    monkeypatch.setattr("elastovb.forward._solve_reduced", failing_solve)
+    capsys.readouterr()
+    assert main(["validate"] + args) == 2
+    assert "no finite importance weight among 50 samples" in capsys.readouterr().err
+    error = json.loads((out / "error.json").read_text())
+    assert error["type"] == "DegenerateWeightsError" and error["forward_calls"] == 50
+    assert not any((out / name).exists() for name in cli.VALIDATE_FILES)
 
 
 def test_exact_fit_exits_two(tmp_path, capsys):

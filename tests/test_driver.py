@@ -278,6 +278,10 @@ def test_run_trace_round_trips_through_dict(linear_problem, rng):
     assert np.array_equal(back.W, trace.state.W)
     assert np.array_equal(back.lam, trace.state.lam)
     assert (back.a, back.b) == (trace.state.a, trace.state.b)
+    # an integral float is an index, as every config integer reads
+    d = trace.to_dict()
+    d["state"]["clamped"] = [1.0]
+    assert np.array_equal(state_from_dict(d)[1], fixed)
 
 
 def test_run_rejects_mismatched_observations(linear_problem):

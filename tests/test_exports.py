@@ -87,6 +87,20 @@ def test_only_the_cli_reads_or_writes_artifact_formats():
     assert not found, f"artifact formats outside cli.py: {found}"
 
 
+def test_config_imports_no_inference_module():
+    # the config reader holds every block's rules, the solver's too, and the
+    # artifact readers use them, so it must not need what it configures
+    inference = {"driver", "mean_update", "vb", "importance", "cli"}
+    found = []
+    for node in ast.walk(ast.parse((PACKAGE / "config.py").read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            # `from . import driver` names the module as an alias
+            modules = [getattr(node, "module", None) or alias.name for alias in node.names]
+            found += [f"config.py:{node.lineno}" for m in modules
+                      if m.split(".")[-1] in inference]
+    assert not found, f"config imports an inference module: {found}"
+
+
 def test_readme_library_use_block_runs(monkeypatch, capsys):
     # the documented API cannot drift from the package: the block runs as
     # written, from the repository root, on the shipped configuration

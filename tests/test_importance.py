@@ -11,8 +11,8 @@ from scipy.integrate import quad
 from scipy.special import logsumexp
 
 from elastovb.forward import ForwardEval, ForwardModel, ForwardSolveError
-from elastovb.importance import (_marginal_constant, _marginal_varying, _median,
-                                 compare_vb_is, ess, run_is)
+from elastovb.importance import (DegenerateWeightsError, _marginal_constant,
+                                 _marginal_varying, _median, compare_vb_is, ess, run_is)
 from elastovb.vb import ReducedPosterior, posterior_psi_stats
 
 from conftest import concentrated_tau_prior
@@ -320,10 +320,21 @@ def test_all_discarded_flags_degenerate():
     state = ReducedPosterior(mu=np.zeros(1), W=np.eye(1),
                              lambda0=np.ones(1), lam=np.ones(1))
     model = AlwaysFails(A)
-    rep = run_is(state, model, np.zeros(3), 8, seed=0)
-    assert model.calls == rep.discarded == 8
-    assert rep.ess == 0.0 and not np.any(rep.weights)
-    assert rep.log_evidence == -math.inf
+    # no weight and no -inf evidence to report: a named numerical failure
+    with pytest.raises(DegenerateWeightsError, match="8 forward solves failed"):
+        run_is(state, model, np.zeros(3), 8, seed=0)
+    assert model.calls == 8
+
+
+def test_all_residuals_overflowing_is_degenerate():
+    # every solve succeeds, but each |r|^2 overflows to inf: no weight is finite
+    state = ReducedPosterior(mu=np.zeros(1), W=np.eye(1),
+                             lambda0=np.ones(1), lam=np.ones(1))
+    model = LinearOracleModel(np.full((3, 1), 1e200))
+    with pytest.raises(DegenerateWeightsError, match="0 forward solves failed"), \
+            np.errstate(over="ignore"):
+        run_is(state, model, np.zeros(3), 8, seed=0)
+    assert model.calls == 8
 
 
 # ---------------------------------------------------------------------------
