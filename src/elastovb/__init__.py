@@ -14,7 +14,7 @@ from .mean_update import (MuPhaseResult, SmoothPrior, em_phi, gauss_newton_step,
                           log_prior_mu_and_grad, update_mu)
 from .config import (DriverConfig, ObservationFile, RunConfig, build_model,
                      generate_data, initial_mu, load_config)
-from .driver import RunTrace, add_basis, info_gain, next_prior_precision, run, state_from_dict
+from .driver import RunTrace, add_basis, info_gain, next_prior_precision, run, trace_from_dict
 from .importance import DegenerateWeightsError, ISReport, compare_vb_is, ess, run_is
 
 __version__ = "0.1.0"
@@ -28,7 +28,7 @@ __all__ = [
     "log_prior_mu_and_grad", "update_mu",
     "DriverConfig", "ObservationFile", "RunConfig", "build_model", "generate_data",
     "initial_mu", "load_config",
-    "RunTrace", "add_basis", "info_gain", "next_prior_precision", "run", "state_from_dict",
+    "RunTrace", "add_basis", "info_gain", "next_prior_precision", "run", "trace_from_dict",
     "DegenerateWeightsError", "ISReport", "compare_vb_is", "ess", "run_is",
     "__version__",
 ]

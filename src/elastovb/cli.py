@@ -20,15 +20,15 @@ import argparse
 import csv
 import json
 import sys
-import time
 from collections.abc import Callable, Iterable
+from dataclasses import asdict, astuple
 from pathlib import Path
 
 import numpy as np
 
 from . import config as cfgmod
-from .config import ConfigError, ObservationFile, RunConfig, as_float, as_int
-from .driver import run as driver_run, state_from_dict
+from .config import ConfigError, ObservationFile, RunConfig, as_float
+from .driver import run as driver_run, trace_from_dict
 from .forward import ForwardSolveError
 from .importance import DegenerateWeightsError, compare_vb_is, run_is
 from .mean_update import SmoothPrior
@@ -70,7 +70,7 @@ INVERT_FILES = (TRACE_FILE, MEAN_FILE, STD_FILE, LAMBDA_FILE, ELBO_FILE, GAIN_FI
 VALIDATE_FILES = (IS_FILE, IS_WEIGHTS_FILE, IS_MEAN_FILE, IS_STD_FILE)
 
 # The note `report` adds to its mu_phase line for each way the mean phase ends
-# (`MuPhaseResult.stop_reason`); a converged phase gets none
+# (`MuPhaseRecord.stop_reason`); a converged phase gets none
 MU_STOP_NOTES = {"gain_tolerance": None, "no_acceptable_trial": "no trial accepted",
                  "call_budget": "call budget used up", "max_steps": "step cap reached"}
 
@@ -236,16 +236,11 @@ def cmd_invert(args) -> int:
     mu0 = cfgmod.initial_mu(cfg, mesh)
     _remove_stale(out, INVERT_FILES + VALIDATE_FILES)
 
-    t0 = time.perf_counter()
     try:
         trace = driver_run(model, obs.yhat, cfg.solver, prior=prior, mu0=mu0)
     except NUMERICAL_FAILURES as exc:
         return _numerical_failure(out, "invert", exc, model.calls)
-    wall = time.perf_counter() - t0
-
-    payload = trace.to_dict()
-    payload["wall_time_s"] = wall
-    _write_json(out / TRACE_FILE, payload)
+    _write_json(out / TRACE_FILE, trace.to_dict())
 
     mean, std = posterior_psi_stats(trace.state)
     _write_field(out / MEAN_FILE, mesh, mean)
@@ -253,28 +248,27 @@ def cmd_invert(args) -> int:
     _write_csv(out / LAMBDA_FILE, ["index", "lambda0", "lambda"],
                ([i, l0, l] for i, (l0, l) in
                 enumerate(zip(trace.state.lambda0, trace.state.lam), start=1)))
-    _write_csv(out / ELBO_FILE, list(trace.elbo_rows[0]),
-               (list(r.values()) for r in trace.elbo_rows))
+    _write_csv(out / ELBO_FILE, list(asdict(trace.elbo_rows[0])),
+               (astuple(row) for row in trace.elbo_rows))
     _write_csv(out / GAIN_FILE, ["d_theta", "info_gain", "degenerate", "elbo"],
-               ([r.d_theta, r.info_gain, int(r.gain_degenerate), row["f"]]
+               ([r.d_theta, r.info_gain, int(r.gain_degenerate), row.f]
                 for r, row in zip(trace.records, trace.elbo_rows[1:])))
     print(f"d_theta: {trace.state.d_theta}")
     print(f"forward_calls: {trace.forward_calls}")
     print(f"stop_reason: {trace.stop_reason}")
-    print(f"elbo: {_fmt(trace.elbo_rows[-1]['f'])}")
-    print(f"wall_time_s: {wall:.2f}")
+    print(f"elbo: {_fmt(trace.elbo_rows[-1].f)}")
+    print(f"wall_time_s: {trace.wall_time_s:.2f}")
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
     cfg, out, obs, model, mesh = _stage_inputs(args, (OBS_FILE, TRACE_FILE))
-    state, clamped = _read_json(out / TRACE_FILE, "run trace", state_from_dict)
+    state = _read_json(out / TRACE_FILE, "run trace", trace_from_dict).state
     if state.d_psi != model.d_psi:
         raise UsageError("run trace does not match the configured mesh/bc")
-    if not np.array_equal(clamped, model.fixed_mask):
-        raise UsageError(f"run trace was inverted with elements "
-                         f"{np.flatnonzero(clamped).tolist()} clamped; the config clamps "
-                         f"{np.flatnonzero(model.fixed_mask).tolist()}")
+    if state.clamped != np.flatnonzero(model.fixed_mask).tolist():
+        raise UsageError(f"run trace was inverted with elements {state.clamped} clamped; "
+                         f"the config clamps {np.flatnonzero(model.fixed_mask).tolist()}")
     M, seed = cfg.validation.samples, cfg.validation.seed
     _remove_stale(out, VALIDATE_FILES)
 
@@ -283,20 +277,10 @@ def cmd_validate(args) -> int:
         comparison = compare_vb_is(state, report, free_mask=~model.fixed_mask)
     except NUMERICAL_FAILURES as exc:
         return _numerical_failure(out, "validate", exc, model.calls)
-    payload = {
-        "M": report.M,
-        "seed": seed,
-        "ess": report.ess,
-        "log_evidence": report.log_evidence,
+    _write_json(out / IS_FILE, {
+        "M": report.M, "seed": seed, "ess": report.ess, "log_evidence": report.log_evidence,
         "evidence_constant_included": report.evidence_constant_included,
-        "discarded": report.discarded,
-        "forward_calls": report.M,
-        "mean_rel_max": comparison["mean_rel_max"],
-        "mean_rel_median": comparison["mean_rel_median"],
-        "std_rel_max": comparison["std_rel_max"],
-        "std_rel_median": comparison["std_rel_median"],
-    }
-    _write_json(out / IS_FILE, payload)
+        "discarded": report.discarded, "forward_calls": report.M, **comparison})
     _write_csv(out / IS_WEIGHTS_FILE, ["index", "weight"],
                ([i, w] for i, w in enumerate(report.weights)))
     _write_field(out / IS_MEAN_FILE, mesh, report.psi_mean)
@@ -308,28 +292,21 @@ def cmd_validate(args) -> int:
 
 
 def _trace_summary(payload: dict) -> tuple[list[str], float]:
-    state, _ = state_from_dict(payload)
-    mu = payload["mu_phase"]
-    calls = as_int(payload["forward_calls"], "forward_calls")
-    jacobians = as_int(mu["jacobians"], "mu_phase.jacobians")
-    elbo = as_float(payload["elbo_rows"][-1]["f"], "elbo_rows[-1].f")
-    steps = mu["steps"]
-    reason = mu["stop_reason"]
-    if reason not in MU_STOP_NOTES:
-        raise ValueError(f"mu_phase stop_reason {reason!r} is none of {sorted(MU_STOP_NOTES)}")
-    notes = [MU_STOP_NOTES[reason]] if MU_STOP_NOTES[reason] else []
-    if not any(st["regularization_active"] for st in steps):
+    trace = trace_from_dict(payload)
+    state, mu = trace.state, trace.mu_phase
+    notes = [MU_STOP_NOTES[mu.stop_reason]] if MU_STOP_NOTES[mu.stop_reason] else []
+    if not any(st.regularization_active for st in mu.steps):
         notes.append("no step ran with the jump prior on")
     return [
         f"d_theta: {state.d_theta}",
-        f"forward_calls: {calls} ({jacobians} with a Jacobian)",
-        f"stop_reason: {payload['stop_reason']}",
-        f"elbo: {_fmt(elbo)}",
+        f"forward_calls: {trace.forward_calls} ({mu.jacobians} with a Jacobian)",
+        f"stop_reason: {trace.stop_reason}",
+        f"elbo: {_fmt(trace.elbo_rows[-1].f)}",
         f"tau_mean: {_fmt(state.mean_tau)}",
-        f"mu_phase: {sum(st['accepted'] for st in steps)} accepted steps, "
-        f"{sum(st['forward_calls'] - st['accepted'] for st in steps)} trials not accepted "
-        f"({sum(st['failed'] for st in steps)} failed), "
-        f"{sum(st['corrected'] for st in steps)} corrector steps"
+        f"mu_phase: {sum(st.accepted for st in mu.steps)} accepted steps, "
+        f"{sum(st.halvings for st in mu.steps)} trials not accepted "
+        f"({sum(st.failed for st in mu.steps)} failed), "
+        f"{sum(st.corrected for st in mu.steps)} corrector steps"
         + (f" ({'; '.join(notes)})" if notes else ""),
     ], state.mean_tau
 

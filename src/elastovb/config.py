@@ -3,12 +3,12 @@
 A run is described by one YAML file with nested blocks (mesh, phantom, bc,
 noise, solver, clamp, prior, validation, output), each a dataclass.  One
 reader builds them from the dataclass fields: every key is converted as its
-field is annotated (integers must be integral, strings strings, and only an
-`X | None` field takes null), an absent key or a
+field is annotated (integers must be integral, booleans true or false,
+strings strings, and only an `X | None` field takes null), an absent key or a
 null block or list takes the field's default, and every error names the
 dotted key, e.g. `phantom.inclusions[0].center[1]`.  Defaults live only on
 the dataclasses and rules on values only in the `validate` methods.  The same
-rules read `observations.json` and the run trace's `state` block back.
+rules read `observations.json` and every block of the run trace back.
 
 The module also reads and writes the YAML config, builds the
 mesh/boundary/phantom objects from it, synthesizes the observations and maps
@@ -76,7 +76,20 @@ def _as_str(value, where: str) -> str:
     raise ConfigError(f"{where} must be a string, got {value!r}")
 
 
-_SCALARS = {int: as_int, float: as_float, str: _as_str}
+def _as_bool(value, where: str) -> bool:
+    if isinstance(value, bool):        # not 0 or 1
+        return value
+    raise ConfigError(f"{where} must be true or false, got {value!r}")
+
+
+def _as_array(value, where: str) -> np.ndarray:     # a ragged nesting raises ValueError
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list, got {value!r}")
+    return np.array([(_as_array if isinstance(item, list) else as_float)(item, f"{where}[{i}]")
+                     for i, item in enumerate(value)])
+
+
+_SCALARS = {int: as_int, float: as_float, str: _as_str, bool: _as_bool, np.ndarray: _as_array}
 
 # Keys of earlier versions, with the reason each went.
 _REMOVED_KEYS = {f"{block}.{key}": reason for block, keys, reason in (
@@ -281,7 +294,8 @@ def parse_block(cls, raw, where: str = ""):
     """Build dataclass `cls` from the mapping `raw`, converting each key as its
     field is annotated.  `where` is the dotted path of `raw` in its file.
 
-    An absent key, or a null block or list, takes the field's default."""
+    An absent key, or a null block or list, takes the field's default; `cls`'s
+    own ValueError is reported at `where`."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{where or 'config root'} must be a mapping, got {raw!r}")
     hints = typing.get_type_hints(cls)
@@ -295,7 +309,10 @@ def parse_block(cls, raw, where: str = ""):
                 raise ConfigError(f"{path} is required")
             continue
         values[f.name] = _convert(hint, value, path)
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{where or 'config'}: {exc}") from exc
 
 
 def _convert(hint, value, where: str):

@@ -23,6 +23,7 @@ array alive.
 
 from __future__ import annotations
 
+import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -30,8 +31,8 @@ import numpy as np
 from ._lapack import syevr
 from .config import DriverConfig, parse_block
 from .forward import ForwardEval, ForwardModel
-from .mean_update import MuPhaseResult, SmoothPrior, update_mu
-from .vb import ElboBreakdown, ReducedPosterior, elbo, q_fixed_point
+from .mean_update import MuPhaseRecord, SmoothPrior, update_mu
+from .vb import ReducedPosterior, elbo, q_fixed_point
 
 
 def kl_terms(lambda0: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -121,87 +122,69 @@ class StageRecord:
 
 
 @dataclass
-class RunTrace:
-    records: list[StageRecord]
-    state: ReducedPosterior
-    fixed_mask: np.ndarray          # the model's clamp set the run was made under
-    stop_reason: str
-    mu_result: MuPhaseResult
-    elbo_rows: list[dict] = field(default_factory=list)
+class ElboRow:
+    """One row of `elbo_trace.csv`: the bound after stage d_theta, and its addends."""
 
-    @property
-    def forward_calls(self) -> int:
-        """The run's forward calls, all of them the mean phase's."""
-        return self.mu_result.forward_calls
-
-    def to_dict(self) -> dict:
-        mu = self.mu_result
-        return {
-            "stop_reason": self.stop_reason,
-            "forward_calls": self.forward_calls,
-            "records": [asdict(r) for r in self.records],
-            "elbo_rows": self.elbo_rows,
-            "state": {
-                "mu": self.state.mu.tolist(),
-                "W": self.state.W.tolist(),
-                "lambda0": self.state.lambda0.tolist(),
-                "lam": self.state.lam.tolist(),
-                "a0": self.state.a0, "b0": self.state.b0,
-                "a": self.state.a, "b": self.state.b,
-                "clamped": np.flatnonzero(self.fixed_mask).tolist(),
-            },
-            "mu_phase": {
-                "jacobians": mu.jacobians,
-                "stop_reason": mu.stop_reason,
-                "floored_count": 0 if mu.prior is None else mu.prior.floored_count,
-                "steps": [asdict(r) for r in mu.reports],
-            },
-        }
+    d_theta: int
+    f: float
+    likelihood: float
+    theta_terms: float
+    tau_terms: float
+    log_prior_mu: float
 
 
 @dataclass
-class _StateBlock:
-    """The run trace's `state` block, as `RunTrace.to_dict` writes it."""
-    mu: list[float]
-    W: list[list[float]]
-    lambda0: list[float]
-    lam: list[float]
-    a0: float
-    b0: float
-    a: float
-    b: float
-    clamped: list[int]
+class RunState(ReducedPosterior):
+    """The posterior a run ends with, and the elements its model clamps (zero rows of W)."""
+
+    clamped: list[int] = field(kw_only=True)
+
+    def __post_init__(self) -> None:
+        d = self.W.shape[-1]
+        if self.mu.ndim != 1 or self.W.shape != (self.d_psi, d) or not (
+                self.lambda0.shape == self.lam.shape == (d,)):
+            raise ValueError(f"mu {self.mu.shape} and basis {self.W.shape} do not fit "
+                             f"{self.lambda0.size} prior and {self.lam.size} posterior precisions")
+        if not (np.all(self.lambda0 > 0.0) and np.all(self.lam > 0.0)):
+            raise ValueError("precisions lambda0 and lam must be positive")
+        if not all(0 <= k < self.d_psi for k in self.clamped):
+            raise ValueError(f"clamped must list element indices in [0, {self.d_psi})")
+        if np.any(self.W[self.clamped] != 0.0):
+            raise ValueError("the basis has nonzero rows at clamped elements")
 
 
-def state_from_dict(d: dict) -> tuple[ReducedPosterior, np.ndarray]:
-    """The posterior a run trace's dict (`RunTrace.to_dict`) holds, and its clamp set.
+@dataclass
+class RunTrace:
+    """A run as its run trace holds it; `to_dict` writes the fields in order."""
 
-    `state` is read with the config reader's rules.  The clamp set is returned
-    as a mask over the d_psi elements; the basis has zero rows there.  A missing
-    key, a malformed value or an inconsistent state raises KeyError or ValueError.
-    """
-    s = parse_block(_StateBlock, d["state"], "state")
-    state = ReducedPosterior(
-        mu=np.array(s.mu), W=np.array(s.W).reshape(len(s.mu), -1),
-        lambda0=np.array(s.lambda0), lam=np.array(s.lam), a0=s.a0, b0=s.b0, a=s.a, b=s.b)
-    d = state.d_theta
-    if state.lambda0.shape != (d,) or state.lam.shape != (d,):
-        raise ValueError(f"state has {d} basis columns, {state.lambda0.size} prior "
-                         f"and {state.lam.size} posterior precisions")
-    if not (np.all(state.lambda0 > 0.0) and np.all(state.lam > 0.0)):
-        raise ValueError("state precisions lambda0 and lam must be positive")
-    if not all(0 <= k < state.d_psi for k in s.clamped):
-        raise ValueError(f"state.clamped must list element indices in [0, {state.d_psi})")
-    fixed_mask = np.zeros(state.d_psi, dtype=bool)
-    fixed_mask[s.clamped] = True
-    if np.any(state.W[fixed_mask] != 0.0):
-        raise ValueError("state basis has nonzero rows at clamped elements")
-    return state, fixed_mask
+    stop_reason: str
+    forward_calls: int              # all of them the mean phase's
+    records: list[StageRecord]
+    elbo_rows: list[ElboRow]
+    state: RunState
+    mu_phase: MuPhaseRecord
+    wall_time_s: float
+
+    def __post_init__(self) -> None:
+        d = self.state.d_theta
+        if [r.d_theta for r in self.elbo_rows + self.records] != [*range(d + 1), *range(1, d + 1)]:
+            raise ValueError(f"elbo_rows must run over d_theta 0 to {d}, and records 1 to {d}")
+
+    def to_dict(self) -> dict:
+        return asdict(self, dict_factory=lambda items: {
+            key: value.tolist() if isinstance(value, np.ndarray) else value
+            for key, value in items})
+
+
+def trace_from_dict(d: dict) -> RunTrace:
+    """`RunTrace.to_dict`'s inverse; a block that breaks a rule raises ValueError naming it."""
+    return parse_block(RunTrace, d)
 
 
 def run(model: ForwardModel, yhat: np.ndarray, config: DriverConfig,
         prior: SmoothPrior | None = None, mu0: np.ndarray | None = None) -> RunTrace:
-    """Full adaptive inference; deterministic given the model, data and config.
+    """Full adaptive inference; deterministic given the model, data and config,
+    apart from the trace's `wall_time_s`.
 
     Forward calls happen only in the mean phase.  The basis phase takes at
     most two partial eigendecompositions of the free-element Gram at the final
@@ -209,33 +192,33 @@ def run(model: ForwardModel, yhat: np.ndarray, config: DriverConfig,
     stage.  The clamped elements are the model's `fixed_mask`: the mean phase
     leaves them at mu0 and the basis has zero rows there.
     """
+    start = time.perf_counter()
     config.validate()
     yhat = np.asarray(yhat, dtype=float)
     if yhat.shape[0] != model.d_y:
         raise ValueError(f"observations have length {yhat.shape[0]}, model d_y is {model.d_y}")
     d_psi = model.d_psi
     mu0 = np.zeros(d_psi) if mu0 is None else np.asarray(mu0, dtype=float)
-    state = ReducedPosterior(mu=mu0.copy(), W=np.zeros((d_psi, 0)),
-                             lambda0=np.zeros(0), lam=np.zeros(0),
-                             a0=config.a0, b0=config.b0)
+    state = RunState(mu=mu0.copy(), W=np.zeros((d_psi, 0)), lambda0=np.zeros(0),
+                     lam=np.zeros(0), a0=config.a0, b0=config.b0,
+                     clamped=np.flatnonzero(model.fixed_mask).tolist())
 
     mu_res = update_mu(state, model, yhat, prior, reg_delay=config.mu_reg_delay,
                        call_budget=config.mu_call_budget)
     state.mu = mu_res.mu
     state.a, state.b = mu_res.a, mu_res.b
     ev = mu_res.ev
-    log_prior_mu = mu_res.log_prior_value
     r = yhat - ev.y
 
-    elbo_rows: list[dict] = []
+    elbo_rows: list[ElboRow] = []
 
-    def record_elbo(br: ElboBreakdown) -> None:
-        elbo_rows.append({"d_theta": state.d_theta, "f": br.total,
-                          "likelihood": br.likelihood, "theta_terms": br.theta_terms,
-                          "tau_terms": br.tau_terms, "log_prior_mu": br.log_prior_mu})
+    def record_elbo() -> None:      # the bound at the current state and data terms e
+        br = elbo(state, e, r, mu_res.log_prior_value)
+        elbo_rows.append(ElboRow(state.d_theta, br.total, br.likelihood, br.theta_terms,
+                                 br.tau_terms, br.log_prior_mu))
 
     e = np.zeros(0)       # |G w_i|^2 of the basis columns
-    record_elbo(elbo(state, e, r, log_prior_mu))
+    record_elbo()
 
     free = model.active
     n_free = free.size
@@ -256,7 +239,7 @@ def run(model: ForwardModel, yhat: np.ndarray, config: DriverConfig,
         e = np.append(e, float(Gw @ Gw))
         state = add_basis(state, w, config.lambda0_1)
         state = q_fixed_point(state, e, r)
-        record_elbo(elbo(state, e, r, log_prior_mu))
+        record_elbo()
         degenerate = float(np.sum(kl_terms(state.lambda0, state.lam))) == 0.0
         gain = info_gain(state.lambda0, state.lam, state.d_theta)
         records.append(StageRecord(d_theta=state.d_theta, info_gain=gain,
@@ -269,5 +252,6 @@ def run(model: ForwardModel, yhat: np.ndarray, config: DriverConfig,
             break
     if stop_reason is None:
         stop_reason = "max_bases" if max_bases < n_free else "full_rank"
-    return RunTrace(records=records, state=state, fixed_mask=model.fixed_mask,
-                    stop_reason=stop_reason, mu_result=mu_res, elbo_rows=elbo_rows)
+    return RunTrace(stop_reason=stop_reason, forward_calls=mu_res.forward_calls,
+                    records=records, elbo_rows=elbo_rows, state=state,
+                    mu_phase=mu_res.record, wall_time_s=time.perf_counter() - start)

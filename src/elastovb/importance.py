@@ -106,8 +106,9 @@ def run_is(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
             log_w[m] = -np.inf
             discarded += 1
             continue
-        r = yhat - y
-        rsq = float(r @ r)
+        with np.errstate(over="ignore"):   # |r|^2 past the float range: log-weight -inf
+            r = yhat - y
+            rsq = float(r @ r)
         if fixed_tau is None:
             ll = _marginal_varying(rsq, state.a0, state.b0, d_y)
         else:

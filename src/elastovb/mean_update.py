@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,6 +63,7 @@ B_PHI_FLOOR = 1e-12
 TIKHONOV_FLOOR = 1e-10
 GAIN_RTOL = 1e-9          # relative objective gain below which the mean phase stops
 FAILED, REJECTED, PASSED = "failed", "rejected", "passed"   # a trial call's outcomes
+MU_STOP_REASONS = ("gain_tolerance", "no_acceptable_trial", "call_budget", "max_steps")
 
 
 def neighbor_pairs(nx: int, ny: int) -> np.ndarray:
@@ -121,6 +122,10 @@ class MuUpdateReport:
     def __post_init__(self) -> None:
         if self.accepted and not self.f_after > self.f_before:
             raise ValueError("accepted step must strictly increase the objective")
+        if self.corrected and not self.regularization_active:
+            raise ValueError("a corrector step needs the prior on")
+        if not 0 <= self.failed <= self.forward_calls - self.accepted:
+            raise ValueError("failed trials must lie in [0, forward_calls - accepted]")
 
     @property
     def halvings(self) -> int:
@@ -316,24 +321,40 @@ def _first_solving(solves: Callable[[int], bool | None], max_halvings: int) -> i
 
 
 @dataclass
+class MuPhaseRecord:
+    """How the mean phase ended and what it spent: the run trace's `mu_phase`
+    block.  `stop_reason` names the exit `update_mu` took, one of MU_STOP_REASONS."""
+
+    jacobians: int                         # evaluations whose G was solved
+    stop_reason: str
+    floored_count: int                     # pair rates the closing E-step floored
+    steps: list[MuUpdateReport]
+
+    def __post_init__(self) -> None:
+        if self.stop_reason not in MU_STOP_REASONS:
+            raise ValueError(f"stop_reason {self.stop_reason!r} is none of {MU_STOP_REASONS}")
+
+
+@dataclass
 class MuPhaseResult:
-    """Where the mean phase ended and what it spent; `stop_reason` names the
-    exit `update_mu` took, one of the four its docstring lists."""
+    """The mean phase's handoff to the basis phase, and its record."""
 
     mu: np.ndarray
     ev: ForwardEval
     a: float
     b: float
     prior: SmoothPrior | None
-    stop_reason: str
-    reports: list[MuUpdateReport] = field(default_factory=list)
-    forward_calls: int = 0
-    jacobians: int = 0                     # evaluations whose G was solved
-    log_prior_value: float = 0.0
+    record: MuPhaseRecord
+    forward_calls: int
+    log_prior_value: float                 # the EM surrogate log p(mu) at the final mean
+
+    @property
+    def reports(self) -> list[MuUpdateReport]:     # perfbench/tracing.py reads it
+        return self.record.steps
 
     @property
     def budget_exhausted(self) -> bool:    # perfbench/tracing.py reads it
-        return self.stop_reason == "call_budget"
+        return self.record.stop_reason == "call_budget"
 
 
 @dataclass
@@ -356,7 +377,7 @@ def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
     Steps are plain Gauss-Newton on the data term until the jump-penalty prior
     goes on: after `reg_delay` accepted steps, or at the first step before
     that which accepts no trial while calls remain.  The phase ends at one of
-    four exits, named in the result's `stop_reason`: a step whose predicted
+    four exits, named in the record's `stop_reason`: a step whose predicted
     gain (`_trial_direction`) is at most GAIN_RTOL (1 + |F_mu|), or an
     accepted step whose actual gain is ("gain_tolerance"); a step with the
     prior on, or with `prior=None`, that accepts no trial
@@ -482,6 +503,7 @@ def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
     if prior is not None:
         prior = em_phi(mu, prior)
         log_prior_value, _ = log_prior_mu_and_grad(mu, prior)
-    return MuPhaseResult(mu=mu, ev=ev, a=a, b=b, prior=prior, stop_reason=stop_reason,
-                         reports=reports, forward_calls=model.calls - start,
-                         jacobians=jacobians, log_prior_value=log_prior_value)
+    record = MuPhaseRecord(jacobians=jacobians, stop_reason=stop_reason, steps=reports,
+                           floored_count=0 if prior is None else prior.floored_count)
+    return MuPhaseResult(mu=mu, ev=ev, a=a, b=b, prior=prior, record=record,
+                         forward_calls=model.calls - start, log_prior_value=log_prior_value)

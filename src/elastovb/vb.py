@@ -145,10 +145,9 @@ def tau_bound_terms(state: ReducedPosterior) -> float:
 
     For the default improper prior a0 = b0 = 0 the prior normalizer is an
     (infinite) constant and is dropped; the remaining terms are still the full
-    tau-dependence of the bound.  Returns exactly 0 when posterior == prior.
+    tau-dependence of the bound.  Every caller's q(tau) is fitted (a = a0 + d_y/2);
+    with a proper prior the sum would be exactly 0 at posterior == prior.
     """
-    if state.a == state.a0 and state.b == state.b0:
-        return 0.0
     mean_tau = state.mean_tau
     mean_log_tau = state.mean_log_tau
     val = ((state.a0 - state.a) * mean_log_tau + (state.b - state.b0) * mean_tau

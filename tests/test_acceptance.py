@@ -141,8 +141,10 @@ def test_criterion_2_posterior_std_agreement(golden, fullrank, capsys):
     W_rand = np.zeros_like(state.W)
     W_rand[free], _ = np.linalg.qr(rng.normal(size=(int(np.count_nonzero(free)),
                                                     state.d_theta)))
+    # the final mean's evaluation, solved again on a model of its own
+    final_ev = build_model(golden.cfg)[0].evaluate(state.mu).with_jacobian()
     random_basis = oracle.q_fixed_point(replace(state, W=W_rand),
-                                        golden.trace.mu_result.ev, golden.obs.yhat)
+                                        final_ev, golden.obs.yhat)
     rand_median = subspace_std_rel_median(random_basis, fullrank.state, free)
     scaled_median = subspace_std_rel_median(replace(state, lam=1.5 * state.lam),
                                             fullrank.state, free)

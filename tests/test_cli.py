@@ -677,7 +677,7 @@ def previous_schema(payload):
     return {**payload, "schema_version": cli.SCHEMA_VERSION - 1}
 
 
-def forward_calls_true(trace):      # a field that only `report` reads
+def forward_calls_true(trace):      # validate reads it too: the trace is read whole
     return {**trace, "forward_calls": True}
 
 
@@ -688,6 +688,15 @@ def first_item(key, value):
 def in_state(corrupt):
     """`corrupt` applied to the run trace's state block."""
     return lambda trace: {**trace, "state": corrupt(trace["state"])}
+
+
+def in_step(i, key, value):
+    """The run trace with `key` of mu_phase step i set to `value`."""
+    def corrupt(trace):
+        trace = json.loads(json.dumps(trace))
+        trace["mu_phase"]["steps"][i][key] = value
+        return trace
+    return corrupt
 
 
 @pytest.mark.parametrize("name,corrupt,named", [
@@ -727,6 +736,15 @@ def in_state(corrupt):
     ("run_trace.json", in_state(lambda st: {**st, "clamped": [0]}),
      "nonzero rows at clamped elements"),
     ("run_trace.json", forward_calls_true, "forward_calls must be an integer, got True"),
+    ("run_trace.json", in_step(1, "failed", 2.5),
+     "mu_phase.steps[1].failed must be an integer, got 2.5"),
+    ("run_trace.json", in_step(2, "accepted", 7), "mu_phase.steps[2].accepted must be true or false"),
+    ("run_trace.json", in_step(0, "corrected", True),       # a warm-up step: the prior is off
+     "mu_phase.steps[0]: a corrector step needs the prior on"),
+    ("run_trace.json",
+     lambda trace: {**trace, "records": [{**trace["records"][0], "sweeps": "x"}]
+                    + trace["records"][1:]},
+     "records[0].sweeps must be an integer, got 'x'"),
     ("run_trace.json", previous_schema, ""),
     ("is_report.json", lambda report: {**report, "ess": True},
      "ess must be a number, got True"),
@@ -737,8 +755,9 @@ def in_state(corrupt):
         "trace-root-list", "trace-mu-text", "trace-a-null", "trace-a-bool", "trace-mu-nan",
         "trace-mu-bool", "trace-state-unknown-key", "trace-lam-short", "trace-lam-negative",
         "trace-clamped-missing", "trace-clamped-fraction", "trace-clamped-basis-row",
-        "trace-forward_calls-bool", "trace-schema-previous", "is-ess-bool",
-        "is-schema-previous"])
+        "trace-forward_calls-bool", "trace-step-failed-fraction", "trace-step-accepted-count",
+        "trace-step-corrected-without-prior", "trace-sweeps-text", "trace-schema-previous",
+        "is-ess-bool", "is-schema-previous"])
 def test_malformed_artifact_exits_one_or_is_reported(name, corrupt, named, small_cfg_path,
                                                      tmp_path, capsys):
     # an artifact of another schema version is refused by its version, not
@@ -760,9 +779,8 @@ def test_malformed_artifact_exits_one_or_is_reported(name, corrupt, named, small
     expected = [named] + ([f"schema_version {cli.SCHEMA_VERSION - 1}",
                            f"reads {cli.SCHEMA_VERSION}"] if corrupt is previous_schema else [])
     capsys.readouterr()
-    readers = [] if corrupt is forward_calls_true else {
-        "observations.json": ["invert", "validate"], "run_trace.json": ["validate"],
-        "is_report.json": []}[name]
+    readers = {"observations.json": ["invert", "validate"], "run_trace.json": ["validate"],
+               "is_report.json": []}[name]
     for verb in readers:
         assert main([verb] + args) == 1
         err = capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Adaptive subspace growth: gain statistic, precision schedule, eigenbasis, runs."""
 
+import json
 import math
 from dataclasses import replace
 from types import SimpleNamespace
@@ -9,15 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elastovb.config import build_model, generate_data, initial_mu
+from elastovb.config import ConfigError, build_model, config_from_dict, generate_data, initial_mu
 from elastovb.driver import (DriverConfig, add_basis, info_gain, kl_terms,
-                             next_prior_precision, optimize_W, run, state_from_dict)
+                             next_prior_precision, optimize_W, run, trace_from_dict)
 from elastovb.forward import FemForwardModel, ForwardEval
-from elastovb.mean_update import SmoothPrior
-from elastovb.vb import ReducedPosterior
+from elastovb.mean_update import SmoothPrior, em_phi, log_prior_mu_and_grad
+from elastovb.vb import ReducedPosterior, update_q_tau
 
 import vb_oracle as oracle
-from conftest import concentrated_tau_prior, example1_config, top_clamped_model, traced_peak
+from conftest import (concentrated_tau_prior, example1_config, example1_dict, top_clamped_model,
+                      traced_peak)
 from jacobian_oracle import dense
 from linear_oracle import DenseSensitivities, LinearOracleModel
 
@@ -252,7 +254,7 @@ def test_run_counts_calls_only_in_mean_phase(linear_problem, rng):
     model = LinearOracleModel(A)
     yhat = A @ psi_true + rng.normal(0.0, 0.01, 8)
     trace = run(model, yhat, DriverConfig())
-    assert model.calls == trace.forward_calls == trace.mu_result.forward_calls
+    assert model.calls == trace.forward_calls
 
 
 def test_run_reproducible_bit_for_bit(linear_problem, rng):
@@ -271,17 +273,29 @@ def test_run_trace_round_trips_through_dict(linear_problem, rng):
     yhat = A @ psi_true + rng.normal(0.0, 0.01, 8)
     fixed = np.array([False, True, False, False])
     trace = run(LinearOracleModel(A, fixed_mask=fixed), yhat, DriverConfig(max_bases=2))
-    assert trace.to_dict()["state"]["clamped"] == [1]
-    back, clamped = state_from_dict(trace.to_dict())
-    assert np.array_equal(clamped, fixed)
-    assert np.array_equal(back.mu, trace.state.mu)
-    assert np.array_equal(back.W, trace.state.W)
-    assert np.array_equal(back.lam, trace.state.lam)
-    assert (back.a, back.b) == (trace.state.a, trace.state.b)
-    # an integral float is an index, as every config integer reads
     d = trace.to_dict()
+    assert d["state"]["clamped"] == [1]
+    back = trace_from_dict(d)
+    assert back.to_dict() == d
+    assert back.state.clamped == [1]
+    assert np.array_equal(back.state.mu, trace.state.mu)
+    assert np.array_equal(back.state.W, trace.state.W)
+    assert np.array_equal(back.state.lam, trace.state.lam)
+    assert (back.state.a, back.state.b) == (trace.state.a, trace.state.b)
+    # an integral float is an index, as every config integer reads
     d["state"]["clamped"] = [1.0]
-    assert np.array_equal(state_from_dict(d)[1], fixed)
+    assert trace_from_dict(d).state.clamped == [1]
+
+
+@pytest.mark.parametrize("value", [0, 1, "true", None])
+def test_trace_reads_a_flag_only_as_a_boolean(value, linear_problem, rng):
+    # a JSON 1 is not true: a count summed as a flag would print as one
+    A, psi_true = linear_problem
+    yhat = A @ psi_true + rng.normal(0.0, 0.01, 8)
+    d = run(LinearOracleModel(A), yhat, DriverConfig(max_bases=2)).to_dict()
+    d["mu_phase"]["steps"][0]["accepted"] = value
+    with pytest.raises(ConfigError, match=r"mu_phase\.steps\[0\]\.accepted must be true or false"):
+        trace_from_dict(d)
 
 
 def test_run_rejects_mismatched_observations(linear_problem):
@@ -392,7 +406,13 @@ def run_example1(model_cls=FemForwardModel, cfg=None):
     model = model_cls(mesh, bc, fixed_mask=mask, poisson=cfg.mesh.poisson)
     prior = SmoothPrior.for_grid(mesh.nx, mesh.ny, cfg.prior.a_phi, cfg.prior.b_phi)
     trace = run(model, obs.yhat, cfg.solver, prior=prior, mu0=initial_mu(cfg, mesh))
-    return SimpleNamespace(trace=trace, yhat=obs.yhat, mask=mask)
+    return SimpleNamespace(trace=trace, yhat=obs.yhat, mask=mask, model=model)
+
+
+def final_evaluation(example):
+    """The evaluation, Jacobian included, at the run's final mean: the one its
+    basis phase worked from, solved again at one more call on its model."""
+    return example.model.evaluate(example.trace.state.mu).with_jacobian()
 
 
 @pytest.fixture(scope="module")
@@ -412,7 +432,7 @@ def test_stalled_warm_up_switches_the_prior_on(poisson, snr, noise_seed):
     cfg = example1_config()
     cfg.mesh.poisson, cfg.noise.snr, cfg.noise.seed = poisson, snr, noise_seed
     res = run_example1(cfg=cfg)
-    reports = res.trace.mu_result.reports
+    reports = res.trace.mu_phase.steps
     assert any(not rep.accepted and not rep.regularization_active for rep in reports)
     assert reports[-1].regularization_active
     assert np.max(np.abs(res.trace.state.mu[~res.mask])) < 10.0
@@ -436,7 +456,7 @@ def test_run_reads_the_clamp_set_from_the_model():
 
 
 def test_basis_is_the_ordered_minor_eigenbasis(example1):
-    state, ev = example1.trace.state, example1.trace.mu_result.ev
+    state, ev = example1.trace.state, final_evaluation(example1)
     free = ~example1.mask
     G_f = dense(ev.G)[:, free]
     A_ff = G_f.T @ G_f
@@ -461,8 +481,8 @@ def test_basis_beats_random_frames_at_the_same_schedule(example1):
     # at the run's prior-precision schedule, no other orthonormal frame on the
     # free elements reaches a higher q-fixed-point ELBO than the driver's basis
     trace, yhat = example1.trace, example1.yhat
-    state, ev = trace.state, trace.mu_result.ev
-    log_prior_mu = trace.mu_result.log_prior_value
+    state, ev = trace.state, final_evaluation(example1)
+    log_prior_mu = trace.elbo_rows[0].log_prior_mu
     best = oracle.elbo(state, ev, yhat, log_prior_mu).total
     free = ~example1.mask
     rng = np.random.default_rng(0)
@@ -488,17 +508,18 @@ def test_stages_match_the_general_W_oracle(example1):
     # and iterates the conjugate updates towards their fixed point.  Measured:
     # bounds within 7e-16 relative and precisions within 2e-12.
     trace, yhat = example1.trace, example1.yhat
-    mu_res = trace.mu_result
+    ev = final_evaluation(example1)
+    a, b = update_q_tau(trace.state, yhat - ev.y)       # the mean phase's q(tau)
     start = ReducedPosterior(mu=trace.state.mu, W=np.zeros((trace.state.d_psi, 0)),
                              lambda0=np.zeros(0), lam=np.zeros(0), a0=trace.state.a0,
-                             b0=trace.state.b0, a=mu_res.a, b=mu_res.b)
-    stages, bounds, stop = oracle.basis_phase(start, trace.state.W, mu_res.ev, yhat,
+                             b0=trace.state.b0, a=a, b=b)
+    stages, bounds, stop = oracle.basis_phase(start, trace.state.W, ev, yhat,
                                               example1_config().solver,
-                                              mu_res.log_prior_value)
+                                              trace.elbo_rows[0].log_prior_mu)
     assert (len(stages), stop) == (trace.state.d_theta, trace.stop_reason) == (6, "info_gain")
     for record, st, bound in zip(trace.records, stages, bounds):
         d = record.d_theta
-        assert trace.elbo_rows[d]["f"] == pytest.approx(bound, rel=1e-12, abs=0.0)
+        assert trace.elbo_rows[d].f == pytest.approx(bound, rel=1e-12, abs=0.0)
         assert np.allclose(record.lam, st.lam, rtol=1e-9, atol=0.0)
         assert np.allclose(trace.state.lambda0[:d], st.lambda0, rtol=1e-9, atol=0.0)
     assert trace.state.b == pytest.approx(stages[-1].b, rel=1e-9, abs=0.0)
@@ -539,3 +560,31 @@ def test_run_trace_counts_mean_phase_jacobians(example1):
     assert mu_phase["jacobians"] == 1 + accepted == 11
     assert trace["forward_calls"] == 11
     assert all(st["forward_calls"] - st["accepted"] == 0 for st in mu_phase["steps"])
+
+
+@pytest.mark.parametrize("changes,calls", [
+    ({}, 11), ({"mesh": {"nx": 20, "ny": 20}}, 13), ({"noise": {"snr": 100.0}}, 23),
+    ({"noise": {"snr": 100.0, "seed": 15}}, 16)],
+    ids=["example1", "mesh20", "noisy10", "flat_field"])
+def test_trace_round_trips_through_its_dict(changes, calls):
+    # the benchmark's three workloads, and a noisy run whose mean ends near the
+    # flat field; every block is read back, through JSON, to the same dict
+    d = example1_dict()
+    for block, values in changes.items():
+        d[block].update(values)
+    trace = run_example1(cfg=config_from_dict(d)).trace
+    assert trace.forward_calls == calls
+    written = trace.to_dict()
+    assert trace_from_dict(json.loads(json.dumps(written))).to_dict() == written
+
+
+def test_bound_holds_the_log_prior_at_the_final_mean(example1):
+    # update_mu closes with an E-step at the final mean; without it the
+    # bound's log_prior_mu reads 0 and the ELBO moves by 8 nat
+    cfg = example1_config()
+    prior = SmoothPrior.for_grid(cfg.mesh.nx, cfg.mesh.ny, cfg.prior.a_phi, cfg.prior.b_phi)
+    mu = example1.trace.state.mu
+    expected = log_prior_mu_and_grad(mu, em_phi(mu, prior))[0]
+    assert expected == pytest.approx(-8.000001075154891, rel=1e-6, abs=0.0)
+    written = example1.trace.to_dict()["elbo_rows"][-1]["log_prior_mu"]
+    assert written == pytest.approx(expected, rel=1e-6, abs=0.0)

@@ -387,7 +387,7 @@ def test_stationary_at_exact_data(rng):
     assert np.array_equal(res.mu, psi_true)
     assert res.reports == []
     assert res.forward_calls == 1
-    assert res.stop_reason == "gain_tolerance"
+    assert res.record.stop_reason == "gain_tolerance"
 
 
 def test_no_trial_call_for_a_gain_below_tolerance(rng):
@@ -401,7 +401,7 @@ def test_no_trial_call_for_a_gain_below_tolerance(rng):
     res = update_mu(state, model, A @ psi_true)
     assert res.reports == []
     assert res.forward_calls == model.calls == 1
-    assert res.stop_reason == "gain_tolerance"
+    assert res.record.stop_reason == "gain_tolerance"
     assert np.array_equal(res.mu, state.mu)
 
 
@@ -466,7 +466,7 @@ def test_mesh20_mean_phase_holds_one_gram_at_a_time():
             tracemalloc.stop()
 
     res, peak = example1_mean_phase(mesh_n=20, wrap=traced)
-    assert res.jacobians > 1                 # an accepted trial formed its Gram
+    assert res.record.jacobians > 1                 # an accepted trial formed its Gram
     assert peak < 2.3 * res.ev.G.gram().nbytes
 
 
@@ -621,7 +621,7 @@ def test_corrector_without_frozen_gain_falls_back():
     res = update_mu(state, model, yhat, prior=prior, reg_delay=0, max_outer=1)
     (rep,) = res.reports
     assert rep.accepted and not rep.corrected
-    assert res.stop_reason == "max_steps"
+    assert res.record.stop_reason == "max_steps"
 
     ev = model.evaluate(state.mu).with_jacobian()
     a, b = update_q_tau(state, yhat - ev.y)
@@ -647,7 +647,7 @@ def test_call_budget_accounting(rng):
     model = LinearOracleModel(A)
     yhat = rng.normal(size=6)
     res = update_mu(empty_state(3), model, yhat, call_budget=2)
-    assert res.budget_exhausted and res.stop_reason == "call_budget"
+    assert res.budget_exhausted and res.record.stop_reason == "call_budget"
     assert res.forward_calls == model.calls == 2
 
 
@@ -687,7 +687,7 @@ def test_failed_jacobian_halves_the_trial_like_a_failed_solve(rng):
     assert jac.reports == val.reports
     assert np.array_equal(jac.mu, val.mu)
     assert np.array_equal(dense(jac.ev.G), A)
-    assert jac.jacobians == val.jacobians == 1 + sum(r.accepted for r in jac.reports)
+    assert jac.record.jacobians == val.record.jacobians == 1 + sum(r.accepted for r in jac.reports)
 
 
 def test_failed_jacobian_without_a_later_accept_solves_mu_again(rng):
@@ -700,9 +700,9 @@ def test_failed_jacobian_without_a_later_accept_solves_mu_again(rng):
     assert not rep.accepted and rep.forward_calls == 1
     # mu did not move: the step reads 0, not |delta| * 2^-(max_halvings + 1)
     assert rep.delta_norm == 0.0 and rep.f_after == rep.f_before
-    assert res.stop_reason == "no_acceptable_trial"      # no prior to switch on
+    assert res.record.stop_reason == "no_acceptable_trial"      # no prior to switch on
     assert res.forward_calls == model.calls == 3
-    assert res.jacobians == 2
+    assert res.record.jacobians == 2
     assert np.array_equal(res.mu, np.zeros(3))
     assert np.array_equal(dense(res.ev.G), A) and np.array_equal(res.ev.y, np.zeros(6))
 
@@ -718,14 +718,14 @@ def test_warm_up_step_whose_jacobian_fails_goes_on_with_the_prior(rng):
     res = update_mu(empty_state(3), model, yhat, prior=prior, reg_delay=2, max_halvings=0)
     stalled, *regularized = res.reports
     assert not stalled.accepted and not stalled.regularization_active
-    assert res.stop_reason == "gain_tolerance"
+    assert res.record.stop_reason == "gain_tolerance"
     assert stalled.forward_calls == stalled.failed == 1
     assert regularized and all(rep.regularization_active for rep in regularized)
     a, b = update_q_tau(empty_state(3), yhat)
     assert regularized[0].accepted
     assert regularized[0].f_before == pytest.approx(-0.5 * (a / b) * (yhat @ yhat), rel=1e-12)
     assert res.forward_calls == model.calls == 3 + sum(rep.forward_calls for rep in regularized)
-    assert res.jacobians == 2 + sum(rep.accepted for rep in regularized)
+    assert res.record.jacobians == 2 + sum(rep.accepted for rep in regularized)
     assert np.array_equal(dense(res.ev.G), A)
     assert np.array_equal(res.ev.y, model.evaluate(res.mu).y)
 
@@ -740,7 +740,7 @@ def test_step_with_the_prior_on_that_accepts_nothing_ends_the_phase(rng):
                     max_halvings=0)
     (rep,) = res.reports
     assert not rep.accepted and rep.regularization_active
-    assert res.stop_reason == "no_acceptable_trial" and not res.budget_exhausted
+    assert res.record.stop_reason == "no_acceptable_trial" and not res.budget_exhausted
     assert res.forward_calls == model.calls == 3
 
 
@@ -846,7 +846,7 @@ def test_failed_jacobian_at_the_first_solving_trial_moves_on(b):
     assert rep.accepted and res.mu.tobytes() == mu_ref.tobytes()
     assert rep.forward_calls == SEARCH_CALLS[b] + 1
     assert rep.failed == model.failures >= 1
-    assert res.jacobians == 2 and np.array_equal(dense(res.ev.G), A)
+    assert res.record.jacobians == 2 and np.array_equal(dense(res.ev.G), A)
 
 
 class CeilingModel(LinearOracleModel):
@@ -950,7 +950,7 @@ def test_non_monotone_failures_keep_every_step_an_ascent(fail, rng):
     assert reported == failed or res.budget_exhausted and reported <= failed
     assert res.forward_calls == model.calls <= 30
     misfits = [float(np.sum((yhat - A @ np.arctan(psi)) ** 2)) for psi in model.solved_g]
-    assert len(misfits) == res.jacobians == 1 + sum(rep.accepted for rep in res.reports)
+    assert len(misfits) == res.record.jacobians == 1 + sum(rep.accepted for rep in res.reports)
     assert all(later < earlier for earlier, later in zip(misfits, misfits[1:]))
     assert np.array_equal(model.solved_g[-1], res.mu)
     if fail == (0, 1, 3, 7, 10):
@@ -969,7 +969,7 @@ def test_call_budget_runs_out_mid_search(budget):
     assert res.budget_exhausted and res.reports == []
     assert res.forward_calls == model.calls == budget
     assert np.array_equal(res.mu, np.zeros(3))
-    assert res.jacobians == 1 and np.array_equal(dense(res.ev.G), A)
+    assert res.record.jacobians == 1 and np.array_equal(dense(res.ev.G), A)
     full = update_mu(empty_state(3), CliffModel(A, model.radius), yhat, max_outer=1,
                      call_budget=7)
     assert full.reports[0].accepted and full.forward_calls == 7
@@ -989,8 +989,8 @@ def test_jacobians_solved_only_for_accepted_trials(mesh_n, monkeypatch):
     monkeypatch.setattr(fwd, "adjoint_jacobian", counting)
     res = example1_mean_phase(mesh_n=mesh_n)
     accepted = sum(rep.accepted for rep in res.reports)
-    assert len(solved) == res.jacobians == 1 + accepted
-    assert res.forward_calls == res.jacobians + sum(rep.halvings for rep in res.reports)
+    assert len(solved) == res.record.jacobians == 1 + accepted
+    assert res.forward_calls == res.record.jacobians + sum(rep.halvings for rep in res.reports)
     assert np.array_equal(solved[-1], np.exp(res.mu))
     monkeypatch.undo()
     cfg = example1_config()
@@ -1078,9 +1078,9 @@ def test_one_jacobian_alive_at_each_solve():
     state.mu = np.array([1.0])
     res = update_mu(state, model, np.zeros(1))
     accepted = sum(rep.accepted for rep in res.reports)
-    assert len(model.g_alive_at_solve) == res.jacobians == 1 + accepted
-    assert model.g_alive_at_solve == [0] * res.jacobians
-    assert res.forward_calls == model.calls > res.jacobians
+    assert len(model.g_alive_at_solve) == res.record.jacobians == 1 + accepted
+    assert model.g_alive_at_solve == [0] * res.record.jacobians
+    assert res.forward_calls == model.calls > res.record.jacobians
 
 
 def test_search_holds_at_most_one_passing_trial_at_each_call():

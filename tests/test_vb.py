@@ -220,6 +220,14 @@ def test_tau_terms_vanish_when_posterior_equals_prior():
     assert br.tau_terms == 0.0
 
 
+@pytest.mark.parametrize("a,b", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -1.0)])
+def test_q_tau_moments_need_a_fitted_q_tau(a, b):
+    state = make_state(np.zeros(1), np.zeros((1, 0)), [], [], a=a, b=b)
+    for moment in ("mean_tau", "mean_log_tau"):
+        with pytest.raises(ValueError, match="a and b must be positive"):
+            getattr(state, moment)
+
+
 def test_tau_terms_proper_prior_closed_form():
     # KL(Gamma(a,b) || Gamma(a0,b0)) reproduced with opposite sign
     a0, b0, a, b = 2.0, 3.0, 5.0, 7.0
