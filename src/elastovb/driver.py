@@ -69,7 +69,6 @@ def add_basis(state: ReducedPosterior, w: np.ndarray, lambda0_1: float) -> Reduc
     precision starts at the prior.  The basis columns' e ascend, but <tau>
     falls as columns are added, so lambda0 need not be nondecreasing.
     """
-    w = np.asarray(w, dtype=float)
     if w.shape != (state.d_psi,):
         raise ValueError(f"basis column has shape {w.shape}, expected ({state.d_psi},)")
     if state.d_theta == 0:
@@ -135,8 +134,13 @@ class ElboRow:
 
 @dataclass
 class RunState(ReducedPosterior):
-    """The posterior a run ends with, and the elements its model clamps (zero rows of W)."""
+    """The posterior a run ends with, and the elements its model clamps (zero rows of W).
+    Every field is required: a trace that lacks a0 is not read as the improper prior."""
 
+    a0: float = field(kw_only=True)
+    b0: float = field(kw_only=True)
+    a: float = field(kw_only=True)
+    b: float = field(kw_only=True)
     clamped: list[int] = field(kw_only=True)
 
     def __post_init__(self) -> None:
@@ -194,13 +198,12 @@ def run(model: ForwardModel, yhat: np.ndarray, config: DriverConfig,
     """
     start = time.perf_counter()
     config.validate()
-    yhat = np.asarray(yhat, dtype=float)
     if yhat.shape[0] != model.d_y:
         raise ValueError(f"observations have length {yhat.shape[0]}, model d_y is {model.d_y}")
     d_psi = model.d_psi
     mu0 = np.zeros(d_psi) if mu0 is None else np.asarray(mu0, dtype=float)
     state = RunState(mu=mu0.copy(), W=np.zeros((d_psi, 0)), lambda0=np.zeros(0),
-                     lam=np.zeros(0), a0=config.a0, b0=config.b0,
+                     lam=np.zeros(0), a0=config.a0, b0=config.b0, a=0.0, b=0.0,
                      clamped=np.flatnonzero(model.fixed_mask).tolist())
 
     mu_res = update_mu(state, model, yhat, prior, reg_delay=config.mu_reg_delay,

@@ -103,7 +103,6 @@ class ForwardModel(ABC):
 
     def evaluate(self, psi: np.ndarray) -> ForwardEval:
         """One forward call, value only; the result gives G through `with_jacobian()`."""
-        psi = np.asarray(psi, dtype=float)
         if psi.shape != (self.d_psi,):
             raise ValueError(f"psi has shape {psi.shape}, expected ({self.d_psi},)")
         if not np.all(np.isfinite(psi)):

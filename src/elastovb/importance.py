@@ -90,7 +90,6 @@ def run_is(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
     """
     if M < 2:
         raise ValueError("need at least 2 samples")
-    yhat = np.asarray(yhat, dtype=float)
     d_y = yhat.shape[0]
     rng = np.random.default_rng(seed)
     thetas = rng.standard_normal((M, state.d_theta)) * (1.0 / np.sqrt(state.lam))

@@ -86,7 +86,6 @@ class SmoothPrior:
     floored_count: int = 0                 # pairs clipped at the rate floor
 
     def __post_init__(self) -> None:
-        self.pairs = np.asarray(self.pairs, dtype=int)
         if self.pairs.ndim != 2 or self.pairs.shape[1] != 2:
             raise ValueError("pairs must be a (d_L, 2) index array")
         seen = {tuple(sorted(p)) for p in self.pairs.tolist()}
@@ -116,8 +115,8 @@ class MuUpdateReport:
     f_after: float
     forward_calls: int
     regularization_active: bool
-    failed: int = 0                        # trial calls whose value or Jacobian solve raised
-    corrected: bool = False                # the trial step came from the corrector E-step
+    failed: int                            # trial calls whose value or Jacobian solve raised
+    corrected: bool                        # the trial step came from the corrector E-step
 
     def __post_init__(self) -> None:
         if self.accepted and not self.f_after > self.f_before:

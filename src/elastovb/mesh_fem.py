@@ -360,7 +360,6 @@ class BandedSensitivities(Sensitivities):
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         """G v for a d_psi vector or a (d_psi x m) matrix v: one solve."""
-        v = np.asarray(v, dtype=float)
         out_shape = (self.shape[0],) + v.shape[1:]
         if self._active.size == 0:
             return np.zeros(out_shape)
@@ -381,13 +380,8 @@ class BandedSensitivities(Sensitivities):
     def _form_gram(self) -> np.ndarray:
         n = self._active.size
         gram = np.empty((n, n))
-        # LAPACK solves a single right-hand side with other rounding than a
-        # column inside a block, so a lone trailing column joins the block
-        # before it; the Gram then has the same bits at any block size
-        starts = list(range(0, n, SENSITIVITY_BLOCK))
-        if len(starts) > 1 and n - starts[-1] == 1:
-            starts.pop()
-        for lo, hi in zip(starts, starts[1:] + [n]):
+        for lo in range(0, n, SENSITIVITY_BLOCK):
+            hi = min(lo + SENSITIVITY_BLOCK, n)
             m = hi - lo
             x = self._solve(self._rhs(self._pos[lo:hi] + self._n_free * np.arange(m)[:, None],
                                       self._vals[lo:hi], m))

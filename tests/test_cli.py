@@ -256,6 +256,32 @@ def test_pipeline_smoke(tmp_path, capsys):
     assert trace["stop_reason"] in ("info_gain", "max_bases", "full_rank")
 
 
+def test_each_stage_prints_what_it_wrote(small_cfg_path, tmp_path, capsys):
+    # every number a stage prints is the one its artifact holds
+    out = tmp_path / "lines"
+    args = ["--config", str(small_cfg_path), "--out", str(out)]
+    capsys.readouterr()
+    assert main(["generate"] + args) == 0
+    obs = json.loads((out / "observations.json").read_text())
+    assert capsys.readouterr().out.splitlines() == [
+        f"wrote {len(obs['yhat'])} observations to {out / 'observations.json'}",
+        f"tau_true: {cli._fmt(obs['tau_true'])}"]
+    assert main(["invert"] + args) == 0
+    trace = json.loads((out / "run_trace.json").read_text())
+    assert capsys.readouterr().out.splitlines() == [
+        f"d_theta: {len(trace['state']['lam'])}",
+        f"forward_calls: {trace['forward_calls']}",
+        f"stop_reason: {trace['stop_reason']}",
+        f"elbo: {cli._fmt(trace['elbo_rows'][-1]['f'])}",
+        f"wall_time_s: {trace['wall_time_s']:.2f}"]
+    assert main(["validate"] + args) == 0
+    report = json.loads((out / "is_report.json").read_text())
+    assert capsys.readouterr().out.splitlines() == [
+        f"ess: {cli._fmt(report['ess'])}",
+        f"discarded: {report['discarded']}",
+        f"mean_rel_median: {cli._fmt(report['mean_rel_median'])}"]
+
+
 def test_run_trace_records_mean_phase(small_cfg_path, tmp_path, capsys):
     out = tmp_path / "mu"
     args = ["--config", str(small_cfg_path), "--out", str(out)]
@@ -416,6 +442,15 @@ def test_usage_errors_exit_one(small_cfg_path, tmp_path, capsys):
     capsys.readouterr()
     assert main(["validate"] + args) == 1           # no run trace yet
     assert f"missing {out / 'run_trace.json'};" in capsys.readouterr().err
+
+
+def test_bad_usage_prints_the_usage_on_stderr(capsys):
+    assert main([]) == 1
+    assert capsys.readouterr().err == cli._build_parser().format_usage()
+    assert main(["invert"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: elastovb invert ")
+    assert err[-1] == "elastovb: error: the following arguments are required: --config"
 
 
 @pytest.mark.parametrize("verb,flag", [
@@ -609,6 +644,7 @@ NAN, INF = float("nan"), float("inf")
     (("validation", "seed"), -2),
     (("validation", "samples"), 1),
     (("solver", "max_bases"), -2),
+    (("solver", "info_gain_window"), 0),
     (("solver", "mu_max_outer"), -1),       # a removed key: named as removed
     (("solver", "mu_reg_delay"), -1),
     (("solver", "mu_max_halvings"), -1),    # a removed key: named as removed
@@ -638,6 +674,14 @@ def test_bad_number_exits_one_naming_it(keys, value, tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("elastovb: config error:") and "Traceback" not in err
         assert named in err
+
+
+def test_initial_mu_holds_the_clamped_rows_at_the_clamp_value():
+    d = small_dict()
+    d["mu0"], d["clamp"] = -0.25, {"top_element_rows": 2, "value": 0.75}
+    cfg = config_from_dict(d)
+    mu = cfgmod.initial_mu(cfg, cfgmod.build_mesh(cfg))
+    assert mu.tolist() == [-0.25] * 8 + [0.75] * 8
 
 
 def test_unclamped_config_needs_a_nonzero_point_load():
@@ -685,18 +729,32 @@ def first_item(key, value):
     return lambda payload: {**payload, key: [value] + payload[key][1:]}
 
 
+def without(key):
+    return lambda block: {k: v for k, v in block.items() if k != key}
+
+
 def in_state(corrupt):
     """`corrupt` applied to the run trace's state block."""
     return lambda trace: {**trace, "state": corrupt(trace["state"])}
 
 
 def in_step(i, key, value):
-    """The run trace with `key` of mu_phase step i set to `value`."""
+    """The run trace with `key` of mu_phase step i set to `value` (DELETE: dropped)."""
     def corrupt(trace):
         trace = json.loads(json.dumps(trace))
-        trace["mu_phase"]["steps"][i][key] = value
+        step = trace["mu_phase"]["steps"][i]
+        if value is DELETE:
+            del step[key]
+        else:
+            step[key] = value
         return trace
     return corrupt
+
+
+def failed_past_the_calls(trace):
+    """Step 0 counting one failed trial more than it has calls not accepted."""
+    step = trace["mu_phase"]["steps"][0]
+    return in_step(0, "failed", step["forward_calls"] - step["accepted"] + 1)(trace)
 
 
 @pytest.mark.parametrize("name,corrupt,named", [
@@ -712,6 +770,10 @@ def in_step(i, key, value):
     ("observations.json", first_item("yhat", True), "yhat[0] must be a number, got True"),
     ("observations.json", lambda obs: {**obs, "seed": "x"},
      "unknown keys in observations: ['seed']"),
+    ("observations.json", lambda obs: {**obs, "tau_true": 0.0},
+     "tau_true must be finite and positive, got 0.0"),
+    ("observations.json", lambda obs: {**obs, "yhat": obs["yhat"][:-1]},
+     "observation file length mismatch"),
     ("observations.json", previous_schema, ""),
     ("observations.json", DIRECTORY, ""),
     ("run_trace.json", lambda trace: [trace], "root must be a mapping"),
@@ -729,18 +791,29 @@ def in_step(i, key, value):
      "posterior precisions"),
     ("run_trace.json", in_state(first_item("lam", -1.0)),
      "precisions lambda0 and lam must be positive"),
-    ("run_trace.json", in_state(lambda st: {k: v for k, v in st.items() if k != "clamped"}),
-     "state.clamped is required"),
+    *[("run_trace.json", in_state(without(key)), f"state.{key} is required")
+      for key in ("a0", "b0", "a", "b", "clamped")],
     ("run_trace.json", in_state(lambda st: {**st, "clamped": [1.5]}),
      "state.clamped[0] must be an integer"),
     ("run_trace.json", in_state(lambda st: {**st, "clamped": [0]}),
      "nonzero rows at clamped elements"),
+    ("run_trace.json", in_state(lambda st: {**st, "clamped": [100]}),
+     "clamped must list element indices in [0, 16)"),
+    ("run_trace.json", lambda trace: {**trace, "elbo_rows": trace["elbo_rows"][:-1]},
+     "elbo_rows must run over d_theta 0 to"),
     ("run_trace.json", forward_calls_true, "forward_calls must be an integer, got True"),
     ("run_trace.json", in_step(1, "failed", 2.5),
      "mu_phase.steps[1].failed must be an integer, got 2.5"),
     ("run_trace.json", in_step(2, "accepted", 7), "mu_phase.steps[2].accepted must be true or false"),
     ("run_trace.json", in_step(0, "corrected", True),       # a warm-up step: the prior is off
      "mu_phase.steps[0]: a corrector step needs the prior on"),
+    *[("run_trace.json", in_step(0, key, DELETE), f"mu_phase.steps[0].{key} is required")
+      for key in ("failed", "corrected")],
+    ("run_trace.json", failed_past_the_calls,
+     "mu_phase.steps[0]: failed trials must lie in [0, forward_calls - accepted]"),
+    ("run_trace.json",
+     lambda trace: {**trace, "mu_phase": {**trace["mu_phase"], "stop_reason": "done"}},
+     "mu_phase: stop_reason 'done' is none of"),
     ("run_trace.json",
      lambda trace: {**trace, "records": [{**trace["records"][0], "sweeps": "x"}]
                     + trace["records"][1:]},
@@ -751,12 +824,16 @@ def in_step(i, key, value):
     ("is_report.json", previous_schema, ""),
 ], ids=["obs-root-list", "obs-yhat-text", "obs-tau_true-null", "obs-tau_true-bool",
         "obs-tau_true-infinite", "obs-yhat-nan", "obs-yhat-bool", "obs-seed-text",
-        "obs-schema-previous", "obs-directory",
+        "obs-tau_true-zero", "obs-yhat-short", "obs-schema-previous", "obs-directory",
         "trace-root-list", "trace-mu-text", "trace-a-null", "trace-a-bool", "trace-mu-nan",
         "trace-mu-bool", "trace-state-unknown-key", "trace-lam-short", "trace-lam-negative",
+        "trace-a0-missing", "trace-b0-missing", "trace-a-missing", "trace-b-missing",
         "trace-clamped-missing", "trace-clamped-fraction", "trace-clamped-basis-row",
+        "trace-clamped-outside", "trace-elbo-row-missing",
         "trace-forward_calls-bool", "trace-step-failed-fraction", "trace-step-accepted-count",
-        "trace-step-corrected-without-prior", "trace-sweeps-text", "trace-schema-previous",
+        "trace-step-corrected-without-prior", "trace-step-failed-missing",
+        "trace-step-corrected-missing", "trace-step-failed-past-calls",
+        "trace-stop-reason-unknown", "trace-sweeps-text", "trace-schema-previous",
         "is-ess-bool", "is-schema-previous"])
 def test_malformed_artifact_exits_one_or_is_reported(name, corrupt, named, small_cfg_path,
                                                      tmp_path, capsys):
@@ -932,6 +1009,31 @@ def test_validate_refuses_a_trace_inverted_under_another_clamp_set(small_cfg_pat
     assert main(["validate", "--config", str(fewer)] + args) == 0
 
 
+def test_validate_refuses_a_trace_of_another_field_size(tmp_path, capsys):
+    # with no element clamped the clamp check passes any trace; a state one
+    # element short must still be refused, not weighed against the model
+    d = small_dict()
+    d["clamp"]["top_element_rows"] = 0
+    d["bc"]["loads"] = [{"node": [4, 2], "fx": 0.05}]
+    path = tmp_path / "free.yaml"
+    path.write_text(yaml.safe_dump(d))
+    out = tmp_path / "free"
+    args = ["--config", str(path), "--out", str(out)]
+    for verb in ("generate", "invert"):
+        assert main([verb] + args) == 0
+    trace_path = out / "run_trace.json"
+    trace = json.loads(trace_path.read_text())
+    assert trace["state"]["clamped"] == []
+    trace["state"]["mu"] = trace["state"]["mu"][:-1]
+    trace["state"]["W"] = trace["state"]["W"][:-1]
+    trace_path.write_text(json.dumps(trace))
+    capsys.readouterr()
+    assert main(["validate"] + args) == 1
+    assert ("elastovb: error: run trace does not match the configured mesh/bc"
+            in capsys.readouterr().err)
+    assert not (out / "is_report.json").exists()
+
+
 def run_child(*args):
     """`python *args` in a child that imports the package under test."""
     src = str(Path(elastovb.__file__).resolve().parents[1])
@@ -983,7 +1085,7 @@ def test_console_entry_point_runs(tmp_path, small_cfg_path):
     assert (out / "observations.json").exists()
 
 
-def test_singular_phantom_exits_two(tmp_path):
+def test_singular_phantom_exits_two(tmp_path, capsys):
     # pinning only horizontal motion leaves a rigid vertical translation;
     # loading that direction makes the solve singular: numerical failure, exit 2
     d = small_dict()
@@ -992,7 +1094,9 @@ def test_singular_phantom_exits_two(tmp_path):
     cfg = config_from_dict(d)
     path = tmp_path / "sing.yaml"
     save_config(cfg, path)
+    capsys.readouterr()
     assert main(["generate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("forward solve failed on the phantom: ")
 
 
 def test_failed_generate_leaves_no_earlier_artifacts(small_cfg_path, tmp_path, capsys):

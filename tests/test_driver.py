@@ -127,6 +127,9 @@ def test_add_basis_respects_clamp_and_cap(rng):
     assert orthonormality_defect(state.W) < 1e-10
     with pytest.raises(ValueError):
         add_basis(state, np.ones(5), 1e-10)
+    # a column given as a (d_psi x 1) matrix would stack as one column too
+    with pytest.raises(ValueError, match=r"basis column has shape \(6, 1\), expected \(6,\)"):
+        add_basis(state, np.ones((6, 1)), 1e-10)
 
 
 def test_optimize_W_peak_memory_near_one_gram():
@@ -300,8 +303,17 @@ def test_trace_reads_a_flag_only_as_a_boolean(value, linear_problem, rng):
 
 def test_run_rejects_mismatched_observations(linear_problem):
     A, _ = linear_problem
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="observations have length 5, model d_y is 8"):
         run(LinearOracleModel(A), np.zeros(5), DriverConfig())
+
+
+def test_run_validates_its_config(linear_problem):
+    # a window of 0 stages would stop growth on no evidence at all
+    A, psi_true = linear_problem
+    model = LinearOracleModel(A)
+    with pytest.raises(ConfigError, match=r"solver\.info_gain_window must be >= 1"):
+        run(model, A @ psi_true, DriverConfig(info_gain_window=0))
+    assert model.calls == 0
 
 
 def test_run_info_gain_stop_with_clamp(rng):

@@ -202,6 +202,23 @@ def test_point_posterior_all_weights_equal(rng):
     assert not rep.evidence_constant_included
 
 
+def test_point_posterior_evidence_under_a_proper_noise_prior(rng):
+    # with no reduced coordinate every sample has the same weight, so log Z is
+    # the Student-t marginal of the data at the mean, Gamma prior constant included
+    A = rng.normal(size=(5, 2))
+    yhat = rng.normal(size=5)
+    a0, b0 = 2.0, 3.0
+    state = point_state(np.array([0.3, -0.2]), a0=a0, b0=b0)
+    rep = run_is(state, LinearOracleModel(A), yhat, 8, seed=0)
+    r = yhat - A @ state.mu
+    shape = a0 + 2.5
+    expected = (math.lgamma(shape) - math.lgamma(a0) + a0 * math.log(b0)
+                - shape * math.log(b0 + 0.5 * float(r @ r)) - 2.5 * math.log(2.0 * math.pi))
+    assert rep.ess == 1.0
+    assert rep.log_evidence == pytest.approx(expected, rel=1e-12)
+    assert rep.evidence_constant_included
+
+
 def test_perfect_proposal_unit_ess_and_exact_evidence(rng):
     # proposal equal to the exact conjugate posterior: constant weights and a
     # zero-variance evidence estimate matching the closed form
@@ -378,6 +395,19 @@ def test_compare_vb_is_normalizations(rng):
     assert cmp["std_rel_max"] == pytest.approx(0.10)
     assert cmp["std_rel_median"] == pytest.approx(0.10)
     assert set(cmp) == {"mean_rel_max", "mean_rel_median", "std_rel_max", "std_rel_median"}
+
+
+@pytest.mark.parametrize("level,scale", [(2.0, 2.0), (-0.3, 1.0)])
+def test_compare_vb_is_scales_a_constant_mean_by_its_size(level, scale, rng):
+    # a flat VB mean has no range: its magnitude, at least 1, is the scale
+    W, _ = np.linalg.qr(rng.normal(size=(5, 2)))
+    state = ReducedPosterior(mu=np.full(5, level), W=W, lambda0=np.ones(2), lam=np.ones(2))
+    rep = run_is(state, LinearOracleModel(np.zeros((3, 5))), np.ones(3), 4, seed=0)
+    mean_vb, _ = posterior_psi_stats(state)
+    rep.psi_mean = mean_vb + 0.1
+    cmp = compare_vb_is(state, rep, free_mask=np.ones(5, bool))
+    assert cmp["mean_rel_max"] == pytest.approx(0.1 / scale)
+    assert cmp["mean_rel_median"] == pytest.approx(0.1 / scale)
 
 
 def test_compare_vb_is_respects_free_mask(rng):

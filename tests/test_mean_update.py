@@ -11,8 +11,8 @@ import scipy.linalg
 from elastovb.config import build_model, generate_data, initial_mu
 import elastovb.forward as fwd
 from elastovb.forward import FemForwardModel, ForwardEval, ForwardModel, ForwardSolveError
-from elastovb.mean_update import (TIKHONOV_FLOOR, GaussNewtonSystem, MuUpdateReport,
-                                  SmoothPrior, em_phi, gauss_newton_step,
+from elastovb.mean_update import (GAIN_RTOL, TIKHONOV_FLOOR, GaussNewtonSystem,
+                                  MuUpdateReport, SmoothPrior, em_phi, gauss_newton_step,
                                   gauss_newton_system, log_prior_mu_and_grad,
                                   neighbor_pairs, update_mu)
 from elastovb.mesh_fem import Mesh2D, _solve_reduced
@@ -67,6 +67,9 @@ def test_em_phi_floor_on_constant_field():
 def test_prior_validation():
     with pytest.raises(ValueError):
         SmoothPrior(pairs=np.array([[0, 1], [1, 0]]))
+    # distinct triples are no duplicate pairs: only the shape rule refuses them
+    with pytest.raises(ValueError, match=r"pairs must be a \(d_L, 2\) index array"):
+        SmoothPrior(pairs=np.array([[0, 1, 2], [3, 4, 5]]))
     with pytest.raises(ValueError):
         SmoothPrior(pairs=np.array([[0, 1]])).mean_phi
 
@@ -515,6 +518,20 @@ def test_noisy10_mean_phase_searches_past_failed_solves():
     assert not res.budget_exhausted
 
 
+@pytest.mark.parametrize("noise_seed,calls", [(None, 23), (16, 38)],
+                         ids=["noisy10", "noise_seed_16"])
+def test_accepted_step_within_the_tolerance_ends_the_phase(noise_seed, calls):
+    # SNR 1e2: each phase's last step is accepted but gains less than the
+    # tolerance, which ends it.  noisy10's next step would be stopped by its
+    # predicted gain at no call; at noise seed 16 the step spends the last
+    # call of the budget, and going on would end the phase at `call_budget`
+    res = example1_mean_phase(snr=1e2, noise_seed=noise_seed)
+    last = res.reports[-1]
+    assert res.record.stop_reason == "gain_tolerance" and not res.budget_exhausted
+    assert last.accepted and res.forward_calls == calls
+    assert 0.0 < last.f_after - last.f_before <= GAIN_RTOL * (1.0 + abs(last.f_before))
+
+
 def test_noisy10_skips_exactly_the_overflowing_calls(monkeypatch):
     # the same FEM map with no declared domain calls the two overflowing
     # trials and fails them; it takes every step of the bounded phase, bit
@@ -892,17 +909,19 @@ def test_declared_domain_skips_calls_and_keeps_every_step(b):
 
 
 class PatternModel(ForwardModel):
-    """y = A arctan(psi), whose value solve fails at the exponents `fail` of every step.
+    """y = A arctan(psi), whose value solve fails at the exponents `fail` of every
+    step, and whose output at the exponents `reject` is moved far off the data.
 
     A trial is at exponent k when its distance from the last field whose G
     was solved is 2^-k times that of the step's first trial.  Logs each
     trial as (k, solved) and keeps every field whose G was solved.
     """
 
-    def __init__(self, A, fail):
+    def __init__(self, A, fail, reject=()):
         self.A = A
         super().__init__()
         self.fail = set(fail)
+        self.reject = set(reject)
         self.solved_g = []
         self.first_step = None
         self.trials = []
@@ -916,6 +935,7 @@ class PatternModel(ForwardModel):
         return self.A.shape[0]
 
     def _evaluate(self, psi):
+        k = None
         if self.solved_g:
             step = float(np.linalg.norm(psi - self.solved_g[-1]))
             self.first_step = self.first_step or step
@@ -929,7 +949,8 @@ class PatternModel(ForwardModel):
             self.first_step = None
             return DenseSensitivities(self.A / (1.0 + psi ** 2), self.active)
 
-        return ForwardEval(y=self.A @ np.arctan(psi), G=None, _jacobian=jacobian)
+        y = self.A @ np.arctan(psi) + (1e3 if k in self.reject else 0.0)
+        return ForwardEval(y=y, G=None, _jacobian=jacobian)
 
 
 @pytest.mark.parametrize("fail", [(0, 1, 3, 4, 8), (0, 1, 3, 7, 10), (1, 2, 5), (0, 2, 3, 9)],
@@ -973,6 +994,23 @@ def test_call_budget_runs_out_mid_search(budget):
     full = update_mu(empty_state(3), CliffModel(A, model.radius), yhat, max_outer=1,
                      call_budget=7)
     assert full.reports[0].accepted and full.forward_calls == 7
+
+
+def test_call_budget_runs_out_in_the_walk_up():
+    # the search calls k = 0, 1, 3 (fail), 7 (passes), 5 (rejected) and 4
+    # (fail) and returns 5; the step then walks up to k = 6, for which no
+    # call is left.  The step ends there with nothing accepted: the trial at
+    # k = 7 still holds its evaluation, but the walk never passed k = 6
+    rng = np.random.default_rng(3)
+    A = rng.normal(size=(6, 3)) + 2.0 * np.eye(6, 3)
+    yhat = A @ np.arctan(rng.normal(size=3))
+    model = PatternModel(A, fail=(0, 1, 3, 4), reject=(5, 6))
+    res = update_mu(empty_state(3), model, yhat, call_budget=7)
+    assert model.trials == [(0, False), (1, False), (3, False), (7, True), (5, True),
+                            (4, False)]
+    assert res.budget_exhausted and res.reports == []
+    assert res.forward_calls == model.calls == 7
+    assert res.record.jacobians == 1 and np.array_equal(res.mu, np.zeros(3))
 
 
 @pytest.mark.parametrize("mesh_n", [None, 20], ids=["example1", "mesh20"])
@@ -1103,5 +1141,6 @@ def test_search_holds_at_most_one_passing_trial_at_each_call():
 
 def test_report_validation():
     with pytest.raises(ValueError):
-        MuUpdateReport(accepted=True, delta_norm=1.0, f_before=0.0,
-                       f_after=0.0, forward_calls=1, regularization_active=False)
+        MuUpdateReport(accepted=True, delta_norm=1.0, f_before=0.0, f_after=0.0,
+                       forward_calls=1, regularization_active=False, failed=0,
+                       corrected=False)

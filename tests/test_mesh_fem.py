@@ -343,13 +343,13 @@ def test_adjoint_matches_dense_contraction(make_bc, poisson, rng):
     (10, 10, True, compression_bc),   # clamped top row, 90 active over three blocks
     (9, 5, False, cantilever_bc),     # traction loading, 45 active
 ])
-@pytest.mark.parametrize("block", [None, 2, 7, 128])
+@pytest.mark.parametrize("block", [None, 1, 2, 7, 128])
 def test_blocked_sensitivities_match_single_block_solve(nx, ny, clamp_top, make_bc,
                                                         block, rng, monkeypatch):
     # a column's two solves do not depend on the other columns of its block,
     # so the free Gram formed in blocks equals the one formed from a single
-    # block of every active column bit for bit, at any block size of 2 or
-    # more (LAPACK solves a block of one column with other rounding)
+    # block of every active column bit for bit, at any block size: a lone
+    # trailing column (33 = 32 + 1 at the default) is solved with the same bits
     size = mesh_fem.SENSITIVITY_BLOCK if block is None else block
     mesh = Mesh2D(nx, ny, float(nx), float(ny))
     bc = make_bc(mesh)
@@ -529,6 +529,40 @@ def test_ill_conditioned_solve_states_modulus_range():
         with pytest.raises(ForwardSolveError,
                            match=r"log-moduli in \[0, 700\], contrast e\^700"):
             solve(mesh, compression_bc(mesh), psi)
+
+
+@pytest.mark.parametrize("bc", [
+    BoundarySpec(dirichlet=[(-1, 0.0)]), BoundarySpec(dirichlet=[(32, 0.0)]),
+    BoundarySpec(tractions=[(-1, 1.0)]), BoundarySpec(tractions=[(32, 1.0)])],
+    ids=["dirichlet-negative", "dirichlet-past", "traction-negative", "traction-past"])
+def test_plan_refuses_a_dof_outside_the_mesh(bc, mesh3):
+    # 32 dofs on 3x3: a negative index would wrap onto the last dof
+    with pytest.raises(IndexError, match="dof .*out of range"):
+        assembly_plan(mesh3, bc)
+
+
+@pytest.mark.parametrize("poisson", [-0.1, 0.5])
+def test_element_stiffness_refuses_a_poisson_ratio_outside_its_range(poisson):
+    with pytest.raises(ValueError, match=r"Poisson ratio must be in \[0, 0.5\)"):
+        element_stiffness_unit(Mesh2D(1, 1, 1.0, 1.0), poisson)
+
+
+def test_fully_prescribed_mesh_has_nothing_to_solve():
+    # on one element the bottom and top edges hold all four nodes
+    mesh = Mesh2D(1, 1, 1.0, 1.0)
+    model = FemForwardModel(mesh, compression_bc(mesh))
+    with pytest.raises(ForwardSolveError, match="all dofs prescribed"):
+        model.evaluate(np.zeros(1))
+
+
+def test_non_finite_sensitivity_fails_when_the_jacobian_is_formed(mesh3, rng):
+    # the free Gram is formed with the sensitivities, so a non-finite column
+    # fails the Jacobian at once rather than the first solve that reads it
+    plan = assembly_plan(mesh3, compression_bc(mesh3), 0.3)
+    system = _solve_reduced(plan, rng.normal(0.0, 0.5, mesh3.n_elems))
+    system.e_mod[4] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(ForwardSolveError, match="non-finite"):
+        adjoint_jacobian(mesh3, system, np.arange(mesh3.n_elems), plan.free)
 
 
 def test_boundary_spec_rejects_duplicates_and_overlap():
