@@ -174,4 +174,7 @@ def syevr(a: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]
             raise np.linalg.LinAlgError(f"dsyevr failed with info {info.value}")
         if query:                      # the workspace sizes LAPACK asks for
             work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), dtype=np.int64)
-    return w[:m.value], z[:, :m.value]
+    if m.value != stop - start:        # a NaN in the matrix, say, gives no pairs and info 0
+        raise np.linalg.LinAlgError(f"dsyevr found {m.value} eigenpairs, not the "
+                                    f"{stop - start} asked for")
+    return w[:m.value], z

@@ -408,9 +408,7 @@ def build_phantom(cfg: RunConfig, mesh: Mesh2D) -> np.ndarray:
 def clamp_mask(cfg: RunConfig, mesh: Mesh2D) -> np.ndarray:
     """Boolean mask of elements excluded from the inversion."""
     mask = np.zeros(mesh.n_elems, dtype=bool)
-    rows = cfg.clamp.top_element_rows
-    if rows > 0:
-        mask[(mesh.ny - rows) * mesh.nx:] = True
+    mask[(mesh.ny - cfg.clamp.top_element_rows) * mesh.nx:] = True
     return mask
 
 

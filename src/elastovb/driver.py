@@ -37,7 +37,7 @@ from .vb import ReducedPosterior, elbo, q_fixed_point
 
 def kl_terms(lambda0: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Per-coordinate KL(prior, posterior) terms -log r + r - 1, r = lam/lambda0."""
-    r = np.asarray(lam, dtype=float) / np.asarray(lambda0, dtype=float)
+    r = lam / lambda0
     return -np.log(r) + r - 1.0
 
 
@@ -201,7 +201,7 @@ def run(model: ForwardModel, yhat: np.ndarray, config: DriverConfig,
     if yhat.shape[0] != model.d_y:
         raise ValueError(f"observations have length {yhat.shape[0]}, model d_y is {model.d_y}")
     d_psi = model.d_psi
-    mu0 = np.zeros(d_psi) if mu0 is None else np.asarray(mu0, dtype=float)
+    mu0 = np.zeros(d_psi) if mu0 is None else mu0
     state = RunState(mu=mu0.copy(), W=np.zeros((d_psi, 0)), lambda0=np.zeros(0),
                      lam=np.zeros(0), a0=config.a0, b0=config.b0, a=0.0, b=0.0,
                      clamped=np.flatnonzero(model.fixed_mask).tolist())

@@ -42,11 +42,10 @@ class ISReport:
 
 def ess(weights: np.ndarray) -> float:
     """Normalized effective sample size; invariant to rescaling the weights."""
-    w = np.asarray(weights, dtype=float)
-    top = float(np.max(w)) if w.size else 0.0
+    top = float(np.max(weights)) if weights.size else 0.0
     if top == 0.0:
         return 0.0
-    w = w / top    # squares of tiny weights would otherwise lose bits as subnormals
+    w = weights / top    # squares of tiny weights would otherwise lose bits as subnormals
     total = float(np.sum(w))
     sq = float(np.sum(w * w))
     return total * total / (w.size * sq)
@@ -170,13 +169,12 @@ def compare_vb_is(state: ReducedPosterior, report: ISReport, free_mask: np.ndarr
     natural scale for a log-modulus map whose entries pass through zero); std
     differences are relative to the VB std, floored to avoid division by zero.
     """
-    sel = np.asarray(free_mask, bool)
-    mean_vb, std_vb = (x[sel] for x in posterior_psi_stats(state))
+    mean_vb, std_vb = (x[free_mask] for x in posterior_psi_stats(state))
     mean_scale = float(np.max(mean_vb) - np.min(mean_vb))
     if mean_scale == 0.0:
         mean_scale = max(float(np.max(np.abs(mean_vb))), 1.0)
-    mean_rel = np.abs(report.psi_mean[sel] - mean_vb) / mean_scale
-    std_rel = np.abs(report.psi_std[sel] - std_vb) / np.maximum(std_vb, 1e-12)
+    mean_rel = np.abs(report.psi_mean[free_mask] - mean_vb) / mean_scale
+    std_rel = np.abs(report.psi_std[free_mask] - std_vb) / np.maximum(std_vb, 1e-12)
     return {
         "mean_rel_max": float(np.max(mean_rel)),
         "mean_rel_median": _median(mean_rel),

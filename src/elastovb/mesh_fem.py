@@ -119,11 +119,9 @@ class BoundarySpec:
             raise ValueError(f"dofs {sorted(overlap)} appear in both Dirichlet and traction lists")
 
     def dirichlet_arrays(self, n_dofs: int) -> tuple[np.ndarray, np.ndarray]:
-        if not self.dirichlet:
-            return np.empty(0, dtype=int), np.empty(0)
         dofs = np.array([d for d, _ in self.dirichlet], dtype=int)
         vals = np.array([v for _, v in self.dirichlet])
-        if dofs.min() < 0 or dofs.max() >= n_dofs:
+        if np.any((dofs < 0) | (dofs >= n_dofs)):
             raise IndexError("Dirichlet dof out of range")
         return dofs, vals
 
@@ -323,8 +321,8 @@ class BandedSensitivities(Sensitivities):
     B^T's column for an active element is `adjoint_jacobian`'s b_k and zero
     for a clamped one, S_Q picks the observed rows, and P_Q = S_Q^T S_Q counts
     the observations of each free dof (the identity when every free dof is
-    observed once, and then skipped).  G v and G^T w take one solve each; with
-    no active element nothing is solved.  The free Gram A_ff =
+    observed once).  G v and G^T w take one solve each; with no active
+    element nothing is solved.  The free Gram A_ff =
     B_f K_ff^-1 P_Q K_ff^-1 B_f^T is formed over blocks of SENSITIVITY_BLOCK
     active columns: two solves per block and an 8-term sparse contraction into
     the lower triangle, which is then mirrored onto the upper one.  Besides
@@ -346,8 +344,7 @@ class BandedSensitivities(Sensitivities):
         # B^T's entries, eight per active element: a prescribed dof adds 0 to row 0
         self._pos = np.maximum(pos, 0)
         self._vals = np.where(pos >= 0, vals, 0.0)
-        count = np.bincount(rows, minlength=n_free).astype(float)
-        self._obs_count = None if np.all(count == 1.0) else count
+        self._obs_count = np.bincount(rows, minlength=n_free).astype(float)
 
     def _rhs(self, idx: np.ndarray, weights: np.ndarray, m: int) -> np.ndarray:
         """(n_free x m) right-hand sides: the weights summed at flat indices row + n_free col."""
@@ -385,8 +382,7 @@ class BandedSensitivities(Sensitivities):
             m = hi - lo
             x = self._solve(self._rhs(self._pos[lo:hi] + self._n_free * np.arange(m)[:, None],
                                       self._vals[lo:hi], m))
-            if self._obs_count is not None:
-                x *= self._obs_count[:, None]
+            x *= self._obs_count[:, None]
             x = self._solve(x)
             # rows lo.. of columns lo..hi-1: the block's part of the lower triangle
             block = gram[lo:, lo:hi]

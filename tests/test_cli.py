@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,9 @@ from elastovb import config as cfgmod
 from elastovb.cli import main
 from elastovb.config import (ConfigError, ObservationFile, config_from_dict,
                              load_config, save_config)
+from elastovb.driver import trace_from_dict
 from elastovb.forward import ForwardSolveError
+from elastovb.vb import posterior_psi_stats
 
 from conftest import EXAMPLE1_YAML, example1_config, example1_dict
 
@@ -146,6 +149,14 @@ def test_infinite_snr_set_in_code_is_refused():
         cfg.validate()
 
 
+def test_observation_file_built_in_code_needs_a_finite_positive_tau():
+    # the reader refuses inf, but an ObservationFile built in code may hold it
+    dofs, yhat = np.arange(2), np.zeros(2)
+    with pytest.raises(ConfigError, match="tau_true must be finite and positive, got inf"):
+        ObservationFile(obs_dofs=dofs, yhat=yhat, tau_true=math.inf)
+    assert ObservationFile(obs_dofs=dofs, yhat=yhat, tau_true=0.5).tau_true == 0.5
+
+
 # ---------------------------------------------------------------------------
 # Data generation
 
@@ -225,6 +236,11 @@ def test_csv_schemas(small_cfg_path, tmp_path):
     assert [(int(ix), int(iy)) for ix, iy, _ in rows] == [(k % 4, k // 4) for k in range(16)]
     field = np.array([float(v) for _, _, v in rows])
     assert np.any(field == 1.0) and np.any(field == 0.0)
+    rows = np.loadtxt(out / "displacement.csv", delimiter=",", skiprows=1)
+    # one row per node, in node order iy*(nx+1) + ix; the edges hold their prescribed values
+    assert [(int(ix), int(iy)) for ix, iy, _, _ in rows] == [(n % 5, n // 5) for n in range(25)]
+    assert rows[:5, 2:].tolist() == [[0.0, 0.0]] * 5
+    assert rows[20:, 2:].tolist() == [[0.0, -0.1]] * 5
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +296,37 @@ def test_each_stage_prints_what_it_wrote(small_cfg_path, tmp_path, capsys):
         f"ess: {cli._fmt(report['ess'])}",
         f"discarded: {report['discarded']}",
         f"mean_rel_median: {cli._fmt(report['mean_rel_median'])}"]
+
+
+def test_invert_csvs_are_views_of_the_run_trace(small_cfg_path, tmp_path):
+    # each CSV that invert writes holds run_trace.json's values, as the README says
+    out = tmp_path / "views"
+    args = ["--config", str(small_cfg_path), "--out", str(out)]
+    assert main(["generate"] + args) == 0
+    assert main(["invert"] + args) == 0
+    payload = json.loads((out / "run_trace.json").read_text())
+    del payload["schema_version"]
+    trace = trace_from_dict(payload)
+    state, d = trace.state, trace.state.d_theta
+    assert d >= 2 and not any(r.gain_degenerate for r in trace.records)
+
+    def table(name):
+        header, *rows = (out / name).read_text().splitlines()
+        return header.split(","), [[float(x) for x in row.split(",")] for row in rows]
+
+    _, std = posterior_psi_stats(state)
+    for name, values in (("posterior_mean.csv", state.mu), ("posterior_std.csv", std)):
+        assert [row[2] for row in table(name)[1]] == values.tolist()
+    assert table("lambda_table.csv") == (
+        ["index", "lambda0", "lambda"],
+        [[i, l0, l] for i, l0, l in zip(range(1, d + 1), state.lambda0, state.lam)])
+    assert table("elbo_trace.csv") == (
+        ["d_theta", "f", "likelihood", "theta_terms", "tau_terms", "log_prior_mu"],
+        [list(astuple(row)) for row in trace.elbo_rows])
+    assert table("info_gain.csv") == (
+        ["d_theta", "info_gain", "degenerate", "elbo"],
+        [[r.d_theta, r.info_gain, r.gain_degenerate, trace.elbo_rows[r.d_theta].f]
+         for r in trace.records])
 
 
 def test_run_trace_records_mean_phase(small_cfg_path, tmp_path, capsys):
@@ -569,7 +616,13 @@ def set_inclusion(**fields):
      "bc.dirichlet[0]", "prescribes no component"),
     (lambda d: d["bc"].update(loads=[{"node": [5, 2], "fx": 0.1}]),
      "bc.loads[0].node", "outside the grid"),
+    (lambda d: d["bc"].update(loads=[{"node": [-1, 2], "fx": 0.1}]),
+     "bc.loads[0].node", "outside the grid"),
+    (lambda d: d["bc"].update(loads=[{"node": [2, -1], "fx": 0.1}]),
+     "bc.loads[0].node", "outside the grid"),
     (lambda d: d["bc"].update(loads=[{"node": [2, 4], "fy": -1.0}]),
+     "bc.loads[0].fy", "a load needs a free dof"),
+    (lambda d: d["bc"].update(loads=[{"node": [2, 0], "fy": -1.0}]),     # on the grid's edge
      "bc.loads[0].fy", "a load needs a free dof"),
     (lambda d: d["bc"]["dirichlet"].append({"edge": "bottom", "ux": 0.5}),
      "bc.dirichlet[2].ux", "conflicts with 0.0 from an earlier edge"),
@@ -579,6 +632,12 @@ def set_inclusion(**fields):
      "phantom.inclusions[0]", "ellipse needs center"),
     (set_inclusion(shape="ellipse", center=[0.5, 2.0], radii=[1.0, 1.0]),
      "phantom.inclusions[0]", "ellipse extends outside the domain"),
+    (set_inclusion(shape="ellipse", center=[2.0, 0.5], radii=[1.0, 1.0]),
+     "phantom.inclusions[0]", "ellipse extends outside the domain"),
+    (set_inclusion(shape="ellipse", center=[2.0, 2.0], radii=[0.0, 1.0]),
+     "phantom.inclusions[0].radii", "ellipse radii must be positive"),
+    (set_inclusion(shape="ellipse", center=[2.0, 2.0], radii=[1.0, 0.0]),
+     "phantom.inclusions[0].radii", "ellipse radii must be positive"),
     (set_inclusion(shape="rectangle", center=[2.0, 2.0], radii=[1.0, 1.0]),
      "phantom.inclusions[0].shape",
      "unknown inclusion shape 'rectangle'; the one shape is 'ellipse'"),
@@ -588,9 +647,10 @@ def set_inclusion(**fields):
      "phantom.inclusions[0].shape", "unknown inclusion shape"),
 ], ids=["inclusion_radii", "mesh_lx", "dirichlet_edge", "left_edge", "clamp_every_row",
         "no_clamp_without_load", "edge_without_component", "load_outside_grid",
-        "load_on_prescribed_dof", "conflicting_dirichlet", "zero_response",
-        "ellipse_without_radii", "ellipse_outside", "rectangle", "rectangle_extents",
-        "unknown_shape"])
+        "load_left_of_grid", "load_below_grid", "load_on_prescribed_dof",
+        "load_on_prescribed_bottom_dof", "conflicting_dirichlet", "zero_response",
+        "ellipse_without_radii", "ellipse_outside", "ellipse_below", "ellipse_zero_rx",
+        "ellipse_zero_ry", "rectangle", "rectangle_extents", "unknown_shape"])
 def test_cross_field_rule_exits_one_naming_key(edit, named, says, tmp_path, capsys):
     # RunConfig.validate reads most rules; the loads and the Dirichlet values
     # meet the mesh in build_bc, and the response is seen in generate_data
@@ -603,6 +663,28 @@ def test_cross_field_rule_exits_one_naming_key(edit, named, says, tmp_path, caps
     assert err.startswith("elastovb: config error:") and "Traceback" not in err
     assert named in err and says in err
     assert not (tmp_path / "o" / "observations.json").exists()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d["solver"].update(info_gain_window=1),
+    lambda d: d["solver"].update(mu_reg_delay=0),
+    lambda d: d["solver"].update(mu_call_budget=0),
+    lambda d: d["mesh"].update(nx=1),
+    lambda d: d["noise"].update(snr=0.5),
+    lambda d: d["validation"].update(samples=2),
+    set_inclusion(shape="ellipse", center=[1.0, 2.0], radii=[1.0, 1.0]),
+    set_inclusion(shape="ellipse", center=[3.0, 2.0], radii=[1.0, 1.0]),
+    set_inclusion(shape="ellipse", center=[2.0, 1.0], radii=[1.0, 1.0]),
+    set_inclusion(shape="ellipse", center=[2.0, 3.0], radii=[1.0, 1.0]),
+    lambda d: d["bc"].update(loads=[{"node": [0, 2], "fx": 0.1}]),
+], ids=["info_gain_window_1", "mu_reg_delay_0", "mu_call_budget_0", "mesh_nx_1",
+        "snr_below_1", "samples_2", "ellipse_at_left", "ellipse_at_right", "ellipse_at_bottom",
+        "ellipse_at_top", "load_on_left_edge"])
+def test_value_at_a_rules_edge_is_accepted(edit):
+    # the twin of the refusals above: the value on the allowed side of each edge
+    d = small_dict()
+    edit(d)
+    cfgmod.build_model(config_from_dict(d))
 
 
 def test_ellipse_marks_the_elements_whose_centers_lie_inside(tmp_path):
@@ -624,6 +706,17 @@ def test_ellipse_marks_the_elements_whose_centers_lie_inside(tmp_path):
     assert cfgmod.build_bc(cfg, mesh).tractions == [(2 * mesh.node_index(4, 2), 0.05)]
 
 
+def test_point_load_acts_on_the_dof_of_each_component():
+    # node n's fx acts on dof 2n and its fy on 2n + 1; a zero component adds nothing
+    d = small_dict()
+    d["bc"]["loads"] = [{"node": [4, 2], "fx": 0.05, "fy": -0.02}, {"node": [0, 1], "fy": 0.03}]
+    cfg = config_from_dict(d)
+    mesh = cfgmod.build_mesh(cfg)
+    n, m = mesh.node_index(4, 2), mesh.node_index(0, 1)
+    assert cfgmod.build_bc(cfg, mesh).tractions == [(2 * n, 0.05), (2 * n + 1, -0.02),
+                                                    (2 * m + 1, 0.03)]
+
+
 NAN, INF = float("nan"), float("inf")
 
 
@@ -639,12 +732,16 @@ NAN, INF = float("nan"), float("inf")
     (("solver", "a0"), -1.0),
     (("solver", "lambda0_1"), INF),
     (("noise", "snr"), -INF),
+    (("noise", "snr"), 0),
     (("noise", "snr"), "x"),
     (("noise", "seed"), -1),
     (("validation", "seed"), -2),
     (("validation", "samples"), 1),
     (("solver", "max_bases"), -2),
     (("solver", "info_gain_window"), 0),
+    (("solver", "info_gain_threshold"), 1.0),
+    (("mesh", "nx"), 0),
+    (("clamp", "top_element_rows"), -1),
     (("solver", "mu_max_outer"), -1),       # a removed key: named as removed
     (("solver", "mu_reg_delay"), -1),
     (("solver", "mu_max_halvings"), -1),    # a removed key: named as removed
@@ -791,14 +888,16 @@ def failed_past_the_calls(trace):
      "posterior precisions"),
     ("run_trace.json", in_state(first_item("lam", -1.0)),
      "precisions lambda0 and lam must be positive"),
+    *[("run_trace.json", in_state(first_item(key, 0.0)),
+       "precisions lambda0 and lam must be positive") for key in ("lambda0", "lam")],
     *[("run_trace.json", in_state(without(key)), f"state.{key} is required")
       for key in ("a0", "b0", "a", "b", "clamped")],
     ("run_trace.json", in_state(lambda st: {**st, "clamped": [1.5]}),
      "state.clamped[0] must be an integer"),
     ("run_trace.json", in_state(lambda st: {**st, "clamped": [0]}),
      "nonzero rows at clamped elements"),
-    ("run_trace.json", in_state(lambda st: {**st, "clamped": [100]}),
-     "clamped must list element indices in [0, 16)"),
+    *[("run_trace.json", in_state(lambda st, k=k: {**st, "clamped": [k]}),
+       "clamped must list element indices in [0, 16)") for k in (100, 16, -1)],
     ("run_trace.json", lambda trace: {**trace, "elbo_rows": trace["elbo_rows"][:-1]},
      "elbo_rows must run over d_theta 0 to"),
     ("run_trace.json", forward_calls_true, "forward_calls must be an integer, got True"),
@@ -810,6 +909,8 @@ def failed_past_the_calls(trace):
     *[("run_trace.json", in_step(0, key, DELETE), f"mu_phase.steps[0].{key} is required")
       for key in ("failed", "corrected")],
     ("run_trace.json", failed_past_the_calls,
+     "mu_phase.steps[0]: failed trials must lie in [0, forward_calls - accepted]"),
+    ("run_trace.json", in_step(0, "failed", -1),
      "mu_phase.steps[0]: failed trials must lie in [0, forward_calls - accepted]"),
     ("run_trace.json",
      lambda trace: {**trace, "mu_phase": {**trace["mu_phase"], "stop_reason": "done"}},
@@ -827,12 +928,15 @@ def failed_past_the_calls(trace):
         "obs-tau_true-zero", "obs-yhat-short", "obs-schema-previous", "obs-directory",
         "trace-root-list", "trace-mu-text", "trace-a-null", "trace-a-bool", "trace-mu-nan",
         "trace-mu-bool", "trace-state-unknown-key", "trace-lam-short", "trace-lam-negative",
+        "trace-lambda0-zero", "trace-lam-zero",
         "trace-a0-missing", "trace-b0-missing", "trace-a-missing", "trace-b-missing",
         "trace-clamped-missing", "trace-clamped-fraction", "trace-clamped-basis-row",
-        "trace-clamped-outside", "trace-elbo-row-missing",
+        "trace-clamped-outside", "trace-clamped-one-past", "trace-clamped-negative",
+        "trace-elbo-row-missing",
         "trace-forward_calls-bool", "trace-step-failed-fraction", "trace-step-accepted-count",
         "trace-step-corrected-without-prior", "trace-step-failed-missing",
         "trace-step-corrected-missing", "trace-step-failed-past-calls",
+        "trace-step-failed-negative",
         "trace-stop-reason-unknown", "trace-sweeps-text", "trace-schema-previous",
         "is-ess-bool", "is-schema-previous"])
 def test_malformed_artifact_exits_one_or_is_reported(name, corrupt, named, small_cfg_path,

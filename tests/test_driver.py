@@ -200,6 +200,17 @@ def test_null_space_columns_carry_no_data(rng):
     assert np.allclose(trace.state.lam, trace.state.lambda0, rtol=1e-12, atol=0.0)
 
 
+def test_gain_is_degenerate_while_no_column_carries_data(rng):
+    # parameter 3 moves no observation, so the minor eigenvector is e_3 and its
+    # data term exactly 0: stage 1's posterior is its prior, and stage 2's is not
+    A = rng.normal(size=(8, 4)) + 2.0 * np.eye(8, 4)
+    A[:, 3] = 0.0
+    yhat = A @ rng.normal(size=4) + rng.normal(0.0, 0.01, 8)
+    trace = run(LinearOracleModel(A), yhat, DriverConfig())
+    assert trace.state.W[:, 0].tolist() == [0.0, 0.0, 0.0, 1.0]
+    assert [r.gain_degenerate for r in trace.records] == [True, False, False, False]
+
+
 def test_run_caps_at_max_bases(linear_problem, rng):
     A, psi_true = linear_problem
     yhat = A @ psi_true + rng.normal(0.0, 1e-3, 8)

@@ -172,8 +172,10 @@ def test_zero_residual_hits_floor_without_overflow():
 
 def test_run_is_requires_two_samples():
     state = point_state(np.zeros(1))
-    with pytest.raises(ValueError):
-        run_is(state, LinearOracleModel(np.zeros((2, 1))), np.zeros(2), 1, 0)
+    model = LinearOracleModel(np.zeros((2, 1)))
+    with pytest.raises(ValueError, match="need at least 2 samples"):
+        run_is(state, model, np.zeros(2), 1, 0)
+    assert run_is(state, model, np.zeros(2), 2, 0).weights.tolist() == [1.0, 1.0]
 
 
 def test_run_is_deterministic(rng):
@@ -187,19 +189,23 @@ def test_run_is_deterministic(rng):
 
 
 def test_point_posterior_all_weights_equal(rng):
-    # no reduced coordinates: every draw is the same field, ESS is exactly 1
+    # no reduced coordinates: every draw is the same field, ESS is exactly 1;
+    # a Gamma prior with a zero shape or rate is improper, so its constant
+    # b0^a0 / Gamma(a0) is left out of the evidence, as at a0 = b0 = 0
     A = rng.normal(size=(5, 2))
     yhat = rng.normal(size=5)
-    state = point_state(np.array([0.3, -0.2]))
-    rep = run_is(state, LinearOracleModel(A), yhat, 32, seed=0)
-    assert rep.ess == 1.0
-    assert np.array_equal(rep.psi_mean, state.mu)
-    assert np.array_equal(rep.psi_std, np.zeros(2))
-    r = yhat - A @ state.mu
-    expected = (math.lgamma(2.5) - 2.5 * math.log(0.5 * float(r @ r))
-                - 2.5 * math.log(2.0 * math.pi))
-    assert rep.log_evidence == pytest.approx(expected, rel=1e-12)
-    assert not rep.evidence_constant_included
+    for a0, b0 in [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]:
+        state = point_state(np.array([0.3, -0.2]), a0=a0, b0=b0)
+        rep = run_is(state, LinearOracleModel(A), yhat, 32, seed=0)
+        assert rep.ess == 1.0
+        assert np.array_equal(rep.psi_mean, state.mu)
+        assert np.array_equal(rep.psi_std, np.zeros(2))
+        r = yhat - A @ state.mu
+        shape = a0 + 2.5
+        expected = (math.lgamma(shape) - shape * math.log(b0 + 0.5 * float(r @ r))
+                    - 2.5 * math.log(2.0 * math.pi))
+        assert rep.log_evidence == pytest.approx(expected, rel=1e-12)
+        assert not rep.evidence_constant_included
 
 
 def test_point_posterior_evidence_under_a_proper_noise_prior(rng):

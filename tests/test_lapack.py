@@ -118,8 +118,18 @@ def test_eigenpair_range_matches_scipy(seed, n, data):
 
 
 def test_eigenpair_range_refuses_an_empty_range():
-    with pytest.raises(ValueError, match="not within"):
-        _lapack.syevr(np.asfortranarray(np.eye(3)), 2, 2)
+    for start, stop in [(2, 2), (-1, 1)]:      # an empty range, and one that starts before 0
+        with pytest.raises(ValueError, match=re.escape(f"eigenpair range [{start}, {stop}) "
+                                                       "is not within [0, 3)")):
+            _lapack.syevr(np.asfortranarray(np.eye(3)), start, stop)
+
+
+def test_eigenpairs_of_a_matrix_holding_a_nan_fail_naming_both_counts():
+    # dsyevr returns no pairs and info 0 here; the pairs asked for are never missing silently
+    a = np.asfortranarray(np.eye(4))
+    a[0, 1] = a[1, 0] = np.nan
+    with pytest.raises(np.linalg.LinAlgError, match="found 0 eigenpairs, not the 2 asked for"):
+        _lapack.syevr(a, 0, 2)
 
 
 def test_indefinite_stiffness_is_a_singular_system_with_its_modulus_range():

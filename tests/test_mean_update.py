@@ -391,6 +391,8 @@ def test_stationary_at_exact_data(rng):
     assert res.reports == []
     assert res.forward_calls == 1
     assert res.record.stop_reason == "gain_tolerance"
+    # with no prior there is no jump precision to floor
+    assert (res.prior, res.log_prior_value, res.record.floored_count) == (None, 0.0, 0)
 
 
 def test_no_trial_call_for_a_gain_below_tolerance(rng):

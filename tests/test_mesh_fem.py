@@ -5,6 +5,7 @@ scratch (explicit shape-function loops, 3x3 Gauss, dense algebra) so that any
 agreement with the production path is meaningful.
 """
 
+import re
 import warnings
 
 import numpy as np
@@ -573,10 +574,13 @@ def test_boundary_spec_rejects_duplicates_and_overlap():
 
 
 def test_mesh_validation():
-    with pytest.raises(ValueError):
-        Mesh2D(0, 2, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        Mesh2D(2, 2, -1.0, 1.0)
+    for args, says in [((0, 2, 1.0, 1.0), "element counts must be >= 1, got 0x2"),
+                       ((2, 0, 1.0, 1.0), "element counts must be >= 1, got 2x0"),
+                       ((2, 2, -1.0, 1.0), "side lengths must be > 0, got -1.0x1.0"),
+                       ((2, 2, 0.0, 1.0), "side lengths must be > 0, got 0.0x1.0"),
+                       ((2, 2, 1.0, 0.0), "side lengths must be > 0, got 1.0x0.0")]:
+        with pytest.raises(ValueError, match=re.escape(says)):
+            Mesh2D(*args)
 
 
 def test_element_stiffness_basic_structure():

@@ -239,6 +239,18 @@ def test_tau_terms_proper_prior_closed_form():
     assert br.tau_terms == pytest.approx(-kl, rel=1e-12)
 
 
+@pytest.mark.parametrize("a0,b0", [(1.0, 0.0), (0.0, 1.0)], ids=["rate-zero", "shape-zero"])
+def test_tau_terms_drop_the_normalizer_of_a_half_proper_prior(a0, b0):
+    # a Gamma prior with a zero shape or rate is improper, as a0 = b0 = 0 is:
+    # its normalizer (log 0 or lgamma(0)) is dropped, not subtracted
+    a, b = 5.0, 7.0
+    state = make_state(np.zeros(1), np.zeros((1, 0)), [], [], a0=a0, b0=b0, a=a, b=b)
+    br = elbo(state, np.zeros(0), np.zeros(2))
+    want = ((a0 - a) * (digamma(a) - math.log(b)) + (b - b0) * a / b
+            + math.lgamma(a) - a * math.log(b))
+    assert br.tau_terms == pytest.approx(want, rel=1e-12)
+
+
 def test_elbo_deterministic(rng):
     G = rng.normal(size=(5, 3))
     W, _ = np.linalg.qr(rng.normal(size=(3, 2)))
