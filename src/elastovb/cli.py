@@ -27,8 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .config import ConfigError, ObservationFile, RunConfig, as_float
-from .driver import run as driver_run, trace_from_dict
+from .config import ConfigError, ObservationFile, RunConfig, as_float, parse_block, to_plain
+from .driver import RunTrace, run as driver_run
 from .forward import ForwardSolveError
 from .importance import DegenerateWeightsError, compare_vb_is, run_is
 from .mean_update import SmoothPrior
@@ -200,7 +200,7 @@ def cmd_generate(args) -> int:
         print(f"forward solve failed on the phantom: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     mesh = cfgmod.build_mesh(cfg)
-    _write_json(out / OBS_FILE, obs.to_dict())
+    _write_json(out / OBS_FILE, to_plain(obs))
     _write_field(out / TRUE_FIELD_FILE, mesh, psi_true)
     _write_csv(out / DISPLACEMENT_FILE, ["node_ix", "node_iy", "ux", "uy"],
                ([n % (mesh.nx + 1), n // (mesh.nx + 1), ux, uy]
@@ -223,7 +223,8 @@ def _stage_inputs(args, inputs: tuple[str, ...]):
     for name in inputs:
         if not (out / name).exists():
             raise UsageError(f"missing {out / name}; run the earlier stages first")
-    obs = _read_json(out / OBS_FILE, "observations", ObservationFile.from_dict)
+    obs = _read_json(out / OBS_FILE, "observations",
+                     lambda payload: parse_block(ObservationFile, payload))
     model, mesh, _, _, _ = cfgmod.build_model(cfg)
     if not np.array_equal(obs.obs_dofs, model.obs_dofs):
         raise UsageError("observation file does not match the configured mesh/bc")
@@ -240,7 +241,7 @@ def cmd_invert(args) -> int:
         trace = driver_run(model, obs.yhat, cfg.solver, prior=prior, mu0=mu0)
     except NUMERICAL_FAILURES as exc:
         return _numerical_failure(out, "invert", exc, model.calls)
-    _write_json(out / TRACE_FILE, trace.to_dict())
+    _write_json(out / TRACE_FILE, to_plain(trace))
 
     mean, std = posterior_psi_stats(trace.state)
     _write_field(out / MEAN_FILE, mesh, mean)
@@ -263,7 +264,8 @@ def cmd_invert(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg, out, obs, model, mesh = _stage_inputs(args, (OBS_FILE, TRACE_FILE))
-    state = _read_json(out / TRACE_FILE, "run trace", trace_from_dict).state
+    state = _read_json(out / TRACE_FILE, "run trace",
+                       lambda payload: parse_block(RunTrace, payload)).state
     if state.d_psi != model.d_psi:
         raise UsageError("run trace does not match the configured mesh/bc")
     if state.clamped != np.flatnonzero(model.fixed_mask).tolist():
@@ -292,7 +294,7 @@ def cmd_validate(args) -> int:
 
 
 def _trace_summary(payload: dict) -> tuple[list[str], float]:
-    trace = trace_from_dict(payload)
+    trace = parse_block(RunTrace, payload)
     state, mu = trace.state, trace.mu_phase
     notes = [MU_STOP_NOTES[mu.stop_reason]] if MU_STOP_NOTES[mu.stop_reason] else []
     if not any(st.regularization_active for st in mu.steps):
@@ -312,7 +314,7 @@ def _trace_summary(payload: dict) -> tuple[list[str], float]:
 
 
 def _obs_summary(payload: dict, tau_mean: float | None) -> tuple[list[str], None]:
-    tau_true = ObservationFile.from_dict(payload).tau_true
+    tau_true = parse_block(ObservationFile, payload).tau_true
     lines = [f"tau_true: {_fmt(tau_true)}"]
     if tau_mean is not None:
         lines.append(f"tau_ratio: {_fmt(tau_mean / tau_true)}")

@@ -8,12 +8,13 @@ strings strings, and only an `X | None` field takes null), an absent key or a
 null block or list takes the field's default, and every error names the
 dotted key, e.g. `phantom.inclusions[0].center[1]`.  Defaults live only on
 the dataclasses and rules on values only in the `validate` methods.  The same
-rules read `observations.json` and every block of the run trace back.
+rules read `observations.json` and every block of the run trace back, and
+one writer, `to_plain`, turns any of these records back into the plain data
+the reader takes.
 
 The module also reads and writes the YAML config, builds the
-mesh/boundary/phantom objects from it, synthesizes the observations and maps
-them to and from the dict that `observations.json` holds; `cli` owns the
-JSON and CSV artifacts and their format.
+mesh/boundary/phantom objects from it and synthesizes the observations;
+`cli` owns the JSON and CSV artifacts and their format.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ def _check_keys(block: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"{removed[0]} was removed: {_REMOVED_KEYS[removed[0]]}; "
                           "delete the key")
     if extra:
-        raise ConfigError(f"unknown keys in {where}: {extra}")
+        raise ConfigError(f"unknown keys in {where}: {extra}" if where
+                          else f"unknown top-level keys: {extra}")
 
 
 def as_float(value, where: str) -> float:
@@ -183,10 +185,11 @@ class DriverConfig:
         for key in ("a0", "b0"):        # Gamma(a0, b0) noise prior; 0 is improper
             if not getattr(self, key) >= 0.0:
                 raise ConfigError(f"solver.{key} must be nonnegative")
-        for key in ("mu_reg_delay", "mu_call_budget"):
-            value = getattr(self, key)
-            if value is not None and value < 0:
-                raise ConfigError(f"solver.{key} must be nonnegative, got {value}")
+        if self.mu_reg_delay < 0:
+            raise ConfigError(f"solver.mu_reg_delay must be nonnegative, got {self.mu_reg_delay}")
+        if self.mu_call_budget is not None and self.mu_call_budget < 1:
+            raise ConfigError(f"solver.mu_call_budget must be >= 1 (the first evaluation is "
+                              f"one call) or null, got {self.mu_call_budget}")
 
 
 @dataclass
@@ -286,20 +289,18 @@ class RunConfig:
         if cx - rx < 0 or cx + rx > m.lx or cy - ry < 0 or cy + ry > m.ly:
             raise ConfigError(f"{where}: ellipse extends outside the domain")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def parse_block(cls, raw, where: str = ""):
     """Build dataclass `cls` from the mapping `raw`, converting each key as its
-    field is annotated.  `where` is the dotted path of `raw` in its file.
+    field is annotated.  `where` is the dotted path of `raw` in its file, empty
+    at the top level.
 
     An absent key, or a null block or list, takes the field's default; `cls`'s
-    own ValueError is reported at `where`."""
+    own ValueError is reported at `where`, and at the top level as it stands."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{where or 'config root'} must be a mapping, got {raw!r}")
     hints = typing.get_type_hints(cls)
-    _check_keys(raw, set(hints), where or "config")
+    _check_keys(raw, set(hints), where)
     values = {}
     for f in fields(cls):
         path, hint, value = f"{where}.{f.name}".lstrip("."), hints[f.name], raw.get(f.name)
@@ -312,7 +313,13 @@ def parse_block(cls, raw, where: str = ""):
     try:
         return cls(**values)
     except ValueError as exc:
-        raise ConfigError(f"{where or 'config'}: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}" if where else str(exc)) from exc
+
+
+def to_plain(record) -> dict:
+    """`parse_block`'s inverse: the record's fields as plain data, arrays as lists."""
+    return asdict(record, dict_factory=lambda items: {
+        key: value.tolist() if isinstance(value, np.ndarray) else value for key, value in items})
 
 
 def _convert(hint, value, where: str):
@@ -348,7 +355,7 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def save_config(cfg: RunConfig, path: str | Path) -> None:
-    Path(path).write_text(yaml.safe_dump(cfg.to_dict(), sort_keys=True,
+    Path(path).write_text(yaml.safe_dump(to_plain(cfg), sort_keys=True,
                                          default_flow_style=False))
 
 
@@ -443,9 +450,11 @@ class ObservationFile:
     tau_true is finite and positive, and is never consumed by the inversion
     itself.  The noise-free response is `displacement.csv` at `obs_dofs`,
     and the seed and SNR are the noise block of the run's `config.yaml`.
+    Both lists are read as lists, so a dof must be integral, and are held
+    as arrays.
     """
-    obs_dofs: np.ndarray
-    yhat: np.ndarray
+    obs_dofs: list[int]
+    yhat: list[float]
     tau_true: float
 
     def __post_init__(self) -> None:
@@ -456,18 +465,6 @@ class ObservationFile:
         if not 0 < self.tau_true < math.inf:
             raise ConfigError(f"tau_true must be finite and positive, "
                               f"got {self.tau_true!r}")
-
-    def to_dict(self) -> dict:
-        return {"obs_dofs": self.obs_dofs.tolist(), "yhat": self.yhat.tolist(),
-                "tau_true": self.tau_true}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ObservationFile":
-        """Read with the config reader's rules; a missing key raises KeyError."""
-        _check_keys(d, {"obs_dofs", "yhat", "tau_true"}, "observations")
-        return cls(obs_dofs=_convert(list[int], d["obs_dofs"], "obs_dofs"),
-                   yhat=_convert(list[float], d["yhat"], "yhat"),
-                   tau_true=as_float(d["tau_true"], "tau_true"))
 
 
 def generate_data(cfg: RunConfig) -> tuple[ObservationFile, np.ndarray, np.ndarray]:

@@ -24,15 +24,15 @@ array alive.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._lapack import syevr
-from .config import DriverConfig, parse_block
+from .config import DriverConfig
 from .forward import ForwardEval, ForwardModel
 from .mean_update import MuPhaseRecord, SmoothPrior, update_mu
-from .vb import ReducedPosterior, elbo, q_fixed_point
+from .vb import ElboRow, ReducedPosterior, elbo, q_fixed_point
 
 
 def kl_terms(lambda0: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -121,18 +121,6 @@ class StageRecord:
 
 
 @dataclass
-class ElboRow:
-    """One row of `elbo_trace.csv`: the bound after stage d_theta, and its addends."""
-
-    d_theta: int
-    f: float
-    likelihood: float
-    theta_terms: float
-    tau_terms: float
-    log_prior_mu: float
-
-
-@dataclass
 class RunState(ReducedPosterior):
     """The posterior a run ends with, and the elements its model clamps (zero rows of W).
     Every field is required: a trace that lacks a0 is not read as the improper prior."""
@@ -159,7 +147,7 @@ class RunState(ReducedPosterior):
 
 @dataclass
 class RunTrace:
-    """A run as its run trace holds it; `to_dict` writes the fields in order."""
+    """A run as its run trace holds it, field by field."""
 
     stop_reason: str
     forward_calls: int              # all of them the mean phase's
@@ -173,16 +161,6 @@ class RunTrace:
         d = self.state.d_theta
         if [r.d_theta for r in self.elbo_rows + self.records] != [*range(d + 1), *range(1, d + 1)]:
             raise ValueError(f"elbo_rows must run over d_theta 0 to {d}, and records 1 to {d}")
-
-    def to_dict(self) -> dict:
-        return asdict(self, dict_factory=lambda items: {
-            key: value.tolist() if isinstance(value, np.ndarray) else value
-            for key, value in items})
-
-
-def trace_from_dict(d: dict) -> RunTrace:
-    """`RunTrace.to_dict`'s inverse; a block that breaks a rule raises ValueError naming it."""
-    return parse_block(RunTrace, d)
 
 
 def run(model: ForwardModel, yhat: np.ndarray, config: DriverConfig,
@@ -213,15 +191,8 @@ def run(model: ForwardModel, yhat: np.ndarray, config: DriverConfig,
     ev = mu_res.ev
     r = yhat - ev.y
 
-    elbo_rows: list[ElboRow] = []
-
-    def record_elbo() -> None:      # the bound at the current state and data terms e
-        br = elbo(state, e, r, mu_res.log_prior_value)
-        elbo_rows.append(ElboRow(state.d_theta, br.total, br.likelihood, br.theta_terms,
-                                 br.tau_terms, br.log_prior_mu))
-
     e = np.zeros(0)       # |G w_i|^2 of the basis columns
-    record_elbo()
+    elbo_rows = [elbo(state, e, r, mu_res.log_prior_value)]
 
     free = model.active
     n_free = free.size
@@ -242,7 +213,7 @@ def run(model: ForwardModel, yhat: np.ndarray, config: DriverConfig,
         e = np.append(e, float(Gw @ Gw))
         state = add_basis(state, w, config.lambda0_1)
         state = q_fixed_point(state, e, r)
-        record_elbo()
+        elbo_rows.append(elbo(state, e, r, mu_res.log_prior_value))
         degenerate = float(np.sum(kl_terms(state.lambda0, state.lam))) == 0.0
         gain = info_gain(state.lambda0, state.lam, state.d_theta)
         records.append(StageRecord(d_theta=state.d_theta, info_gain=gain,

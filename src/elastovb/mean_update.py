@@ -382,7 +382,9 @@ def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
     prior on, or with `prior=None`, that accepts no trial
     ("no_acceptable_trial"); `call_budget`, which bounds the growth of
     `model.calls` since entry, running out ("call_budget"); and `max_outer`
-    steps run ("max_steps").  The model's clamped components
+    steps run ("max_steps").  The first evaluation is one call whatever the
+    budget, so the bound holds for a budget of 1 or more, the least the
+    config accepts.  The model's clamped components
     (`model.fixed_mask`) keep their state.mu value.
 
     mu's evaluation, Gram included, is released before the accepted trial

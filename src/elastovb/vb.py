@@ -5,7 +5,7 @@ q(Theta) = N(0, Lambda^-1) (diagonal, zero mean by construction) and
 q(tau) = Gamma(a, b) for the noise precision.  This module fits (Lambda, a, b)
 exactly from the residual r = yhat - y(mu) and the basis columns' data terms
 e_i = |G w_i|^2 (never G itself), evaluates the variational lower bound F
-with a named breakdown, and exposes low-rank posterior statistics for Psi.
+with named addends, and exposes low-rank posterior statistics for Psi.
 The one special function the bound needs, E_q[log tau] = digamma(a) - log b,
 uses the closed-form `_digamma` below, so the module loads no scipy.
 """
@@ -75,17 +75,16 @@ class ReducedPosterior:
 
 
 @dataclass
-class ElboBreakdown:
-    """Lower bound F split into named addends that sum to the total."""
+class ElboRow:
+    """The bound F after stage d_theta and its named addends, which sum to f;
+    one row of `elbo_trace.csv` and of the run trace's `elbo_rows`."""
 
+    d_theta: int
+    f: float
     likelihood: float          # E_q[log p(yhat | Theta, tau)]
     theta_terms: float         # E_q[log p(Theta)] + H[q(Theta)]
     tau_terms: float           # E_q[log p(tau)] + H[q(tau)]
     log_prior_mu: float
-
-    @property
-    def total(self) -> float:
-        return self.likelihood + self.theta_terms + self.tau_terms + self.log_prior_mu
 
 
 class NoisePrecisionError(RuntimeError):
@@ -158,8 +157,8 @@ def tau_bound_terms(state: ReducedPosterior) -> float:
 
 
 def elbo(state: ReducedPosterior, e: np.ndarray, r: np.ndarray,
-         log_prior_mu: float = 0.0) -> ElboBreakdown:
-    """Variational lower bound at the current state, with named addends.
+         log_prior_mu: float = 0.0) -> ElboRow:
+    """Variational lower bound at the current state: stage d_theta's `ElboRow`.
 
     e and r are as in `q_fixed_point`.  log_prior_mu is the (EM-surrogate) log
     prior of the current mean field, computed by the mean-update module; it is
@@ -173,8 +172,9 @@ def elbo(state: ReducedPosterior, e: np.ndarray, r: np.ndarray,
                                      - np.log(state.lam)) + state.d_theta)
     likelihood = (-0.5 * d_y * math.log(2.0 * math.pi) + 0.5 * d_y * state.mean_log_tau
                   - 0.5 * mean_tau * float(r @ r) - 0.5 * mean_tau * trace)
-    return ElboBreakdown(likelihood=likelihood, theta_terms=theta_terms,
-                         tau_terms=tau_bound_terms(state), log_prior_mu=log_prior_mu)
+    tau_terms = tau_bound_terms(state)
+    return ElboRow(state.d_theta, likelihood + theta_terms + tau_terms + log_prior_mu,
+                   likelihood, theta_terms, tau_terms, log_prior_mu)
 
 
 def posterior_psi_stats(state: ReducedPosterior) -> tuple[np.ndarray, np.ndarray]:

@@ -20,7 +20,8 @@ import yaml
 import elastovb
 from elastovb import cli
 from elastovb.cli import main
-from elastovb.driver import trace_from_dict
+from elastovb.config import parse_block
+from elastovb.driver import RunTrace
 
 from conftest import EXAMPLE1_YAML, example1_dict
 
@@ -78,7 +79,8 @@ def test_benchmark_reads_the_artifacts_of_one_pipeline(tmp_path, capsys):
     assert outcome["is_forward_calls"] == 20 and 0.0 < outcome["mu_rmse"] < 0.1
     assert f"elbo: {cli._fmt(outcome['elbo'])}" in report.splitlines()
     # the benchmark reads the trace by hand; it must read what the library reads
-    trace = cli._read_json(out / cli.TRACE_FILE, "run trace", trace_from_dict)
+    trace = cli._read_json(out / cli.TRACE_FILE, "run trace",
+                           lambda payload: parse_block(RunTrace, payload))
     assert ([outcome[key] for key in ("forward_calls", "d_theta", "stop_reason", "sweeps", "elbo")]
             == [trace.forward_calls, trace.state.d_theta, trace.stop_reason,
                 sum(rec.sweeps for rec in trace.records), trace.elbo_rows[-1].f])

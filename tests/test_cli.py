@@ -16,9 +16,9 @@ import elastovb
 from elastovb import cli
 from elastovb import config as cfgmod
 from elastovb.cli import main
-from elastovb.config import (ConfigError, ObservationFile, config_from_dict,
-                             load_config, save_config)
-from elastovb.driver import trace_from_dict
+from elastovb.config import (ConfigError, DriverConfig, ObservationFile, config_from_dict,
+                             load_config, parse_block, save_config, to_plain)
+from elastovb.driver import RunTrace
 from elastovb.forward import ForwardSolveError
 from elastovb.vb import posterior_psi_stats
 
@@ -26,7 +26,8 @@ from conftest import EXAMPLE1_YAML, example1_config, example1_dict
 
 
 def load_observations(path):
-    return cli._read_json(path, "observations", ObservationFile.from_dict)
+    return cli._read_json(path, "observations",
+                          lambda payload: parse_block(ObservationFile, payload))
 
 
 def clean_response(out, obs_dofs):
@@ -74,7 +75,7 @@ def test_config_round_trip(tmp_path):
     path = tmp_path / "cfg.yaml"
     save_config(cfg, path)
     again = load_config(path)
-    assert again.to_dict() == cfg.to_dict()
+    assert to_plain(again) == to_plain(cfg)
 
 
 def every_field_dict():
@@ -102,10 +103,10 @@ def every_field_dict():
 
 def test_every_field_round_trips(tmp_path):
     cfg = config_from_dict(every_field_dict())
-    assert cfg.to_dict() == every_field_dict()      # no key fell back to a default
+    assert to_plain(cfg) == every_field_dict()      # no key fell back to a default
     path = tmp_path / "cfg.yaml"
     save_config(cfg, path)
-    assert load_config(path).to_dict() == cfg.to_dict()
+    assert to_plain(load_config(path)) == to_plain(cfg)
 
 
 def test_null_optional_fields_load():
@@ -147,6 +148,14 @@ def test_infinite_snr_set_in_code_is_refused():
     cfg.noise.snr = math.inf
     with pytest.raises(ConfigError, match="noise.snr must be finite and positive, got inf"):
         cfg.validate()
+
+
+def test_call_budget_below_one_is_refused():
+    # update_mu's first evaluation is one call, so a budget of 0 would not bound it
+    with pytest.raises(ConfigError, match=r"solver\.mu_call_budget must be >= 1 "
+                       r"\(the first evaluation is one call\) or null, got 0"):
+        DriverConfig(mu_call_budget=0).validate()
+    DriverConfig(mu_call_budget=None).validate()       # no bound
 
 
 def test_observation_file_built_in_code_needs_a_finite_positive_tau():
@@ -191,7 +200,7 @@ def test_generated_config_is_the_config_the_run_used(small_cfg_path, tmp_path):
     ran = load_config(small_cfg_path)
     assert ran.noise.seed != 15
     ran.noise.seed = 15
-    assert load_config(out / "config.yaml").to_dict() == ran.to_dict()    # snr included
+    assert to_plain(load_config(out / "config.yaml")) == to_plain(ran)    # snr included
     before = (out / "config.yaml").read_bytes()
     assert main(["invert"] + args) == 0
     assert main(["validate"] + args) == 0
@@ -217,7 +226,7 @@ def test_observation_file_round_trip(small_cfg_path, tmp_path):
     out = tmp_path / "rt"
     main(["generate", "--config", str(small_cfg_path), "--out", str(out)])
     obs = load_observations(out / "observations.json")
-    cli._write_json(out / "copy.json", obs.to_dict())
+    cli._write_json(out / "copy.json", to_plain(obs))
     assert (out / "copy.json").read_bytes() == (out / "observations.json").read_bytes()
     again = load_observations(out / "copy.json")
     assert np.array_equal(obs.yhat, again.yhat)
@@ -306,7 +315,7 @@ def test_invert_csvs_are_views_of_the_run_trace(small_cfg_path, tmp_path):
     assert main(["invert"] + args) == 0
     payload = json.loads((out / "run_trace.json").read_text())
     del payload["schema_version"]
-    trace = trace_from_dict(payload)
+    trace = parse_block(RunTrace, payload)
     state, d = trace.state, trace.state.d_theta
     assert d >= 2 and not any(r.gain_degenerate for r in trace.records)
 
@@ -668,7 +677,7 @@ def test_cross_field_rule_exits_one_naming_key(edit, named, says, tmp_path, caps
 @pytest.mark.parametrize("edit", [
     lambda d: d["solver"].update(info_gain_window=1),
     lambda d: d["solver"].update(mu_reg_delay=0),
-    lambda d: d["solver"].update(mu_call_budget=0),
+    lambda d: d["solver"].update(mu_call_budget=1),
     lambda d: d["mesh"].update(nx=1),
     lambda d: d["noise"].update(snr=0.5),
     lambda d: d["validation"].update(samples=2),
@@ -677,7 +686,7 @@ def test_cross_field_rule_exits_one_naming_key(edit, named, says, tmp_path, caps
     set_inclusion(shape="ellipse", center=[2.0, 1.0], radii=[1.0, 1.0]),
     set_inclusion(shape="ellipse", center=[2.0, 3.0], radii=[1.0, 1.0]),
     lambda d: d["bc"].update(loads=[{"node": [0, 2], "fx": 0.1}]),
-], ids=["info_gain_window_1", "mu_reg_delay_0", "mu_call_budget_0", "mesh_nx_1",
+], ids=["info_gain_window_1", "mu_reg_delay_0", "mu_call_budget_1", "mesh_nx_1",
         "snr_below_1", "samples_2", "ellipse_at_left", "ellipse_at_right", "ellipse_at_bottom",
         "ellipse_at_top", "load_on_left_edge"])
 def test_value_at_a_rules_edge_is_accepted(edit):
@@ -746,6 +755,7 @@ NAN, INF = float("nan"), float("inf")
     (("solver", "mu_reg_delay"), -1),
     (("solver", "mu_max_halvings"), -1),    # a removed key: named as removed
     (("solver", "mu_call_budget"), -5),
+    (("solver", "mu_call_budget"), 0),      # the first evaluation is one call
     (("prior", "a_phi"), -1.0),
     (("prior", "b_phi"), -1.0),
 ], ids=lambda p: ".".join(map(str, p)) if isinstance(p, tuple) else str(p))
@@ -866,7 +876,8 @@ def failed_past_the_calls(trace):
     ("observations.json", first_item("yhat", math.nan), "yhat[0] must be finite"),
     ("observations.json", first_item("yhat", True), "yhat[0] must be a number, got True"),
     ("observations.json", lambda obs: {**obs, "seed": "x"},
-     "unknown keys in observations: ['seed']"),
+     "unknown top-level keys: ['seed']"),
+    ("observations.json", lambda obs: {**obs, "extra": 1}, "unknown top-level keys: ['extra']"),
     ("observations.json", lambda obs: {**obs, "tau_true": 0.0},
      "tau_true must be finite and positive, got 0.0"),
     ("observations.json", lambda obs: {**obs, "yhat": obs["yhat"][:-1]},
@@ -900,6 +911,9 @@ def failed_past_the_calls(trace):
        "clamped must list element indices in [0, 16)") for k in (100, 16, -1)],
     ("run_trace.json", lambda trace: {**trace, "elbo_rows": trace["elbo_rows"][:-1]},
      "elbo_rows must run over d_theta 0 to"),
+    ("run_trace.json", lambda trace: {**trace, "records": trace["records"][:-1]},
+     "and records 1 to"),
+    ("run_trace.json", lambda trace: {**trace, "extra": 1}, "unknown top-level keys: ['extra']"),
     ("run_trace.json", forward_calls_true, "forward_calls must be an integer, got True"),
     ("run_trace.json", in_step(1, "failed", 2.5),
      "mu_phase.steps[1].failed must be an integer, got 2.5"),
@@ -925,14 +939,14 @@ def failed_past_the_calls(trace):
     ("is_report.json", previous_schema, ""),
 ], ids=["obs-root-list", "obs-yhat-text", "obs-tau_true-null", "obs-tau_true-bool",
         "obs-tau_true-infinite", "obs-yhat-nan", "obs-yhat-bool", "obs-seed-text",
-        "obs-tau_true-zero", "obs-yhat-short", "obs-schema-previous", "obs-directory",
+        "obs-extra-key", "obs-tau_true-zero", "obs-yhat-short", "obs-schema-previous", "obs-directory",
         "trace-root-list", "trace-mu-text", "trace-a-null", "trace-a-bool", "trace-mu-nan",
         "trace-mu-bool", "trace-state-unknown-key", "trace-lam-short", "trace-lam-negative",
         "trace-lambda0-zero", "trace-lam-zero",
         "trace-a0-missing", "trace-b0-missing", "trace-a-missing", "trace-b-missing",
         "trace-clamped-missing", "trace-clamped-fraction", "trace-clamped-basis-row",
         "trace-clamped-outside", "trace-clamped-one-past", "trace-clamped-negative",
-        "trace-elbo-row-missing",
+        "trace-elbo-row-missing", "trace-record-cut", "trace-extra-key",
         "trace-forward_calls-bool", "trace-step-failed-fraction", "trace-step-accepted-count",
         "trace-step-corrected-without-prior", "trace-step-failed-missing",
         "trace-step-corrected-missing", "trace-step-failed-past-calls",
@@ -974,6 +988,8 @@ def test_malformed_artifact_exits_one_or_is_reported(name, corrupt, named, small
     assert len(unreadable) == 1 and "KeyError" not in text
     assert unreadable[0].startswith(f"unreadable {what} {path}: ")
     assert all(v in unreadable[0] for v in expected)
+    # a key of the artifact's top level is not a key of a block named config
+    assert "config" not in unreadable[0].split(f"{path}: ", 1)[1]
 
 
 def test_output_path_taken_by_a_file_exits_one(small_cfg_path, tmp_path, capsys):
@@ -1035,7 +1051,8 @@ def test_directory_in_an_artifacts_place_exits_one(verb, name, small_cfg_path, t
     assert path.is_dir()
 
 
-@pytest.mark.parametrize("value", [2.5, True], ids=["obs_dofs-fraction", "obs_dofs-bool"])
+@pytest.mark.parametrize("value", [2.5, 1.5, True],
+                         ids=["obs_dofs-fraction", "obs_dofs-one-and-a-half", "obs_dofs-bool"])
 def test_observation_file_integer_exits_one_naming_it(value, small_cfg_path,
                                                        tmp_path, capsys):
     # integers in the observation file follow the config reader's rule: a

@@ -7,15 +7,18 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elastovb.config import ConfigError, build_model, config_from_dict, generate_data, initial_mu
-from elastovb.driver import (DriverConfig, add_basis, info_gain, kl_terms,
-                             next_prior_precision, optimize_W, run, trace_from_dict)
+from elastovb import driver
+from elastovb.config import (ConfigError, build_model, config_from_dict, generate_data,
+                             initial_mu, parse_block, to_plain)
+from elastovb.driver import (DriverConfig, RunTrace, add_basis, info_gain, kl_terms,
+                             next_prior_precision, optimize_W, run)
 from elastovb.forward import FemForwardModel, ForwardEval
 from elastovb.mean_update import SmoothPrior, em_phi, log_prior_mu_and_grad
-from elastovb.vb import ReducedPosterior, update_q_tau
+from elastovb.vb import ReducedPosterior, elbo, update_q_tau
 
 import vb_oracle as oracle
 from conftest import (concentrated_tau_prior, example1_config, example1_dict, top_clamped_model,
@@ -287,10 +290,10 @@ def test_run_trace_round_trips_through_dict(linear_problem, rng):
     yhat = A @ psi_true + rng.normal(0.0, 0.01, 8)
     fixed = np.array([False, True, False, False])
     trace = run(LinearOracleModel(A, fixed_mask=fixed), yhat, DriverConfig(max_bases=2))
-    d = trace.to_dict()
+    d = to_plain(trace)
     assert d["state"]["clamped"] == [1]
-    back = trace_from_dict(d)
-    assert back.to_dict() == d
+    back = parse_block(RunTrace, d)
+    assert to_plain(back) == d
     assert back.state.clamped == [1]
     assert np.array_equal(back.state.mu, trace.state.mu)
     assert np.array_equal(back.state.W, trace.state.W)
@@ -298,7 +301,7 @@ def test_run_trace_round_trips_through_dict(linear_problem, rng):
     assert (back.state.a, back.state.b) == (trace.state.a, trace.state.b)
     # an integral float is an index, as every config integer reads
     d["state"]["clamped"] = [1.0]
-    assert trace_from_dict(d).state.clamped == [1]
+    assert parse_block(RunTrace, d).state.clamped == [1]
 
 
 @pytest.mark.parametrize("value", [0, 1, "true", None])
@@ -306,10 +309,27 @@ def test_trace_reads_a_flag_only_as_a_boolean(value, linear_problem, rng):
     # a JSON 1 is not true: a count summed as a flag would print as one
     A, psi_true = linear_problem
     yhat = A @ psi_true + rng.normal(0.0, 0.01, 8)
-    d = run(LinearOracleModel(A), yhat, DriverConfig(max_bases=2)).to_dict()
+    d = to_plain(run(LinearOracleModel(A), yhat, DriverConfig(max_bases=2)))
     d["mu_phase"]["steps"][0]["accepted"] = value
     with pytest.raises(ConfigError, match=r"mu_phase\.steps\[0\]\.accepted must be true or false"):
-        trace_from_dict(d)
+        parse_block(RunTrace, d)
+
+
+@pytest.mark.parametrize("edit,says", [
+    (lambda d: d.update(records=d["records"][:-1]),
+     "elbo_rows must run over d_theta 0 to 2, and records 1 to 2"),
+    (lambda d: d.update(extra=1), "unknown top-level keys: ['extra']")],
+    ids=["record-cut", "extra-key"])
+def test_trace_top_level_error_names_no_block(edit, says, linear_problem, rng):
+    # a rule of the trace's top level is reported as it stands, where the
+    # reader used to name the root of every record "config"
+    A, psi_true = linear_problem
+    yhat = A @ psi_true + rng.normal(0.0, 0.01, 8)
+    d = to_plain(run(LinearOracleModel(A), yhat, DriverConfig(max_bases=2)))
+    edit(d)
+    with pytest.raises(ConfigError) as info:
+        parse_block(RunTrace, d)
+    assert str(info.value) == says
 
 
 def test_run_rejects_mismatched_observations(linear_problem):
@@ -506,13 +526,13 @@ def test_basis_beats_random_frames_at_the_same_schedule(example1):
     trace, yhat = example1.trace, example1.yhat
     state, ev = trace.state, final_evaluation(example1)
     log_prior_mu = trace.elbo_rows[0].log_prior_mu
-    best = oracle.elbo(state, ev, yhat, log_prior_mu).total
+    best = oracle.elbo(state, ev, yhat, log_prior_mu).f
     free = ~example1.mask
     rng = np.random.default_rng(0)
 
     def score(W):
         refit = oracle.q_fixed_point(replace(state, W=W), ev, yhat)
-        return oracle.elbo(refit, ev, yhat, log_prior_mu).total
+        return oracle.elbo(refit, ev, yhat, log_prior_mu).f
 
     for _ in range(100):
         W = np.zeros_like(state.W)
@@ -577,7 +597,7 @@ def test_basis_stable_under_rounding_of_G(example1):
 def test_run_trace_counts_mean_phase_jacobians(example1):
     # the start plus one per accepted step; example1 rejects no trial, so
     # every forward call solves a Jacobian
-    trace = example1.trace.to_dict()
+    trace = to_plain(example1.trace)
     mu_phase = trace["mu_phase"]
     accepted = sum(st["accepted"] for st in mu_phase["steps"])
     assert mu_phase["jacobians"] == 1 + accepted == 11
@@ -597,8 +617,39 @@ def test_trace_round_trips_through_its_dict(changes, calls):
         d[block].update(values)
     trace = run_example1(cfg=config_from_dict(d)).trace
     assert trace.forward_calls == calls
-    written = trace.to_dict()
-    assert trace_from_dict(json.loads(json.dumps(written))).to_dict() == written
+    written = to_plain(trace)
+    assert to_plain(parse_block(RunTrace, json.loads(json.dumps(written)))) == written
+
+
+# each record's file, and the text format it is written in
+RECORD_FILES = {"config.yaml": (yaml.safe_load, yaml.safe_dump),
+                "observations.json": (json.loads, json.dumps),
+                "run_trace.json": (json.loads, json.dumps)}
+
+
+@pytest.mark.parametrize("name", list(RECORD_FILES))
+def test_record_round_trips_through_its_file(name, monkeypatch):
+    # to_plain writes a record as its file holds it and parse_block reads it
+    # back, to the same text; the trace's elbo_rows are vb.elbo's rows of the
+    # inputs the run passed it at each stage
+    bounds = []
+
+    def spy(*args):         # a row of its own, which the run cannot reach
+        bounds.append(elbo(*args))
+        return elbo(*args)
+
+    monkeypatch.setattr(driver, "elbo", spy)
+    cfg = example1_config()
+    record = {"config.yaml": lambda: cfg, "observations.json": lambda: generate_data(cfg)[0],
+              "run_trace.json": lambda: run_example1(cfg=cfg).trace}[name]()
+    loads, dumps = RECORD_FILES[name]
+    written = to_plain(record)
+    back = parse_block(type(record), loads(dumps(written)))
+    assert to_plain(back) == written
+    assert dumps(to_plain(back)) == dumps(written)      # 1.0 == 1, but not as text
+    if name == "run_trace.json":
+        assert [row.d_theta for row in back.elbo_rows] == list(range(7))
+        assert back.elbo_rows == bounds
 
 
 def test_bound_holds_the_log_prior_at_the_final_mean(example1):
@@ -609,5 +660,5 @@ def test_bound_holds_the_log_prior_at_the_final_mean(example1):
     mu = example1.trace.state.mu
     expected = log_prior_mu_and_grad(mu, em_phi(mu, prior))[0]
     assert expected == pytest.approx(-8.000001075154891, rel=1e-6, abs=0.0)
-    written = example1.trace.to_dict()["elbo_rows"][-1]["log_prior_mu"]
+    written = to_plain(example1.trace)["elbo_rows"][-1]["log_prior_mu"]
     assert written == pytest.approx(expected, rel=1e-6, abs=0.0)

@@ -662,12 +662,14 @@ def test_corrector_without_frozen_gain_falls_back():
 
 
 def test_call_budget_accounting(rng):
+    # 1, the least budget the config accepts, is the first evaluation's call
     A = rng.normal(size=(6, 3))
-    model = LinearOracleModel(A)
     yhat = rng.normal(size=6)
-    res = update_mu(empty_state(3), model, yhat, call_budget=2)
-    assert res.budget_exhausted and res.record.stop_reason == "call_budget"
-    assert res.forward_calls == model.calls == 2
+    for budget in (1, 2):
+        model = LinearOracleModel(A)
+        res = update_mu(empty_state(3), model, yhat, call_budget=budget)
+        assert res.budget_exhausted and res.record.stop_reason == "call_budget"
+        assert res.forward_calls == model.calls == budget
 
 
 class JacobianRefusingModel(LinearOracleModel):

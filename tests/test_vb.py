@@ -207,9 +207,9 @@ def test_elbo_addends_and_likelihood_formula():
     assert br.likelihood == pytest.approx(lik, rel=1e-14)
     # theta terms: (log 2 - 2/3 - log 3 + 1)/2
     assert br.theta_terms == pytest.approx(0.5 * (math.log(2) - 2 / 3 - math.log(3) + 1))
-    assert br.log_prior_mu == -1.25
-    assert br.total == pytest.approx(br.likelihood + br.theta_terms + br.tau_terms
-                                     + br.log_prior_mu)
+    assert (br.d_theta, br.log_prior_mu) == (1, -1.25)
+    # f is the sum of the addends, bit for bit
+    assert br.f == br.likelihood + br.theta_terms + br.tau_terms + br.log_prior_mu
 
 
 def test_tau_terms_vanish_when_posterior_equals_prior():
@@ -258,7 +258,7 @@ def test_elbo_deterministic(rng):
     ev = ForwardEval(y=rng.normal(size=5), G=G)
     yhat = rng.normal(size=5)
     terms = data_terms(state, ev, yhat)
-    assert elbo(state, *terms).total == elbo(state, *terms).total
+    assert elbo(state, *terms).f == elbo(state, *terms).f
     # the same arithmetic as the general-W oracle, bit for bit
     assert elbo(state, *terms, log_prior_mu=0.5) == oracle.elbo(state, ev, yhat, 0.5)
 

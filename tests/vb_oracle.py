@@ -13,7 +13,7 @@ import numpy as np
 
 from elastovb.driver import add_basis, info_gain
 from elastovb.forward import ForwardEval
-from elastovb.vb import ElboBreakdown, ReducedPosterior, tau_bound_terms
+from elastovb.vb import ElboRow, ReducedPosterior, tau_bound_terms
 
 
 def column_data_terms(W: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -57,7 +57,7 @@ def q_fixed_point(state: ReducedPosterior, ev: ForwardEval, yhat: np.ndarray,
 
 
 def elbo(state: ReducedPosterior, ev: ForwardEval, yhat: np.ndarray,
-         log_prior_mu: float = 0.0) -> ElboBreakdown:
+         log_prior_mu: float = 0.0) -> ElboRow:
     """The variational lower bound, with the trace term formed from G and W."""
     r = yhat - ev.y
     d_y = yhat.shape[0]
@@ -67,8 +67,9 @@ def elbo(state: ReducedPosterior, ev: ForwardEval, yhat: np.ndarray,
                                      - np.log(state.lam)) + state.d_theta)
     likelihood = (-0.5 * d_y * math.log(2.0 * math.pi) + 0.5 * d_y * state.mean_log_tau
                   - 0.5 * mean_tau * float(r @ r) - 0.5 * mean_tau * trace)
-    return ElboBreakdown(likelihood=likelihood, theta_terms=theta_terms,
-                         tau_terms=tau_bound_terms(state), log_prior_mu=log_prior_mu)
+    tau_terms = tau_bound_terms(state)
+    return ElboRow(state.d_theta, likelihood + theta_terms + tau_terms + log_prior_mu,
+                   likelihood, theta_terms, tau_terms, log_prior_mu)
 
 
 def basis_phase(state: ReducedPosterior, W: np.ndarray, ev: ForwardEval, yhat: np.ndarray,
@@ -83,7 +84,7 @@ def basis_phase(state: ReducedPosterior, W: np.ndarray, ev: ForwardEval, yhat: n
     for k in range(W.shape[1]):
         state = q_fixed_point(add_basis(state, W[:, k], config.lambda0_1), ev, yhat)
         stages.append(state)
-        bounds.append(elbo(state, ev, yhat, log_prior_mu).total)
+        bounds.append(elbo(state, ev, yhat, log_prior_mu).f)
         gains.append(info_gain(state.lambda0, state.lam, state.d_theta))
         window = gains[-config.info_gain_window:]
         if (len(gains) >= config.info_gain_window
