@@ -6,11 +6,11 @@ reader builds them from the dataclass fields: every key is converted as its
 field is annotated (integers must be integral, booleans true or false,
 strings strings, and only an `X | None` field takes null), an absent key or a
 null block or list takes the field's default, and every error names the
-dotted key, e.g. `phantom.inclusions[0].center[1]`.  Defaults live only on
-the dataclasses and rules on values only in the `validate` methods.  The same
-rules read `observations.json` and every block of the run trace back, and
-one writer, `to_plain`, turns any of these records back into the plain data
-the reader takes.
+dotted key, e.g. `phantom.inclusions[0].center[1]`.  Defaults and rules on
+one value live only on the dataclass fields (`rule`), and rules that relate
+values in the `validate` methods.  The same rules read `observations.json`
+and every block of the run trace back, and one writer, `to_plain`, turns any
+of these records back into the plain data the reader takes.
 
 The module also reads and writes the YAML config, builds the
 mesh/boundary/phantom objects from it and synthesizes the observations;
@@ -20,6 +20,7 @@ mesh/boundary/phantom objects from it and synthesizes the observations;
 from __future__ import annotations
 
 import math
+import operator
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -30,11 +31,43 @@ import yaml
 from .forward import FemForwardModel
 from .mesh_fem import BoundarySpec, Mesh2D, _solve_reduced
 
-_EDGES = ("bottom", "top")
-
 
 class ConfigError(ValueError):
     """Invalid or inconsistent configuration; reported as a usage error."""
+
+
+# a rule's bounds: how each is met, and how a message states it
+_BOUNDS = {"ge": (operator.ge, ">="), "gt": (operator.gt, ">"), "lt": (operator.lt, "<"),
+           "one_of": (lambda value, choices: value in choices, "one of")}
+
+
+def rule(default=MISSING, *, why: str = "", **bounds):
+    """A dataclass field whose value meets each of `bounds`: `ge`, `gt`, `lt`, `one_of`."""
+    return field(default=default, metadata={"rule": bounds, "why": why})
+
+
+def rule_text(f) -> str:
+    """Field `f`'s rule as a message states it, e.g. `>= 0 and < 0.5`."""
+    return " and ".join(f"{_BOUNDS[key][1]} {bound!r}" for key, bound in f.metadata["rule"].items())
+
+
+def check_rules(record, where: str = "", deep: bool = False) -> None:
+    """Refuse a field of `record` that breaks its `rule`, naming its dotted key
+    under `where`; a null value breaks none.  With `deep`, the records held in
+    its fields are checked too, as a record built or edited in code needs."""
+    for f in fields(record):
+        value, path = getattr(record, f.name), f"{where}.{f.name}".lstrip(".")
+        if deep and is_dataclass(value):
+            check_rules(value, path, deep)
+        for i, item in enumerate(value if deep and isinstance(value, list) else ()):
+            if is_dataclass(item):
+                check_rules(item, f"{path}[{i}]", deep)
+        if "rule" in f.metadata and value is not None and not all(
+                _BOUNDS[key][0](value, bound) for key, bound in f.metadata["rule"].items()):
+            why = f" ({f.metadata['why']})" if f.metadata["why"] else ""
+            hint = typing.get_type_hints(type(record))[f.name]
+            null = " or null" if type(None) in typing.get_args(hint) else ""
+            raise ConfigError(f"{path} must be {rule_text(f)}{why}{null}, got {value!r}")
 
 
 def _check_keys(block: dict, allowed: set[str], where: str) -> None:
@@ -110,17 +143,17 @@ _REMOVED_KEYS = {f"{block}.{key}": reason for block, keys, reason in (
 
 @dataclass
 class MeshBlock:
-    nx: int
-    ny: int
-    lx: float
-    ly: float
-    poisson: float = 0.0
+    nx: int = rule(gt=0)
+    ny: int = rule(gt=0)
+    lx: float = rule(gt=0)
+    ly: float = rule(gt=0)
+    poisson: float = rule(0.0, ge=0, lt=0.5, why="0.5 is incompressible")
 
 
 @dataclass
 class Inclusion:
     """One phantom inclusion; membership is decided at element centers."""
-    shape: str                      # "ellipse", the one shape
+    shape: str = rule(one_of=("ellipse",))
     value: float                    # log-modulus inside the shape
     center: list[float] = field(default_factory=list)
     radii: list[float] = field(default_factory=list)
@@ -136,7 +169,7 @@ class PhantomBlock:
 class EdgeCondition:
     """Prescribed displacement components along one mesh edge; None leaves a
     component free."""
-    edge: str
+    edge: str = rule(one_of=("bottom", "top"))
     ux: float | None = None
     uy: float | None = None
 
@@ -156,60 +189,45 @@ class BCBlock:
 
 @dataclass
 class NoiseBlock:
-    snr: float = 1e5                # power ratio mean(y^2)/sigma^2
-    seed: int = 0
+    snr: float = rule(1e5, gt=0, lt=math.inf)       # power ratio mean(y^2)/sigma^2
+    seed: int = rule(0, ge=0)
 
 
 @dataclass
 class DriverConfig:
     """The `solver` block: basis growth, the noise prior and the mean phase's limits."""
-    lambda0_1: float = 1e-10
-    info_gain_threshold: float = 0.01
-    info_gain_window: int = 5
-    max_bases: int | None = None
+    lambda0_1: float = rule(1e-10, gt=0)
+    info_gain_threshold: float = rule(0.01, gt=0, lt=1)
+    info_gain_window: int = rule(5, ge=1, why="a window of 0 stages stops growth on no evidence")
+    max_bases: int | None = rule(None, ge=0)
     seed: int = 0                   # unused: nothing is drawn; kept so configs load
-    a0: float = 0.0
-    b0: float = 0.0
-    mu_reg_delay: int = 5
-    mu_call_budget: int | None = 38
+    a0: float = rule(0.0, ge=0, why="the noise prior's Gamma shape; 0 is improper")
+    b0: float = rule(0.0, ge=0, why="the noise prior's Gamma rate; 0 is improper")
+    mu_reg_delay: int = rule(5, ge=0)
+    mu_call_budget: int | None = rule(38, ge=1, why="the first evaluation is one call")
 
     def validate(self) -> None:
-        if not 0.0 < self.info_gain_threshold < 1.0:
-            raise ConfigError("solver.info_gain_threshold must lie in (0, 1)")
-        if self.info_gain_window < 1:
-            raise ConfigError("solver.info_gain_window must be >= 1")
-        if self.lambda0_1 <= 0.0:
-            raise ConfigError("solver.lambda0_1 must be positive")
-        if self.max_bases is not None and self.max_bases < 0:
-            raise ConfigError("solver.max_bases must be nonnegative")
-        for key in ("a0", "b0"):        # Gamma(a0, b0) noise prior; 0 is improper
-            if not getattr(self, key) >= 0.0:
-                raise ConfigError(f"solver.{key} must be nonnegative")
-        if self.mu_reg_delay < 0:
-            raise ConfigError(f"solver.mu_reg_delay must be nonnegative, got {self.mu_reg_delay}")
-        if self.mu_call_budget is not None and self.mu_call_budget < 1:
-            raise ConfigError(f"solver.mu_call_budget must be >= 1 (the first evaluation is "
-                              f"one call) or null, got {self.mu_call_budget}")
+        check_rules(self, "solver")
 
 
 @dataclass
 class ClampBlock:
     """Elements excluded from inversion, held at a fixed log-modulus."""
-    top_element_rows: int = 0
+    top_element_rows: int = rule(0, ge=0)
     value: float = 0.0
 
 
 @dataclass
 class PriorBlock:
     """Gamma(a_phi, b_phi) prior on each neighbor pair's jump precision."""
-    a_phi: float = 0.0
-    b_phi: float = 0.0
+    a_phi: float = rule(0.0, ge=0, why="the jump prior's Gamma shape; 0 is improper")
+    b_phi: float = rule(0.0, ge=0, why="the jump prior's Gamma rate; 0 is improper")
 
 
 @dataclass
 class ValidationBlock:
-    samples: int = 1000
-    seed: int = 0
+    samples: int = rule(1000, ge=2)
+    seed: int = rule(0, ge=0)
 
 
 @dataclass
@@ -231,29 +249,18 @@ class RunConfig:
     mu0: float = 0.0
 
     def validate(self) -> None:
+        check_rules(self, deep=True)    # a RunConfig edited in code may break any rule
         m = self.mesh
-        for key in ("nx", "ny", "lx", "ly"):
-            if not getattr(m, key) > 0:
-                raise ConfigError(f"mesh.{key} must be positive, got {getattr(m, key)!r}")
-        if not 0.0 <= m.poisson < 0.5:
-            raise ConfigError(f"mesh.poisson {m.poisson} outside [0, 0.5)")
-        # the reader refuses inf, but a RunConfig edited in code may hold it
-        if not 0 < self.noise.snr < math.inf:
-            raise ConfigError(f"noise.snr must be finite and positive, "
-                              f"got {self.noise.snr!r}")
-        for key in ("noise", "validation"):
-            seed = getattr(self, key).seed
-            if seed < 0:
-                raise ConfigError(f"{key}.seed must be nonnegative, got {seed}")
-        for key in ("a_phi", "b_phi"):      # Gamma shape and rate; 0 is improper
-            if not (value := getattr(self.prior, key)) >= 0.0:
-                raise ConfigError(f"prior.{key} must be nonnegative, got {value!r}")
         for i, inc in enumerate(self.phantom.inclusions):
-            self._validate_inclusion(inc, f"phantom.inclusions[{i}]")
+            where = f"phantom.inclusions[{i}]"
+            if len(inc.center) != 2 or len(inc.radii) != 2:
+                raise ConfigError(f"{where}: ellipse needs center [cx, cy] and radii [rx, ry]")
+            (cx, cy), (rx, ry) = inc.center, inc.radii
+            if rx <= 0 or ry <= 0:
+                raise ConfigError(f"{where}.radii: ellipse radii must be positive")
+            if cx - rx < 0 or cx + rx > m.lx or cy - ry < 0 or cy + ry > m.ly:
+                raise ConfigError(f"{where}: ellipse extends outside the domain")
         for i, cond in enumerate(self.bc.dirichlet):
-            if cond.edge not in _EDGES:
-                raise ConfigError(f"bc.dirichlet[{i}].edge: unknown edge {cond.edge!r}; "
-                                  f"expected one of {_EDGES}")
             if cond.ux is None and cond.uy is None:
                 raise ConfigError(f"bc.dirichlet[{i}]: edge {cond.edge!r} prescribes no component")
         for i, load in enumerate(self.bc.loads):
@@ -264,7 +271,7 @@ class RunConfig:
                 raise ConfigError(f"bc.loads[{i}].node {load.node} outside the grid")
         if not self.bc.dirichlet:
             raise ConfigError("bc.dirichlet: at least one Dirichlet edge is required")
-        if not 0 <= self.clamp.top_element_rows < m.ny:    # one free row at least
+        if not self.clamp.top_element_rows < m.ny:    # one free row at least
             raise ConfigError(f"clamp.top_element_rows {self.clamp.top_element_rows} "
                               f"outside [0, ny) = [0, {m.ny})")
         if self.clamp.top_element_rows == 0 and not any(
@@ -272,22 +279,6 @@ class RunConfig:
             raise ConfigError("clamp.top_element_rows 0 needs a point load with a nonzero "
                               "component: prescribed displacements alone fix the moduli "
                               "only up to a common factor")
-        if self.validation.samples < 2:
-            raise ConfigError("validation.samples must be >= 2")
-        self.solver.validate()
-
-    def _validate_inclusion(self, inc: Inclusion, where: str) -> None:
-        m = self.mesh
-        if inc.shape != "ellipse":
-            raise ConfigError(f"{where}.shape: unknown inclusion shape {inc.shape!r}; "
-                              "the one shape is 'ellipse'")
-        if len(inc.center) != 2 or len(inc.radii) != 2:
-            raise ConfigError(f"{where}: ellipse needs center [cx, cy] and radii [rx, ry]")
-        (cx, cy), (rx, ry) = inc.center, inc.radii
-        if rx <= 0 or ry <= 0:
-            raise ConfigError(f"{where}.radii: ellipse radii must be positive")
-        if cx - rx < 0 or cx + rx > m.lx or cy - ry < 0 or cy + ry > m.ly:
-            raise ConfigError(f"{where}: ellipse extends outside the domain")
 
 
 def parse_block(cls, raw, where: str = ""):
@@ -296,7 +287,8 @@ def parse_block(cls, raw, where: str = ""):
     at the top level.
 
     An absent key, or a null block or list, takes the field's default; `cls`'s
-    own ValueError is reported at `where`, and at the top level as it stands."""
+    own ValueError is reported at `where`, and at the top level as it stands.
+    Its field rules are checked once, here: its blocks checked theirs."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{where or 'config root'} must be a mapping, got {raw!r}")
     hints = typing.get_type_hints(cls)
@@ -311,9 +303,11 @@ def parse_block(cls, raw, where: str = ""):
             continue
         values[f.name] = _convert(hint, value, path)
     try:
-        return cls(**values)
+        record = cls(**values)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}" if where else str(exc)) from exc
+    check_rules(record, where)
+    return record
 
 
 def to_plain(record) -> dict:
@@ -447,24 +441,21 @@ def initial_mu(cfg: RunConfig, mesh: Mesh2D) -> np.ndarray:
 class ObservationFile:
     """Synthetic observations and the noise precision that generated them.
 
-    tau_true is finite and positive, and is never consumed by the inversion
-    itself.  The noise-free response is `displacement.csv` at `obs_dofs`,
-    and the seed and SNR are the noise block of the run's `config.yaml`.
-    Both lists are read as lists, so a dof must be integral, and are held
-    as arrays.
+    tau_true is never consumed by the inversion itself.  The noise-free
+    response is `displacement.csv` at `obs_dofs`, and the seed and SNR are the
+    noise block of the run's `config.yaml`.  Both lists are read as lists, so
+    a dof must be integral, and are held as arrays.
     """
     obs_dofs: list[int]
     yhat: list[float]
-    tau_true: float
+    tau_true: float = rule(gt=0, lt=math.inf)
 
     def __post_init__(self) -> None:
         self.obs_dofs = np.asarray(self.obs_dofs, dtype=int)
         self.yhat = np.asarray(self.yhat, dtype=float)
         if self.obs_dofs.size != self.yhat.size:
             raise ConfigError("observation file length mismatch")
-        if not 0 < self.tau_true < math.inf:
-            raise ConfigError(f"tau_true must be finite and positive, "
-                              f"got {self.tau_true!r}")
+        check_rules(self)               # one built in code, too
 
 
 def generate_data(cfg: RunConfig) -> tuple[ObservationFile, np.ndarray, np.ndarray]:

@@ -29,10 +29,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._lapack import syevr
-from .config import DriverConfig
+from .config import DriverConfig, rule
 from .forward import ForwardEval, ForwardModel
 from .mean_update import MuPhaseRecord, SmoothPrior, update_mu
 from .vb import ElboRow, ReducedPosterior, elbo, q_fixed_point
+
+RUN_STOP_REASONS = ("info_gain", "max_bases", "full_rank")     # how `run` ends growth
 
 
 def kl_terms(lambda0: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -116,7 +118,7 @@ class StageRecord:
     d_theta: int
     info_gain: float
     gain_degenerate: bool
-    sweeps: int                     # q fits in the stage: always 1 (perfbench/run.py reads it)
+    sweeps: int = rule(ge=0)        # q fits in the stage: always 1 (perfbench/run.py reads it)
     lam: list[float]
 
 
@@ -149,13 +151,13 @@ class RunState(ReducedPosterior):
 class RunTrace:
     """A run as its run trace holds it, field by field."""
 
-    stop_reason: str
-    forward_calls: int              # all of them the mean phase's
+    stop_reason: str = rule(one_of=RUN_STOP_REASONS)
+    forward_calls: int = rule(ge=1, why="the first evaluation is one call")  # the mean phase's
     records: list[StageRecord]
     elbo_rows: list[ElboRow]
     state: RunState
     mu_phase: MuPhaseRecord
-    wall_time_s: float
+    wall_time_s: float = rule(ge=0)
 
     def __post_init__(self) -> None:
         d = self.state.d_theta

@@ -55,6 +55,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._lapack import posv
+from .config import rule
 from .forward import ForwardEval, ForwardModel, ForwardSolveError
 from .mesh_fem import mirror_lower
 from .vb import ReducedPosterior, update_q_tau
@@ -324,14 +325,10 @@ class MuPhaseRecord:
     """How the mean phase ended and what it spent: the run trace's `mu_phase`
     block.  `stop_reason` names the exit `update_mu` took, one of MU_STOP_REASONS."""
 
-    jacobians: int                         # evaluations whose G was solved
-    stop_reason: str
-    floored_count: int                     # pair rates the closing E-step floored
+    jacobians: int = rule(ge=0)            # evaluations whose G was solved
+    stop_reason: str = rule(one_of=MU_STOP_REASONS)
+    floored_count: int = rule(ge=0)        # pair rates the closing E-step floored
     steps: list[MuUpdateReport]
-
-    def __post_init__(self) -> None:
-        if self.stop_reason not in MU_STOP_REASONS:
-            raise ValueError(f"stop_reason {self.stop_reason!r} is none of {MU_STOP_REASONS}")
 
 
 @dataclass

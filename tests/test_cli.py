@@ -146,8 +146,25 @@ def test_infinite_snr_set_in_code_is_refused():
     # reaching generate_data, which reports a zero noise level as a zero response
     cfg = example1_config()
     cfg.noise.snr = math.inf
-    with pytest.raises(ConfigError, match="noise.snr must be finite and positive, got inf"):
+    with pytest.raises(ConfigError, match="noise.snr must be > 0 and < inf, got inf"):
         cfg.validate()
+
+
+@pytest.mark.parametrize("edit,says", [
+    (lambda cfg: setattr(cfg.bc.dirichlet[1], "edge", "left"),
+     "bc.dirichlet[1].edge must be one of ('bottom', 'top'), got 'left'"),
+    (lambda cfg: setattr(cfg.phantom.inclusions[0], "shape", "rectangle"),
+     "phantom.inclusions[0].shape must be one of ('ellipse',), got 'rectangle'"),
+    (lambda cfg: setattr(cfg.solver, "mu_reg_delay", -1),
+     "solver.mu_reg_delay must be >= 0, got -1"),
+], ids=["dirichlet-edge", "inclusion-shape", "solver"])
+def test_config_edited_in_code_is_checked_in_every_block(edit, says):
+    # validate walks every record a RunConfig holds, down to the items of its lists
+    cfg = example1_config()
+    edit(cfg)
+    with pytest.raises(ConfigError) as err:
+        cfg.validate()
+    assert str(err.value) == says
 
 
 def test_call_budget_below_one_is_refused():
@@ -161,7 +178,7 @@ def test_call_budget_below_one_is_refused():
 def test_observation_file_built_in_code_needs_a_finite_positive_tau():
     # the reader refuses inf, but an ObservationFile built in code may hold it
     dofs, yhat = np.arange(2), np.zeros(2)
-    with pytest.raises(ConfigError, match="tau_true must be finite and positive, got inf"):
+    with pytest.raises(ConfigError, match="tau_true must be > 0 and < inf, got inf"):
         ObservationFile(obs_dofs=dofs, yhat=yhat, tau_true=math.inf)
     assert ObservationFile(obs_dofs=dofs, yhat=yhat, tau_true=0.5).tau_true == 0.5
 
@@ -612,11 +629,11 @@ def set_inclusion(**fields):
 
 @pytest.mark.parametrize("edit,named,says", [
     (add_second_inclusion, "phantom.inclusions[1]", "radii must be positive"),
-    (lambda d: d["mesh"].update(lx=-1.0), "mesh.lx", "must be positive"),
+    (lambda d: d["mesh"].update(lx=-1.0), "mesh.lx", "must be > 0, got -1.0"),
     (lambda d: d["bc"]["dirichlet"][0].update(edge="lft"), "bc.dirichlet[0].edge",
-     "unknown edge"),
+     "must be one of"),
     (lambda d: d["bc"]["dirichlet"][0].update(edge="left"), "bc.dirichlet[0].edge",
-     "unknown edge 'left'; expected one of ('bottom', 'top')"),
+     "must be one of ('bottom', 'top'), got 'left'"),
     (lambda d: d["clamp"].update(top_element_rows=d["mesh"]["ny"]), "clamp.top_element_rows",
      "outside [0, ny)"),
     (lambda d: d["clamp"].update(top_element_rows=0), "clamp.top_element_rows",
@@ -648,12 +665,11 @@ def set_inclusion(**fields):
     (set_inclusion(shape="ellipse", center=[2.0, 2.0], radii=[1.0, 0.0]),
      "phantom.inclusions[0].radii", "ellipse radii must be positive"),
     (set_inclusion(shape="rectangle", center=[2.0, 2.0], radii=[1.0, 1.0]),
-     "phantom.inclusions[0].shape",
-     "unknown inclusion shape 'rectangle'; the one shape is 'ellipse'"),
+     "phantom.inclusions[0].shape", "must be one of ('ellipse',), got 'rectangle'"),
     (set_inclusion(shape="rectangle", x=[1.0, 2.0], y=[1.0, 2.0]),
      "phantom.inclusions[0]", "unknown keys in phantom.inclusions[0]: ['x', 'y']"),
     (set_inclusion(shape="triangle"),
-     "phantom.inclusions[0].shape", "unknown inclusion shape"),
+     "phantom.inclusions[0].shape", "must be one of"),
 ], ids=["inclusion_radii", "mesh_lx", "dirichlet_edge", "left_edge", "clamp_every_row",
         "no_clamp_without_load", "edge_without_component", "load_outside_grid",
         "load_left_of_grid", "load_below_grid", "load_on_prescribed_dof",
@@ -879,7 +895,7 @@ def failed_past_the_calls(trace):
      "unknown top-level keys: ['seed']"),
     ("observations.json", lambda obs: {**obs, "extra": 1}, "unknown top-level keys: ['extra']"),
     ("observations.json", lambda obs: {**obs, "tau_true": 0.0},
-     "tau_true must be finite and positive, got 0.0"),
+     "tau_true must be > 0 and < inf, got 0.0"),
     ("observations.json", lambda obs: {**obs, "yhat": obs["yhat"][:-1]},
      "observation file length mismatch"),
     ("observations.json", previous_schema, ""),
@@ -928,7 +944,23 @@ def failed_past_the_calls(trace):
      "mu_phase.steps[0]: failed trials must lie in [0, forward_calls - accepted]"),
     ("run_trace.json",
      lambda trace: {**trace, "mu_phase": {**trace["mu_phase"], "stop_reason": "done"}},
-     "mu_phase: stop_reason 'done' is none of"),
+     "mu_phase.stop_reason must be one of ('gain_tolerance', 'no_acceptable_trial', "
+     "'call_budget', 'max_steps'), got 'done'"),
+    ("run_trace.json", lambda trace: {**trace, "stop_reason": "done"},
+     "stop_reason must be one of ('info_gain', 'max_bases', 'full_rank'), got 'done'"),
+    ("run_trace.json", lambda trace: {**trace, "forward_calls": -3},
+     "forward_calls must be >= 1 (the first evaluation is one call), got -3"),
+    ("run_trace.json", lambda trace: {**trace, "wall_time_s": -1.0},
+     "wall_time_s must be >= 0, got -1.0"),
+    *[("run_trace.json",
+       lambda trace, key=key, value=value: {**trace, "mu_phase": {**trace["mu_phase"],
+                                                                  key: value}},
+       f"mu_phase.{key} must be >= 0, got {value}")
+      for key, value in (("jacobians", -1), ("floored_count", -7))],
+    ("run_trace.json",
+     lambda trace: {**trace, "records": [{**trace["records"][0], "sweeps": -4}]
+                    + trace["records"][1:]},
+     "records[0].sweeps must be >= 0, got -4"),
     ("run_trace.json",
      lambda trace: {**trace, "records": [{**trace["records"][0], "sweeps": "x"}]
                     + trace["records"][1:]},
@@ -951,7 +983,10 @@ def failed_past_the_calls(trace):
         "trace-step-corrected-without-prior", "trace-step-failed-missing",
         "trace-step-corrected-missing", "trace-step-failed-past-calls",
         "trace-step-failed-negative",
-        "trace-stop-reason-unknown", "trace-sweeps-text", "trace-schema-previous",
+        "trace-stop-reason-unknown", "trace-run-stop-reason-unknown",
+        "trace-forward_calls-negative", "trace-wall_time_s-negative",
+        "trace-jacobians-negative", "trace-floored_count-negative", "trace-sweeps-negative",
+        "trace-sweeps-text", "trace-schema-previous",
         "is-ess-bool", "is-schema-previous"])
 def test_malformed_artifact_exits_one_or_is_reported(name, corrupt, named, small_cfg_path,
                                                      tmp_path, capsys):
