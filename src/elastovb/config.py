@@ -249,7 +249,12 @@ class RunConfig:
     mu0: float = 0.0
 
     def validate(self) -> None:
-        check_rules(self, deep=True)    # a RunConfig edited in code may break any rule
+        """Every rule, for a RunConfig built or edited in code, which may break any."""
+        check_rules(self, deep=True)
+        self.check_relations()
+
+    def check_relations(self) -> None:
+        """The rules that relate values, which no one field's rule states."""
         m = self.mesh
         for i, inc in enumerate(self.phantom.inclusions):
             where = f"phantom.inclusions[{i}]"
@@ -331,8 +336,8 @@ def _convert(hint, value, where: str):
 
 
 def config_from_dict(raw: dict) -> RunConfig:
-    cfg = parse_block(RunConfig, raw)
-    cfg.validate()
+    cfg = parse_block(RunConfig, raw)       # which checked every block's field rules
+    cfg.check_relations()
     return cfg
 
 

@@ -25,8 +25,14 @@ takes the same step as when it paid a call for each.  Only the accepted trial's
 Jacobian is solved, from that trial's own factorization, so an outer
 iteration costs one Jacobian and as many value solves as it has trials.
 Before a trial is spent, the Gauss-Newton model predicts the step's gain from
-the Jacobian already in hand; a predicted gain below the phase's relative
-tolerance ends the phase, since such a step cannot be told from rounding.
+the Jacobian already in hand.  A Gauss-Newton step delta predicts a gain of
+exactly 1/2 delta^T H delta, where H = <tau> G_f^T G_f + P is the linearized
+posterior precision of mu, so a step predicted to gain at most GAIN_TOL =
+1/2 (1/20)^2 nat has length at most 1/20 in H's norm: it would move mu by at
+most 1/20 of a posterior standard deviation.  Such a step ends the phase, and
+so does an accepted step that gained at most that much; inside the
+unregularized warm-up either one switches the jump prior on instead.  The
+tolerance is absolute because F_mu's additive constant is arbitrary.
 
 The E-step needs no forward call, so with the prior active each linearization
 also takes one corrector step: the E-step is redone at mu + delta_0 and the
@@ -62,7 +68,7 @@ from .vb import ReducedPosterior, update_q_tau
 
 B_PHI_FLOOR = 1e-12
 TIKHONOV_FLOOR = 1e-10
-GAIN_RTOL = 1e-9          # relative objective gain below which the mean phase stops
+GAIN_TOL = 0.5 * (1 / 20) ** 2   # nat: a step of 1/20 posterior std gains this much
 FAILED, REJECTED, PASSED = "failed", "rejected", "passed"   # a trial call's outcomes
 MU_STOP_REASONS = ("gain_tolerance", "no_acceptable_trial", "call_budget", "max_steps")
 
@@ -270,14 +276,15 @@ def _f_mu(mu: np.ndarray, r: np.ndarray, mean_tau: float, prior: SmoothPrior | N
 
 
 def _trial_direction(mu: np.ndarray, ev: ForwardEval, yhat: np.ndarray, mean_tau: float,
-                     prior: SmoothPrior | None, fixed_mask: np.ndarray, f_mu: float,
-                     tol: float) -> tuple[np.ndarray, bool] | None:
+                     prior: SmoothPrior | None, fixed_mask: np.ndarray,
+                     f_mu: float) -> tuple[np.ndarray, bool] | None:
     """A step's direction from the linearization at mu, and whether the corrector gave it.
 
     The predicted gain of delta is -<tau>/2 |r - G delta|^2 + log p(mu + delta)
-    - f_mu.  None if delta_0's is at most `tol`; with a prior, delta_1 replaces
-    delta_0 if its gain is above `tol` too (see the module docstring).  The
-    linearized system holds mu's Gram too and lives only in here.
+    - f_mu, which is 1/2 delta_0^T H delta_0 for delta_0.  None if delta_0's
+    is at most GAIN_TOL; with a prior, delta_1 replaces delta_0 if its gain is
+    above GAIN_TOL too (see the module docstring).  The linearized system
+    holds mu's Gram too and lives only in here.
     """
     r = yhat - ev.y
 
@@ -286,11 +293,11 @@ def _trial_direction(mu: np.ndarray, ev: ForwardEval, yhat: np.ndarray, mean_tau
 
     system = gauss_newton_system(ev, yhat, mean_tau, fixed_mask)
     delta = gauss_newton_step(mu, system, prior)
-    if gain(delta) <= tol:
+    if gain(delta) <= GAIN_TOL:
         return None
     if prior is not None:
         delta1 = gauss_newton_step(mu, system, em_phi(mu + delta, prior))
-        if gain(delta1) > tol:
+        if gain(delta1) > GAIN_TOL:
             return delta1, True
     return delta, False
 
@@ -372,16 +379,18 @@ def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
 
     Steps are plain Gauss-Newton on the data term until the jump-penalty prior
     goes on: after `reg_delay` accepted steps, or at the first step before
-    that which accepts no trial while calls remain.  The phase ends at one of
-    four exits, named in the record's `stop_reason`: a step whose predicted
-    gain (`_trial_direction`) is at most GAIN_RTOL (1 + |F_mu|), or an
-    accepted step whose actual gain is ("gain_tolerance"); a step with the
-    prior on, or with `prior=None`, that accepts no trial
-    ("no_acceptable_trial"); `call_budget`, which bounds the growth of
-    `model.calls` since entry, running out ("call_budget"); and `max_outer`
-    steps run ("max_steps").  The first evaluation is one call whatever the
-    budget, so the bound holds for a budget of 1 or more, the least the
-    config accepts.  The model's clamped components
+    that which accepts no trial while calls remain, or whose gain, predicted
+    or actual, is at most GAIN_TOL.  A switch on a predicted gain costs no
+    call and no step: the same linearization is solved again with the prior.
+    The phase ends at one of four exits, named in the record's `stop_reason`;
+    the first two only for a step with the prior on, or with `prior=None`: a
+    step whose predicted gain (`_trial_direction`) is at most GAIN_TOL, or an
+    accepted step whose actual gain is ("gain_tolerance"); a step that
+    accepts no trial ("no_acceptable_trial"); `call_budget`, which bounds
+    the growth of `model.calls` since entry, running out ("call_budget"); and
+    `max_outer` steps run ("max_steps").  The first evaluation is one call
+    whatever the budget, so the bound holds for a budget of 1 or more, the
+    least the config accepts.  The model's clamped components
     (`model.fixed_mask`) keep their state.mu value.
 
     mu's evaluation, Gram included, is released before the accepted trial
@@ -414,13 +423,17 @@ def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
             stop_reason = "call_budget"
             break
         mean_tau = a / b
-        step_prior = None
-        if prior is not None and warmup <= 0:
-            step_prior = prior = em_phi(mu, prior)
-        f_curr = _f_mu(mu, yhat - ev.y, mean_tau, step_prior)
-        tol = GAIN_RTOL * (1.0 + abs(f_curr))
-        direction = _trial_direction(mu, ev, yhat, mean_tau, step_prior, model.fixed_mask,
-                                     f_curr, tol)
+        while True:       # a warm-up step predicted within the tolerance switches the prior on
+            step_prior = None
+            if prior is not None and warmup <= 0:
+                step_prior = prior = em_phi(mu, prior)
+            f_curr = _f_mu(mu, yhat - ev.y, mean_tau, step_prior)
+            direction = _trial_direction(mu, ev, yhat, mean_tau, step_prior, model.fixed_mask,
+                                         f_curr)
+            warming_up = prior is not None and step_prior is None
+            if direction is not None or not warming_up:
+                break
+            warmup = 0
         if direction is None:
             stop_reason = "gain_tolerance"
             break
@@ -480,9 +493,11 @@ def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
             mu, ev = taken.mu, taken.ev
             warmup -= 1
             a, b = update_q_tau(state, yhat - ev.y)
-            if taken.f - f_curr <= tol:
-                stop_reason = "gain_tolerance"
-                break
+            if taken.f - f_curr <= GAIN_TOL:
+                if not warming_up:
+                    stop_reason = "gain_tolerance"
+                    break
+                warmup = 0    # a warm-up step that gains within the tolerance switches the prior on
             continue
         if ev is None:    # the taken trial's Jacobian failed after mu's was released
             ev = model.evaluate(mu).with_jacobian()
@@ -490,7 +505,7 @@ def update_mu(state: ReducedPosterior, model: ForwardModel, yhat: np.ndarray,
         if budget_exhausted:
             stop_reason = "call_budget"
             break
-        if step_prior is not None or prior is None:
+        if not warming_up:
             stop_reason = "no_acceptable_trial"
             break
         warmup = 0        # a warm-up step that accepts nothing switches the prior on

@@ -606,7 +606,7 @@ def test_run_trace_counts_mean_phase_jacobians(example1):
 
 
 @pytest.mark.parametrize("changes,calls", [
-    ({}, 11), ({"mesh": {"nx": 20, "ny": 20}}, 13), ({"noise": {"snr": 100.0}}, 23),
+    ({}, 11), ({"mesh": {"nx": 20, "ny": 20}}, 13), ({"noise": {"snr": 100.0}}, 20),
     ({"noise": {"snr": 100.0, "seed": 15}}, 16)],
     ids=["example1", "mesh20", "noisy10", "flat_field"])
 def test_trace_round_trips_through_its_dict(changes, calls):
