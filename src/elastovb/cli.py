@@ -44,7 +44,7 @@ EXIT_NUMERICAL = 2
 NUMERICAL_FAILURES = (ForwardSolveError, NoisePrecisionError, DegenerateWeightsError,
                       np.linalg.LinAlgError)
 
-SCHEMA_VERSION = 4        # of every JSON artifact
+SCHEMA_VERSION = 5        # of every JSON artifact
 FLOAT_FMT = "%.17g"       # every float in a CSV: 17 digits round-trip losslessly
 
 OBS_FILE = "observations.json"
@@ -207,7 +207,7 @@ def cmd_generate(args) -> int:
                 for n, (ux, uy) in enumerate(U.reshape(-1, 2))))
     cfgmod.save_config(cfg, out / CONFIG_FILE)
     print(f"wrote {obs.yhat.size} observations to {out / OBS_FILE}")
-    print(f"tau_true: {_fmt(obs.tau_true)}")
+    print(f"tau_true: {_fmt(1.0 / cfgmod.noise_variance(U[obs.obs_dofs], cfg.noise.snr))}")
     return EXIT_OK
 
 
@@ -313,12 +313,21 @@ def _trace_summary(payload: dict) -> tuple[list[str], float]:
     ], state.mean_tau
 
 
-def _obs_summary(payload: dict, tau_mean: float | None) -> tuple[list[str], None]:
-    tau_true = parse_block(ObservationFile, payload).tau_true
-    lines = [f"tau_true: {_fmt(tau_true)}"]
-    if tau_mean is not None:
-        lines.append(f"tau_ratio: {_fmt(tau_mean / tau_true)}")
-    return lines, None
+def _truth_summary(out: Path, obs_dofs: np.ndarray, tau_mean: float | None) -> list[str]:
+    """tau_true, and tau_mean's ratio to it, from the truth files `generate`
+    writes: the clean response is displacement.csv at `obs_dofs`, and the SNR
+    is config.yaml's.  A file that cannot be read gives one line naming it."""
+    path = out / CONFIG_FILE
+    try:
+        cfg = cfgmod.load_config(path)
+        path = out / DISPLACEMENT_FILE
+        with open(path, newline="") as fh:
+            U = np.array([[float(x) for x in row] for row in list(csv.reader(fh))[1:]])
+        tau_true = 1.0 / cfgmod.noise_variance(U[:, 2:].ravel()[obs_dofs], cfg.noise.snr)
+    except (OSError, IndexError, ValueError) as exc:    # ConfigError among them
+        return [f"unreadable truth file {path}: {exc}"]
+    return [f"tau_true: {_fmt(tau_true)}"] + (
+        [f"tau_ratio: {_fmt(tau_mean / tau_true)}"] if tau_mean is not None else [])
 
 
 def _is_summary(payload: dict) -> tuple[list[str], None]:
@@ -348,7 +357,9 @@ def cmd_report(args) -> int:
         return value
 
     tau_mean = summary(TRACE_FILE, "run trace", _trace_summary)
-    summary(OBS_FILE, "observations", lambda payload: _obs_summary(payload, tau_mean))
+    obs = summary(OBS_FILE, "observations", lambda p: ([], parse_block(ObservationFile, p)))
+    if obs is not None and (out / CONFIG_FILE).exists() and (out / DISPLACEMENT_FILE).exists():
+        lines.extend(_truth_summary(out, obs.obs_dofs, tau_mean))
     summary(IS_FILE, "IS report", _is_summary)
 
     for line in lines:

@@ -444,41 +444,39 @@ def initial_mu(cfg: RunConfig, mesh: Mesh2D) -> np.ndarray:
 
 @dataclass
 class ObservationFile:
-    """Synthetic observations and the noise precision that generated them.
-
-    tau_true is never consumed by the inversion itself.  The noise-free
-    response is `displacement.csv` at `obs_dofs`, and the seed and SNR are the
-    noise block of the run's `config.yaml`.  Both lists are read as lists, so
-    a dof must be integral, and are held as arrays.
-    """
+    """The observed dofs and the noisy data there, all that `invert` and
+    `validate` read.  Both lists are read as lists, so a dof must be
+    integral, and are held as arrays."""
     obs_dofs: list[int]
     yhat: list[float]
-    tau_true: float = rule(gt=0, lt=math.inf)
 
     def __post_init__(self) -> None:
         self.obs_dofs = np.asarray(self.obs_dofs, dtype=int)
         self.yhat = np.asarray(self.yhat, dtype=float)
         if self.obs_dofs.size != self.yhat.size:
             raise ConfigError("observation file length mismatch")
-        check_rules(self)               # one built in code, too
+
+
+def noise_variance(y: np.ndarray, snr: float) -> float:
+    """sigma^2 = mean(y^2)/snr, the variance of the noise at SNR `snr` on the
+    noise-free response `y`; the noise precision tau_true is 1/sigma^2."""
+    sigma2 = float(np.mean(y ** 2)) / snr
+    if sigma2 == 0.0:
+        raise ConfigError("noise.snr: the observed response is identically zero, "
+                          "so no noise level has this SNR")
+    if not math.isfinite(sigma2):       # a subnormal snr overflows it
+        raise ConfigError(f"noise.snr: mean(y^2)/snr is not finite at snr {snr!r}")
+    return sigma2
 
 
 def generate_data(cfg: RunConfig) -> tuple[ObservationFile, np.ndarray, np.ndarray]:
-    """Solve the phantom forward problem and add noise at the target SNR.
-
-    Noise is i.i.d. Gaussian with sigma^2 = mean(y^2)/snr, so tau_true =
-    snr/mean(y^2).  The phantom is solved with the plan of `build_model`'s
-    model, uncounted, and observed at its dofs.  Returns (observations, true
-    field, full displacement).
-    """
+    """Solve the phantom with the plan of `build_model`'s model, uncounted,
+    observe it at its dofs and add i.i.d. Gaussian noise of `noise_variance`.
+    Returns (observations, true field, full displacement)."""
     model, mesh, _, obs, _ = build_model(cfg)
     psi_true = build_phantom(cfg, mesh)
     U = _solve_reduced(model.plan, psi_true).U
     y = U[obs]
-    sigma2 = float(np.mean(y ** 2)) / cfg.noise.snr
-    if sigma2 == 0.0:
-        raise ConfigError("noise.snr: the observed response is identically zero, "
-                          "so no noise level has this SNR")
     rng = np.random.default_rng(cfg.noise.seed)
-    yhat = y + rng.normal(0.0, math.sqrt(sigma2), size=y.shape)
-    return ObservationFile(obs_dofs=obs, yhat=yhat, tau_true=1.0 / sigma2), psi_true, U
+    yhat = y + rng.normal(0.0, math.sqrt(noise_variance(y, cfg.noise.snr)), size=y.shape)
+    return ObservationFile(obs_dofs=obs, yhat=yhat), psi_true, U

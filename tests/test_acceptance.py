@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from elastovb.config import build_model, generate_data, initial_mu
+from elastovb.config import build_model, generate_data, initial_mu, noise_variance
 from elastovb.driver import DriverConfig, info_gain, kl_terms, run
 from elastovb.forward import FemForwardModel
 from elastovb.importance import compare_vb_is, ess, run_is
@@ -53,7 +53,7 @@ def golden():
     t0 = time.perf_counter()
     trace = run(model, obs.yhat, cfg.solver, prior=prior, mu0=initial_mu(cfg, mesh))
     wall = time.perf_counter() - t0
-    return SimpleNamespace(cfg=cfg, obs=obs, psi_true=psi_true, model=model,
+    return SimpleNamespace(cfg=cfg, obs=obs, psi_true=psi_true, U=U, model=model,
                            mesh=mesh, mask=mask, trace=trace, wall=wall)
 
 
@@ -167,7 +167,8 @@ def test_criterion_2_posterior_std_agreement(golden, fullrank, capsys):
 
 def test_criterion_3_noise_precision_recovery(golden, capsys):
     state = golden.trace.state
-    ratio = state.mean_tau / golden.obs.tau_true
+    tau_true = 1.0 / noise_variance(golden.U[golden.obs.obs_dofs], golden.cfg.noise.snr)
+    ratio = state.mean_tau / tau_true
     ok = 0.5 <= ratio <= 2.0
     announce(capsys, f"CRITERION 3: {'PASS' if ok else 'FAIL'} — "
              f"<tau>/tau_true = {ratio:.3f} (need within factor 2)")

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import astuple, fields, is_dataclass
@@ -35,6 +36,12 @@ def clean_response(out, obs_dofs):
     """The noise-free response at `obs_dofs`: displacement.csv's ux/uy there."""
     rows = np.loadtxt(out / "displacement.csv", delimiter=",", skiprows=1)
     return rows[:, 2:].ravel()[obs_dofs]
+
+
+def tau_true(out, obs_dofs):
+    """1/sigma^2 of the noise `generate` drew into `out`, from its truth files."""
+    snr = load_config(out / "config.yaml").noise.snr
+    return 1.0 / cfgmod.noise_variance(clean_response(out, obs_dofs), snr)
 
 
 def small_dict(nx=4, ny=4, snr=1e4, seed=3):
@@ -158,9 +165,12 @@ def test_infinite_snr_set_in_code_is_refused():
      "phantom.inclusions[0].shape must be one of ('ellipse',), got 'rectangle'"),
     (lambda cfg: setattr(cfg.solver, "mu_reg_delay", -1),
      "solver.mu_reg_delay must be >= 0, got -1"),
-], ids=["dirichlet-edge", "inclusion-shape", "solver"])
+    (lambda cfg: setattr(cfg.clamp, "top_element_rows", cfg.mesh.ny),
+     "clamp.top_element_rows 10 outside [0, ny) = [0, 10)"),
+], ids=["dirichlet-edge", "inclusion-shape", "solver", "relation"])
 def test_config_edited_in_code_is_checked_in_every_block(edit, says):
-    # validate walks every record a RunConfig holds, down to the items of its lists
+    # validate walks every record a RunConfig holds, down to the items of its
+    # lists, and then checks the rules that relate values
     cfg = example1_config()
     edit(cfg)
     with pytest.raises(ConfigError) as err:
@@ -203,14 +213,6 @@ def test_call_budget_below_one_is_refused():
     DriverConfig(mu_call_budget=None).validate()       # no bound
 
 
-def test_observation_file_built_in_code_needs_a_finite_positive_tau():
-    # the reader refuses inf, but an ObservationFile built in code may hold it
-    dofs, yhat = np.arange(2), np.zeros(2)
-    with pytest.raises(ConfigError, match="tau_true must be > 0 and < inf, got inf"):
-        ObservationFile(obs_dofs=dofs, yhat=yhat, tau_true=math.inf)
-    assert ObservationFile(obs_dofs=dofs, yhat=yhat, tau_true=0.5).tau_true == 0.5
-
-
 # ---------------------------------------------------------------------------
 # Data generation
 
@@ -233,7 +235,8 @@ def test_empirical_snr_near_target(small_cfg_path, tmp_path):
     noise = obs.yhat - y
     snr = float(np.mean(y ** 2) / np.mean(noise ** 2))
     assert snr == pytest.approx(snr_target, rel=0.35)
-    assert obs.tau_true == pytest.approx(snr_target / float(np.mean(y ** 2)), rel=1e-12)
+    assert tau_true(out, obs.obs_dofs) == pytest.approx(snr_target / float(np.mean(y ** 2)),
+                                                        rel=1e-12)
 
 
 def test_generated_config_is_the_config_the_run_used(small_cfg_path, tmp_path):
@@ -260,11 +263,11 @@ def test_each_fact_is_written_once(small_cfg_path, tmp_path):
     for verb in ("generate", "invert", "validate"):
         assert main([verb] + args) == 0
     obs = json.loads((out / "observations.json").read_text())
-    assert set(obs) == {"schema_version", "obs_dofs", "yhat", "tau_true"}
+    assert set(obs) == {"schema_version", "obs_dofs", "yhat"}
     report = json.loads((out / "is_report.json").read_text())
     assert "degenerate" not in report
     assert report["forward_calls"] == report["M"]
-    assert obs["schema_version"] == report["schema_version"] == cli.SCHEMA_VERSION == 4
+    assert obs["schema_version"] == report["schema_version"] == cli.SCHEMA_VERSION == 5
 
 
 def test_observation_file_round_trip(small_cfg_path, tmp_path):
@@ -276,7 +279,6 @@ def test_observation_file_round_trip(small_cfg_path, tmp_path):
     again = load_observations(out / "copy.json")
     assert np.array_equal(obs.yhat, again.yhat)
     assert np.array_equal(obs.obs_dofs, again.obs_dofs)
-    assert obs.tau_true == again.tau_true
 
 
 def test_csv_schemas(small_cfg_path, tmp_path):
@@ -335,7 +337,7 @@ def test_each_stage_prints_what_it_wrote(small_cfg_path, tmp_path, capsys):
     obs = json.loads((out / "observations.json").read_text())
     assert capsys.readouterr().out.splitlines() == [
         f"wrote {len(obs['yhat'])} observations to {out / 'observations.json'}",
-        f"tau_true: {cli._fmt(obs['tau_true'])}"]
+        f"tau_true: {cli._fmt(tau_true(out, obs['obs_dofs']))}"]
     assert main(["invert"] + args) == 0
     trace = json.loads((out / "run_trace.json").read_text())
     assert capsys.readouterr().out.splitlines() == [
@@ -350,6 +352,13 @@ def test_each_stage_prints_what_it_wrote(small_cfg_path, tmp_path, capsys):
         f"ess: {cli._fmt(report['ess'])}",
         f"discarded: {report['discarded']}",
         f"mean_rel_median: {cli._fmt(report['mean_rel_median'])}"]
+    # report derives tau_true from the truth files with generate's bits
+    assert main(["report", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    tau_mean = float(next(line for line in lines if line.startswith("tau_mean:")).split()[1])
+    assert [line for line in lines if line.startswith(("tau_true:", "tau_ratio:"))] == [
+        f"tau_true: {cli._fmt(tau_true(out, obs['obs_dofs']))}",
+        f"tau_ratio: {cli._fmt(tau_mean / tau_true(out, obs['obs_dofs']))}"]
 
 
 def test_invert_csvs_are_views_of_the_run_trace(small_cfg_path, tmp_path):
@@ -689,7 +698,10 @@ def set_inclusion(**fields):
     (lambda d: d["bc"]["dirichlet"].append({"edge": "bottom", "ux": 0.5}),
      "bc.dirichlet[2].ux", "conflicts with 0.0 from an earlier edge"),
     (lambda d: d["bc"]["dirichlet"][1].update(uy=0.0),
-     "noise.snr", "observed response is identically zero"),
+     "noise.snr", "noise.snr: the observed response is identically zero, "
+     "so no noise level has this SNR"),
+    (lambda d: d["noise"].update(snr=1.0e-320),        # mean(y^2)/snr overflows
+     "noise.snr", "noise.snr: mean(y^2)/snr is not finite at snr 1e-320"),
     (set_inclusion(shape="ellipse", center=[2.0, 2.0]),
      "phantom.inclusions[0]", "ellipse needs center"),
     (set_inclusion(shape="ellipse", center=[0.5, 2.0], radii=[1.0, 1.0]),
@@ -710,6 +722,7 @@ def set_inclusion(**fields):
         "no_clamp_without_load", "edge_without_component", "load_outside_grid",
         "load_left_of_grid", "load_below_grid", "load_on_prescribed_dof",
         "load_on_prescribed_bottom_dof", "conflicting_dirichlet", "zero_response",
+        "subnormal_snr",
         "ellipse_without_radii", "ellipse_outside", "ellipse_below", "ellipse_zero_rx",
         "ellipse_zero_ry", "rectangle", "rectangle_extents", "unknown_shape"])
 def test_cross_field_rule_exits_one_naming_key(edit, named, says, tmp_path, capsys):
@@ -919,19 +932,11 @@ def failed_past_the_calls(trace):
 @pytest.mark.parametrize("name,corrupt,named", [
     ("observations.json", lambda obs: [obs], "root must be a mapping"),
     ("observations.json", lambda obs: {**obs, "yhat": "abc"}, "yhat must be a list"),
-    ("observations.json", lambda obs: {**obs, "tau_true": None},
-     "tau_true must be a number, got None"),
-    ("observations.json", lambda obs: {**obs, "tau_true": True},       # not tau = 1
-     "tau_true must be a number, got True"),
-    ("observations.json", lambda obs: {**obs, "tau_true": math.inf},   # exact data
-     "tau_true must be finite"),
     ("observations.json", first_item("yhat", math.nan), "yhat[0] must be finite"),
     ("observations.json", first_item("yhat", True), "yhat[0] must be a number, got True"),
     ("observations.json", lambda obs: {**obs, "seed": "x"},
      "unknown top-level keys: ['seed']"),
     ("observations.json", lambda obs: {**obs, "extra": 1}, "unknown top-level keys: ['extra']"),
-    ("observations.json", lambda obs: {**obs, "tau_true": 0.0},
-     "tau_true must be > 0 and < inf, got 0.0"),
     ("observations.json", lambda obs: {**obs, "yhat": obs["yhat"][:-1]},
      "observation file length mismatch"),
     ("observations.json", previous_schema, ""),
@@ -1005,9 +1010,8 @@ def failed_past_the_calls(trace):
     ("is_report.json", lambda report: {**report, "ess": True},
      "ess must be a number, got True"),
     ("is_report.json", previous_schema, ""),
-], ids=["obs-root-list", "obs-yhat-text", "obs-tau_true-null", "obs-tau_true-bool",
-        "obs-tau_true-infinite", "obs-yhat-nan", "obs-yhat-bool", "obs-seed-text",
-        "obs-extra-key", "obs-tau_true-zero", "obs-yhat-short", "obs-schema-previous", "obs-directory",
+], ids=["obs-root-list", "obs-yhat-text", "obs-yhat-nan", "obs-yhat-bool", "obs-seed-text",
+        "obs-extra-key", "obs-yhat-short", "obs-schema-previous", "obs-directory",
         "trace-root-list", "trace-mu-text", "trace-a-null", "trace-a-bool", "trace-mu-nan",
         "trace-mu-bool", "trace-state-unknown-key", "trace-lam-short", "trace-lam-negative",
         "trace-lambda0-zero", "trace-lam-zero",
@@ -1388,6 +1392,102 @@ def test_bug_in_a_solve_propagates_without_error_file(small_cfg_path, tmp_path, 
     with pytest.raises(NotImplementedError, match="injected bug"):
         main(["invert"] + args)
     assert not (out / "error.json").exists()
+
+
+def without_wall_time(path):
+    """The artifact's bytes, run_trace.json's without its wall_time_s value."""
+    return re.sub(rb'"wall_time_s": [^\n]*', b"", path.read_bytes())
+
+
+def test_invert_and_validate_read_no_truth(small_cfg_path, tmp_path, capsys):
+    # measured data come with no noise precision, phantom or clean response:
+    # observations.json alone, under a config with no phantom or noise block,
+    # inverts and validates as the synthetic run it was taken from
+    full, measured = tmp_path / "full", tmp_path / "measured"
+    for verb in ("generate", "invert", "validate"):
+        assert main([verb, "--config", str(small_cfg_path), "--out", str(full)]) == 0
+    obs = json.loads((full / "observations.json").read_text())
+    measured.mkdir()
+    (measured / "observations.json").write_text(json.dumps(
+        {"schema_version": cli.SCHEMA_VERSION, "obs_dofs": obs["obs_dofs"], "yhat": obs["yhat"]}))
+    d = yaml.safe_load(small_cfg_path.read_text())
+    del d["phantom"], d["noise"]
+    config = tmp_path / "measured.yaml"
+    config.write_text(yaml.safe_dump(d))
+    for verb in ("invert", "validate"):
+        assert main([verb, "--config", str(config), "--out", str(measured)]) == 0
+    for name in cli.INVERT_FILES + cli.VALIDATE_FILES:
+        assert without_wall_time(measured / name) == without_wall_time(full / name), name
+    capsys.readouterr()
+    reports = []
+    for out in (full, measured):
+        assert main(["report", "--out", str(out)]) == 0
+        reports.append(capsys.readouterr().out.splitlines())
+    # the truth-free report is the full one without its truth lines
+    assert [line for line in reports[0] if not line.startswith(("tau_true:", "tau_ratio:"))
+            ] == reports[1]
+    assert len(reports[1]) == len(reports[0]) - 2
+    assert not [line for line in reports[1] if "unreadable" in line or "missing:" in line]
+
+
+def truncate(path):
+    path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+
+
+def keep_ten_lines(path):           # whole rows: the last observed dofs are gone
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:10]))
+
+
+def replace_by_directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+def set_snr_zero(path):
+    d = yaml.safe_load(path.read_text())
+    d["noise"]["snr"] = 0
+    path.write_text(yaml.safe_dump(d))
+
+
+@pytest.mark.parametrize("name,corrupt", [
+    ("displacement.csv", truncate),
+    ("displacement.csv", keep_ten_lines),
+    ("displacement.csv", replace_by_directory),
+    ("config.yaml", lambda path: path.write_text("mesh: [unclosed\n")),
+    ("config.yaml", set_snr_zero),
+    ("config.yaml", replace_by_directory),
+], ids=["displacement-truncated", "displacement-rows-cut", "displacement-directory", "config-invalid-yaml",
+        "config-snr-zero", "config-directory"])
+def test_report_names_an_unreadable_truth_file(name, corrupt, small_cfg_path, tmp_path,
+                                               capsys):
+    # report reads the truth files that generate writes only for tau_true and
+    # tau_ratio; one it cannot read gives one line naming it, not a traceback
+    out = tmp_path / "truth"
+    for verb in ("generate", "invert"):
+        assert main([verb, "--config", str(small_cfg_path), "--out", str(out)]) == 0
+    corrupt(out / name)
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    unreadable = [line for line in lines if "unreadable" in line]
+    assert len(unreadable) == 1
+    assert unreadable[0].startswith(f"unreadable truth file {out / name}: ")
+    assert not [line for line in lines if line.startswith(("tau_true:", "tau_ratio:"))]
+    assert "tau_mean:" in "\n".join(lines) and "missing: is_report.json" in lines
+
+
+def test_report_lists_absent_observations_beside_the_truth_files(small_cfg_path, tmp_path,
+                                                                 capsys):
+    out = tmp_path / "noobs"
+    for verb in ("generate", "invert"):
+        assert main([verb, "--config", str(small_cfg_path), "--out", str(out)]) == 0
+    (out / "observations.json").unlink()
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "missing: observations.json, is_report.json"
+    assert not [line for line in lines
+                if line.startswith(("tau_true:", "tau_ratio:")) or "unreadable" in line]
 
 
 def test_report_on_empty_directory(tmp_path, capsys):
